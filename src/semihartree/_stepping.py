@@ -10,7 +10,7 @@ step costs one potential evaluation and one FFT round trip.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,45 +57,69 @@ def split_step_evolve(
     store_times: Optional[Sequence[float]] = None,
     guard_cells: int = 12,
     guard_mass: float = 1e-8,
-    label: str = "evolution",
+    label: Union[str, Sequence[str]] = "evolution",
 ):
     """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + potential(t, psi) psi.
 
-    `potential` must return a real array; it is evaluated once per step on
-    the post-kinetic samples.  Returns (times, stored_times, stored_data,
-    norm_drift) where norm_drift is the largest deviation of the L^2 norm
-    from its initial value over every step, not just stored ones.
+    `samples0` is one state of shape (n,) or a batch of shape (m, n) whose
+    rows evolve independently: FFTs and reductions run along the last axis
+    and `potential` must return a real array broadcastable to the samples.
+    It is evaluated once per step on the post-kinetic samples.  Returns
+    (times, stored_times, stored_data, norm_drift): stored_data has shape
+    (stored nodes,) + samples0.shape, and norm_drift is the largest
+    deviation of the L^2 norm from its initial value over every step, not
+    just stored ones (a float, or one value per row of a batch).
 
     Raises NumericalError when samples go non-finite or when more than
     `guard_mass` probability sits within `guard_cells` cells of a domain
-    edge (the packet is escaping the window).
+    edge (the packet is escaping the window).  `label` names the run in
+    that message; a batch takes one label per row, and its error names the
+    lowest failing row's label and carries that row's index as `row`.
     """
     times = time_nodes(T, dt)
     store_idx = _resolve_store(times, store_times)
     store_pos = {int(j): pos for pos, j in enumerate(store_idx)}
 
     psi = np.array(samples0, dtype=np.complex128)
+    batched = psi.ndim == 2
+    labels = [label] if isinstance(label, str) else list(label)
+    if batched and len(labels) != psi.shape[0]:
+        raise ValueError("a batch needs one label per row")
     dx = grid.dx
     k2 = grid.wavenumbers ** 2
-    norm0 = np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2) * dx)
-    drift = 0.0
 
-    data = np.empty((store_idx.size, grid.n), dtype=np.complex128)
+    def norms():
+        return np.sqrt((psi.real ** 2 + psi.imag ** 2).sum(axis=-1) * dx)
+
+    norm0 = norms()
+    drift = np.zeros_like(norm0)
+
+    data = np.empty((store_idx.size,) + psi.shape, dtype=np.complex128)
     if 0 in store_pos:
         data[store_pos[0]] = psi
 
-    def check(t: float) -> None:
-        if not np.all(np.isfinite(psi)):
-            raise NumericalError(f"{label}: non-finite samples at t={t:.6g}")
+    def check(t: float, nrm) -> None:
         bm = boundary_mass(psi, grid, guard_cells)
-        if bm > guard_mass:
-            nrm2 = np.sum(psi.real ** 2 + psi.imag ** 2) * dx
+        # a finite norm implies finite samples; scan them only if it is not
+        if (bm <= guard_mass).all() and np.isfinite(nrm).all():
+            return
+        finite = np.atleast_1d(np.isfinite(psi).all(axis=-1))
+        bm = np.atleast_1d(bm)
+        bad = ~finite | (bm > guard_mass)
+        if not bad.any():
+            return
+        row = int(np.argmax(bad))
+        where = dict(row=row) if batched else {}
+        if not finite[row]:
             raise NumericalError(
-                f"{label}: boundary mass fraction {bm / nrm2:.3e} at t={t:.6g} "
-                f"exceeds guard {guard_mass:.1e}"
-            )
+                f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
+        s = psi[row] if batched else psi
+        nrm2 = np.sum(s.real ** 2 + s.imag ** 2) * dx
+        raise NumericalError(
+            f"{labels[row]}: boundary mass fraction {bm[row] / nrm2:.3e} at "
+            f"t={t:.6g} exceeds guard {guard_mass:.1e}", **where)
 
-    check(0.0)
+    check(0.0, norm0)
     v = potential(times[0], psi)
     h_prev = None
     kin = None
@@ -109,9 +133,9 @@ def split_step_evolve(
         v = potential(times[j + 1], psi)
         psi = psi * np.exp(-0.5j * h * v)
 
-        check(times[j + 1])
-        nrm = np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2) * dx)
-        drift = max(drift, abs(nrm - norm0))
+        nrm = norms()
+        check(times[j + 1], nrm)
+        drift = np.maximum(drift, np.abs(nrm - norm0))
         if j + 1 in store_pos:
             data[store_pos[j + 1]] = psi
 

@@ -62,6 +62,10 @@ class Trajectory(Sequence):
     def q_at(self, t: float) -> float:
         return float(self._splines[0](t))
 
+    def qs_at(self, times: np.ndarray) -> np.ndarray:
+        """q at every one of `times`, in one spline evaluation."""
+        return self._splines[0](np.asarray(times, dtype=np.float64))
+
     def p_at(self, t: float) -> float:
         return float(self._splines[1](t))
 

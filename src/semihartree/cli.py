@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+JOBS_HELP = ("parallel datapoints in physical mode, at most one per eps and "
+             "CPU (default 1); packet-frame modes evaluate all eps as one "
+             "array and accept but ignore it")
+
 
 def _load_config(args) -> ExperimentConfig:
     # overrides are merged into the raw document before validation so that
@@ -149,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with rate fit")
     common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel datapoints (default 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_sweep.add_argument("--plot-script", dest="plot_script",
                          help="also write a gnuplot script (requires --out)")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -174,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cor, mode_flag=False)
     p_cor.add_argument("--K", type=int, choices=(1, 2), default=1,
                        help="expansion order (default 1)")
-    p_cor.add_argument("--jobs", type=int, default=1)
+    p_cor.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_cor.add_argument("--plot-script", dest="plot_script")
     p_cor.set_defaults(func=_cmd_sweep)
 

@@ -222,10 +222,15 @@ def evaluate_trig_interpolant(psi: WaveFunction, points: np.ndarray) -> np.ndarr
     return out
 
 
-def boundary_mass(samples: np.ndarray, grid: Grid, cells: int = 12) -> float:
-    """Probability mass within `cells` grid cells of either domain edge."""
-    density = samples.real ** 2 + samples.imag ** 2
-    return float((np.sum(density[:cells]) + np.sum(density[-cells:])) * grid.dx)
+def boundary_mass(samples: np.ndarray, grid: Grid, cells: int = 12):
+    """Probability mass within `cells` grid cells of either domain edge.
+
+    Reduces along the last axis: a float for one state, one value per row
+    for a batch of shape (m, n).
+    """
+    head, tail = samples[..., :cells], samples[..., -cells:]
+    return ((head.real ** 2 + head.imag ** 2).sum(axis=-1)
+            + (tail.real ** 2 + tail.imag ** 2).sum(axis=-1)) * grid.dx
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Working in the frame co-moving with the classical trajectory removes the
 fast oscillation, so the grid requirements are uniform in the
-semiclassical parameter: the same mesh serves every epsilon in a sweep.
+semiclassical parameter: the same mesh serves every epsilon in a sweep,
+and a sweep evolves all of its epsilons together as one (m, n) batch.
 The residual against the quadratic-model profile is the cheapest way to
 measure the approximation error.
 """
@@ -10,13 +11,15 @@ measure the approximation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._stepping import split_step_evolve
+from ._stepping import split_step_evolve, time_nodes
 from .classical import Trajectory
 from .grids import (
     RESCALED,
+    Grid,
     WaveFunction,
     WaveSeries,
     apply_radial_rfft,
@@ -25,7 +28,8 @@ from .grids import (
 )
 from .potentials import ExternalPotential, PairPotential
 
-__all__ = ["RescaledRun", "evolve_rescaled", "residual_norm", "DEFAULT_DT"]
+__all__ = ["RescaledRun", "evolve_rescaled", "evolve_rescaled_finals",
+           "residual_norm", "DEFAULT_DT"]
 
 DEFAULT_DT = 1e-3
 
@@ -40,19 +44,45 @@ class RescaledRun:
     norm_drift: float
 
 
-def evolve_rescaled(a0: WaveFunction, epsilon: float, phi: PairPotential,
-                    U: ExternalPotential, trajectory: Trajectory,
-                    T: float, dt: float = DEFAULT_DT, *,
-                    guard_cells: int = 12, guard_mass: float = 1e-8) -> RescaledRun:
-    """Strang-split integration of the packet-frame amplitude equation.
+def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential,
+                            U: ExternalPotential, trajectory: Trajectory,
+                            times: np.ndarray):
+    """Per-step potential for a column of epsilons, one row each.
 
-    The per-step potential combines the mean-field term
-    (1/eps) * conv(phi(sqrt(eps) r) - phi(0), |a|^2) with the external
-    bracket (1/eps) * [U(q + sqrt(eps) mu) - U(q) - sqrt(eps) U'(q) mu],
-    both evaluated pointwise without Taylor truncation so the residual
-    measures the approximation itself, not a modeling shortcut.
+    It combines the mean-field term (1/eps) * conv(phi(sqrt(eps) r) - phi(0),
+    |a|^2) with the external bracket
+    (1/eps) * [U(q + sqrt(eps) mu) - U(q) - sqrt(eps) U'(q) mu], both
+    evaluated pointwise without Taylor truncation so the residual measures
+    the approximation itself, not a modeling shortcut.  The trajectory is
+    sampled once at the step nodes `times`, the only times it is called at.
     """
-    if epsilon <= 0:
+    mu = grid.points
+    root_eps = np.sqrt(epsilons)[:, None]
+    inv_eps = 1.0 / epsilons[:, None]
+    khat = np.stack([radial_kernel_rfft(lambda r, s=s: phi.shifted(s * r), grid)
+                     for s in root_eps[:, 0]])
+    q_of = dict(zip(times.tolist(), trajectory.qs_at(times).tolist()))
+
+    def potential(t: float, samples: np.ndarray) -> np.ndarray:
+        density = samples.real ** 2 + samples.imag ** 2
+        mean_field = apply_radial_rfft(khat, density, grid)
+        q = q_of[t]
+        bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)
+                   - float(U.value(q, t))
+                   - root_eps * float(U.grad(q, t)) * mu)
+        return inv_eps * (mean_field + bracket)
+
+    return potential
+
+
+def _evolve_batch(a0: WaveFunction, epsilons: Sequence[float], phi: PairPotential,
+                  U: ExternalPotential, trajectory: Trajectory, T: float, dt: float,
+                  store_times: Optional[Sequence[float]], guard_cells: int,
+                  guard_mass: float):
+    """Strang-split integration of the packet-frame amplitude equation for
+    every epsilon at once, one row each, all starting from `a0`."""
+    epsilons = np.asarray(epsilons, dtype=np.float64)
+    if np.any(epsilons <= 0):
         raise ValueError("epsilon must be positive")
     if a0.frame != RESCALED:
         raise ValueError("initial amplitude must be in the rescaled frame")
@@ -60,27 +90,42 @@ def evolve_rescaled(a0: WaveFunction, epsilon: float, phi: PairPotential,
         raise ValueError("trajectory does not cover [0, T]")
 
     grid = a0.grid
-    mu = grid.points
-    root_eps = np.sqrt(epsilon)
-    inv_eps = 1.0 / epsilon
-    khat = radial_kernel_rfft(lambda r: phi.shifted(root_eps * r), grid)
-
-    def potential(t: float, samples: np.ndarray) -> np.ndarray:
-        density = samples.real ** 2 + samples.imag ** 2
-        mean_field = apply_radial_rfft(khat, density, grid)
-        q = trajectory.q_at(t)
-        bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)
-                   - float(U.value(q, t))
-                   - root_eps * float(U.grad(q, t)) * mu)
-        return inv_eps * (mean_field + bracket)
-
-    times, _, data, drift = split_step_evolve(
-        a0.samples, grid, T, dt, potential,
-        guard_cells=guard_cells, guard_mass=guard_mass,
-        label=f"rescaled amplitude (eps={epsilon:g})",
+    potential = _packet_frame_potential(grid, epsilons, phi, U, trajectory,
+                                        time_nodes(T, dt))
+    return split_step_evolve(
+        np.broadcast_to(a0.samples, (epsilons.size, grid.n)), grid, T, dt, potential,
+        store_times=store_times, guard_cells=guard_cells, guard_mass=guard_mass,
+        label=[f"rescaled amplitude (eps={e:g})" for e in epsilons],
     )
-    return RescaledRun(WaveSeries(times, grid, RESCALED, data), float(epsilon),
-                       trajectory, float(drift))
+
+
+def evolve_rescaled(a0: WaveFunction, epsilon: float, phi: PairPotential,
+                    U: ExternalPotential, trajectory: Trajectory,
+                    T: float, dt: float = DEFAULT_DT, *,
+                    guard_cells: int = 12, guard_mass: float = 1e-8) -> RescaledRun:
+    """Packet-frame amplitude history for one epsilon, stored at every
+    node; see `_packet_frame_potential` for the equation."""
+    times, _, data, drift = _evolve_batch(a0, [epsilon], phi, U, trajectory, T, dt,
+                                          None, guard_cells, guard_mass)
+    return RescaledRun(WaveSeries(times, a0.grid, RESCALED, data[:, 0]),
+                       float(epsilon), trajectory, float(drift[0]))
+
+
+def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
+                           phi: PairPotential, U: ExternalPotential,
+                           trajectory: Trajectory, T: float, dt: float = DEFAULT_DT,
+                           *, guard_cells: int = 12,
+                           guard_mass: float = 1e-8) -> List[WaveFunction]:
+    """Final packet-frame amplitude for each epsilon, evolved together as
+    one (len(epsilons), n) batch that keeps only the final node.
+
+    Each row equals the final node of `evolve_rescaled` at its epsilon.  A
+    guard failure raises NumericalError naming the lowest failing row's
+    epsilon, with that row's index in `epsilons` as its `row`.
+    """
+    _, _, data, _ = _evolve_batch(a0, epsilons, phi, U, trajectory, T, dt,
+                                  (T,), guard_cells, guard_mass)
+    return [WaveFunction(a0.grid, row, RESCALED) for row in data[-1]]
 
 
 def residual_norm(b: WaveFunction, a: WaveFunction) -> float:

@@ -10,15 +10,17 @@ and live in a trailing comment block.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .amplitude import evolve_b, evolve_beta
-from .classical import Trajectory, hessian_along_flow, integrate_flow
+from .classical import hessian_along_flow, integrate_flow
 from .config import ExperimentConfig
 from .corrections import (
     CorrectionSet,
@@ -26,10 +28,10 @@ from .corrections import (
     evolve_correction_1,
     evolve_correction_2,
 )
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, l2_distance, make_grid
 from .hartree import compare_evolution
-from .rescaled import evolve_rescaled, residual_norm
+from .rescaled import evolve_rescaled_finals, residual_norm
 
 __all__ = [
     "SweepRow",
@@ -98,7 +100,76 @@ def fit_rate(eps_values, errors):
 
 
 # ---------------------------------------------------------------------------
-# shared per-refinement-level state (trajectory, profile histories)
+# the step-halving gate
+
+
+def _settled(err_prev: float, err: float) -> bool:
+    return abs(err - err_prev) <= max(GATE_REL_TOL * abs(err), GATE_ABS_FLOOR)
+
+
+def _gate_failure(eps: float) -> NumericalError:
+    return NumericalError(
+        f"step-halving gate failed at eps={eps:g}: error still moving by "
+        f"more than {GATE_REL_TOL:.0%} after {MAX_GATE_DOUBLINGS} halvings"
+    )
+
+
+def _row(eps: float, err: float, dt_used: float, n_used: int, wall_ms: float) -> SweepRow:
+    return SweepRow(float(eps), float(err), float(err / np.sqrt(eps)),
+                    float(dt_used), int(n_used), wall_ms)
+
+
+def _progress_line(row: SweepRow) -> str:
+    return f"eps={row.epsilon:<8g} error={row.error:.6e} dt={row.dt_used:g}"
+
+
+# ---------------------------------------------------------------------------
+# physical mode: one datapoint at a time, optionally in a process pool
+# (its grid n changes with eps, so the eps axis cannot be batched)
+
+
+def _physical_datapoint(config: ExperimentConfig, eps: float) -> SweepRow:
+    start = time.perf_counter()
+    level = 1
+    err_prev = compare_evolution(eps, config, refine=level).final_error
+    for _ in range(MAX_GATE_DOUBLINGS):
+        level *= 2
+        result = compare_evolution(eps, config, refine=level)
+        if _settled(err_prev, result.final_error):
+            return _row(eps, result.final_error, result.dt_used, result.grid_n,
+                        (time.perf_counter() - start) * 1e3)
+        err_prev = result.final_error
+    raise _gate_failure(eps)
+
+
+def _physical_rows(config: ExperimentConfig, jobs: int, note) -> tuple:
+    """(rows, failure) in eps-list order; failure is (eps, exception) of
+    the first datapoint that failed, or None."""
+    eps_list = config.eps_list
+    workers = min(jobs, len(eps_list), os.cpu_count() or 1)
+    if workers == 1:
+        return _collect(eps_list, [partial(_physical_datapoint, config, eps)
+                                   for eps in eps_list], note)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_physical_datapoint, config, eps) for eps in eps_list]
+        return _collect(eps_list, [f.result for f in futures], note)
+
+
+def _collect(eps_list, outcomes, note) -> tuple:
+    rows = []
+    for eps, outcome in zip(eps_list, outcomes):
+        try:
+            row = outcome()
+        except NumericalError as exc:
+            return rows, (eps, exc)
+        note(_progress_line(row))
+        rows.append(row)
+    return rows, None
+
+
+# ---------------------------------------------------------------------------
+# packet-frame modes: every eps of a refinement level in one batch, over a
+# shared per-level cache (trajectory, profile and correction histories)
 
 
 def _build_level(config: ExperimentConfig, level: int) -> dict:
@@ -111,67 +182,92 @@ def _build_level(config: ExperimentConfig, level: int) -> dict:
                                 min(1e-3, dt))
     hess = hessian_along_flow(trajectory, U)
     a0 = config.initial_profile()
-    out = {"trajectory": trajectory, "dt": dt}
-    if config.mode in ("rescaled", "corrections-1", "corrections-2"):
-        # base profile fed at half the correction step so midpoints are nodes
-        b_fine = evolve_b(a0, phi.second_deriv_at_0, hess, T, dt / 2.0)
-        out["b"] = b_fine
-        if config.mode in ("corrections-1", "corrections-2"):
-            a1 = evolve_correction_1(b_fine, phi, U, trajectory, T, dt)
-            out["a1"] = a1
-            if config.mode == "corrections-2":
-                out["a2"] = evolve_correction_2(b_fine, a1, phi, U, trajectory, T, dt)
+    # base profile fed at half the correction step so midpoints are nodes
+    b_fine = evolve_b(a0, phi.second_deriv_at_0, hess, T, dt / 2.0)
+    out = {"trajectory": trajectory, "dt": dt, "b": b_fine}
+    if config.mode in ("corrections-1", "corrections-2"):
+        a1 = evolve_correction_1(b_fine, phi, U, trajectory, T, dt)
+        out["a1"] = a1
+        if config.mode == "corrections-2":
+            out["a2"] = evolve_correction_2(b_fine, a1, phi, U, trajectory, T, dt)
     return out
 
 
-def _error_at(config: ExperimentConfig, eps: float, level: int, levels: dict):
-    """(error, dt_used, n_used) for one epsilon at one refinement level."""
-    if level not in levels:
-        levels[level] = _build_level(config, level)
-    shared = levels[level]
-    mode = config.mode
-    if mode == "physical":
-        result = compare_evolution(eps, config, refine=level)
-        return result.final_error, result.dt_used, result.grid_n
-
-    trajectory: Trajectory = shared["trajectory"]
-    dt = shared["dt"]
-    run = evolve_rescaled(config.initial_profile(), eps, config.pair(),
-                          config.external(), trajectory, config.T, dt)
-    if mode == "rescaled":
-        err = residual_norm(shared["b"].final, run.a.final)
-        return err, dt, config.mu_n
-
-    K = 1 if mode == "corrections-1" else 2
+def _packet_frame_errors(config: ExperimentConfig, epsilons: list, shared: dict) -> list:
+    """Error of each epsilon at one refinement level, from one batched
+    evolution; a failing row raises NumericalError with its `row` set."""
+    finals = evolve_rescaled_finals(config.initial_profile(), epsilons, config.pair(),
+                                    config.external(), shared["trajectory"],
+                                    config.T, shared["dt"])
+    if config.mode == "rescaled":
+        return [residual_norm(shared["b"].final, a) for a in finals]
+    K = 1 if config.mode == "corrections-1" else 2
     orders = [shared["b"], shared["a1"]]
     if K == 2:
         orders.append(shared["a2"])
-    approx = assemble_expansion(CorrectionSet(tuple(orders)), K, eps)
-    err = l2_distance(run.a.final, approx)
-    return err, dt, config.mu_n
+    corrections = CorrectionSet(tuple(orders))
+    return [l2_distance(a, assemble_expansion(corrections, K, eps))
+            for eps, a in zip(epsilons, finals)]
 
 
-def _gated_datapoint(config: ExperimentConfig, eps: float, levels: dict) -> SweepRow:
-    start = time.perf_counter()
+def _packet_frame_rows(config: ExperimentConfig, levels: dict) -> tuple:
+    """(rows, failure) as `_physical_rows` gives them, from the whole eps
+    set gated level by level: levels 1 and 2 for every eps, then each
+    doubling for the eps still unsettled.
+
+    The outcome equals evaluating the eps one at a time in list order.  A
+    datapoint that fails at list index i ends that sweep at i, so the eps
+    after i leave the batch and the level reruns without them.  A row's
+    wall_ms is its share of the batch time of every level it took part in.
+    """
+    eps_list = config.eps_list
+    active = list(range(len(eps_list)))
+    failure = None  # (index, exception) of the earliest failing eps
+    spent = [0.0] * len(eps_list)
+    settled = {}
+
+    def fail(i: int, exc: NumericalError) -> None:
+        nonlocal active, failure
+        failure = (i, exc)
+        active = [j for j in active if j < i]
+
+    def measure(level: int) -> dict:
+        while active:
+            batch = list(active)
+            start = time.perf_counter()
+            try:
+                if level not in levels:
+                    levels[level] = _build_level(config, level)
+                errors = _packet_frame_errors(config, [eps_list[i] for i in batch],
+                                              levels[level])
+            except NumericalError as exc:
+                # an error without a row (a level build) stops the whole batch
+                fail(batch[0] if exc.row is None else batch[exc.row], exc)
+                errors = None
+            share = (time.perf_counter() - start) * 1e3 / len(batch)
+            for i in batch:
+                spent[i] += share
+            if errors is not None:
+                return dict(zip(batch, errors))
+        return {}
+
     level = 1
-    err_prev, _, _ = _error_at(config, eps, level, levels)
+    err_prev = measure(level)
     for _ in range(MAX_GATE_DOUBLINGS):
-        err, dt_used, n_used = _error_at(config, eps, 2 * level, levels)
-        if abs(err - err_prev) <= max(GATE_REL_TOL * abs(err), GATE_ABS_FLOOR):
-            wall_ms = (time.perf_counter() - start) * 1e3
-            return SweepRow(float(eps), float(err), float(err / np.sqrt(eps)),
-                            float(dt_used), int(n_used), wall_ms)
         level *= 2
-        err_prev = err
-    raise NumericalError(
-        f"step-halving gate failed at eps={eps:g}: error still moving by "
-        f"more than {GATE_REL_TOL:.0%} after {MAX_GATE_DOUBLINGS} halvings"
-    )
+        errors = measure(level)
+        for i, err in errors.items():
+            if _settled(err_prev[i], err):
+                settled[i] = _row(eps_list[i], err, levels[level]["dt"], config.mu_n,
+                                  spent[i])
+        active = [i for i in active if i not in settled]
+        err_prev = errors
+    if active:
+        fail(active[0], _gate_failure(eps_list[active[0]]))
 
-
-def _datapoint_task(config: ExperimentConfig, eps: float, levels: dict) -> SweepRow:
-    # workers get their own copy of `levels` and may extend it locally
-    return _gated_datapoint(config, eps, dict(levels))
+    end = len(eps_list) if failure is None else failure[0]
+    rows = [settled[i] for i in range(end)]
+    return rows, None if failure is None else (eps_list[failure[0]], failure[1])
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1,
@@ -179,49 +275,42 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     """Measure the error at every epsilon in the configured mode, fit the
     log-log rate, and return the report (rows sorted by descending epsilon).
 
-    Raises SweepError with the partial report if any datapoint fails.
+    Physical mode runs up to `jobs` datapoints in parallel processes (never
+    more than there are eps or CPUs).  The packet-frame modes evolve every
+    eps as one batch and ignore `jobs`; their progress lines appear once
+    the last level settles.
+
+    Raises ConfigError if jobs < 1, and SweepError with the partial report
+    (the rows before the first eps in list order that failed) if any
+    datapoint fails.
     """
-    rows: list = []
-    eps_list = config.eps_list
-    try:
-        levels = {1: _build_level(config, 1), 2: _build_level(config, 2)}
-    except NumericalError as exc:
-        raise SweepError(
-            f"sweep aborted before eps={eps_list[0]:g}: {exc}",
-            _finish_report(rows, config.mode), eps_list[0],
-        ) from exc
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
 
     def note(msg: str) -> None:
         if progress is not None:
             progress(msg)
 
-    if jobs <= 1:
-        for eps in eps_list:
-            try:
-                row = _gated_datapoint(config, eps, levels)
-            except NumericalError as exc:
-                report = _finish_report(rows, config.mode)
-                raise SweepError(
-                    f"sweep aborted at eps={eps:g}: {exc}", report, eps
-                ) from exc
-            note(f"eps={eps:<8g} error={row.error:.6e} dt={row.dt_used:g}")
-            rows.append(row)
+    eps_list = config.eps_list
+    if config.mode == "physical":
+        rows, failure = _physical_rows(config, jobs, note)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_datapoint_task, config, eps, levels)
-                       for eps in eps_list]
-            for eps, fut in zip(eps_list, futures):
-                try:
-                    row = fut.result()
-                except NumericalError as exc:
-                    report = _finish_report(rows, config.mode)
-                    raise SweepError(
-                        f"sweep aborted at eps={eps:g}: {exc}", report, eps
-                    ) from exc
-                note(f"eps={eps:<8g} error={row.error:.6e} dt={row.dt_used:g}")
-                rows.append(row)
+        try:
+            levels = {1: _build_level(config, 1), 2: _build_level(config, 2)}
+        except NumericalError as exc:
+            raise SweepError(
+                f"sweep aborted before eps={eps_list[0]:g}: {exc}",
+                _finish_report([], config.mode), eps_list[0],
+            ) from exc
+        rows, failure = _packet_frame_rows(config, levels)
+        for row in rows:
+            note(_progress_line(row))
 
-    return _finish_report(rows, config.mode)
+    report = _finish_report(rows, config.mode)
+    if failure is not None:
+        eps, exc = failure
+        raise SweepError(f"sweep aborted at eps={eps:g}: {exc}", report, eps) from exc
+    return report
 
 
 def _finish_report(rows, mode: str) -> SweepReport:

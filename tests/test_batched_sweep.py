@@ -1,0 +1,100 @@
+"""The packet-frame sweep evolves every eps of a level as one batch; these
+tests hold it to the results of evaluating the eps one at a time."""
+
+import numpy as np
+import pytest
+
+import semihartree.rescaled as rescaled
+from semihartree.classical import integrate_flow
+from semihartree.config import ExperimentConfig
+from semihartree.rescaled import evolve_rescaled, evolve_rescaled_finals
+from semihartree.sweep import SweepError, run_sweep
+
+SMALL = ExperimentConfig(mode="rescaled", T=0.5, eps_list=(0.32, 0.16, 0.08))
+
+
+def test_batched_finals_equal_single_runs():
+    cfg = SMALL
+    a0, phi, U = cfg.initial_profile(), cfg.pair(), cfg.external()
+    trajectory = integrate_flow(cfg.q0, cfg.p0, U, phi.value_at_0, cfg.T, 1e-3)
+    finals = evolve_rescaled_finals(a0, cfg.eps_list, phi, U, trajectory, cfg.T, 1e-3)
+    for eps, final in zip(cfg.eps_list, finals):
+        single = evolve_rescaled(a0, eps, phi, U, trajectory, cfg.T, 1e-3).a.final
+        scale = np.max(np.abs(single.samples))
+        assert np.max(np.abs(final.samples - single.samples)) <= 1e-12 * scale
+
+
+def poison(monkeypatch, onset):
+    """Make the packet-frame potential of each eps in `onset` non-finite
+    from that time on, so the engine's guard stops exactly that row."""
+    real = rescaled._packet_frame_potential
+
+    def poisoned(grid, epsilons, *args):
+        potential = real(grid, epsilons, *args)
+        starts = np.array([onset.get(float(e), np.inf) for e in epsilons])[:, None]
+
+        def wrapped(t, samples):
+            return np.where(t >= starts, np.nan, potential(t, samples))
+        return wrapped
+
+    monkeypatch.setattr(rescaled, "_packet_frame_potential", poisoned)
+
+
+def one_at_a_time(config):
+    """(rows, failed eps, message) from single-eps sweeps run in
+    list order, stopping at the first failure."""
+    rows = []
+    for eps in config.eps_list:
+        single = ExperimentConfig(mode=config.mode, T=config.T, eps_list=(eps,))
+        try:
+            rows.extend(run_sweep(single).rows)
+        except SweepError as exc:
+            return rows, eps, str(exc)
+    return rows, None, None
+
+
+@pytest.mark.parametrize("onset", [
+    {0.16: 0.25},               # the middle eps fails
+    {0.16: 0.3, 0.08: 0.1},     # a later eps fails first in time
+])
+def test_failure_matches_one_at_a_time(monkeypatch, onset):
+    poison(monkeypatch, onset)
+    rows, failed_eps, message = one_at_a_time(SMALL)
+    assert failed_eps == 0.16
+    with pytest.raises(SweepError) as err:
+        run_sweep(SMALL)
+    assert err.value.failed_eps == failed_eps
+    assert str(err.value) == message
+    assert "rescaled amplitude (eps=0.16): non-finite samples" in message
+    assert [r.epsilon for r in err.value.report.rows] == [0.32]
+    assert [(r.error, r.dt_used, r.n_used) for r in err.value.report.rows] \
+        == [(r.error, r.dt_used, r.n_used) for r in rows]
+
+
+def test_failure_at_second_level_only(monkeypatch):
+    # poison 0.16 only on the finer level: level 1 succeeds for every eps,
+    # then level 2 drops 0.16 and 0.08 and reruns for 0.32 alone
+    real = rescaled._packet_frame_potential
+
+    def poisoned(grid, epsilons, phi, U, trajectory, times):
+        potential = real(grid, epsilons, phi, U, trajectory, times)
+        fine = times[1] < 1e-3 - 1e-12
+        bad = (epsilons == 0.16)[:, None] & fine
+
+        def wrapped(t, samples):
+            return np.where(bad & (t > 0.2), np.nan, potential(t, samples))
+        return wrapped
+
+    monkeypatch.setattr(rescaled, "_packet_frame_potential", poisoned)
+    rows, failed_eps, message = one_at_a_time(SMALL)
+    with pytest.raises(SweepError) as err:
+        run_sweep(SMALL)
+    assert failed_eps == 0.16
+    assert (err.value.failed_eps, str(err.value)) == (failed_eps, message)
+    assert [r.error for r in err.value.report.rows] == [r.error for r in rows]
+
+
+def test_progress_lines_in_list_order():
+    lines = []
+    run_sweep(SMALL, progress=lines.append)
+    assert [line.split()[0] for line in lines] == ["eps=0.32", "eps=0.16", "eps=0.08"]

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import semihartree.sweep as sweep_module
 from semihartree.cli import main
 from semihartree.config import ExperimentConfig
+from semihartree.errors import ConfigError
 from semihartree.sweep import (
     SweepError,
     SweepReport,
@@ -98,6 +100,44 @@ class TestRunSweep:
         assert data_section(render_report(serial)) \
             == data_section(render_report(parallel))
 
+    def test_physical_pool_matches_serial(self):
+        small = ExperimentConfig(mode="physical", T=0.25, eps_list=(0.32, 0.16))
+        serial = run_sweep(small)
+        parallel = run_sweep(small, jobs=2)
+        assert data_section(render_report(serial)) \
+            == data_section(render_report(parallel))
+
+    def test_pool_workers_are_clamped(self, monkeypatch):
+        # record the pool size and stop before any worker process starts
+        sizes = []
+
+        class Stop(Exception):
+            pass
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                raise Stop
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
+        physical = ExperimentConfig(mode="physical", eps_list=(0.32, 0.16, 0.08))
+        for jobs in (2, 64):
+            with pytest.raises(Stop):
+                run_sweep(physical, jobs=jobs)
+        assert sizes == [2, 3]
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+        with pytest.raises(Stop):
+            run_sweep(physical, jobs=64)
+        assert sizes == [2, 3, 2]
+        # packet-frame modes evaluate every eps in one batch, never in a pool
+        run_sweep(SMALL_RESCALED, jobs=64)
+        assert sizes == [2, 3, 2]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="jobs must be at least 1"):
+            run_sweep(SMALL_RESCALED, jobs=0)
+
     def test_failure_carries_partial_report(self):
         # a window far too small for the spreading profile trips the guard
         bad = ExperimentConfig(mode="rescaled", T=1.0, mu_n=128,
@@ -177,6 +217,12 @@ class TestCli:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "none.json")]) == 2
+
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--jobs", "0", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, grid={"mu_n": 128, "mu_halfwidth": 4},
