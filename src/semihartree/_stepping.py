@@ -2,10 +2,12 @@
 
 One Strang step over [t, t+h] applies a half potential phase sampled at t,
 an exact spectral kinetic step, and a half potential phase sampled at t+h.
-Self-consistent potentials are recomputed from the evolved density before
-the trailing half phase; because the potential phase leaves |psi| unchanged,
-that same evaluation serves as the leading half of the next step, so each
-step costs one potential evaluation and one FFT round trip.
+The potential, evaluated once per step on the post-kinetic state, serves
+the trailing half and the next step's leading half.  Off store nodes these
+are fused into one phase exp(-i (h_j + h_{j+1})/2 v), which keeps Strang
+order for self-consistent potentials (Lubich, Math. Comp. 77, 2008); at
+store nodes and the final node they are applied apart.  The guard and norm
+checks run every step after the phase, which leaves |psi| unchanged.
 """
 
 from __future__ import annotations
@@ -120,23 +122,27 @@ def split_step_evolve(
             f"t={t:.6g} exceeds guard {guard_mass:.1e}", **where)
 
     check(0.0, norm0)
+    steps = np.append(np.diff(times), 0.0)  # a zero step after the final node
     v = potential(times[0], psi)
-    h_prev = None
-    kin = None
+    psi = psi * np.exp(-0.5j * steps[0] * v)
     for j in range(times.size - 1):
-        h = times[j + 1] - times[j]
-        if h != h_prev:
+        h, h_next = steps[j], steps[j + 1]
+        if j == 0 or h != steps[j - 1]:
             kin = np.exp(-0.5j * h * kinetic_scale * k2)
-            h_prev = h
-        psi = psi * np.exp(-0.5j * h * v)
         psi = np.fft.ifft(np.fft.fft(psi) * kin)
         v = potential(times[j + 1], psi)
-        psi = psi * np.exp(-0.5j * h * v)
+        stored = j + 1 in store_pos
+        # a store node takes the trailing half alone, any other node the
+        # trailing half fused with the next step's leading half
+        half = np.exp(-0.5j * (h if stored else h + h_next) * v)
+        psi = psi * half
 
         nrm = norms()
         check(times[j + 1], nrm)
         drift = np.maximum(drift, np.abs(nrm - norm0))
-        if j + 1 in store_pos:
+        if stored:
             data[store_pos[j + 1]] = psi
+            if h_next:
+                psi = psi * (half if h_next == h else np.exp(-0.5j * h_next * v))
 
     return times, times[store_idx], data, drift

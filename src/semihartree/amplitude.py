@@ -17,6 +17,7 @@ from typing import Callable, List
 import numpy as np
 
 from ._stepping import split_step_evolve
+from .config import DEFAULT_MU_DT
 from .grids import (
     RESCALED,
     Grid,
@@ -37,11 +38,7 @@ __all__ = [
     "evolve_beta",
     "gamma_step",
     "evolve_b",
-    "DEFAULT_DT",
 ]
-
-# default profile step; the rescaled-frame grid default lives in config
-DEFAULT_DT = 1e-3
 
 HessFn = Callable[[float], float]
 
@@ -96,7 +93,7 @@ def _second_moments(data: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-                T: float, dt: float = DEFAULT_DT, *,
+                T: float, dt: float = DEFAULT_MU_DT, *,
                 guard_cells: int = 12, guard_mass: float = 1e-8) -> List[AmplitudeState]:
     """Propagate the profile under the quadratic potential
     (kappa + hessU(t)) x^2 / 2 with Strang splitting, co-accumulating the
@@ -130,7 +127,7 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
 
 
 def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-             T: float, dt: float = DEFAULT_DT, *,
+             T: float, dt: float = DEFAULT_MU_DT, *,
              guard_cells: int = 12, guard_mass: float = 1e-8) -> WaveSeries:
     """Integrate the phase-absorbed profile equation directly: the
     quadratic interaction term (kappa/2) * conv(|x - y|^2, |b|^2) is

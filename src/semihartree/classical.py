@@ -53,6 +53,9 @@ class Trajectory(Sequence):
     def final(self) -> ClassicalState:
         return self[len(self) - 1]
 
+    def __getstate__(self):  # splines triple the pickled size; rebuilt on use
+        return {k: v for k, v in self.__dict__.items() if k != "_splines"}
+
     @cached_property
     def _splines(self):
         return (CubicSpline(self.times, self.qs),

@@ -8,6 +8,7 @@ numbers only), which keeps them picklable for parallel sweeps.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -126,6 +127,17 @@ def _reject_unknown(obj: dict, allowed: tuple, where: str) -> None:
             raise ConfigError(f"unknown config key {key!r} in {where}")
 
 
+def _number(value, where: str, integer: bool = False):
+    """A finite real number (integral if `integer`, never a bool) as a float
+    or int; anything else is a ConfigError naming the key path `where`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max  # nan, inf, a huge int
+            or integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _potential_entry(obj, where: str) -> tuple:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object with a 'name'")
@@ -136,7 +148,8 @@ def _potential_entry(obj, where: str) -> tuple:
     params = obj.get("params", [])
     if not isinstance(params, list):
         raise ConfigError(f"{where}.params must be a list of numbers")
-    return str(name), tuple(float(p) for p in params)
+    return str(name), tuple(_number(p, f"{where}.params[{i}]")
+                            for i, p in enumerate(params))
 
 
 def decode_config_text(text: Union[bytes, str]) -> dict:
@@ -173,22 +186,23 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         kwargs["U_name"], kwargs["U_params"] = _potential_entry(raw["U"], "U")
     for key in ("q0", "p0", "T"):
         if key in raw:
-            kwargs[key] = float(raw[key])
+            kwargs[key] = _number(raw[key], key)
     if "eps_list" in raw:
         if not isinstance(raw["eps_list"], list):
             raise ConfigError("eps_list must be a list of numbers")
-        kwargs["eps_list"] = tuple(float(e) for e in raw["eps_list"])
+        kwargs["eps_list"] = tuple(_number(e, f"eps_list[{i}]")
+                                   for i, e in enumerate(raw["eps_list"]))
     if "dt" in raw and raw["dt"] is not None:
-        kwargs["dt"] = float(raw["dt"])
+        kwargs["dt"] = _number(raw["dt"], "dt")
     if "grid" in raw:
         grid = raw["grid"]
         if not isinstance(grid, dict):
             raise ConfigError("grid must be an object")
         _reject_unknown(grid, ("mu_n", "mu_halfwidth"), "grid")
         if "mu_n" in grid:
-            kwargs["mu_n"] = int(grid["mu_n"])
+            kwargs["mu_n"] = _number(grid["mu_n"], "grid.mu_n", integer=True)
         if "mu_halfwidth" in grid:
-            kwargs["mu_halfwidth"] = float(grid["mu_halfwidth"])
+            kwargs["mu_halfwidth"] = _number(grid["mu_halfwidth"], "grid.mu_halfwidth")
     if "mode" in raw:
         kwargs["mode"] = str(raw["mode"])
 

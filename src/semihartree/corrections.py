@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._stepping import time_nodes
-from .classical import Trajectory
+from .classical import Trajectory, hessian_along_flow
 from .errors import NumericalError
 from .grids import (
     RESCALED,
@@ -137,18 +137,13 @@ def evolve_correction_1(a0_seq: WaveSeries, phi: PairPotential,
     kappa = phi.second_deriv_at_0
     half_kappa = 0.5 * kappa
 
-    def hess_fn(t: float) -> float:
-        return float(U.hess(trajectory.q_at(t), t))
-
-    def w3(t: float) -> float:
-        return float(U.third(trajectory.q_at(t), t)) / 6.0
-
     def source(t: float, u: np.ndarray, a0: np.ndarray) -> np.ndarray:
         cross = 2.0 * (a0.real * u.real + a0.imag * u.imag)
         coupled = half_kappa * separation_power_form(mu, cross, dx, 2) * a0
-        return coupled + w3(t) * mu3 * a0
+        return coupled + (float(U.third(trajectory.q_at(t), t)) / 6.0) * mu3 * a0
 
-    return _drive(a0_seq, kappa, hess_fn, source, T, dt, label="first correction")
+    return _drive(a0_seq, kappa, hessian_along_flow(trajectory, U), source, T, dt,
+                  label="first correction")
 
 
 def evolve_correction_2(a0_seq: WaveSeries, a1_seq: WaveSeries,
@@ -168,9 +163,6 @@ def evolve_correction_2(a0_seq: WaveSeries, a1_seq: WaveSeries,
     half_kappa = 0.5 * kappa
     quartic_coeff = phi.fourth_deriv_at_0 / 24.0
 
-    def hess_fn(t: float) -> float:
-        return float(U.hess(trajectory.q_at(t), t))
-
     def source(t: float, u: np.ndarray, a0: np.ndarray) -> np.ndarray:
         q = trajectory.q_at(t)
         a1 = a1_seq.interp_samples(t)
@@ -186,7 +178,8 @@ def evolve_correction_2(a0_seq: WaveSeries, a1_seq: WaveSeries,
         s = s + (float(U.third(q, t)) / 6.0) * mu3 * a1
         return s
 
-    return _drive(a0_seq, kappa, hess_fn, source, T, dt, label="second correction")
+    return _drive(a0_seq, kappa, hessian_along_flow(trajectory, U), source, T, dt,
+                  label="second correction")
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,6 +39,8 @@ from .potentials import ExternalPotential, PairPotential
 __all__ = [
     "HartreeRun",
     "ComparisonResult",
+    "PhysicalLevel",
+    "physical_level",
     "size_physical_grid",
     "build_coherent_state",
     "hartree_evolve",
@@ -129,9 +131,10 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
     """Strang-split integration of the mean-field dynamics, with the
     self-consistent potential rebuilt from |psi|^2 every step.
 
-    The potential phase accumulated per step is monitored: above pi/2 a
-    warning is issued, above pi the run aborts (the splitting would be
-    meaningless).
+    U must be time independent, as every built-in is: U(x) is sampled
+    once per run, at t = 0.  The potential phase max|w|*dt is still
+    checked every step: above pi/2 a warning is issued, above pi the run
+    aborts (the splitting would be meaningless).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -139,14 +142,13 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
         raise ValueError("initial state frame does not carry this epsilon")
     grid = psi0.grid
     khat = radial_kernel_rfft(phi, grid)
-    x = grid.points
+    u = np.asarray(U.value(grid.points, 0.0), dtype=np.float64)
     inv_eps = 1.0 / epsilon
     warned = [False]
 
     def potential(t: float, samples: np.ndarray) -> np.ndarray:
         density = samples.real ** 2 + samples.imag ** 2
-        w = (apply_radial_rfft(khat, density, grid)
-             + np.asarray(U.value(x, t), dtype=np.float64)) * inv_eps
+        w = (apply_radial_rfft(khat, density, grid) + u) * inv_eps
         phase = dt * float(np.max(np.abs(w)))
         if phase > np.pi:
             raise NumericalError(
@@ -196,50 +198,70 @@ class ComparisonResult:
     norm_drift: float
 
 
+@dataclass(frozen=True, eq=False)
+class PhysicalLevel:
+    """The eps-independent part of a comparison at one refinement level,
+    shared by every eps of a sweep; `states` holds only the compared nodes."""
+
+    refine: int
+    trace_points: int
+    dt_amp: float
+    trajectory: Trajectory
+    maxvar_x: float  # peak spreads over the run, which size each eps's grid
+    maxvar_k: float
+    states: tuple
+
+
+def physical_level(config: ExperimentConfig, refine: int = 1,
+                   trace_points: int = 0) -> PhysicalLevel:
+    """Classical flow and profile evolution at step mu_dt/refine, keeping
+    the final state, or `trace_points` states spread over the run."""
+    phi = config.pair()
+    U = config.external()
+    dt_amp = config.mu_dt() / refine
+    trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, config.T,
+                                min(1e-3, dt_amp))
+    states = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
+                         hessian_along_flow(trajectory, U), config.T, dt_amp)
+    idx = (np.unique(np.linspace(0, len(states) - 1, trace_points).astype(int))
+           if trace_points > 0 else [len(states) - 1])
+    return PhysicalLevel(refine, trace_points, dt_amp, trajectory,
+                         max(abs_moment(s.beta, 1) for s in states),
+                         max(fourier_second_moment(s.beta) for s in states),
+                         tuple(states[i] for i in idx))
+
+
 def compare_evolution(epsilon: float, config: ExperimentConfig, *,
-                      refine: int = 1, trace_points: int = 0) -> ComparisonResult:
+                      refine: int = 1, trace_points: int = 0,
+                      level: Optional[PhysicalLevel] = None) -> ComparisonResult:
     """Run the full pipeline on matched settings for one epsilon.
 
     refine divides every time step (used by the step-halving gate);
     trace_points > 0 additionally records the error at that many
-    intermediate times.
+    intermediate times.  `level` is the `physical_level` for this refine
+    and trace_points, built here when not given.
     """
-    phi = config.pair()
-    U = config.external()
-    a0 = config.initial_profile()
-    T = config.T
-    dt_amp = config.mu_dt() / refine
+    if level is None:
+        level = physical_level(config, refine, trace_points)
+    elif (level.refine, level.trace_points) != (refine, trace_points):
+        raise ValueError("level was built for another refine or trace_points")
     # snap the solver step to an integer fraction of the profile step so the
     # two node sets coincide and states are compared at identical times
     target_phys = config.physical_dt(epsilon) / refine
-    substeps = max(1, int(np.ceil(dt_amp / target_phys - 1e-9)))
-    dt_phys = dt_amp / substeps
-    dt_classical = min(1e-3, dt_amp)
+    substeps = max(1, int(np.ceil(level.dt_amp / target_phys - 1e-9)))
+    dt_phys = level.dt_amp / substeps
+    grid = size_physical_grid(level.trajectory, epsilon, level.maxvar_x, level.maxvar_k)
+    psi0 = build_coherent_state(config.initial_profile(), config.q0, config.p0,
+                                epsilon, grid)
+    trace_times = [amp.t for amp in level.states]
+    run = hartree_evolve(psi0, epsilon, config.pair(), config.external(), config.T,
+                         dt_phys, store_times=trace_times)
 
-    trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T, dt_classical)
-    states = evolve_beta(a0, phi.second_deriv_at_0,
-                         hessian_along_flow(trajectory, U), T, dt_amp)
-
-    maxvar_x = max(abs_moment(s.beta, 1) for s in states)
-    maxvar_k = max(fourier_second_moment(s.beta) for s in states)
-    grid = size_physical_grid(trajectory, epsilon, maxvar_x, maxvar_k)
-
-    psi0 = build_coherent_state(a0, config.q0, config.p0, epsilon, grid)
-
-    if trace_points > 0:
-        idx = np.unique(np.linspace(0, len(states) - 1, trace_points).astype(int))
-    else:
-        idx = np.array([len(states) - 1])
-    trace_times = [states[i].t for i in idx]
-
-    run = hartree_evolve(psi0, epsilon, phi, U, T, dt_phys, store_times=trace_times)
-
-    errors = []
-    for i in idx:
-        amp = states[i]
-        approx = assemble_approximation(amp, trajectory.state_at(amp.t), epsilon, grid)
-        errors.append(l2_distance(run.psi.at_time(amp.t, tol=1e-6), approx))
-    errors = np.asarray(errors)
+    errors = np.asarray([
+        l2_distance(run.psi.at_time(amp.t, tol=1e-6),
+                    assemble_approximation(amp, level.trajectory.state_at(amp.t),
+                                           epsilon, grid))
+        for amp in level.states])
     return ComparisonResult(
         epsilon=float(epsilon),
         times=np.asarray(trace_times),

@@ -51,7 +51,8 @@ class PairPotential:
 
 @dataclass(frozen=True, eq=False)
 class ExternalPotential:
-    """External potential U(x, t) with analytic x-derivatives up to order 4."""
+    """External potential U(x, t) with analytic x-derivatives up to order 4.
+    U must not depend on t: the reference solver samples U(x) once, at t=0."""
 
     name: str
     value: Callable[[Array, float], Array]

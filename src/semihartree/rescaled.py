@@ -17,6 +17,7 @@ import numpy as np
 
 from ._stepping import split_step_evolve, time_nodes
 from .classical import Trajectory
+from .config import DEFAULT_MU_DT
 from .grids import (
     RESCALED,
     Grid,
@@ -29,9 +30,7 @@ from .grids import (
 from .potentials import ExternalPotential, PairPotential
 
 __all__ = ["RescaledRun", "evolve_rescaled", "evolve_rescaled_finals",
-           "residual_norm", "DEFAULT_DT"]
-
-DEFAULT_DT = 1e-3
+           "residual_norm"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +100,7 @@ def _evolve_batch(a0: WaveFunction, epsilons: Sequence[float], phi: PairPotentia
 
 def evolve_rescaled(a0: WaveFunction, epsilon: float, phi: PairPotential,
                     U: ExternalPotential, trajectory: Trajectory,
-                    T: float, dt: float = DEFAULT_DT, *,
+                    T: float, dt: float = DEFAULT_MU_DT, *,
                     guard_cells: int = 12, guard_mass: float = 1e-8) -> RescaledRun:
     """Packet-frame amplitude history for one epsilon, stored at every
     node; see `_packet_frame_potential` for the equation."""
@@ -113,7 +112,7 @@ def evolve_rescaled(a0: WaveFunction, epsilon: float, phi: PairPotential,
 
 def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
                            phi: PairPotential, U: ExternalPotential,
-                           trajectory: Trajectory, T: float, dt: float = DEFAULT_DT,
+                           trajectory: Trajectory, T: float, dt: float = DEFAULT_MU_DT,
                            *, guard_cells: int = 12,
                            guard_mass: float = 1e-8) -> List[WaveFunction]:
     """Final packet-frame amplitude for each epsilon, evolved together as

@@ -30,7 +30,7 @@ from .corrections import (
 )
 from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, l2_distance, make_grid
-from .hartree import compare_evolution
+from .hartree import compare_evolution, physical_level
 from .rescaled import evolve_rescaled_finals, residual_norm
 
 __all__ = [
@@ -128,30 +128,34 @@ def _progress_line(row: SweepRow) -> str:
 # (its grid n changes with eps, so the eps axis cannot be batched)
 
 
-def _physical_datapoint(config: ExperimentConfig, eps: float) -> SweepRow:
+def _physical_datapoint(config: ExperimentConfig, eps: float, levels: dict) -> SweepRow:
+    """Gate one eps over `levels`, which maps refine to its `physical_level`
+    and gains any deeper level on first use."""
     start = time.perf_counter()
-    level = 1
-    err_prev = compare_evolution(eps, config, refine=level).final_error
-    for _ in range(MAX_GATE_DOUBLINGS):
-        level *= 2
-        result = compare_evolution(eps, config, refine=level)
-        if _settled(err_prev, result.final_error):
+    err_prev = None
+    for level in (2 ** k for k in range(MAX_GATE_DOUBLINGS + 1)):
+        if level not in levels:
+            levels[level] = physical_level(config, level)
+        result = compare_evolution(eps, config, refine=level, level=levels[level])
+        if err_prev is not None and _settled(err_prev, result.final_error):
             return _row(eps, result.final_error, result.dt_used, result.grid_n,
                         (time.perf_counter() - start) * 1e3)
         err_prev = result.final_error
     raise _gate_failure(eps)
 
 
-def _physical_rows(config: ExperimentConfig, jobs: int, note) -> tuple:
+def _physical_rows(config: ExperimentConfig, levels: dict, jobs: int, note) -> tuple:
     """(rows, failure) in eps-list order; failure is (eps, exception) of
-    the first datapoint that failed, or None."""
+    the first datapoint that failed, or None.  Pool tasks carry `levels`
+    (tens of KB: no state history)."""
     eps_list = config.eps_list
     workers = min(jobs, len(eps_list), os.cpu_count() or 1)
     if workers == 1:
-        return _collect(eps_list, [partial(_physical_datapoint, config, eps)
+        return _collect(eps_list, [partial(_physical_datapoint, config, eps, levels)
                                    for eps in eps_list], note)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_physical_datapoint, config, eps) for eps in eps_list]
+        futures = [pool.submit(_physical_datapoint, config, eps, levels)
+                   for eps in eps_list]
         return _collect(eps_list, [f.result for f in futures], note)
 
 
@@ -292,16 +296,17 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
             progress(msg)
 
     eps_list = config.eps_list
+    build = physical_level if config.mode == "physical" else _build_level
+    try:
+        levels = {1: build(config, 1), 2: build(config, 2)}
+    except NumericalError as exc:
+        raise SweepError(
+            f"sweep aborted before eps={eps_list[0]:g}: {exc}",
+            _finish_report([], config.mode), eps_list[0],
+        ) from exc
     if config.mode == "physical":
-        rows, failure = _physical_rows(config, jobs, note)
+        rows, failure = _physical_rows(config, levels, jobs, note)
     else:
-        try:
-            levels = {1: _build_level(config, 1), 2: _build_level(config, 2)}
-        except NumericalError as exc:
-            raise SweepError(
-                f"sweep aborted before eps={eps_list[0]:g}: {exc}",
-                _finish_report([], config.mode), eps_list[0],
-            ) from exc
         rows, failure = _packet_frame_rows(config, levels)
         for row in rows:
             note(_progress_line(row))

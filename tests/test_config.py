@@ -92,3 +92,42 @@ class TestDefaults:
         assert cfg.external().name == "cosine"
         assert cfg.mu_grid().n == 512
         assert abs(cfg.initial_profile().samples[256]) > 0.1
+
+
+class TestNumbers:
+    """Every malformed number in a config ends with exit 2 and a one-line
+    message naming its key path."""
+
+    @staticmethod
+    def validate(tmp_path, capsys, text):
+        from semihartree.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main(["validate", "--config", str(path), "--quiet"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"q0":"abc"}', "q0"),
+        ('{"T":null}', "T"),
+        ('{"eps_list":[0.1,"x"]}', "eps_list[1]"),
+        ('{"T":Infinity}', "T"),
+        ('{"q0":NaN}', "q0"),
+        ('{"grid":{"mu_n":512.9}}', "grid.mu_n"),
+        ('{"grid":{"mu_halfwidth":Infinity}}', "grid.mu_halfwidth"),
+    ], ids=["string", "null", "string-in-list", "infinity", "nan",
+            "fractional-integer", "infinite-halfwidth"])
+    def test_bad_number_exits_2(self, tmp_path, capsys, text, where):
+        code, err = self.validate(tmp_path, capsys, text)
+        assert code == 2
+        assert err.startswith(f"config error: {where} must be ") and err.count("\n") == 1
+
+    def test_bool_and_huge_int_rejected(self):
+        with pytest.raises(ConfigError, match=r"^U\.params\[0\] must be a finite number"):
+            parse_config(b'{"U":{"name":"cosine","params":[true]}}')
+        with pytest.raises(ConfigError, match="^p0 must be a finite number"):
+            parse_config(b'{"p0":1' + b"0" * 400 + b"}")
+
+    def test_integral_float_accepted_as_integer(self):
+        cfg = parse_config(b'{"grid":{"mu_n":256.0}}')
+        assert cfg.mu_n == 256 and isinstance(cfg.mu_n, int)

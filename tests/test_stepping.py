@@ -132,3 +132,105 @@ class TestBatchedEngine:
             single = boundary_mass(rows[i], g)
             assert isinstance(single, float)
             assert per_row[i] == single
+
+
+def strang_reference(samples0, grid, T, dt, potential, store_times=None,
+                     guard_cells=12, guard_mass=1e-8, label="evolution"):
+    """Plain Strang loop, both half phases applied every step.  Returns
+    (stored_t, stored_data, norm_drift) or raises the engine's messages."""
+    times = time_nodes(T, dt)
+    if store_times is None:
+        store = set(range(times.size))
+    else:
+        store = {int(np.argmin(np.abs(times - t))) for t in store_times}
+        store.add(times.size - 1)
+    psi = np.array(samples0, dtype=np.complex128)
+    k2 = grid.wavenumbers ** 2
+
+    def norm():
+        return np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1) * grid.dx)
+
+    def check(t):
+        if not np.isfinite(psi).all():
+            raise NumericalError(f"{label}: non-finite samples at t={t:.6g}")
+        bm = boundary_mass(psi, grid, guard_cells)
+        if np.any(bm > guard_mass):  # guard trips are tested on one state
+            frac = bm / np.sum(np.abs(psi) ** 2) / grid.dx
+            raise NumericalError(f"{label}: boundary mass fraction {frac:.3e} at "
+                                 f"t={t:.6g} exceeds guard {guard_mass:.1e}")
+
+    norm0 = norm()
+    drift = np.zeros_like(norm0)
+    stored = [psi] if 0 in store else []
+    check(0.0)
+    v = potential(times[0], psi)
+    for j in range(times.size - 1):
+        h = times[j + 1] - times[j]
+        psi = psi * np.exp(-0.5j * h * v)
+        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(-0.5j * h * k2))
+        v = potential(times[j + 1], psi)
+        psi = psi * np.exp(-0.5j * h * v)
+        check(times[j + 1])
+        drift = np.maximum(drift, np.abs(norm() - norm0))
+        if j + 1 in store:
+            stored.append(psi)
+    return times[sorted(store)], np.array(stored), drift
+
+
+class TestFusedPhases:
+    """The engine fuses the half phases between unstored nodes; it must
+    agree with the plain two-halves loop to roundoff."""
+
+    @staticmethod
+    def setup(batch):
+        g = make_grid(128, -10.0, 10.0)
+        if not batch:
+            return g, gaussian_profile(g, width=0.9).samples, 0.7
+        rows = np.stack([gaussian_profile(g, center=c, width=w).samples
+                         for c, w in ((0.0, 1.0), (0.5, 0.8), (-0.3, 1.2))])
+        return g, rows, np.array(TestBatchedEngine.coeffs)[:, None]
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    @pytest.mark.parametrize("store_times", [None, [0.1, 0.25, 0.47], []],
+                             ids=["every-node", "sparse", "final-only"])
+    @pytest.mark.parametrize("dt", [1e-2, 0.03], ids=["dividing", "short-last-step"])
+    def test_equals_two_halves_loop(self, batch, store_times, dt):
+        g, samples, c = self.setup(batch)
+        T = 0.5
+        ref_t, ref_data, ref_drift = strang_reference(
+            samples, g, T, dt, TestBatchedEngine.self_consistent(g, c),
+            store_times=store_times)
+        labels = ["a", "b", "c"] if batch else "evolution"
+        _, stored_t, data, drift = split_step_evolve(
+            samples, g, T, dt, TestBatchedEngine.self_consistent(g, c),
+            store_times=store_times, label=labels)
+        assert np.array_equal(stored_t, ref_t)
+        assert data.shape == ref_data.shape
+        assert np.max(np.abs(data - ref_data)) <= 1e-12 * np.max(np.abs(ref_data))
+        assert np.max(np.abs(drift - ref_drift)) <= 1e-14
+
+    @pytest.mark.parametrize("store_times", [None, [0.3], []],
+                             ids=["every-node", "sparse", "final-only"])
+    def test_boundary_guard_trips_alike(self, store_times):
+        g = make_grid(128, -10.0, 10.0)
+        psi0 = gaussian_profile(g, wavenumber=12.0).samples
+        pull = lambda t, s: 0.3 * g.points
+        with pytest.raises(NumericalError) as ref:
+            strang_reference(psi0, g, 1.0, 0.03, pull, store_times=store_times)
+        with pytest.raises(NumericalError) as got:
+            split_step_evolve(psi0, g, 1.0, 0.03, pull, store_times=store_times)
+        assert "boundary mass" in str(ref.value)
+        assert str(got.value) == str(ref.value)
+
+    def test_non_finite_potential_trips_alike(self):
+        # a potential that goes non-finite at an unstored node is caught at
+        # that node, although its phase is fused with the next step's
+        g = make_grid(128, -10.0, 10.0)
+        psi0 = gaussian_profile(g).samples
+        bad = lambda t, s: np.full(g.n, np.nan if t > 0.2 else 0.0)
+        with pytest.raises(NumericalError) as ref:
+            strang_reference(psi0, g, 0.5, 0.03, bad, store_times=[])
+        with pytest.raises(NumericalError) as got:
+            split_step_evolve(psi0, g, 0.5, 0.03, bad, store_times=[])
+        assert str(ref.value) == "evolution: non-finite samples at t=0.21"
+        assert str(got.value) == str(ref.value)
