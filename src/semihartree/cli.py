@@ -32,9 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-JOBS_HELP = ("parallel datapoints in physical mode, at most one per eps and "
-             "CPU (default 1); packet-frame modes evaluate all eps as one "
-             "array and accept but ignore it")
+JOBS_HELP = ("physical mode: run the comparisons of each level in one pool of "
+             "up to N processes, at most one per eps and CPU (default 1); "
+             "packet-frame modes evaluate all eps as one array and ignore it")
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -3,9 +3,11 @@ convergence gate, log-log rate fitting, and CSV emission.
 
 Every datapoint must change by less than 2% when all time steps are halved
 before it is recorded; a datapoint that refuses to converge aborts the
-sweep with the partial report.  CSV data sections are byte-stable for a
-fixed configuration; wall-clock timings are excluded from that contract
-and live in a trailing comment block.
+sweep with the partial report.  One gate loop serves every mode; only the
+level build and the evaluation of a level (one batched evolution, or one
+comparison per eps in physical mode) depend on the mode.  CSV data
+sections are byte-stable for a fixed configuration; wall-clock timings are
+excluded from that contract and live in a trailing comment block.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -30,7 +33,7 @@ from .corrections import (
 )
 from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, l2_distance, make_grid
-from .hartree import compare_evolution, physical_level
+from .hartree import PhysicalLevel, compare_evolution, physical_level
 from .rescaled import evolve_rescaled_finals, residual_norm
 
 __all__ = [
@@ -107,77 +110,20 @@ def _settled(err_prev: float, err: float) -> bool:
     return abs(err - err_prev) <= max(GATE_REL_TOL * abs(err), GATE_ABS_FLOOR)
 
 
-def _gate_failure(eps: float) -> NumericalError:
-    return NumericalError(
-        f"step-halving gate failed at eps={eps:g}: error still moving by "
-        f"more than {GATE_REL_TOL:.0%} after {MAX_GATE_DOUBLINGS} halvings"
-    )
-
-
 def _row(eps: float, err: float, dt_used: float, n_used: int, wall_ms: float) -> SweepRow:
     return SweepRow(float(eps), float(err), float(err / np.sqrt(eps)),
                     float(dt_used), int(n_used), wall_ms)
 
 
-def _progress_line(row: SweepRow) -> str:
-    return f"eps={row.epsilon:<8g} error={row.error:.6e} dt={row.dt_used:g}"
-
-
 # ---------------------------------------------------------------------------
-# physical mode: one datapoint at a time, optionally in a process pool
-# (its grid n changes with eps, so the eps axis cannot be batched)
-
-
-def _physical_datapoint(config: ExperimentConfig, eps: float, levels: dict) -> SweepRow:
-    """Gate one eps over `levels`, which maps refine to its `physical_level`
-    and gains any deeper level on first use."""
-    start = time.perf_counter()
-    err_prev = None
-    for level in (2 ** k for k in range(MAX_GATE_DOUBLINGS + 1)):
-        if level not in levels:
-            levels[level] = physical_level(config, level)
-        result = compare_evolution(eps, config, refine=level, level=levels[level])
-        if err_prev is not None and _settled(err_prev, result.final_error):
-            return _row(eps, result.final_error, result.dt_used, result.grid_n,
-                        (time.perf_counter() - start) * 1e3)
-        err_prev = result.final_error
-    raise _gate_failure(eps)
-
-
-def _physical_rows(config: ExperimentConfig, levels: dict, jobs: int, note) -> tuple:
-    """(rows, failure) in eps-list order; failure is (eps, exception) of
-    the first datapoint that failed, or None.  Pool tasks carry `levels`
-    (tens of KB: no state history)."""
-    eps_list = config.eps_list
-    workers = min(jobs, len(eps_list), os.cpu_count() or 1)
-    if workers == 1:
-        return _collect(eps_list, [partial(_physical_datapoint, config, eps, levels)
-                                   for eps in eps_list], note)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_physical_datapoint, config, eps, levels)
-                   for eps in eps_list]
-        return _collect(eps_list, [f.result for f in futures], note)
-
-
-def _collect(eps_list, outcomes, note) -> tuple:
-    rows = []
-    for eps, outcome in zip(eps_list, outcomes):
-        try:
-            row = outcome()
-        except NumericalError as exc:
-            return rows, (eps, exc)
-        note(_progress_line(row))
-        rows.append(row)
-    return rows, None
-
-
-# ---------------------------------------------------------------------------
-# packet-frame modes: every eps of a refinement level in one batch, over a
-# shared per-level cache (trajectory, profile and correction histories)
+# one refinement level of every mode: `evaluate(epsilons, level)` gives
+# (error, dt, n) for each eps, or raises NumericalError with `row` set to
+# the index of the failing eps
 
 
 def _build_level(config: ExperimentConfig, level: int) -> dict:
-    """Epsilon-independent pieces at one refinement level."""
+    """Epsilon-independent pieces of a packet-frame level: trajectory,
+    profile and correction histories."""
     phi = config.pair()
     U = config.external()
     T = config.T
@@ -198,26 +144,52 @@ def _build_level(config: ExperimentConfig, level: int) -> dict:
 
 
 def _packet_frame_errors(config: ExperimentConfig, epsilons: list, shared: dict) -> list:
-    """Error of each epsilon at one refinement level, from one batched
-    evolution; a failing row raises NumericalError with its `row` set."""
+    """Every eps of a packet-frame level from one batched evolution."""
     finals = evolve_rescaled_finals(config.initial_profile(), epsilons, config.pair(),
                                     config.external(), shared["trajectory"],
                                     config.T, shared["dt"])
+    dt, n = shared["dt"], config.mu_n
     if config.mode == "rescaled":
-        return [residual_norm(shared["b"].final, a) for a in finals]
+        return [(residual_norm(shared["b"].final, a), dt, n) for a in finals]
     K = 1 if config.mode == "corrections-1" else 2
     orders = [shared["b"], shared["a1"]]
     if K == 2:
         orders.append(shared["a2"])
     corrections = CorrectionSet(tuple(orders))
-    return [l2_distance(a, assemble_expansion(corrections, K, eps))
+    return [(l2_distance(a, assemble_expansion(corrections, K, eps)), dt, n)
             for eps, a in zip(epsilons, finals)]
 
 
-def _packet_frame_rows(config: ExperimentConfig, levels: dict) -> tuple:
-    """(rows, failure) as `_physical_rows` gives them, from the whole eps
-    set gated level by level: levels 1 and 2 for every eps, then each
-    doubling for the eps still unsettled.
+def _compare(eps: float, config: ExperimentConfig, level: PhysicalLevel) -> tuple:
+    """One physical comparison; module-level so that a pool can pickle it."""
+    result = compare_evolution(eps, config, refine=level.refine, level=level)
+    return result.final_error, result.dt_used, result.grid_n
+
+
+def _physical_errors(config: ExperimentConfig, pool, epsilons: list,
+                     level: PhysicalLevel) -> list:
+    """One comparison per eps (its grid n changes with eps, so the eps axis
+    cannot be batched), in `pool` when one is given."""
+    if pool is None:
+        outcomes = [partial(_compare, eps, config, level) for eps in epsilons]
+    else:
+        outcomes = [pool.submit(_compare, eps, config, level).result for eps in epsilons]
+    results = []
+    for row, outcome in enumerate(outcomes):
+        try:
+            results.append(outcome())
+        except NumericalError as exc:
+            exc.row = row
+            raise
+    return results
+
+
+def _gate_rows(config: ExperimentConfig, levels: dict, build, evaluate) -> tuple:
+    """(rows, failure) from the whole eps set gated level by level: levels 1
+    and 2 for every eps, then each doubling for the eps still unsettled.
+    `levels` maps refine to its level and gains a deeper one from
+    `build(config, refine)` on first use.  failure is (eps, exception) of
+    the first datapoint in list order that failed, or None.
 
     The outcome equals evaluating the eps one at a time in list order.  A
     datapoint that fails at list index i ends that sweep at i, so the eps
@@ -241,33 +213,34 @@ def _packet_frame_rows(config: ExperimentConfig, levels: dict) -> tuple:
             start = time.perf_counter()
             try:
                 if level not in levels:
-                    levels[level] = _build_level(config, level)
-                errors = _packet_frame_errors(config, [eps_list[i] for i in batch],
-                                              levels[level])
+                    levels[level] = build(config, level)
+                results = evaluate([eps_list[i] for i in batch], levels[level])
             except NumericalError as exc:
                 # an error without a row (a level build) stops the whole batch
                 fail(batch[0] if exc.row is None else batch[exc.row], exc)
-                errors = None
+                results = None
             share = (time.perf_counter() - start) * 1e3 / len(batch)
             for i in batch:
                 spent[i] += share
-            if errors is not None:
-                return dict(zip(batch, errors))
+            if results is not None:
+                return dict(zip(batch, results))
         return {}
 
     level = 1
-    err_prev = measure(level)
+    prev = measure(level)
     for _ in range(MAX_GATE_DOUBLINGS):
         level *= 2
-        errors = measure(level)
-        for i, err in errors.items():
-            if _settled(err_prev[i], err):
-                settled[i] = _row(eps_list[i], err, levels[level]["dt"], config.mu_n,
-                                  spent[i])
+        results = measure(level)
+        for i, (err, dt, n) in results.items():
+            if _settled(prev[i][0], err):
+                settled[i] = _row(eps_list[i], err, dt, n, spent[i])
         active = [i for i in active if i not in settled]
-        err_prev = errors
+        prev = results
     if active:
-        fail(active[0], _gate_failure(eps_list[active[0]]))
+        eps = eps_list[active[0]]
+        fail(active[0], NumericalError(
+            f"step-halving gate failed at eps={eps:g}: error still moving by "
+            f"more than {GATE_REL_TOL:.0%} after {MAX_GATE_DOUBLINGS} halvings"))
 
     end = len(eps_list) if failure is None else failure[0]
     rows = [settled[i] for i in range(end)]
@@ -279,10 +252,12 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     """Measure the error at every epsilon in the configured mode, fit the
     log-log rate, and return the report (rows sorted by descending epsilon).
 
-    Physical mode runs up to `jobs` datapoints in parallel processes (never
-    more than there are eps or CPUs).  The packet-frame modes evolve every
-    eps as one batch and ignore `jobs`; their progress lines appear once
-    the last level settles.
+    Every mode gates its eps level by level over levels built once per
+    call.  The packet-frame modes evolve the eps of a level as one batch
+    and ignore `jobs`; physical mode compares them one by one, in a pool
+    of up to `jobs` processes (never more than there are eps or CPUs)
+    that lives for the whole sweep, with a barrier between levels.
+    Progress lines appear once the last level settles.
 
     Raises ConfigError if jobs < 1, and SweepError with the partial report
     (the rows before the first eps in list order that failed) if any
@@ -290,13 +265,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
     eps_list = config.eps_list
-    build = physical_level if config.mode == "physical" else _build_level
+    physical = config.mode == "physical"
+    build = physical_level if physical else _build_level
     try:
         levels = {1: build(config, 1), 2: build(config, 2)}
     except NumericalError as exc:
@@ -304,12 +275,14 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
             f"sweep aborted before eps={eps_list[0]:g}: {exc}",
             _finish_report([], config.mode), eps_list[0],
         ) from exc
-    if config.mode == "physical":
-        rows, failure = _physical_rows(config, levels, jobs, note)
-    else:
-        rows, failure = _packet_frame_rows(config, levels)
+    workers = min(jobs, len(eps_list), os.cpu_count() or 1) if physical else 1
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        evaluate = (partial(_physical_errors, config, pool) if physical
+                    else partial(_packet_frame_errors, config))
+        rows, failure = _gate_rows(config, levels, build, evaluate)
+    if progress is not None:
         for row in rows:
-            note(_progress_line(row))
+            progress(f"eps={row.epsilon:<8g} error={row.error:.6e} dt={row.dt_used:g}")
 
     report = _finish_report(rows, config.mode)
     if failure is not None:

@@ -1,12 +1,15 @@
-"""The packet-frame sweep evolves every eps of a level as one batch; these
-tests hold it to the results of evaluating the eps one at a time."""
+"""Every sweep gates its eps level by level (the packet-frame modes evolve
+each level as one batch); these tests hold it to the results of evaluating
+the eps one at a time."""
 
 import numpy as np
 import pytest
 
 import semihartree.rescaled as rescaled
+import semihartree.sweep as sweep_module
 from semihartree.classical import integrate_flow
 from semihartree.config import ExperimentConfig
+from semihartree.errors import NumericalError
 from semihartree.rescaled import evolve_rescaled, evolve_rescaled_finals
 from semihartree.sweep import SweepError, run_sweep
 
@@ -98,3 +101,51 @@ def test_progress_lines_in_list_order():
     lines = []
     run_sweep(SMALL, progress=lines.append)
     assert [line.split()[0] for line in lines] == ["eps=0.32", "eps=0.16", "eps=0.08"]
+
+
+
+PHYSICAL = ExperimentConfig(mode="physical", T=0.25, eps_list=(0.32, 0.16, 0.08))
+
+
+def assert_failure_matches_one_at_a_time(config):
+    rows, failed_eps, message = one_at_a_time(config)
+    assert failed_eps is not None
+    with pytest.raises(SweepError) as err:
+        run_sweep(config)
+    assert (err.value.failed_eps, str(err.value)) == (failed_eps, message)
+    assert [(r.epsilon, r.error, r.dt_used, r.n_used) for r in err.value.report.rows] \
+        == [(r.epsilon, r.error, r.dt_used, r.n_used) for r in rows]
+    return err.value
+
+
+@pytest.mark.parametrize("min_refine", [1, 2])
+def test_physical_failure_matches_one_at_a_time(monkeypatch, min_refine):
+    real = sweep_module.compare_evolution
+
+    def poisoned(eps, config, *, refine, **kw):
+        if eps == 0.16 and refine >= min_refine:
+            raise NumericalError(f"poisoned comparison at refine {refine}")
+        return real(eps, config, refine=refine, **kw)
+
+    monkeypatch.setattr(sweep_module, "compare_evolution", poisoned)
+    err = assert_failure_matches_one_at_a_time(PHYSICAL)
+    assert err.failed_eps == 0.16
+    assert f"poisoned comparison at refine {min_refine}" in str(err)
+    assert [r.epsilon for r in err.report.rows] == [0.32]
+
+
+def test_physical_deep_level_build_failure_matches_one_at_a_time(monkeypatch):
+    # no eps settles, so every eps needs level 4, whose build fails
+    real = sweep_module.physical_level
+
+    def failing(config, refine, *args):
+        if refine == 4:
+            raise NumericalError("level 4 build failed")
+        return real(config, refine, *args)
+
+    monkeypatch.setattr(sweep_module, "physical_level", failing)
+    monkeypatch.setattr(sweep_module, "_settled", lambda err_prev, err: False)
+    err = assert_failure_matches_one_at_a_time(PHYSICAL)
+    assert err.failed_eps == 0.32
+    assert str(err) == "sweep aborted at eps=0.32: level 4 build failed"
+    assert err.report.rows == ()

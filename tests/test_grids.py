@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from semihartree.grids import (
+    RESCALED,
     WaveFunction,
+    WaveSeries,
     abs_moment,
     boundary_mass,
     evaluate_trig_interpolant,
@@ -235,3 +237,31 @@ class TestWaveFunction:
         vals = evaluate_trig_interpolant(gauss, pts)
         exact = np.pi ** (-0.25) * np.exp(-0.5 * pts ** 2)
         assert np.max(np.abs(vals - exact)) < 1e-12
+
+
+class TestWaveSeriesInterp:
+    # the corrections-2 drive reads the first correction, stored on the
+    # step grid, at every step midpoint, so the linear blend is live there
+    @pytest.fixture
+    def series(self):
+        data = (np.arange(24.0) * (1.0 + 0.5j)).reshape(3, 8) ** 2
+        return WaveSeries(np.array([0.0, 0.5, 1.5]), make_grid(8, -1.0, 1.0), RESCALED, data)
+
+    def test_clamps_outside_the_nodes(self, series):
+        assert np.array_equal(series.interp_samples(-0.1), series.data[0])
+        assert np.array_equal(series.interp_samples(0.0), series.data[0])
+        assert np.array_equal(series.interp_samples(1.5), series.data[2])
+        assert np.array_equal(series.interp_samples(7.0), series.data[2])
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13])
+    def test_exact_rows_at_interior_nodes(self, series, offset):
+        # within 1e-12 of a node the stored row is returned, not a blend
+        assert np.array_equal(series.interp_samples(0.5 + offset), series.data[1])
+        assert np.array_equal(series.interp_samples(1.5 - abs(offset)), series.data[2])
+        assert np.array_equal(series.interp_samples(abs(offset)), series.data[0])
+
+    @pytest.mark.parametrize("t, j, w", [(0.125, 1, 0.25), (0.25, 1, 0.5),
+                                         (1.0, 2, 0.5), (1.25, 2, 0.75)])
+    def test_linear_blend_between_nodes(self, series, t, j, w):
+        expected = (1.0 - w) * series.data[j - 1] + w * series.data[j]
+        np.testing.assert_allclose(series.interp_samples(t), expected, rtol=1e-14)

@@ -1,7 +1,7 @@
 """Physical sweeps build each refinement level once and share it."""
 
 import pickle
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,6 +95,36 @@ def test_pool_tasks_carry_small_payloads(monkeypatch):
         run_sweep(ExperimentConfig(mode="physical", eps_list=(0.32, 0.16, 0.08)), jobs=2)
     assert len(sizes) == 3
     assert max(sizes) < 2 ** 20
+
+
+def test_one_pool_per_sweep(monkeypatch):
+    # a thread-backed stand-in records the pool and its tasks; no process starts
+    pools, tasks = [], []
+
+    class ThreadPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append((fn, args, kwargs))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", ThreadPool)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
+    pooled = run_sweep(SMALL, jobs=2)
+    assert pools == [2]
+    # 2 eps x levels 1 and 2, every task a module-level function of sweep
+    # with positional arguments, so that a process pool can pickle it
+    assert len(tasks) == 4
+    for fn, args, kwargs in tasks:
+        assert fn.__module__ == sweep_module.__name__
+        assert getattr(sweep_module, fn.__qualname__) is fn
+        assert pickle.loads(pickle.dumps(fn)) is fn
+        assert args and kwargs == {}
+    serial = run_sweep(SMALL)
+    assert [(r.epsilon, r.error, r.dt_used, r.n_used) for r in pooled.rows] \
+        == [(r.epsilon, r.error, r.dt_used, r.n_used) for r in serial.rows]
 
 
 def test_level_keeps_only_compared_states():
