@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericalError
 from .grids import Grid, boundary_mass
 
-__all__ = ["time_nodes", "split_step_evolve"]
+__all__ = ["time_nodes", "tabulate", "split_step_evolve"]
 
 
 def time_nodes(T: float, dt: float) -> np.ndarray:
@@ -38,6 +38,13 @@ def time_nodes(T: float, dt: float) -> np.ndarray:
     else:
         times[-1] = T
     return times
+
+
+def tabulate(fn: Callable, times: np.ndarray) -> Callable[[float], float]:
+    """Lookup t -> fn(t) for t in the sorted `times`, from one call of `fn` on
+    all of them; a scalar result (say, of `lambda t: 0.0`) broadcasts."""
+    table = np.broadcast_to(np.asarray(fn(times), dtype=np.float64), times.shape)
+    return lambda t: table[np.searchsorted(times, t)]
 
 
 def _resolve_store(times: np.ndarray, store_times: Optional[Sequence[float]]) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from ._stepping import split_step_evolve
+from ._stepping import split_step_evolve, tabulate, time_nodes
 from .config import DEFAULT_MU_DT
 from .grids import (
     RESCALED,
@@ -40,7 +40,7 @@ __all__ = [
     "evolve_b",
 ]
 
-HessFn = Callable[[float], float]
+HessFn = Callable[[np.ndarray], np.ndarray]  # node times -> U'' along the path
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +107,10 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
         raise ValueError("profile evolution runs in the rescaled frame")
     grid = a0.grid
     x2_half = 0.5 * grid.points ** 2
+    hess_at = tabulate(hessU_along_flow, time_nodes(T, dt))
 
     def potential(t: float, _samples: np.ndarray) -> np.ndarray:
-        return (kappa + hessU_along_flow(t)) * x2_half
+        return (kappa + hess_at(t)) * x2_half
 
     times, _, data, _drift = split_step_evolve(
         a0.samples, grid, T, dt, potential,
@@ -138,11 +139,12 @@ def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     x2_half = 0.5 * grid.points ** 2
     khat = radial_kernel_rfft(lambda r: r * r, grid)
     half_kappa = 0.5 * kappa
+    hess_at = tabulate(hessU_along_flow, time_nodes(T, dt))
 
     def potential(t: float, samples: np.ndarray) -> np.ndarray:
         density = samples.real ** 2 + samples.imag ** 2
         return (half_kappa * apply_radial_rfft(khat, density, grid)
-                + hessU_along_flow(t) * x2_half)
+                + hess_at(t) * x2_half)
 
     times, _, data, _drift = split_step_evolve(
         a0.samples, grid, T, dt, potential,

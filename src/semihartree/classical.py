@@ -117,10 +117,11 @@ def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
     return Trajectory(times, qs, ps, actions)
 
 
-def hessian_along_flow(trajectory: Trajectory, U: ExternalPotential) -> Callable[[float], float]:
-    """Scalar map t -> d2U/dx2 at the trajectory position q(t)."""
-
-    def hess(t: float) -> float:
-        return float(U.hess(trajectory.q_at(t), t))
+def hessian_along_flow(trajectory: Trajectory, U: ExternalPotential) -> Callable:
+    """Map t -> d2U/dx2 at the trajectory position q(t).  Given an array of
+    times it returns an array, from one spline call and one `U.hess` call."""
+    def hess(t):
+        values = U.hess(trajectory.qs_at(t), t)
+        return values if np.ndim(t) else float(values)
 
     return hess

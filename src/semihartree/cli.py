@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from .amplitude import validate_initial_amplitude
-from .config import ExperimentConfig, config_from_mapping, decode_config_text
+from .config import MODES, ExperimentConfig, config_from_mapping, decode_config_text
 from .errors import ConfigError, NumericalError
 from .hartree import compare_evolution
 from .sweep import (
@@ -146,9 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--quiet", action="store_true", help="suppress stdout")
         if mode_flag:
-            p.add_argument("--mode", choices=(
-                "physical", "rescaled", "corrections-1", "corrections-2"),
-                help="override the configured mode")
+            p.add_argument("--mode", choices=MODES, help="override the configured mode")
         p.add_argument("--eps", help="override eps_list, comma separated")
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with rate fit")

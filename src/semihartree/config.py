@@ -34,6 +34,7 @@ DEFAULT_EPS_LIST = (0.32, 0.16, 0.08, 0.04, 0.02)
 # which the eps-uniform packet-frame solver serves at fixed cost
 CORRECTIONS_EPS_LIST = (0.08, 0.04, 0.02, 0.01, 0.005)
 DEFAULT_MU_N = 512
+MAX_MU_N = 16 * DEFAULT_MU_N  # bounds the memory a config can ask for
 DEFAULT_MU_HALFWIDTH = 16.0
 DEFAULT_MU_DT = 1e-3
 # physical-frame solver step at the reference eps below; the default rule
@@ -87,10 +88,11 @@ class ExperimentConfig:
         object.__setattr__(self, "eps_list", eps)
         if self.dt is not None and not self.dt > 0:
             raise ConfigError("dt must be positive")
-        if self.mu_n % 2 != 0 or self.mu_n < 8:
-            raise ConfigError("grid.mu_n must be even and at least 8")
-        if not self.mu_halfwidth > 0:
-            raise ConfigError("grid.mu_halfwidth must be positive")
+        if self.mu_n % 2 != 0 or not 8 <= self.mu_n <= MAX_MU_N:
+            raise ConfigError(f"grid.mu_n must be even and in [8, {MAX_MU_N}]")
+        hw = self.mu_halfwidth
+        if not (hw > 0 and np.isfinite(2.0 * hw) and np.isfinite(np.pi * self.mu_n / hw)):
+            raise ConfigError("grid.mu_halfwidth must be positive, with finite wavenumbers")
         # construct both potentials once so bad names/params fail at parse time
         try:
             builtin_pair(self.phi_name, self.phi_params)
@@ -161,7 +163,7 @@ def decode_config_text(text: Union[bytes, str]) -> dict:
             raise ConfigError(f"config is not valid UTF-8: {exc}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a 5000-digit int, deep nesting
         raise ConfigError(f"malformed JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._stepping import time_nodes
+from ._stepping import tabulate, time_nodes
 from .classical import Trajectory, hessian_along_flow
 from .errors import NumericalError
 from .grids import (
@@ -36,18 +36,16 @@ __all__ = [
     "assemble_expansion",
 ]
 
-SourceFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-
 
 def separation_power_form(mu: np.ndarray, weight: np.ndarray, dx: float,
-                          power: int) -> np.ndarray:
+                          power: int, powers: Optional[np.ndarray] = None) -> np.ndarray:
     """integral of (mu - eta)^power * weight(eta) d(eta) for even power,
-    expanded binomially into plain moments of the (possibly signed) weight."""
-    out = np.zeros_like(mu)
-    for j in range(power + 1):
-        moment = float(np.sum(weight * mu ** j) * dx)
-        out += comb(power, j) * (-1.0) ** j * mu ** (power - j) * moment
-    return out
+    expanded binomially into plain moments of the (possibly signed) weight;
+    row j of `powers` holds mu**j, j = 0..power at least (repeat callers build it once)."""
+    powers = (np.vander(mu, power + 1, True).T.copy() if powers is None
+              else powers[:power + 1])
+    signs = np.array([comb(power, j) * (-1.0) ** j for j in range(power + 1)])
+    return (signs * (powers @ weight) * dx)[::-1] @ powers
 
 
 def _coverage_check(series: WaveSeries, T: float, dt: float, who: str) -> None:
@@ -61,14 +59,16 @@ def _coverage_check(series: WaveSeries, T: float, dt: float, who: str) -> None:
         )
 
 
-def _drive(a0_seq: WaveSeries, kappa: float, hess_fn: Callable[[float], float],
-           source_fn: SourceFn, T: float, dt: float, *,
-           picard: int = 1, label: str = "correction") -> WaveSeries:
+def _drive(a0_seq: WaveSeries, kappa: float, hess_fn: Callable,
+           coupling: Callable, T: float, dt: float, *,
+           forcing: Optional[Callable] = None, label: str = "correction") -> WaveSeries:
     """Propagate a zero-initial-data linear problem with sources.
 
     Each step applies half of the homogeneous split propagator, deposits
-    -i*dt*S evaluated at the midpoint (with `picard` fixed-point updates of
-    the state entering S), then the second half.
+    -i*dt*s at the midpoint, then the second half: s is coupling(t, u, a0),
+    linear in u and refreshed by one fixed-point update of u, plus the
+    u-free forcing(mids)(j, a0) of step j, evaluated once per step.
+    `hess_fn` is called once, on the nodes and the step midpoints `mids`.
     """
     grid = a0_seq.grid
     mu = grid.points
@@ -76,13 +76,17 @@ def _drive(a0_seq: WaveSeries, kappa: float, hess_fn: Callable[[float], float],
     k2 = grid.wavenumbers ** 2
     khat = radial_kernel_rfft(lambda r: r * r, grid)
     half_kappa = 0.5 * kappa
+    times = time_nodes(T, dt)
+    steps = np.diff(times)
+    mids = times[:-1] + 0.5 * steps
+    hess_at = tabulate(hess_fn, np.sort(np.concatenate([times, mids])))
+    force = forcing(mids) if forcing is not None else None
 
     def quad_potential(a0_samples: np.ndarray, t: float) -> np.ndarray:
         density = a0_samples.real ** 2 + a0_samples.imag ** 2
         return (half_kappa * apply_radial_rfft(khat, density, grid)
-                + hess_fn(t) * x2_half)
+                + hess_at(t) * x2_half)
 
-    times = time_nodes(T, dt)
     u = np.zeros(grid.n, dtype=np.complex128)
     data = np.empty((times.size, grid.n), dtype=np.complex128)
     data[0] = u
@@ -91,9 +95,7 @@ def _drive(a0_seq: WaveSeries, kappa: float, hess_fn: Callable[[float], float],
     kin_half = None
     v_left = quad_potential(a0_seq.interp_samples(times[0]), times[0])
     for j in range(times.size - 1):
-        t0, t1 = times[j], times[j + 1]
-        h = t1 - t0
-        tm = t0 + 0.5 * h
+        t1, h, tm = times[j + 1], steps[j], mids[j]
         if h != h_prev:
             kin_half = np.exp(-0.25j * h * k2)  # kinetic phase over h/2
             h_prev = h
@@ -106,9 +108,9 @@ def _drive(a0_seq: WaveSeries, kappa: float, hess_fn: Callable[[float], float],
         u = np.fft.ifft(np.fft.fft(u) * kin_half)
         u = u * np.exp(-0.25j * h * v_mid)
         # midpoint Duhamel deposit
-        s = source_fn(tm, u, a0_mid)
-        for _ in range(picard):
-            s = source_fn(tm, u - 0.5j * h * s, a0_mid)
+        f = force(j, a0_mid) if force is not None else 0.0
+        s = coupling(tm, u, a0_mid) + f
+        s = coupling(tm, u - 0.5j * h * s, a0_mid) + f
         u = u - 1j * h * s
         # second half: [t0 + h/2, t1]
         u = u * np.exp(-0.25j * h * v_mid)
@@ -133,17 +135,20 @@ def evolve_correction_1(a0_seq: WaveSeries, phi: PairPotential,
     grid = a0_seq.grid
     mu = grid.points
     dx = grid.dx
-    mu3 = mu ** 3
     kappa = phi.second_deriv_at_0
     half_kappa = 0.5 * kappa
+    powers = np.vander(mu, 4, True).T.copy()  # rows mu**0 .. mu**3
 
-    def source(t: float, u: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    def coupling(t: float, u: np.ndarray, a0: np.ndarray) -> np.ndarray:
         cross = 2.0 * (a0.real * u.real + a0.imag * u.imag)
-        coupled = half_kappa * separation_power_form(mu, cross, dx, 2) * a0
-        return coupled + (float(U.third(trajectory.q_at(t), t)) / 6.0) * mu3 * a0
+        return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * a0
 
-    return _drive(a0_seq, kappa, hessian_along_flow(trajectory, U), source, T, dt,
-                  label="first correction")
+    def forcing(mids: np.ndarray):
+        w3 = U.third(trajectory.qs_at(mids), mids) / 6.0
+        return lambda j, a0: w3[j] * powers[3] * a0
+
+    return _drive(a0_seq, kappa, hessian_along_flow(trajectory, U), coupling, T, dt,
+                  forcing=forcing, label="first correction")
 
 
 def evolve_correction_2(a0_seq: WaveSeries, a1_seq: WaveSeries,
@@ -157,29 +162,34 @@ def evolve_correction_2(a0_seq: WaveSeries, a1_seq: WaveSeries,
     grid = a0_seq.grid
     mu = grid.points
     dx = grid.dx
-    mu3 = mu ** 3
-    mu4 = mu ** 4
     kappa = phi.second_deriv_at_0
     half_kappa = 0.5 * kappa
     quartic_coeff = phi.fourth_deriv_at_0 / 24.0
+    powers = np.vander(mu, 5, True).T.copy()  # rows mu**0 .. mu**4
 
-    def source(t: float, u: np.ndarray, a0: np.ndarray) -> np.ndarray:
-        q = trajectory.q_at(t)
-        a1 = a1_seq.interp_samples(t)
-        dens0 = a0.real ** 2 + a0.imag ** 2
-        dens1 = a1.real ** 2 + a1.imag ** 2
+    def coupling(t: float, u: np.ndarray, a0: np.ndarray) -> np.ndarray:
         cross02 = 2.0 * (a0.real * u.real + a0.imag * u.imag)
-        cross01 = 2.0 * (a0.real * a1.real + a0.imag * a1.imag)
-        s = half_kappa * separation_power_form(mu, cross02, dx, 2) * a0
-        s = s + (float(U.fourth(q, t)) / 24.0) * mu4 * a0
-        s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4) * a0
-        s = s + half_kappa * separation_power_form(mu, dens1, dx, 2) * a0
-        s = s + half_kappa * separation_power_form(mu, cross01, dx, 2) * a1
-        s = s + (float(U.third(q, t)) / 6.0) * mu3 * a1
-        return s
+        return half_kappa * separation_power_form(mu, cross02, dx, 2, powers) * a0
 
-    return _drive(a0_seq, kappa, hessian_along_flow(trajectory, U), source, T, dt,
-                  label="second correction")
+    def forcing(mids: np.ndarray):
+        q = trajectory.qs_at(mids)
+        w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
+
+        def step(j: int, a0: np.ndarray) -> np.ndarray:
+            a1 = a1_seq.interp_samples(mids[j])
+            dens0 = a0.real ** 2 + a0.imag ** 2
+            dens1 = a1.real ** 2 + a1.imag ** 2
+            cross01 = 2.0 * (a0.real * a1.real + a0.imag * a1.imag)
+            s = w4[j] * powers[4] * a0
+            s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * a0
+            s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * a0
+            s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
+            return s + w3[j] * powers[3] * a1
+
+        return step
+
+    return _drive(a0_seq, kappa, hessian_along_flow(trajectory, U), coupling, T, dt,
+                  forcing=forcing, label="second correction")
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._stepping import split_step_evolve, time_nodes
+from ._stepping import split_step_evolve, tabulate, time_nodes
 from .classical import Trajectory
 from .config import DEFAULT_MU_DT
 from .grids import (
@@ -60,12 +60,12 @@ def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential
     inv_eps = 1.0 / epsilons[:, None]
     khat = np.stack([radial_kernel_rfft(lambda r, s=s: phi.shifted(s * r), grid)
                      for s in root_eps[:, 0]])
-    q_of = dict(zip(times.tolist(), trajectory.qs_at(times).tolist()))
+    q_at = tabulate(trajectory.qs_at, times)
 
     def potential(t: float, samples: np.ndarray) -> np.ndarray:
         density = samples.real ** 2 + samples.imag ** 2
         mean_field = apply_radial_rfft(khat, density, grid)
-        q = q_of[t]
+        q = q_at(t)
         bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)
                    - float(U.value(q, t))
                    - root_eps * float(U.grad(q, t)) * mu)

@@ -17,3 +17,13 @@ def gauss(mu_grid):
 def array_norm(samples, dx):
     """Direct L^2 norm of raw samples, independent of the library helpers."""
     return float(np.sqrt(np.sum(np.abs(np.asarray(samples)) ** 2) * dx))
+
+
+try:  # property tests run derandomized, so tier-1 stays reproducible
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("tier1", derandomize=True, deadline=None,
+                              max_examples=150, database=None)
+    settings.load_profile("tier1")

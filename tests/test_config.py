@@ -131,3 +131,42 @@ class TestNumbers:
     def test_integral_float_accepted_as_integer(self):
         cfg = parse_config(b'{"grid":{"mu_n":256.0}}')
         assert cfg.mu_n == 256 and isinstance(cfg.mu_n, int)
+
+
+class TestResourceBounds:
+    @pytest.fixture(autouse=True)
+    def no_grid(self, monkeypatch):
+        # parsing must never allocate the mesh it describes
+        import semihartree.config as config
+
+        def refuse(*args):
+            raise AssertionError("a grid was allocated while parsing")
+
+        monkeypatch.setattr(config, "make_grid", refuse)
+
+    @pytest.mark.parametrize("extra, accepted", [(0, True), (2, False)],
+                             ids=["bound", "bound+2"])
+    def test_mu_n_bound(self, extra, accepted):
+        from semihartree.config import DEFAULT_MU_N, MAX_MU_N
+
+        assert MAX_MU_N >= 16 * DEFAULT_MU_N
+        text = b'{"grid":{"mu_n":%d}}' % (MAX_MU_N + extra)
+        if accepted:
+            assert parse_config(text).mu_n == MAX_MU_N
+        else:
+            with pytest.raises(ConfigError, match=r"^grid\.mu_n must be even and in "
+                               r"\[8, \d+\]$"):
+                parse_config(text)
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"grid":{"mu_n":1000000000000}}', "grid.mu_n"),
+        ('{"grid":{"mu_halfwidth":5e-324}}', "grid.mu_halfwidth"),
+        ('{"grid":{"mu_halfwidth":1e308}}', "grid.mu_halfwidth"),
+        ('{"T":1' + "0" * 5000 + '}', "malformed JSON"),
+        ('[' * 100000 + ']' * 100000, "malformed JSON"),
+    ], ids=["huge-mu_n", "subnormal-halfwidth", "overflowing-halfwidth",
+            "5000-digit-number", "deep-nesting"])
+    def test_validate_exits_2_with_one_line(self, tmp_path, capsys, text, where):
+        code, err = TestNumbers.validate(tmp_path, capsys, text)
+        assert code == 2
+        assert err.startswith(f"config error: {where}") and err.count("\n") == 1
