@@ -2,12 +2,14 @@
 
 One Strang step over [t, t+h] applies a half potential phase sampled at t,
 an exact spectral kinetic step, and a half potential phase sampled at t+h.
-The potential, evaluated once per step on the post-kinetic state, serves
-the trailing half and the next step's leading half.  Off store nodes these
-are fused into one phase exp(-i (h_j + h_{j+1})/2 v), which keeps Strang
-order for self-consistent potentials (Lubich, Math. Comp. 77, 2008); at
-store nodes and the final node they are applied apart.  The guard and norm
-checks run every step after the phase, which leaves |psi| unchanged.
+The density |psi|^2 is taken once per step, after the kinetic step, and
+serves the potential, `potential(t, density) -> v`, the norm and the
+boundary-mass guard of that node (the phase leaves |psi| unchanged).  v
+serves the trailing half and the next step's leading half.  Off store
+nodes these are fused into one phase exp(-i (h_j + h_{j+1})/2 v), which
+keeps Strang order for self-consistent potentials (Lubich, Math. Comp. 77,
+2008); at store nodes and the final node they are applied apart.  A
+non-finite v trips the guard at its own node.
 """
 
 from __future__ import annotations
@@ -68,16 +70,17 @@ def split_step_evolve(
     guard_mass: float = 1e-8,
     label: Union[str, Sequence[str]] = "evolution",
 ):
-    """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + potential(t, psi) psi.
+    """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + v psi, where
+    v = potential(t, |psi|^2).
 
     `samples0` is one state of shape (n,) or a batch of shape (m, n) whose
-    rows evolve independently: FFTs and reductions run along the last axis
-    and `potential` must return a real array broadcastable to the samples.
-    It is evaluated once per step on the post-kinetic samples.  Returns
-    (times, stored_times, stored_data, norm_drift): stored_data has shape
-    (stored nodes,) + samples0.shape, and norm_drift is the largest
-    deviation of the L^2 norm from its initial value over every step, not
-    just stored ones (a float, or one value per row of a batch).
+    rows evolve independently: FFTs and reductions run along the last axis,
+    and `potential` gets a density of that shape and returns a real array
+    broadcastable to it.  Returns (times, stored_times, stored_data,
+    norm_drift): stored_data has shape (stored nodes,) + samples0.shape,
+    and norm_drift is the largest deviation of the L^2 norm from its
+    initial value over every step, not just stored ones (a float, or one
+    value per row of a batch).
 
     Raises NumericalError when samples go non-finite or when more than
     `guard_mass` probability sits within `guard_cells` cells of a domain
@@ -97,20 +100,17 @@ def split_step_evolve(
     dx = grid.dx
     k2 = grid.wavenumbers ** 2
 
-    def norms():
-        return np.sqrt((psi.real ** 2 + psi.imag ** 2).sum(axis=-1) * dx)
-
-    norm0 = norms()
-    drift = np.zeros_like(norm0)
-
     data = np.empty((store_idx.size,) + psi.shape, dtype=np.complex128)
     if 0 in store_pos:
         data[store_pos[0]] = psi
 
-    def check(t: float, nrm) -> None:
-        bm = boundary_mass(psi, grid, guard_cells)
-        # a finite norm implies finite samples; scan them only if it is not
-        if (bm <= guard_mass).all() and np.isfinite(nrm).all():
+    def check(t: float, density, nrm, v) -> None:
+        bm = boundary_mass(density, grid, guard_cells, is_density=True)
+        # finite norms and v imply finite samples, and a total edge mass
+        # within the guard clears every row; scan the rows only if not
+        total = np.add.reduce
+        if (total(bm, axis=None) <= guard_mass
+                and np.isfinite(total(nrm, axis=None) + total(v, axis=None))):
             return
         finite = np.atleast_1d(np.isfinite(psi).all(axis=-1))
         bm = np.atleast_1d(bm)
@@ -122,30 +122,33 @@ def split_step_evolve(
         if not finite[row]:
             raise NumericalError(
                 f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
-        s = psi[row] if batched else psi
-        nrm2 = np.sum(s.real ** 2 + s.imag ** 2) * dx
+        nrm2 = np.sum(density[row] if batched else density) * dx
         raise NumericalError(
             f"{labels[row]}: boundary mass fraction {bm[row] / nrm2:.3e} at "
             f"t={t:.6g} exceeds guard {guard_mass:.1e}", **where)
 
-    check(0.0, norm0)
+    density = psi.real ** 2 + psi.imag ** 2
+    norm0 = np.sqrt(density.sum(axis=-1) * dx)
+    drift = np.zeros_like(norm0)
+    check(0.0, density, norm0, 0.0)
     steps = np.append(np.diff(times), 0.0)  # a zero step after the final node
-    v = potential(times[0], psi)
+    v = potential(times[0], density)
     psi = psi * np.exp(-0.5j * steps[0] * v)
     for j in range(times.size - 1):
         h, h_next = steps[j], steps[j + 1]
         if j == 0 or h != steps[j - 1]:
             kin = np.exp(-0.5j * h * kinetic_scale * k2)
         psi = np.fft.ifft(np.fft.fft(psi) * kin)
-        v = potential(times[j + 1], psi)
+        density = psi.real ** 2 + psi.imag ** 2
+        nrm = np.sqrt(density.sum(axis=-1) * dx)
+        v = potential(times[j + 1], density)
         stored = j + 1 in store_pos
         # a store node takes the trailing half alone, any other node the
         # trailing half fused with the next step's leading half
         half = np.exp(-0.5j * (h if stored else h + h_next) * v)
         psi = psi * half
 
-        nrm = norms()
-        check(times[j + 1], nrm)
+        check(times[j + 1], density, nrm, v)
         drift = np.maximum(drift, np.abs(nrm - norm0))
         if stored:
             data[store_pos[j + 1]] = psi

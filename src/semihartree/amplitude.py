@@ -12,7 +12,8 @@ agree up to the splitting order, which the cross-check tests exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from collections.abc import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "AmplitudeState",
     "InitialDataReport",
     "validate_initial_amplitude",
+    "ProfileHistory",
     "evolve_beta",
     "gamma_step",
     "evolve_b",
@@ -78,26 +80,47 @@ def validate_initial_amplitude(a0: WaveFunction, tolerance: float = 1e-6) -> Ini
     return InitialDataReport(defect, fm, km, moments, tolerance, passed)
 
 
+def _phase_increments(kappa: float, moments: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The nonlinear phase gained over each step between `times`: trapezoid
+    quadrature of -(kappa/2) * (second moment) on the step's two nodes."""
+    return -0.5 * kappa * 0.5 * (moments[:-1] + moments[1:]) * np.diff(times)
+
+
 def gamma_step(beta_prev: WaveFunction, beta_next: WaveFunction, kappa: float,
                dt: float, previous: float) -> float:
-    """Advance the nonlinear phase across one step: trapezoidal quadrature
-    of -(kappa/2) * abs_moment(beta, 1) on the step's two nodes."""
-    m0 = abs_moment(beta_prev, 1)
-    m1 = abs_moment(beta_next, 1)
-    return previous - 0.5 * kappa * 0.5 * (m0 + m1) * dt
+    """Advance the nonlinear phase across one step of length dt."""
+    moments = np.array([abs_moment(beta_prev, 1), abs_moment(beta_next, 1)])
+    return previous + float(_phase_increments(kappa, moments, np.array([0.0, dt]))[0])
 
 
-def _second_moments(data: np.ndarray, grid: Grid) -> np.ndarray:
-    x2 = grid.points ** 2
-    return (np.abs(data) ** 2 @ x2) * grid.dx
+@dataclass(frozen=True, eq=False)
+class ProfileHistory(Sequence):
+    """Profile states at every node of one run, read from one read-only
+    (nodes, n) history: indexing builds an `AmplitudeState` whose samples
+    are a view of its row; a slice gives a list."""
+
+    grid: Grid
+    times: np.ndarray
+    data: np.ndarray
+    gammas: np.ndarray
+    second_moments: np.ndarray  # integral of x^2 |beta|^2 dx at each node
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return AmplitudeState(WaveFunction(self.grid, self.data[i], RESCALED),
+                              float(self.gammas[i]), float(self.times[i]))
 
 
 def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
                 T: float, dt: float = DEFAULT_MU_DT, *,
-                guard_cells: int = 12, guard_mass: float = 1e-8) -> List[AmplitudeState]:
+                guard_cells: int = 12, guard_mass: float = 1e-8) -> ProfileHistory:
     """Propagate the profile under the quadratic potential
-    (kappa + hessU(t)) x^2 / 2 with Strang splitting, co-accumulating the
-    nonlinear phase by `gamma_step` on the same nodes.
+    (kappa + hessU(t)) x^2 / 2 with Strang splitting, and the nonlinear
+    phase by the quadrature of `gamma_step` on the same nodes.
 
     Returns the state at every node.  Fails loudly if the profile spreads
     into the guard band at the domain edges (inverted-oscillator growth
@@ -109,22 +132,19 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     x2_half = 0.5 * grid.points ** 2
     hess_at = tabulate(hessU_along_flow, time_nodes(T, dt))
 
-    def potential(t: float, _samples: np.ndarray) -> np.ndarray:
+    def potential(t: float, _density: np.ndarray) -> np.ndarray:
         return (kappa + hess_at(t)) * x2_half
 
     times, _, data, _drift = split_step_evolve(
         a0.samples, grid, T, dt, potential,
         guard_cells=guard_cells, guard_mass=guard_mass, label="profile evolution",
     )
-    moments = _second_moments(data, grid)
-    states = [AmplitudeState(WaveFunction(grid, data[0], RESCALED), 0.0, float(times[0]))]
-    gamma = 0.0
-    for j in range(1, times.size):
-        h = times[j] - times[j - 1]
-        gamma = gamma - 0.5 * kappa * 0.5 * (moments[j - 1] + moments[j]) * h
-        states.append(AmplitudeState(WaveFunction(grid, data[j], RESCALED),
-                                     float(gamma), float(times[j])))
-    return states
+    data.flags.writeable = False
+    x2 = grid.points ** 2  # 128 rows at a time bounds the temporaries
+    moments = np.concatenate([np.abs(data[i:i + 128]) ** 2 @ x2
+                              for i in range(0, len(data), 128)]) * grid.dx
+    gammas = np.concatenate(([0.0], np.cumsum(_phase_increments(kappa, moments, times))))
+    return ProfileHistory(grid, times, data, gammas, moments)
 
 
 def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
@@ -141,8 +161,7 @@ def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     half_kappa = 0.5 * kappa
     hess_at = tabulate(hessU_along_flow, time_nodes(T, dt))
 
-    def potential(t: float, samples: np.ndarray) -> np.ndarray:
-        density = samples.real ** 2 + samples.imag ** 2
+    def potential(t: float, density: np.ndarray) -> np.ndarray:
         return (half_kappa * apply_radial_rfft(khat, density, grid)
                 + hess_at(t) * x2_half)
 

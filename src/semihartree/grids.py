@@ -36,6 +36,7 @@ __all__ = [
     "radial_kernel_rfft",
     "apply_radial_rfft",
     "radial_convolve",
+    "mean_field",
 ]
 
 
@@ -218,19 +219,24 @@ def evaluate_trig_interpolant(psi: WaveFunction, points: np.ndarray) -> np.ndarr
     block = max(1, 2_000_000 // grid.n)
     for start in range(0, rel.size, block):
         seg = rel[start:start + block]
-        out[start:start + block] = np.exp(1j * np.outer(seg, grid.wavenumbers)) @ coeffs
+        # exp(i a) c as two real-matrix products: no complex exponential table
+        arg = np.outer(seg, grid.wavenumbers)
+        out[start:start + block] = np.cos(arg) @ coeffs + 1j * (np.sin(arg) @ coeffs)
     return out
 
 
-def boundary_mass(samples: np.ndarray, grid: Grid, cells: int = 12):
+def boundary_mass(samples: np.ndarray, grid: Grid, cells: int = 12, *,
+                  is_density: bool = False):
     """Probability mass within `cells` grid cells of either domain edge.
 
     Reduces along the last axis: a float for one state, one value per row
-    for a batch of shape (m, n).
+    for a batch of shape (m, n).  With `is_density`, `samples` already
+    holds |psi|^2.
     """
     head, tail = samples[..., :cells], samples[..., -cells:]
-    return ((head.real ** 2 + head.imag ** 2).sum(axis=-1)
-            + (tail.real ** 2 + tail.imag ** 2).sum(axis=-1)) * grid.dx
+    if not is_density:
+        head, tail = head.real ** 2 + head.imag ** 2, tail.real ** 2 + tail.imag ** 2
+    return (head.sum(axis=-1) + tail.sum(axis=-1)) * grid.dx
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +279,20 @@ def radial_convolve(kernel: Callable[[np.ndarray], np.ndarray],
     if density.shape != (grid.n,):
         raise ValueError("density length must match the grid")
     return apply_radial_rfft(radial_kernel_rfft(kernel, grid), density, grid)
+
+
+def mean_field(kernel: Callable, grid: Grid, separable: Optional[Callable] = None):
+    """density -> (kernel * density) * dx for densities of shape (n,) or
+    (m, n), built once per run.  With (f, g) = separable(points), the
+    whole-line convolution from the rank moments of the density: two
+    (rank, n) products.  Otherwise `apply_radial_rfft` at periodic distances.
+    """
+    if separable is None:
+        khat = radial_kernel_rfft(kernel, grid)
+        return lambda density: apply_radial_rfft(khat, density, grid)
+    f, g = (np.asarray(a, dtype=np.float64) for a in separable(grid.points))
+    f, moments = np.ascontiguousarray(f), np.ascontiguousarray(g.T * grid.dx)
+    return lambda density: (density @ moments) @ f
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,14 +25,11 @@ from .grids import (
     Grid,
     WaveFunction,
     WaveSeries,
-    abs_moment,
-    apply_radial_rfft,
     evaluate_trig_interpolant,
-    fourier_second_moment,
     l2_distance,
     make_grid,
+    mean_field,
     physical_frame,
-    radial_kernel_rfft,
 )
 from .potentials import ExternalPotential, PairPotential
 
@@ -129,7 +126,8 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
                    store_times: Optional[Sequence[float]] = None,
                    guard_cells: int = 12, guard_mass: float = 1e-8) -> HartreeRun:
     """Strang-split integration of the mean-field dynamics, with the
-    self-consistent potential rebuilt from |psi|^2 every step.
+    self-consistent potential rebuilt from |psi|^2 every step by
+    `grids.mean_field` (two density moments for the cosine pair).
 
     U must be time independent, as every built-in is: U(x) is sampled
     once per run, at t = 0.  The potential phase max|w|*dt is still
@@ -141,15 +139,14 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
     if psi0.frame.kind != "physical" or psi0.frame.epsilon != epsilon:
         raise ValueError("initial state frame does not carry this epsilon")
     grid = psi0.grid
-    khat = radial_kernel_rfft(phi, grid)
+    convolve = mean_field(phi, grid, phi.separable)
     u = np.asarray(U.value(grid.points, 0.0), dtype=np.float64)
     inv_eps = 1.0 / epsilon
     warned = [False]
 
-    def potential(t: float, samples: np.ndarray) -> np.ndarray:
-        density = samples.real ** 2 + samples.imag ** 2
-        w = (apply_radial_rfft(khat, density, grid) + u) * inv_eps
-        phase = dt * float(np.max(np.abs(w)))
+    def potential(t: float, density: np.ndarray) -> np.ndarray:
+        w = (convolve(density) + u) * inv_eps
+        phase = dt * float(np.abs(w).max())
         if phase > np.pi:
             raise NumericalError(
                 f"potential phase per step {phase:.3f} rad exceeds pi at "
@@ -221,14 +218,19 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
     dt_amp = config.mu_dt() / refine
     trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, config.T,
                                 min(1e-3, dt_amp))
-    states = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
-                         hessian_along_flow(trajectory, U), config.T, dt_amp)
-    idx = (np.unique(np.linspace(0, len(states) - 1, trace_points).astype(int))
-           if trace_points > 0 else [len(states) - 1])
+    history = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
+                          hessian_along_flow(trajectory, U), config.T, dt_amp)
+    idx = (np.unique(np.linspace(0, len(history) - 1, trace_points).astype(int))
+           if trace_points > 0 else [len(history) - 1])
+    # copies, so that the level does not keep the whole history alive
+    states = tuple(AmplitudeState(s.beta.with_samples(s.beta.samples.copy()), s.gamma, s.t)
+                   for s in map(history.__getitem__, idx))
+    # peak fourier_second_moment from FFTs of 128 rows at a time
+    data, k2, grid = history.data, history.grid.wavenumbers ** 2, history.grid
+    maxvar_k = max(np.max(np.abs(np.fft.fft(data[i:i + 128])) ** 2 @ k2)
+                   for i in range(0, len(data), 128)) * grid.dx / grid.n
     return PhysicalLevel(refine, trace_points, dt_amp, trajectory,
-                         max(abs_moment(s.beta, 1) for s in states),
-                         max(fourier_second_moment(s.beta) for s in states),
-                         tuple(states[i] for i in idx))
+                         float(history.second_moments.max()), float(maxvar_k), states)
 
 
 def compare_evolution(epsilon: float, config: ExperimentConfig, *,

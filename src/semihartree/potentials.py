@@ -9,7 +9,7 @@ only accept r >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,13 +32,20 @@ _WINDOW_SCALE = 4.0
 
 @dataclass(frozen=True, eq=False)
 class PairPotential:
-    """Even two-body interaction with its derivatives at the origin."""
+    """Even two-body interaction with its derivatives at the origin.
+
+    `separable`, if set, maps points x to (rank, n) tables (f, g) with
+    phi(x_j - x_l) = sum_i f_i(x_j) g_i(x_l): rank 2 for cosine, 0 for
+    zero.  Quadratic (rank 3) has none here: its whole-line r^2 grows to
+    the domain edge, which feeds the reference solver's phase check.
+    """
 
     name: str
     value_at_0: float
     second_deriv_at_0: float
     fourth_deriv_at_0: float
     _fn: Callable[[Array], Array]
+    separable: Optional[Callable[[Array], tuple]] = None
 
     def __call__(self, r):
         """Evaluate at separations r >= 0."""
@@ -76,10 +83,13 @@ def builtin_pair(name: str, params: Sequence[float] = ()) -> PairPotential:
     with quadratic meaning phi(r) = c0 + c2 r^2 / 2."""
     if name == "zero":
         _require_params(name, params, 0)
-        return PairPotential("zero", 0.0, 0.0, 0.0, lambda r: np.zeros_like(r))
+        return PairPotential("zero", 0.0, 0.0, 0.0, lambda r: np.zeros_like(r),
+                             lambda x: (np.empty((0, np.size(x))),) * 2)
     if name == "cosine":
         _require_params(name, params, 0)
-        return PairPotential("cosine", 1.0, -1.0, 1.0, np.cos)
+        # cos(x - y) = cos x cos y + sin x sin y
+        return PairPotential("cosine", 1.0, -1.0, 1.0, np.cos,
+                             lambda x: (np.stack([np.cos(x), np.sin(x)]),) * 2)
     if name == "gaussian":
         _require_params(name, params, 0)
         return PairPotential("gaussian", 1.0, -1.0, 3.0,

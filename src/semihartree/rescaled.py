@@ -62,8 +62,7 @@ def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential
                      for s in root_eps[:, 0]])
     q_at = tabulate(trajectory.qs_at, times)
 
-    def potential(t: float, samples: np.ndarray) -> np.ndarray:
-        density = samples.real ** 2 + samples.imag ** 2
+    def potential(t: float, density: np.ndarray) -> np.ndarray:
         mean_field = apply_radial_rfft(khat, density, grid)
         q = q_at(t)
         bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)

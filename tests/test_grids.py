@@ -238,6 +238,16 @@ class TestWaveFunction:
         exact = np.pi ** (-0.25) * np.exp(-0.5 * pts ** 2)
         assert np.max(np.abs(vals - exact)) < 1e-12
 
+    def test_trig_interpolant_equals_complex_exponential_sum(self, mu_grid):
+        # reference: the exp(i k x) @ c product the cos/sin form replaced;
+        # 5000 points span two blocks and reach past both domain edges
+        psi = gaussian_profile(mu_grid, center=1.5, wavenumber=3.0, width=0.7)
+        pts = np.random.default_rng(3).uniform(-20.0, 20.0, 5000)
+        coeffs = np.fft.fft(psi.samples) / mu_grid.n
+        ref = np.exp(1j * np.outer(pts - mu_grid.x_min, mu_grid.wavenumbers)) @ coeffs
+        got = evaluate_trig_interpolant(psi, pts)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(coeffs))
+
 
 class TestWaveSeriesInterp:
     # the corrections-2 drive reads the first correction, stored on the
