@@ -12,12 +12,7 @@ from .amplitude import (
 )
 from .classical import ClassicalState, Trajectory, hessian_along_flow, integrate_flow
 from .config import ExperimentConfig, parse_config
-from .corrections import (
-    CorrectionSet,
-    assemble_expansion,
-    evolve_correction_1,
-    evolve_correction_2,
-)
+from .corrections import CorrectionSet, assemble_expansion, evolve_corrections
 from .errors import ConfigError, NumericalError
 from .grids import (
     RESCALED,

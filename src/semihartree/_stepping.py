@@ -10,6 +10,12 @@ nodes these are fused into one phase exp(-i (h_j + h_{j+1})/2 v), which
 keeps Strang order for self-consistent potentials (Lubich, Math. Comp. 77,
 2008); at store nodes and the final node they are applied apart.  A
 non-finite v trips the guard at its own node.
+
+The engine steps on the node array its caller passes, usually
+`time_nodes(T, dt)`.  The correction orders step on dt nodes interleaved
+with their midpoints (t_0, mid_0, t_1, ...) and add a Duhamel deposit at
+each midpoint, after the trailing half; the halves at a midpoint are then
+applied apart too, as at a store node.
 """
 
 from __future__ import annotations
@@ -61,17 +67,17 @@ def _resolve_store(times: np.ndarray, store_times: Optional[Sequence[float]]) ->
 def split_step_evolve(
     samples0: np.ndarray,
     grid: Grid,
-    T: float,
-    dt: float,
+    times: np.ndarray,
     potential: Callable[[float, np.ndarray], np.ndarray],
     kinetic_scale: float = 1.0,
     store_times: Optional[Sequence[float]] = None,
     guard_cells: int = 12,
     guard_mass: float = 1e-8,
     label: Union[str, Sequence[str]] = "evolution",
+    deposit: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
 ):
     """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + v psi, where
-    v = potential(t, |psi|^2).
+    v = potential(t, |psi|^2), over the sorted node array `times`.
 
     `samples0` is one state of shape (n,) or a batch of shape (m, n) whose
     rows evolve independently: FFTs and reductions run along the last axis,
@@ -82,13 +88,16 @@ def split_step_evolve(
     initial value over every step, not just stored ones (a float, or one
     value per row of a batch).
 
+    `deposit(j, psi) -> psi`, when given, acts at every odd node 2j+1 (the
+    midpoint of step j of an interleaved node array), after the trailing
+    half phase and before the state there is stored.
+
     Raises NumericalError when samples go non-finite or when more than
     `guard_mass` probability sits within `guard_cells` cells of a domain
     edge (the packet is escaping the window).  `label` names the run in
     that message; a batch takes one label per row, and its error names the
     lowest failing row's label and carries that row's index as `row`.
     """
-    times = time_nodes(T, dt)
     store_idx = _resolve_store(times, store_times)
     store_pos = {int(j): pos for pos, j in enumerate(store_idx)}
 
@@ -143,16 +152,20 @@ def split_step_evolve(
         nrm = np.sqrt(density.sum(axis=-1) * dx)
         v = potential(times[j + 1], density)
         stored = j + 1 in store_pos
-        # a store node takes the trailing half alone, any other node the
-        # trailing half fused with the next step's leading half
-        half = np.exp(-0.5j * (h if stored else h + h_next) * v)
+        deposited = deposit is not None and j % 2 == 0
+        apart = stored or deposited
+        # a store or deposit node takes the trailing half alone, any other
+        # node the trailing half fused with the next step's leading half
+        half = np.exp(-0.5j * (h if apart else h + h_next) * v)
         psi = psi * half
 
         check(times[j + 1], density, nrm, v)
         drift = np.maximum(drift, np.abs(nrm - norm0))
+        if deposited:
+            psi = deposit(j // 2, psi)
         if stored:
             data[store_pos[j + 1]] = psi
-            if h_next:
-                psi = psi * (half if h_next == h else np.exp(-0.5j * h_next * v))
+        if apart and h_next:
+            psi = psi * (half if h_next == h else np.exp(-0.5j * h_next * v))
 
     return times, times[store_idx], data, drift

@@ -39,10 +39,12 @@ __all__ = [
     "ProfileHistory",
     "evolve_beta",
     "gamma_step",
+    "b_potential",
     "evolve_b",
 ]
 
 HessFn = Callable[[np.ndarray], np.ndarray]  # node times -> U'' along the path
+B_LABEL = "phase-absorbed profile evolution"
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,13 +132,14 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
         raise ValueError("profile evolution runs in the rescaled frame")
     grid = a0.grid
     x2_half = 0.5 * grid.points ** 2
-    hess_at = tabulate(hessU_along_flow, time_nodes(T, dt))
+    nodes = time_nodes(T, dt)
+    hess_at = tabulate(hessU_along_flow, nodes)
 
     def potential(t: float, _density: np.ndarray) -> np.ndarray:
         return (kappa + hess_at(t)) * x2_half
 
     times, _, data, _drift = split_step_evolve(
-        a0.samples, grid, T, dt, potential,
+        a0.samples, grid, nodes, potential,
         guard_cells=guard_cells, guard_mass=guard_mass, label="profile evolution",
     )
     data.flags.writeable = False
@@ -147,27 +150,33 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     return ProfileHistory(grid, times, data, gammas, moments)
 
 
-def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-             T: float, dt: float = DEFAULT_MU_DT, *,
-             guard_cells: int = 12, guard_mass: float = 1e-8) -> WaveSeries:
-    """Integrate the phase-absorbed profile equation directly: the
-    quadratic interaction term (kappa/2) * conv(|x - y|^2, |b|^2) is
-    rebuilt from the evolved density at every evaluation."""
-    if a0.frame != RESCALED:
-        raise ValueError("profile evolution runs in the rescaled frame")
-    grid = a0.grid
+def b_potential(grid: Grid, kappa: float, hess_at: Callable[[float], float]):
+    """(t, |b|^2) -> (kappa/2) conv(r^2, |b|^2) + U''(t) x^2/2, the
+    potential of the phase-absorbed profile b, rebuilt from b's density at
+    every node; `hess_at` looks U'' up at the node times."""
     x2_half = 0.5 * grid.points ** 2
     khat = radial_kernel_rfft(lambda r: r * r, grid)
     half_kappa = 0.5 * kappa
-    hess_at = tabulate(hessU_along_flow, time_nodes(T, dt))
 
     def potential(t: float, density: np.ndarray) -> np.ndarray:
         return (half_kappa * apply_radial_rfft(khat, density, grid)
                 + hess_at(t) * x2_half)
 
+    return potential
+
+
+def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
+             T: float, dt: float = DEFAULT_MU_DT, *,
+             guard_cells: int = 12, guard_mass: float = 1e-8) -> WaveSeries:
+    """Integrate the phase-absorbed profile equation directly under
+    `b_potential`, stored at every node."""
+    if a0.frame != RESCALED:
+        raise ValueError("profile evolution runs in the rescaled frame")
+    grid = a0.grid
+    nodes = time_nodes(T, dt)
+    potential = b_potential(grid, kappa, tabulate(hessU_along_flow, nodes))
     times, _, data, _drift = split_step_evolve(
-        a0.samples, grid, T, dt, potential,
-        guard_cells=guard_cells, guard_mass=guard_mass,
-        label="phase-absorbed profile evolution",
+        a0.samples, grid, nodes, potential,
+        guard_cells=guard_cells, guard_mass=guard_mass, label=B_LABEL,
     )
     return WaveSeries(times, grid, RESCALED, data)

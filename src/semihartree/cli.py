@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from .amplitude import validate_initial_amplitude
-from .config import MODES, ExperimentConfig, config_from_mapping, decode_config_text
+from .config import MODES, ExperimentConfig, _number, config_from_mapping, decode_config_text
 from .errors import ConfigError, NumericalError
 from .hartree import compare_evolution
 from .sweep import (
@@ -101,7 +101,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
-    check = lemma_check(kappa=args.kappa, T=args.T, dt=args.dt)
+    kappa, T, dt, tol = (_number(getattr(args, key), f"--{key}")
+                         for key in ("kappa", "T", "dt", "tol"))
+    if not (dt > 0 and T > 0 and tol >= 0):
+        raise ConfigError(f"lemma-check needs --dt > 0, --T > 0 and --tol >= 0, "
+                          f"got --dt {dt!r} --T {T!r} --tol {tol!r}")
+    check = lemma_check(kappa=kappa, T=T, dt=dt)
     worst = max(check.deviations)
     if not args.quiet:
         for t, d in zip(check.probe_times, check.deviations):
@@ -110,8 +115,8 @@ def _cmd_lemma_check(args) -> int:
             print("measured dt-order: n/a (agreement at roundoff floor)")
         else:
             print(f"measured dt-order: {check.measured_order:.2f}")
-    if worst > args.tol:
-        print(f"error: worst deviation {worst:.3e} exceeds {args.tol:g}",
+    if worst > tol:
+        print(f"error: worst deviation {worst:.3e} exceeds {tol:g}",
               file=sys.stderr)
         return EXIT_NUMERICAL
     if not check.order_ok:

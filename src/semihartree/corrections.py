@@ -1,38 +1,34 @@
 """Higher-order corrections to the packet profile and their assembly.
 
 Each correction order solves a linear equation driven by the orders below
-it: the homogeneous part is the same operator that propagates the
-phase-absorbed profile, and the source terms are accumulated with a
-midpoint-rule Duhamel step (one fixed-point refinement handles the term
-that couples a correction back into its own source).  The correction
-equations are free of the semiclassical parameter; it enters only when the
-expansion is assembled.
+it.  Its homogeneous part is the operator that propagates the
+phase-absorbed profile b, so a correction steps as the second row of a
+(2, n) batch whose first row is b: both rows share b's potential, rebuilt
+from b's own row, in `split_step_evolve` on the dt nodes interleaved with
+their midpoints.  At each midpoint the engine calls a deposit that adds
+the midpoint-rule Duhamel step of the sources to the correction row (one
+fixed-point refinement handles the term that couples a correction back
+into its own source).  The correction equations are free of the
+semiclassical parameter; it enters only when the expansion is assembled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._stepping import tabulate, time_nodes
+from ._stepping import _resolve_store, split_step_evolve, tabulate, time_nodes
+from .amplitude import B_LABEL, b_potential
 from .classical import Trajectory, hessian_along_flow
-from .errors import NumericalError
-from .grids import (
-    RESCALED,
-    WaveFunction,
-    WaveSeries,
-    apply_radial_rfft,
-    radial_kernel_rfft,
-)
+from .grids import RESCALED, WaveFunction, WaveSeries
 from .potentials import ExternalPotential, PairPotential
 
 __all__ = [
     "CorrectionSet",
-    "evolve_correction_1",
-    "evolve_correction_2",
+    "evolve_corrections",
     "assemble_expansion",
 ]
 
@@ -48,154 +44,124 @@ def separation_power_form(mu: np.ndarray, weight: np.ndarray, dx: float,
     return (signs * (powers @ weight) * dx)[::-1] @ powers
 
 
-def _coverage_check(series: WaveSeries, T: float, dt: float, who: str) -> None:
-    if series.times[-1] < T - 1e-9:
-        raise ValueError(f"{who} does not cover [0, {T}]")
-    spacing = float(np.max(np.diff(series.times)))
-    if spacing > dt * (1.0 + 1e-9):
-        raise ValueError(
-            f"{who} node spacing {spacing:g} is coarser than the correction "
-            f"step {dt:g}"
-        )
+def _interleaved_nodes(T: float, dt: float) -> tuple:
+    """(dt nodes, their step lengths, the node array t_0, mid_0, t_1, ...
+    that the correction passes step on).  The midpoints lie on the dt/2
+    grid, so the array is `time_nodes(T, dt/2)` when dt divides T; a
+    shortened final step keeps its own midpoint."""
+    coarse = time_nodes(T, dt)
+    nodes = 0.5 * dt * np.arange(2 * coarse.size - 1)
+    nodes[-1] = coarse[-1]
+    if coarse.size > 1:
+        last = coarse[-2] + 0.5 * (coarse[-1] - coarse[-2])
+        if abs(nodes[-2] - last) > 1e-9 * dt:
+            nodes[-2] = last
+    return coarse, np.diff(coarse), nodes
 
 
-def _drive(a0_seq: WaveSeries, kappa: float, hess_fn: Callable,
-           coupling: Callable, T: float, dt: float, *,
-           forcing: Optional[Callable] = None, label: str = "correction") -> WaveSeries:
-    """Propagate a zero-initial-data linear problem with sources.
+def _pass(b0: np.ndarray, grid, nodes: np.ndarray, steps: np.ndarray,
+          potential: Callable, coupling: Callable, forcing: Callable,
+          store: np.ndarray, label: str):
+    """(stored times, (stored, 2, n) data) of b and one correction u from
+    (b0, 0) on `nodes`.  At the midpoint of dt step j the deposit adds
+    -i*h*s to u: s is coupling(u, b), linear in u and refreshed by one
+    fixed-point update of u, plus the u-free forcing(j, b), evaluated once
+    per step."""
 
-    Each step applies half of the homogeneous split propagator, deposits
-    -i*dt*s at the midpoint, then the second half: s is coupling(t, u, a0),
-    linear in u and refreshed by one fixed-point update of u, plus the
-    u-free forcing(mids)(j, a0) of step j, evaluated once per step.
-    `hess_fn` is called once, on the nodes and the step midpoints `mids`.
+    def deposit(j: int, psi: np.ndarray) -> np.ndarray:
+        b, u, h = psi[0], psi[1], steps[j]
+        f = forcing(j, b)
+        s = coupling(u, b) + f
+        s = coupling(u - 0.5j * h * s, b) + f
+        psi[1] = u - 1j * h * s
+        return psi
+
+    _, stored_t, data, _ = split_step_evolve(
+        np.stack([b0, np.zeros_like(b0)]), grid, nodes,
+        lambda t, density: potential(t, density[0]),
+        store_times=store, label=[B_LABEL, label], deposit=deposit)
+    return stored_t, data
+
+
+def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotential,
+                       trajectory: Trajectory, T: float, dt: float, K: int,
+                       store_times: Optional[Sequence[float]] = None) -> CorrectionSet:
+    """The phase-absorbed profile b from `a0` and the correction orders
+    1..K (K = 0, 1 or 2), stored at the dt nodes nearest `store_times`
+    (every dt node by default; the final node always).
+
+    The first correction is driven by the cubic term of the external
+    potential along the trajectory, plus the quadratic interaction of the
+    correction with b (linear in the unknown).  The second adds the
+    quartic interaction and external terms against b and the quadratic
+    terms against the first correction, which it reads at each midpoint
+    as the linear blend of the first pass's dt nodes.  A correction row
+    that reaches the engine's boundary guard fails with its own label.
     """
-    grid = a0_seq.grid
-    mu = grid.points
-    x2_half = 0.5 * mu ** 2
-    k2 = grid.wavenumbers ** 2
-    khat = radial_kernel_rfft(lambda r: r * r, grid)
-    half_kappa = 0.5 * kappa
-    times = time_nodes(T, dt)
-    steps = np.diff(times)
-    mids = times[:-1] + 0.5 * steps
-    hess_at = tabulate(hess_fn, np.sort(np.concatenate([times, mids])))
-    force = forcing(mids) if forcing is not None else None
-
-    def quad_potential(a0_samples: np.ndarray, t: float) -> np.ndarray:
-        density = a0_samples.real ** 2 + a0_samples.imag ** 2
-        return (half_kappa * apply_radial_rfft(khat, density, grid)
-                + hess_at(t) * x2_half)
-
-    u = np.zeros(grid.n, dtype=np.complex128)
-    data = np.empty((times.size, grid.n), dtype=np.complex128)
-    data[0] = u
-
-    h_prev = None
-    kin_half = None
-    v_left = quad_potential(a0_seq.interp_samples(times[0]), times[0])
-    for j in range(times.size - 1):
-        t1, h, tm = times[j + 1], steps[j], mids[j]
-        if h != h_prev:
-            kin_half = np.exp(-0.25j * h * k2)  # kinetic phase over h/2
-            h_prev = h
-        a0_mid = a0_seq.interp_samples(tm)
-        v_mid = quad_potential(a0_mid, tm)
-        v_right = quad_potential(a0_seq.interp_samples(t1), t1)
-
-        # first half of the homogeneous propagator: [t0, t0 + h/2]
-        u = u * np.exp(-0.25j * h * v_left)
-        u = np.fft.ifft(np.fft.fft(u) * kin_half)
-        u = u * np.exp(-0.25j * h * v_mid)
-        # midpoint Duhamel deposit
-        f = force(j, a0_mid) if force is not None else 0.0
-        s = coupling(tm, u, a0_mid) + f
-        s = coupling(tm, u - 0.5j * h * s, a0_mid) + f
-        u = u - 1j * h * s
-        # second half: [t0 + h/2, t1]
-        u = u * np.exp(-0.25j * h * v_mid)
-        u = np.fft.ifft(np.fft.fft(u) * kin_half)
-        u = u * np.exp(-0.25j * h * v_right)
-
-        if not np.all(np.isfinite(u)):
-            raise NumericalError(f"{label}: non-finite samples at t={t1:.6g}")
-        data[j + 1] = u
-        v_left = v_right
-
-    return WaveSeries(times, grid, RESCALED, data)
-
-
-def evolve_correction_1(a0_seq: WaveSeries, phi: PairPotential,
-                        U: ExternalPotential, trajectory: Trajectory,
-                        T: float, dt: float) -> WaveSeries:
-    """First correction: driven by the cubic term of the external potential
-    along the trajectory, plus the quadratic interaction of the correction
-    with the base profile (linear in the unknown, refreshed each step)."""
-    _coverage_check(a0_seq, T, dt, "base profile sequence")
-    grid = a0_seq.grid
-    mu = grid.points
-    dx = grid.dx
+    if K not in (0, 1, 2):
+        raise ValueError("expansion order K must be 0, 1, or 2")
+    if a0.frame != RESCALED:
+        raise ValueError("profile evolution runs in the rescaled frame")
+    grid = a0.grid
+    mu, dx = grid.points, grid.dx
     kappa = phi.second_deriv_at_0
     half_kappa = 0.5 * kappa
-    powers = np.vander(mu, 4, True).T.copy()  # rows mu**0 .. mu**3
+    coarse, steps, nodes = _interleaved_nodes(T, dt)
+    store = coarse[_resolve_store(coarse, store_times)]
+    potential = b_potential(grid, kappa, tabulate(hessian_along_flow(trajectory, U), nodes))
 
-    def coupling(t: float, u: np.ndarray, a0: np.ndarray) -> np.ndarray:
-        cross = 2.0 * (a0.real * u.real + a0.imag * u.imag)
-        return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * a0
+    def series(times, data) -> WaveSeries:
+        return WaveSeries(times, grid, RESCALED, data)
 
-    def forcing(mids: np.ndarray):
-        w3 = U.third(trajectory.qs_at(mids), mids) / 6.0
-        return lambda j, a0: w3[j] * powers[3] * a0
+    if K == 0:
+        _, stored_t, data, _ = split_step_evolve(a0.samples, grid, nodes, potential,
+                                                 store_times=store, label=B_LABEL)
+        return CorrectionSet((series(stored_t, data),))
 
-    return _drive(a0_seq, kappa, hessian_along_flow(trajectory, U), coupling, T, dt,
-                  forcing=forcing, label="first correction")
-
-
-def evolve_correction_2(a0_seq: WaveSeries, a1_seq: WaveSeries,
-                        phi: PairPotential, U: ExternalPotential,
-                        trajectory: Trajectory, T: float, dt: float) -> WaveSeries:
-    """Second correction: quartic interaction and external terms against the
-    base profile, quadratic terms against the first correction, and the
-    coupled term in the unknown itself."""
-    _coverage_check(a0_seq, T, dt, "base profile sequence")
-    _coverage_check(a1_seq, T, dt, "first-correction sequence")
-    grid = a0_seq.grid
-    mu = grid.points
-    dx = grid.dx
-    kappa = phi.second_deriv_at_0
-    half_kappa = 0.5 * kappa
-    quartic_coeff = phi.fourth_deriv_at_0 / 24.0
+    mids = nodes[1::2]
+    q = trajectory.qs_at(mids)
+    w3 = U.third(q, mids) / 6.0
     powers = np.vander(mu, 5, True).T.copy()  # rows mu**0 .. mu**4
 
-    def coupling(t: float, u: np.ndarray, a0: np.ndarray) -> np.ndarray:
-        cross02 = 2.0 * (a0.real * u.real + a0.imag * u.imag)
-        return half_kappa * separation_power_form(mu, cross02, dx, 2, powers) * a0
+    def coupling(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+        cross = 2.0 * (b.real * u.real + b.imag * u.imag)
+        return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * b
 
-    def forcing(mids: np.ndarray):
-        q = trajectory.qs_at(mids)
-        w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
+    def first(j: int, b: np.ndarray) -> np.ndarray:
+        return w3[j] * powers[3] * b
 
-        def step(j: int, a0: np.ndarray) -> np.ndarray:
-            a1 = a1_seq.interp_samples(mids[j])
-            dens0 = a0.real ** 2 + a0.imag ** 2
-            dens1 = a1.real ** 2 + a1.imag ** 2
-            cross01 = 2.0 * (a0.real * a1.real + a0.imag * a1.imag)
-            s = w4[j] * powers[4] * a0
-            s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * a0
-            s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * a0
-            s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
-            return s + w3[j] * powers[3] * a1
+    # the second order reads the first at every dt node
+    t1, data1 = _pass(a0.samples, grid, nodes, steps, potential, coupling, first,
+                      coarse if K == 2 else store, "first correction")
+    if K == 1:
+        return CorrectionSet((series(t1, data1[:, 0]), series(t1, data1[:, 1])))
 
-        return step
+    a1_seq = series(t1, data1[:, 1])
+    w4 = U.fourth(q, mids) / 24.0
+    quartic_coeff = phi.fourth_deriv_at_0 / 24.0
 
-    return _drive(a0_seq, kappa, hessian_along_flow(trajectory, U), coupling, T, dt,
-                  forcing=forcing, label="second correction")
+    def second(j: int, b: np.ndarray) -> np.ndarray:
+        a1 = a1_seq.interp_samples(mids[j])
+        dens0 = b.real ** 2 + b.imag ** 2
+        dens1 = a1.real ** 2 + a1.imag ** 2
+        cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
+        s = w4[j] * powers[4] * b
+        s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * b
+        s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * b
+        s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
+        return s + w3[j] * powers[3] * a1
+
+    t2, data2 = _pass(a0.samples, grid, nodes, steps, potential, coupling, second,
+                      store, "second correction")
+    a1_final = a1_seq.data[np.searchsorted(t1, t2)]
+    return CorrectionSet((series(t2, data2[:, 0]), series(t2, a1_final),
+                          series(t2, data2[:, 1])))
 
 
 @dataclass(frozen=True, eq=False)
 class CorrectionSet:
-    """Correction-order histories on a shared grid and shared nodes;
-    index 0 is the base (phase-absorbed) profile."""
+    """Correction orders stored at shared nodes on a shared grid, one
+    `WaveSeries` each; index 0 is the base (phase-absorbed) profile."""
 
     orders: tuple
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._stepping import split_step_evolve
+from ._stepping import split_step_evolve, time_nodes
 from .amplitude import AmplitudeState, evolve_beta
 from .classical import ClassicalState, Trajectory, hessian_along_flow, integrate_flow
 from .config import ExperimentConfig
@@ -160,7 +160,7 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
         return w
 
     times, stored_t, data, drift = split_step_evolve(
-        psi0.samples, grid, T, dt, potential, kinetic_scale=epsilon,
+        psi0.samples, grid, time_nodes(T, dt), potential, kinetic_scale=epsilon,
         store_times=store_times, guard_cells=guard_cells, guard_mass=guard_mass,
         label=f"hartree reference (eps={epsilon:g})",
     )

@@ -88,10 +88,10 @@ def _evolve_batch(a0: WaveFunction, epsilons: Sequence[float], phi: PairPotentia
         raise ValueError("trajectory does not cover [0, T]")
 
     grid = a0.grid
-    potential = _packet_frame_potential(grid, epsilons, phi, U, trajectory,
-                                        time_nodes(T, dt))
+    nodes = time_nodes(T, dt)
+    potential = _packet_frame_potential(grid, epsilons, phi, U, trajectory, nodes)
     return split_step_evolve(
-        np.broadcast_to(a0.samples, (epsilons.size, grid.n)), grid, T, dt, potential,
+        np.broadcast_to(a0.samples, (epsilons.size, grid.n)), grid, nodes, potential,
         store_times=store_times, guard_cells=guard_cells, guard_mass=guard_mass,
         label=[f"rescaled amplitude (eps={e:g})" for e in epsilons],
     )

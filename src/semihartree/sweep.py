@@ -23,14 +23,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .amplitude import evolve_b, evolve_beta
-from .classical import hessian_along_flow, integrate_flow
+from .classical import integrate_flow
 from .config import ExperimentConfig
-from .corrections import (
-    CorrectionSet,
-    assemble_expansion,
-    evolve_correction_1,
-    evolve_correction_2,
-)
+from .corrections import assemble_expansion, evolve_corrections
 from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, l2_distance, make_grid
 from .hartree import PhysicalLevel, compare_evolution, physical_level
@@ -121,26 +116,22 @@ def _row(eps: float, err: float, dt_used: float, n_used: int, wall_ms: float) ->
 # the index of the failing eps
 
 
+# correction orders evolved alongside the profile in each packet-frame mode
+ORDERS = {"rescaled": 0, "corrections-1": 1, "corrections-2": 2}
+
+
 def _build_level(config: ExperimentConfig, level: int) -> dict:
-    """Epsilon-independent pieces of a packet-frame level: trajectory,
-    profile and correction histories."""
+    """Epsilon-independent pieces of a packet-frame level: the trajectory,
+    and the final profile and correction orders."""
     phi = config.pair()
     U = config.external()
     T = config.T
     dt = config.mu_dt() / level
     trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T,
                                 min(1e-3, dt))
-    hess = hessian_along_flow(trajectory, U)
-    a0 = config.initial_profile()
-    # base profile fed at half the correction step so midpoints are nodes
-    b_fine = evolve_b(a0, phi.second_deriv_at_0, hess, T, dt / 2.0)
-    out = {"trajectory": trajectory, "dt": dt, "b": b_fine}
-    if config.mode in ("corrections-1", "corrections-2"):
-        a1 = evolve_correction_1(b_fine, phi, U, trajectory, T, dt)
-        out["a1"] = a1
-        if config.mode == "corrections-2":
-            out["a2"] = evolve_correction_2(b_fine, a1, phi, U, trajectory, T, dt)
-    return out
+    corrections = evolve_corrections(config.initial_profile(), phi, U, trajectory,
+                                     T, dt, ORDERS[config.mode], store_times=(T,))
+    return {"trajectory": trajectory, "dt": dt, "corrections": corrections}
 
 
 def _packet_frame_errors(config: ExperimentConfig, epsilons: list, shared: dict) -> list:
@@ -149,13 +140,11 @@ def _packet_frame_errors(config: ExperimentConfig, epsilons: list, shared: dict)
                                     config.external(), shared["trajectory"],
                                     config.T, shared["dt"])
     dt, n = shared["dt"], config.mu_n
+    corrections = shared["corrections"]
     if config.mode == "rescaled":
-        return [(residual_norm(shared["b"].final, a), dt, n) for a in finals]
-    K = 1 if config.mode == "corrections-1" else 2
-    orders = [shared["b"], shared["a1"]]
-    if K == 2:
-        orders.append(shared["a2"])
-    corrections = CorrectionSet(tuple(orders))
+        b = corrections.orders[0].final
+        return [(residual_norm(b, a), dt, n) for a in finals]
+    K = ORDERS[config.mode]
     return [(l2_distance(a, assemble_expansion(corrections, K, eps)), dt, n)
             for eps, a in zip(epsilons, finals)]
 
@@ -211,14 +200,19 @@ def _gate_rows(config: ExperimentConfig, levels: dict, build, evaluate) -> tuple
         while active:
             batch = list(active)
             start = time.perf_counter()
+            results = None
             try:
                 if level not in levels:
                     levels[level] = build(config, level)
-                results = evaluate([eps_list[i] for i in batch], levels[level])
             except NumericalError as exc:
-                # an error without a row (a level build) stops the whole batch
-                fail(batch[0] if exc.row is None else batch[exc.row], exc)
-                results = None
+                # a level build fails every eps of the batch, whichever of
+                # its own rows raised
+                fail(batch[0], exc)
+            else:
+                try:
+                    results = evaluate([eps_list[i] for i in batch], levels[level])
+                except NumericalError as exc:
+                    fail(batch[0] if exc.row is None else batch[exc.row], exc)
             share = (time.perf_counter() - start) * 1e3 / len(batch)
             for i in batch:
                 spent[i] += share

@@ -12,11 +12,7 @@ import numpy as np
 from semihartree.amplitude import evolve_b, evolve_beta
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.config import ExperimentConfig
-from semihartree.corrections import (
-    evolve_correction_1,
-    evolve_correction_2,
-    separation_power_form,
-)
+from semihartree.corrections import evolve_corrections, separation_power_form
 from semihartree.grids import (
     abs_moment,
     first_moment,
@@ -189,9 +185,7 @@ def test_criterion_7_corrections(mu_grid, gauss):
         phi_q = builtin_pair("quadratic", [1.0, -1.0])
         U_h = builtin_external("harmonic", [1.0])
         traj_q = integrate_flow(0.0, 1.0, U_h, 1.0, 1.0, 1e-3)
-        b_q = evolve_b(gauss, -1.0, hessian_along_flow(traj_q, U_h), 1.0, 5e-4)
-        a1_q = evolve_correction_1(b_q, phi_q, U_h, traj_q, 1.0, 1e-3)
-        a2_q = evolve_correction_2(b_q, a1_q, phi_q, U_h, traj_q, 1.0, 1e-3)
+        _, a1_q, a2_q = evolve_corrections(gauss, phi_q, U_h, traj_q, 1.0, 1e-3, 2).orders
         zero_norm = max(
             np.sqrt(np.max(np.sum(np.abs(a1_q.data) ** 2, axis=1)) * dx),
             np.sqrt(np.max(np.sum(np.abs(a2_q.data) ** 2, axis=1)) * dx),
@@ -209,7 +203,7 @@ def test_criterion_7_corrections(mu_grid, gauss):
             return (float(U_c.third(traj_c.q_at(t), t)) / 6.0) * mu ** 3 * base
 
         oracle1 = rk4_lines_oracle(mu_grid, b_c, 0.0, hess_c, source1, T, 2e-5)
-        a1_s = evolve_correction_1(b_c, phi_0, U_c, traj_c, T, 2.5e-4)
+        a1_s = evolve_corrections(gauss, phi_0, U_c, traj_c, T, 2.5e-4, 1).orders[1]
         rel1 = (np.sqrt(np.sum(np.abs(a1_s.data[-1] - oracle1) ** 2) * dx)
                 / np.sqrt(np.sum(np.abs(oracle1) ** 2) * dx))
 
@@ -227,8 +221,7 @@ def test_criterion_7_corrections(mu_grid, gauss):
                     * separation_power_form(mu, density, dx, 4) * base)
 
         oracle2 = rk4_lines_oracle(mu_grid, b_0, -1.0, hess_0, source2, T, 2e-5)
-        a1_zero = evolve_correction_1(b_0, phi_c, U_0, traj_0, T, 2.5e-4)
-        a2_s = evolve_correction_2(b_0, a1_zero, phi_c, U_0, traj_0, T, 2.5e-4)
+        a2_s = evolve_corrections(gauss, phi_c, U_0, traj_0, T, 2.5e-4, 2).orders[2]
         rel2 = (np.sqrt(np.sum(np.abs(a2_s.data[-1] - oracle2) ** 2) * dx)
                 / np.sqrt(np.sum(np.abs(oracle2) ** 2) * dx))
 

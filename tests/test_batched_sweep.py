@@ -149,3 +149,23 @@ def test_physical_deep_level_build_failure_matches_one_at_a_time(monkeypatch):
     assert err.failed_eps == 0.32
     assert str(err) == "sweep aborted at eps=0.32: level 4 build failed"
     assert err.report.rows == ()
+
+
+def test_packet_frame_deep_level_build_failure_matches_one_at_a_time(monkeypatch):
+    # a level build evolves the profile and its corrections as one batch, so
+    # its error can carry a row of its own (here the first correction's);
+    # that row indexes the build, not the eps, and the sweep ends at the
+    # first active eps all the same
+    real = sweep_module._build_level
+
+    def failing(config, refine):
+        if refine == 4:
+            raise NumericalError("first correction: level 4 build failed", row=1)
+        return real(config, refine)
+
+    monkeypatch.setattr(sweep_module, "_build_level", failing)
+    monkeypatch.setattr(sweep_module, "_settled", lambda err_prev, err: False)
+    err = assert_failure_matches_one_at_a_time(SMALL)
+    assert err.failed_eps == 0.32
+    assert str(err) == "sweep aborted at eps=0.32: first correction: level 4 build failed"
+    assert err.report.rows == ()

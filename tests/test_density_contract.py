@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import semihartree.grids as grids  # noqa: E402
 import semihartree.hartree as hartree  # noqa: E402
-from semihartree._stepping import split_step_evolve  # noqa: E402
+from semihartree._stepping import split_step_evolve, time_nodes  # noqa: E402
 from semihartree.amplitude import evolve_beta  # noqa: E402
 from semihartree.config import ExperimentConfig  # noqa: E402
 from semihartree.errors import NumericalError  # noqa: E402
@@ -61,13 +61,13 @@ def test_batch_equals_serial_rows(rows, dt, store, separable):
     for i in range(len(rows)):
         try:
             serial.append(split_step_evolve(
-                samples[i], GRID, T, dt, self_consistent(coeffs[i], separable),
+                samples[i], GRID, time_nodes(T, dt), self_consistent(coeffs[i], separable),
                 store_times=store, label=labels[i]))
         except NumericalError as exc:
             assert exc.row is None
             serial.append(exc)
     run_batch = lambda: split_step_evolve(  # noqa: E731
-        samples, GRID, T, dt, self_consistent(coeffs[:, None], separable),
+        samples, GRID, time_nodes(T, dt), self_consistent(coeffs[:, None], separable),
         store_times=store, label=labels)
 
     failed = [i for i, s in enumerate(serial) if isinstance(s, NumericalError)]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from semihartree._stepping import split_step_evolve, time_nodes
+from semihartree.corrections import _interleaved_nodes
 from semihartree.errors import NumericalError
 from semihartree.grids import (
     apply_radial_rfft,
@@ -42,7 +43,7 @@ class TestEngine:
         psi0 = gaussian_profile(g)
         potential = lambda t, s: np.zeros(g.n)
         _, stored_t, data, drift = split_step_evolve(
-            psi0.samples, g, 0.5, 1e-2, potential)
+            psi0.samples, g, time_nodes(0.5, 1e-2), potential)
         assert drift < 1e-12
         assert stored_t.size == 51
 
@@ -51,7 +52,8 @@ class TestEngine:
         psi0 = gaussian_profile(g)
         potential = lambda t, s: np.zeros(g.n)
         _, stored_t, data, _ = split_step_evolve(
-            psi0.samples, g, 1.0, 1e-2, potential, store_times=[0.0, 0.501, 1.0])
+            psi0.samples, g, time_nodes(1.0, 1e-2), potential,
+            store_times=[0.0, 0.501, 1.0])
         assert np.allclose(stored_t, [0.0, 0.5, 1.0])
         assert data.shape == (3, g.n)
 
@@ -60,7 +62,7 @@ class TestEngine:
         psi0 = gaussian_profile(g)
         potential = lambda t, s: np.zeros(g.n)
         _, stored_t, _, _ = split_step_evolve(
-            psi0.samples, g, 1.0, 1e-2, potential, store_times=[0.25])
+            psi0.samples, g, time_nodes(1.0, 1e-2), potential, store_times=[0.25])
         assert stored_t[-1] == pytest.approx(1.0)
 
     def test_constant_potential_is_pure_phase(self):
@@ -68,7 +70,7 @@ class TestEngine:
         psi0 = gaussian_profile(g)
         # zero kinetic scale isolates the potential factor
         _, _, data, _ = split_step_evolve(
-            psi0.samples, g, 1.0, 1e-2, lambda t, s: np.full(g.n, 2.0),
+            psi0.samples, g, time_nodes(1.0, 1e-2), lambda t, s: np.full(g.n, 2.0),
             kinetic_scale=0.0)
         assert np.allclose(data[-1], np.exp(-2.0j) * psi0.samples, atol=1e-12)
 
@@ -95,13 +97,14 @@ class TestBatchedEngine:
                 for c, w in ((0.0, 1.0), (0.5, 0.8), (-0.3, 1.2))]
         column = np.array(self.coeffs)[:, None]
         _, stored_t, data, drift = split_step_evolve(
-            np.stack(rows), g, 0.5, 1e-2, self.self_consistent(g, column),
+            np.stack(rows), g, time_nodes(0.5, 1e-2), self.self_consistent(g, column),
             store_times=[0.25], label=["a", "b", "c"])
         assert data.shape == (stored_t.size, 3, g.n)
         assert drift.shape == (3,)
         for i, (row, c) in enumerate(zip(rows, self.coeffs)):
             _, _, single, single_drift = split_step_evolve(
-                row, g, 0.5, 1e-2, self.self_consistent(g, c), store_times=[0.25])
+                row, g, time_nodes(0.5, 1e-2), self.self_consistent(g, c),
+                store_times=[0.25])
             scale = np.max(np.abs(single))
             assert np.max(np.abs(data[:, i] - single)) <= 1e-12 * scale
             assert abs(drift[i] - single_drift) <= 1e-12
@@ -114,12 +117,12 @@ class TestBatchedEngine:
                          gaussian_profile(g).samples])
         free = lambda t, s: np.zeros(g.n)
         with pytest.raises(NumericalError, match=r"^moving row: boundary mass") as err:
-            split_step_evolve(rows, g, 1.0, 1e-2, free,
+            split_step_evolve(rows, g, time_nodes(1.0, 1e-2), free,
                               label=["still row", "moving row", "other row"])
         assert err.value.row == 1
         # the same state run alone fails the same way and carries no row
         with pytest.raises(NumericalError, match=r"^moving row: boundary mass") as err:
-            split_step_evolve(rows[1], g, 1.0, 1e-2, free, label="moving row")
+            split_step_evolve(rows[1], g, time_nodes(1.0, 1e-2), free, label="moving row")
         assert err.value.row is None
 
     def test_boundary_mass_per_row(self):
@@ -201,7 +204,7 @@ class TestFusedPhases:
             store_times=store_times)
         labels = ["a", "b", "c"] if batch else "evolution"
         _, stored_t, data, drift = split_step_evolve(
-            samples, g, T, dt, TestBatchedEngine.self_consistent(g, c),
+            samples, g, time_nodes(T, dt), TestBatchedEngine.self_consistent(g, c),
             store_times=store_times, label=labels)
         assert np.array_equal(stored_t, ref_t)
         assert data.shape == ref_data.shape
@@ -217,7 +220,8 @@ class TestFusedPhases:
         with pytest.raises(NumericalError) as ref:
             strang_reference(psi0, g, 1.0, 0.03, pull, store_times=store_times)
         with pytest.raises(NumericalError) as got:
-            split_step_evolve(psi0, g, 1.0, 0.03, pull, store_times=store_times)
+            split_step_evolve(psi0, g, time_nodes(1.0, 0.03), pull,
+                              store_times=store_times)
         assert "boundary mass" in str(ref.value)
         assert str(got.value) == str(ref.value)
 
@@ -230,6 +234,43 @@ class TestFusedPhases:
         with pytest.raises(NumericalError) as ref:
             strang_reference(psi0, g, 0.5, 0.03, bad, store_times=[])
         with pytest.raises(NumericalError) as got:
-            split_step_evolve(psi0, g, 0.5, 0.03, bad, store_times=[])
+            split_step_evolve(psi0, g, time_nodes(0.5, 0.03), bad, store_times=[])
         assert str(ref.value) == "evolution: non-finite samples at t=0.21"
         assert str(got.value) == str(ref.value)
+
+
+class TestDeposit:
+    """A deposit acts at the midpoint of every step of an interleaved node
+    array, where the half phases are applied apart as at a store node."""
+
+    @pytest.mark.parametrize("dt", [1e-2, 0.03], ids=["dividing", "short-last-step"])
+    def test_identity_deposit_equals_storing_the_midpoints(self, dt):
+        g = make_grid(128, -10.0, 10.0)
+        psi0 = gaussian_profile(g, width=0.9).samples
+        potential = TestBatchedEngine.self_consistent(g, 0.7)
+        coarse, _, nodes = _interleaved_nodes(0.5, dt)
+        calls = []
+        _, _, data, _ = split_step_evolve(
+            psi0, g, nodes, potential, store_times=[],
+            deposit=lambda j, psi: calls.append(j) or psi)
+        assert calls == list(range(coarse.size - 1))
+        _, stored_t, stored, _ = split_step_evolve(
+            psi0, g, nodes, potential, store_times=nodes[1::2])
+        assert np.array_equal(stored_t[:-1], nodes[1::2])
+        assert np.array_equal(data[-1], stored[-1])
+
+    def test_deposit_reaches_the_stored_state(self):
+        g = make_grid(128, -10.0, 10.0)
+        psi0 = np.stack([gaussian_profile(g).samples, np.zeros(g.n)])
+        free = lambda t, s: np.zeros(g.n)
+        coarse, _, nodes = _interleaved_nodes(0.1, 0.05)
+
+        def deposit(j, psi):
+            psi[1] = psi[1] + psi0[0]
+            return psi
+
+        _, stored_t, data, _ = split_step_evolve(
+            psi0, g, nodes, free, store_times=[0.025], label=["b", "u"],
+            deposit=deposit)
+        assert np.array_equal(stored_t, [0.025, 0.1])
+        assert np.array_equal(data[0, 1], psi0[0])  # one deposit, no kinetic step yet

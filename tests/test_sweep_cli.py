@@ -237,6 +237,16 @@ class TestCli:
         assert main(["lemma-check", "--dt", "0.001", "--T", "0.5"]) == 0
         assert "deviation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "0"), ("--dt", "nan"), ("--T", "-1"), ("--T", "inf"),
+        ("--tol", "nan"), ("--tol", "-1"), ("--kappa", "inf"),
+    ])
+    def test_lemma_check_malformed_number_exit_code(self, capsys, flag, value):
+        assert main(["lemma-check", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert flag in err
+
     def test_compare_trace(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, mode="physical",
                                 eps_list=[0.08], T=0.25)
