@@ -27,7 +27,12 @@ import numpy as np
 from .errors import NumericalError
 from .grids import Grid, boundary_mass
 
-__all__ = ["time_nodes", "tabulate", "split_step_evolve"]
+__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "tabulate", "split_step_evolve"]
+
+# the boundary guard of every evolution: more than GUARD_MASS probability
+# within GUARD_CELLS cells of either domain edge fails the run
+GUARD_CELLS = 12
+GUARD_MASS = 1e-8
 
 
 def time_nodes(T: float, dt: float) -> np.ndarray:
@@ -71,8 +76,6 @@ def split_step_evolve(
     potential: Callable[[float, np.ndarray], np.ndarray],
     kinetic_scale: float = 1.0,
     store_times: Optional[Sequence[float]] = None,
-    guard_cells: int = 12,
-    guard_mass: float = 1e-8,
     label: Union[str, Sequence[str]] = "evolution",
     deposit: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
 ):
@@ -93,7 +96,7 @@ def split_step_evolve(
     half phase and before the state there is stored.
 
     Raises NumericalError when samples go non-finite or when more than
-    `guard_mass` probability sits within `guard_cells` cells of a domain
+    GUARD_MASS probability sits within GUARD_CELLS cells of a domain
     edge (the packet is escaping the window).  `label` names the run in
     that message; a batch takes one label per row, and its error names the
     lowest failing row's label and carries that row's index as `row`.
@@ -114,16 +117,16 @@ def split_step_evolve(
         data[store_pos[0]] = psi
 
     def check(t: float, density, nrm, v) -> None:
-        bm = boundary_mass(density, grid, guard_cells, is_density=True)
+        bm = boundary_mass(density, grid, GUARD_CELLS, is_density=True)
         # finite norms and v imply finite samples, and a total edge mass
         # within the guard clears every row; scan the rows only if not
         total = np.add.reduce
-        if (total(bm, axis=None) <= guard_mass
+        if (total(bm, axis=None) <= GUARD_MASS
                 and np.isfinite(total(nrm, axis=None) + total(v, axis=None))):
             return
         finite = np.atleast_1d(np.isfinite(psi).all(axis=-1))
         bm = np.atleast_1d(bm)
-        bad = ~finite | (bm > guard_mass)
+        bad = ~finite | (bm > GUARD_MASS)
         if not bad.any():
             return
         row = int(np.argmax(bad))
@@ -134,7 +137,7 @@ def split_step_evolve(
         nrm2 = np.sum(density[row] if batched else density) * dx
         raise NumericalError(
             f"{labels[row]}: boundary mass fraction {bm[row] / nrm2:.3e} at "
-            f"t={t:.6g} exceeds guard {guard_mass:.1e}", **where)
+            f"t={t:.6g} exceeds guard {GUARD_MASS:.1e}", **where)
 
     density = psi.real ** 2 + psi.imag ** 2
     norm0 = np.sqrt(density.sum(axis=-1) * dx)

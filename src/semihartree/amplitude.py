@@ -69,17 +69,18 @@ class InitialDataReport:
     passed: bool
 
 
-def validate_initial_amplitude(a0: WaveFunction, tolerance: float = 1e-6) -> InitialDataReport:
+def validate_initial_amplitude(a0: WaveFunction) -> InitialDataReport:
     """Report how well a candidate initial profile satisfies the standing
-    assumptions; never raises."""
+    assumptions, each to within 1e-6; never raises."""
     if a0.frame != RESCALED:
         raise ValueError("initial profile must be in the rescaled frame")
     defect = abs(l2_norm(a0) - 1.0)
     fm = first_moment(a0)
     km = fourier_first_moment(a0)
     moments = tuple(abs_moment(a0, m) for m in range(4))
-    passed = defect <= tolerance and abs(fm) <= tolerance and abs(km) <= tolerance
-    return InitialDataReport(defect, fm, km, moments, tolerance, passed)
+    tol = 1e-6
+    passed = defect <= tol and abs(fm) <= tol and abs(km) <= tol
+    return InitialDataReport(defect, fm, km, moments, tol, passed)
 
 
 def _phase_increments(kappa: float, moments: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -118,8 +119,7 @@ class ProfileHistory(Sequence):
 
 
 def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-                T: float, dt: float = DEFAULT_MU_DT, *,
-                guard_cells: int = 12, guard_mass: float = 1e-8) -> ProfileHistory:
+                T: float, dt: float = DEFAULT_MU_DT) -> ProfileHistory:
     """Propagate the profile under the quadratic potential
     (kappa + hessU(t)) x^2 / 2 with Strang splitting, and the nonlinear
     phase by the quadrature of `gamma_step` on the same nodes.
@@ -138,10 +138,8 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     def potential(t: float, _density: np.ndarray) -> np.ndarray:
         return (kappa + hess_at(t)) * x2_half
 
-    times, _, data, _drift = split_step_evolve(
-        a0.samples, grid, nodes, potential,
-        guard_cells=guard_cells, guard_mass=guard_mass, label="profile evolution",
-    )
+    times, _, data, _drift = split_step_evolve(a0.samples, grid, nodes, potential,
+                                               label="profile evolution")
     data.flags.writeable = False
     x2 = grid.points ** 2  # 128 rows at a time bounds the temporaries
     moments = np.concatenate([np.abs(data[i:i + 128]) ** 2 @ x2
@@ -166,8 +164,7 @@ def b_potential(grid: Grid, kappa: float, hess_at: Callable[[float], float]):
 
 
 def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-             T: float, dt: float = DEFAULT_MU_DT, *,
-             guard_cells: int = 12, guard_mass: float = 1e-8) -> WaveSeries:
+             T: float, dt: float = DEFAULT_MU_DT) -> WaveSeries:
     """Integrate the phase-absorbed profile equation directly under
     `b_potential`, stored at every node."""
     if a0.frame != RESCALED:
@@ -175,8 +172,6 @@ def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     grid = a0.grid
     nodes = time_nodes(T, dt)
     potential = b_potential(grid, kappa, tabulate(hessU_along_flow, nodes))
-    times, _, data, _drift = split_step_evolve(
-        a0.samples, grid, nodes, potential,
-        guard_cells=guard_cells, guard_mass=guard_mass, label=B_LABEL,
-    )
+    times, _, data, _drift = split_step_evolve(a0.samples, grid, nodes, potential,
+                                               label=B_LABEL)
     return WaveSeries(times, grid, RESCALED, data)

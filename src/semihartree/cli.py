@@ -16,9 +16,10 @@ import sys
 from typing import Optional, Sequence
 
 from .amplitude import validate_initial_amplitude
-from .config import MODES, ExperimentConfig, _number, config_from_mapping, decode_config_text
+from .config import (MODES, ExperimentConfig, _number, check_time_steps,
+                     config_from_mapping, decode_config_text)
 from .errors import ConfigError, NumericalError
-from .hartree import compare_evolution
+from .hartree import compare_evolution, physical_level
 from .sweep import (
     SweepError,
     emit_gnuplot_script,
@@ -85,7 +86,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _load_config(args)
     eps = cfg.eps_list[0]
-    result = compare_evolution(eps, cfg, trace_points=args.trace)
+    result = compare_evolution(eps, cfg, physical_level(cfg, 1, args.trace))
     lines = ["t,error"]
     for t, e in zip(result.times, result.errors):
         lines.append(f"{repr(float(t))},{repr(float(e))}")
@@ -106,6 +107,7 @@ def _cmd_lemma_check(args) -> int:
     if not (dt > 0 and T > 0 and tol >= 0):
         raise ConfigError(f"lemma-check needs --dt > 0, --T > 0 and --tol >= 0, "
                           f"got --dt {dt!r} --T {T!r} --tol {tol!r}")
+    check_time_steps(T, dt, "lemma-check --T/--dt")
     check = lemma_check(kappa=kappa, T=T, dt=dt)
     worst = max(check.deviations)
     if not args.quiet:

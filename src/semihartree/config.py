@@ -37,6 +37,9 @@ DEFAULT_MU_N = 512
 MAX_MU_N = 16 * DEFAULT_MU_N  # bounds the memory a config can ask for
 DEFAULT_MU_HALFWIDTH = 16.0
 DEFAULT_MU_DT = 1e-3
+# 16x the default T/dt, as MAX_MU_N is 16x the default n: bounds the node
+# arrays and histories a run can ask for
+MAX_TIME_STEPS = 16_000
 # physical-frame solver step at the reference eps below; the default rule
 # scales dt with sqrt(eps), which keeps the splitting error (~dt^2/eps)
 # uniform across a sweep while the potential phase per step stays small
@@ -88,6 +91,7 @@ class ExperimentConfig:
         object.__setattr__(self, "eps_list", eps)
         if self.dt is not None and not self.dt > 0:
             raise ConfigError("dt must be positive")
+        check_time_steps(self.T, self.mu_dt(), "T/dt")
         if self.mu_n % 2 != 0 or not 8 <= self.mu_n <= MAX_MU_N:
             raise ConfigError(f"grid.mu_n must be even and in [8, {MAX_MU_N}]")
         hw = self.mu_halfwidth
@@ -121,6 +125,13 @@ class ExperimentConfig:
         if self.dt is not None:
             return self.dt
         return DEFAULT_PHYSICAL_DT * np.sqrt(epsilon / REFERENCE_EPS)
+
+
+def check_time_steps(T: float, dt: float, where: str) -> None:
+    """ConfigError unless T/dt is at most MAX_TIME_STEPS (T, dt > 0)."""
+    if not T / dt <= MAX_TIME_STEPS:
+        raise ConfigError(f"{where} must be at most {MAX_TIME_STEPS} steps, "
+                          f"got {T / dt:.3g}")
 
 
 def _reject_unknown(obj: dict, allowed: tuple, where: str) -> None:

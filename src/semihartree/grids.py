@@ -225,7 +225,7 @@ def evaluate_trig_interpolant(psi: WaveFunction, points: np.ndarray) -> np.ndarr
     return out
 
 
-def boundary_mass(samples: np.ndarray, grid: Grid, cells: int = 12, *,
+def boundary_mass(samples: np.ndarray, grid: Grid, cells: int, *,
                   is_density: bool = False):
     """Probability mass within `cells` grid cells of either domain edge.
 

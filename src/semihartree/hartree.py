@@ -66,16 +66,15 @@ def _required_dx(epsilon: float, p: float) -> float:
 
 
 def size_physical_grid(trajectory: Trajectory, epsilon: float,
-                       maxvar_x: float, maxvar_k: float,
-                       pad_min: float = 4.0) -> Grid:
-    """Domain [q_min - W, q_max + W) with W = max(10 sqrt(eps*maxvar_x), pad_min);
+                       maxvar_x: float, maxvar_k: float) -> Grid:
+    """Domain [q_min - W, q_max + W) with W = max(10 sqrt(eps*maxvar_x), 4);
     n is the smallest power of two resolving both the carrier (4x Nyquist
     margin on max |p|) and the packet's own bandwidth (10 spectral sigmas).
     """
     q_lo = float(np.min(trajectory.qs))
     q_hi = float(np.max(trajectory.qs))
     p_max = float(np.max(np.abs(trajectory.ps)))
-    pad = max(10.0 * np.sqrt(epsilon * max(maxvar_x, 0.0)), pad_min)
+    pad = max(10.0 * np.sqrt(epsilon * max(maxvar_x, 0.0)), 4.0)
     k_cut = 10.0 * np.sqrt(max(maxvar_k, 0.5))
     dx_max = min(_required_dx(epsilon, p_max), np.pi * np.sqrt(epsilon) / k_cut)
     length = (q_hi + pad) - (q_lo - pad)
@@ -123,8 +122,7 @@ def build_coherent_state(a0: WaveFunction, q: float, p: float, epsilon: float,
 
 def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
                    U: ExternalPotential, T: float, dt: float, *,
-                   store_times: Optional[Sequence[float]] = None,
-                   guard_cells: int = 12, guard_mass: float = 1e-8) -> HartreeRun:
+                   store_times: Optional[Sequence[float]] = None) -> HartreeRun:
     """Strang-split integration of the mean-field dynamics, with the
     self-consistent potential rebuilt from |psi|^2 every step by
     `grids.mean_field` (two density moments for the cosine pair).
@@ -134,8 +132,6 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
     checked every step: above pi/2 a warning is issued, above pi the run
     aborts (the splitting would be meaningless).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if psi0.frame.kind != "physical" or psi0.frame.epsilon != epsilon:
         raise ValueError("initial state frame does not carry this epsilon")
     grid = psi0.grid
@@ -161,8 +157,7 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
 
     times, stored_t, data, drift = split_step_evolve(
         psi0.samples, grid, time_nodes(T, dt), potential, kinetic_scale=epsilon,
-        store_times=store_times, guard_cells=guard_cells, guard_mass=guard_mass,
-        label=f"hartree reference (eps={epsilon:g})",
+        store_times=store_times, label=f"hartree reference (eps={epsilon:g})",
     )
     series = WaveSeries(stored_t, grid, physical_frame(epsilon), data)
     return HartreeRun(series, float(epsilon), grid, float(drift))
@@ -201,7 +196,6 @@ class PhysicalLevel:
     shared by every eps of a sweep; `states` holds only the compared nodes."""
 
     refine: int
-    trace_points: int
     dt_amp: float
     trajectory: Trajectory
     maxvar_x: float  # peak spreads over the run, which size each eps's grid
@@ -212,7 +206,8 @@ class PhysicalLevel:
 def physical_level(config: ExperimentConfig, refine: int = 1,
                    trace_points: int = 0) -> PhysicalLevel:
     """Classical flow and profile evolution at step mu_dt/refine, keeping
-    the final state, or `trace_points` states spread over the run."""
+    the final state, or `trace_points` states spread over the run (every
+    node when there are fewer)."""
     phi = config.pair()
     U = config.external()
     dt_amp = config.mu_dt() / refine
@@ -220,8 +215,9 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
                                 min(1e-3, dt_amp))
     history = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
                           hessian_along_flow(trajectory, U), config.T, dt_amp)
-    idx = (np.unique(np.linspace(0, len(history) - 1, trace_points).astype(int))
-           if trace_points > 0 else [len(history) - 1])
+    nodes = len(history)
+    idx = (np.unique(np.linspace(0, nodes - 1, min(trace_points, nodes)).astype(int))
+           if trace_points > 0 else [nodes - 1])
     # copies, so that the level does not keep the whole history alive
     states = tuple(AmplitudeState(s.beta.with_samples(s.beta.samples.copy()), s.gamma, s.t)
                    for s in map(history.__getitem__, idx))
@@ -229,27 +225,18 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
     data, k2, grid = history.data, history.grid.wavenumbers ** 2, history.grid
     maxvar_k = max(np.max(np.abs(np.fft.fft(data[i:i + 128])) ** 2 @ k2)
                    for i in range(0, len(data), 128)) * grid.dx / grid.n
-    return PhysicalLevel(refine, trace_points, dt_amp, trajectory,
+    return PhysicalLevel(refine, dt_amp, trajectory,
                          float(history.second_moments.max()), float(maxvar_k), states)
 
 
-def compare_evolution(epsilon: float, config: ExperimentConfig, *,
-                      refine: int = 1, trace_points: int = 0,
-                      level: Optional[PhysicalLevel] = None) -> ComparisonResult:
-    """Run the full pipeline on matched settings for one epsilon.
-
-    refine divides every time step (used by the step-halving gate);
-    trace_points > 0 additionally records the error at that many
-    intermediate times.  `level` is the `physical_level` for this refine
-    and trace_points, built here when not given.
-    """
-    if level is None:
-        level = physical_level(config, refine, trace_points)
-    elif (level.refine, level.trace_points) != (refine, trace_points):
-        raise ValueError("level was built for another refine or trace_points")
+def compare_evolution(epsilon: float, config: ExperimentConfig,
+                      level: PhysicalLevel) -> ComparisonResult:
+    """Run the full pipeline on matched settings for one epsilon, at the
+    refinement of `level` (its refine divides every time step) and at
+    each of its states' times."""
     # snap the solver step to an integer fraction of the profile step so the
     # two node sets coincide and states are compared at identical times
-    target_phys = config.physical_dt(epsilon) / refine
+    target_phys = config.physical_dt(epsilon) / level.refine
     substeps = max(1, int(np.ceil(level.dt_amp / target_phys - 1e-9)))
     dt_phys = level.dt_amp / substeps
     grid = size_physical_grid(level.trajectory, epsilon, level.maxvar_x, level.maxvar_k)
@@ -278,4 +265,4 @@ def compare_evolution(epsilon: float, config: ExperimentConfig, *,
 def theorem_error(epsilon: float, config: ExperimentConfig, *, refine: int = 1) -> float:
     """L^2 distance at the final time between the reference solution and
     the assembled coherent-state approximation."""
-    return compare_evolution(epsilon, config, refine=refine).final_error
+    return compare_evolution(epsilon, config, physical_level(config, refine)).final_error

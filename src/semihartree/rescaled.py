@@ -75,8 +75,7 @@ def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential
 
 def _evolve_batch(a0: WaveFunction, epsilons: Sequence[float], phi: PairPotential,
                   U: ExternalPotential, trajectory: Trajectory, T: float, dt: float,
-                  store_times: Optional[Sequence[float]], guard_cells: int,
-                  guard_mass: float):
+                  store_times: Optional[Sequence[float]]):
     """Strang-split integration of the packet-frame amplitude equation for
     every epsilon at once, one row each, all starting from `a0`."""
     epsilons = np.asarray(epsilons, dtype=np.float64)
@@ -92,28 +91,24 @@ def _evolve_batch(a0: WaveFunction, epsilons: Sequence[float], phi: PairPotentia
     potential = _packet_frame_potential(grid, epsilons, phi, U, trajectory, nodes)
     return split_step_evolve(
         np.broadcast_to(a0.samples, (epsilons.size, grid.n)), grid, nodes, potential,
-        store_times=store_times, guard_cells=guard_cells, guard_mass=guard_mass,
-        label=[f"rescaled amplitude (eps={e:g})" for e in epsilons],
+        store_times=store_times, label=[f"rescaled amplitude (eps={e:g})" for e in epsilons],
     )
 
 
 def evolve_rescaled(a0: WaveFunction, epsilon: float, phi: PairPotential,
                     U: ExternalPotential, trajectory: Trajectory,
-                    T: float, dt: float = DEFAULT_MU_DT, *,
-                    guard_cells: int = 12, guard_mass: float = 1e-8) -> RescaledRun:
+                    T: float, dt: float = DEFAULT_MU_DT) -> RescaledRun:
     """Packet-frame amplitude history for one epsilon, stored at every
     node; see `_packet_frame_potential` for the equation."""
-    times, _, data, drift = _evolve_batch(a0, [epsilon], phi, U, trajectory, T, dt,
-                                          None, guard_cells, guard_mass)
+    times, _, data, drift = _evolve_batch(a0, [epsilon], phi, U, trajectory, T, dt, None)
     return RescaledRun(WaveSeries(times, a0.grid, RESCALED, data[:, 0]),
                        float(epsilon), trajectory, float(drift[0]))
 
 
 def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
                            phi: PairPotential, U: ExternalPotential,
-                           trajectory: Trajectory, T: float, dt: float = DEFAULT_MU_DT,
-                           *, guard_cells: int = 12,
-                           guard_mass: float = 1e-8) -> List[WaveFunction]:
+                           trajectory: Trajectory, T: float,
+                           dt: float = DEFAULT_MU_DT) -> List[WaveFunction]:
     """Final packet-frame amplitude for each epsilon, evolved together as
     one (len(epsilons), n) batch that keeps only the final node.
 
@@ -121,8 +116,7 @@ def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
     guard failure raises NumericalError naming the lowest failing row's
     epsilon, with that row's index in `epsilons` as its `row`.
     """
-    _, _, data, _ = _evolve_batch(a0, epsilons, phi, U, trajectory, T, dt,
-                                  (T,), guard_cells, guard_mass)
+    _, _, data, _ = _evolve_batch(a0, epsilons, phi, U, trajectory, T, dt, (T,))
     return [WaveFunction(a0.grid, row, RESCALED) for row in data[-1]]
 
 

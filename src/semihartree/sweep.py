@@ -27,7 +27,7 @@ from .classical import integrate_flow
 from .config import ExperimentConfig
 from .corrections import assemble_expansion, evolve_corrections
 from .errors import ConfigError, NumericalError
-from .grids import WaveFunction, l2_distance, make_grid
+from .grids import WaveFunction, l2_distance
 from .hartree import PhysicalLevel, compare_evolution, physical_level
 from .rescaled import evolve_rescaled_finals, residual_norm
 
@@ -151,7 +151,7 @@ def _packet_frame_errors(config: ExperimentConfig, epsilons: list, shared: dict)
 
 def _compare(eps: float, config: ExperimentConfig, level: PhysicalLevel) -> tuple:
     """One physical comparison; module-level so that a pool can pickle it."""
-    result = compare_evolution(eps, config, refine=level.refine, level=level)
+    result = compare_evolution(eps, config, level)
     return result.final_error, result.dt_used, result.grid_n
 
 
@@ -387,17 +387,16 @@ def _crosscheck_deviations(kappa: float, hess, T: float, dt: float,
 
 
 def lemma_check(kappa: float = -1.0, T: float = 1.0, dt: float = 1e-3,
-                probe_times=None, mu_n: int = 512,
-                mu_halfwidth: float = 16.0) -> LemmaCheck:
+                probe_times=None) -> LemmaCheck:
     """Compare the phase-absorbed profile against e^{i gamma} times the
-    plain profile at the probe times (T/4, T/2, T by default), and measure
-    the order at which the two discretizations approach each other under
-    step halving."""
+    plain profile at the probe times (T/4, T/2, T by default) on the
+    default packet-frame grid, and measure the order at which the two
+    discretizations approach each other under step halving."""
     if probe_times is None:
         probe_times = (T / 4.0, T / 2.0, T)
     if max(probe_times) > T + 1e-12:
         raise ValueError("probe times must lie within [0, T]")
-    grid = make_grid(mu_n, -mu_halfwidth, mu_halfwidth)
+    grid = ExperimentConfig().mu_grid()  # DEFAULT_MU_N cells on +-DEFAULT_MU_HALFWIDTH
     hess = lambda t: 0.0
     devs = _crosscheck_deviations(kappa, hess, T, dt, grid, probe_times)
     devs_half = _crosscheck_deviations(kappa, hess, T, dt / 2.0, grid, probe_times)

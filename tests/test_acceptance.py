@@ -21,7 +21,7 @@ from semihartree.grids import (
     make_grid,
     radial_convolve,
 )
-from semihartree.hartree import compare_evolution, theorem_error
+from semihartree.hartree import compare_evolution, physical_level, theorem_error
 from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.rescaled import evolve_rescaled
 from semihartree.sweep import lemma_check, render_report, run_sweep
@@ -161,7 +161,7 @@ def test_criterion_6_norm_conservation(mu_grid, gauss):
         b = evolve_b(gauss, -1.0, hess, 1.0, 1e-3)
         drift_b = max(abs(l2_norm(b[i]) - 1.0) for i in range(0, len(b), 25))
         rescaled = evolve_rescaled(gauss, 0.08, phi, U, traj, 1.0, 1e-3)
-        physical = compare_evolution(0.08, ExperimentConfig())
+        physical = compare_evolution(0.08, ExperimentConfig(), physical_level(ExperimentConfig()))
     drifts = {
         "profile": drift_beta,
         "phase-absorbed": drift_b,

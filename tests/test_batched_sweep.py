@@ -122,10 +122,10 @@ def assert_failure_matches_one_at_a_time(config):
 def test_physical_failure_matches_one_at_a_time(monkeypatch, min_refine):
     real = sweep_module.compare_evolution
 
-    def poisoned(eps, config, *, refine, **kw):
-        if eps == 0.16 and refine >= min_refine:
-            raise NumericalError(f"poisoned comparison at refine {refine}")
-        return real(eps, config, refine=refine, **kw)
+    def poisoned(eps, config, level):
+        if eps == 0.16 and level.refine >= min_refine:
+            raise NumericalError(f"poisoned comparison at refine {level.refine}")
+        return real(eps, config, level)
 
     monkeypatch.setattr(sweep_module, "compare_evolution", poisoned)
     err = assert_failure_matches_one_at_a_time(PHYSICAL)

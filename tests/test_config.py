@@ -170,3 +170,44 @@ class TestResourceBounds:
         code, err = TestNumbers.validate(tmp_path, capsys, text)
         assert code == 2
         assert err.startswith(f"config error: {where}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra, accepted", [(0, True), (1, False)],
+                             ids=["bound", "bound+1"])
+    def test_time_step_bound(self, extra, accepted):
+        from semihartree.config import DEFAULT_MU_DT, MAX_TIME_STEPS
+
+        # the defaults: 1,000 sweep steps, 4,000 lemma-check steps
+        assert MAX_TIME_STEPS >= 16 * ExperimentConfig().T / DEFAULT_MU_DT
+        dt = 2.0 ** -10  # dyadic, so that T/dt is exact
+        text = '{"T":%r,"dt":%r}' % ((MAX_TIME_STEPS + extra) * dt, dt)
+        if accepted:
+            assert parse_config(text).T / dt == MAX_TIME_STEPS
+        else:
+            with pytest.raises(ConfigError, match=r"^T/dt must be at most \d+ steps, "
+                               r"got 1\.6e\+04$"):
+                parse_config(text)
+
+    @pytest.mark.parametrize("argv, text", [
+        (["validate"], '{"dt":1e-300}'),
+        (["sweep"], '{"T":1e300}'),
+        (["lemma-check", "--dt", "1e-300"], None),
+    ], ids=["validate-tiny-dt", "sweep-huge-T", "lemma-check-tiny-dt"])
+    def test_time_step_bound_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                    argv, text):
+        import semihartree.cli as cli
+        from semihartree.config import MAX_TIME_STEPS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run was started past the time-step bound")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.setattr(cli, "lemma_check", refuse)
+        if text is not None:
+            path = tmp_path / "config.json"
+            path.write_text(text)
+            argv = argv + ["--config", str(path)]
+        code = cli.main(argv + ["--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"must be at most {MAX_TIME_STEPS} steps" in err and "Traceback" not in err

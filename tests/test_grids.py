@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from semihartree._stepping import GUARD_CELLS
 from semihartree.grids import (
     RESCALED,
     WaveFunction,
@@ -226,7 +227,7 @@ class TestWaveFunction:
             physical_frame(-1.0)
 
     def test_boundary_mass_localized_profile(self, gauss):
-        assert boundary_mass(gauss.samples, gauss.grid) < 1e-30
+        assert boundary_mass(gauss.samples, gauss.grid, GUARD_CELLS) < 1e-30
 
     def test_trig_interpolation_matches_nodes(self, gauss):
         vals = evaluate_trig_interpolant(gauss, gauss.grid.points[::8])

@@ -17,6 +17,7 @@ from semihartree.hartree import (
     build_coherent_state,
     compare_evolution,
     hartree_evolve,
+    physical_level,
     size_physical_grid,
     theorem_error,
 )
@@ -83,7 +84,7 @@ class TestReferenceSolver:
     def test_norm_drift(self, gauss):
         eps, T = 0.08, 1.0
         cfg = COSINE_CFG
-        result = compare_evolution(eps, cfg)
+        result = compare_evolution(eps, cfg, physical_level(cfg))
         assert result.norm_drift <= 1e-9
 
     def test_harmonic_mean_follows_trajectory(self, gauss):
@@ -187,7 +188,7 @@ class TestComparison:
         assert 0.5 <= phys / resc <= 2.0
 
     def test_error_trace_starts_at_zero(self):
-        result = compare_evolution(0.08, COSINE_CFG, trace_points=11)
+        result = compare_evolution(0.08, COSINE_CFG, physical_level(COSINE_CFG, 1, 11))
         assert result.times[0] == 0.0
         assert result.errors[0] <= 1e-10
         assert result.final_error == result.errors[-1]

@@ -9,6 +9,7 @@ import pytest
 import semihartree.hartree as hartree
 import semihartree.sweep as sweep_module
 from semihartree.config import ExperimentConfig
+from semihartree.grids import abs_moment, fourier_second_moment
 from semihartree.hartree import compare_evolution, physical_level
 from semihartree.potentials import EXTERNAL_NAMES, builtin_external
 from semihartree.sweep import run_sweep
@@ -58,10 +59,10 @@ def test_each_sweep_call_builds_its_own_levels(builds):
 def test_rows_equal_single_comparisons():
     for row in run_sweep(SMALL).rows:
         refine = 2
-        result = compare_evolution(row.epsilon, SMALL, refine=refine)
+        result = compare_evolution(row.epsilon, SMALL, physical_level(SMALL, refine))
         while result.dt_used != row.dt_used:
             refine *= 2
-            result = compare_evolution(row.epsilon, SMALL, refine=refine)
+            result = compare_evolution(row.epsilon, SMALL, physical_level(SMALL, refine))
         assert row.error == pytest.approx(result.final_error, rel=1e-12)
         assert row.n_used == result.grid_n
 
@@ -134,8 +135,29 @@ def test_level_keeps_only_compared_states():
     traced = physical_level(SMALL, refine=1, trace_points=5)
     assert [s.t for s in traced.states] == pytest.approx([0.0, 0.0625, 0.125, 0.187, 0.25],
                                                          abs=1e-3)
-    with pytest.raises(ValueError, match="another refine"):
-        compare_evolution(0.32, SMALL, refine=2, level=traced)
+
+
+def test_level_spreads_equal_per_node_moments(monkeypatch):
+    # maxvar_k comes from FFTs of 128 rows at a time and maxvar_x from the
+    # history's second moments; the oracle is the per-node maximum of
+    # fourier_second_moment and abs_moment(., 1) over the same history.
+    # 301 nodes: three chunks, the last one partial.
+    real, histories = hartree.evolve_beta, []
+
+    def recorded(*args):
+        histories.append(real(*args))
+        return histories[-1]
+
+    monkeypatch.setattr(hartree, "evolve_beta", recorded)
+    config = ExperimentConfig(mode="physical", T=0.3, eps_list=(0.32,))
+    level = physical_level(config, refine=1)
+    (history,) = histories
+    assert len(history) == 301
+    # tolerance: 1e-12 relative (sums of 512 terms in another order)
+    assert level.maxvar_k == pytest.approx(
+        max(fourier_second_moment(s.beta) for s in history), rel=1e-12, abs=0)
+    assert level.maxvar_x == pytest.approx(
+        max(abs_moment(s.beta, 1) for s in history), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("name", EXTERNAL_NAMES)

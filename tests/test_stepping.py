@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semihartree._stepping import split_step_evolve, time_nodes
+from semihartree._stepping import GUARD_CELLS, split_step_evolve, time_nodes
 from semihartree.corrections import _interleaved_nodes
 from semihartree.errors import NumericalError
 from semihartree.grids import (
@@ -128,10 +128,10 @@ class TestBatchedEngine:
     def test_boundary_mass_per_row(self):
         g = make_grid(128, -10.0, 10.0)
         rows = np.stack([gaussian_profile(g, center=c).samples for c in (0.0, 7.0)])
-        per_row = boundary_mass(rows, g)
+        per_row = boundary_mass(rows, g, GUARD_CELLS)
         assert per_row.shape == (2,)
         for i in range(2):
-            single = boundary_mass(rows[i], g)
+            single = boundary_mass(rows[i], g, GUARD_CELLS)
             assert isinstance(single, float)
             assert per_row[i] == single
 

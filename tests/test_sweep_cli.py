@@ -258,6 +258,23 @@ class TestCli:
         assert lines[1].startswith("0.0,")
         assert "final_error=" in lines[-1]
 
+    def test_compare_trace_beyond_the_node_count(self, tmp_path):
+        # the trace is clamped to the level's nodes: a huge N traces every
+        # node, exactly as N = the node count does, and allocates no N indices
+        from semihartree._stepping import time_nodes
+
+        cfg = self.write_config(tmp_path, mode="physical", eps_list=[0.32], T=0.05)
+        nodes = time_nodes(0.05, 1e-3)
+        outs = {}
+        for n in (10 ** 20, nodes.size):
+            outs[n] = tmp_path / f"trace{n}.csv"
+            assert main(["compare", "--config", str(cfg), "--trace", str(n),
+                         "--out", str(outs[n]), "--quiet"]) == 0
+        text = outs[10 ** 20].read_text()
+        assert text == outs[nodes.size].read_text()
+        times = [float(line.split(",")[0]) for line in text.splitlines()[1:-1]]
+        assert times == pytest.approx(nodes, abs=1e-12)
+
     def test_corrections_subcommand(self, tmp_path):
         out = tmp_path / "c.csv"
         code = main(["corrections", "--eps", "0.08,0.04,0.02",
