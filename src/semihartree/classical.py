@@ -1,20 +1,17 @@
 """Classical trajectory (q, p) under p^2/2 + U(q, t) + phi(0), with the
 Lagrangian action integral co-propagated at matching order.
 
-The flow is integrated once per simulation with a classic 4th-order
-one-step method and stored densely; downstream modules interpolate the
-stored sequence (cubic splines) at their own step times.  The constant
-phi(0) never moves (q, p); it only shifts the action by -phi(0)*t.
+The flow is integrated once with classic RK4 and stored densely with its
+vector field; downstream modules read it by cubic Hermite on the RK4 slopes.
+The constant phi(0) never moves (q, p); it only shifts the action by -phi(0)*t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._stepping import time_nodes
 from .errors import NumericalError
@@ -35,12 +32,14 @@ class ClassicalState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory(Sequence):
-    """Dense (q, p, action) history with spline accessors between nodes."""
+    """Dense (q, p, action) history, read by cubic Hermite on its RK4 slopes."""
 
     times: np.ndarray
     qs: np.ndarray
     ps: np.ndarray
     actions: np.ndarray
+    forces: np.ndarray  # dp/dt = -grad U(q, t)
+    lagrangians: np.ndarray  # d(action)/dt = p^2/2 - U(q, t) - phi0
 
     def __len__(self) -> int:
         return self.times.size
@@ -53,27 +52,29 @@ class Trajectory(Sequence):
     def final(self) -> ClassicalState:
         return self[len(self) - 1]
 
-    def __getstate__(self):  # splines triple the pickled size; rebuilt on use
-        return {k: v for k, v in self.__dict__.items() if k != "_splines"}
-
-    @cached_property
-    def _splines(self):
-        return (CubicSpline(self.times, self.qs),
-                CubicSpline(self.times, self.ps),
-                CubicSpline(self.times, self.actions))
+    def _hermite(self, values: np.ndarray, slopes: np.ndarray, t) -> np.ndarray:
+        """Cubic Hermite on (values, slopes) at t; the end cubics extend."""
+        if self.times.size < 2:
+            raise ValueError("a trajectory needs two nodes (T > 0) to be read between them")
+        t = np.asarray(t, dtype=np.float64)
+        j = np.searchsorted(self.times[1:-1], t, side="right")  # 0 .. n-2
+        h = self.times[j + 1] - self.times[j]
+        s = (t - self.times[j]) / h
+        return ((1.0 - s) ** 2 * ((1.0 + 2.0 * s) * values[j] + s * h * slopes[j])
+                + s * s * ((3.0 - 2.0 * s) * values[j + 1] - (1.0 - s) * h * slopes[j + 1]))
 
     def q_at(self, t: float) -> float:
-        return float(self._splines[0](t))
+        return float(self._hermite(self.qs, self.ps, t))
 
     def qs_at(self, times: np.ndarray) -> np.ndarray:
-        """q at every one of `times`, in one spline evaluation."""
-        return self._splines[0](np.asarray(times, dtype=np.float64))
+        """q at every one of `times`, in one vectorised evaluation."""
+        return self._hermite(self.qs, self.ps, times)
 
     def p_at(self, t: float) -> float:
-        return float(self._splines[1](t))
+        return float(self._hermite(self.ps, self.forces, t))
 
     def action_at(self, t: float) -> float:
-        return float(self._splines[2](t))
+        return float(self._hermite(self.actions, self.lagrangians, t))
 
     def state_at(self, t: float) -> ClassicalState:
         return ClassicalState(self.q_at(t), self.p_at(t), self.action_at(t), float(t))
@@ -89,9 +90,7 @@ def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
     """
     times = time_nodes(T, dt)
     n = times.size
-    qs = np.empty(n)
-    ps = np.empty(n)
-    actions = np.empty(n)
+    qs, ps, actions, forces, lagrangians = np.empty((5, n))
     qs[0], ps[0], actions[0] = q0, p0, 0.0
 
     def rhs(t: float, q: float, p: float):
@@ -102,6 +101,7 @@ def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
         t = times[j]
         h = times[j + 1] - t
         k1q, k1p, k1a = rhs(t, q, p)
+        forces[j], lagrangians[j] = k1p, k1a
         k2q, k2p, k2a = rhs(t + 0.5 * h, q + 0.5 * h * k1q, p + 0.5 * h * k1p)
         k3q, k3p, k3a = rhs(t + 0.5 * h, q + 0.5 * h * k2q, p + 0.5 * h * k2p)
         k4q, k4p, k4a = rhs(t + h, q + h * k3q, p + h * k3p)
@@ -113,13 +113,13 @@ def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
                 f"classical flow blew up at t={times[j + 1]:.6g}"
             )
         qs[j + 1], ps[j + 1], actions[j + 1] = q, p, act
+    _, forces[-1], lagrangians[-1] = rhs(times[-1], q, p)
 
-    return Trajectory(times, qs, ps, actions)
+    return Trajectory(times, qs, ps, actions, forces, lagrangians)
 
 
 def hessian_along_flow(trajectory: Trajectory, U: ExternalPotential) -> Callable:
-    """Map t -> d2U/dx2 at the trajectory position q(t).  Given an array of
-    times it returns an array, from one spline call and one `U.hess` call."""
+    """Map t (or an array of times) to U''(q(t)), q by cubic Hermite on the RK4 slopes."""
     def hess(t):
         values = U.hess(trajectory.qs_at(t), t)
         return values if np.ndim(t) else float(values)

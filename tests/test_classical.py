@@ -1,6 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from semihartree import parse_config
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.errors import NumericalError
 from semihartree.potentials import ExternalPotential, builtin_external
@@ -94,3 +101,48 @@ class TestDiagnostics:
         assert len(traj) == 11
         assert traj[0].q == 0.0
         assert traj[-1].t == pytest.approx(0.1)
+
+
+class TestHermiteAccessors:
+    """The cubic Hermite accessors on the RK4 slopes, against the
+    `scipy.interpolate.CubicSpline` they replaced."""
+
+    @pytest.mark.parametrize("dt", [1e-3, 5e-4, 1.25e-4])
+    @pytest.mark.parametrize("mode", ["physical", "corrections-2"])
+    def test_matches_cubic_spline(self, mode, dt):
+        config = parse_config(f'{{"mode": "{mode}"}}')
+        traj = integrate_flow(config.q0, config.p0, config.external(),
+                              config.pair().value_at_0, config.T, dt)
+        mids = 0.5 * (traj.times[1:] + traj.times[:-1])
+        for values, read in ((traj.qs, traj.q_at), (traj.ps, traj.p_at),
+                             (traj.actions, traj.action_at)):
+            spline = CubicSpline(traj.times, values)
+            at_nodes = np.array([read(t) for t in traj.times])
+            assert np.array_equal(at_nodes, values)
+            at_mids = np.array([read(t) for t in mids])
+            assert np.max(np.abs(at_mids - spline(mids))) <= 1e-12
+        assert np.array_equal(traj.qs_at(traj.times), traj.qs)
+        assert np.max(np.abs(traj.qs_at(mids) - CubicSpline(traj.times, traj.qs)(mids))) <= 1e-12
+
+    def test_pickle_round_trip_is_bit_identical(self):
+        # the physical --jobs pool ships trajectories to its workers
+        traj = integrate_flow(0.0, 1.0, COSINE, 1.0, 1.0, 1e-3)
+        times = np.linspace(-0.01, 1.01, 777)
+        copy = pickle.loads(pickle.dumps(traj))
+        assert np.array_equal(copy.qs_at(times), traj.qs_at(times))
+        assert copy.state_at(0.3456) == traj.state_at(0.3456)
+
+    def test_runtime_imports_no_scipy(self):
+        code = ("import sys, semihartree, semihartree.cli; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "[]"
+
+    def test_single_node_trajectory(self):
+        traj = integrate_flow(0.3, 0.7, HARMONIC, 0.0, 0.0, 1e-3)
+        assert len(traj) == 1
+        assert traj.final.q == 0.3 and traj.final.p == 0.7 and traj.final.action == 0.0
+        for read in (traj.q_at, traj.p_at, traj.action_at, traj.qs_at):
+            with pytest.raises(ValueError, match="two nodes"):
+                read(0.0)

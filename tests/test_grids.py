@@ -240,14 +240,24 @@ class TestWaveFunction:
         assert np.max(np.abs(vals - exact)) < 1e-12
 
     def test_trig_interpolant_equals_complex_exponential_sum(self, mu_grid):
-        # reference: the exp(i k x) @ c product the cos/sin form replaced;
-        # 5000 points span two blocks and reach past both domain edges
+        # reference: the direct exp(i k x) @ c product that the real
+        # (n, 2) products replace; 5000 points span eleven blocks and reach
+        # past both domain edges
         psi = gaussian_profile(mu_grid, center=1.5, wavenumber=3.0, width=0.7)
         pts = np.random.default_rng(3).uniform(-20.0, 20.0, 5000)
         coeffs = np.fft.fft(psi.samples) / mu_grid.n
         ref = np.exp(1j * np.outer(pts - mu_grid.x_min, mu_grid.wavenumbers)) @ coeffs
         got = evaluate_trig_interpolant(psi, pts)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(coeffs))
+
+    def test_trig_interpolant_on_fine_grid_matches_direct_sum(self):
+        # n = 1024: blocks of 244 points, the last one partial
+        grid = make_grid(1024, -16.0, 16.0)
+        psi = gaussian_profile(grid, center=-2.0, wavenumber=-5.0, width=1.3)
+        pts = np.random.default_rng(11).uniform(-16.0, 16.0, 1000)
+        coeffs = np.fft.fft(psi.samples) / grid.n
+        direct = np.exp(1j * np.outer(pts - grid.x_min, grid.wavenumbers)) @ coeffs
+        assert np.max(np.abs(evaluate_trig_interpolant(psi, pts) - direct)) <= 1e-13
 
 
 class TestWaveSeriesInterp:
