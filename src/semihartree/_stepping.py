@@ -5,29 +5,30 @@ an exact spectral kinetic step, and a half potential phase sampled at t+h.
 The density |psi|^2 is taken once per step, after the kinetic step, and
 serves the potential, `potential(t, density) -> v`, the norm and the
 boundary-mass guard of that node (the phase leaves |psi| unchanged).  v
-serves the trailing half and the next step's leading half.  Off store
-nodes these are fused into one phase exp(-i (h_j + h_{j+1})/2 v), which
-keeps Strang order for self-consistent potentials (Lubich, Math. Comp. 77,
-2008); at store nodes and the final node they are applied apart.  A
-non-finite v trips the guard at its own node.
+serves the trailing half and the next step's leading half.  Between
+unvisited nodes these are fused into one phase exp(-i (h_j + h_{j+1})/2 v),
+which keeps Strang order for self-consistent potentials (Lubich, Math.
+Comp. 77, 2008); at a visited node and at the final node they are applied
+apart, and the caller sees the state between them.  A non-finite v trips
+the guard at its own node.
 
-The engine steps on the node array its caller passes, usually
-`time_nodes(T, dt)`.  The correction orders step on dt nodes interleaved
-with their midpoints (t_0, mid_0, t_1, ...) and add a Duhamel deposit at
-each midpoint, after the trailing half; the halves at a midpoint are then
-applied apart too, as at a store node.
+`split_step_nodes` is the engine, a generator over the visited nodes;
+`split_step_evolve` stores the visited states.  The correction orders
+step on dt nodes interleaved with their midpoints (t_0, mid_0, t_1, ...)
+and add a Duhamel deposit at each visited midpoint.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import NumericalError
 from .grids import Grid, boundary_mass
 
-__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "tabulate", "split_step_evolve"]
+__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "tabulate", "split_step_nodes",
+           "split_step_evolve"]
 
 # the boundary guard of every evolution: more than GUARD_MASS probability
 # within GUARD_CELLS cells of either domain edge fails the run
@@ -69,31 +70,24 @@ def _resolve_store(times: np.ndarray, store_times: Optional[Sequence[float]]) ->
     return np.asarray(idx, dtype=int)
 
 
-def split_step_evolve(
-    samples0: np.ndarray,
-    grid: Grid,
-    times: np.ndarray,
-    potential: Callable[[float, np.ndarray], np.ndarray],
-    kinetic_scale: float = 1.0,
-    store_times: Optional[Sequence[float]] = None,
-    label: Union[str, Sequence[str]] = "evolution",
-    deposit: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
-):
+def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
+                     potential: Callable[[float, np.ndarray], np.ndarray],
+                     kinetic_scale: float = 1.0, visit: Iterable[int] = (),
+                     label: Union[str, Sequence[str]] = "evolution") -> Iterator:
     """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + v psi, where
-    v = potential(t, |psi|^2), over the sorted node array `times`.
+    v = potential(t, |psi|^2), over the sorted node array `times`, and
+    yield (j, psi) at each node index j in `visit`, after the trailing half
+    phase (node 0: before the first step).
 
     `samples0` is one state of shape (n,) or a batch of shape (m, n) whose
     rows evolve independently: FFTs and reductions run along the last axis,
     and `potential` gets a density of that shape and returns a real array
-    broadcastable to it.  Returns (times, stored_times, stored_data,
-    norm_drift): stored_data has shape (stored nodes,) + samples0.shape,
-    and norm_drift is the largest deviation of the L^2 norm from its
-    initial value over every step, not just stored ones (a float, or one
-    value per row of a batch).
-
-    `deposit(j, psi) -> psi`, when given, acts at every odd node 2j+1 (the
-    midpoint of step j of an interleaved node array), after the trailing
-    half phase and before the state there is stored.
+    broadcastable to it.  The yielded psi is the engine's own buffer, which
+    later steps overwrite: copy what you keep.  A change the caller makes
+    to it in place before resuming is carried forward.  The generator
+    returns norm_drift, the largest deviation of the L^2 norm from its
+    initial value over every step, visited or not (a float, or one value
+    per row of a batch).
 
     Raises NumericalError when samples go non-finite or when more than
     GUARD_MASS probability sits within GUARD_CELLS cells of a domain
@@ -101,9 +95,7 @@ def split_step_evolve(
     that message; a batch takes one label per row, and its error names the
     lowest failing row's label and carries that row's index as `row`.
     """
-    store_idx = _resolve_store(times, store_times)
-    store_pos = {int(j): pos for pos, j in enumerate(store_idx)}
-
+    visit = {int(j) for j in visit}
     psi = np.array(samples0, dtype=np.complex128)
     batched = psi.ndim == 2
     labels = [label] if isinstance(label, str) else list(label)
@@ -111,16 +103,13 @@ def split_step_evolve(
         raise ValueError("a batch needs one label per row")
     dx = grid.dx
     k2 = grid.wavenumbers ** 2
-
-    data = np.empty((store_idx.size,) + psi.shape, dtype=np.complex128)
-    if 0 in store_pos:
-        data[store_pos[0]] = psi
+    total = np.add.reduce
+    hat = np.empty_like(psi)
 
     def check(t: float, density, nrm, v) -> None:
         bm = boundary_mass(density, grid, GUARD_CELLS, is_density=True)
         # finite norms and v imply finite samples, and a total edge mass
         # within the guard clears every row; scan the rows only if not
-        total = np.add.reduce
         if (total(bm, axis=None) <= GUARD_MASS
                 and np.isfinite(total(nrm, axis=None) + total(v, axis=None))):
             return
@@ -134,41 +123,68 @@ def split_step_evolve(
         if not finite[row]:
             raise NumericalError(
                 f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
-        nrm2 = np.sum(density[row] if batched else density) * dx
+        nrm2 = total(density[row] if batched else density, axis=None) * dx
         raise NumericalError(
             f"{labels[row]}: boundary mass fraction {bm[row] / nrm2:.3e} at "
             f"t={t:.6g} exceeds guard {GUARD_MASS:.1e}", **where)
 
     density = psi.real ** 2 + psi.imag ** 2
-    norm0 = np.sqrt(density.sum(axis=-1) * dx)
+    norm0 = np.sqrt(total(density, axis=-1) * dx)
     drift = np.zeros_like(norm0)
     check(0.0, density, norm0, 0.0)
+    if 0 in visit:
+        yield 0, psi
+        density = psi.real ** 2 + psi.imag ** 2  # psi may have changed
+    last = times.size - 1
     steps = np.append(np.diff(times), 0.0)  # a zero step after the final node
     v = potential(times[0], density)
-    psi = psi * np.exp(-0.5j * steps[0] * v)
-    for j in range(times.size - 1):
+    half = np.empty(np.shape(v), dtype=np.complex128)  # the phase takes v's shape
+    np.multiply(-0.5j * steps[0], v, out=half)
+    psi *= np.exp(half, out=half)
+    for j in range(last):
         h, h_next = steps[j], steps[j + 1]
         if j == 0 or h != steps[j - 1]:
             kin = np.exp(-0.5j * h * kinetic_scale * k2)
-        psi = np.fft.ifft(np.fft.fft(psi) * kin)
+        np.fft.fft(psi, out=hat)
+        hat *= kin
+        np.fft.ifft(hat, out=psi)
         density = psi.real ** 2 + psi.imag ** 2
-        nrm = np.sqrt(density.sum(axis=-1) * dx)
+        nrm = np.sqrt(total(density, axis=-1) * dx)
         v = potential(times[j + 1], density)
-        stored = j + 1 in store_pos
-        deposited = deposit is not None and j % 2 == 0
-        apart = stored or deposited
-        # a store or deposit node takes the trailing half alone, any other
-        # node the trailing half fused with the next step's leading half
-        half = np.exp(-0.5j * (h if apart else h + h_next) * v)
-        psi = psi * half
+        visited = j + 1 in visit
+        apart = visited or j + 1 == last
+        # a visited node and the final node take the trailing half alone,
+        # any other node the trailing half fused with the next leading half
+        np.multiply(-0.5j * (h if apart else h + h_next), v, out=half)
+        np.exp(half, out=half)
+        psi *= half
 
         check(times[j + 1], density, nrm, v)
         drift = np.maximum(drift, np.abs(nrm - norm0))
-        if deposited:
-            psi = deposit(j // 2, psi)
-        if stored:
-            data[store_pos[j + 1]] = psi
+        if visited:
+            yield j + 1, psi
         if apart and h_next:
-            psi = psi * (half if h_next == h else np.exp(-0.5j * h_next * v))
+            psi *= half if h_next == h else np.exp(-0.5j * h_next * v)
+    return drift
 
-    return times, times[store_idx], data, drift
+
+def split_step_evolve(samples0: np.ndarray, grid: Grid, times: np.ndarray,
+                      potential: Callable[[float, np.ndarray], np.ndarray],
+                      kinetic_scale: float = 1.0,
+                      store_times: Optional[Sequence[float]] = None,
+                      label: Union[str, Sequence[str]] = "evolution"):
+    """`split_step_nodes` storing the state at the nodes nearest
+    `store_times` (every node by default; the final node always).
+
+    Returns (times, stored_times, stored_data, norm_drift): stored_data has
+    shape (stored nodes,) + samples0.shape.
+    """
+    store_idx = _resolve_store(times, store_times)
+    data = np.empty((store_idx.size,) + np.shape(samples0), dtype=np.complex128)
+    nodes = split_step_nodes(samples0, grid, times, potential, kinetic_scale,
+                             store_idx, label)
+    try:  # the visits come in node order, and one more next() ends the run
+        for pos in range(store_idx.size + 1):
+            _, data[pos] = next(nodes)
+    except StopIteration as end:
+        return times, times[store_idx], data, end.value

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from ._stepping import split_step_evolve, tabulate, time_nodes
+from ._stepping import (_resolve_store, split_step_evolve, split_step_nodes, tabulate,
+                        time_nodes)
 from .config import DEFAULT_MU_DT
 from .grids import (
     RESCALED,
@@ -98,15 +99,17 @@ def gamma_step(beta_prev: WaveFunction, beta_next: WaveFunction, kappa: float,
 
 @dataclass(frozen=True, eq=False)
 class ProfileHistory(Sequence):
-    """Profile states at every node of one run, read from one read-only
-    (nodes, n) history: indexing builds an `AmplitudeState` whose samples
-    are a view of its row; a slice gives a list."""
+    """Profile states at the stored nodes of one run, read from one
+    read-only (stored nodes, n) array: indexing builds an `AmplitudeState`
+    whose samples are a view of its row; a slice gives a list.  The two
+    spreads cover every node of the run, stored or not."""
 
     grid: Grid
     times: np.ndarray
     data: np.ndarray
     gammas: np.ndarray
     second_moments: np.ndarray  # integral of x^2 |beta|^2 dx at each node
+    spectral_spreads: np.ndarray  # integral of k^2 |beta hat|^2 dk at each node
 
     def __len__(self) -> int:
         return self.times.size
@@ -119,33 +122,48 @@ class ProfileHistory(Sequence):
 
 
 def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-                T: float, dt: float = DEFAULT_MU_DT) -> ProfileHistory:
+                T: float, dt: float = DEFAULT_MU_DT,
+                store_times: Optional[Sequence[float]] = None) -> ProfileHistory:
     """Propagate the profile under the quadratic potential
     (kappa + hessU(t)) x^2 / 2 with Strang splitting, and the nonlinear
     phase by the quadrature of `gamma_step` on the same nodes.
 
-    Returns the state at every node.  Fails loudly if the profile spreads
-    into the guard band at the domain edges (inverted-oscillator growth
-    outrunning the window).
+    Returns the states at the nodes nearest `store_times` (every node by
+    default; the final node always) and the spreads at every node, reduced
+    on the fly from blocks of 128 nodes.  Fails loudly if the profile
+    spreads into the guard band at the domain edges (inverted-oscillator
+    growth outrunning the window).
     """
     if a0.frame != RESCALED:
         raise ValueError("profile evolution runs in the rescaled frame")
     grid = a0.grid
     x2_half = 0.5 * grid.points ** 2
+    x2, k2 = grid.points ** 2, grid.wavenumbers ** 2
     nodes = time_nodes(T, dt)
     hess_at = tabulate(hessU_along_flow, nodes)
 
     def potential(t: float, _density: np.ndarray) -> np.ndarray:
         return (kappa + hess_at(t)) * x2_half
 
-    times, _, data, _drift = split_step_evolve(a0.samples, grid, nodes, potential,
-                                               label="profile evolution")
+    store_idx = _resolve_store(nodes, store_times)
+    store_pos = {j: pos for pos, j in enumerate(store_idx.tolist())}
+    data = np.empty((store_idx.size, grid.n), dtype=np.complex128)
+    block = np.empty((128, grid.n), dtype=np.complex128)  # bounds the temporaries
+    moments, spreads = [], []
+    for j, psi in split_step_nodes(a0.samples, grid, nodes, potential,
+                                   visit=range(nodes.size), label="profile evolution"):
+        if j in store_pos:
+            data[store_pos[j]] = psi
+        block[j % 128] = psi
+        if j % 128 == 127 or j == nodes.size - 1:
+            rows = block[:j % 128 + 1]
+            moments.append(np.abs(rows) ** 2 @ x2)
+            spreads.append(np.abs(np.fft.fft(rows)) ** 2 @ k2)
     data.flags.writeable = False
-    x2 = grid.points ** 2  # 128 rows at a time bounds the temporaries
-    moments = np.concatenate([np.abs(data[i:i + 128]) ** 2 @ x2
-                              for i in range(0, len(data), 128)]) * grid.dx
-    gammas = np.concatenate(([0.0], np.cumsum(_phase_increments(kappa, moments, times))))
-    return ProfileHistory(grid, times, data, gammas, moments)
+    moments = np.concatenate(moments) * grid.dx
+    gammas = np.concatenate(([0.0], np.cumsum(_phase_increments(kappa, moments, nodes))))
+    return ProfileHistory(grid, nodes[store_idx], data, gammas[store_idx], moments,
+                          np.concatenate(spreads) * grid.dx / grid.n)
 
 
 def b_potential(grid: Grid, kappa: float, hess_at: Callable[[float], float]):

@@ -4,12 +4,16 @@ Each correction order solves a linear equation driven by the orders below
 it.  Its homogeneous part is the operator that propagates the
 phase-absorbed profile b, so a correction steps as the second row of a
 (2, n) batch whose first row is b: both rows share b's potential, rebuilt
-from b's own row, in `split_step_evolve` on the dt nodes interleaved with
-their midpoints.  At each midpoint the engine calls a deposit that adds
-the midpoint-rule Duhamel step of the sources to the correction row (one
+from b's own row, in `split_step_nodes` on the dt nodes interleaved with
+their midpoints.  At each midpoint the pass adds the midpoint-rule
+Duhamel step of the sources to the correction row, in place (one
 fixed-point refinement handles the term that couples a correction back
-into its own source).  The correction equations are free of the
-semiclassical parameter; it enters only when the expansion is assembled.
+into its own source).  The second order reads the first at its
+midpoints, so the two passes run in lockstep, the first one dt node
+ahead: the second keeps a two-row window of the first correction at the
+dt nodes around its current midpoint, and no history of either.  The
+correction equations are free of the semiclassical parameter; it enters
+only when the expansion is assembled.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._stepping import _resolve_store, split_step_evolve, tabulate, time_nodes
+from ._stepping import (_resolve_store, split_step_evolve, split_step_nodes, tabulate,
+                        time_nodes)
 from .amplitude import B_LABEL, b_potential
 from .classical import Trajectory, hessian_along_flow
 from .grids import RESCALED, WaveFunction, WaveSeries
@@ -61,26 +66,37 @@ def _interleaved_nodes(T: float, dt: float) -> tuple:
 
 def _pass(b0: np.ndarray, grid, nodes: np.ndarray, steps: np.ndarray,
           potential: Callable, coupling: Callable, forcing: Callable,
-          store: np.ndarray, label: str):
-    """(stored times, (stored, 2, n) data) of b and one correction u from
-    (b0, 0) on `nodes`.  At the midpoint of dt step j the deposit adds
-    -i*h*s to u: s is coupling(u, b), linear in u and refreshed by one
-    fixed-point update of u, plus the u-free forcing(j, b), evaluated once
-    per step."""
-
-    def deposit(j: int, psi: np.ndarray) -> np.ndarray:
+          visit: Sequence[int], label: str):
+    """Generator of (node index, (2, n) state) of b and one correction u,
+    from (b0, 0) on `nodes`, at the dt nodes (even indices) in `visit`.
+    At the midpoint of dt step j it adds -i*h*s to u: s is coupling(u, b),
+    linear in u and refreshed by one fixed-point update of u, plus the
+    u-free forcing(j, b), evaluated once per step.  The state is the
+    engine's own buffer: copy what you keep."""
+    mids = range(1, nodes.size, 2)
+    for i, psi in split_step_nodes(np.stack([b0, np.zeros_like(b0)]), grid, nodes,
+                                   lambda t, density: potential(t, density[0]), 1.0,
+                                   set(visit).union(mids), [B_LABEL, label]):
+        if i % 2 == 0:
+            yield i, psi
+            continue
+        j = i // 2
         b, u, h = psi[0], psi[1], steps[j]
         f = forcing(j, b)
         s = coupling(u, b) + f
         s = coupling(u - 0.5j * h * s, b) + f
         psi[1] = u - 1j * h * s
-        return psi
 
-    _, stored_t, data, _ = split_step_evolve(
-        np.stack([b0, np.zeros_like(b0)]), grid, nodes,
-        lambda t, density: potential(t, density[0]),
-        store_times=store, label=[B_LABEL, label], deposit=deposit)
-    return stored_t, data
+
+def _blend(t: float, left: float, right: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The linear blend of a at `left` and b at `right` at time t between
+    them; within 1e-12 of either node, that node's row itself."""
+    if abs(t - left) < 1e-12:
+        return a
+    if abs(t - right) < 1e-12:
+        return b
+    w = (t - left) / (right - left)
+    return (1.0 - w) * a + w * b
 
 
 def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotential,
@@ -95,8 +111,11 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     correction with b (linear in the unknown).  The second adds the
     quartic interaction and external terms against b and the quadratic
     terms against the first correction, which it reads at each midpoint
-    as the linear blend of the first pass's dt nodes.  A correction row
-    that reaches the engine's boundary guard fails with its own label.
+    as the linear blend of the first correction at the two dt nodes around
+    it.  So the first pass runs one dt node ahead of the second, and only
+    that two-row window of it is kept, plus its rows at the stored nodes.
+    A correction row that reaches the engine's boundary guard fails with
+    its own label.
     """
     if K not in (0, 1, 2):
         raise ValueError("expansion order K must be 0, 1, or 2")
@@ -118,6 +137,7 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
                                                  store_times=store, label=B_LABEL)
         return CorrectionSet((series(stored_t, data),))
 
+    store_idx = _resolve_store(nodes, store)
     mids = nodes[1::2]
     q = trajectory.qs_at(mids)
     w3 = U.third(q, mids) / 6.0
@@ -131,17 +151,28 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
         return w3[j] * powers[3] * b
 
     # the second order reads the first at every dt node
-    t1, data1 = _pass(a0.samples, grid, nodes, steps, potential, coupling, first,
-                      coarse if K == 2 else store, "first correction")
+    pass1 = _pass(a0.samples, grid, nodes, steps, potential, coupling, first,
+                  range(0, nodes.size, 2) if K == 2 else store_idx, "first correction")
+    times = nodes[store_idx]
     if K == 1:
-        return CorrectionSet((series(t1, data1[:, 0]), series(t1, data1[:, 1])))
+        data = np.array([psi.copy() for _, psi in pass1])
+        return CorrectionSet((series(times, data[:, 0]), series(times, data[:, 1])))
 
-    a1_seq = series(t1, data1[:, 1])
     w4 = U.fourth(q, mids) / 24.0
     quartic_coeff = phi.fourth_deriv_at_0 / 24.0
+    stored = set(store_idx.tolist())
+    window, a1_stored = {}, []  # a1 at the dt nodes around the midpoint
+
+    def keep(i: int, psi: np.ndarray) -> None:
+        window[i] = psi[1].copy()
+        window.pop(i - 4, None)
+        if i in stored:
+            a1_stored.append(window[i])
 
     def second(j: int, b: np.ndarray) -> np.ndarray:
-        a1 = a1_seq.interp_samples(mids[j])
+        while 2 * j + 2 not in window:
+            keep(*next(pass1))
+        a1 = _blend(mids[j], nodes[2 * j], nodes[2 * j + 2], window[2 * j], window[2 * j + 2])
         dens0 = b.real ** 2 + b.imag ** 2
         dens1 = a1.real ** 2 + a1.imag ** 2
         cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
@@ -151,11 +182,13 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
         s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
         return s + w3[j] * powers[3] * a1
 
-    t2, data2 = _pass(a0.samples, grid, nodes, steps, potential, coupling, second,
-                      store, "second correction")
-    a1_final = a1_seq.data[np.searchsorted(t1, t2)]
-    return CorrectionSet((series(t2, data2[:, 0]), series(t2, a1_final),
-                          series(t2, data2[:, 1])))
+    data2 = np.array([psi.copy() for _, psi in _pass(
+        a0.samples, grid, nodes, steps, potential, coupling, second, store_idx,
+        "second correction")])
+    for i, psi in pass1:  # what the lockstep left: node 0 when it is the only one
+        keep(i, psi)
+    return CorrectionSet((series(times, data2[:, 0]), series(times, np.array(a1_stored)),
+                          series(times, data2[:, 1])))
 
 
 @dataclass(frozen=True, eq=False)

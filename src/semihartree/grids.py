@@ -236,7 +236,7 @@ def boundary_mass(samples: np.ndarray, grid: Grid, cells: int, *,
     head, tail = samples[..., :cells], samples[..., -cells:]
     if not is_density:
         head, tail = head.real ** 2 + head.imag ** 2, tail.real ** 2 + tail.imag ** 2
-    return (head.sum(axis=-1) + tail.sum(axis=-1)) * grid.dx
+    return (np.add.reduce(head, axis=-1) + np.add.reduce(tail, axis=-1)) * grid.dx
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +332,3 @@ class WaveSeries:
 
     def at_time(self, t: float, tol: float = 1e-9) -> WaveFunction:
         return self[self.index_of(t, tol)]
-
-    def interp_samples(self, t: float) -> np.ndarray:
-        """Samples at time t: exact node when available, otherwise linear
-        interpolation between the bracketing nodes."""
-        times = self.times
-        if t <= times[0]:
-            return self.data[0]
-        if t >= times[-1]:
-            return self.data[-1]
-        j = int(np.searchsorted(times, t))
-        left, right = times[j - 1], times[j]
-        if abs(t - left) < 1e-12:
-            return self.data[j - 1]
-        if abs(t - right) < 1e-12:
-            return self.data[j]
-        w = (t - left) / (right - left)
-        return (1.0 - w) * self.data[j - 1] + w * self.data[j]

@@ -213,20 +213,17 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
     dt_amp = config.mu_dt() / refine
     trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, config.T,
                                 min(1e-3, dt_amp))
+    nodes = time_nodes(config.T, dt_amp)
+    idx = (np.unique(np.linspace(0, nodes.size - 1, min(trace_points, nodes.size)).astype(int))
+           if trace_points > 0 else [nodes.size - 1])
     history = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
-                          hessian_along_flow(trajectory, U), config.T, dt_amp)
-    nodes = len(history)
-    idx = (np.unique(np.linspace(0, nodes - 1, min(trace_points, nodes)).astype(int))
-           if trace_points > 0 else [nodes - 1])
-    # copies, so that the level does not keep the whole history alive
+                          hessian_along_flow(trajectory, U), config.T, dt_amp,
+                          store_times=nodes[idx])
+    # copies, so that the level keeps no view of the history
     states = tuple(AmplitudeState(s.beta.with_samples(s.beta.samples.copy()), s.gamma, s.t)
-                   for s in map(history.__getitem__, idx))
-    # peak fourier_second_moment from FFTs of 128 rows at a time
-    data, k2, grid = history.data, history.grid.wavenumbers ** 2, history.grid
-    maxvar_k = max(np.max(np.abs(np.fft.fft(data[i:i + 128])) ** 2 @ k2)
-                   for i in range(0, len(data), 128)) * grid.dx / grid.n
-    return PhysicalLevel(refine, dt_amp, trajectory,
-                         float(history.second_moments.max()), float(maxvar_k), states)
+                   for s in history)
+    return PhysicalLevel(refine, dt_amp, trajectory, float(history.second_moments.max()),
+                         float(history.spectral_spreads.max()), states)
 
 
 def compare_evolution(epsilon: float, config: ExperimentConfig,

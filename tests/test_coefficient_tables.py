@@ -17,6 +17,8 @@ from semihartree.corrections import evolve_corrections, separation_power_form
 from semihartree.grids import RESCALED, WaveSeries, apply_radial_rfft, radial_kernel_rfft
 from semihartree.potentials import builtin_external, builtin_pair
 
+from helpers import interp_samples
+
 
 def loop_power_form(mu, weight, dx, power):
     """The per-moment loop that `separation_power_form` replaced."""
@@ -102,7 +104,7 @@ def old_source_2(mu, dx, phi, U, traj, a1_seq):
 
     def source(t, u, a0):
         q = traj.q_at(t)
-        a1 = a1_seq.interp_samples(t)
+        a1 = interp_samples(a1_seq, t)
         dens0 = a0.real ** 2 + a0.imag ** 2
         dens1 = a1.real ** 2 + a1.imag ** 2
         cross02 = 2.0 * (a0.real * u.real + a0.imag * u.imag)
@@ -146,13 +148,13 @@ def old_drive(a0_seq, kappa, hess_fn, coupling, T, dt, *, forcing=None):
     u = np.zeros(grid.n, dtype=np.complex128)
     data = np.empty((times.size, grid.n), dtype=np.complex128)
     data[0] = u
-    v_left = quad_potential(a0_seq.interp_samples(times[0]), times[0])
+    v_left = quad_potential(interp_samples(a0_seq, times[0]), times[0])
     for j in range(times.size - 1):
         t1, h, tm = times[j + 1], steps[j], mids[j]
         kin_half = np.exp(-0.25j * h * k2)
-        a0_mid = a0_seq.interp_samples(tm)
+        a0_mid = interp_samples(a0_seq, tm)
         v_mid = quad_potential(a0_mid, tm)
-        v_right = quad_potential(a0_seq.interp_samples(t1), t1)
+        v_right = quad_potential(interp_samples(a0_seq, t1), t1)
         u = u * np.exp(-0.25j * h * v_left)
         u = np.fft.ifft(np.fft.fft(u) * kin_half)
         u = u * np.exp(-0.25j * h * v_mid)
@@ -194,7 +196,7 @@ def old_corrections(a0_seq, phi, U, traj, T, dt):
         w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
 
         def step(j, a0):
-            a1 = a1_seq.interp_samples(mids[j])
+            a1 = interp_samples(a1_seq, mids[j])
             dens0 = a0.real ** 2 + a0.imag ** 2
             dens1 = a1.real ** 2 + a1.imag ** 2
             cross01 = 2.0 * (a0.real * a1.real + a0.imag * a1.imag)

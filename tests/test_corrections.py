@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from semihartree._stepping import tabulate
+from semihartree._stepping import _resolve_store, tabulate, time_nodes
 from semihartree.amplitude import b_potential, evolve_b
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.corrections import (
@@ -14,6 +16,8 @@ from semihartree.corrections import (
 )
 from semihartree.errors import NumericalError
 from semihartree.grids import (
+    RESCALED,
+    WaveSeries,
     apply_radial_rfft,
     first_moment,
     gaussian_profile,
@@ -21,6 +25,8 @@ from semihartree.grids import (
     radial_kernel_rfft,
 )
 from semihartree.potentials import builtin_external, builtin_pair
+
+from helpers import interp_samples
 
 
 def series_norm(series, i=-1):
@@ -35,7 +41,7 @@ def rk4_lines_oracle(grid, b_fine, kappa, hess_fn, source_fn, T, dt):
     khat = radial_kernel_rfft(lambda r: r * r, grid)
 
     def rhs(t, u):
-        base = b_fine.interp_samples(t)
+        base = interp_samples(b_fine, t)
         density = base.real ** 2 + base.imag ** 2
         vq = (0.5 * kappa * apply_radial_rfft(khat, density, grid)
               + hess_fn(t) * 0.5 * mu ** 2)
@@ -190,6 +196,34 @@ class TestCorrectionGuard:
             evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 1)
         assert err.value.row == 1
 
+    @staticmethod
+    def window_case(half_width):
+        grid = make_grid(128, -half_width, half_width)
+        U = builtin_external("cubic_window", [1.0])
+        traj = integrate_flow(0.0, 0.0, U, 0.0, 0.5, 1e-3)
+        return gaussian_profile(grid), builtin_pair("zero"), U, traj
+
+    # at K=2 the two passes run in lockstep, so the correction that reaches
+    # the guard first in time fails: on [-5, 5] the first does at t=0.01; on
+    # [-6, 6] the second does at the first midpoint, before the first
+    # reaches it at t=0.21 (the case above)
+    @pytest.mark.parametrize("half_width, label", [(5.0, "first correction"),
+                                                   (6.0, "second correction")])
+    def test_second_order_names_the_earlier_row(self, half_width, label):
+        a0, phi, U, traj = self.window_case(half_width)
+        with pytest.raises(NumericalError, match=rf"^{label}: boundary mass fraction") as err:
+            evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 2)
+        assert err.value.row == 1
+
+    def test_only_the_second_correction_leaving_the_window_names_itself(self):
+        # on [-7, 7] b and the first correction stay inside the guard
+        a0, phi, U, traj = self.window_case(7.0)
+        evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 1)  # passes
+        with pytest.raises(NumericalError,
+                           match=r"^second correction: boundary mass fraction") as err:
+            evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 2)
+        assert err.value.row == 1
+
 
 class TestExpansionOrders:
     # (epsilon, error) rows and fitted slope of the default corrections-1
@@ -229,15 +263,15 @@ class TestDuhamelLinearity:
         traj = integrate_flow(0.0, 1.0, U, 1.0, 0.2, 1e-3)
         hess = hessian_along_flow(traj, U)
         mu = mu_grid.points
-        coarse, steps, nodes = _interleaved_nodes(0.2, 1e-3)
+        _, steps, nodes = _interleaved_nodes(0.2, 1e-3)
         mids = nodes[1::2]
         potential = b_potential(mu_grid, -1.0, tabulate(hess, nodes))
         no_coupling = lambda u, base: 0.0 * u
 
         def response(forcing):
-            _, data = _pass(gauss.samples, mu_grid, nodes, steps, potential,
-                            no_coupling, forcing, coarse[-1:], "response")
-            return data[-1, 1]
+            ((_, final),) = _pass(gauss.samples, mu_grid, nodes, steps, potential,
+                                  no_coupling, forcing, [nodes.size - 1], "response")
+            return final[1].copy()
 
         src_a = lambda j, base: mu ** 3 * base
         src_b = lambda j, base: np.sin(mu) * base * np.cos(mids[j])
@@ -245,6 +279,85 @@ class TestDuhamelLinearity:
         ra, rb, rab = response(src_a), response(src_b), response(src_ab)
         dev = np.max(np.abs(ra + rb - rab))
         assert dev < 1e-12
+
+
+def stored_first_pass_corrections(a0, phi, U, traj, T, dt, store_times):
+    """The orders of `evolve_corrections(K=2)` by the path it replaced: the
+    first pass stored at every dt node, then the second pass reading it at
+    each midpoint through `interp_samples`."""
+    grid = a0.grid
+    mu, dx = grid.points, grid.dx
+    half_kappa = 0.5 * phi.second_deriv_at_0
+    quartic_coeff = phi.fourth_deriv_at_0 / 24.0
+    coarse, steps, nodes = _interleaved_nodes(T, dt)
+    store_idx = _resolve_store(nodes, coarse[_resolve_store(coarse, store_times)])
+    potential = b_potential(grid, phi.second_deriv_at_0,
+                            tabulate(hessian_along_flow(traj, U), nodes))
+    mids = nodes[1::2]
+    q = traj.qs_at(mids)
+    w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
+    powers = np.vander(mu, 5, True).T.copy()
+
+    def coupling(u, b):
+        cross = 2.0 * (b.real * u.real + b.imag * u.imag)
+        return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * b
+
+    def run(forcing, visit, label):
+        return np.array([psi.copy() for _, psi in _pass(
+            a0.samples, grid, nodes, steps, potential, coupling, forcing, visit, label)])
+
+    evens = np.arange(0, nodes.size, 2)
+    data1 = run(lambda j, b: w3[j] * powers[3] * b, evens, "first correction")
+    a1_seq = WaveSeries(nodes[evens], grid, RESCALED, data1[:, 1])
+
+    def second(j, b):
+        a1 = interp_samples(a1_seq, mids[j])
+        dens0 = b.real ** 2 + b.imag ** 2
+        dens1 = a1.real ** 2 + a1.imag ** 2
+        cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
+        s = w4[j] * powers[4] * b
+        s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * b
+        s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * b
+        s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
+        return s + w3[j] * powers[3] * a1
+
+    data2 = run(second, store_idx, "second correction")
+    return nodes[store_idx], (data2[:, 0], data1[store_idx // 2, 1], data2[:, 1])
+
+
+class TestLockstep:
+    """The two correction passes run in lockstep, the second reading a
+    two-row window of the first; every order equals the stored-pass path
+    bit for bit."""
+
+    @pytest.mark.parametrize("store", ["every-node", "final-only"])
+    @pytest.mark.parametrize("dt", [1e-3, 3e-4], ids=["dividing", "short-last-step"])
+    def test_orders_equal_the_stored_first_pass(self, cosine_driven, gauss, store, dt):
+        phi, U, traj = cosine_driven
+        T = 0.1
+        store_times = None if store == "every-node" else (T,)
+        times, oracle = stored_first_pass_corrections(gauss, phi, U, traj, T, dt,
+                                                      store_times)
+        orders = evolve_corrections(gauss, phi, U, traj, T, dt, 2, store_times).orders
+        assert len(orders) == 3
+        assert times.size == (1 if store_times else time_nodes(T, dt).size)
+        for series, data in zip(orders, oracle):
+            np.testing.assert_array_equal(series.times, times)
+            np.testing.assert_array_equal(series.data, data)
+        assert np.max(np.abs(orders[2].data[-1])) > 1e-4  # the window is live
+
+    def test_second_order_keeps_no_history(self, cosine_driven, gauss):
+        # one (2, n) store of the first pass over the default level-2 run
+        # (dt 5e-4) would be 2001 x 2 x 512 x 16 B = 32.8 MB
+        phi, U, _ = cosine_driven
+        traj = integrate_flow(0.0, 1.0, U, phi.value_at_0, 1.0, 5e-4)
+        tracemalloc.start()
+        try:
+            evolve_corrections(gauss, phi, U, traj, 1.0, 5e-4, 2, store_times=(1.0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestAssembleExpansion:

@@ -164,6 +164,17 @@ def test_profile_history_is_a_lazy_read_only_sequence(gauss):
     assert np.allclose(history.second_moments, expected, rtol=1e-14, atol=0)
 
 
+def test_sparse_history_keeps_its_rows_and_every_spread(gauss):
+    full = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3)
+    sparse = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3, store_times=[0.0041])
+    assert np.array_equal(sparse.times, full.times[[4, 10]])
+    assert np.array_equal(sparse.data, full.data[[4, 10]])
+    assert np.array_equal(sparse.gammas, full.gammas[[4, 10]])
+    assert np.array_equal(sparse.second_moments, full.second_moments)
+    assert np.array_equal(sparse.spectral_spreads, full.spectral_spreads)
+    assert sparse.second_moments.size == 11
+
+
 def test_level_keeps_no_view_of_the_history():
     config = ExperimentConfig(mode="physical", T=0.05, eps_list=(0.32,))
     level = hartree.physical_level(config, refine=1, trace_points=3)

@@ -1,6 +1,7 @@
 """Physical sweeps build each refinement level once and share it."""
 
 import pickle
+import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 import semihartree.hartree as hartree
 import semihartree.sweep as sweep_module
+from semihartree.amplitude import _phase_increments, evolve_beta
+from semihartree.classical import hessian_along_flow
 from semihartree.config import ExperimentConfig
 from semihartree.grids import abs_moment, fourier_second_moment
 from semihartree.hartree import compare_evolution, physical_level
@@ -15,6 +18,13 @@ from semihartree.potentials import EXTERNAL_NAMES, builtin_external
 from semihartree.sweep import run_sweep
 
 SMALL = ExperimentConfig(mode="physical", T=0.25, eps_list=(0.32, 0.16))
+
+
+def full_history(config, level):
+    """The profile run of `level`, stored at every node."""
+    phi, U = config.pair(), config.external()
+    return evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
+                       hessian_along_flow(level.trajectory, U), config.T, level.dt_amp)
 
 
 @pytest.fixture
@@ -137,27 +147,59 @@ def test_level_keeps_only_compared_states():
                                                          abs=1e-3)
 
 
-def test_level_spreads_equal_per_node_moments(monkeypatch):
-    # maxvar_k comes from FFTs of 128 rows at a time and maxvar_x from the
-    # history's second moments; the oracle is the per-node maximum of
-    # fourier_second_moment and abs_moment(., 1) over the same history.
-    # 301 nodes: three chunks, the last one partial.
-    real, histories = hartree.evolve_beta, []
-
-    def recorded(*args):
-        histories.append(real(*args))
-        return histories[-1]
-
-    monkeypatch.setattr(hartree, "evolve_beta", recorded)
+def test_level_spreads_equal_per_node_moments():
+    # maxvar_k and maxvar_x are reduced on the fly from blocks of 128 nodes;
+    # the oracle is the per-node maximum of fourier_second_moment and
+    # abs_moment(., 1) over a full history of the same profile run.
+    # 301 nodes: three blocks, the last one partial.
     config = ExperimentConfig(mode="physical", T=0.3, eps_list=(0.32,))
     level = physical_level(config, refine=1)
-    (history,) = histories
+    history = full_history(config, level)
     assert len(history) == 301
     # tolerance: 1e-12 relative (sums of 512 terms in another order)
     assert level.maxvar_k == pytest.approx(
         max(fourier_second_moment(s.beta) for s in history), rel=1e-12, abs=0)
     assert level.maxvar_x == pytest.approx(
         max(abs_moment(s.beta, 1) for s in history), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("trace_points", [0, 7])
+def test_level_fields_equal_reductions_of_a_full_history(trace_points):
+    # the level keeps only its compared nodes and reduces the spreads on the
+    # fly; the oracle reduces a full stored history with the same block
+    # expressions, 128 rows at a time.  301 nodes: the last block is partial.
+    config = ExperimentConfig(mode="physical", T=0.3, eps_list=(0.32,))
+    level = physical_level(config, refine=1, trace_points=trace_points)
+    history = full_history(config, level)
+    data, grid, times = history.data, history.grid, history.times
+    assert data.shape[0] == 301
+    blocks = [data[i:i + 128] for i in range(0, len(data), 128)]
+    moments = np.concatenate([np.abs(b) ** 2 @ grid.points ** 2 for b in blocks]) * grid.dx
+    maxvar_k = max(np.max(np.abs(np.fft.fft(b)) ** 2 @ grid.wavenumbers ** 2)
+                   for b in blocks) * grid.dx / grid.n
+    assert level.maxvar_x == moments.max()
+    assert level.maxvar_k == maxvar_k
+    kappa = config.pair().second_deriv_at_0
+    gammas = np.concatenate(([0.0], np.cumsum(_phase_increments(kappa, moments, times))))
+    idx = (np.unique(np.linspace(0, 300, trace_points).astype(int)) if trace_points
+           else [300])
+    assert [s.t for s in level.states] == list(times[idx])
+    for state, i in zip(level.states, idx):
+        np.testing.assert_array_equal(state.beta.samples, data[i])
+        assert state.gamma == gammas[i]
+
+
+def test_level_build_keeps_no_history():
+    # the default level 2 runs 2001 profile nodes: a stored history would
+    # be 2001 x 512 x 16 B = 16.4 MB
+    tracemalloc.start()
+    try:
+        level = physical_level(ExperimentConfig(mode="physical"), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level.dt_amp == 5e-4
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", EXTERNAL_NAMES)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semihartree._stepping import GUARD_CELLS, split_step_evolve, time_nodes
+from semihartree._stepping import GUARD_CELLS, split_step_evolve, split_step_nodes, time_nodes
 from semihartree.corrections import _interleaved_nodes
 from semihartree.errors import NumericalError
 from semihartree.grids import (
@@ -239,9 +239,22 @@ class TestFusedPhases:
         assert str(got.value) == str(ref.value)
 
 
+def run_nodes(nodes):
+    """(list of (j, copy of the state) at each visit, return value) of a
+    `split_step_nodes` generator."""
+    seen = []
+    while True:
+        try:
+            j, psi = next(nodes)
+        except StopIteration as end:
+            return seen, end.value
+        seen.append((j, psi.copy()))
+
+
 class TestDeposit:
-    """A deposit acts at the midpoint of every step of an interleaved node
-    array, where the half phases are applied apart as at a store node."""
+    """A deposit is what the caller does at each visited midpoint of an
+    interleaved node array, where the half phases are applied apart as at
+    a store node."""
 
     @pytest.mark.parametrize("dt", [1e-2, 0.03], ids=["dividing", "short-last-step"])
     def test_identity_deposit_equals_storing_the_midpoints(self, dt):
@@ -249,28 +262,81 @@ class TestDeposit:
         psi0 = gaussian_profile(g, width=0.9).samples
         potential = TestBatchedEngine.self_consistent(g, 0.7)
         coarse, _, nodes = _interleaved_nodes(0.5, dt)
-        calls = []
-        _, _, data, _ = split_step_evolve(
-            psi0, g, nodes, potential, store_times=[],
-            deposit=lambda j, psi: calls.append(j) or psi)
-        assert calls == list(range(coarse.size - 1))
+        visit = list(range(1, nodes.size, 2)) + [nodes.size - 1]
+        seen, _ = run_nodes(split_step_nodes(psi0, g, nodes, potential, visit=visit))
+        assert [j for j, _ in seen] == visit
+        assert len(visit) == coarse.size
         _, stored_t, stored, _ = split_step_evolve(
             psi0, g, nodes, potential, store_times=nodes[1::2])
         assert np.array_equal(stored_t[:-1], nodes[1::2])
-        assert np.array_equal(data[-1], stored[-1])
+        assert np.array_equal(seen[-1][1], stored[-1])
 
     def test_deposit_reaches_the_stored_state(self):
         g = make_grid(128, -10.0, 10.0)
         psi0 = np.stack([gaussian_profile(g).samples, np.zeros(g.n)])
         free = lambda t, s: np.zeros(g.n)
-        coarse, _, nodes = _interleaved_nodes(0.1, 0.05)
+        _, _, nodes = _interleaved_nodes(0.1, 0.05)
+        seen = {}
+        for j, psi in split_step_nodes(psi0, g, nodes, free, visit=[1, 2, 3],
+                                       label=["b", "u"]):
+            if j % 2:
+                psi[1] = psi[1] + psi0[0]
+            seen[j] = psi.copy()
+        assert np.allclose(nodes[[1, 2, 3]], [0.025, 0.05, 0.075], rtol=0, atol=1e-15)
+        assert np.array_equal(seen[1][1], psi0[0])  # one deposit, no kinetic step yet
+        assert np.max(np.abs(seen[2][1])) > 0.5  # carried to the next node
 
-        def deposit(j, psi):
-            psi[1] = psi[1] + psi0[0]
-            return psi
 
-        _, stored_t, data, _ = split_step_evolve(
-            psi0, g, nodes, free, store_times=[0.025], label=["b", "u"],
-            deposit=deposit)
-        assert np.array_equal(stored_t, [0.025, 0.1])
-        assert np.array_equal(data[0, 1], psi0[0])  # one deposit, no kinetic step yet
+class TestNodeGenerator:
+    """`split_step_nodes` hands the caller the state at each visited node,
+    between the two half phases there; `split_step_evolve` is a storing
+    loop over it."""
+
+    @pytest.mark.parametrize("visit", [[0, 7, 20, 50], [3, 4, 5, 50]],
+                             ids=["sparse", "adjacent"])
+    @pytest.mark.parametrize("dt", [1e-2, 0.0099], ids=["dividing", "short-last-step"])
+    def test_visits_equal_stores_and_the_two_halves_loop(self, visit, dt):
+        g = make_grid(128, -10.0, 10.0)
+        psi0 = gaussian_profile(g, width=0.9).samples
+        potential = TestBatchedEngine.self_consistent(g, 0.7)
+        times = time_nodes(0.5, dt)
+        visit = [j for j in visit if j < times.size - 1] + [times.size - 1]
+        seen, drift = run_nodes(split_step_nodes(psi0, g, times, potential, visit=visit))
+        assert [j for j, _ in seen] == visit
+        _, stored_t, stored, stored_drift = split_step_evolve(
+            psi0, g, times, potential, store_times=times[visit])
+        assert np.array_equal(stored_t, times[visit])
+        assert np.array_equal(np.array([psi for _, psi in seen]), stored)
+        assert np.array_equal(drift, stored_drift)
+        # a visited node sees the state of the plain two-halves loop there
+        ref_t, ref_data, _ = strang_reference(psi0, g, 0.5, dt, potential,
+                                              store_times=times[visit])
+        assert np.array_equal(ref_t, stored_t)
+        assert np.max(np.abs(stored - ref_data)) <= 1e-12 * np.max(np.abs(ref_data))
+
+    @pytest.mark.parametrize("node", [0, 9])
+    def test_in_place_change_is_carried_forward(self, node):
+        # a fixed well keeps the equation linear, and doubling is exact in
+        # floating point, so the doubled run ends at exactly twice the other
+        g = make_grid(128, -10.0, 10.0)
+        psi0 = gaussian_profile(g, width=0.9).samples
+        well = lambda t, s: 0.5 * (1.0 + t) * g.points ** 2
+        times = time_nodes(0.3, 0.01)
+        plain, _ = run_nodes(split_step_nodes(psi0, g, times, well,
+                                              visit=[node, times.size - 1]))
+        assert plain[0][0] == node
+        if node == 0:
+            assert np.array_equal(plain[0][1], psi0)  # before the first step
+        doubled = []
+        for j, psi in split_step_nodes(psi0, g, times, well, visit=[node, times.size - 1]):
+            if j == node:
+                psi *= 2.0
+            doubled.append(psi.copy())
+        assert np.array_equal(doubled[-1], 2.0 * plain[-1][1])
+
+    def test_yields_its_own_buffer(self):
+        g = make_grid(128, -10.0, 10.0)
+        free = lambda t, s: np.zeros(g.n)
+        buffers = [psi for _, psi in split_step_nodes(
+            gaussian_profile(g).samples, g, time_nodes(0.1, 0.01), free, visit=[2, 5])]
+        assert buffers[0] is buffers[1]
