@@ -7,7 +7,6 @@ from .amplitude import (
     InitialDataReport,
     evolve_b,
     evolve_beta,
-    gamma_step,
     validate_initial_amplitude,
 )
 from .classical import ClassicalState, Trajectory, hessian_along_flow, integrate_flow

@@ -2,20 +2,22 @@
 
 One Strang step over [t, t+h] applies a half potential phase sampled at t,
 an exact spectral kinetic step, and a half potential phase sampled at t+h.
-The density |psi|^2 is taken once per step, after the kinetic step, and
-serves the potential, `potential(t, density) -> v`, the norm and the
-boundary-mass guard of that node (the phase leaves |psi| unchanged).  v
-serves the trailing half and the next step's leading half.  Between
-unvisited nodes these are fused into one phase exp(-i (h_j + h_{j+1})/2 v),
-which keeps Strang order for self-consistent potentials (Lubich, Math.
-Comp. 77, 2008); at a visited node and at the final node they are applied
-apart, and the caller sees the state between them.  A non-finite v trips
-the guard at its own node.
+The density |psi|^2 is taken once per step, after the kinetic step, into
+one engine buffer (a potential that keeps it must copy it) that serves the
+potential, `potential(t, density) -> v` with v real, the norm and the
+boundary-mass guard of that node.  v serves the trailing half and the next
+step's leading half.  Between unvisited nodes these are fused into one
+phase exp(-i (h_j + h_{j+1})/2 v), which keeps Strang order for
+self-consistent potentials (Lubich, Math. Comp. 77, 2008); at a visited
+node and at the final node they are applied apart, and the caller sees the
+state between them.  A non-finite v trips the guard at its own node.  Each
+phase is taken by cos and sin of its real argument, and the kinetic tables
+of the current and the previous step length are kept: the float steps of a
+node array take only a few distinct values.
 
 `split_step_nodes` is the engine, a generator over the visited nodes;
-`split_step_evolve` stores the visited states.  The correction orders
-step on dt nodes interleaved with their midpoints (t_0, mid_0, t_1, ...)
-and add a Duhamel deposit at each visited midpoint.
+`split_step_evolve` stores their states.  The correction orders step on dt
+nodes interleaved with their midpoints and deposit at each visited one.
 """
 
 from __future__ import annotations
@@ -64,10 +66,8 @@ def tabulate(fn: Callable, times: np.ndarray) -> Callable[[float], float]:
 def _resolve_store(times: np.ndarray, store_times: Optional[Sequence[float]]) -> np.ndarray:
     if store_times is None:
         return np.arange(times.size)
-    idx = sorted({int(np.argmin(np.abs(times - t))) for t in store_times})
-    if times.size - 1 not in idx:
-        idx.append(times.size - 1)
-    return np.asarray(idx, dtype=int)
+    idx = {int(np.argmin(np.abs(times - t))) for t in store_times} | {times.size - 1}
+    return np.asarray(sorted(idx), dtype=int)
 
 
 def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
@@ -128,43 +128,55 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
             f"{labels[row]}: boundary mass fraction {bm[row] / nrm2:.3e} at "
             f"t={t:.6g} exceeds guard {GUARD_MASS:.1e}", **where)
 
-    density = psi.real ** 2 + psi.imag ** 2
-    norm0 = np.sqrt(total(density, axis=-1) * dx)
+    density, scratch = np.empty(psi.shape), np.empty(psi.shape)  # |psi|^2, reused
+
+    def square() -> np.ndarray:  # |psi|^2 into density; returns the L^2 norms
+        np.square(psi.real, out=density)
+        np.square(psi.imag, out=scratch)
+        np.add(density, scratch, out=density)
+        return np.sqrt(total(density, axis=-1) * dx)
+
+    def phase(scale: float, v) -> np.ndarray:  # exp(1j*scale*v) into half, v real
+        np.multiply(scale, v, out=arg)
+        np.cos(arg, out=half.real)
+        np.sin(arg, out=half.imag)
+        return half
+
+    norm0 = square()
     drift = np.zeros_like(norm0)
     check(0.0, density, norm0, 0.0)
     if 0 in visit:
         yield 0, psi
-        density = psi.real ** 2 + psi.imag ** 2  # psi may have changed
+        square()  # psi may have changed
     last = times.size - 1
-    steps = np.append(np.diff(times), 0.0)  # a zero step after the final node
+    steps = memoryview(np.append(np.diff(times), 0.0))  # read as Python floats; 0 at the end
     v = potential(times[0], density)
-    half = np.empty(np.shape(v), dtype=np.complex128)  # the phase takes v's shape
-    np.multiply(-0.5j * steps[0], v, out=half)
-    psi *= np.exp(half, out=half)
+    # the phase and its real argument take v's shape
+    arg, half = np.empty(np.shape(v)), np.empty(np.shape(v), dtype=np.complex128)
+    psi *= phase(-0.5 * steps[0], v)
+    tables = {}  # kinetic tables of the current and the previous step length
     for j in range(last):
         h, h_next = steps[j], steps[j + 1]
-        if j == 0 or h != steps[j - 1]:
+        kin = tables.get(h)
+        if kin is None:
             kin = np.exp(-0.5j * h * kinetic_scale * k2)
+            tables = {steps[j - 1]: tables[steps[j - 1]], h: kin} if j else {h: kin}
         np.fft.fft(psi, out=hat)
         hat *= kin
         np.fft.ifft(hat, out=psi)
-        density = psi.real ** 2 + psi.imag ** 2
-        nrm = np.sqrt(total(density, axis=-1) * dx)
+        nrm = square()
         v = potential(times[j + 1], density)
         visited = j + 1 in visit
         apart = visited or j + 1 == last
         # a visited node and the final node take the trailing half alone,
         # any other node the trailing half fused with the next leading half
-        np.multiply(-0.5j * (h if apart else h + h_next), v, out=half)
-        np.exp(half, out=half)
-        psi *= half
-
+        psi *= phase(-0.5 * (h if apart else h + h_next), v)
         check(times[j + 1], density, nrm, v)
         drift = np.maximum(drift, np.abs(nrm - norm0))
         if visited:
             yield j + 1, psi
         if apart and h_next:
-            psi *= half if h_next == h else np.exp(-0.5j * h_next * v)
+            psi *= half if h_next == h else phase(-0.5 * h_next, v)
     return drift
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "validate_initial_amplitude",
     "ProfileHistory",
     "evolve_beta",
-    "gamma_step",
     "b_potential",
     "evolve_b",
 ]
@@ -84,19 +83,6 @@ def validate_initial_amplitude(a0: WaveFunction) -> InitialDataReport:
     return InitialDataReport(defect, fm, km, moments, tol, passed)
 
 
-def _phase_increments(kappa: float, moments: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The nonlinear phase gained over each step between `times`: trapezoid
-    quadrature of -(kappa/2) * (second moment) on the step's two nodes."""
-    return -0.5 * kappa * 0.5 * (moments[:-1] + moments[1:]) * np.diff(times)
-
-
-def gamma_step(beta_prev: WaveFunction, beta_next: WaveFunction, kappa: float,
-               dt: float, previous: float) -> float:
-    """Advance the nonlinear phase across one step of length dt."""
-    moments = np.array([abs_moment(beta_prev, 1), abs_moment(beta_next, 1)])
-    return previous + float(_phase_increments(kappa, moments, np.array([0.0, dt]))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class ProfileHistory(Sequence):
     """Profile states at the stored nodes of one run, read from one
@@ -126,7 +112,7 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
                 store_times: Optional[Sequence[float]] = None) -> ProfileHistory:
     """Propagate the profile under the quadratic potential
     (kappa + hessU(t)) x^2 / 2 with Strang splitting, and the nonlinear
-    phase by the quadrature of `gamma_step` on the same nodes.
+    phase gamma by the trapezoid rule on its rate -(kappa/2) * (second moment).
 
     Returns the states at the nodes nearest `store_times` (every node by
     default; the final node always) and the spreads at every node, reduced
@@ -161,7 +147,8 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
             spreads.append(np.abs(np.fft.fft(rows)) ** 2 @ k2)
     data.flags.writeable = False
     moments = np.concatenate(moments) * grid.dx
-    gammas = np.concatenate(([0.0], np.cumsum(_phase_increments(kappa, moments, nodes))))
+    increments = -0.5 * kappa * 0.5 * (moments[:-1] + moments[1:]) * np.diff(nodes)
+    gammas = np.concatenate(([0.0], np.cumsum(increments)))
     return ProfileHistory(grid, nodes[store_idx], data, gammas[store_idx], moments,
                           np.concatenate(spreads) * grid.dx / grid.n)
 

@@ -36,6 +36,7 @@ EXIT_NUMERICAL = 3
 JOBS_HELP = ("physical mode: run the comparisons of each level in one pool of "
              "up to N processes, at most one per eps and CPU (default 1); "
              "packet-frame modes evaluate all eps as one array and ignore it")
+PLOT_HELP = "also write a gnuplot script (requires --out)"
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -65,6 +66,8 @@ def _progress(args):
 
 
 def _cmd_sweep(args) -> int:
+    if args.plot_script and not args.out:
+        raise ConfigError("--plot-script requires --out")
     cfg = _load_config(args)
     try:
         report = run_sweep(cfg, jobs=args.jobs, progress=_progress(args))
@@ -159,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with rate fit")
     common(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p_sweep.add_argument("--plot-script", dest="plot_script",
-                         help="also write a gnuplot script (requires --out)")
+    p_sweep.add_argument("--plot-script", dest="plot_script", help=PLOT_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare",
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--K", type=int, choices=(1, 2), default=1,
                        help="expansion order (default 1)")
     p_cor.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p_cor.add_argument("--plot-script", dest="plot_script")
+    p_cor.add_argument("--plot-script", dest="plot_script", help=PLOT_HELP)
     p_cor.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="initial-profile assumption report")

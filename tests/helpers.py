@@ -3,6 +3,10 @@ itself does not call."""
 
 import numpy as np
 
+from semihartree._stepping import GUARD_CELLS, GUARD_MASS
+from semihartree.errors import NumericalError
+from semihartree.grids import abs_moment, boundary_mass
+
 
 def interp_samples(series, t: float) -> np.ndarray:
     """Samples of a `WaveSeries` at time t: the stored row at a node (or
@@ -21,3 +25,92 @@ def interp_samples(series, t: float) -> np.ndarray:
         return data[j]
     w = (t - left) / (right - left)
     return (1.0 - w) * data[j - 1] + w * data[j]
+
+
+def phase_increments(kappa: float, moments: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The nonlinear phase gained over each step between `times`: trapezoid
+    quadrature of -(kappa/2) * (second moment) on the step's two nodes."""
+    return -0.5 * kappa * 0.5 * (moments[:-1] + moments[1:]) * np.diff(times)
+
+
+def gamma_step(beta_prev, beta_next, kappa: float, dt: float, previous: float) -> float:
+    """Advance the nonlinear phase across one step of length dt."""
+    moments = np.array([abs_moment(beta_prev, 1), abs_moment(beta_next, 1)])
+    return previous + float(phase_increments(kappa, moments, np.array([0.0, dt]))[0])
+
+
+def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
+                         visit=(), label="evolution"):
+    """The oracle of `_stepping.split_step_nodes`: its step loop as it was
+    before the engine kept a kinetic table per step length and took the
+    half phases by cos/sin.  It rebuilds the kinetic table whenever the
+    step length changes, takes every half phase by a complex `exp` and
+    squares the density into new arrays; the same signature, yields and
+    return value."""
+    visit = {int(j) for j in visit}
+    psi = np.array(samples0, dtype=np.complex128)
+    batched = psi.ndim == 2
+    labels = [label] if isinstance(label, str) else list(label)
+    if batched and len(labels) != psi.shape[0]:
+        raise ValueError("a batch needs one label per row")
+    dx = grid.dx
+    k2 = grid.wavenumbers ** 2
+    total = np.add.reduce
+    hat = np.empty_like(psi)
+
+    def check(t, density, nrm, v):
+        bm = boundary_mass(density, grid, GUARD_CELLS, is_density=True)
+        if (total(bm, axis=None) <= GUARD_MASS
+                and np.isfinite(total(nrm, axis=None) + total(v, axis=None))):
+            return
+        finite = np.atleast_1d(np.isfinite(psi).all(axis=-1))
+        bm = np.atleast_1d(bm)
+        bad = ~finite | (bm > GUARD_MASS)
+        if not bad.any():
+            return
+        row = int(np.argmax(bad))
+        where = dict(row=row) if batched else {}
+        if not finite[row]:
+            raise NumericalError(
+                f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
+        nrm2 = total(density[row] if batched else density, axis=None) * dx
+        raise NumericalError(
+            f"{labels[row]}: boundary mass fraction {bm[row] / nrm2:.3e} at "
+            f"t={t:.6g} exceeds guard {GUARD_MASS:.1e}", **where)
+
+    density = psi.real ** 2 + psi.imag ** 2
+    norm0 = np.sqrt(total(density, axis=-1) * dx)
+    drift = np.zeros_like(norm0)
+    check(0.0, density, norm0, 0.0)
+    if 0 in visit:
+        yield 0, psi
+        density = psi.real ** 2 + psi.imag ** 2
+    last = times.size - 1
+    steps = np.append(np.diff(times), 0.0)
+    v = potential(times[0], density)
+    half = np.empty(np.shape(v), dtype=np.complex128)
+    np.multiply(-0.5j * steps[0], v, out=half)
+    psi *= np.exp(half, out=half)
+    for j in range(last):
+        h, h_next = steps[j], steps[j + 1]
+        if j == 0 or h != steps[j - 1]:
+            kin = np.exp(-0.5j * h * kinetic_scale * k2)
+        np.fft.fft(psi, out=hat)
+        hat *= kin
+        np.fft.ifft(hat, out=psi)
+        density = psi.real ** 2 + psi.imag ** 2
+        nrm = np.sqrt(total(density, axis=-1) * dx)
+        v = potential(times[j + 1], density)
+        visited = j + 1 in visit
+        apart = visited or j + 1 == last
+        np.multiply(-0.5j * (h if apart else h + h_next), v, out=half)
+        np.exp(half, out=half)
+        psi *= half
+
+        check(times[j + 1], density, nrm, v)
+        drift = np.maximum(drift, np.abs(nrm - norm0))
+        if visited:
+            yield j + 1, psi
+        if apart and h_next:
+            psi *= half if h_next == h else np.exp(-0.5j * h_next * v)
+    return drift

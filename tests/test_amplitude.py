@@ -5,7 +5,6 @@ from scipy.integrate import solve_ivp
 from semihartree.amplitude import (
     evolve_b,
     evolve_beta,
-    gamma_step,
     validate_initial_amplitude,
 )
 from semihartree.errors import NumericalError
@@ -18,6 +17,8 @@ from semihartree.grids import (
     l2_norm,
     make_grid,
 )
+
+from helpers import gamma_step
 
 ZERO_HESS = lambda t: 0.0
 

@@ -9,13 +9,15 @@ import pytest
 
 import semihartree.hartree as hartree
 import semihartree.sweep as sweep_module
-from semihartree.amplitude import _phase_increments, evolve_beta
+from semihartree.amplitude import evolve_beta
 from semihartree.classical import hessian_along_flow
 from semihartree.config import ExperimentConfig
 from semihartree.grids import abs_moment, fourier_second_moment
 from semihartree.hartree import compare_evolution, physical_level
 from semihartree.potentials import EXTERNAL_NAMES, builtin_external
 from semihartree.sweep import run_sweep
+
+from helpers import phase_increments
 
 SMALL = ExperimentConfig(mode="physical", T=0.25, eps_list=(0.32, 0.16))
 
@@ -180,7 +182,7 @@ def test_level_fields_equal_reductions_of_a_full_history(trace_points):
     assert level.maxvar_x == moments.max()
     assert level.maxvar_k == maxvar_k
     kappa = config.pair().second_deriv_at_0
-    gammas = np.concatenate(([0.0], np.cumsum(_phase_increments(kappa, moments, times))))
+    gammas = np.concatenate(([0.0], np.cumsum(phase_increments(kappa, moments, times))))
     idx = (np.unique(np.linspace(0, 300, trace_points).astype(int)) if trace_points
            else [300])
     assert [s.t for s in level.states] == list(times[idx])

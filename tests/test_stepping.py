@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import semihartree._stepping as stepping
 from semihartree._stepping import GUARD_CELLS, split_step_evolve, split_step_nodes, time_nodes
+from semihartree.classical import integrate_flow
+from semihartree.config import ExperimentConfig
 from semihartree.corrections import _interleaved_nodes
 from semihartree.errors import NumericalError
 from semihartree.grids import (
@@ -11,6 +14,9 @@ from semihartree.grids import (
     make_grid,
     radial_kernel_rfft,
 )
+from semihartree.hartree import build_coherent_state, hartree_evolve, size_physical_grid
+
+from helpers import exp_split_step_nodes
 
 
 class TestTimeNodes:
@@ -340,3 +346,110 @@ class TestNodeGenerator:
         buffers = [psi for _, psi in split_step_nodes(
             gaussian_profile(g).samples, g, time_nodes(0.1, 0.01), free, visit=[2, 5])]
         assert buffers[0] is buffers[1]
+
+
+def run_with_change(engine, samples, grid, times, potential, kinetic_scale, visit,
+                    label, change_at):
+    """(list of (j, copy of the state) at each visit, return value) of one
+    engine run that scales the state by 1.5 in place at node `change_at`."""
+    seen = []
+    nodes = engine(samples, grid, times, potential, kinetic_scale, visit, label)
+    while True:
+        try:
+            j, psi = next(nodes)
+        except StopIteration as end:
+            return seen, end.value
+        if j == change_at:
+            psi *= 1.5
+        seen.append((j, psi.copy()))
+
+
+class TestEngineEquivalence:
+    """The engine keeps a kinetic table per step length, takes each half
+    phase by cos/sin and squares the density into its own buffers; every
+    state it hands out, and its norm drift, equal bit for bit those of the
+    loop that rebuilt the table on each change of step length and took the
+    phase by a complex exp (`helpers.exp_split_step_nodes`)."""
+
+    @pytest.mark.parametrize("kinetic_scale", [1.0, 0.37], ids=["unit", "scaled"])
+    @pytest.mark.parametrize("change_at", [0, 3], ids=["change-node-0", "change-node-3"])
+    @pytest.mark.parametrize("nodes", ["time-nodes", "interleaved"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_visits_and_drift_equal_the_exp_loop(self, batch, nodes, change_at,
+                                                  kinetic_scale):
+        g, samples, c = TestFusedPhases.setup(batch)
+        # dt 0.03 does not divide T = 0.5: both node arrays end on a short step
+        times = time_nodes(0.5, 0.03) if nodes == "time-nodes" else _interleaved_nodes(0.5, 0.03)[2]
+        assert times[-1] - times[-2] < 0.9 * (times[1] - times[0])
+        last = times.size - 1
+        # the node before the short last step takes its trailing half apart
+        visit = [0, 3, 7, last - 1, last]
+        labels = ["a", "b", "c"] if batch else "evolution"
+        potential = TestBatchedEngine.self_consistent(g, c)
+        got, drift = run_with_change(split_step_nodes, samples, g, times, potential,
+                                     kinetic_scale, visit, labels, change_at)
+        ref, ref_drift = run_with_change(exp_split_step_nodes, samples, g, times,
+                                         potential, kinetic_scale, visit, labels, change_at)
+        assert [j for j, _ in got] == [j for j, _ in ref] == visit
+        for (_, psi), (_, ref_psi) in zip(got, ref):
+            np.testing.assert_array_equal(psi, ref_psi)
+        np.testing.assert_array_equal(drift, ref_drift)
+        assert np.shape(drift) == ((3,) if batch else ())
+
+    def test_reference_solver_equals_the_exp_loop(self, gauss, monkeypatch):
+        # the self-consistent cosine mean field of the default config at
+        # eps 0.02 over 1,000 steps, whose float step lengths vary
+        eps, T, dt = 0.02, 0.1, 1e-4
+        config = ExperimentConfig()
+        U = config.external()
+        traj = integrate_flow(0.0, 1.0, U, 0.0, T, 1e-3)
+        grid = size_physical_grid(traj, eps, 1.0, 0.5)
+        psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
+        store = [0.0, 0.0371, 0.05, T]
+
+        def run():
+            return hartree_evolve(psi0, eps, config.pair(), U, T, dt, store_times=store)
+
+        got = run()
+        monkeypatch.setattr(stepping, "split_step_nodes", exp_split_step_nodes)
+        ref = run()
+        steps = np.diff(time_nodes(T, dt))
+        assert steps.size == 1000 and np.unique(steps).size > 2
+        np.testing.assert_array_equal(got.psi.times, ref.psi.times)
+        np.testing.assert_array_equal(got.psi.data, ref.psi.data)
+        assert got.norm_drift == ref.norm_drift
+
+
+class TestKineticTables:
+    """The engine builds a kinetic table only for a step length that is
+    neither the current nor the previous one; np.exp builds nothing else."""
+
+    @pytest.mark.parametrize("substeps", [2, 3, 4, 5])
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_physical_steps_build_at_most_16_tables(self, monkeypatch, refine, substeps):
+        # the physical reference steps of the default sweep: the profile
+        # step 1e-3/refine split into `substeps`, over T = 1
+        self.assert_tables(monkeypatch, time_nodes(1.0, 1e-3 / (refine * substeps)), 16)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_correction_nodes_build_at_most_16_tables(self, monkeypatch, refine):
+        self.assert_tables(monkeypatch, _interleaved_nodes(1.0, 1e-3 / refine)[2], 16)
+
+    @staticmethod
+    def assert_tables(monkeypatch, times, bound):
+        g = make_grid(64, -20.0, 20.0)
+        psi0 = gaussian_profile(g).samples
+        zero = np.zeros(g.n)
+        assert np.unique(np.diff(times)).size > 2  # the float steps vary
+        calls = []
+        exp = np.exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        for _ in split_step_nodes(psi0, g, times, lambda t, density: zero):
+            pass
+        monkeypatch.undo()
+        assert 1 <= len(calls) <= bound

@@ -202,6 +202,20 @@ class TestCli:
         assert code == 0
         assert "logscale" in gp.read_text()
 
+    @pytest.mark.parametrize("command", [["sweep"], ["corrections", "--K", "2"]],
+                             ids=["sweep", "corrections"])
+    def test_plot_script_without_out_is_a_config_error(self, tmp_path, monkeypatch,
+                                                        capsys, command):
+        # refused before anything runs: no sweep, no level, no file
+        monkeypatch.chdir(tmp_path)
+        sweeps = []
+        monkeypatch.setattr("semihartree.cli.run_sweep", lambda *a, **k: sweeps.append(a))
+        assert main(command + ["--plot-script", "x.gp", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --plot-script requires --out\n"
+        assert sweeps == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_eps_override(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "report.csv"
