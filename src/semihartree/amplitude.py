@@ -3,10 +3,11 @@
 Two equivalent descriptions are provided.  `evolve_beta` propagates the
 profile under the quadratic mean-field coefficient kappa = phi''(0) plus
 the Hessian of the external potential along the classical path, and
-accumulates the nonlinear phase gamma alongside.  `evolve_b` integrates
-the phase-absorbed profile directly, recomputing its self-consistent
-quadratic term from the evolved density each step; the two solutions
-agree up to the splitting order, which the cross-check tests exploit.
+accumulates the nonlinear phase gamma alongside.  `b_potential` is the
+potential of the phase-absorbed profile, which recomputes its
+self-consistent quadratic term from the evolved density each step; the
+two solutions agree up to the splitting order, which `lemma-check`
+measures.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._stepping import (_resolve_store, split_step_evolve, split_step_nodes, tabulate,
-                        time_nodes)
+from ._stepping import _resolve_store, split_step_nodes, tabulate, time_nodes
 from .config import DEFAULT_MU_DT
 from .grids import (
     RESCALED,
     Grid,
     WaveFunction,
-    WaveSeries,
     abs_moment,
     apply_radial_rfft,
     first_moment,
@@ -40,7 +39,6 @@ __all__ = [
     "ProfileHistory",
     "evolve_beta",
     "b_potential",
-    "evolve_b",
 ]
 
 HessFn = Callable[[np.ndarray], np.ndarray]  # node times -> U'' along the path
@@ -167,16 +165,3 @@ def b_potential(grid: Grid, kappa: float, hess_at: Callable[[float], float]):
 
     return potential
 
-
-def evolve_b(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-             T: float, dt: float = DEFAULT_MU_DT) -> WaveSeries:
-    """Integrate the phase-absorbed profile equation directly under
-    `b_potential`, stored at every node."""
-    if a0.frame != RESCALED:
-        raise ValueError("profile evolution runs in the rescaled frame")
-    grid = a0.grid
-    nodes = time_nodes(T, dt)
-    potential = b_potential(grid, kappa, tabulate(hessU_along_flow, nodes))
-    times, _, data, _drift = split_step_evolve(a0.samples, grid, nodes, potential,
-                                               label=B_LABEL)
-    return WaveSeries(times, grid, RESCALED, data)

@@ -28,14 +28,12 @@ __all__ = [
     "abs_moment",
     "first_moment",
     "fourier_first_moment",
-    "fourier_second_moment",
     "spectral_samples",
     "evaluate_trig_interpolant",
     "boundary_mass",
     "radial_distances",
     "radial_kernel_rfft",
     "apply_radial_rfft",
-    "radial_convolve",
     "mean_field",
 ]
 
@@ -201,13 +199,6 @@ def fourier_first_moment(psi: WaveFunction) -> float:
     return float(np.sum(psi.grid.wavenumbers * (np.abs(hat) ** 2)) * dk)
 
 
-def fourier_second_moment(psi: WaveFunction) -> float:
-    """Integral of k^2 |psihat(k)|^2 dk (spectral spread, used for grid sizing)."""
-    hat = spectral_samples(psi)
-    dk = 2.0 * np.pi / psi.grid.length
-    return float(np.sum(psi.grid.wavenumbers ** 2 * (np.abs(hat) ** 2)) * dk)
-
-
 def evaluate_trig_interpolant(psi: WaveFunction, points: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited (trigonometric) interpolant of psi at
     arbitrary points; points outside the domain see the periodic extension."""
@@ -270,15 +261,6 @@ def radial_kernel_rfft(kernel: Callable[[np.ndarray], np.ndarray], grid: Grid) -
 def apply_radial_rfft(kernel_hat: np.ndarray, density: np.ndarray, grid: Grid) -> np.ndarray:
     """Circular convolution (kernel * density) * dx given the kernel's rfft."""
     return np.fft.irfft(np.fft.rfft(density) * kernel_hat, grid.n) * grid.dx
-
-
-def radial_convolve(kernel: Callable[[np.ndarray], np.ndarray],
-                    density: np.ndarray, grid: Grid) -> np.ndarray:
-    """out_j = sum_l kernel(|x_j - y_l|_periodic) density_l dx."""
-    density = np.asarray(density, dtype=np.float64)
-    if density.shape != (grid.n,):
-        raise ValueError("density length must match the grid")
-    return apply_radial_rfft(radial_kernel_rfft(kernel, grid), density, grid)
 
 
 def mean_field(kernel: Callable, grid: Grid, separable: Optional[Callable] = None):

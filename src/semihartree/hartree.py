@@ -34,7 +34,6 @@ from .grids import (
 from .potentials import ExternalPotential, PairPotential
 
 __all__ = [
-    "HartreeRun",
     "ComparisonResult",
     "PhysicalLevel",
     "physical_level",
@@ -43,22 +42,7 @@ __all__ = [
     "hartree_evolve",
     "assemble_approximation",
     "compare_evolution",
-    "theorem_error",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class HartreeRun:
-    """Reference-solver snapshots for one epsilon."""
-
-    psi: WaveSeries
-    epsilon: float
-    grid: Grid
-    norm_drift: float
-
-    @property
-    def final(self) -> WaveFunction:
-        return self.psi.final
 
 
 def _required_dx(epsilon: float, p: float) -> float:
@@ -122,10 +106,12 @@ def build_coherent_state(a0: WaveFunction, q: float, p: float, epsilon: float,
 
 def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
                    U: ExternalPotential, T: float, dt: float, *,
-                   store_times: Optional[Sequence[float]] = None) -> HartreeRun:
+                   store_times: Optional[Sequence[float]] = None) -> tuple[WaveSeries, float]:
     """Strang-split integration of the mean-field dynamics, with the
     self-consistent potential rebuilt from |psi|^2 every step by
     `grids.mean_field` (two density moments for the cosine pair).
+    Returns the states at the nodes nearest `store_times` (every node by
+    default; the final node always) and the norm drift over every step.
 
     U must be time independent, as every built-in is: U(x) is sampled
     once per run, at t = 0.  The potential phase max|w|*dt is still
@@ -159,8 +145,7 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
         psi0.samples, grid, time_nodes(T, dt), potential, kinetic_scale=epsilon,
         store_times=store_times, label=f"hartree reference (eps={epsilon:g})",
     )
-    series = WaveSeries(stored_t, grid, physical_frame(epsilon), data)
-    return HartreeRun(series, float(epsilon), grid, float(drift))
+    return WaveSeries(stored_t, grid, physical_frame(epsilon), data), float(drift)
 
 
 def assemble_approximation(amp: AmplitudeState, cls: ClassicalState,
@@ -219,11 +204,8 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
     history = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
                           hessian_along_flow(trajectory, U), config.T, dt_amp,
                           store_times=nodes[idx])
-    # copies, so that the level keeps no view of the history
-    states = tuple(AmplitudeState(s.beta.with_samples(s.beta.samples.copy()), s.gamma, s.t)
-                   for s in history)
     return PhysicalLevel(refine, dt_amp, trajectory, float(history.second_moments.max()),
-                         float(history.spectral_spreads.max()), states)
+                         float(history.spectral_spreads.max()), tuple(history))
 
 
 def compare_evolution(epsilon: float, config: ExperimentConfig,
@@ -240,11 +222,11 @@ def compare_evolution(epsilon: float, config: ExperimentConfig,
     psi0 = build_coherent_state(config.initial_profile(), config.q0, config.p0,
                                 epsilon, grid)
     trace_times = [amp.t for amp in level.states]
-    run = hartree_evolve(psi0, epsilon, config.pair(), config.external(), config.T,
-                         dt_phys, store_times=trace_times)
+    psi, drift = hartree_evolve(psi0, epsilon, config.pair(), config.external(), config.T,
+                                dt_phys, store_times=trace_times)
 
     errors = np.asarray([
-        l2_distance(run.psi.at_time(amp.t, tol=1e-6),
+        l2_distance(psi.at_time(amp.t, tol=1e-6),
                     assemble_approximation(amp, level.trajectory.state_at(amp.t),
                                            epsilon, grid))
         for amp in level.states])
@@ -255,11 +237,6 @@ def compare_evolution(epsilon: float, config: ExperimentConfig,
         final_error=float(errors[-1]),
         grid_n=grid.n,
         dt_used=dt_phys,
-        norm_drift=run.norm_drift,
+        norm_drift=drift,
     )
 
-
-def theorem_error(epsilon: float, config: ExperimentConfig, *, refine: int = 1) -> float:
-    """L^2 distance at the final time between the reference solution and
-    the assembled coherent-state approximation."""
-    return compare_evolution(epsilon, config, physical_level(config, refine)).final_error

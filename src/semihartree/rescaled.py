@@ -10,8 +10,7 @@ measure the approximation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -22,25 +21,13 @@ from .grids import (
     RESCALED,
     Grid,
     WaveFunction,
-    WaveSeries,
     apply_radial_rfft,
     l2_distance,
     radial_kernel_rfft,
 )
 from .potentials import ExternalPotential, PairPotential
 
-__all__ = ["RescaledRun", "evolve_rescaled", "evolve_rescaled_finals",
-           "residual_norm"]
-
-
-@dataclass(frozen=True, eq=False)
-class RescaledRun:
-    """Packet-frame amplitude history for one epsilon."""
-
-    a: WaveSeries
-    epsilon: float
-    trajectory: Trajectory
-    norm_drift: float
+__all__ = ["evolve_rescaled_finals", "residual_norm"]
 
 
 def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential,
@@ -73,11 +60,14 @@ def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential
     return potential
 
 
-def _evolve_batch(a0: WaveFunction, epsilons: Sequence[float], phi: PairPotential,
-                  U: ExternalPotential, trajectory: Trajectory, T: float, dt: float,
-                  store_times: Optional[Sequence[float]]):
-    """Strang-split integration of the packet-frame amplitude equation for
-    every epsilon at once, one row each, all starting from `a0`."""
+def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
+                           phi: PairPotential, U: ExternalPotential,
+                           trajectory: Trajectory, T: float,
+                           dt: float = DEFAULT_MU_DT) -> List[WaveFunction]:
+    """Final packet-frame amplitude (see `_packet_frame_potential`) for each
+    epsilon, Strang-split from `a0` as one (len(epsilons), n) batch that
+    keeps only the final node.  A guard failure raises NumericalError
+    naming the lowest failing row's epsilon, with its index as `row`."""
     epsilons = np.asarray(epsilons, dtype=np.float64)
     if np.any(epsilons <= 0):
         raise ValueError("epsilon must be positive")
@@ -89,35 +79,11 @@ def _evolve_batch(a0: WaveFunction, epsilons: Sequence[float], phi: PairPotentia
     grid = a0.grid
     nodes = time_nodes(T, dt)
     potential = _packet_frame_potential(grid, epsilons, phi, U, trajectory, nodes)
-    return split_step_evolve(
+    _, _, data, _ = split_step_evolve(
         np.broadcast_to(a0.samples, (epsilons.size, grid.n)), grid, nodes, potential,
-        store_times=store_times, label=[f"rescaled amplitude (eps={e:g})" for e in epsilons],
+        store_times=(T,), label=[f"rescaled amplitude (eps={e:g})" for e in epsilons],
     )
-
-
-def evolve_rescaled(a0: WaveFunction, epsilon: float, phi: PairPotential,
-                    U: ExternalPotential, trajectory: Trajectory,
-                    T: float, dt: float = DEFAULT_MU_DT) -> RescaledRun:
-    """Packet-frame amplitude history for one epsilon, stored at every
-    node; see `_packet_frame_potential` for the equation."""
-    times, _, data, drift = _evolve_batch(a0, [epsilon], phi, U, trajectory, T, dt, None)
-    return RescaledRun(WaveSeries(times, a0.grid, RESCALED, data[:, 0]),
-                       float(epsilon), trajectory, float(drift[0]))
-
-
-def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
-                           phi: PairPotential, U: ExternalPotential,
-                           trajectory: Trajectory, T: float,
-                           dt: float = DEFAULT_MU_DT) -> List[WaveFunction]:
-    """Final packet-frame amplitude for each epsilon, evolved together as
-    one (len(epsilons), n) batch that keeps only the final node.
-
-    Each row equals the final node of `evolve_rescaled` at its epsilon.  A
-    guard failure raises NumericalError naming the lowest failing row's
-    epsilon, with that row's index in `epsilons` as its `row`.
-    """
-    _, _, data, _ = _evolve_batch(a0, epsilons, phi, U, trajectory, T, dt, (T,))
-    return [WaveFunction(a0.grid, row, RESCALED) for row in data[-1]]
+    return [WaveFunction(grid, row, RESCALED) for row in data[-1]]
 
 
 def residual_norm(b: WaveFunction, a: WaveFunction) -> float:

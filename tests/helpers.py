@@ -3,9 +3,39 @@ itself does not call."""
 
 import numpy as np
 
-from semihartree._stepping import GUARD_CELLS, GUARD_MASS
+from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, split_step_evolve, tabulate,
+                                   time_nodes)
+from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.errors import NumericalError
-from semihartree.grids import abs_moment, boundary_mass
+from semihartree.grids import RESCALED, WaveSeries, abs_moment, boundary_mass, spectral_samples
+from semihartree.rescaled import _packet_frame_potential
+
+
+def evolve_b(a0, kappa, hessU_along_flow, T, dt):
+    """The phase-absorbed profile under `amplitude.b_potential`, stored at
+    every node: a `WaveSeries`."""
+    nodes = time_nodes(T, dt)
+    potential = b_potential(a0.grid, kappa, tabulate(hessU_along_flow, nodes))
+    times, _, data, _ = split_step_evolve(a0.samples, a0.grid, nodes, potential, label=B_LABEL)
+    return WaveSeries(times, a0.grid, RESCALED, data)
+
+
+def packet_frame_history(a0, epsilon, phi, U, trajectory, T, dt):
+    """(history, norm drift) of the packet-frame amplitude for one epsilon,
+    stored at every node: the run `rescaled.evolve_rescaled_finals` makes
+    for each row of its batch."""
+    nodes = time_nodes(T, dt)
+    potential = _packet_frame_potential(a0.grid, np.array([epsilon]), phi, U, trajectory,
+                                        nodes)
+    times, _, data, drift = split_step_evolve(a0.samples[None], a0.grid, nodes, potential,
+                                              label=[f"eps={epsilon:g}"])
+    return WaveSeries(times, a0.grid, RESCALED, data[:, 0]), float(drift[0])
+
+
+def fourier_second_moment(psi) -> float:
+    """Integral of k^2 |psihat(k)|^2 dk (the spectral spread)."""
+    dk = 2.0 * np.pi / psi.grid.length
+    return float(np.sum(psi.grid.wavenumbers ** 2 * np.abs(spectral_samples(psi)) ** 2) * dk)
 
 
 def interp_samples(series, t: float) -> np.ndarray:

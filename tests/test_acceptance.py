@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from semihartree.amplitude import evolve_b, evolve_beta
+from semihartree.amplitude import evolve_beta
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.corrections import evolve_corrections, separation_power_form
@@ -19,15 +19,14 @@ from semihartree.grids import (
     gaussian_profile,
     l2_norm,
     make_grid,
-    radial_convolve,
 )
-from semihartree.hartree import compare_evolution, physical_level, theorem_error
+from semihartree.hartree import compare_evolution, physical_level
 from semihartree.potentials import builtin_external, builtin_pair
-from semihartree.rescaled import evolve_rescaled
 from semihartree.sweep import lemma_check, render_report, run_sweep
 
+from helpers import evolve_b, packet_frame_history
 from test_corrections import rk4_lines_oracle
-from test_grids import direct_radial_sum
+from test_grids import direct_radial_sum, fft_convolve
 
 ZERO_HESS = lambda t: 0.0
 
@@ -52,7 +51,9 @@ def test_criterion_1_exactness_under_quadratic_data():
                            U_name="harmonic", U_params=(1.0,),
                            q0=0.0, p0=1.0, T=1.0, eps_list=(0.32, 0.08, 0.02))
     with Stopwatch() as sw:
-        errors = {eps: theorem_error(eps, cfg) for eps in (0.02, 0.08, 0.32)}
+        level = physical_level(cfg)
+        errors = {eps: compare_evolution(eps, cfg, level).final_error
+                  for eps in (0.02, 0.08, 0.32)}
     vals = list(errors.values())
     ratio = max(vals) / min(vals)
     ok = all(v <= 1e-5 for v in vals) and ratio <= 3.0 and sw.elapsed <= budget
@@ -160,12 +161,12 @@ def test_criterion_6_norm_conservation(mu_grid, gauss):
         drift_beta = max(abs(l2_norm(s.beta) - 1.0) for s in beta_states[::25])
         b = evolve_b(gauss, -1.0, hess, 1.0, 1e-3)
         drift_b = max(abs(l2_norm(b[i]) - 1.0) for i in range(0, len(b), 25))
-        rescaled = evolve_rescaled(gauss, 0.08, phi, U, traj, 1.0, 1e-3)
+        _, drift_a = packet_frame_history(gauss, 0.08, phi, U, traj, 1.0, 1e-3)
         physical = compare_evolution(0.08, ExperimentConfig(), physical_level(ExperimentConfig()))
     drifts = {
         "profile": drift_beta,
         "phase-absorbed": drift_b,
-        "packet-frame": rescaled.norm_drift,
+        "packet-frame": drift_a,
         "reference": physical.norm_drift,
     }
     ok = all(d <= 1e-9 for d in drifts.values())
@@ -251,7 +252,7 @@ def test_criterion_8_oracle_equivalence():
         rng = np.random.default_rng(1234)
         density = rng.random(g.n)
         kernel = lambda r: np.exp(-0.5 * r ** 2) + 0.05 * r ** 2
-        fft_path = radial_convolve(kernel, density, g)
+        fft_path = fft_convolve(kernel, density, g)
         direct = direct_radial_sum(kernel, density, g)
         conv_rel = np.max(np.abs(fft_path - direct)) / np.max(np.abs(direct))
 

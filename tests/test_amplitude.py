@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from semihartree.amplitude import (
-    evolve_b,
-    evolve_beta,
-    validate_initial_amplitude,
-)
+from semihartree.amplitude import evolve_beta, validate_initial_amplitude
 from semihartree.errors import NumericalError
 from semihartree.grids import (
     WaveFunction,
@@ -18,7 +14,7 @@ from semihartree.grids import (
     make_grid,
 )
 
-from helpers import gamma_step
+from helpers import evolve_b, gamma_step
 
 ZERO_HESS = lambda t: 0.0
 

@@ -10,8 +10,10 @@ import semihartree.sweep as sweep_module
 from semihartree.classical import integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
-from semihartree.rescaled import evolve_rescaled, evolve_rescaled_finals
+from semihartree.rescaled import evolve_rescaled_finals
 from semihartree.sweep import SweepError, run_sweep
+
+from helpers import packet_frame_history
 
 SMALL = ExperimentConfig(mode="rescaled", T=0.5, eps_list=(0.32, 0.16, 0.08))
 
@@ -22,7 +24,7 @@ def test_batched_finals_equal_single_runs():
     trajectory = integrate_flow(cfg.q0, cfg.p0, U, phi.value_at_0, cfg.T, 1e-3)
     finals = evolve_rescaled_finals(a0, cfg.eps_list, phi, U, trajectory, cfg.T, 1e-3)
     for eps, final in zip(cfg.eps_list, finals):
-        single = evolve_rescaled(a0, eps, phi, U, trajectory, cfg.T, 1e-3).a.final
+        single = packet_frame_history(a0, eps, phi, U, trajectory, cfg.T, 1e-3)[0].final
         scale = np.max(np.abs(single.samples))
         assert np.max(np.abs(final.samples - single.samples)) <= 1e-12 * scale
 

@@ -11,13 +11,13 @@ import pytest
 
 import semihartree.corrections as corrections
 from semihartree._stepping import tabulate, time_nodes
-from semihartree.amplitude import evolve_b, evolve_beta
+from semihartree.amplitude import evolve_beta
 from semihartree.classical import Trajectory, hessian_along_flow, integrate_flow
 from semihartree.corrections import evolve_corrections, separation_power_form
 from semihartree.grids import RESCALED, WaveSeries, apply_radial_rfft, radial_kernel_rfft
 from semihartree.potentials import builtin_external, builtin_pair
 
-from helpers import interp_samples
+from helpers import evolve_b, interp_samples
 
 
 def loop_power_form(mu, weight, dx, power):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semihartree._stepping import _resolve_store, tabulate, time_nodes
-from semihartree.amplitude import b_potential, evolve_b
+from semihartree.amplitude import b_potential
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.corrections import (
     CorrectionSet,
@@ -26,7 +26,7 @@ from semihartree.grids import (
 )
 from semihartree.potentials import builtin_external, builtin_pair
 
-from helpers import interp_samples
+from helpers import evolve_b, interp_samples
 
 
 def series_norm(series, i=-1):

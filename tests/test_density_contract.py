@@ -175,8 +175,12 @@ def test_sparse_history_keeps_its_rows_and_every_spread(gauss):
     assert sparse.second_moments.size == 11
 
 
-def test_level_keeps_no_view_of_the_history():
+def test_level_states_view_only_the_compared_rows():
+    # the states are views of the profile run's stored rows, which hold the
+    # compared nodes and nothing else, so the level keeps no other node
     config = ExperimentConfig(mode="physical", T=0.05, eps_list=(0.32,))
     level = hartree.physical_level(config, refine=1, trace_points=3)
     assert len(level.states) == 3
-    assert all(s.beta.samples.base is None for s in level.states)
+    base = level.states[0].beta.samples.base
+    assert base.shape == (3, config.mu_n)
+    assert all(s.beta.samples.base is base for s in level.states)

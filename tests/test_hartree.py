@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semihartree.amplitude import evolve_b, evolve_beta
+from semihartree.amplitude import evolve_beta
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
@@ -19,10 +19,11 @@ from semihartree.hartree import (
     hartree_evolve,
     physical_level,
     size_physical_grid,
-    theorem_error,
 )
 from semihartree.potentials import builtin_external, builtin_pair
-from semihartree.rescaled import evolve_rescaled, residual_norm
+from semihartree.rescaled import evolve_rescaled_finals, residual_norm
+
+from helpers import evolve_b
 
 COSINE_CFG = ExperimentConfig()  # cosine pair, cosine external, (0, 1), T = 1
 
@@ -70,7 +71,7 @@ class TestReferenceSolver:
         U = builtin_external("zero")
         grid = sized_grid(eps, T=T, var_x=(1 + T * T) / 2.0)
         psi0 = build_coherent_state(gauss, q0, p0, eps, grid)
-        run = hartree_evolve(psi0, eps, phi, U, T, 2e-4)
+        psi, _ = hartree_evolve(psi0, eps, phi, U, T, 2e-4)
         x = grid.points
         qT = q0 + p0 * T
         z = 1.0 + 1j * T
@@ -78,7 +79,7 @@ class TestReferenceSolver:
             -((x - qT) / np.sqrt(eps)) ** 2 / (2.0 * z))
         exact = (eps ** (-0.25) * profile * np.exp(1j * p0 * (x - qT) / eps)
                  * np.exp(1j * (0.5 * p0 ** 2 * T) / eps))
-        dev = np.sqrt(np.sum(np.abs(run.final.samples - exact) ** 2) * grid.dx)
+        dev = np.sqrt(np.sum(np.abs(psi.final.samples - exact) ** 2) * grid.dx)
         assert dev <= 1e-6
 
     def test_norm_drift(self, gauss):
@@ -93,8 +94,8 @@ class TestReferenceSolver:
         U = builtin_external("harmonic", [1.0])
         grid = sized_grid(eps, T=T, U=U, var_x=0.5)
         psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
-        run = hartree_evolve(psi0, eps, phi, U, T, 2e-4)
-        assert first_moment(run.final) == pytest.approx(np.sin(T), abs=1e-6)
+        psi, _ = hartree_evolve(psi0, eps, phi, U, T, 2e-4)
+        assert first_moment(psi.final) == pytest.approx(np.sin(T), abs=1e-6)
 
     def test_potential_phase_guard(self, gauss):
         eps = 0.08
@@ -165,11 +166,12 @@ class TestComparison:
     def test_exact_ansatz_single_eps(self):
         cfg = ExperimentConfig(phi_name="quadratic", phi_params=(1.0, -1.0),
                                U_name="harmonic", U_params=(1.0,))
-        assert theorem_error(0.08, cfg) <= 1e-5
+        assert compare_evolution(0.08, cfg, physical_level(cfg)).final_error <= 1e-5
 
     def test_second_order_in_dt(self):
-        errs = [theorem_error(0.08, COSINE_CFG, refine=r) for r in (1, 2)]
-        reference = theorem_error(0.08, COSINE_CFG, refine=8)
+        errs = [compare_evolution(0.08, COSINE_CFG, physical_level(COSINE_CFG, r)).final_error
+                for r in (1, 2, 8)]
+        reference = errs.pop()
         order = np.log2(abs(errs[0] - reference) / abs(errs[1] - reference))
         assert order >= 1.8
 
@@ -177,14 +179,14 @@ class TestComparison:
     def test_frame_consistency(self, mu_grid, gauss, eps):
         # the physical-frame error and the packet-frame residual measure the
         # same object in different coordinates
-        phys = theorem_error(eps, COSINE_CFG)
+        phys = compare_evolution(eps, COSINE_CFG, physical_level(COSINE_CFG)).final_error
         phi = builtin_pair("cosine")
         U = builtin_external("cosine", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
         hess = hessian_along_flow(traj, U)
         b = evolve_b(gauss, -1.0, hess, 1.0, 1e-3)
-        run = evolve_rescaled(gauss, eps, phi, U, traj, 1.0, 1e-3)
-        resc = residual_norm(b.final, run.a.final)
+        a = evolve_rescaled_finals(gauss, [eps], phi, U, traj, 1.0, 1e-3)[0]
+        resc = residual_norm(b.final, a)
         assert 0.5 <= phys / resc <= 2.0
 
     def test_error_trace_starts_at_zero(self):

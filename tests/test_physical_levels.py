@@ -12,12 +12,12 @@ import semihartree.sweep as sweep_module
 from semihartree.amplitude import evolve_beta
 from semihartree.classical import hessian_along_flow
 from semihartree.config import ExperimentConfig
-from semihartree.grids import abs_moment, fourier_second_moment
+from semihartree.grids import abs_moment
 from semihartree.hartree import compare_evolution, physical_level
 from semihartree.potentials import EXTERNAL_NAMES, builtin_external
 from semihartree.sweep import run_sweep
 
-from helpers import phase_increments
+from helpers import fourier_second_moment, phase_increments
 
 SMALL = ExperimentConfig(mode="physical", T=0.25, eps_list=(0.32, 0.16))
 

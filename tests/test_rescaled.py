@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from semihartree.amplitude import evolve_b
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.errors import NumericalError
 from semihartree.grids import gaussian_profile, l2_norm, make_grid
 from semihartree.potentials import builtin_external, builtin_pair
-from semihartree.rescaled import evolve_rescaled, residual_norm
+from semihartree.rescaled import evolve_rescaled_finals, residual_norm
+
+from helpers import evolve_b, packet_frame_history
 
 T = 1.0
 DT = 1e-3
@@ -27,9 +28,8 @@ def cosine_stack(mu_grid, gauss):
 def residuals(cosine_stack, gauss):
     out = {}
     for eps in EPS_SWEEP:
-        run = evolve_rescaled(gauss, eps, cosine_stack["phi"], cosine_stack["U"],
-                              cosine_stack["trajectory"], T, DT)
-        out[eps] = run
+        out[eps] = packet_frame_history(gauss, eps, cosine_stack["phi"], cosine_stack["U"],
+                                        cosine_stack["trajectory"], T, DT)
     return out
 
 
@@ -42,35 +42,35 @@ class TestExactAnsatz:
         trajectory = integrate_flow(0.0, 1.0, U, phi.value_at_0, T, 1e-3)
         hess = hessian_along_flow(trajectory, U)
         b = evolve_b(gauss, phi.second_deriv_at_0, hess, T, DT)
-        run = evolve_rescaled(gauss, eps, phi, U, trajectory, T, DT)
-        worst = max(residual_norm(b[i], run.a[i])
+        a, _ = packet_frame_history(gauss, eps, phi, U, trajectory, T, DT)
+        worst = max(residual_norm(b[i], a[i])
                     for i in range(0, len(b), 100))
         assert worst <= 1e-6
 
 
 class TestResidualScaling:
     def test_zero_at_start(self, cosine_stack, residuals):
-        run = residuals[0.08]
-        assert residual_norm(cosine_stack["b"][0], run.a[0]) == 0.0
+        a, _ = residuals[0.08]
+        assert residual_norm(cosine_stack["b"][0], a[0]) == 0.0
 
     def test_halving_eps_halves_residual(self, cosine_stack, residuals):
         b_final = cosine_stack["b"].final
-        r16 = residual_norm(b_final, residuals[0.16].a.final)
-        r04 = residual_norm(b_final, residuals[0.04].a.final)
+        r16 = residual_norm(b_final, residuals[0.16][0].final)
+        r04 = residual_norm(b_final, residuals[0.04][0].final)
         assert 1.6 <= r16 / r04 <= 2.6
 
     def test_normalized_residual_stable(self, cosine_stack, residuals):
         b_final = cosine_stack["b"].final
-        scaled = [residual_norm(b_final, residuals[e].a.final) / np.sqrt(e)
+        scaled = [residual_norm(b_final, residuals[e][0].final) / np.sqrt(e)
                   for e in EPS_SWEEP]
         assert all(0.01 <= s <= 10.0 for s in scaled)
         assert max(scaled) / min(scaled) <= 2.0
 
     def test_growth_is_monotone_and_continuous(self, cosine_stack, residuals):
-        run = residuals[0.04]
+        a, _ = residuals[0.04]
         b = cosine_stack["b"]
-        trace = np.sqrt(np.sum(np.abs(b.data - run.a.data) ** 2, axis=1)
-                        * run.a.grid.dx)
+        trace = np.sqrt(np.sum(np.abs(b.data - a.data) ** 2, axis=1)
+                        * a.grid.dx)
         diffs = np.diff(trace)
         assert diffs.min() >= -1e-8
         assert diffs.max() <= 10.0 * np.mean(np.abs(diffs)) + 1e-10
@@ -83,11 +83,11 @@ class TestResidualScaling:
             g = make_grid(n, -16.0, 16.0)
             a0 = gaussian_profile(g)
             b = evolve_b(a0, -1.0, cosine_stack["hess"], T, DT)
-            for eps in EPS_SWEEP:
-                run = evolve_rescaled(a0, eps, cosine_stack["phi"],
-                                      cosine_stack["U"],
-                                      cosine_stack["trajectory"], T, DT)
-                out[eps] = residual_norm(b.final, run.a.final)
+            finals = evolve_rescaled_finals(a0, EPS_SWEEP, cosine_stack["phi"],
+                                            cosine_stack["U"],
+                                            cosine_stack["trajectory"], T, DT)
+            for eps, a in zip(EPS_SWEEP, finals):
+                out[eps] = residual_norm(b.final, a)
         for eps in EPS_SWEEP:
             assert abs(coarse[eps] - fine[eps]) / fine[eps] < 0.05
 
@@ -106,24 +106,24 @@ class TestGaussianPair:
 
 class TestRunContract:
     def test_norm_preserved(self, residuals):
-        for eps, run in residuals.items():
-            assert run.norm_drift <= 1e-9
-            assert abs(l2_norm(run.a.final) - 1.0) <= 1e-9
+        for eps, (a, drift) in residuals.items():
+            assert drift <= 1e-9
+            assert abs(l2_norm(a.final) - 1.0) <= 1e-9
 
     def test_epsilon_validated(self, cosine_stack, gauss):
         with pytest.raises(ValueError):
-            evolve_rescaled(gauss, -0.1, cosine_stack["phi"], cosine_stack["U"],
-                            cosine_stack["trajectory"], T, DT)
+            evolve_rescaled_finals(gauss, [-0.1], cosine_stack["phi"], cosine_stack["U"],
+                                   cosine_stack["trajectory"], T, DT)
 
     def test_trajectory_must_cover_horizon(self, cosine_stack, gauss):
         short = integrate_flow(0.0, 1.0, cosine_stack["U"], 1.0, 0.5, 1e-3)
         with pytest.raises(ValueError, match="cover"):
-            evolve_rescaled(gauss, 0.1, cosine_stack["phi"], cosine_stack["U"],
-                            short, T, DT)
+            evolve_rescaled_finals(gauss, [0.1], cosine_stack["phi"], cosine_stack["U"],
+                                   short, T, DT)
 
     def test_boundary_guard(self, cosine_stack):
         g = make_grid(128, -4.0, 4.0)
         a0 = gaussian_profile(g)
         with pytest.raises(NumericalError, match="boundary mass"):
-            evolve_rescaled(a0, 0.08, cosine_stack["phi"], cosine_stack["U"],
-                            cosine_stack["trajectory"], T, DT)
+            evolve_rescaled_finals(a0, [0.08], cosine_stack["phi"], cosine_stack["U"],
+                                   cosine_stack["trajectory"], T, DT)

@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import semihartree.sweep as sweep_module
+from semihartree.amplitude import evolve_beta
 from semihartree.cli import main
 from semihartree.config import ExperimentConfig
 from semihartree.errors import ConfigError
+from semihartree.grids import WaveFunction, gaussian_profile, l2_distance
 from semihartree.sweep import (
     SweepError,
     SweepReport,
@@ -17,6 +20,8 @@ from semihartree.sweep import (
     render_report,
     run_sweep,
 )
+
+from helpers import evolve_b
 
 SMALL_RESCALED = ExperimentConfig(mode="rescaled", T=0.5,
                                   eps_list=(0.32, 0.16, 0.08))
@@ -166,6 +171,36 @@ class TestLemmaCheckHarness:
                             probe_times=(0.25, 0.5))
         assert max(check.deviations) <= 1e-6
         assert check.order_ok
+
+    @staticmethod
+    def full_history_deviations(kappa, T, dt, probe_times):
+        """The cross-check from both profile runs stored at every node."""
+        grid = ExperimentConfig().mu_grid()
+        a0 = gaussian_profile(grid)
+        states = evolve_beta(a0, kappa, lambda t: 0.0, T, dt)
+        b = evolve_b(a0, kappa, lambda t: 0.0, T, dt)
+        devs = []
+        for t in probe_times:
+            i = int(np.argmin(np.abs(b.times - t)))
+            phased = WaveFunction(grid, np.exp(1j * states[i].gamma) * states[i].beta.samples)
+            devs.append(l2_distance(b[i], phased))
+        return tuple(devs)
+
+    def test_cli_default_keeps_only_probe_states(self):
+        # the CLI default: 4,000 and 8,000 steps of two runs each.  Stored at
+        # every node, the four runs peaked at 126 MiB; the probe nodes and
+        # the profile's 128-row block take under 4 MiB.  b is still visited
+        # at every node, so the deviations are those of the full histories
+        # to the last bit.
+        tracemalloc.start()
+        try:
+            check = lemma_check(T=1.0, dt=2.5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        for dt, devs in ((2.5e-4, check.deviations), (1.25e-4, check.deviations_half)):
+            assert devs == self.full_history_deviations(-1.0, 1.0, dt, check.probe_times)
 
 
 class TestCli:
