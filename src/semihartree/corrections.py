@@ -2,22 +2,24 @@
 
 Each correction order solves a linear equation driven by the orders below
 it.  Its homogeneous part is the operator that propagates the
-phase-absorbed profile b, so a correction steps as the second row of a
-(2, n) batch whose first row is b: both rows share b's potential, rebuilt
-from b's own row, in `split_step_nodes` on the dt nodes interleaved with
-their midpoints.  At each midpoint the pass adds the midpoint-rule
-Duhamel step of the sources to the correction row, in place (one
-fixed-point refinement handles the term that couples a correction back
-into its own source).  The second order reads the first at its
-midpoints, so the two passes run in lockstep, the first one dt node
-ahead: the second keeps a two-row window of the first correction at the
-dt nodes around its current midpoint, and no history of either.  The
-correction equations are free of the semiclassical parameter; it enters
-only when the expansion is assembled.
+phase-absorbed profile b, so every order evolves under b's potential,
+rebuilt from b's density, in `split_step_nodes` on the dt nodes
+interleaved with their midpoints.  The first order steps as the second
+row of a (2, n) batch whose first row is b, the one evolution of b.  At
+each midpoint a pass adds the midpoint-rule Duhamel step of the sources
+to its correction, in place (one fixed-point refinement handles the term
+that couples a correction back into its own source).  The second order
+steps alone, in lockstep with the first pass, at most one dt node behind:
+it takes b's potential at each node and b at each midpoint from that
+pass, and the first correction from a two-row window at the dt nodes
+around its midpoint, so neither pass keeps a history.  The correction
+equations are free of the semiclassical parameter; it enters only when
+the expansion is assembled.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional, Sequence
@@ -66,26 +68,31 @@ def _interleaved_nodes(T: float, dt: float) -> tuple:
 
 def _pass(b0: np.ndarray, grid, nodes: np.ndarray, steps: np.ndarray,
           potential: Callable, coupling: Callable, forcing: Callable,
-          visit: Sequence[int], label: str):
-    """Generator of (node index, (2, n) state) of b and one correction u,
-    from (b0, 0) on `nodes`, at the dt nodes (even indices) in `visit`.
-    At the midpoint of dt step j it adds -i*h*s to u: s is coupling(u, b),
-    linear in u and refreshed by one fixed-point update of u, plus the
-    u-free forcing(j, b), evaluated once per step.  The state is the
-    engine's own buffer: copy what you keep."""
-    mids = range(1, nodes.size, 2)
-    for i, psi in split_step_nodes(np.stack([b0, np.zeros_like(b0)]), grid, nodes,
-                                   lambda t, density: potential(t, density[0]), 1.0,
-                                   set(visit).union(mids), [B_LABEL, label]):
-        if i % 2 == 0:
+          visit: Sequence[int], label: str, b_mid: Optional[Callable] = None):
+    """Generator of (node index, state) at the node indices in `visit`: the
+    (2, n) batch of b and one correction u from (b0, 0) under
+    potential(t, |b|^2), or, given b_mid(j) (b at the midpoint of dt step
+    j), u alone from 0 under potential(t, _).  At that midpoint it adds
+    -i*h*s to u, before any visit: s is coupling(u, b), linear in u and
+    refreshed by one fixed-point update of u, plus the u-free forcing(j, b),
+    evaluated once per step.  The state is the engine's buffer: copy what you keep."""
+    if b_mid is None:
+        psi0, labels = np.stack([b0, np.zeros_like(b0)]), [B_LABEL, label]
+        v = lambda t, density: potential(t, density[0])
+    else:
+        psi0, labels, v = np.zeros_like(b0), label, potential
+    visit = set(visit)
+    for i, psi in split_step_nodes(psi0, grid, nodes, v, 1.0,
+                                   visit.union(range(1, nodes.size, 2)), labels):
+        if i % 2:
+            j = i // 2
+            b, u = (psi[0], psi[1]) if b_mid is None else (b_mid(j), psi)
+            f, h = forcing(j, b), steps[j]
+            s = coupling(u, b) + f
+            s = coupling(u - 0.5j * h * s, b) + f
+            u -= 1j * h * s
+        if i in visit:
             yield i, psi
-            continue
-        j = i // 2
-        b, u, h = psi[0], psi[1], steps[j]
-        f = forcing(j, b)
-        s = coupling(u, b) + f
-        s = coupling(u - 0.5j * h * s, b) + f
-        psi[1] = u - 1j * h * s
 
 
 def _blend(t: float, left: float, right: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,14 +115,14 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
 
     The first correction is driven by the cubic term of the external
     potential along the trajectory, plus the quadratic interaction of the
-    correction with b (linear in the unknown).  The second adds the
-    quartic interaction and external terms against b and the quadratic
-    terms against the first correction, which it reads at each midpoint
-    as the linear blend of the first correction at the two dt nodes around
-    it.  So the first pass runs one dt node ahead of the second, and only
-    that two-row window of it is kept, plus its rows at the stored nodes.
-    A correction row that reaches the engine's boundary guard fails with
-    its own label.
+    correction with b (linear in the unknown); b evolves only in its pass.
+    The second adds the quartic interaction and external terms against b
+    and the quadratic terms against the first correction, read at each
+    midpoint as the linear blend of its rows at the two dt nodes around
+    it.  It steps alone under b's potential from the first pass, which runs
+    at most one dt node ahead and keeps only what the second has yet to
+    read.  A correction that reaches the engine's boundary guard fails
+    with its own label.
     """
     if K not in (0, 1, 2):
         raise ValueError("expansion order K must be 0, 1, or 2")
@@ -150,9 +157,14 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     def first(j: int, b: np.ndarray) -> np.ndarray:
         return w3[j] * powers[3] * b
 
-    # the second order reads the first at every dt node
-    pass1 = _pass(a0.samples, grid, nodes, steps, potential, coupling, first,
-                  range(0, nodes.size, 2) if K == 2 else store_idx, "first correction")
+    vs = deque()  # at K = 2, b's potential at nodes the second pass has yet to reach
+
+    def recorded(t: float, density: np.ndarray) -> np.ndarray:
+        vs.append(potential(t, density))
+        return vs[-1]
+
+    pass1 = _pass(a0.samples, grid, nodes, steps, recorded if K == 2 else potential, coupling,
+                  first, range(nodes.size) if K == 2 else store_idx, "first correction")
     times = nodes[store_idx]
     if K == 1:
         data = np.array([psi.copy() for _, psi in pass1])
@@ -161,17 +173,27 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     w4 = U.fourth(q, mids) / 24.0
     quartic_coeff = phi.fourth_deriv_at_0 / 24.0
     stored = set(store_idx.tolist())
-    window, a1_stored = {}, []  # a1 at the dt nodes around the midpoint
+    # b at midpoints yet to come, a1 around the midpoint, (b, a1) stored
+    b_mids, window, stored_rows = deque(), {}, []
 
-    def keep(i: int, psi: np.ndarray) -> None:
-        window[i] = psi[1].copy()
-        window.pop(i - 4, None)
-        if i in stored:
-            a1_stored.append(window[i])
+    def pull(ready: Callable[[], bool]) -> None:  # run the first pass on until ready()
+        for i, psi in () if ready() else pass1:
+            if i % 2:
+                b_mids.append(psi[0].copy())
+            else:
+                window[i] = psi[1].copy()
+                window.pop(i - 4, None)
+                if i in stored:
+                    stored_rows.append(psi.copy())
+            if ready():
+                return
+
+    def take(queue: deque) -> np.ndarray:  # the oldest entry, pulled in if need be
+        pull(lambda: queue)
+        return queue.popleft()
 
     def second(j: int, b: np.ndarray) -> np.ndarray:
-        while 2 * j + 2 not in window:
-            keep(*next(pass1))
+        pull(lambda: 2 * j + 2 in window)
         a1 = _blend(mids[j], nodes[2 * j], nodes[2 * j + 2], window[2 * j], window[2 * j + 2])
         dens0 = b.real ** 2 + b.imag ** 2
         dens1 = a1.real ** 2 + a1.imag ** 2
@@ -183,12 +205,10 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
         return s + w3[j] * powers[3] * a1
 
     data2 = np.array([psi.copy() for _, psi in _pass(
-        a0.samples, grid, nodes, steps, potential, coupling, second, store_idx,
-        "second correction")])
-    for i, psi in pass1:  # what the lockstep left: node 0 when it is the only one
-        keep(i, psi)
-    return CorrectionSet((series(times, data2[:, 0]), series(times, np.array(a1_stored)),
-                          series(times, data2[:, 1])))
+        a0.samples, grid, nodes, steps, lambda t, _: take(vs), coupling, second, store_idx,
+        "second correction", lambda j: take(b_mids))])
+    b_a1 = np.array(stored_rows).swapaxes(0, 1)
+    return CorrectionSet(tuple(series(times, data) for data in (*b_a1, data2)))
 
 
 @dataclass(frozen=True, eq=False)

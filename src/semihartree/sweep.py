@@ -306,7 +306,7 @@ def _fmt(x: float) -> str:
 def render_report(report: SweepReport) -> str:
     """CSV text: header, one row per epsilon (wall_ms field left empty so
     the data section is deterministic), then a comment block with the
-    fitted rate and the wall-clock timings."""
+    fitted rate, the rates between adjacent rows and the wall times."""
     lines = ["epsilon,error,error_over_sqrt_eps,dt,n,wall_ms"]
     for r in report.rows:
         lines.append(",".join([
@@ -314,6 +314,10 @@ def render_report(report: SweepReport) -> str:
             _fmt(r.dt_used), str(r.n_used), "",
         ]))
     lines.append(f"# slope={_fmt(report.fitted_slope)} r2={_fmt(report.fit_r2)}")
+    if len(report.rows) >= 2:
+        slopes = (fit_rate([a.epsilon, b.epsilon], [a.error, b.error])[0]
+                  for a, b in zip(report.rows, report.rows[1:]))
+        lines.append("# local_slopes: " + " ".join(_fmt(s) for s in slopes))
     if report.rows:
         walls = " ".join(f"{_fmt(r.epsilon)}={r.wall_ms:.1f}" for r in report.rows)
         lines.append(f"# wall_ms: {walls}")

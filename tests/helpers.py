@@ -1,11 +1,15 @@
 """Test-only helpers shared by several test modules, which the library
 itself does not call."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, split_step_evolve, tabulate,
-                                   time_nodes)
+from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, _resolve_store, split_step_evolve,
+                                   tabulate, time_nodes)
 from semihartree.amplitude import B_LABEL, b_potential
+from semihartree.classical import hessian_along_flow
+from semihartree.corrections import _interleaved_nodes, _pass, separation_power_form
 from semihartree.errors import NumericalError
 from semihartree.grids import RESCALED, WaveSeries, abs_moment, boundary_mass, spectral_samples
 from semihartree.rescaled import _packet_frame_potential
@@ -55,6 +59,67 @@ def interp_samples(series, t: float) -> np.ndarray:
         return data[j]
     w = (t - left) / (right - left)
     return (1.0 - w) * data[j - 1] + w * data[j]
+
+
+def correction_drive(a0, phi, U, traj, T, dt, store_times):
+    """What `corrections.evolve_corrections` builds for its passes: the
+    interleaved `nodes`, the dt `steps`, the node indices `store_idx` of
+    `store_times`, b's `potential`, the term `coupling(u, b)` linear in a
+    correction, and the u-free sources `first(j, b)` and
+    `second(j, b, a1)` at the midpoint of dt step j."""
+    grid = a0.grid
+    mu, dx = grid.points, grid.dx
+    half_kappa = 0.5 * phi.second_deriv_at_0
+    quartic_coeff = phi.fourth_deriv_at_0 / 24.0
+    coarse, steps, nodes = _interleaved_nodes(T, dt)
+    mids = nodes[1::2]
+    q = traj.qs_at(mids)
+    w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
+    powers = np.vander(mu, 5, True).T.copy()
+
+    def coupling(u, b):
+        cross = 2.0 * (b.real * u.real + b.imag * u.imag)
+        return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * b
+
+    def second(j, b, a1):
+        dens0 = b.real ** 2 + b.imag ** 2
+        dens1 = a1.real ** 2 + a1.imag ** 2
+        cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
+        s = w4[j] * powers[4] * b
+        s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * b
+        s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * b
+        s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
+        return s + w3[j] * powers[3] * a1
+
+    return SimpleNamespace(
+        nodes=nodes, steps=steps, mids=mids,
+        store_idx=_resolve_store(nodes, coarse[_resolve_store(coarse, store_times)]),
+        potential=b_potential(grid, phi.second_deriv_at_0,
+                              tabulate(hessian_along_flow(traj, U), nodes)),
+        coupling=coupling, first=lambda j, b: w3[j] * powers[3] * b, second=second)
+
+
+def own_b_corrections(a0, phi, U, traj, T, dt, store_times):
+    """(stored times, (b, a1, a2)) of `evolve_corrections(K=2)` by the path
+    in which the second pass evolves its own b: the first pass stored at
+    every dt node, then the second correction as row 1 of a (2, n) batch
+    whose row 0 is b again, reading the first correction at each midpoint
+    through `interp_samples`.  This second b fuses its phases at the dt
+    nodes it does not store, so it differs from the first pass's b at
+    roundoff."""
+    d = correction_drive(a0, phi, U, traj, T, dt, store_times)
+
+    def run(forcing, visit, label):
+        return np.array([psi.copy() for _, psi in _pass(
+            a0.samples, a0.grid, d.nodes, d.steps, d.potential, d.coupling, forcing, visit,
+            label)])
+
+    evens = np.arange(0, d.nodes.size, 2)
+    data1 = run(d.first, evens, "first correction")
+    a1 = WaveSeries(d.nodes[evens], a0.grid, RESCALED, data1[:, 1])
+    data2 = run(lambda j, b: d.second(j, b, interp_samples(a1, d.mids[j])), d.store_idx,
+                "second correction")
+    return d.nodes[d.store_idx], (data2[:, 0], data1[d.store_idx // 2, 1], data2[:, 1])
 
 
 def phase_increments(kappa: float, moments: np.ndarray, times: np.ndarray) -> np.ndarray:

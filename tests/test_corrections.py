@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semihartree._stepping import _resolve_store, tabulate, time_nodes
-from semihartree.amplitude import b_potential
+from semihartree import _stepping, amplitude
+from semihartree._stepping import tabulate, time_nodes
+from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.corrections import (
     CorrectionSet,
@@ -26,7 +27,7 @@ from semihartree.grids import (
 )
 from semihartree.potentials import builtin_external, builtin_pair
 
-from helpers import evolve_b, interp_samples
+from helpers import correction_drive, evolve_b, interp_samples, own_b_corrections
 
 
 def series_norm(series, i=-1):
@@ -206,14 +207,15 @@ class TestCorrectionGuard:
     # at K=2 the two passes run in lockstep, so the correction that reaches
     # the guard first in time fails: on [-5, 5] the first does at t=0.01; on
     # [-6, 6] the second does at the first midpoint, before the first
-    # reaches it at t=0.21 (the case above)
+    # reaches it at t=0.21 (the case above).  The first correction is row 1
+    # of its batch with b; the second steps alone, so its error has no row
     @pytest.mark.parametrize("half_width, label", [(5.0, "first correction"),
                                                    (6.0, "second correction")])
     def test_second_order_names_the_earlier_row(self, half_width, label):
         a0, phi, U, traj = self.window_case(half_width)
         with pytest.raises(NumericalError, match=rf"^{label}: boundary mass fraction") as err:
             evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 2)
-        assert err.value.row == 1
+        assert err.value.row == (1 if label == "first correction" else None)
 
     def test_only_the_second_correction_leaving_the_window_names_itself(self):
         # on [-7, 7] b and the first correction stay inside the guard
@@ -222,7 +224,62 @@ class TestCorrectionGuard:
         with pytest.raises(NumericalError,
                            match=r"^second correction: boundary mass fraction") as err:
             evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 2)
-        assert err.value.row == 1
+        assert err.value.row is None
+
+    def test_b_leaving_the_window_fails_once_at_second_order(self, monkeypatch):
+        # on [-3, 3] b itself breaches the guard at t=0; only the first pass
+        # evolves b, so one error is built, and it names b
+        built = []
+
+        class CountedError(NumericalError):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(_stepping, "NumericalError", CountedError)
+        a0, phi, U, traj = self.window_case(3.0)
+        with pytest.raises(NumericalError,
+                           match=rf"^{B_LABEL}: boundary mass fraction .* at t=0 ") as err:
+            evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 2)
+        assert err.value.row == 0
+        assert built == [str(err.value)]
+
+
+class TestOneEvolutionOfB:
+    """At K = 2 b evolves once, in the first pass, and the second
+    correction follows that pass's potential and b."""
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_b_potential_once_per_node(self, monkeypatch, cosine_driven, gauss, K):
+        phi, U, traj = cosine_driven
+        real, calls = amplitude.apply_radial_rfft, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(amplitude, "apply_radial_rfft", counted)
+        T, dt = 0.1, 1e-3
+        evolve_corrections(gauss, phi, U, traj, T, dt, K, (T,))
+        # one convolution per interleaved node: b's potential, built once
+        assert len(calls) == _interleaved_nodes(T, dt)[2].size
+
+    def test_matches_the_pass_that_evolves_its_own_b(self):
+        # the default corrections-2 level 2: a1 is the same pass; b and a2
+        # differ at roundoff, because that second b fuses its phases at the
+        # dt nodes it does not store (measured 1.05e-14 and 1.32e-11)
+        from semihartree.config import ExperimentConfig
+
+        config = ExperimentConfig(mode="corrections-2")
+        phi, U, T, dt = config.pair(), config.external(), config.T, config.mu_dt() / 2
+        traj = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T, dt)
+        a0 = config.initial_profile()
+        times, (b, a1, a2) = own_b_corrections(a0, phi, U, traj, T, dt, (T,))
+        orders = evolve_corrections(a0, phi, U, traj, T, dt, 2, (T,)).orders
+        assert times.tolist() == [T] and orders[0].times.tolist() == [T]
+        np.testing.assert_array_equal(orders[1].data, a1)
+        np.testing.assert_allclose(orders[0].data, b, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(orders[2].data, a2, rtol=0, atol=1e-10)
 
 
 class TestExpansionOrders:
@@ -282,53 +339,34 @@ class TestDuhamelLinearity:
 
 
 def stored_first_pass_corrections(a0, phi, U, traj, T, dt, store_times):
-    """The orders of `evolve_corrections(K=2)` by the path it replaced: the
-    first pass stored at every dt node, then the second pass reading it at
-    each midpoint through `interp_samples`."""
-    grid = a0.grid
-    mu, dx = grid.points, grid.dx
-    half_kappa = 0.5 * phi.second_deriv_at_0
-    quartic_coeff = phi.fourth_deriv_at_0 / 24.0
-    coarse, steps, nodes = _interleaved_nodes(T, dt)
-    store_idx = _resolve_store(nodes, coarse[_resolve_store(coarse, store_times)])
-    potential = b_potential(grid, phi.second_deriv_at_0,
-                            tabulate(hessian_along_flow(traj, U), nodes))
-    mids = nodes[1::2]
-    q = traj.qs_at(mids)
-    w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
-    powers = np.vander(mu, 5, True).T.copy()
+    """The orders of `evolve_corrections(K=2)` from a stored first pass: b
+    and the first correction at every node and b's potential at every
+    node, then the second correction stepping alone under that potential,
+    reading b at each midpoint from the store and the first correction
+    through `interp_samples`."""
+    d = correction_drive(a0, phi, U, traj, T, dt, store_times)
+    vs = []
 
-    def coupling(u, b):
-        cross = 2.0 * (b.real * u.real + b.imag * u.imag)
-        return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * b
+    def recorded(t, density):
+        vs.append(d.potential(t, density))
+        return vs[-1]
 
-    def run(forcing, visit, label):
-        return np.array([psi.copy() for _, psi in _pass(
-            a0.samples, grid, nodes, steps, potential, coupling, forcing, visit, label)])
-
-    evens = np.arange(0, nodes.size, 2)
-    data1 = run(lambda j, b: w3[j] * powers[3] * b, evens, "first correction")
-    a1_seq = WaveSeries(nodes[evens], grid, RESCALED, data1[:, 1])
-
-    def second(j, b):
-        a1 = interp_samples(a1_seq, mids[j])
-        dens0 = b.real ** 2 + b.imag ** 2
-        dens1 = a1.real ** 2 + a1.imag ** 2
-        cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
-        s = w4[j] * powers[4] * b
-        s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * b
-        s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * b
-        s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
-        return s + w3[j] * powers[3] * a1
-
-    data2 = run(second, store_idx, "second correction")
-    return nodes[store_idx], (data2[:, 0], data1[store_idx // 2, 1], data2[:, 1])
+    data1 = np.array([psi.copy() for _, psi in _pass(
+        a0.samples, a0.grid, d.nodes, d.steps, recorded, d.coupling, d.first,
+        range(d.nodes.size), "first correction")])
+    a1 = WaveSeries(d.nodes[::2], a0.grid, RESCALED, data1[::2, 1])
+    data2 = np.array([psi.copy() for _, psi in _pass(
+        a0.samples, a0.grid, d.nodes, d.steps,
+        lambda t, _: vs[int(np.searchsorted(d.nodes, t))], d.coupling,
+        lambda j, b: d.second(j, b, interp_samples(a1, d.mids[j])), d.store_idx,
+        "second correction", lambda j: data1[2 * j + 1, 0])])
+    return d.nodes[d.store_idx], (data1[d.store_idx, 0], data1[d.store_idx, 1], data2)
 
 
 class TestLockstep:
-    """The two correction passes run in lockstep, the second reading a
-    two-row window of the first; every order equals the stored-pass path
-    bit for bit."""
+    """The two correction passes run in lockstep, the second reading b's
+    potential, b and a two-row window of the first correction from the
+    first pass; every order equals the stored-pass path bit for bit."""
 
     @pytest.mark.parametrize("store", ["every-node", "final-only"])
     @pytest.mark.parametrize("dt", [1e-3, 3e-4], ids=["dividing", "short-last-step"])

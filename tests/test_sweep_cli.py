@@ -76,6 +76,24 @@ class TestRenderReport:
         assert any(l.startswith("# wall_ms:") for l in lines)
         assert any(l.startswith("# slope=0.5 r2=1.0") for l in lines)
 
+    def test_local_slopes_between_adjacent_rows(self):
+        # errors eps^1.5 then eps^0.5: the pairwise rates, not the overall fit
+        errors = {0.08: 0.08 ** 1.5, 0.04: 0.04 ** 1.5, 0.02: 0.02 ** 0.5 * 0.04}
+        rows = tuple(SweepRow(e, err, err / e ** 0.5, 1e-3, 512, 1.0)
+                     for e, err in errors.items())
+        lines = render_report(SweepReport(rows, 1.2, 0.9, "corrections-2")).splitlines()
+        assert lines[4] == "# slope=1.2 r2=0.9"
+        assert lines[5].startswith("# local_slopes: ")
+        slopes = [float(s) for s in lines[5].split(": ")[1].split()]
+        pairwise = [np.log(errors[a] / errors[b]) / np.log(a / b)
+                    for a, b in [(0.08, 0.04), (0.04, 0.02)]]
+        np.testing.assert_allclose(slopes, pairwise, rtol=1e-12)
+        assert slopes[0] == pytest.approx(1.5)
+        data = [l for l in lines if not l.startswith("#")]
+        assert len(data) == 4
+        one = render_report(SweepReport(rows[:1], float("nan"), float("nan"), "rescaled"))
+        assert "local_slopes" not in one
+
     def test_emit_byte_stable(self, tmp_path):
         rows = tuple(SweepRow(e, e ** 0.5, 1.0, 1e-3, 512, 3.0)
                      for e in (0.32, 0.16))
