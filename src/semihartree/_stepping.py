@@ -4,9 +4,11 @@ One Strang step over [t, t+h] applies a half potential phase sampled at t,
 an exact spectral kinetic step, and a half potential phase sampled at t+h.
 The density |psi|^2 is taken once per step, after the kinetic step, into
 one engine buffer (a potential that keeps it must copy it) that serves the
-potential, `potential(t, density) -> v` with v real, the norm and the
-boundary-mass guard of that node.  v serves the trailing half and the next
-step's leading half.  Between unvisited nodes these are fused into one
+potential, `potential(t, density) -> v` with v real, and one product
+`density @ weights` that serves the norm and the boundary-mass guard of
+that node: its two columns give each row's squared norm and its mass in
+the guard band.  v serves the trailing half and the next step's leading
+half.  Between unvisited nodes these are fused into one
 phase exp(-i (h_j + h_{j+1})/2 v), which keeps Strang order for
 self-consistent potentials (Lubich, Math. Comp. 77, 2008); at a visited
 node and at the final node they are applied apart, and the caller sees the
@@ -105,16 +107,18 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
     k2 = grid.wavenumbers ** 2
     total = np.add.reduce
     hat = np.empty_like(psi)
+    # density @ weights: each row's squared norm and its guard-band mass
+    weights = np.zeros((grid.n, 2))
+    weights[:, 0] = weights[:GUARD_CELLS, 1] = weights[-GUARD_CELLS:, 1] = dx
 
-    def check(t: float, density, nrm, v) -> None:
-        bm = boundary_mass(density, grid, GUARD_CELLS, is_density=True)
-        # finite norms and v imply finite samples, and a total edge mass
+    def check(t: float, stats, v) -> None:
+        # finite stats and v imply finite samples, and a total edge mass
         # within the guard clears every row; scan the rows only if not
-        if (total(bm, axis=None) <= GUARD_MASS
-                and np.isfinite(total(nrm, axis=None) + total(v, axis=None))):
+        if (total(stats[..., 1], axis=None) <= GUARD_MASS
+                and np.isfinite(total(stats, axis=None) + total(v, axis=None))):
             return
         finite = np.atleast_1d(np.isfinite(psi).all(axis=-1))
-        bm = np.atleast_1d(bm)
+        bm = np.atleast_1d(boundary_mass(density, grid, GUARD_CELLS, is_density=True))
         bad = ~finite | (bm > GUARD_MASS)
         if not bad.any():
             return
@@ -130,11 +134,11 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
 
     density, scratch = np.empty(psi.shape), np.empty(psi.shape)  # |psi|^2, reused
 
-    def square() -> np.ndarray:  # |psi|^2 into density; returns the L^2 norms
+    def square() -> np.ndarray:  # |psi|^2 into density; returns density @ weights
         np.square(psi.real, out=density)
         np.square(psi.imag, out=scratch)
         np.add(density, scratch, out=density)
-        return np.sqrt(total(density, axis=-1) * dx)
+        return density @ weights
 
     def phase(scale: float, v) -> np.ndarray:  # exp(1j*scale*v) into half, v real
         np.multiply(scale, v, out=arg)
@@ -142,9 +146,10 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
         np.sin(arg, out=half.imag)
         return half
 
-    norm0 = square()
+    stats = square()
+    norm0 = np.sqrt(stats[..., 0])
     drift = np.zeros_like(norm0)
-    check(0.0, density, norm0, 0.0)
+    check(0.0, stats, 0.0)
     if 0 in visit:
         yield 0, psi
         square()  # psi may have changed
@@ -164,15 +169,15 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
         np.fft.fft(psi, out=hat)
         hat *= kin
         np.fft.ifft(hat, out=psi)
-        nrm = square()
+        stats = square()
         v = potential(times[j + 1], density)
         visited = j + 1 in visit
         apart = visited or j + 1 == last
         # a visited node and the final node take the trailing half alone,
         # any other node the trailing half fused with the next leading half
         psi *= phase(-0.5 * (h if apart else h + h_next), v)
-        check(times[j + 1], density, nrm, v)
-        drift = np.maximum(drift, np.abs(nrm - norm0))
+        check(times[j + 1], stats, v)
+        drift = np.maximum(drift, np.abs(np.sqrt(stats[..., 0]) - norm0))
         if visited:
             yield j + 1, psi
         if apart and h_next:

@@ -29,7 +29,7 @@ __all__ = [
     "first_moment",
     "fourier_first_moment",
     "spectral_samples",
-    "evaluate_trig_interpolant",
+    "trig_interpolant_on_run",
     "boundary_mass",
     "radial_distances",
     "radial_kernel_rfft",
@@ -199,21 +199,23 @@ def fourier_first_moment(psi: WaveFunction) -> float:
     return float(np.sum(psi.grid.wavenumbers * (np.abs(hat) ** 2)) * dk)
 
 
-def evaluate_trig_interpolant(psi: WaveFunction, points: np.ndarray) -> np.ndarray:
-    """Evaluate the band-limited (trigonometric) interpolant of psi at
-    arbitrary points; points outside the domain see the periodic extension."""
-    grid = psi.grid
-    coeffs = (np.fft.fft(psi.samples) / grid.n).view(np.float64).reshape(grid.n, 2)
-    rel = np.asarray(points, dtype=np.float64) - grid.x_min
-    out = np.empty(rel.size, dtype=np.complex128)
-    # chunk the outer product: each block's cos/sin tables stay near 2 MB
-    block = max(1, 250_000 // grid.n)
-    for start in range(0, rel.size, block):
-        arg = np.outer(rel[start:start + block], grid.wavenumbers)
-        # exp(i a) c from real products with c's (n, 2) real parts: no cast
-        cos, sin = np.cos(arg) @ coeffs, np.sin(arg) @ coeffs
-        out[start:start + block] = cos[:, 0] - sin[:, 1] + 1j * (cos[:, 1] + sin[:, 0])
-    return out
+def trig_interpolant_on_run(psi: WaveFunction, start: float, step: float,
+                            count: int) -> np.ndarray:
+    """The band-limited (trigonometric) interpolant of psi at start + m*step,
+    m < count (the periodic extension outside the domain), by a chirp
+    z-transform (Bluestein, 1970): modes j = -n/2..n/2-1, j*m = (j^2 + m^2
+    - (m-j)^2)/2 and one zero-padded power-of-two FFT convolution."""
+    grid, half = psi.grid, psi.grid.n // 2
+    kappa = 2.0 * np.pi / grid.length
+    chirp = lambda k: np.exp(1j * (0.5 * kappa * step * (k * k)))  # k*k exact
+    j, lag = np.arange(-half, half), np.arange(1 - half, count + half)
+    coeffs = np.fft.fftshift(np.fft.fft(psi.samples)) / grid.n
+    size = 1 << (grid.n + count - 2).bit_length()  # at least n + count - 1
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[lag] = chirp(lag).conj()  # lag m - j at index (m - j) mod size
+    u = coeffs * np.exp(1j * kappa * (start - grid.x_min) * j) * chirp(j)
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(kernel))
+    return chirp(np.arange(count)) * conv[half:half + count]
 
 
 def boundary_mass(samples: np.ndarray, grid: Grid, cells: int, *,

@@ -25,11 +25,11 @@ from .grids import (
     Grid,
     WaveFunction,
     WaveSeries,
-    evaluate_trig_interpolant,
     l2_distance,
     make_grid,
     mean_field,
     physical_frame,
+    trig_interpolant_on_run,
 )
 from .potentials import ExternalPotential, PairPotential
 
@@ -96,10 +96,13 @@ def build_coherent_state(a0: WaveFunction, q: float, p: float, epsilon: float,
     mu = (x - q) / np.sqrt(epsilon)
     # evaluate only inside the profile's own window: its periodic images
     # must not leak into the physical domain, and the profile is below
-    # truncation level outside the window by the domain-sizing rule
+    # truncation level outside the window by the domain-sizing rule.  mu
+    # increases with x, so the inside points are one equispaced run
     profile = np.zeros(grid.n, dtype=np.complex128)
-    inside = (mu >= a0.grid.x_min) & (mu < a0.grid.x_max)
-    profile[inside] = evaluate_trig_interpolant(a0, mu[inside])
+    inside = np.flatnonzero((mu >= a0.grid.x_min) & (mu < a0.grid.x_max))
+    if inside.size:
+        step = grid.dx / np.sqrt(epsilon)
+        profile[inside] = trig_interpolant_on_run(a0, mu[inside[0]], step, inside.size)
     samples = epsilon ** (-0.25) * profile * np.exp(1j * p * (x - q) / epsilon)
     return WaveFunction(grid, samples, physical_frame(epsilon))
 

@@ -15,6 +15,25 @@ from semihartree.grids import RESCALED, WaveSeries, abs_moment, boundary_mass, s
 from semihartree.rescaled import _packet_frame_potential
 
 
+def evaluate_trig_interpolant(psi, points):
+    """The oracle of `grids.trig_interpolant_on_run`: the band-limited
+    (trigonometric) interpolant of psi at arbitrary points, from dense
+    cos/sin tables of the points against the grid's wavenumbers; points
+    outside the domain see the periodic extension."""
+    grid = psi.grid
+    coeffs = (np.fft.fft(psi.samples) / grid.n).view(np.float64).reshape(grid.n, 2)
+    rel = np.asarray(points, dtype=np.float64) - grid.x_min
+    out = np.empty(rel.size, dtype=np.complex128)
+    # chunk the outer product: each block's cos/sin tables stay near 2 MB
+    block = max(1, 250_000 // grid.n)
+    for start in range(0, rel.size, block):
+        arg = np.outer(rel[start:start + block], grid.wavenumbers)
+        # exp(i a) c from real products with c's (n, 2) real parts: no cast
+        cos, sin = np.cos(arg) @ coeffs, np.sin(arg) @ coeffs
+        out[start:start + block] = cos[:, 0] - sin[:, 1] + 1j * (cos[:, 1] + sin[:, 0])
+    return out
+
+
 def evolve_b(a0, kappa, hessU_along_flow, T, dt):
     """The phase-absorbed profile under `amplitude.b_potential`, stored at
     every node: a `WaveSeries`."""
@@ -141,7 +160,8 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
     half phases by cos/sin.  It rebuilds the kinetic table whenever the
     step length changes, takes every half phase by a complex `exp` and
     squares the density into new arrays; the same signature, yields and
-    return value."""
+    return value.  Its norms come from the engine's `density @ weights`
+    product, so that the drift, too, equals the engine's bit for bit."""
     visit = {int(j) for j in visit}
     psi = np.array(samples0, dtype=np.complex128)
     batched = psi.ndim == 2
@@ -152,6 +172,11 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
     k2 = grid.wavenumbers ** 2
     total = np.add.reduce
     hat = np.empty_like(psi)
+    weights = np.zeros((grid.n, 2))
+    weights[:, 0] = weights[:GUARD_CELLS, 1] = weights[-GUARD_CELLS:, 1] = dx
+
+    def norm(density):
+        return np.sqrt((density @ weights)[..., 0])
 
     def check(t, density, nrm, v):
         bm = boundary_mass(density, grid, GUARD_CELLS, is_density=True)
@@ -174,7 +199,7 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
             f"t={t:.6g} exceeds guard {GUARD_MASS:.1e}", **where)
 
     density = psi.real ** 2 + psi.imag ** 2
-    norm0 = np.sqrt(total(density, axis=-1) * dx)
+    norm0 = norm(density)
     drift = np.zeros_like(norm0)
     check(0.0, density, norm0, 0.0)
     if 0 in visit:
@@ -194,7 +219,7 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
         hat *= kin
         np.fft.ifft(hat, out=psi)
         density = psi.real ** 2 + psi.imag ** 2
-        nrm = np.sqrt(total(density, axis=-1) * dx)
+        nrm = norm(density)
         v = potential(times[j + 1], density)
         visited = j + 1 in visit
         apart = visited or j + 1 == last

@@ -10,7 +10,6 @@ from semihartree.grids import (
     abs_moment,
     apply_radial_rfft,
     boundary_mass,
-    evaluate_trig_interpolant,
     first_moment,
     fourier_first_moment,
     gaussian_profile,
@@ -20,9 +19,10 @@ from semihartree.grids import (
     physical_frame,
     radial_kernel_rfft,
     spectral_samples,
+    trig_interpolant_on_run,
 )
 
-from helpers import interp_samples
+from helpers import evaluate_trig_interpolant, interp_samples
 
 
 def fft_convolve(kernel, density, grid):
@@ -265,6 +265,52 @@ class TestWaveFunction:
         coeffs = np.fft.fft(psi.samples) / grid.n
         direct = np.exp(1j * np.outer(pts - grid.x_min, grid.wavenumbers)) @ coeffs
         assert np.max(np.abs(evaluate_trig_interpolant(psi, pts) - direct)) <= 1e-13
+
+
+class TestChirpInterpolant:
+    """`trig_interpolant_on_run`, a chirp z-transform, against the dense
+    cos/sin tables of `helpers.evaluate_trig_interpolant`, within
+    1e-15 * (n + count) * max|samples|: each chirp phase theta*k^2/2 is
+    rounded once, and k reaches n/2 + count."""
+
+    @pytest.fixture(scope="class")
+    def psi(self, mu_grid):
+        return gaussian_profile(mu_grid, center=1.5, wavenumber=3.0, width=0.7)
+
+    @staticmethod
+    def assert_matches_oracle(psi, start, step, count):
+        got = trig_interpolant_on_run(psi, start, step, count)
+        ref = evaluate_trig_interpolant(psi, start + step * np.arange(count))
+        assert got.shape == (count,)
+        tol = 1e-15 * (psi.grid.n + count) * np.max(np.abs(psi.samples))
+        assert np.max(np.abs(got - ref)) <= tol
+
+    @pytest.mark.parametrize("count", [505, 1000, 2000])
+    def test_run_across_the_window(self, psi, count):
+        # as the inside points of a physical grid: 505 at eps 0.02 and
+        # 1,000 on the n = 1024 grid, from just inside the left edge
+        g = psi.grid
+        step = g.length / count
+        self.assert_matches_oracle(psi, g.x_min + 0.37 * step, step, count)
+
+    def test_single_point(self, psi):
+        self.assert_matches_oracle(psi, 0.3, 0.1, 1)
+
+    def test_run_from_x_min_on_the_nodes(self, psi):
+        g = psi.grid
+        self.assert_matches_oracle(psi, g.x_min, g.dx, g.n)
+        vals = trig_interpolant_on_run(psi, g.x_min, 8 * g.dx, g.n // 8)
+        assert np.max(np.abs(vals - psi.samples[::8])) < 1e-12
+
+    def test_run_past_both_edges_sees_the_periodic_extension(self, psi):
+        g = psi.grid
+        self.assert_matches_oracle(psi, g.x_min - 5.0, (g.length + 10.0) / 700, 700)
+
+    @pytest.mark.parametrize("n", [1024, 600], ids=["fine", "not-a-power-of-two"])
+    def test_other_profile_grids(self, n):
+        grid = make_grid(n, -16.0, 16.0)
+        psi = gaussian_profile(grid, center=-2.0, wavenumber=-5.0, width=1.3)
+        self.assert_matches_oracle(psi, -15.9, 32.0 / 1000, 1000)
 
 
 class TestWaveSeriesInterp:

@@ -23,7 +23,7 @@ from semihartree.hartree import (
 from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.rescaled import evolve_rescaled_finals, residual_norm
 
-from helpers import evolve_b
+from helpers import evaluate_trig_interpolant, evolve_b
 
 COSINE_CFG = ExperimentConfig()  # cosine pair, cosine external, (0, 1), T = 1
 
@@ -62,6 +62,28 @@ class TestCoherentState:
         density = np.abs(psi.samples) ** 2
         far = np.abs(grid.points) > 2.0
         assert np.max(density[far]) < 1e-12
+
+
+    @pytest.mark.parametrize("eps", [0.32, 0.02])
+    def test_equals_the_dense_table_state(self, eps):
+        # the default profile at (q0, p0) on the grid the comparison sizes
+        a0, q, p = COSINE_CFG.initial_profile(), COSINE_CFG.q0, COSINE_CFG.p0
+        grid = sized_grid(eps, T=COSINE_CFG.T, U=COSINE_CFG.external())
+        psi = build_coherent_state(a0, q, p, eps, grid)
+        mu = (grid.points - q) / np.sqrt(eps)
+        inside = (mu >= a0.grid.x_min) & (mu < a0.grid.x_max)
+        profile = np.zeros(grid.n, dtype=np.complex128)
+        profile[inside] = evaluate_trig_interpolant(a0, mu[inside])
+        ref = eps ** (-0.25) * profile * np.exp(1j * p * (grid.points - q) / eps)
+        assert np.all(psi.samples[~inside] == 0.0)
+        tol = eps ** (-0.25) * 1e-15 * (a0.grid.n + inside.sum()) * np.max(np.abs(a0.samples))
+        assert np.max(np.abs(psi.samples - ref)) <= tol
+
+    def test_no_point_inside_the_window(self, gauss):
+        # the packet sits far left of the grid: the profile stays zero
+        grid = make_grid(64, 50.0, 60.0)
+        psi = build_coherent_state(gauss, 0.0, 1.0, 0.32, grid)
+        assert np.all(psi.samples == 0.0)
 
 
 class TestReferenceSolver:

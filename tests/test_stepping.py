@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import semihartree._stepping as stepping
-from semihartree._stepping import GUARD_CELLS, split_step_evolve, split_step_nodes, time_nodes
+from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, split_step_evolve, split_step_nodes,
+                                   time_nodes)
 from semihartree.classical import integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.corrections import _interleaved_nodes
@@ -418,6 +419,79 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(got.times, ref.times)
         np.testing.assert_array_equal(got.data, ref.data)
         assert got_drift == ref_drift
+
+
+class TestGuardBookkeeping:
+    """One product `density @ weights` per step gives the engine its norms
+    and its guard-band masses; the drift stays that of the summed norms,
+    and the guard raises as it did when it summed the edge cells apart."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_drift_equals_the_summed_norms_of_every_node(self, batch):
+        g, samples, c = TestFusedPhases.setup(batch)
+        times = time_nodes(0.5, 0.03)
+        labels = ["a", "b", "c"] if batch else "evolution"
+        seen, drift = run_nodes(split_step_nodes(
+            samples, g, times, TestBatchedEngine.self_consistent(g, c),
+            visit=range(times.size), label=labels))
+        assert [j for j, _ in seen] == list(range(times.size))
+        norms = np.array([np.sqrt(np.add.reduce(np.abs(psi) ** 2, axis=-1) * g.dx)
+                          for _, psi in seen])
+        ref = np.max(np.abs(norms - norms[0]), axis=0)
+        assert np.shape(drift) == np.shape(ref)
+        assert np.max(np.abs(drift - ref)) <= 1e-15
+
+    def test_single_edge_breach(self):
+        g = make_grid(128, -10.0, 10.0)
+        psi0 = gaussian_profile(g, wavenumber=12.0).samples
+        free = lambda t, s: np.zeros(g.n)
+        with pytest.raises(NumericalError) as err:
+            split_step_evolve(psi0, g, time_nodes(1.0, 1e-2), free, label="moving")
+        assert str(err.value) == ("moving: boundary mass fraction 1.914e-08 at t=0.33 "
+                                  "exceeds guard 1.0e-08")
+        assert err.value.row is None
+
+    def test_later_row_breaching_first_is_named(self):
+        # row 2 runs faster than row 1 and reaches the guard band first
+        g = make_grid(128, -10.0, 10.0)
+        rows = np.stack([gaussian_profile(g).samples,
+                         gaussian_profile(g, wavenumber=8.0).samples,
+                         gaussian_profile(g, wavenumber=-14.0).samples])
+        free = lambda t, s: np.zeros(s.shape)
+        with pytest.raises(NumericalError) as err:
+            split_step_evolve(rows, g, time_nodes(1.0, 1e-2), free,
+                              label=["still", "slow", "fast"])
+        assert str(err.value) == ("fast: boundary mass fraction 2.777e-08 at t=0.3 "
+                                  "exceeds guard 1.0e-08")
+        assert err.value.row == 2
+
+    def test_nan_in_v_names_its_row(self):
+        g = make_grid(128, -10.0, 10.0)
+        rows = np.stack([gaussian_profile(g).samples] * 3)
+
+        def nan_in_row_1(t, density):
+            v = np.zeros(density.shape)
+            if t > 0.2:
+                v[1, 5] = np.nan
+            return v
+
+        with pytest.raises(NumericalError) as err:
+            split_step_evolve(rows, g, time_nodes(0.5, 0.03), nan_in_row_1, store_times=[],
+                              label=["a", "b", "c"])
+        assert str(err.value) == "b: non-finite samples at t=0.21"
+        assert err.value.row == 1
+
+    def test_rows_under_the_guard_pass_when_their_sum_is_over(self):
+        # two stationary plane waves, each with 0.6 * GUARD_MASS in the
+        # guard band: the summed band mass takes the row scan, which clears
+        g = make_grid(128, -10.0, 10.0)
+        amp = np.sqrt(0.6 * GUARD_MASS / (2 * GUARD_CELLS * g.dx))
+        rows = amp * np.exp(1j * g.wavenumbers[[3, 5]][:, None] * g.points)
+        assert boundary_mass(rows, g, GUARD_CELLS).sum() > GUARD_MASS
+        free = lambda t, s: np.zeros(s.shape)
+        _, _, data, _ = split_step_evolve(rows, g, time_nodes(0.1, 1e-2), free,
+                                          label=["a", "b"])
+        assert np.isfinite(data).all()
 
 
 class TestKineticTables:
