@@ -60,8 +60,9 @@ def time_nodes(T: float, dt: float) -> np.ndarray:
 
 def tabulate(fn: Callable, times: np.ndarray) -> Callable[[float], float]:
     """Lookup t -> fn(t) for t in the sorted `times`, from one call of `fn` on
-    all of them; a scalar result (say, of `lambda t: 0.0`) broadcasts."""
-    table = np.broadcast_to(np.asarray(fn(times), dtype=np.float64), times.shape)
+    all of them; a scalar broadcasts, and a leading node axis gives rows."""
+    table = np.asarray(fn(times), dtype=np.float64)
+    table = np.broadcast_to(table, times.shape + table.shape[1:])
     return lambda t: table[np.searchsorted(times, t)]
 
 

@@ -154,14 +154,13 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
 def b_potential(grid: Grid, kappa: float, hess_at: Callable[[float], float]):
     """(t, |b|^2) -> (kappa/2) conv(r^2, |b|^2) + U''(t) x^2/2, the
     potential of the phase-absorbed profile b, rebuilt from b's density at
-    every node; `hess_at` looks U'' up at the node times."""
+    every node (kappa/2 rides in the kernel table); `hess_at` looks U'' up
+    at the node times."""
     x2_half = 0.5 * grid.points ** 2
-    khat = radial_kernel_rfft(lambda r: r * r, grid)
-    half_kappa = 0.5 * kappa
+    khat = 0.5 * kappa * radial_kernel_rfft(lambda r: r * r, grid)
 
     def potential(t: float, density: np.ndarray) -> np.ndarray:
-        return (half_kappa * apply_radial_rfft(khat, density, grid)
-                + hess_at(t) * x2_half)
+        return apply_radial_rfft(khat, density, grid) + hess_at(t) * x2_half
 
     return potential
 

@@ -204,10 +204,15 @@ def trig_interpolant_on_run(psi: WaveFunction, start: float, step: float,
     """The band-limited (trigonometric) interpolant of psi at start + m*step,
     m < count (the periodic extension outside the domain), by a chirp
     z-transform (Bluestein, 1970): modes j = -n/2..n/2-1, j*m = (j^2 + m^2
-    - (m-j)^2)/2 and one zero-padded power-of-two FFT convolution."""
+    - (m-j)^2)/2 and one zero-padded power-of-two FFT convolution.  Chirp phases
+    go in turns: a head of theta/(4 pi) times k^2, exact for every k, is taken mod 1."""
     grid, half = psi.grid, psi.grid.n // 2
     kappa = 2.0 * np.pi / grid.length
-    chirp = lambda k: np.exp(1j * (0.5 * kappa * step * (k * k)))  # k*k exact
+    turns = 0.5 * step / grid.length  # theta/(4 pi), theta = kappa*step; k*k exact
+    mantissa, exponent = np.frexp(turns)
+    bits = 53 - 2 * (count + half).bit_length()  # |k| < count + n/2: head*k^2 exact
+    head = np.ldexp(np.round(np.ldexp(mantissa, bits)), exponent - bits)
+    chirp = lambda k: np.exp(2j * np.pi * (head * (k * k) % 1.0 + (turns - head) * (k * k)))
     j, lag = np.arange(-half, half), np.arange(1 - half, count + half)
     coeffs = np.fft.fftshift(np.fft.fft(psi.samples)) / grid.n
     size = 1 << (grid.n + count - 2).bit_length()  # at least n + count - 1
@@ -246,7 +251,7 @@ def radial_distances(grid: Grid) -> np.ndarray:
 
 
 def radial_kernel_rfft(kernel: Callable[[np.ndarray], np.ndarray], grid: Grid) -> np.ndarray:
-    """Real FFT of the kernel sampled at periodic distances.
+    """Real FFT of the kernel at periodic distances, times dx and the inverse's 1/n.
 
     Cache the result when convolving repeatedly with the same kernel.
     """
@@ -257,12 +262,12 @@ def radial_kernel_rfft(kernel: Callable[[np.ndarray], np.ndarray], grid: Grid) -
         raise ValueError("kernel must map distances to one value per cell")
     if not np.all(np.isfinite(values)):
         raise ValueError("kernel produced non-finite values")
-    return np.fft.rfft(values)
+    return np.fft.rfft(values) * (grid.dx / grid.n)
 
 
 def apply_radial_rfft(kernel_hat: np.ndarray, density: np.ndarray, grid: Grid) -> np.ndarray:
-    """Circular convolution (kernel * density) * dx given the kernel's rfft."""
-    return np.fft.irfft(np.fft.rfft(density) * kernel_hat, grid.n) * grid.dx
+    """Circular convolution (kernel * density) * dx given `radial_kernel_rfft`."""
+    return np.fft.irfft(np.fft.rfft(density) * kernel_hat, grid.n, norm="forward")
 
 
 def mean_field(kernel: Callable, grid: Grid, separable: Optional[Callable] = None):

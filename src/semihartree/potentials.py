@@ -32,7 +32,8 @@ _WINDOW_SCALE = 4.0
 
 @dataclass(frozen=True, eq=False)
 class PairPotential:
-    """Even two-body interaction with its derivatives at the origin.
+    """Even two-body interaction with its derivatives at the origin.  `_fn` is
+    phi(r) - phi(0) (`shifted`), formed to keep its relative accuracy at small r.
 
     `separable`, if set, maps points x to (rank, n) tables (f, g) with
     phi(x_j - x_l) = sum_i f_i(x_j) g_i(x_l): rank 2 for cosine, 0 for
@@ -49,17 +50,20 @@ class PairPotential:
 
     def __call__(self, r):
         """Evaluate at separations r >= 0."""
-        return self._fn(np.asarray(r, dtype=np.float64))
+        return self.value_at_0 + self.shifted(r)
 
     def shifted(self, r):
         """phi(r) - phi(0), the combination entering mean-field kernels."""
-        return self(r) - self.value_at_0
+        return self._fn(np.asarray(r, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
 class ExternalPotential:
     """External potential U(x, t) with analytic x-derivatives up to order 4.
-    U must not depend on t: the reference solver samples U(x) once, at t=0."""
+    U must not depend on t: the reference solver samples U(x) once, at t=0.
+    `addition`, if set, maps offsets y to a (rank,) + y.shape table r and a map
+    c from points q to q.shape + (rank,) tables with U(q+y) - U(q) - U'(q) y
+    = sum_k c_k(q) r_k(y), the twin of the pair's `separable`."""
 
     name: str
     value: Callable[[Array, float], Array]
@@ -67,6 +71,7 @@ class ExternalPotential:
     hess: Callable[[Array, float], Array]
     third: Callable[[Array, float], Array]
     fourth: Callable[[Array, float], Array]
+    addition: Optional[Callable[[Array], tuple]] = None
 
 
 def _require_params(name: str, params: Sequence[float], count: int) -> tuple:
@@ -87,17 +92,17 @@ def builtin_pair(name: str, params: Sequence[float] = ()) -> PairPotential:
                              lambda x: (np.empty((0, np.size(x))),) * 2)
     if name == "cosine":
         _require_params(name, params, 0)
-        # cos(x - y) = cos x cos y + sin x sin y
-        return PairPotential("cosine", 1.0, -1.0, 1.0, np.cos,
+        # cos(x - y) = cos x cos y + sin x sin y, and cos r - 1 = -2 sin^2(r/2)
+        return PairPotential("cosine", 1.0, -1.0, 1.0, lambda r: -2.0 * np.sin(0.5 * r) ** 2,
                              lambda x: (np.stack([np.cos(x), np.sin(x)]),) * 2)
     if name == "gaussian":
         _require_params(name, params, 0)
         return PairPotential("gaussian", 1.0, -1.0, 3.0,
-                             lambda r: np.exp(-0.5 * r * r))
+                             lambda r: np.expm1(-0.5 * r * r))
     if name == "quadratic":
         c0, c2 = _require_params(name, params, 2)
         return PairPotential("quadratic", c0, c2, 0.0,
-                             lambda r, c0=c0, c2=c2: c0 + 0.5 * c2 * r * r)
+                             lambda r, c2=c2: 0.5 * c2 * r * r)
     raise ValueError(
         f"unknown pair potential {name!r}: valid names are {', '.join(PAIR_NAMES)}"
     )
@@ -120,7 +125,8 @@ def builtin_external(name: str, params: Sequence[float] = ()) -> ExternalPotenti
         if len(tuple(params)) != 0:
             raise ValueError("external potential 'zero' takes no parameters")
         zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=np.float64))
-        return ExternalPotential("zero", zero, zero, zero, zero, zero)
+        return ExternalPotential("zero", zero, zero, zero, zero, zero, lambda y: (
+            np.empty((0, *np.shape(y))), lambda q: np.empty((*np.shape(q), 0))))
 
     if name == "harmonic":
         w = _one_optional(name, params, 1.0)
@@ -132,6 +138,7 @@ def builtin_external(name: str, params: Sequence[float] = ()) -> ExternalPotenti
             hess=lambda x, t: w2 * np.ones_like(np.asarray(x, float)),
             third=lambda x, t: np.zeros_like(np.asarray(x, float)),
             fourth=lambda x, t: np.zeros_like(np.asarray(x, float)),
+            addition=lambda y: (0.5 * w2 * y[None] ** 2, lambda q: np.ones((*np.shape(q), 1))),
         )
 
     if name == "cosine":
@@ -143,6 +150,9 @@ def builtin_external(name: str, params: Sequence[float] = ()) -> ExternalPotenti
             hess=lambda x, t: -amp * np.cos(x),
             third=lambda x, t: amp * np.sin(x),
             fourth=lambda x, t: amp * np.cos(x),
+            # cos(q+y) = cos q cos y - sin q sin y; cos y - 1 = -2 sin^2(y/2) keeps small y
+            addition=lambda y: (np.stack([-2.0 * np.sin(0.5 * y) ** 2, np.sin(y) - y]),
+                                lambda q: amp * np.stack([np.cos(q), -np.sin(q)], axis=-1)),
         )
 
     if name == "cubic_window":

@@ -5,7 +5,8 @@ fast oscillation, so the grid requirements are uniform in the
 semiclassical parameter: the same mesh serves every epsilon in a sweep,
 and a sweep evolves all of its epsilons together as one (m, n) batch.
 The residual against the quadratic-model profile is the cheapest way to
-measure the approximation error.
+measure the approximation error.  Its potential, from per-level tables,
+keeps U's Taylor remainder around the path exact, with no truncation.
 """
 
 from __future__ import annotations
@@ -37,25 +38,34 @@ def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential
 
     It combines the mean-field term (1/eps) * conv(phi(sqrt(eps) r) - phi(0),
     |a|^2) with the external bracket
-    (1/eps) * [U(q + sqrt(eps) mu) - U(q) - sqrt(eps) U'(q) mu], both
-    evaluated pointwise without Taylor truncation so the residual measures
-    the approximation itself, not a modeling shortcut.  The trajectory is
-    sampled once at the step nodes `times`, the only times it is called at.
+    (1/eps) * [U(q + sqrt(eps) mu) - U(q) - sqrt(eps) U'(q) mu], both without
+    Taylor truncation so the residual measures the approximation itself.  U's
+    addition form gives the bracket from tables: its remainders at sqrt(eps) mu
+    over eps, and their coefficients at the step nodes `times`; 1/eps rides in
+    the kernels.  U without one (cubic_window) is evaluated at every step.
     """
     mu = grid.points
     root_eps = np.sqrt(epsilons)[:, None]
     inv_eps = 1.0 / epsilons[:, None]
     khat = np.stack([radial_kernel_rfft(lambda r, s=s: phi.shifted(s * r), grid)
                      for s in root_eps[:, 0]])
-    q_at = tabulate(trajectory.qs_at, times)
-
-    def potential(t: float, density: np.ndarray) -> np.ndarray:
-        mean_field = apply_radial_rfft(khat, density, grid)
-        q = q_at(t)
-        bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)
-                   - float(U.value(q, t))
-                   - root_eps * float(U.grad(q, t)) * mu)
-        return inv_eps * (mean_field + bracket)
+    if U.addition is None:
+        q_at = tabulate(trajectory.qs_at, times)
+        def potential(t: float, density: np.ndarray) -> np.ndarray:
+            mean_field = apply_radial_rfft(khat, density, grid)
+            q = q_at(t)
+            bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)
+                       - float(U.value(q, t))
+                       - root_eps * float(U.grad(q, t)) * mu)
+            return inv_eps * (mean_field + bracket)
+    else:
+        khat *= inv_eps
+        remainders, coeffs = U.addition(root_eps * mu)
+        remainders = (remainders * inv_eps).reshape(-1, epsilons.size * grid.n)
+        coeff_at = tabulate(lambda nodes: coeffs(trajectory.qs_at(nodes)), times)
+        def potential(t: float, density: np.ndarray) -> np.ndarray:
+            return (apply_radial_rfft(khat, density, grid)
+                    + (coeff_at(t) @ remainders).reshape(density.shape))
 
     return potential
 

@@ -11,7 +11,8 @@ from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow
 from semihartree.corrections import _interleaved_nodes, _pass, separation_power_form
 from semihartree.errors import NumericalError
-from semihartree.grids import RESCALED, WaveSeries, abs_moment, boundary_mass, spectral_samples
+from semihartree.grids import (RESCALED, WaveSeries, abs_moment, boundary_mass, radial_distances,
+                               spectral_samples)
 from semihartree.rescaled import _packet_frame_potential
 
 
@@ -53,6 +54,29 @@ def packet_frame_history(a0, epsilon, phi, U, trajectory, T, dt):
     times, _, data, drift = split_step_evolve(a0.samples[None], a0.grid, nodes, potential,
                                               label=[f"eps={epsilon:g}"])
     return WaveSeries(times, a0.grid, RESCALED, data[:, 0]), float(drift[0])
+
+
+def pointwise_packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
+    """The oracle of `rescaled._packet_frame_potential`: the closure as it
+    was before U's addition form and the folded kernel transforms.  Every
+    step evaluates U at q + sqrt(eps) mu and U, U' at q, and scales
+    (plain kernel transform convolution * dx + bracket) by 1/eps."""
+    mu = grid.points
+    root_eps = np.sqrt(epsilons)[:, None]
+    inv_eps = 1.0 / epsilons[:, None]
+    r = radial_distances(grid)
+    khat = np.stack([np.fft.rfft(phi.shifted(s * r)) for s in root_eps[:, 0]])
+    q_at = tabulate(trajectory.qs_at, times)
+
+    def potential(t, density):
+        mean_field = np.fft.irfft(np.fft.rfft(density) * khat, grid.n) * grid.dx
+        q = q_at(t)
+        bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)
+                   - float(U.value(q, t))
+                   - root_eps * float(U.grad(q, t)) * mu)
+        return inv_eps * (mean_field + bracket)
+
+    return potential
 
 
 def fourier_second_moment(psi) -> float:

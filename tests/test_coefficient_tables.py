@@ -84,6 +84,13 @@ class TestTabulate:
         lookup = tabulate(lambda t: 0.0, times)
         assert [lookup(t) for t in times] == [0.0] * times.size
 
+    def test_leading_node_axis_gives_rows(self):
+        # a (nodes, rank) coefficient table: one lookup returns a node's row
+        times = time_nodes(1.0, 0.25)
+        lookup = tabulate(lambda t: np.stack([t, -t, 2.0 * t], axis=-1), times)
+        for t in times:
+            assert np.array_equal(lookup(t), [t, -t, 2.0 * t])
+
 
 def old_source_1(mu, dx, phi, U, traj):
     """The single combined source closure of the first correction."""

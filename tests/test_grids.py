@@ -270,8 +270,9 @@ class TestWaveFunction:
 class TestChirpInterpolant:
     """`trig_interpolant_on_run`, a chirp z-transform, against the dense
     cos/sin tables of `helpers.evaluate_trig_interpolant`, within
-    1e-15 * (n + count) * max|samples|: each chirp phase theta*k^2/2 is
-    rounded once, and k reaches n/2 + count."""
+    1e-15 * (n + count) * max|samples|: the oracle rounds each of its
+    arguments x*k at full size, which for a profile with a carrier
+    (wavenumber 3) costs it up to 1.3e-14 at 4,000 points."""
 
     @pytest.fixture(scope="class")
     def psi(self, mu_grid):
@@ -292,6 +293,19 @@ class TestChirpInterpolant:
         g = psi.grid
         step = g.length / count
         self.assert_matches_oracle(psi, g.x_min + 0.37 * step, step, count)
+
+    @pytest.mark.parametrize("count", [505, 2000, 40_000])
+    def test_phases_in_turns_on_the_default_profile(self, gauss, count):
+        # the default profile's spectrum is narrow, so the oracle is good to
+        # about 1e-15 there; a chirp phase rounded at its full size, about
+        # pi (count + n/2), was off by 2.0e-14, 8.4e-14 and 2.7e-12 at these
+        # counts, and a 24-bit head times k^2 stops being exact past 23,170
+        g = gauss.grid
+        step = g.length / count
+        pts = g.x_min + 0.37 * step + step * np.arange(count)
+        got = trig_interpolant_on_run(gauss, pts[0], step, count)
+        ref = evaluate_trig_interpolant(gauss, pts)
+        assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(gauss.samples))
 
     def test_single_point(self, psi):
         self.assert_matches_oracle(psi, 0.3, 0.1, 1)

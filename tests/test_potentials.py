@@ -51,6 +51,24 @@ class TestBuiltinPairs:
         phi = builtin_pair("zero")
         assert np.all(np.asarray(phi(np.linspace(0, 5, 11))) == 0.0)
 
+    @pytest.mark.parametrize("name, closed_form", [("cosine", np.cos),
+                                                   ("gaussian", lambda r: np.exp(-0.5 * r * r))])
+    def test_value_from_the_shifted_form(self, name, closed_form):
+        # phi(r) = phi(0) + shifted(r): within two units of roundoff at
+        # phi(0) = 1 (3.3e-16 measured for cosine)
+        r = np.linspace(0.0, 6.0, 601)
+        np.testing.assert_allclose(builtin_pair(name)(r), closed_form(r), rtol=0, atol=4.5e-16)
+
+    @pytest.mark.parametrize("name, params", [("cosine", []), ("gaussian", []),
+                                              ("quadratic", [1.0, -1.0])])
+    def test_shifted_keeps_small_separations(self, name, params):
+        # phi(r) - phi(0) = phi''(0) r^2/2 + O(r^4), with no cancellation
+        # against phi(0) down to r = 1e-150
+        phi = builtin_pair(name, params)
+        r = np.array([1e-150, 3e-100, 1e-9])
+        np.testing.assert_allclose(phi.shifted(r) / r ** 2, 0.5 * phi.second_deriv_at_0,
+                                   rtol=1e-15)
+
     @pytest.mark.parametrize("name", ["cosine", "gaussian", "quadratic"])
     def test_slope_at_zero_vanishes(self, name):
         params = [1.0, -1.0] if name == "quadratic" else []
