@@ -128,10 +128,8 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
         if not finite[row]:
             raise NumericalError(
                 f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
-        nrm2 = total(density[row] if batched else density, axis=None) * dx
-        raise NumericalError(
-            f"{labels[row]}: boundary mass fraction {bm[row] / nrm2:.3e} at "
-            f"t={t:.6g} exceeds guard {GUARD_MASS:.1e}", **where)
+        raise NumericalError(f"{labels[row]}: boundary mass {bm[row]:.3e} at t={t:.6g} "
+                             f"exceeds guard {GUARD_MASS:.1e}", **where)
 
     density, scratch = np.empty(psi.shape), np.empty(psi.shape)  # |psi|^2, reused
 

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._stepping import _resolve_store, split_step_nodes, tabulate, time_nodes
-from .config import DEFAULT_MU_DT
 from .grids import (
     RESCALED,
     Grid,
@@ -106,7 +105,7 @@ class ProfileHistory(Sequence):
 
 
 def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-                T: float, dt: float = DEFAULT_MU_DT,
+                T: float, dt: float,
                 store_times: Optional[Sequence[float]] = None) -> ProfileHistory:
     """Propagate the profile under the quadratic potential
     (kappa + hessU(t)) x^2 / 2 with Strang splitting, and the nonlinear

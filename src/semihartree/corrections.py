@@ -6,15 +6,15 @@ phase-absorbed profile b, so every order evolves under b's potential,
 rebuilt from b's density, in `split_step_nodes` on the dt nodes
 interleaved with their midpoints.  The first order steps as the second
 row of a (2, n) batch whose first row is b, the one evolution of b.  At
-each midpoint a pass adds the midpoint-rule Duhamel step of the sources
-to its correction, in place (one fixed-point refinement handles the term
-that couples a correction back into its own source).  The second order
-steps alone, in lockstep with the first pass, at most one dt node behind:
-it takes b's potential at each node and b at each midpoint from that
-pass, and the first correction from a two-row window at the dt nodes
-around its midpoint, so neither pass keeps a history.  The correction
-equations are free of the semiclassical parameter; it enters only when
-the expansion is assembled.
+each midpoint the midpoint-rule Duhamel step of the sources is added to
+the correction, in place (one fixed-point refinement handles the term
+that couples a correction back into its own source).  One loop over the
+first pass drives both orders: the second steps alone, one dt node
+behind, under b's potential from the first pass, and takes b at its
+midpoints and the first correction at the dt nodes around them from that
+pass as it goes, so no history is kept.  The correction equations are
+free of the semiclassical parameter; it enters only when the expansion
+is assembled.
 """
 
 from __future__ import annotations
@@ -66,44 +66,14 @@ def _interleaved_nodes(T: float, dt: float) -> tuple:
     return coarse, np.diff(coarse), nodes
 
 
-def _pass(b0: np.ndarray, grid, nodes: np.ndarray, steps: np.ndarray,
-          potential: Callable, coupling: Callable, forcing: Callable,
-          visit: Sequence[int], label: str, b_mid: Optional[Callable] = None):
-    """Generator of (node index, state) at the node indices in `visit`: the
-    (2, n) batch of b and one correction u from (b0, 0) under
-    potential(t, |b|^2), or, given b_mid(j) (b at the midpoint of dt step
-    j), u alone from 0 under potential(t, _).  At that midpoint it adds
-    -i*h*s to u, before any visit: s is coupling(u, b), linear in u and
-    refreshed by one fixed-point update of u, plus the u-free forcing(j, b),
-    evaluated once per step.  The state is the engine's buffer: copy what you keep."""
-    if b_mid is None:
-        psi0, labels = np.stack([b0, np.zeros_like(b0)]), [B_LABEL, label]
-        v = lambda t, density: potential(t, density[0])
-    else:
-        psi0, labels, v = np.zeros_like(b0), label, potential
-    visit = set(visit)
-    for i, psi in split_step_nodes(psi0, grid, nodes, v, 1.0,
-                                   visit.union(range(1, nodes.size, 2)), labels):
-        if i % 2:
-            j = i // 2
-            b, u = (psi[0], psi[1]) if b_mid is None else (b_mid(j), psi)
-            f, h = forcing(j, b), steps[j]
-            s = coupling(u, b) + f
-            s = coupling(u - 0.5j * h * s, b) + f
-            u -= 1j * h * s
-        if i in visit:
-            yield i, psi
-
-
-def _blend(t: float, left: float, right: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The linear blend of a at `left` and b at `right` at time t between
-    them; within 1e-12 of either node, that node's row itself."""
-    if abs(t - left) < 1e-12:
-        return a
-    if abs(t - right) < 1e-12:
-        return b
-    w = (t - left) / (right - left)
-    return (1.0 - w) * a + w * b
+def _deposit(u: np.ndarray, b: np.ndarray, h: float, coupling: Callable,
+             f: np.ndarray) -> None:
+    """Add the midpoint-rule Duhamel step -i*h*s to u in place: s is
+    coupling(u, b), linear in u and refreshed by one fixed-point update of
+    u, plus the u-free forcing f."""
+    s = coupling(u, b) + f
+    s = coupling(u - 0.5j * h * s, b) + f
+    u -= 1j * h * s
 
 
 def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotential,
@@ -118,11 +88,14 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     correction with b (linear in the unknown); b evolves only in its pass.
     The second adds the quartic interaction and external terms against b
     and the quadratic terms against the first correction, read at each
-    midpoint as the linear blend of its rows at the two dt nodes around
-    it.  It steps alone under b's potential from the first pass, which runs
-    at most one dt node ahead and keeps only what the second has yet to
-    read.  A correction that reaches the engine's boundary guard fails
-    with its own label.
+    midpoint as the linear blend of its values at the two dt nodes around
+    it.  It steps alone under b's potential from the first pass: after each
+    dt node the loop advances it to the midpoint before that node, so it
+    runs one dt node behind, and the loop keeps only the first correction
+    at the previous dt node, b at the last midpoint and b's potential at
+    the nodes the second pass is yet to reach.  A correction that reaches
+    the engine's boundary guard fails with its own label; when both passes
+    would trip within one dt node, the first pass's error is raised.
     """
     if K not in (0, 1, 2):
         raise ValueError("expansion order K must be 0, 1, or 2")
@@ -145,56 +118,19 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
         return CorrectionSet((series(stored_t, data),))
 
     store_idx = _resolve_store(nodes, store)
+    stored = set(store_idx.tolist())
+    visit = stored.union(range(1, nodes.size, 2))  # the stored nodes and the midpoints
     mids = nodes[1::2]
     q = trajectory.qs_at(mids)
-    w3 = U.third(q, mids) / 6.0
+    w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
+    quartic_coeff = phi.fourth_deriv_at_0 / 24.0
     powers = np.vander(mu, 5, True).T.copy()  # rows mu**0 .. mu**4
 
     def coupling(u: np.ndarray, b: np.ndarray) -> np.ndarray:
         cross = 2.0 * (b.real * u.real + b.imag * u.imag)
         return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * b
 
-    def first(j: int, b: np.ndarray) -> np.ndarray:
-        return w3[j] * powers[3] * b
-
-    vs = deque()  # at K = 2, b's potential at nodes the second pass has yet to reach
-
-    def recorded(t: float, density: np.ndarray) -> np.ndarray:
-        vs.append(potential(t, density))
-        return vs[-1]
-
-    pass1 = _pass(a0.samples, grid, nodes, steps, recorded if K == 2 else potential, coupling,
-                  first, range(nodes.size) if K == 2 else store_idx, "first correction")
-    times = nodes[store_idx]
-    if K == 1:
-        data = np.array([psi.copy() for _, psi in pass1])
-        return CorrectionSet((series(times, data[:, 0]), series(times, data[:, 1])))
-
-    w4 = U.fourth(q, mids) / 24.0
-    quartic_coeff = phi.fourth_deriv_at_0 / 24.0
-    stored = set(store_idx.tolist())
-    # b at midpoints yet to come, a1 around the midpoint, (b, a1) stored
-    b_mids, window, stored_rows = deque(), {}, []
-
-    def pull(ready: Callable[[], bool]) -> None:  # run the first pass on until ready()
-        for i, psi in () if ready() else pass1:
-            if i % 2:
-                b_mids.append(psi[0].copy())
-            else:
-                window[i] = psi[1].copy()
-                window.pop(i - 4, None)
-                if i in stored:
-                    stored_rows.append(psi.copy())
-            if ready():
-                return
-
-    def take(queue: deque) -> np.ndarray:  # the oldest entry, pulled in if need be
-        pull(lambda: queue)
-        return queue.popleft()
-
-    def second(j: int, b: np.ndarray) -> np.ndarray:
-        pull(lambda: 2 * j + 2 in window)
-        a1 = _blend(mids[j], nodes[2 * j], nodes[2 * j + 2], window[2 * j], window[2 * j + 2])
+    def second(j: int, b: np.ndarray, a1: np.ndarray) -> np.ndarray:
         dens0 = b.real ** 2 + b.imag ** 2
         dens1 = a1.real ** 2 + a1.imag ** 2
         cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
@@ -204,11 +140,41 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
         s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
         return s + w3[j] * powers[3] * a1
 
-    data2 = np.array([psi.copy() for _, psi in _pass(
-        a0.samples, grid, nodes, steps, lambda t, _: take(vs), coupling, second, store_idx,
-        "second correction", lambda j: take(b_mids))])
-    b_a1 = np.array(stored_rows).swapaxes(0, 1)
-    return CorrectionSet(tuple(series(times, data) for data in (*b_a1, data2)))
+    vs = deque()  # K = 2: b's potential at the nodes the second pass is yet to reach (3 at most)
+
+    def recorded(t: float, density: np.ndarray) -> np.ndarray:
+        vs.append(potential(t, density))
+        return vs[-1]
+
+    v1 = recorded if K == 2 else potential
+    pass1 = split_step_nodes(np.stack([a0.samples, np.zeros_like(a0.samples)]), grid, nodes,
+                             lambda t, density: v1(t, density[0]), 1.0,
+                             range(nodes.size) if K == 2 else visit,
+                             [B_LABEL, "first correction"])
+    pass2 = split_step_nodes(np.zeros_like(a0.samples), grid, nodes, lambda t, _: vs.popleft(),
+                             1.0, visit, "second correction")
+    rows, rows2 = [], []  # (b, a1) and a2 at the stored nodes
+    for i, psi in pass1:
+        j = i // 2
+        if i % 2:  # the midpoint of dt step j
+            _deposit(psi[1], psi[0], steps[j], coupling, w3[j] * powers[3] * psi[0])
+            b_mid = psi[0].copy()
+            continue
+        if i in stored:
+            rows.append(psi.copy())
+        if K == 2 and i:  # the second pass on to the midpoint of dt step j - 1
+            for k, a2 in pass2:
+                if k % 2:
+                    break
+                rows2.append(a2.copy())
+            w = (nodes[i - 1] - nodes[i - 2]) / (nodes[i] - nodes[i - 2])
+            a1 = (1.0 - w) * a1_prev + w * psi[1]
+            _deposit(a2, b_mid, steps[j - 1], coupling, second(j - 1, b_mid, a1))
+        a1_prev = psi[1].copy()
+    orders = list(np.array(rows).swapaxes(0, 1))
+    if K == 2:
+        orders.append(np.array(rows2 + [a2.copy() for _, a2 in pass2]))
+    return CorrectionSet(tuple(series(nodes[store_idx], data) for data in orders))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +190,8 @@ class CorrectionSet:
         object.__setattr__(self, "orders", tuple(self.orders))
 
 
-def assemble_expansion(cset: CorrectionSet, K: int, epsilon: float,
-                       t: Optional[float] = None) -> WaveFunction:
-    """Sum of eps^(k/2) * order_k at time t (final time by default)."""
+def assemble_expansion(cset: CorrectionSet, K: int, epsilon: float) -> WaveFunction:
+    """Sum of eps^(k/2) * order_k at the final time."""
     if K < 0 or K > 2:
         raise ValueError("expansion order K must be 0, 1, or 2")
     if K >= len(cset.orders):
@@ -238,7 +203,5 @@ def assemble_expansion(cset: CorrectionSet, K: int, epsilon: float,
     grid = base.grid
     total = np.zeros(grid.n, dtype=np.complex128)
     for k in range(K + 1):
-        series = cset.orders[k]
-        wf = series.final if t is None else series.at_time(t)
-        total = total + epsilon ** (k / 2.0) * wf.samples
+        total = total + epsilon ** (k / 2.0) * cset.orders[k].final.samples
     return WaveFunction(grid, total, RESCALED)

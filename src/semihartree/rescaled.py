@@ -1,12 +1,13 @@
-"""Exact packet-frame amplitude solver and its residual diagnostics.
+"""Exact packet-frame amplitude solver.
 
 Working in the frame co-moving with the classical trajectory removes the
 fast oscillation, so the grid requirements are uniform in the
 semiclassical parameter: the same mesh serves every epsilon in a sweep,
 and a sweep evolves all of its epsilons together as one (m, n) batch.
-The residual against the quadratic-model profile is the cheapest way to
-measure the approximation error.  Its potential, from per-level tables,
-keeps U's Taylor remainder around the path exact, with no truncation.
+The residual against the quadratic-model profile (the K = 0 expansion of
+the corrections) is the cheapest way to measure the approximation error.
+Its potential, from per-level tables, keeps U's Taylor remainder around
+the path exact, with no truncation.
 """
 
 from __future__ import annotations
@@ -17,18 +18,16 @@ import numpy as np
 
 from ._stepping import split_step_evolve, tabulate, time_nodes
 from .classical import Trajectory
-from .config import DEFAULT_MU_DT
 from .grids import (
     RESCALED,
     Grid,
     WaveFunction,
     apply_radial_rfft,
-    l2_distance,
     radial_kernel_rfft,
 )
 from .potentials import ExternalPotential, PairPotential
 
-__all__ = ["evolve_rescaled_finals", "residual_norm"]
+__all__ = ["evolve_rescaled_finals"]
 
 
 def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential,
@@ -73,7 +72,7 @@ def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential
 def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
                            phi: PairPotential, U: ExternalPotential,
                            trajectory: Trajectory, T: float,
-                           dt: float = DEFAULT_MU_DT) -> List[WaveFunction]:
+                           dt: float) -> List[WaveFunction]:
     """Final packet-frame amplitude (see `_packet_frame_potential`) for each
     epsilon, Strang-split from `a0` as one (len(epsilons), n) batch that
     keeps only the final node.  A guard failure raises NumericalError
@@ -94,9 +93,3 @@ def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
         store_times=(T,), label=[f"rescaled amplitude (eps={e:g})" for e in epsilons],
     )
     return [WaveFunction(grid, row, RESCALED) for row in data[-1]]
-
-
-def residual_norm(b: WaveFunction, a: WaveFunction) -> float:
-    """L^2 distance between the model profile and the exact packet-frame
-    amplitude; zero at t = 0 by the shared initial datum."""
-    return l2_distance(b, a)

@@ -30,7 +30,7 @@ from .corrections import assemble_expansion, evolve_corrections
 from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, gaussian_profile, l2_distance
 from .hartree import PhysicalLevel, compare_evolution, physical_level
-from .rescaled import evolve_rescaled_finals, residual_norm
+from .rescaled import evolve_rescaled_finals
 
 __all__ = [
     "SweepRow",
@@ -141,11 +141,7 @@ def _packet_frame_errors(config: ExperimentConfig, epsilons: list, shared: dict)
                                     config.external(), shared["trajectory"],
                                     config.T, shared["dt"])
     dt, n = shared["dt"], config.mu_n
-    corrections = shared["corrections"]
-    if config.mode == "rescaled":
-        b = corrections.orders[0].final
-        return [(residual_norm(b, a), dt, n) for a in finals]
-    K = ORDERS[config.mode]
+    corrections, K = shared["corrections"], ORDERS[config.mode]
     return [(l2_distance(a, assemble_expansion(corrections, K, eps)), dt, n)
             for eps, a in zip(epsilons, finals)]
 

@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, _resolve_store, split_step_evolve,
-                                   tabulate, time_nodes)
+                                   split_step_nodes, tabulate, time_nodes)
 from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow
-from semihartree.corrections import _interleaved_nodes, _pass, separation_power_form
+from semihartree.corrections import _interleaved_nodes, separation_power_form
 from semihartree.errors import NumericalError
 from semihartree.grids import (RESCALED, WaveSeries, abs_moment, boundary_mass, radial_distances,
                                spectral_samples)
@@ -104,6 +104,36 @@ def interp_samples(series, t: float) -> np.ndarray:
     return (1.0 - w) * data[j - 1] + w * data[j]
 
 
+def correction_pass(b0, grid, nodes, steps, potential, coupling, forcing, visit, label,
+                    b_mid=None):
+    """The oracle of the correction loop in `corrections.evolve_corrections`:
+    one correction pass as a generator of (node index, state) at the node
+    indices in `visit`.  It evolves the (2, n) batch of b and one correction
+    u from (b0, 0) under potential(t, |b|^2), or, given b_mid(j) (b at the
+    midpoint of dt step j), u alone from 0 under potential(t, _).  At that
+    midpoint it adds -i*h*s to u, before any visit: s is coupling(u, b),
+    linear in u and refreshed by one fixed-point update of u, plus the
+    u-free forcing(j, b), evaluated once per step.  The state is the
+    engine's buffer: copy what you keep."""
+    if b_mid is None:
+        psi0, labels = np.stack([b0, np.zeros_like(b0)]), [B_LABEL, label]
+        v = lambda t, density: potential(t, density[0])
+    else:
+        psi0, labels, v = np.zeros_like(b0), label, potential
+    visit = set(visit)
+    for i, psi in split_step_nodes(psi0, grid, nodes, v, 1.0,
+                                   visit.union(range(1, nodes.size, 2)), labels):
+        if i % 2:
+            j = i // 2
+            b, u = (psi[0], psi[1]) if b_mid is None else (b_mid(j), psi)
+            f, h = forcing(j, b), steps[j]
+            s = coupling(u, b) + f
+            s = coupling(u - 0.5j * h * s, b) + f
+            u -= 1j * h * s
+        if i in visit:
+            yield i, psi
+
+
 def correction_drive(a0, phi, U, traj, T, dt, store_times):
     """What `corrections.evolve_corrections` builds for its passes: the
     interleaved `nodes`, the dt `steps`, the node indices `store_idx` of
@@ -153,7 +183,7 @@ def own_b_corrections(a0, phi, U, traj, T, dt, store_times):
     d = correction_drive(a0, phi, U, traj, T, dt, store_times)
 
     def run(forcing, visit, label):
-        return np.array([psi.copy() for _, psi in _pass(
+        return np.array([psi.copy() for _, psi in correction_pass(
             a0.samples, a0.grid, d.nodes, d.steps, d.potential, d.coupling, forcing, visit,
             label)])
 
@@ -217,10 +247,8 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
         if not finite[row]:
             raise NumericalError(
                 f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
-        nrm2 = total(density[row] if batched else density, axis=None) * dx
-        raise NumericalError(
-            f"{labels[row]}: boundary mass fraction {bm[row] / nrm2:.3e} at "
-            f"t={t:.6g} exceeds guard {GUARD_MASS:.1e}", **where)
+        raise NumericalError(f"{labels[row]}: boundary mass {bm[row]:.3e} at t={t:.6g} "
+                             f"exceeds guard {GUARD_MASS:.1e}", **where)
 
     density = psi.real ** 2 + psi.imag ** 2
     norm0 = norm(density)

@@ -1,16 +1,16 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from semihartree import _stepping, amplitude
-from semihartree._stepping import tabulate, time_nodes
+from semihartree._stepping import GUARD_MASS, tabulate, time_nodes
 from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.corrections import (
     CorrectionSet,
     _interleaved_nodes,
-    _pass,
     assemble_expansion,
     evolve_corrections,
     separation_power_form,
@@ -27,7 +27,8 @@ from semihartree.grids import (
 )
 from semihartree.potentials import builtin_external, builtin_pair
 
-from helpers import correction_drive, evolve_b, interp_samples, own_b_corrections
+from helpers import (correction_drive, correction_pass, evolve_b, interp_samples,
+                     own_b_corrections)
 
 
 def series_norm(series, i=-1):
@@ -193,27 +194,41 @@ class TestCorrectionGuard:
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.5, 1e-3)
         evolve_b(a0, 0.0, hessian_along_flow(traj, U), 0.5, 5e-4)  # passes
         with pytest.raises(NumericalError,
-                           match=r"^first correction: boundary mass fraction") as err:
+                           match=r"^first correction: boundary mass") as err:
             evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 1)
         assert err.value.row == 1
 
     @staticmethod
-    def window_case(half_width):
+    def window_case(half_width, amp=1.0):
         grid = make_grid(128, -half_width, half_width)
-        U = builtin_external("cubic_window", [1.0])
+        U = builtin_external("cubic_window", [amp])
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.5, 1e-3)
         return gaussian_profile(grid), builtin_pair("zero"), U, traj
 
-    # at K=2 the two passes run in lockstep, so the correction that reaches
-    # the guard first in time fails: on [-5, 5] the first does at t=0.01; on
-    # [-6, 6] the second does at the first midpoint, before the first
-    # reaches it at t=0.21 (the case above).  The first correction is row 1
+    def test_a_large_correction_row_prints_the_mass_it_tested(self):
+        # a strong cubic source grows the first correction to a squared norm
+        # of several hundred, so on [-7, 7] its guard-band mass exceeds the
+        # guard while its share of the row's mass (9.8e-11) stays far below
+        a0, phi, U, traj = self.window_case(7.0, amp=30.0)
+        with pytest.raises(NumericalError) as err:
+            evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 1)
+        found = re.fullmatch(r"first correction: boundary mass (\S+) at t=0\.243 "
+                             r"exceeds guard 1\.0e-08", str(err.value))
+        assert found, str(err.value)
+        assert float(found.group(1)) > GUARD_MASS
+        assert err.value.row == 1
+
+    # at K=2 one loop drives both passes, the second one dt node behind, so
+    # the correction that reaches the guard first in time fails (the first,
+    # when both would trip within one dt node): on [-5, 5] the first does at
+    # t=0.015; on [-6, 6] the second does at t=0.073, before the first
+    # reaches it at t=0.213 (the case above).  The first correction is row 1
     # of its batch with b; the second steps alone, so its error has no row
     @pytest.mark.parametrize("half_width, label", [(5.0, "first correction"),
                                                    (6.0, "second correction")])
     def test_second_order_names_the_earlier_row(self, half_width, label):
         a0, phi, U, traj = self.window_case(half_width)
-        with pytest.raises(NumericalError, match=rf"^{label}: boundary mass fraction") as err:
+        with pytest.raises(NumericalError, match=rf"^{label}: boundary mass") as err:
             evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 2)
         assert err.value.row == (1 if label == "first correction" else None)
 
@@ -222,7 +237,7 @@ class TestCorrectionGuard:
         a0, phi, U, traj = self.window_case(7.0)
         evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 1)  # passes
         with pytest.raises(NumericalError,
-                           match=r"^second correction: boundary mass fraction") as err:
+                           match=r"^second correction: boundary mass") as err:
             evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 2)
         assert err.value.row is None
 
@@ -239,7 +254,7 @@ class TestCorrectionGuard:
         monkeypatch.setattr(_stepping, "NumericalError", CountedError)
         a0, phi, U, traj = self.window_case(3.0)
         with pytest.raises(NumericalError,
-                           match=rf"^{B_LABEL}: boundary mass fraction .* at t=0 ") as err:
+                           match=rf"^{B_LABEL}: boundary mass .* at t=0 ") as err:
             evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 2)
         assert err.value.row == 0
         assert built == [str(err.value)]
@@ -326,8 +341,9 @@ class TestDuhamelLinearity:
         no_coupling = lambda u, base: 0.0 * u
 
         def response(forcing):
-            ((_, final),) = _pass(gauss.samples, mu_grid, nodes, steps, potential,
-                                  no_coupling, forcing, [nodes.size - 1], "response")
+            ((_, final),) = correction_pass(gauss.samples, mu_grid, nodes, steps, potential,
+                                            no_coupling, forcing, [nodes.size - 1],
+                                            "response")
             return final[1].copy()
 
         src_a = lambda j, base: mu ** 3 * base
@@ -351,11 +367,11 @@ def stored_first_pass_corrections(a0, phi, U, traj, T, dt, store_times):
         vs.append(d.potential(t, density))
         return vs[-1]
 
-    data1 = np.array([psi.copy() for _, psi in _pass(
+    data1 = np.array([psi.copy() for _, psi in correction_pass(
         a0.samples, a0.grid, d.nodes, d.steps, recorded, d.coupling, d.first,
         range(d.nodes.size), "first correction")])
     a1 = WaveSeries(d.nodes[::2], a0.grid, RESCALED, data1[::2, 1])
-    data2 = np.array([psi.copy() for _, psi in _pass(
+    data2 = np.array([psi.copy() for _, psi in correction_pass(
         a0.samples, a0.grid, d.nodes, d.steps,
         lambda t, _: vs[int(np.searchsorted(d.nodes, t))], d.coupling,
         lambda j, b: d.second(j, b, interp_samples(a1, d.mids[j])), d.store_idx,
@@ -364,9 +380,28 @@ def stored_first_pass_corrections(a0, phi, U, traj, T, dt, store_times):
 
 
 class TestLockstep:
-    """The two correction passes run in lockstep, the second reading b's
-    potential, b and a two-row window of the first correction from the
-    first pass; every order equals the stored-pass path bit for bit."""
+    """One loop over the first pass drives both orders, the second reading
+    b's potential, b and the first correction from that pass as it goes;
+    every order equals the stored-pass path bit for bit, and at K = 1 the
+    orders equal the oracle's two-row pass."""
+
+    @pytest.mark.parametrize("store", ["every-node", "final-only"])
+    @pytest.mark.parametrize("dt", [1e-3, 3e-4], ids=["dividing", "short-last-step"])
+    def test_first_order_equals_the_two_row_pass(self, cosine_driven, gauss, store, dt):
+        phi, U, traj = cosine_driven
+        T = 0.1
+        store_times = None if store == "every-node" else (T,)
+        d = correction_drive(gauss, phi, U, traj, T, dt, store_times)
+        oracle = np.array([psi.copy() for _, psi in correction_pass(
+            gauss.samples, gauss.grid, d.nodes, d.steps, d.potential, d.coupling, d.first,
+            d.store_idx, "first correction")])
+        orders = evolve_corrections(gauss, phi, U, traj, T, dt, 1, store_times).orders
+        assert len(orders) == 2
+        assert oracle.shape[0] == (1 if store_times else time_nodes(T, dt).size)
+        for k, series in enumerate(orders):
+            np.testing.assert_array_equal(series.times, d.nodes[d.store_idx])
+            np.testing.assert_array_equal(series.data, oracle[:, k])
+        assert np.max(np.abs(orders[1].data[-1])) > 1e-4  # the source is live
 
     @pytest.mark.parametrize("store", ["every-node", "final-only"])
     @pytest.mark.parametrize("dt", [1e-3, 3e-4], ids=["dividing", "short-last-step"])

@@ -21,7 +21,7 @@ from semihartree.hartree import (
     size_physical_grid,
 )
 from semihartree.potentials import builtin_external, builtin_pair
-from semihartree.rescaled import evolve_rescaled_finals, residual_norm
+from semihartree.rescaled import evolve_rescaled_finals
 
 from helpers import evaluate_trig_interpolant, evolve_b
 
@@ -208,7 +208,7 @@ class TestComparison:
         hess = hessian_along_flow(traj, U)
         b = evolve_b(gauss, -1.0, hess, 1.0, 1e-3)
         a = evolve_rescaled_finals(gauss, [eps], phi, U, traj, 1.0, 1e-3)[0]
-        resc = residual_norm(b.final, a)
+        resc = l2_distance(b.final, a)
         assert 0.5 <= phys / resc <= 2.0
 
     def test_error_trace_starts_at_zero(self):

@@ -3,9 +3,9 @@ import pytest
 
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.errors import NumericalError
-from semihartree.grids import gaussian_profile, l2_norm, make_grid
+from semihartree.grids import gaussian_profile, l2_distance, l2_norm, make_grid
 from semihartree.potentials import builtin_external, builtin_pair
-from semihartree.rescaled import evolve_rescaled_finals, residual_norm
+from semihartree.rescaled import evolve_rescaled_finals
 
 from helpers import evolve_b, packet_frame_history
 
@@ -43,7 +43,7 @@ class TestExactAnsatz:
         hess = hessian_along_flow(trajectory, U)
         b = evolve_b(gauss, phi.second_deriv_at_0, hess, T, DT)
         a, _ = packet_frame_history(gauss, eps, phi, U, trajectory, T, DT)
-        worst = max(residual_norm(b[i], a[i])
+        worst = max(l2_distance(b[i], a[i])
                     for i in range(0, len(b), 100))
         assert worst <= 1e-6
 
@@ -51,17 +51,17 @@ class TestExactAnsatz:
 class TestResidualScaling:
     def test_zero_at_start(self, cosine_stack, residuals):
         a, _ = residuals[0.08]
-        assert residual_norm(cosine_stack["b"][0], a[0]) == 0.0
+        assert l2_distance(cosine_stack["b"][0], a[0]) == 0.0
 
     def test_halving_eps_halves_residual(self, cosine_stack, residuals):
         b_final = cosine_stack["b"].final
-        r16 = residual_norm(b_final, residuals[0.16][0].final)
-        r04 = residual_norm(b_final, residuals[0.04][0].final)
+        r16 = l2_distance(b_final, residuals[0.16][0].final)
+        r04 = l2_distance(b_final, residuals[0.04][0].final)
         assert 1.6 <= r16 / r04 <= 2.6
 
     def test_normalized_residual_stable(self, cosine_stack, residuals):
         b_final = cosine_stack["b"].final
-        scaled = [residual_norm(b_final, residuals[e][0].final) / np.sqrt(e)
+        scaled = [l2_distance(b_final, residuals[e][0].final) / np.sqrt(e)
                   for e in EPS_SWEEP]
         assert all(0.01 <= s <= 10.0 for s in scaled)
         assert max(scaled) / min(scaled) <= 2.0
@@ -87,7 +87,7 @@ class TestResidualScaling:
                                             cosine_stack["U"],
                                             cosine_stack["trajectory"], T, DT)
             for eps, a in zip(EPS_SWEEP, finals):
-                out[eps] = residual_norm(b.final, a)
+                out[eps] = l2_distance(b.final, a)
         for eps in EPS_SWEEP:
             assert abs(coarse[eps] - fine[eps]) / fine[eps] < 0.05
 
