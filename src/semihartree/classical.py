@@ -1,4 +1,4 @@
-"""Classical trajectory (q, p) under p^2/2 + U(q, t) + phi(0), with the
+"""Classical trajectory (q, p) under p^2/2 + U(q) + phi(0), with the
 Lagrangian action integral co-propagated at matching order.
 
 The flow is integrated once with classic RK4 and stored densely with its
@@ -38,8 +38,8 @@ class Trajectory(Sequence):
     qs: np.ndarray
     ps: np.ndarray
     actions: np.ndarray
-    forces: np.ndarray  # dp/dt = -grad U(q, t)
-    lagrangians: np.ndarray  # d(action)/dt = p^2/2 - U(q, t) - phi0
+    forces: np.ndarray  # dp/dt = -grad U(q)
+    lagrangians: np.ndarray  # d(action)/dt = p^2/2 - U(q) - phi0
 
     def __len__(self) -> int:
         return self.times.size
@@ -82,8 +82,8 @@ class Trajectory(Sequence):
 
 def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
                    T: float, dt: float) -> Trajectory:
-    """Integrate dq/dt = p, dp/dt = -grad U(q, t) together with
-    d(action)/dt = p^2/2 - U(q, t) - phi0 using RK4.
+    """Integrate dq/dt = p, dp/dt = -grad U(q) together with
+    d(action)/dt = p^2/2 - U(q) - phi0 using RK4.
 
     On a pure quadrature component RK4 reduces to Simpson's rule on the
     step nodes, so the action converges at the same 4th order as (q, p).
@@ -93,18 +93,17 @@ def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
     qs, ps, actions, forces, lagrangians = np.empty((5, n))
     qs[0], ps[0], actions[0] = q0, p0, 0.0
 
-    def rhs(t: float, q: float, p: float):
-        return p, -float(U.grad(q, t)), 0.5 * p * p - float(U.value(q, t)) - phi0
+    def rhs(q: float, p: float):
+        return p, -float(U.grad(q)), 0.5 * p * p - float(U.value(q)) - phi0
 
     q, p, act = float(q0), float(p0), 0.0
     for j in range(n - 1):
-        t = times[j]
-        h = times[j + 1] - t
-        k1q, k1p, k1a = rhs(t, q, p)
+        h = times[j + 1] - times[j]
+        k1q, k1p, k1a = rhs(q, p)
         forces[j], lagrangians[j] = k1p, k1a
-        k2q, k2p, k2a = rhs(t + 0.5 * h, q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-        k3q, k3p, k3a = rhs(t + 0.5 * h, q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-        k4q, k4p, k4a = rhs(t + h, q + h * k3q, p + h * k3p)
+        k2q, k2p, k2a = rhs(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
+        k3q, k3p, k3a = rhs(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
+        k4q, k4p, k4a = rhs(q + h * k3q, p + h * k3p)
         q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
         p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         act = act + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
@@ -113,7 +112,7 @@ def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
                 f"classical flow blew up at t={times[j + 1]:.6g}"
             )
         qs[j + 1], ps[j + 1], actions[j + 1] = q, p, act
-    _, forces[-1], lagrangians[-1] = rhs(times[-1], q, p)
+    _, forces[-1], lagrangians[-1] = rhs(q, p)
 
     return Trajectory(times, qs, ps, actions, forces, lagrangians)
 
@@ -121,7 +120,7 @@ def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
 def hessian_along_flow(trajectory: Trajectory, U: ExternalPotential) -> Callable:
     """Map t (or an array of times) to U''(q(t)), q by cubic Hermite on the RK4 slopes."""
     def hess(t):
-        values = U.hess(trajectory.qs_at(t), t)
+        values = U.hess(trajectory.qs_at(t))
         return values if np.ndim(t) else float(values)
 
     return hess

@@ -20,24 +20,18 @@ is assembled.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from ._stepping import (_resolve_store, split_step_evolve, split_step_nodes, tabulate,
-                        time_nodes)
+from ._stepping import split_step_nodes, tabulate, time_nodes
 from .amplitude import B_LABEL, b_potential
 from .classical import Trajectory, hessian_along_flow
-from .grids import RESCALED, WaveFunction, WaveSeries
+from .grids import RESCALED, WaveFunction
 from .potentials import ExternalPotential, PairPotential
 
-__all__ = [
-    "CorrectionSet",
-    "evolve_corrections",
-    "assemble_expansion",
-]
+__all__ = ["evolve_corrections", "assemble_expansion"]
 
 
 def separation_power_form(mu: np.ndarray, weight: np.ndarray, dx: float,
@@ -77,11 +71,9 @@ def _deposit(u: np.ndarray, b: np.ndarray, h: float, coupling: Callable,
 
 
 def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotential,
-                       trajectory: Trajectory, T: float, dt: float, K: int,
-                       store_times: Optional[Sequence[float]] = None) -> CorrectionSet:
+                       trajectory: Trajectory, T: float, dt: float, K: int) -> tuple:
     """The phase-absorbed profile b from `a0` and the correction orders
-    1..K (K = 0, 1 or 2), stored at the dt nodes nearest `store_times`
-    (every dt node by default; the final node always).
+    1..K (K = 0, 1 or 2) at T: K + 1 `WaveFunction`s, b first.
 
     The first correction is driven by the cubic term of the external
     potential along the trajectory, plus the quadratic interaction of the
@@ -91,11 +83,12 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     midpoint as the linear blend of its values at the two dt nodes around
     it.  It steps alone under b's potential from the first pass: after each
     dt node the loop advances it to the midpoint before that node, so it
-    runs one dt node behind, and the loop keeps only the first correction
-    at the previous dt node, b at the last midpoint and b's potential at
-    the nodes the second pass is yet to reach.  A correction that reaches
-    the engine's boundary guard fails with its own label; when both passes
-    would trip within one dt node, the first pass's error is raised.
+    runs one dt node behind, and the loop keeps only b and the first
+    correction at the previous dt node, b at the last midpoint and b's
+    potential at the nodes the second pass is yet to reach.  A correction
+    that reaches the engine's boundary guard fails with its own label; when
+    both passes would trip within one dt node, the first pass's error is
+    raised.
     """
     if K not in (0, 1, 2):
         raise ValueError("expansion order K must be 0, 1, or 2")
@@ -105,24 +98,18 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     mu, dx = grid.points, grid.dx
     kappa = phi.second_deriv_at_0
     half_kappa = 0.5 * kappa
-    coarse, steps, nodes = _interleaved_nodes(T, dt)
-    store = coarse[_resolve_store(coarse, store_times)]
+    _, steps, nodes = _interleaved_nodes(T, dt)
+    last = nodes.size - 1
     potential = b_potential(grid, kappa, tabulate(hessian_along_flow(trajectory, U), nodes))
 
-    def series(times, data) -> WaveSeries:
-        return WaveSeries(times, grid, RESCALED, data)
+    if K == 0:  # b alone, visited at T only
+        _, b = next(split_step_nodes(a0.samples, grid, nodes, potential, 1.0, (last,), B_LABEL))
+        return (WaveFunction(grid, b),)
 
-    if K == 0:
-        _, stored_t, data, _ = split_step_evolve(a0.samples, grid, nodes, potential,
-                                                 store_times=store, label=B_LABEL)
-        return CorrectionSet((series(stored_t, data),))
-
-    store_idx = _resolve_store(nodes, store)
-    stored = set(store_idx.tolist())
-    visit = stored.union(range(1, nodes.size, 2))  # the stored nodes and the midpoints
+    visit = {last}.union(range(1, nodes.size, 2))  # the midpoints and T
     mids = nodes[1::2]
     q = trajectory.qs_at(mids)
-    w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
+    w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0
     quartic_coeff = phi.fourth_deriv_at_0 / 24.0
     powers = np.vander(mu, 5, True).T.copy()  # rows mu**0 .. mu**4
 
@@ -153,55 +140,32 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
                              [B_LABEL, "first correction"])
     pass2 = split_step_nodes(np.zeros_like(a0.samples), grid, nodes, lambda t, _: vs.popleft(),
                              1.0, visit, "second correction")
-    rows, rows2 = [], []  # (b, a1) and a2 at the stored nodes
     for i, psi in pass1:
         j = i // 2
         if i % 2:  # the midpoint of dt step j
             _deposit(psi[1], psi[0], steps[j], coupling, w3[j] * powers[3] * psi[0])
             b_mid = psi[0].copy()
             continue
-        if i in stored:
-            rows.append(psi.copy())
         if K == 2 and i:  # the second pass on to the midpoint of dt step j - 1
-            for k, a2 in pass2:
-                if k % 2:
-                    break
-                rows2.append(a2.copy())
+            _, a2 = next(pass2)
             w = (nodes[i - 1] - nodes[i - 2]) / (nodes[i] - nodes[i - 2])
-            a1 = (1.0 - w) * a1_prev + w * psi[1]
+            a1 = (1.0 - w) * prev[1] + w * psi[1]
             _deposit(a2, b_mid, steps[j - 1], coupling, second(j - 1, b_mid, a1))
-        a1_prev = psi[1].copy()
-    orders = list(np.array(rows).swapaxes(0, 1))
+        prev = psi.copy()  # (b, a1) at this dt node
+    orders = [WaveFunction(grid, row) for row in prev]
     if K == 2:
-        orders.append(np.array(rows2 + [a2.copy() for _, a2 in pass2]))
-    return CorrectionSet(tuple(series(nodes[store_idx], data) for data in orders))
+        orders.append(WaveFunction(grid, next(pass2)[1]))
+    return tuple(orders)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrectionSet:
-    """Correction orders stored at shared nodes on a shared grid, one
-    `WaveSeries` each; index 0 is the base (phase-absorbed) profile."""
-
-    orders: tuple
-
-    def __post_init__(self):
-        if not self.orders:
-            raise ValueError("at least the base order is required")
-        object.__setattr__(self, "orders", tuple(self.orders))
-
-
-def assemble_expansion(cset: CorrectionSet, K: int, epsilon: float) -> WaveFunction:
-    """Sum of eps^(k/2) * order_k at the final time."""
+def assemble_expansion(orders: tuple, K: int, epsilon: float) -> WaveFunction:
+    """Sum of eps^(k/2) * orders[k], k = 0..K, of the orders at one time."""
     if K < 0 or K > 2:
         raise ValueError("expansion order K must be 0, 1, or 2")
-    if K >= len(cset.orders):
-        raise ValueError(
-            f"missing correction orders: K={K} requested but only "
-            f"{len(cset.orders) - 1} available"
-        )
-    base = cset.orders[0]
-    grid = base.grid
-    total = np.zeros(grid.n, dtype=np.complex128)
+    if K >= len(orders):
+        raise ValueError(f"missing correction orders: K={K} requested but only "
+                         f"{len(orders) - 1} available")
+    total = np.zeros(orders[0].grid.n, dtype=np.complex128)
     for k in range(K + 1):
-        total = total + epsilon ** (k / 2.0) * cset.orders[k].final.samples
-    return WaveFunction(grid, total, RESCALED)
+        total = total + epsilon ** (k / 2.0) * orders[k].samples
+    return WaveFunction(orders[0].grid, total, RESCALED)

@@ -313,11 +313,9 @@ class WaveSeries:
     def final(self) -> WaveFunction:
         return self[len(self) - 1]
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
+    def at_time(self, t: float) -> WaveFunction:
+        """The stored state within 1e-6 of t."""
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
+        if abs(self.times[i] - t) > 1e-6:
             raise KeyError(f"time {t} is not a stored node")
-        return i
-
-    def at_time(self, t: float, tol: float = 1e-9) -> WaveFunction:
-        return self[self.index_of(t, tol)]
+        return self[i]

@@ -116,16 +116,15 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
     Returns the states at the nodes nearest `store_times` (every node by
     default; the final node always) and the norm drift over every step.
 
-    U must be time independent, as every built-in is: U(x) is sampled
-    once per run, at t = 0.  The potential phase max|w|*dt is still
-    checked every step: above pi/2 a warning is issued, above pi the run
-    aborts (the splitting would be meaningless).
+    The potential phase max|w|*dt is checked every step: above pi/2 a
+    warning is issued, above pi the run aborts (the splitting would be
+    meaningless).
     """
     if psi0.frame.kind != "physical" or psi0.frame.epsilon != epsilon:
         raise ValueError("initial state frame does not carry this epsilon")
     grid = psi0.grid
     convolve = mean_field(phi, grid, phi.separable)
-    u = np.asarray(U.value(grid.points, 0.0), dtype=np.float64)
+    u = np.asarray(U.value(grid.points), dtype=np.float64)
     inv_eps = 1.0 / epsilon
     warned = [False]
 
@@ -202,8 +201,8 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
     trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, config.T,
                                 min(1e-3, dt_amp))
     nodes = time_nodes(config.T, dt_amp)
-    idx = (np.unique(np.linspace(0, nodes.size - 1, min(trace_points, nodes.size)).astype(int))
-           if trace_points > 0 else [nodes.size - 1])
+    count = max(0, min(trace_points, nodes.size))
+    idx = sorted({int(j) for j in np.linspace(0, nodes.size - 1, count)}) or [nodes.size - 1]
     history = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
                           hessian_along_flow(trajectory, U), config.T, dt_amp,
                           store_times=nodes[idx])
@@ -229,7 +228,7 @@ def compare_evolution(epsilon: float, config: ExperimentConfig,
                                 dt_phys, store_times=trace_times)
 
     errors = np.asarray([
-        l2_distance(psi.at_time(amp.t, tol=1e-6),
+        l2_distance(psi.at_time(amp.t),
                     assemble_approximation(amp, level.trajectory.state_at(amp.t),
                                            epsilon, grid))
         for amp in level.states])

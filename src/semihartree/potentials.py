@@ -59,18 +59,17 @@ class PairPotential:
 
 @dataclass(frozen=True, eq=False)
 class ExternalPotential:
-    """External potential U(x, t) with analytic x-derivatives up to order 4.
-    U must not depend on t: the reference solver samples U(x) once, at t=0.
+    """External potential U(x) with analytic derivatives up to order 4.
     `addition`, if set, maps offsets y to a (rank,) + y.shape table r and a map
     c from points q to q.shape + (rank,) tables with U(q+y) - U(q) - U'(q) y
     = sum_k c_k(q) r_k(y), the twin of the pair's `separable`."""
 
     name: str
-    value: Callable[[Array, float], Array]
-    grad: Callable[[Array, float], Array]
-    hess: Callable[[Array, float], Array]
-    third: Callable[[Array, float], Array]
-    fourth: Callable[[Array, float], Array]
+    value: Callable[[Array], Array]
+    grad: Callable[[Array], Array]
+    hess: Callable[[Array], Array]
+    third: Callable[[Array], Array]
+    fourth: Callable[[Array], Array]
     addition: Optional[Callable[[Array], tuple]] = None
 
 
@@ -119,12 +118,11 @@ def _one_optional(name: str, params: Sequence[float], default: float) -> float:
 
 def builtin_external(name: str, params: Sequence[float] = ()) -> ExternalPotential:
     """Named external potentials: zero, harmonic(omega), cosine(A),
-    cubic_window(A).  All built-ins are time independent; the time argument
-    is part of the interface and ignored."""
+    cubic_window(A)."""
     if name == "zero":
         if len(tuple(params)) != 0:
             raise ValueError("external potential 'zero' takes no parameters")
-        zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=np.float64))
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=np.float64))
         return ExternalPotential("zero", zero, zero, zero, zero, zero, lambda y: (
             np.empty((0, *np.shape(y))), lambda q: np.empty((*np.shape(q), 0))))
 
@@ -133,11 +131,11 @@ def builtin_external(name: str, params: Sequence[float] = ()) -> ExternalPotenti
         w2 = w * w
         return ExternalPotential(
             "harmonic",
-            value=lambda x, t: 0.5 * w2 * np.asarray(x, float) ** 2,
-            grad=lambda x, t: w2 * np.asarray(x, float),
-            hess=lambda x, t: w2 * np.ones_like(np.asarray(x, float)),
-            third=lambda x, t: np.zeros_like(np.asarray(x, float)),
-            fourth=lambda x, t: np.zeros_like(np.asarray(x, float)),
+            value=lambda x: 0.5 * w2 * np.asarray(x, float) ** 2,
+            grad=lambda x: w2 * np.asarray(x, float),
+            hess=lambda x: w2 * np.ones_like(np.asarray(x, float)),
+            third=lambda x: np.zeros_like(np.asarray(x, float)),
+            fourth=lambda x: np.zeros_like(np.asarray(x, float)),
             addition=lambda y: (0.5 * w2 * y[None] ** 2, lambda q: np.ones((*np.shape(q), 1))),
         )
 
@@ -145,11 +143,11 @@ def builtin_external(name: str, params: Sequence[float] = ()) -> ExternalPotenti
         amp = _one_optional(name, params, 1.0)
         return ExternalPotential(
             "cosine",
-            value=lambda x, t: amp * np.cos(x),
-            grad=lambda x, t: -amp * np.sin(x),
-            hess=lambda x, t: -amp * np.cos(x),
-            third=lambda x, t: amp * np.sin(x),
-            fourth=lambda x, t: amp * np.cos(x),
+            value=lambda x: amp * np.cos(x),
+            grad=lambda x: -amp * np.sin(x),
+            hess=lambda x: -amp * np.cos(x),
+            third=lambda x: amp * np.sin(x),
+            fourth=lambda x: amp * np.cos(x),
             # cos(q+y) = cos q cos y - sin q sin y; cos y - 1 = -2 sin^2(y/2) keeps small y
             addition=lambda y: (np.stack([-2.0 * np.sin(0.5 * y) ** 2, np.sin(y) - y]),
                                 lambda q: amp * np.stack([np.cos(q), -np.sin(q)], axis=-1)),
@@ -164,24 +162,24 @@ def builtin_external(name: str, params: Sequence[float] = ()) -> ExternalPotenti
             return x, np.exp(-x * x / (2.0 * s2))
 
         # U = A x^3 g with g = exp(-x^2/(2 s^2)); derivatives expanded by hand
-        def value(x, t):
+        def value(x):
             x, g = window(x)
             return amp * x ** 3 * g
 
-        def grad(x, t):
+        def grad(x):
             x, g = window(x)
             return amp * g * (3.0 * x ** 2 - x ** 4 / s2)
 
-        def hess(x, t):
+        def hess(x):
             x, g = window(x)
             return amp * g * (6.0 * x - 7.0 * x ** 3 / s2 + x ** 5 / s2 ** 2)
 
-        def third(x, t):
+        def third(x):
             x, g = window(x)
             return amp * g * (6.0 - 27.0 * x ** 2 / s2
                               + 12.0 * x ** 4 / s2 ** 2 - x ** 6 / s2 ** 3)
 
-        def fourth(x, t):
+        def fourth(x):
             x, g = window(x)
             return amp * g * (-60.0 * x / s2 + 75.0 * x ** 3 / s2 ** 2
                               - 18.0 * x ** 5 / s2 ** 3 + x ** 7 / s2 ** 4)

@@ -53,9 +53,8 @@ def _packet_frame_potential(grid: Grid, epsilons: np.ndarray, phi: PairPotential
         def potential(t: float, density: np.ndarray) -> np.ndarray:
             mean_field = apply_radial_rfft(khat, density, grid)
             q = q_at(t)
-            bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)
-                       - float(U.value(q, t))
-                       - root_eps * float(U.grad(q, t)) * mu)
+            bracket = (np.asarray(U.value(q + root_eps * mu), dtype=np.float64)
+                       - float(U.value(q)) - root_eps * float(U.grad(q)) * mu)
             return inv_eps * (mean_field + bracket)
     else:
         khat *= inv_eps

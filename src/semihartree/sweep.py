@@ -131,7 +131,7 @@ def _build_level(config: ExperimentConfig, level: int) -> dict:
     trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T,
                                 min(1e-3, dt))
     corrections = evolve_corrections(config.initial_profile(), phi, U, trajectory,
-                                     T, dt, ORDERS[config.mode], store_times=(T,))
+                                     T, dt, ORDERS[config.mode])
     return {"trajectory": trajectory, "dt": dt, "corrections": corrections}
 
 
@@ -371,12 +371,14 @@ class LemmaCheck:
         return self.measured_order >= 1.8
 
 
-def _crosscheck_deviations(kappa: float, hess, T: float, dt: float,
-                           grid, probe_times) -> tuple:
+def _crosscheck_deviations(kappa: float, T: float, dt: float, probe_times: tuple) -> tuple:
     """Distance of the phase-absorbed profile b from e^{i gamma} times the
-    plain profile at the node nearest each probe time.  b is visited at
-    every node, so that no two of its half phases fuse; only the probe
-    nodes of either run are kept."""
+    plain profile at the node nearest each probe time, with U'' = 0 on the
+    default packet-frame grid (DEFAULT_MU_N cells on +-DEFAULT_MU_HALFWIDTH).
+    b is visited at every node, so that no two of its half phases fuse;
+    only the probe nodes of either run are kept."""
+    grid = ExperimentConfig().mu_grid()
+    hess = lambda t: 0.0
     a0 = gaussian_profile(grid)
     nodes = time_nodes(T, dt)
     probes = [int(np.argmin(np.abs(nodes - t))) for t in probe_times]  # shared node sets
@@ -388,22 +390,16 @@ def _crosscheck_deviations(kappa: float, hess, T: float, dt: float,
     return tuple(l2_distance(b[i], WaveFunction(grid, phased[i])) for i in probes)
 
 
-def lemma_check(kappa: float = -1.0, T: float = 1.0, dt: float = 1e-3,
-                probe_times=None) -> LemmaCheck:
+def lemma_check(kappa: float = -1.0, T: float = 1.0, dt: float = 1e-3) -> LemmaCheck:
     """Compare the phase-absorbed profile against e^{i gamma} times the
-    plain profile at the probe times (T/4, T/2, T by default) on the
-    default packet-frame grid, and measure the order at which the two
-    discretizations approach each other under step halving."""
-    if probe_times is None:
-        probe_times = (T / 4.0, T / 2.0, T)
-    if max(probe_times) > T + 1e-12:
-        raise ValueError("probe times must lie within [0, T]")
-    grid = ExperimentConfig().mu_grid()  # DEFAULT_MU_N cells on +-DEFAULT_MU_HALFWIDTH
-    hess = lambda t: 0.0
-    devs = _crosscheck_deviations(kappa, hess, T, dt, grid, probe_times)
-    devs_half = _crosscheck_deviations(kappa, hess, T, dt / 2.0, grid, probe_times)
+    plain profile at the probe times T/4, T/2 and T, and measure the order
+    at which the two discretizations approach each other under step
+    halving."""
+    probe_times = (T / 4.0, T / 2.0, T)
+    devs = _crosscheck_deviations(kappa, T, dt, probe_times)
+    devs_half = _crosscheck_deviations(kappa, T, dt / 2.0, probe_times)
     if max(devs[-1], devs_half[-1]) <= ORDER_FLOOR:
         order = float("nan")
     else:
         order = float(np.log2(devs[-1] / devs_half[-1]))
-    return LemmaCheck(tuple(probe_times), devs, devs_half, order, dt)
+    return LemmaCheck(probe_times, devs, devs_half, order, dt)

@@ -1,6 +1,7 @@
 """Test-only helpers shared by several test modules, which the library
 itself does not call."""
 
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, _resolve_store, spli
                                    split_step_nodes, tabulate, time_nodes)
 from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow
-from semihartree.corrections import _interleaved_nodes, separation_power_form
+from semihartree.corrections import _deposit, _interleaved_nodes, separation_power_form
 from semihartree.errors import NumericalError
 from semihartree.grids import (RESCALED, WaveSeries, abs_moment, boundary_mass, radial_distances,
                                spectral_samples)
@@ -71,9 +72,9 @@ def pointwise_packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
     def potential(t, density):
         mean_field = np.fft.irfft(np.fft.rfft(density) * khat, grid.n) * grid.dx
         q = q_at(t)
-        bracket = (np.asarray(U.value(q + root_eps * mu, t), dtype=np.float64)
-                   - float(U.value(q, t))
-                   - root_eps * float(U.grad(q, t)) * mu)
+        bracket = (np.asarray(U.value(q + root_eps * mu), dtype=np.float64)
+                   - float(U.value(q))
+                   - root_eps * float(U.grad(q)) * mu)
         return inv_eps * (mean_field + bracket)
 
     return potential
@@ -147,7 +148,7 @@ def correction_drive(a0, phi, U, traj, T, dt, store_times):
     coarse, steps, nodes = _interleaved_nodes(T, dt)
     mids = nodes[1::2]
     q = traj.qs_at(mids)
-    w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
+    w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0
     powers = np.vander(mu, 5, True).T.copy()
 
     def coupling(u, b):
@@ -170,6 +171,58 @@ def correction_drive(a0, phi, U, traj, T, dt, store_times):
         potential=b_potential(grid, phi.second_deriv_at_0,
                               tabulate(hessian_along_flow(traj, U), nodes)),
         coupling=coupling, first=lambda j, b: w3[j] * powers[3] * b, second=second)
+
+
+def stored_corrections(a0, phi, U, traj, T, dt, K, store_times=None):
+    """The oracle of `corrections.evolve_corrections`: its loop as it was
+    when it stored the orders at the dt nodes nearest `store_times` (every
+    dt node by default; the final node always).  Returns (stored times,
+    orders), one (stored nodes, n) array per order, b first.  The first
+    pass visits every node at K = 2 and the stored nodes and the midpoints
+    otherwise, and the second pass the stored nodes and the midpoints."""
+    d = correction_drive(a0, phi, U, traj, T, dt, store_times)
+    grid, nodes = a0.grid, d.nodes
+    if K == 0:
+        stored_t, data = split_step_evolve(a0.samples, grid, nodes, d.potential,
+                                           store_times=nodes[d.store_idx], label=B_LABEL)[1:3]
+        return stored_t, (data,)
+    stored = set(d.store_idx.tolist())
+    visit = stored.union(range(1, nodes.size, 2))
+    vs = deque()  # K = 2: b's potential at the nodes the second pass is yet to reach
+
+    def recorded(t, density):
+        vs.append(d.potential(t, density))
+        return vs[-1]
+
+    v1 = recorded if K == 2 else d.potential
+    pass1 = split_step_nodes(np.stack([a0.samples, np.zeros_like(a0.samples)]), grid, nodes,
+                             lambda t, density: v1(t, density[0]), 1.0,
+                             range(nodes.size) if K == 2 else visit,
+                             [B_LABEL, "first correction"])
+    pass2 = split_step_nodes(np.zeros_like(a0.samples), grid, nodes, lambda t, _: vs.popleft(),
+                             1.0, visit, "second correction")
+    rows, rows2 = [], []  # (b, a1) and a2 at the stored nodes
+    for i, psi in pass1:
+        j = i // 2
+        if i % 2:  # the midpoint of dt step j
+            _deposit(psi[1], psi[0], d.steps[j], d.coupling, d.first(j, psi[0]))
+            b_mid = psi[0].copy()
+            continue
+        if i in stored:
+            rows.append(psi.copy())
+        if K == 2 and i:  # the second pass on to the midpoint of dt step j - 1
+            for k, a2 in pass2:
+                if k % 2:
+                    break
+                rows2.append(a2.copy())
+            w = (nodes[i - 1] - nodes[i - 2]) / (nodes[i] - nodes[i - 2])
+            a1 = (1.0 - w) * a1_prev + w * psi[1]
+            _deposit(a2, b_mid, d.steps[j - 1], d.coupling, d.second(j - 1, b_mid, a1))
+        a1_prev = psi[1].copy()
+    orders = list(np.array(rows).swapaxes(0, 1))
+    if K == 2:
+        orders.append(np.array(rows2 + [a2.copy() for _, a2 in pass2]))
+    return nodes[d.store_idx], tuple(orders)
 
 
 def own_b_corrections(a0, phi, U, traj, T, dt, store_times):

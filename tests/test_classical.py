@@ -76,11 +76,11 @@ class TestDiagnostics:
     def test_blowup_reports_time(self):
         runaway = ExternalPotential(
             "runaway",
-            value=lambda x, t: -0.25 * np.asarray(x, float) ** 4,
-            grad=lambda x, t: -np.asarray(x, float) ** 3,
-            hess=lambda x, t: -3.0 * np.asarray(x, float) ** 2,
-            third=lambda x, t: -6.0 * np.asarray(x, float),
-            fourth=lambda x, t: -6.0 * np.ones_like(np.asarray(x, float)),
+            value=lambda x: -0.25 * np.asarray(x, float) ** 4,
+            grad=lambda x: -np.asarray(x, float) ** 3,
+            hess=lambda x: -3.0 * np.asarray(x, float) ** 2,
+            third=lambda x: -6.0 * np.asarray(x, float),
+            fourth=lambda x: -6.0 * np.ones_like(np.asarray(x, float)),
         )
         with pytest.raises(NumericalError, match="t="):
             integrate_flow(1.0, 0.0, runaway, 0.0, 5.0, 0.01)

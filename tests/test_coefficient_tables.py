@@ -17,7 +17,7 @@ from semihartree.corrections import evolve_corrections, separation_power_form
 from semihartree.grids import RESCALED, WaveSeries, apply_radial_rfft, radial_kernel_rfft
 from semihartree.potentials import builtin_external, builtin_pair
 
-from helpers import evolve_b, interp_samples
+from helpers import evolve_b, interp_samples, stored_corrections
 
 
 def loop_power_form(mu, weight, dx, power):
@@ -60,14 +60,14 @@ class TestHessianAlongFlow:
         mids = nodes[:-1] + 0.5 * np.diff(nodes)
         hess = hessian_along_flow(traj, U)
         for times in (nodes, mids):
-            scalar = [float(U.hess(traj.q_at(t), t)) for t in times]
+            scalar = [float(U.hess(traj.q_at(t))) for t in times]
             np.testing.assert_allclose(hess(times), scalar, rtol=0, atol=1e-15)
         assert isinstance(hess(0.05), float)
 
     def test_array_call_makes_one_hess_call_and_no_scalar_lookup(self, stack, monkeypatch):
         _, U, traj, _ = stack
         calls = []
-        counted = replace(U, hess=lambda x, t: calls.append(np.shape(x)) or U.hess(x, t))
+        counted = replace(U, hess=lambda x: calls.append(np.shape(x)) or U.hess(x))
         monkeypatch.setattr(Trajectory, "q_at", lambda self, t: pytest.fail("scalar q_at"))
         hessian_along_flow(traj, counted)(np.linspace(0.0, 0.1, 7))
         assert calls == [(7,)]
@@ -99,7 +99,7 @@ def old_source_1(mu, dx, phi, U, traj):
     def source(t, u, a0):
         cross = 2.0 * (a0.real * u.real + a0.imag * u.imag)
         coupled = half_kappa * loop_power_form(mu, cross, dx, 2) * a0
-        return coupled + (float(U.third(traj.q_at(t), t)) / 6.0) * mu ** 3 * a0
+        return coupled + (float(U.third(traj.q_at(t))) / 6.0) * mu ** 3 * a0
 
     return source
 
@@ -117,11 +117,11 @@ def old_source_2(mu, dx, phi, U, traj, a1_seq):
         cross02 = 2.0 * (a0.real * u.real + a0.imag * u.imag)
         cross01 = 2.0 * (a0.real * a1.real + a0.imag * a1.imag)
         s = half_kappa * loop_power_form(mu, cross02, dx, 2) * a0
-        s = s + (float(U.fourth(q, t)) / 24.0) * mu ** 4 * a0
+        s = s + (float(U.fourth(q)) / 24.0) * mu ** 4 * a0
         s = s + quartic_coeff * loop_power_form(mu, dens0, dx, 4) * a0
         s = s + half_kappa * loop_power_form(mu, dens1, dx, 2) * a0
         s = s + half_kappa * loop_power_form(mu, cross01, dx, 2) * a1
-        s = s + (float(U.third(q, t)) / 6.0) * mu ** 3 * a1
+        s = s + (float(U.third(q)) / 6.0) * mu ** 3 * a1
         return s
 
     return source
@@ -193,14 +193,14 @@ def old_corrections(a0_seq, phi, U, traj, T, dt):
         return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * a0
 
     def forcing_1(mids):
-        w3 = U.third(traj.qs_at(mids), mids) / 6.0
+        w3 = U.third(traj.qs_at(mids)) / 6.0
         return lambda j, a0: w3[j] * powers[3] * a0
 
     a1_seq = old_drive(a0_seq, kappa, hess, coupling, T, dt, forcing=forcing_1)
 
     def forcing_2(mids):
         q = traj.qs_at(mids)
-        w3, w4 = U.third(q, mids) / 6.0, U.fourth(q, mids) / 24.0
+        w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0
 
         def step(j, a0):
             a1 = interp_samples(a1_seq, mids[j])
@@ -218,8 +218,19 @@ def old_corrections(a0_seq, phi, U, traj, T, dt):
     return a1_seq, old_drive(a0_seq, kappa, hess, coupling, T, dt, forcing=forcing_2)
 
 
-def max_rel_dev(new, old):
-    return float(np.max(np.abs(new.data - old.data)) / np.max(np.abs(old.data)))
+def sampled_runs(times, run):
+    """{i: run(times[i])} at three node indices i: a third and two thirds
+    of the way through, and the last."""
+    last = times.size - 1
+    return {i: run(times[i]) for i in (last // 3, 2 * last // 3, last)}
+
+
+def max_rel_dev(runs, k, old):
+    """Largest deviation of order k of each run in `runs` from the row of
+    the series `old` at the node it ends at, relative to the largest
+    sample of `old`."""
+    dev = max(np.max(np.abs(orders[k].samples - old.data[i])) for i, orders in runs.items())
+    return float(dev / np.max(np.abs(old.data)))
 
 
 @pytest.fixture(scope="module")
@@ -233,53 +244,59 @@ class TestCorrectionDrives:
     T, DT = 0.1, 1e-3
 
     def test_corrections_match_combined_source_drive(self, stack, gauss, mu_grid):
-        # tolerance: max deviation over every node <= 1e-13 of the largest sample
+        # tolerance: max deviation at the sampled end nodes <= 1e-13 of the
+        # largest sample
         phi, U, traj, b = stack
         mu, dx = mu_grid.points, mu_grid.dx
         hess = hessian_along_flow(traj, U)
         kappa = phi.second_deriv_at_0
 
-        _, a1, a2 = evolve_corrections(gauss, phi, U, traj, self.T, self.DT, 2).orders
         a1_old = old_drive(b, kappa, hess, old_source_1(mu, dx, phi, U, traj),
                            self.T, self.DT)
+        runs = sampled_runs(a1_old.times, lambda T: evolve_corrections(gauss, phi, U, traj, T,
+                                                                       self.DT, 2))
         assert np.max(np.abs(a1_old.data)) > 1e-4
-        assert max_rel_dev(a1, a1_old) <= 1e-13
+        assert max_rel_dev(runs, 1, a1_old) <= 1e-13
 
+        # the first correction at every dt node, from the path that stored it
+        times, (_, a1) = stored_corrections(gauss, phi, U, traj, self.T, self.DT, 1)
+        a1 = WaveSeries(times, mu_grid, RESCALED, a1)
         a2_old = old_drive(b, kappa, hess, old_source_2(mu, dx, phi, U, traj, a1),
                            self.T, self.DT)
         assert np.max(np.abs(a2_old.data)) > 1e-4
-        assert max_rel_dev(a2, a2_old) <= 1e-13
+        assert max_rel_dev(runs, 2, a2_old) <= 1e-13
 
     @pytest.mark.parametrize("T", [0.1, 1.0])
     @pytest.mark.parametrize("dt", [1e-3, 5e-4])
     def test_matches_old_drive_fed_by_half_step_history(self, long_stack, gauss, T, dt):
-        # tolerance: max deviation over every dt node <= 1e-13 (a1) and
-        # 1e-9 (a2) of the largest sample (measured up to 9.6e-15 and 1.0e-13)
+        # tolerance: max deviation at the sampled end nodes <= 1e-13 (a1)
+        # and 1e-9 (a2) of the largest sample (measured up to 8.6e-15 and 7.9e-14)
         phi, U, traj = long_stack
         b = evolve_b(gauss, phi.second_deriv_at_0, hessian_along_flow(traj, U), T, dt / 2)
         a1_old, a2_old = old_corrections(b, phi, U, traj, T, dt)
-        _, a1, a2 = evolve_corrections(gauss, phi, U, traj, T, dt, 2).orders
-        assert np.array_equal(a1.times, a1_old.times)
-        assert max_rel_dev(a1, a1_old) <= 1e-13
-        assert max_rel_dev(a2, a2_old) <= 1e-9
+        assert np.array_equal(time_nodes(T, dt), a1_old.times)
+        runs = sampled_runs(a1_old.times,
+                            lambda end: evolve_corrections(gauss, phi, U, traj, end, dt, 2))
+        assert max_rel_dev(runs, 1, a1_old) <= 1e-13
+        assert max_rel_dev(runs, 2, a2_old) <= 1e-9
 
     def test_short_final_step_against_old_drive(self, long_stack, gauss):
         # dt does not divide T: the old path read b at the short final
         # step's midpoint as a blend of its history at 0.0999 and T, where
-        # the pass evolves b to that midpoint.  Before that step the two
-        # agree as above; at T they differ by the blend's error.
-        # tolerance: 1e-13 of the largest sample before T, and 1e-9 at T
-        # (measured 1.1e-10 for a1 and 6.9e-11 for a2)
+        # the pass evolves b to that midpoint.  A run to 0.0999 agrees as
+        # above; at T they differ by the blend's error.
+        # tolerance: 1e-13 of the largest sample for the run to 0.0999, and
+        # 1e-9 for the run to T (measured 1.1e-10 for a1 and 6.9e-11 for a2)
         phi, U, traj = long_stack
         T, dt = 0.1, 3e-4
         b = evolve_b(gauss, phi.second_deriv_at_0, hessian_along_flow(traj, U), T, dt / 2)
         a1_old, a2_old = old_corrections(b, phi, U, traj, T, dt)
-        _, a1, a2 = evolve_corrections(gauss, phi, U, traj, T, dt, 2).orders
-        np.testing.assert_allclose(a1.times[-2:], [0.0999, 0.1], rtol=1e-12)
-        for new, old in ((a1, a1_old), (a2, a2_old)):
-            scale = np.max(np.abs(old.data))
-            assert np.max(np.abs(new.data[:-1] - old.data[:-1])) <= 1e-13 * scale
-            assert np.max(np.abs(new.data[-1] - old.data[-1])) <= 1e-9 * scale
+        np.testing.assert_allclose(a1_old.times[-2:], [0.0999, 0.1], rtol=1e-12)
+        for row, bound in ((-2, 1e-13), (-1, 1e-9)):
+            orders = evolve_corrections(gauss, phi, U, traj, a1_old.times[row], dt, 2)
+            for new, old in ((orders[1], a1_old), (orders[2], a2_old)):
+                scale = np.max(np.abs(old.data))
+                assert np.max(np.abs(new.samples - old.data[row])) <= bound * scale
 
     def test_one_node_array_and_no_scalar_lookups_per_drive(self, stack, gauss,
                                                             monkeypatch):

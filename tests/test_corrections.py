@@ -9,7 +9,6 @@ from semihartree._stepping import GUARD_MASS, tabulate, time_nodes
 from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.corrections import (
-    CorrectionSet,
     _interleaved_nodes,
     assemble_expansion,
     evolve_corrections,
@@ -28,11 +27,18 @@ from semihartree.grids import (
 from semihartree.potentials import builtin_external, builtin_pair
 
 from helpers import (correction_drive, correction_pass, evolve_b, interp_samples,
-                     own_b_corrections)
+                     own_b_corrections, stored_corrections)
 
 
-def series_norm(series, i=-1):
-    return float(np.sqrt(np.sum(np.abs(series.data[i]) ** 2) * series.grid.dx))
+def norm(psi):
+    return float(np.sqrt(np.sum(np.abs(psi.samples) ** 2) * psi.grid.dx))
+
+
+def sampled_ends(T, dt):
+    """Three node times of `time_nodes(T, dt)` at which a run can end: a
+    third and two thirds of the way through, and T."""
+    nodes = time_nodes(T, dt)
+    return nodes[[(nodes.size - 1) // 3, 2 * (nodes.size - 1) // 3, -1]]
 
 
 def rk4_lines_oracle(grid, b_fine, kappa, hess_fn, source_fn, T, dt):
@@ -64,10 +70,11 @@ def rk4_lines_oracle(grid, b_fine, kappa, hess_fn, source_fn, T, dt):
 
 @pytest.fixture(scope="module")
 def quadratic_stack(gauss):
+    # the orders of runs that end at three node times, T = 1 the last
     phi = builtin_pair("quadratic", [1.0, -1.0])
     U = builtin_external("harmonic", [1.0])
     traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
-    return evolve_corrections(gauss, phi, U, traj, 1.0, 1e-3, 2)
+    return [evolve_corrections(gauss, phi, U, traj, T, 1e-3, 2) for T in (0.25, 0.5, 1.0)]
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +87,16 @@ def cosine_driven():
 
 class TestZeroSources:
     def test_first_correction_vanishes(self, quadratic_stack):
-        a1 = quadratic_stack.orders[1]
-        assert len(a1) == 1001
-        assert max(series_norm(a1, i) for i in range(len(a1))) <= 1e-12
+        assert max(norm(orders[1]) for orders in quadratic_stack) <= 1e-12
 
     def test_second_correction_vanishes(self, quadratic_stack):
-        a2 = quadratic_stack.orders[2]
-        assert max(series_norm(a2, i) for i in range(len(a2))) <= 1e-12
+        assert max(norm(orders[2]) for orders in quadratic_stack) <= 1e-12
 
     def test_expansion_collapses(self, quadratic_stack):
-        cset = quadratic_stack
-        for K in (0, 1, 2):
-            assembled = assemble_expansion(cset, K, 0.08)
-            assert np.array_equal(assembled.samples, cset.orders[0].final.samples)
+        for orders in quadratic_stack:
+            for K in (0, 1, 2):
+                assembled = assemble_expansion(orders, K, 0.08)
+                assert np.array_equal(assembled.samples, orders[0].samples)
 
 
 class TestShortTimeOracles:
@@ -109,16 +113,16 @@ class TestShortTimeOracles:
         mu = mu_grid.points
 
         def source(t, u, base):
-            return (float(U.third(traj.q_at(t), t)) / 6.0) * mu ** 3 * base
+            return (float(U.third(traj.q_at(t))) / 6.0) * mu ** 3 * base
 
         oracle = rk4_lines_oracle(mu_grid, b, 0.0, hess, source, self.T, 2e-5)
-        a1 = evolve_corrections(gauss, phi, U, traj, self.T, 2.5e-4, 1).orders[1]
-        rel = (np.sqrt(np.sum(np.abs(a1.data[-1] - oracle) ** 2) * mu_grid.dx)
+        a1 = evolve_corrections(gauss, phi, U, traj, self.T, 2.5e-4, 1)[1]
+        rel = (np.sqrt(np.sum(np.abs(a1.samples - oracle) ** 2) * mu_grid.dx)
                / np.sqrt(np.sum(np.abs(oracle) ** 2) * mu_grid.dx))
         assert rel <= 1e-5
         # leading short-time form: -i T * (third/3!) mu^3 * profile
         lead = -1j * self.T * mu ** 3 * gauss.samples
-        lead_rel = (np.sqrt(np.sum(np.abs(a1.data[-1] - lead) ** 2) * mu_grid.dx)
+        lead_rel = (np.sqrt(np.sum(np.abs(a1.samples - lead) ** 2) * mu_grid.dx)
                     / np.sqrt(np.sum(np.abs(lead) ** 2) * mu_grid.dx))
         assert lead_rel <= 5e-2
 
@@ -133,8 +137,8 @@ class TestShortTimeOracles:
         mu = mu_grid.points
         dx = mu_grid.dx
 
-        _, a1, a2 = evolve_corrections(gauss, phi, U, traj, self.T, 2.5e-4, 2).orders
-        assert series_norm(a1) == 0.0
+        _, a1, a2 = evolve_corrections(gauss, phi, U, traj, self.T, 2.5e-4, 2)
+        assert norm(a1) == 0.0
 
         def source(t, u, base):
             density = base.real ** 2 + base.imag ** 2
@@ -144,14 +148,14 @@ class TestShortTimeOracles:
                     * base)
 
         oracle = rk4_lines_oracle(mu_grid, b, -1.0, hess, source, self.T, 2e-5)
-        rel = (np.sqrt(np.sum(np.abs(a2.data[-1] - oracle) ** 2) * dx)
+        rel = (np.sqrt(np.sum(np.abs(a2.samples - oracle) ** 2) * dx)
                / np.sqrt(np.sum(np.abs(oracle) ** 2) * dx))
         assert rel <= 1e-5
         # leading short-time form from the quartic separation moment
         density = np.abs(gauss.samples) ** 2
         lead = (-1j * self.T / 24.0
                 * separation_power_form(mu, density, dx, 4) * gauss.samples)
-        lead_rel = (np.sqrt(np.sum(np.abs(a2.data[-1] - lead) ** 2) * dx)
+        lead_rel = (np.sqrt(np.sum(np.abs(a2.samples - lead) ** 2) * dx)
                     / np.sqrt(np.sum(np.abs(lead) ** 2) * dx))
         assert lead_rel <= 5e-2
 
@@ -161,8 +165,8 @@ class TestCosineDriven:
         phi, U, traj = cosine_driven
         vals = []
         for dt in (1e-3, 5e-4):
-            a1 = evolve_corrections(gauss, phi, U, traj, 1.0, dt, 1, (1.0,)).orders[1]
-            vals.append(series_norm(a1))
+            a1 = evolve_corrections(gauss, phi, U, traj, 1.0, dt, 1)[1]
+            vals.append(norm(a1))
         assert all(np.isfinite(v) for v in vals)
         assert abs(vals[0] - vals[1]) / vals[1] < 0.02
 
@@ -170,15 +174,15 @@ class TestCosineDriven:
         phi, U, traj = cosine_driven
         vals = []
         for dt in (1e-3, 5e-4):
-            a2 = evolve_corrections(gauss, phi, U, traj, 1.0, dt, 2, (1.0,)).orders[2]
-            vals.append(series_norm(a2))
+            a2 = evolve_corrections(gauss, phi, U, traj, 1.0, dt, 2)[2]
+            vals.append(norm(a2))
         assert abs(vals[0] - vals[1]) / vals[1] < 0.02
 
     def test_first_moment_measured(self, cosine_driven, gauss):
         # centering of the first correction is observed, not asserted
         phi, U, traj = cosine_driven
-        a1 = evolve_corrections(gauss, phi, U, traj, 1.0, 1e-3, 1, (1.0,)).orders[1]
-        fm = first_moment(a1.final)
+        a1 = evolve_corrections(gauss, phi, U, traj, 1.0, 1e-3, 1)[1]
+        fm = first_moment(a1)
         assert np.isfinite(fm)
         print(f"first-correction first moment at T=1: {fm:.3e}")
 
@@ -275,7 +279,7 @@ class TestOneEvolutionOfB:
 
         monkeypatch.setattr(amplitude, "apply_radial_rfft", counted)
         T, dt = 0.1, 1e-3
-        evolve_corrections(gauss, phi, U, traj, T, dt, K, (T,))
+        evolve_corrections(gauss, phi, U, traj, T, dt, K)
         # one convolution per interleaved node: b's potential, built once
         assert len(calls) == _interleaved_nodes(T, dt)[2].size
 
@@ -290,11 +294,11 @@ class TestOneEvolutionOfB:
         traj = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T, dt)
         a0 = config.initial_profile()
         times, (b, a1, a2) = own_b_corrections(a0, phi, U, traj, T, dt, (T,))
-        orders = evolve_corrections(a0, phi, U, traj, T, dt, 2, (T,)).orders
-        assert times.tolist() == [T] and orders[0].times.tolist() == [T]
-        np.testing.assert_array_equal(orders[1].data, a1)
-        np.testing.assert_allclose(orders[0].data, b, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(orders[2].data, a2, rtol=0, atol=1e-10)
+        orders = evolve_corrections(a0, phi, U, traj, T, dt, 2)
+        assert times.tolist() == [T]
+        np.testing.assert_array_equal(orders[1].samples, a1[-1])
+        np.testing.assert_allclose(orders[0].samples, b[-1], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(orders[2].samples, a2[-1], rtol=0, atol=1e-10)
 
 
 class TestExpansionOrders:
@@ -382,42 +386,33 @@ def stored_first_pass_corrections(a0, phi, U, traj, T, dt, store_times):
 class TestLockstep:
     """One loop over the first pass drives both orders, the second reading
     b's potential, b and the first correction from that pass as it goes;
-    every order equals the stored-pass path bit for bit, and at K = 1 the
-    orders equal the oracle's two-row pass."""
+    the orders of runs that end at three node times equal the stored-pass
+    path bit for bit, and at K = 1 the two-row pass of the oracle."""
 
-    @pytest.mark.parametrize("store", ["every-node", "final-only"])
     @pytest.mark.parametrize("dt", [1e-3, 3e-4], ids=["dividing", "short-last-step"])
-    def test_first_order_equals_the_two_row_pass(self, cosine_driven, gauss, store, dt):
+    def test_first_order_equals_the_two_row_pass(self, cosine_driven, gauss, dt):
         phi, U, traj = cosine_driven
-        T = 0.1
-        store_times = None if store == "every-node" else (T,)
-        d = correction_drive(gauss, phi, U, traj, T, dt, store_times)
-        oracle = np.array([psi.copy() for _, psi in correction_pass(
-            gauss.samples, gauss.grid, d.nodes, d.steps, d.potential, d.coupling, d.first,
-            d.store_idx, "first correction")])
-        orders = evolve_corrections(gauss, phi, U, traj, T, dt, 1, store_times).orders
-        assert len(orders) == 2
-        assert oracle.shape[0] == (1 if store_times else time_nodes(T, dt).size)
-        for k, series in enumerate(orders):
-            np.testing.assert_array_equal(series.times, d.nodes[d.store_idx])
-            np.testing.assert_array_equal(series.data, oracle[:, k])
-        assert np.max(np.abs(orders[1].data[-1])) > 1e-4  # the source is live
+        for T in sampled_ends(0.1, dt):
+            d = correction_drive(gauss, phi, U, traj, T, dt, (T,))
+            ((_, oracle),) = [(i, psi.copy()) for i, psi in correction_pass(
+                gauss.samples, gauss.grid, d.nodes, d.steps, d.potential, d.coupling, d.first,
+                d.store_idx, "first correction")]
+            orders = evolve_corrections(gauss, phi, U, traj, T, dt, 1)
+            assert len(orders) == 2
+            for k, psi in enumerate(orders):
+                np.testing.assert_array_equal(psi.samples, oracle[k])
+        assert np.max(np.abs(orders[1].samples)) > 1e-4  # the source is live
 
-    @pytest.mark.parametrize("store", ["every-node", "final-only"])
     @pytest.mark.parametrize("dt", [1e-3, 3e-4], ids=["dividing", "short-last-step"])
-    def test_orders_equal_the_stored_first_pass(self, cosine_driven, gauss, store, dt):
+    def test_orders_equal_the_stored_first_pass(self, cosine_driven, gauss, dt):
         phi, U, traj = cosine_driven
-        T = 0.1
-        store_times = None if store == "every-node" else (T,)
-        times, oracle = stored_first_pass_corrections(gauss, phi, U, traj, T, dt,
-                                                      store_times)
-        orders = evolve_corrections(gauss, phi, U, traj, T, dt, 2, store_times).orders
-        assert len(orders) == 3
-        assert times.size == (1 if store_times else time_nodes(T, dt).size)
-        for series, data in zip(orders, oracle):
-            np.testing.assert_array_equal(series.times, times)
-            np.testing.assert_array_equal(series.data, data)
-        assert np.max(np.abs(orders[2].data[-1])) > 1e-4  # the window is live
+        for T in sampled_ends(0.1, dt):
+            times, oracle = stored_first_pass_corrections(gauss, phi, U, traj, T, dt, (T,))
+            orders = evolve_corrections(gauss, phi, U, traj, T, dt, 2)
+            assert len(orders) == 3 and times.tolist() == [T]
+            for psi, data in zip(orders, oracle):
+                np.testing.assert_array_equal(psi.samples, data[-1])
+        assert np.max(np.abs(orders[2].samples)) > 1e-4  # the window is live
 
     def test_second_order_keeps_no_history(self, cosine_driven, gauss):
         # one (2, n) store of the first pass over the default level-2 run
@@ -426,26 +421,40 @@ class TestLockstep:
         traj = integrate_flow(0.0, 1.0, U, phi.value_at_0, 1.0, 5e-4)
         tracemalloc.start()
         try:
-            evolve_corrections(gauss, phi, U, traj, 1.0, 5e-4, 2, store_times=(1.0,))
+            evolve_corrections(gauss, phi, U, traj, 1.0, 5e-4, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
 
+class TestFinalOrdersEqualTheStoredPath:
+    """The orders at T equal, bit for bit, the last row of the path that
+    stored them at chosen nodes, with its store set to T alone."""
+
+    @pytest.mark.parametrize("K", [0, 1, 2])
+    @pytest.mark.parametrize("T, dt", [(1.0, 5e-4), (0.1, 3e-4), (1e-3, 1e-3), (0.0, 1e-3)],
+                             ids=["dividing", "short-last-step", "one-step", "T=0"])
+    def test_bitwise(self, cosine_driven, gauss, K, T, dt):
+        phi, U, traj = cosine_driven
+        orders = evolve_corrections(gauss, phi, U, traj, T, dt, K)
+        times, stored = stored_corrections(gauss, phi, U, traj, T, dt, K, (T,))
+        assert times.tolist() == [T] and len(orders) == len(stored) == K + 1
+        for psi, data in zip(orders, stored):
+            assert psi.samples.tobytes() == data[-1].tobytes()
+
+
 class TestAssembleExpansion:
     def test_base_only(self, gauss):
         U = builtin_external("zero")
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.1, 1e-3)
-        b = evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3)
-        cset = CorrectionSet((b,))
-        out = assemble_expansion(cset, 0, 0.04)
-        assert np.array_equal(out.samples, b.final.samples)
+        b = evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3).final
+        out = assemble_expansion((b,), 0, 0.04)
+        assert np.array_equal(out.samples, b.samples)
 
     def test_missing_orders_rejected(self, gauss):
         U = builtin_external("zero")
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.1, 1e-3)
-        b = evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3)
-        cset = CorrectionSet((b,))
+        b = evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3).final
         with pytest.raises(ValueError, match="missing correction orders"):
-            assemble_expansion(cset, 1, 0.04)
+            assemble_expansion((b,), 1, 0.04)

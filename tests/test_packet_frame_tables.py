@@ -57,7 +57,7 @@ class TestAdditionForm:
         table = coeffs(qs)
         assert remainders.shape[1:] == y.shape and table.shape == (qs.size, len(remainders))
         for q, row in zip(qs, table):
-            terms = (U.value(q + y, 0.0), U.value(q, 0.0), U.grad(q, 0.0) * y)
+            terms = (U.value(q + y), U.value(q), U.grad(q) * y)
             pointwise = terms[0] - terms[1] - terms[2]
             added = np.tensordot(row, remainders, axes=1)
             bound = 8.0 * ROUNDOFF * sum(np.abs(term) for term in terms)
@@ -105,7 +105,7 @@ class TestTablePotential:
     def test_steps_call_no_closure_of_u(self, default_path):
         # the bracket is read from the level's tables, not from U per step
         U = builtin_external("cosine", [1.0])
-        fail = lambda x, t: pytest.fail("U evaluated in a step")
+        fail = lambda x: pytest.fail("U evaluated in a step")
         trajectory, nodes = default_path
         potential = _packet_frame_potential(GRIDS["default"], EPS, builtin_pair("cosine"),
                                             replace(U, value=fail, grad=fail), trajectory, nodes)
@@ -121,7 +121,7 @@ class TestTablePotential:
         U, grid = builtin_external("cosine", [1.0]), GRIDS["default"]
         trajectory, nodes = default_path
         potential = _packet_frame_potential(grid, np.array([1e-20]), phi, U, trajectory, nodes)
-        hess_at = tabulate(lambda t: U.hess(trajectory.qs_at(t), t), nodes)
+        hess_at = tabulate(lambda t: U.hess(trajectory.qs_at(t)), nodes)
         model = b_potential(grid, phi.second_deriv_at_0, hess_at)
         density = density_rows(grid, 1)
         for t in nodes[[0, 500, -1]]:

@@ -1,6 +1,10 @@
 """Physical sweeps build each refinement level once and share it."""
 
+import inspect
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -206,7 +210,22 @@ def test_level_build_keeps_no_history():
 
 @pytest.mark.parametrize("name", EXTERNAL_NAMES)
 def test_builtin_external_potentials_are_time_independent(name):
-    # the reference solver samples U(x) once per run, at t = 0
+    # every callable of U takes x alone, so the reference solver's one
+    # sample of U(x) per run is all of U
     U = builtin_external(name)
     x = np.linspace(-6.0, 6.0, 97)
-    assert np.array_equal(U.value(x, 0.0), U.value(x, 1.7))
+    for fn in (U.value, U.grad, U.hess, U.third, U.fourth):
+        assert list(inspect.signature(fn).parameters) == ["x"]
+        assert np.shape(fn(x)) == x.shape
+
+
+def test_trace_nodes_load_no_masked_arrays():
+    # np.unique and np.union1d import numpy.ma on first call (NumPy 2.4),
+    # about 1.5 MiB of peak memory; compare picks its trace nodes without them
+    code = ("import sys; from semihartree.cli import main; "
+            "main(['compare', '--eps', '0.32', '--trace', '5', '--quiet']); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                         timeout=120)
+    assert out.stdout.strip() == "False"

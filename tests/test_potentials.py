@@ -4,7 +4,6 @@ import pytest
 from semihartree.potentials import builtin_external, builtin_pair
 
 LATTICE = (-2.0, -1.0, 0.0, 1.0, 2.0)
-TIMES = (0.0, 0.5, 1.0)
 
 
 def slope_at_zero(phi, h=1e-4):
@@ -96,38 +95,38 @@ class TestBuiltinPairs:
             builtin_pair("cosine", [2.0])
 
 
-def fd_grad(U, x, t, h=1e-5):
-    return (U.value(x + h, t) - U.value(x - h, t)) / (2.0 * h)
+def fd_grad(U, x, h=1e-5):
+    return (U.value(x + h) - U.value(x - h)) / (2.0 * h)
 
 
-def fd_hess(U, x, t, h=1e-4):
-    return (U.value(x + h, t) - 2.0 * U.value(x, t) + U.value(x - h, t)) / h ** 2
+def fd_hess(U, x, h=1e-4):
+    return (U.value(x + h) - 2.0 * U.value(x) + U.value(x - h)) / h ** 2
 
 
-def fd_third(U, x, t, h=5e-3):
-    return (U.value(x + 2 * h, t) - 2.0 * U.value(x + h, t)
-            + 2.0 * U.value(x - h, t) - U.value(x - 2 * h, t)) / (2.0 * h ** 3)
+def fd_third(U, x, h=5e-3):
+    return (U.value(x + 2 * h) - 2.0 * U.value(x + h)
+            + 2.0 * U.value(x - h) - U.value(x - 2 * h)) / (2.0 * h ** 3)
 
 
 class TestBuiltinExternals:
     def test_zero(self):
         U = builtin_external("zero")
         x = np.array(LATTICE)
-        assert np.all(U.grad(x, 0.0) == 0.0)
-        assert np.all(U.hess(x, 0.0) == 0.0)
+        assert np.all(U.grad(x) == 0.0)
+        assert np.all(U.hess(x) == 0.0)
 
     def test_harmonic(self):
         U = builtin_external("harmonic", [1.0])
         x = np.array(LATTICE)
-        assert np.all(U.hess(x, 0.0) == 1.0)
-        assert np.all(U.third(x, 0.0) == 0.0)
-        assert np.all(U.fourth(x, 0.0) == 0.0)
+        assert np.all(U.hess(x) == 1.0)
+        assert np.all(U.third(x) == 0.0)
+        assert np.all(U.fourth(x) == 0.0)
 
     def test_cosine(self):
         U = builtin_external("cosine", [1.0])
         x = np.array(LATTICE)
-        assert np.allclose(U.grad(x, 0.0), -np.sin(x), atol=1e-15)
-        assert np.allclose(U.hess(x, 0.0), -np.cos(x), atol=1e-15)
+        assert np.allclose(U.grad(x), -np.sin(x), atol=1e-15)
+        assert np.allclose(U.hess(x), -np.cos(x), atol=1e-15)
 
     @pytest.mark.parametrize("name,params", [
         ("harmonic", [1.3]),
@@ -136,18 +135,17 @@ class TestBuiltinExternals:
     ])
     def test_derivatives_match_finite_differences(self, name, params):
         U = builtin_external(name, params)
-        for t in TIMES:
-            scale_g = max(1.0, max(abs(float(U.grad(x, t))) for x in LATTICE))
-            scale_h = max(1.0, max(abs(float(U.hess(x, t))) for x in LATTICE))
-            scale_3 = max(1.0, max(abs(float(U.third(x, t))) for x in LATTICE))
-            for x in LATTICE:
-                assert abs(fd_grad(U, x, t) - U.grad(x, t)) / scale_g < 1e-5
-                assert abs(fd_hess(U, x, t) - U.hess(x, t)) / scale_h < 1e-5
-                assert abs(fd_third(U, x, t) - U.third(x, t)) / scale_3 < 1e-5
+        scale_g = max(1.0, max(abs(float(U.grad(x))) for x in LATTICE))
+        scale_h = max(1.0, max(abs(float(U.hess(x))) for x in LATTICE))
+        scale_3 = max(1.0, max(abs(float(U.third(x))) for x in LATTICE))
+        for x in LATTICE:
+            assert abs(fd_grad(U, x) - U.grad(x)) / scale_g < 1e-5
+            assert abs(fd_hess(U, x) - U.hess(x)) / scale_h < 1e-5
+            assert abs(fd_third(U, x) - U.third(x)) / scale_3 < 1e-5
 
     def test_cubic_window_third_at_origin(self):
         U = builtin_external("cubic_window", [2.0])
-        assert float(U.third(0.0, 0.0)) == pytest.approx(12.0, rel=1e-14)
+        assert float(U.third(0.0)) == pytest.approx(12.0, rel=1e-14)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="valid names"):

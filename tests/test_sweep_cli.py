@@ -185,8 +185,8 @@ class TestModeCrossCheck:
 
 class TestLemmaCheckHarness:
     def test_deviations_and_order(self):
-        check = lemma_check(kappa=-1.0, T=0.5, dt=1e-3,
-                            probe_times=(0.25, 0.5))
+        check = lemma_check(kappa=-1.0, T=0.5, dt=1e-3)
+        assert check.probe_times == (0.125, 0.25, 0.5)
         assert max(check.deviations) <= 1e-6
         assert check.order_ok
 
