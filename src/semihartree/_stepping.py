@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import NumericalError
-from .grids import Grid, boundary_mass
+from .grids import Grid
 
 __all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "tabulate", "split_step_nodes",
            "split_step_evolve"]
@@ -73,10 +73,9 @@ def _resolve_store(times: np.ndarray, store_times: Optional[Sequence[float]]) ->
     return np.asarray(sorted(idx), dtype=int)
 
 
-def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
-                     potential: Callable[[float, np.ndarray], np.ndarray],
-                     kinetic_scale: float = 1.0, visit: Iterable[int] = (),
-                     label: Union[str, Sequence[str]] = "evolution") -> Iterator:
+def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union[np.ndarray, list],
+                     potential: Union[Callable, list], kinetic_scale: Union[float, list] = 1.0,
+                     visit: Iterable[int] = (), label: Union[str, list] = "evolution") -> Iterator:
     """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + v psi, where
     v = potential(t, |psi|^2), over the sorted node array `times`, and
     yield (j, psi) at each node index j in `visit`, after the trailing half
@@ -92,38 +91,54 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
     initial value over every step, visited or not (a float, or one value
     per row of a batch).
 
+    Ragged rows: `times`, `grid` (all of one n), `potential` and
+    `kinetic_scale` may be lists, one per row, longest row first.  Each row
+    then does the arithmetic of a run of its own, visited at its final node
+    only; psi holds the rows not yet ended, and those ending at the yielded
+    node leave the batch.
+
     Raises NumericalError when samples go non-finite or when more than
     GUARD_MASS probability sits within GUARD_CELLS cells of a domain
     edge (the packet is escaping the window).  `label` names the run in
     that message; a batch takes one label per row, and its error names the
-    lowest failing row's label and carries that row's index as `row`.
+    lowest failing row's label and own node time, and carries that row's
+    index as `row`.
     """
+    ragged = isinstance(times, list)
+    if ragged:  # each row visits its final node
+        visit = ends = [t.size - 1 for t in times]
+        if ends != sorted(ends, reverse=True):
+            raise ValueError("ragged rows go longest first")
+        if len(times) == 1:  # a lone row takes the shared-node loop
+            ragged, grid, times, potential = False, grid[0], times[0], potential[0]
+            kinetic_scale = kinetic_scale[0]
     visit = {int(j) for j in visit}
     psi = np.array(samples0, dtype=np.complex128)
     batched = psi.ndim == 2
     labels = [label] if isinstance(label, str) else list(label)
     if batched and len(labels) != psi.shape[0]:
         raise ValueError("a batch needs one label per row")
-    dx = grid.dx
-    k2 = grid.wavenumbers ** 2
+    dx = np.array([[g.dx] for g in grid]) if ragged else grid.dx
+    k2 = [g.wavenumbers ** 2 for g in grid] if ragged else grid.wavenumbers ** 2
     total = np.add.reduce
     hat = np.empty_like(psi)
     # density @ weights: each row's squared norm and its guard-band mass
-    weights = np.zeros((grid.n, 2))
-    weights[:, 0] = weights[:GUARD_CELLS, 1] = weights[-GUARD_CELLS:, 1] = dx
+    weights = np.zeros(np.shape(dx)[:1] + (psi.shape[-1], 2))
+    weights[..., 0] = weights[..., :GUARD_CELLS, 1] = weights[..., -GUARD_CELLS:, 1] = dx
 
-    def check(t: float, stats, v) -> None:
+    def check(j: int, stats, v) -> None:
         # finite stats and v imply finite samples, and a total edge mass
         # within the guard clears every row; scan the rows only if not
         if (total(stats[..., 1], axis=None) <= GUARD_MASS
                 and np.isfinite(total(stats, axis=None) + total(v, axis=None))):
             return
         finite = np.atleast_1d(np.isfinite(psi).all(axis=-1))
-        bm = np.atleast_1d(boundary_mass(density, grid, GUARD_CELLS, is_density=True))
+        bm = np.atleast_1d(stats[..., 1])
         bad = ~finite | (bm > GUARD_MASS)
         if not bad.any():
             return
         row = int(np.argmax(bad))
+        t = times[row][j] if ragged else times[j]
         where = dict(row=row) if batched else {}
         if not finite[row]:
             raise NumericalError(
@@ -137,9 +152,9 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
         np.square(psi.real, out=density)
         np.square(psi.imag, out=scratch)
         np.add(density, scratch, out=density)
-        return density @ weights
+        return np.matmul(density[:, None], weights)[:, 0] if ragged else density @ weights
 
-    def phase(scale: float, v) -> np.ndarray:  # exp(1j*scale*v) into half, v real
+    def phase(scale, v) -> np.ndarray:  # exp(1j*scale*v) into half, v real
         np.multiply(scale, v, out=arg)
         np.cos(arg, out=half.real)
         np.sin(arg, out=half.imag)
@@ -148,7 +163,36 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
     stats = square()
     norm0 = np.sqrt(stats[..., 0])
     drift = np.zeros_like(norm0)
-    check(0.0, stats, 0.0)
+    check(0, stats, 0.0)
+    if ragged:  # steps[r, j]: row r's step into node j, zero at node 0 and past its end
+        steps = np.array([np.pad(np.diff(t), (1, ends[0] + 2 - t.size)) for t in times])
+        # each row's phase scale at each node (a half at its first and final
+        # nodes, the two halves fused between them), and its kinetic table
+        # of each of its step lengths (the float steps take few values)
+        scales, lengths = -0.5 * (steps[:, :-1] + steps[:, 1:]), steps.tolist()
+        kins = [{h: np.exp(-0.5j * h * c * q) for h in set(row)}
+                for row, c, q in zip(lengths, kinetic_scale, k2)]
+        v, arg, half, m = np.empty(psi.shape), np.empty(psi.shape), np.empty_like(psi), len(times)
+        for j in range(ends[0] + 1):
+            if j:  # the kinetic step into node j
+                np.fft.fft(psi, out=hat)
+                for s in range(m):
+                    hat[s] *= kins[s][lengths[s][j]]
+                np.fft.ifft(hat, out=psi)
+                stats = square()
+            for s, d in enumerate(density):  # each held row's v at its own node j
+                v[s] = potential[s](times[s][j], d)
+            psi *= phase(scales[:, j, None], v)
+            if j:
+                check(j, stats, v)
+                np.maximum(drift[:m], np.abs(np.sqrt(stats[:, 0]) - norm0), out=drift[:m])
+            if j in visit:
+                yield j, psi
+                m = sum(end > j for end in ends)
+                psi, hat, density, scratch, weights, v, arg, half, norm0, scales = (
+                    b[:m] for b in (psi, hat, density, scratch, weights, v, arg, half, norm0,
+                                    scales))
+        return drift
     if 0 in visit:
         yield 0, psi
         square()  # psi may have changed
@@ -175,7 +219,7 @@ def split_step_nodes(samples0: np.ndarray, grid: Grid, times: np.ndarray,
         # a visited node and the final node take the trailing half alone,
         # any other node the trailing half fused with the next leading half
         psi *= phase(-0.5 * (h if apart else h + h_next), v)
-        check(times[j + 1], stats, v)
+        check(j + 1, stats, v)
         drift = np.maximum(drift, np.abs(np.sqrt(stats[..., 0]) - norm0))
         if visited:
             yield j + 1, psi

@@ -32,17 +32,17 @@ from .grids import RESCALED, WaveFunction
 from .potentials import ExternalPotential, PairPotential
 
 __all__ = ["evolve_corrections", "assemble_expansion"]
+_SIGNS = {p: np.array([comb(p, j) * (-1.0) ** j for j in range(p + 1)]) for p in (2, 4)}
 
 
 def separation_power_form(mu: np.ndarray, weight: np.ndarray, dx: float,
                           power: int, powers: Optional[np.ndarray] = None) -> np.ndarray:
-    """integral of (mu - eta)^power * weight(eta) d(eta) for even power,
+    """integral of (mu - eta)^power * weight(eta) d(eta) for power 2 or 4,
     expanded binomially into plain moments of the (possibly signed) weight;
     row j of `powers` holds mu**j, j = 0..power at least (repeat callers build it once)."""
     powers = (np.vander(mu, power + 1, True).T.copy() if powers is None
               else powers[:power + 1])
-    signs = np.array([comb(power, j) * (-1.0) ** j for j in range(power + 1)])
-    return (signs * (powers @ weight) * dx)[::-1] @ powers
+    return (_SIGNS[power] * (powers @ weight) * dx)[::-1] @ powers
 
 
 def _interleaved_nodes(T: float, dt: float) -> tuple:

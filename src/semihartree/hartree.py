@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._stepping import split_step_evolve, time_nodes
+from ._stepping import split_step_evolve, split_step_nodes, time_nodes
 from .amplitude import AmplitudeState, evolve_beta
 from .classical import ClassicalState, Trajectory, hessian_along_flow, integrate_flow
 from .config import ExperimentConfig
@@ -42,6 +42,7 @@ __all__ = [
     "hartree_evolve",
     "assemble_approximation",
     "compare_evolution",
+    "compare_finals",
 ]
 
 
@@ -107,25 +108,17 @@ def build_coherent_state(a0: WaveFunction, q: float, p: float, epsilon: float,
     return WaveFunction(grid, samples, physical_frame(epsilon))
 
 
-def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
-                   U: ExternalPotential, T: float, dt: float, *,
-                   store_times: Optional[Sequence[float]] = None) -> tuple[WaveSeries, float]:
-    """Strang-split integration of the mean-field dynamics, with the
-    self-consistent potential rebuilt from |psi|^2 every step by
-    `grids.mean_field` (two density moments for the cosine pair).
-    Returns the states at the nodes nearest `store_times` (every node by
-    default; the final node always) and the norm drift over every step.
-
-    The potential phase max|w|*dt is checked every step: above pi/2 a
-    warning is issued, above pi the run aborts (the splitting would be
-    meaningless).
-    """
-    if psi0.frame.kind != "physical" or psi0.frame.epsilon != epsilon:
-        raise ValueError("initial state frame does not carry this epsilon")
+def _reference_potential(psi0: WaveFunction, dt: float, phi: PairPotential,
+                         U: ExternalPotential, row: Optional[int] = None):
+    """potential(t, density) of the mean-field dynamics on `psi0`'s grid and
+    eps, rebuilt from |psi|^2 every step by `grids.mean_field` (two density
+    moments for the cosine pair).  Its phase max|w|*dt is checked every
+    step: above pi/2 a warning is issued (once), above pi the run aborts
+    with `row` (the splitting would be meaningless)."""
     grid = psi0.grid
     convolve = mean_field(phi, grid, phi.separable)
     u = np.asarray(U.value(grid.points), dtype=np.float64)
-    inv_eps = 1.0 / epsilon
+    inv_eps = 1.0 / psi0.frame.epsilon
     warned = [False]
 
     def potential(t: float, density: np.ndarray) -> np.ndarray:
@@ -134,20 +127,28 @@ def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
         if phase > np.pi:
             raise NumericalError(
                 f"potential phase per step {phase:.3f} rad exceeds pi at "
-                f"t={t:.6g}; reduce dt"
-            )
+                f"t={t:.6g}; reduce dt", row=row)
         if phase > 0.5 * np.pi and not warned[0]:
             warnings.warn(
                 f"potential phase per step {phase:.3f} rad exceeds pi/2; "
                 "accuracy is degraded", RuntimeWarning)
             warned[0] = True
         return w
+    return potential
 
+
+def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
+                   U: ExternalPotential, T: float, dt: float, *,
+                   store_times: Optional[Sequence[float]] = None) -> tuple[WaveSeries, float]:
+    """Strang-split integration of the mean-field dynamics under
+    `_reference_potential`: the states at the nodes nearest `store_times`
+    (every node by default; the final node always), and the norm drift."""
+    if psi0.frame.kind != "physical" or psi0.frame.epsilon != epsilon:
+        raise ValueError("initial state frame does not carry this epsilon")
     times, stored_t, data, drift = split_step_evolve(
-        psi0.samples, grid, time_nodes(T, dt), potential, kinetic_scale=epsilon,
-        store_times=store_times, label=f"hartree reference (eps={epsilon:g})",
-    )
-    return WaveSeries(stored_t, grid, physical_frame(epsilon), data), float(drift)
+        psi0.samples, psi0.grid, time_nodes(T, dt), _reference_potential(psi0, dt, phi, U),
+        epsilon, store_times, f"hartree reference (eps={epsilon:g})")
+    return WaveSeries(stored_t, psi0.grid, physical_frame(epsilon), data), float(drift)
 
 
 def assemble_approximation(amp: AmplitudeState, cls: ClassicalState,
@@ -210,35 +211,75 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
                          float(history.spectral_spreads.max()), tuple(history))
 
 
+def _reference_start(epsilon: float, config: ExperimentConfig, level: PhysicalLevel) -> tuple:
+    """(initial state, step) of the reference run for one eps at `level`."""
+    # snap the solver step to an integer fraction of the profile step so the
+    # two node sets coincide and states are compared at identical times
+    target_phys = config.physical_dt(epsilon) / level.refine
+    substeps = max(1, int(np.ceil(level.dt_amp / target_phys - 1e-9)))
+    grid = size_physical_grid(level.trajectory, epsilon, level.maxvar_x, level.maxvar_k)
+    psi0 = build_coherent_state(config.initial_profile(), config.q0, config.p0,
+                                epsilon, grid)
+    return psi0, level.dt_amp / substeps
+
+
 def compare_evolution(epsilon: float, config: ExperimentConfig,
                       level: PhysicalLevel) -> ComparisonResult:
     """Run the full pipeline on matched settings for one epsilon, at the
     refinement of `level` (its refine divides every time step) and at
     each of its states' times."""
-    # snap the solver step to an integer fraction of the profile step so the
-    # two node sets coincide and states are compared at identical times
-    target_phys = config.physical_dt(epsilon) / level.refine
-    substeps = max(1, int(np.ceil(level.dt_amp / target_phys - 1e-9)))
-    dt_phys = level.dt_amp / substeps
-    grid = size_physical_grid(level.trajectory, epsilon, level.maxvar_x, level.maxvar_k)
-    psi0 = build_coherent_state(config.initial_profile(), config.q0, config.p0,
-                                epsilon, grid)
+    psi0, dt_phys = _reference_start(epsilon, config, level)
     trace_times = [amp.t for amp in level.states]
     psi, drift = hartree_evolve(psi0, epsilon, config.pair(), config.external(), config.T,
                                 dt_phys, store_times=trace_times)
-
     errors = np.asarray([
         l2_distance(psi.at_time(amp.t),
                     assemble_approximation(amp, level.trajectory.state_at(amp.t),
-                                           epsilon, grid))
+                                           epsilon, psi0.grid))
         for amp in level.states])
     return ComparisonResult(
         epsilon=float(epsilon),
         times=np.asarray(trace_times),
         errors=errors,
         final_error=float(errors[-1]),
-        grid_n=grid.n,
+        grid_n=psi0.grid.n,
         dt_used=dt_phys,
         norm_drift=drift,
     )
 
+
+def compare_finals(epsilons: Sequence[float], config: ExperimentConfig,
+                   level: PhysicalLevel) -> list:
+    """(final_error, dt_used, grid_n) of `compare_evolution` for each eps at
+    the final state of `level`, the eps of one grid size as one ragged batch;
+    a failing eps raises NumericalError with `row` set to its list index."""
+    phi, U, amp = config.pair(), config.external(), level.states[-1]
+    cls = level.trajectory.state_at(amp.t)
+    starts, finals = [], {}
+    for i, eps in enumerate(epsilons):
+        try:
+            starts.append(_reference_start(eps, config, level))
+        except NumericalError as exc:  # a grid that cannot be sized
+            exc.row = i
+            raise
+    nodes = [time_nodes(config.T, dt) for _, dt in starts]
+    for n in dict.fromkeys(psi0.grid.n for psi0, _ in starts):
+        batch = sorted((i for i, (psi0, _) in enumerate(starts) if psi0.grid.n == n),
+                       key=lambda i: -nodes[i].size)  # longest first
+        runs = [starts[i] for i in batch]
+        rows = split_step_nodes(
+            [psi0.samples for psi0, _ in runs], [psi0.grid for psi0, _ in runs],
+            [nodes[i] for i in batch],
+            [_reference_potential(*run, phi, U, r) for r, run in enumerate(runs)],
+            [epsilons[i] for i in batch],
+            label=[f"hartree reference (eps={epsilons[i]:g})" for i in batch])
+        try:
+            for j, psi in rows:  # keep the rows ending at node j
+                finals.update((i, psi[r].copy()) for r, i in enumerate(batch)
+                              if nodes[i].size - 1 == j)
+        except NumericalError as exc:
+            exc.row = batch[exc.row]
+            raise
+    return [(l2_distance(psi0.with_samples(finals[i]),
+                         assemble_approximation(amp, cls, eps, psi0.grid)), dt, psi0.grid.n)
+            for i, (eps, (psi0, dt)) in enumerate(zip(epsilons, starts))]

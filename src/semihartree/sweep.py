@@ -5,7 +5,7 @@ Every datapoint must change by less than 2% when all time steps are halved
 before it is recorded; a datapoint that refuses to converge aborts the
 sweep with the partial report.  One gate loop serves every mode; only the
 level build and the evaluation of a level (one batched evolution, or one
-comparison per eps in physical mode) depend on the mode.  CSV data
+batch per physical grid size) depend on the mode.  CSV data
 sections are byte-stable for a fixed configuration; wall-clock timings are
 excluded from that contract and live in a trailing comment block.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -29,7 +28,7 @@ from .config import ExperimentConfig
 from .corrections import assemble_expansion, evolve_corrections
 from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, gaussian_profile, l2_distance
-from .hartree import PhysicalLevel, compare_evolution, physical_level
+from .hartree import PhysicalLevel, compare_finals, physical_level
 from .rescaled import evolve_rescaled_finals
 
 __all__ = [
@@ -146,24 +145,17 @@ def _packet_frame_errors(config: ExperimentConfig, epsilons: list, shared: dict)
             for eps, a in zip(epsilons, finals)]
 
 
-def _compare(eps: float, config: ExperimentConfig, level: PhysicalLevel) -> tuple:
-    """One physical comparison; module-level so that a pool can pickle it."""
-    result = compare_evolution(eps, config, level)
-    return result.final_error, result.dt_used, result.grid_n
-
-
 def _physical_errors(config: ExperimentConfig, pool, epsilons: list,
                      level: PhysicalLevel) -> list:
-    """One comparison per eps (its grid n changes with eps, so the eps axis
-    cannot be batched), in `pool` when one is given."""
+    """The eps of a level from one `compare_finals` call (one batch per grid
+    size), or from one task per eps in `pool` when one is given."""
     if pool is None:
-        outcomes = [partial(_compare, eps, config, level) for eps in epsilons]
-    else:
-        outcomes = [pool.submit(_compare, eps, config, level).result for eps in epsilons]
+        return compare_finals(epsilons, config, level)
+    outcomes = [pool.submit(compare_finals, [eps], config, level) for eps in epsilons]
     results = []
     for row, outcome in enumerate(outcomes):
         try:
-            results.append(outcome())
+            results += outcome.result()
         except NumericalError as exc:
             exc.row = row
             raise
@@ -245,9 +237,10 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
 
     Every mode gates its eps level by level over levels built once per
     call.  The packet-frame modes evolve the eps of a level as one batch
-    and ignore `jobs`; physical mode compares them one by one, in a pool
-    of up to `jobs` processes (never more than there are eps or CPUs)
-    that lives for the whole sweep, with a barrier between levels.
+    and ignore `jobs`; physical mode steps the eps of one grid size as one
+    batch, or with `jobs` > 1 compares them one per task in a pool of up
+    to `jobs` processes (never more than there are eps or CPUs) that lives
+    for the whole sweep, with a barrier between levels.
     Progress lines appear once the last level settles.
 
     Raises ConfigError if jobs < 1, and SweepError with the partial report
@@ -267,6 +260,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
             _finish_report([], config.mode), eps_list[0],
         ) from exc
     workers = min(jobs, len(eps_list), os.cpu_count() or 1) if physical else 1
+    if workers > 1:  # imported here: the pool's modules load only where one starts
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         evaluate = (partial(_physical_errors, config, pool) if physical
                     else partial(_packet_frame_errors, config))

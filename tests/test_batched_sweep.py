@@ -122,14 +122,16 @@ def assert_failure_matches_one_at_a_time(config):
 
 @pytest.mark.parametrize("min_refine", [1, 2])
 def test_physical_failure_matches_one_at_a_time(monkeypatch, min_refine):
-    real = sweep_module.compare_evolution
+    # the comparison of eps 0.16 fails, with `row` its index in the call
+    real = sweep_module.compare_finals
 
-    def poisoned(eps, config, level):
-        if eps == 0.16 and level.refine >= min_refine:
-            raise NumericalError(f"poisoned comparison at refine {level.refine}")
-        return real(eps, config, level)
+    def poisoned(epsilons, config, level):
+        if 0.16 in epsilons and level.refine >= min_refine:
+            raise NumericalError(f"poisoned comparison at refine {level.refine}",
+                                 row=list(epsilons).index(0.16))
+        return real(epsilons, config, level)
 
-    monkeypatch.setattr(sweep_module, "compare_evolution", poisoned)
+    monkeypatch.setattr(sweep_module, "compare_finals", poisoned)
     err = assert_failure_matches_one_at_a_time(PHYSICAL)
     assert err.failed_eps == 0.16
     assert f"poisoned comparison at refine {min_refine}" in str(err)

@@ -11,10 +11,11 @@ import pytest
 from semihartree._stepping import tabulate, time_nodes
 from semihartree.amplitude import b_potential
 from semihartree.classical import integrate_flow
-from semihartree.config import ExperimentConfig
+from semihartree.config import ExperimentConfig, config_from_mapping
 from semihartree.grids import apply_radial_rfft, make_grid, radial_distances, radial_kernel_rfft
 from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.rescaled import _packet_frame_potential
+from semihartree.sweep import run_sweep
 
 from helpers import pointwise_packet_frame_potential
 
@@ -176,3 +177,21 @@ class TestFoldedTransforms:
                 assert np.array_equal(new, old)
             else:
                 assert np.max(np.abs(new - old)) <= 1e-15 * np.max(np.abs(old))
+
+
+def test_pointwise_bracket_settles_end_to_end():
+    # cubic_window has no addition form, so the packet-frame modes take the
+    # pointwise bracket; every row settles in all three modes, and the two
+    # frames measure one error: measured gap 1.5e-7 relative, bound 1e-5.
+    # Its physical grids double with each eps (64 ... 1024), so each
+    # physical comparison is a batch of one.
+    doc = {"U": {"name": "cubic_window", "params": [0.25]}, "T": 0.5}
+    assert builtin_external("cubic_window", [0.25]).addition is None
+    configs = {mode: config_from_mapping(dict(doc, mode=mode))
+               for mode in ("rescaled", "corrections-2", "physical")}
+    reports = {mode: run_sweep(cfg) for mode, cfg in configs.items()}
+    for mode, report in reports.items():
+        assert [r.epsilon for r in report.rows] == list(configs[mode].eps_list)
+    assert [r.n_used for r in reports["physical"].rows] == [64, 128, 256, 512, 1024]
+    for resc, phys in zip(reports["rescaled"].rows, reports["physical"].rows):
+        assert abs(resc.error - phys.error) <= 1e-5 * phys.error

@@ -1,5 +1,6 @@
 """Physical sweeps build each refinement level once and share it."""
 
+import concurrent.futures
 import inspect
 import os
 import pickle
@@ -106,7 +107,7 @@ def test_pool_tasks_carry_small_payloads(monkeypatch):
             future.set_exception(Stop())
             return future
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
     with pytest.raises(Stop):
         run_sweep(ExperimentConfig(mode="physical", eps_list=(0.32, 0.16, 0.08)), jobs=2)
@@ -127,18 +128,18 @@ def test_one_pool_per_sweep(monkeypatch):
             tasks.append((fn, args, kwargs))
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", ThreadPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPool)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
     pooled = run_sweep(SMALL, jobs=2)
     assert pools == [2]
-    # 2 eps x levels 1 and 2, every task a module-level function of sweep
-    # with positional arguments, so that a process pool can pickle it
+    # 2 eps x levels 1 and 2, one eps per task, every task a module-level
+    # function with positional arguments, so that a process pool can pickle it
     assert len(tasks) == 4
     for fn, args, kwargs in tasks:
-        assert fn.__module__ == sweep_module.__name__
-        assert getattr(sweep_module, fn.__qualname__) is fn
+        assert getattr(sys.modules[fn.__module__], fn.__qualname__) is fn
         assert pickle.loads(pickle.dumps(fn)) is fn
         assert args and kwargs == {}
+        assert len(args[0]) == 1
     serial = run_sweep(SMALL)
     assert [(r.epsilon, r.error, r.dt_used, r.n_used) for r in pooled.rows] \
         == [(r.epsilon, r.error, r.dt_used, r.n_used) for r in serial.rows]

@@ -1,0 +1,268 @@
+"""Ragged batches of the engine: rows with their own grids (one n), step
+lengths and node counts step together, and each row's final state and
+norm drift equal, bit for bit, those of a run of its own.  The physical
+comparisons of one grid size at one level run as such a batch."""
+
+import concurrent.futures
+import os
+import warnings
+
+import numpy as np
+import pytest
+
+import semihartree.hartree as hartree
+from semihartree._stepping import split_step_evolve, split_step_nodes, time_nodes
+from semihartree.config import ExperimentConfig
+from semihartree.errors import NumericalError
+from semihartree.grids import gaussian_profile, make_grid
+from semihartree.hartree import (
+    _reference_potential,
+    build_coherent_state,
+    compare_evolution,
+    compare_finals,
+    hartree_evolve,
+    physical_level,
+)
+from semihartree.sweep import SweepError, run_sweep
+
+CONFIG = ExperimentConfig(mode="physical")
+N = 256
+T = 0.1
+
+
+def reference_rows(rows):
+    """(psi0, dt) of each (eps, half-width, dt): a coherent state of the
+    default profile at q = 0, p = 1 on an N-point grid of that half-width."""
+    a0 = CONFIG.initial_profile()
+    return [(build_coherent_state(a0, 0.0, 1.0, eps, make_grid(N, -hw, hw)), dt)
+            for eps, hw, dt in rows]
+
+
+def ragged_finals(nodes, ends):
+    """({row: final samples}, norm drifts) of the ragged batch `nodes`
+    whose rows end at the node indices `ends`."""
+    finals = {}
+    try:
+        while True:
+            j, psi = next(nodes)
+            finals.update((r, psi[r].copy()) for r, end in enumerate(ends) if end == j)
+    except StopIteration as end:
+        return finals, end.value
+
+
+def run_ragged(starts):
+    """({row: final samples}, norm drifts) of one ragged batch under the
+    reference potential."""
+    times = [time_nodes(T, dt) for _, dt in starts]
+    nodes = split_step_nodes(
+        [p.samples for p, _ in starts], [p.grid for p, _ in starts], times,
+        [_reference_potential(p, dt, CONFIG.pair(), CONFIG.external()) for p, dt in starts],
+        [p.frame.epsilon for p, _ in starts], label=[f"row {r}" for r in range(len(starts))])
+    return ragged_finals(nodes, [t.size - 1 for t in times])
+
+
+# (eps, half-width, dt) per row, longest first
+CASES = {
+    # three grids, three eps and three node counts (250, 143, 100); dt 7e-4
+    # does not divide T, so that row ends on a short step
+    "ragged": [(0.08, 6.0, 4e-4), (0.32, 8.0, 7e-4), (0.16, 7.0, 1e-3)],
+    "equal-length": [(0.16, 7.0, 5e-4), (0.08, 6.0, 5e-4)],
+    "short-final-step": [(0.08, 6.0, 3e-4), (0.16, 7.0, 6e-4)],
+    "one-row": [(0.08, 6.0, 4e-4)],
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_rows_equal_their_own_runs_bit_for_bit(case):
+    starts = reference_rows(CASES[case])
+    finals, drifts = run_ragged(starts)
+    assert sorted(finals) == list(range(len(starts)))
+    assert np.shape(drifts) == (len(starts),)
+    for r, (psi0, dt) in enumerate(starts):
+        eps = psi0.frame.epsilon
+        alone, drift = hartree_evolve(psi0, eps, CONFIG.pair(), CONFIG.external(), T, dt,
+                                      store_times=[T])
+        assert finals[r].tobytes() == alone.data[-1].tobytes()
+        assert np.float64(drifts[r]).tobytes() == np.float64(drift).tobytes()
+    if case == "short-final-step":
+        nodes = time_nodes(T, 3e-4)
+        assert nodes[-1] - nodes[-2] < 0.5 * 3e-4
+
+
+def test_rows_leave_shortest_first():
+    # each row's final node is visited, with the rows not yet ended
+    starts = reference_rows(CASES["ragged"])
+    seen = [(j, len(psi)) for j, psi in split_step_nodes(
+        [p.samples for p, _ in starts], [p.grid for p, _ in starts],
+        [time_nodes(T, dt) for _, dt in starts],
+        [_reference_potential(p, dt, CONFIG.pair(), CONFIG.external()) for p, dt in starts],
+        [p.frame.epsilon for p, _ in starts], label=["a", "b", "c"])]
+    assert seen == [(100, 3), (143, 2), (250, 1)]
+
+
+def test_rows_must_come_longest_first():
+    starts = reference_rows(CASES["ragged"])[::-1]
+    with pytest.raises(ValueError, match="longest first"):
+        next(split_step_nodes(
+            [p.samples for p, _ in starts], [p.grid for p, _ in starts],
+            [time_nodes(T, dt) for _, dt in starts],
+            [_reference_potential(p, dt, CONFIG.pair(), CONFIG.external()) for p, dt in starts],
+            [p.frame.epsilon for p, _ in starts], label=["a", "b", "c"]))
+
+
+def moving_rows():
+    """Free packets on three grids of 128 points, longest run first: row 1
+    runs into its edge at t = 0.3705, a node of its own only, after row 2
+    (the shortest run) has ended, while row 0 stays inside its window."""
+    grids = [make_grid(128, -10.0, 10.0), make_grid(128, -10.0, 10.0),
+             make_grid(128, -12.0, 12.0)]
+    samples = [gaussian_profile(grids[0]).samples,
+               gaussian_profile(grids[1], wavenumber=-14.0).samples,
+               gaussian_profile(grids[2], wavenumber=3.0).samples]
+    times = [time_nodes(0.8, 1e-2), time_nodes(0.45, 6.5e-3), time_nodes(0.2, 1e-2)]
+    free = lambda t, density: np.zeros(density.shape)
+    return samples, grids, times, [free] * 3, [1.0, 0.8, 1.3], ["still", "fast", "short"]
+
+
+def test_guard_trip_mid_batch_names_its_row_and_own_time():
+    samples, grids, times, potentials, scales, labels = moving_rows()
+    with pytest.raises(NumericalError) as ref:
+        split_step_evolve(samples[1], grids[1], times[1], potentials[1], scales[1],
+                          label=labels[1])
+    _, _, short, _ = split_step_evolve(samples[2], grids[2], times[2], potentials[2], scales[2],
+                                       store_times=[], label=labels[2])
+    visits = []
+    with pytest.raises(NumericalError) as err:
+        for j, psi in split_step_nodes(samples, grids, times, potentials, scales, label=labels):
+            visits.append((j, len(psi)))
+            final = psi[-1].copy()
+    assert str(err.value) == str(ref.value)
+    assert str(err.value).startswith("fast: boundary mass ")
+    assert " at t=0.3705 " in str(err.value)
+    assert err.value.row == 1
+    # the row that ended before the trip yielded its own final state
+    assert visits == [(times[2].size - 1, 3)]
+    assert final.tobytes() == short[-1].tobytes()
+
+
+def test_compare_finals_equal_compare_evolution():
+    # eps 0.32 .. 0.04 share n = 512 at the default T; eps 0.02 has n = 1024
+    for refine in (1, 2):
+        level = physical_level(CONFIG, refine)
+        got = compare_finals(list(CONFIG.eps_list), CONFIG, level)
+        assert [n for _, _, n in got] == [512, 512, 512, 512, 1024]
+        for eps, row in zip(CONFIG.eps_list, got):
+            one = compare_evolution(eps, CONFIG, level)
+            assert row == (one.final_error, one.dt_used, one.grid_n)
+
+
+def test_phase_limit_failure_carries_the_callers_row():
+    # dt 0.1: eps 0.04 exceeds pi at t = 0 (n = 512, the fourth row of its
+    # batch), eps 0.08 only pi/2
+    cfg = ExperimentConfig(mode="physical", dt=0.1, eps_list=(0.32, 0.16, 0.08, 0.04))
+    level = physical_level(cfg)
+    with pytest.raises(NumericalError) as one:
+        compare_finals([0.04], cfg, level)
+    with pytest.warns(RuntimeWarning, match="exceeds pi/2"):
+        with pytest.raises(NumericalError) as err:
+            compare_finals(list(cfg.eps_list), cfg, level)
+        sweep_err = pytest.raises(NumericalError, run_sweep, cfg)
+    assert str(err.value) == str(one.value)
+    assert str(err.value).startswith("potential phase per step 4.975 rad exceeds pi at t=0")
+    assert err.value.row == 3
+    assert sweep_err.value.failed_eps == 0.04
+    assert [r.epsilon for r in sweep_err.value.report.rows] == [0.32, 0.16, 0.08]
+
+
+def test_failure_in_a_reordered_batch_carries_the_callers_row(monkeypatch):
+    # at the default T the batch of eps 0.32 .. 0.04 is held longest first,
+    # as 0.04, 0.08, 0.32, 0.16; the potential of eps 0.08 (list index 2,
+    # held second) turns non-finite from t = 0.5 on
+    real = hartree._reference_potential
+
+    def poisoned(psi0, dt, phi, U, row=None):
+        potential = real(psi0, dt, phi, U, row)
+        if psi0.frame.epsilon != 0.08:
+            return potential
+
+        def v(t, density):
+            w = potential(t, density)
+            if t >= 0.5:
+                w[..., 7] = np.nan
+            return w
+        return v
+
+    monkeypatch.setattr(hartree, "_reference_potential", poisoned)
+    eps = [0.32, 0.16, 0.08, 0.04]
+    level = physical_level(CONFIG)
+    with pytest.raises(NumericalError) as one:
+        compare_finals([0.08], CONFIG, level)
+    with pytest.raises(NumericalError) as err:
+        compare_finals(eps, CONFIG, level)
+    assert str(err.value) == str(one.value) \
+        == "hartree reference (eps=0.08): non-finite samples at t=0.5"
+    assert err.value.row == 2
+
+
+def test_half_pi_warning_once_per_row():
+    # dt 0.09: eps 0.1 and 0.08, one batch, both exceed pi/2 on every step
+    # and never pi
+    cfg = ExperimentConfig(mode="physical", dt=0.09, eps_list=(0.1, 0.08))
+    level = physical_level(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = compare_finals(list(cfg.eps_list), cfg, level)
+    assert [n for _, _, n in rows] == [512, 512]
+    texts = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(texts) == 2
+    assert all("exceeds pi/2" in text for text in texts)
+
+
+def test_default_physical_sweep_counts_its_steps_at_the_engine(monkeypatch):
+    # every eps settles at level 2: 48,000 row-steps; the two n = 512 batches
+    # take as many engine steps as their longest row (4,000 and 8,000), and
+    # eps 0.02 steps alone on n = 1024 (5,000 and 10,000) in the shared-node
+    # loop
+    calls = []
+    real = hartree.split_step_nodes
+
+    def counting(samples0, grid, times, potential, *args, **kwargs):
+        counts = [0] * len(times)  # the nodes each row's potential saw
+
+        def counted(r, own):
+            def v(t, density):
+                counts[r] += 1
+                return own(t, density)
+            return v
+
+        drift = yield from real(samples0, grid, times,
+                                [counted(r, own) for r, own in enumerate(potential)],
+                                *args, **kwargs)
+        assert counts == [t.size for t in times]  # every node of every row, once
+        calls.append(counts)
+        return drift
+
+    monkeypatch.setattr(hartree, "split_step_nodes", counting)
+    report = run_sweep(CONFIG)
+    assert len(report.rows) == 5
+    assert [len(counts) for counts in calls] == [4, 1, 4, 1]
+    assert sum(c - 1 for counts in calls for c in counts) == 48_000
+    assert sum(max(counts) - 1 for counts in calls) == 27_000
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unsizable_grid_fails_its_own_eps(monkeypatch, jobs):
+    # eps 1e-6 would need more than 2^22 grid points: the sweep keeps the
+    # row of eps 0.32 and fails at 1e-6, with or without a pool (threads
+    # stand in for its processes)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = ExperimentConfig(mode="physical", eps_list=(0.32, 1e-6))
+    with pytest.raises(SweepError, match=r"n > 4194304 \(eps=1e-06\)") as err:
+        run_sweep(cfg, jobs=jobs)
+    assert err.value.failed_eps == 1e-6
+    assert [r.epsilon for r in err.value.report.rows] == [0.32]
+    with pytest.raises(NumericalError) as one:
+        compare_finals([0.32, 1e-6], cfg, physical_level(cfg))
+    assert one.value.row == 1

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import tracemalloc
 
@@ -130,6 +131,16 @@ class TestRunSweep:
         assert data_section(render_report(serial)) \
             == data_section(render_report(parallel))
 
+    def test_physical_pool_matches_batched_serial(self):
+        # at the default T both eps share n = 512, so the serial sweep steps
+        # them as one batch and the pool as one task each
+        small = ExperimentConfig(mode="physical", eps_list=(0.32, 0.16))
+        serial = run_sweep(small)
+        assert {r.n_used for r in serial.rows} == {512}
+        parallel = run_sweep(small, jobs=2)
+        assert data_section(render_report(serial)) \
+            == data_section(render_report(parallel))
+
     def test_pool_workers_are_clamped(self, monkeypatch):
         # record the pool size and stop before any worker process starts
         sizes = []
@@ -142,7 +153,7 @@ class TestRunSweep:
                 sizes.append(max_workers)
                 raise Stop
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
         physical = ExperimentConfig(mode="physical", eps_list=(0.32, 0.16, 0.08))
         for jobs in (2, 64):
