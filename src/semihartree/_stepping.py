@@ -17,22 +17,22 @@ phase is taken by cos and sin of its real argument, and the kinetic tables
 of the current and the previous step length are kept: the float steps of a
 node array take only a few distinct values.
 
-`split_step_nodes` is the engine, a generator over the visited nodes;
-`split_step_evolve` stores their states.  The correction orders step on dt
-nodes interleaved with their midpoints and deposit at each visited one.
+`split_step_nodes` is the engine, a generator over the visited nodes, and
+every solver names the states it keeps by their node indices.  The
+correction orders step on dt nodes interleaved with their midpoints and
+deposit at each visited one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
 from .errors import NumericalError
 from .grids import Grid
 
-__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "tabulate", "split_step_nodes",
-           "split_step_evolve"]
+__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "tabulate", "split_step_nodes"]
 
 # the boundary guard of every evolution: more than GUARD_MASS probability
 # within GUARD_CELLS cells of either domain edge fails the run
@@ -64,13 +64,6 @@ def tabulate(fn: Callable, times: np.ndarray) -> Callable[[float], float]:
     table = np.asarray(fn(times), dtype=np.float64)
     table = np.broadcast_to(table, times.shape + table.shape[1:])
     return lambda t: table[np.searchsorted(times, t)]
-
-
-def _resolve_store(times: np.ndarray, store_times: Optional[Sequence[float]]) -> np.ndarray:
-    if store_times is None:
-        return np.arange(times.size)
-    idx = {int(np.argmin(np.abs(times - t))) for t in store_times} | {times.size - 1}
-    return np.asarray(sorted(idx), dtype=int)
 
 
 def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union[np.ndarray, list],
@@ -227,24 +220,3 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
             psi *= half if h_next == h else phase(-0.5 * h_next, v)
     return drift
 
-
-def split_step_evolve(samples0: np.ndarray, grid: Grid, times: np.ndarray,
-                      potential: Callable[[float, np.ndarray], np.ndarray],
-                      kinetic_scale: float = 1.0,
-                      store_times: Optional[Sequence[float]] = None,
-                      label: Union[str, Sequence[str]] = "evolution"):
-    """`split_step_nodes` storing the state at the nodes nearest
-    `store_times` (every node by default; the final node always).
-
-    Returns (times, stored_times, stored_data, norm_drift): stored_data has
-    shape (stored nodes,) + samples0.shape.
-    """
-    store_idx = _resolve_store(times, store_times)
-    data = np.empty((store_idx.size,) + np.shape(samples0), dtype=np.complex128)
-    nodes = split_step_nodes(samples0, grid, times, potential, kinetic_scale,
-                             store_idx, label)
-    try:  # the visits come in node order, and one more next() ends the run
-        for pos in range(store_idx.size + 1):
-            _, data[pos] = next(nodes)
-    except StopIteration as end:
-        return times, times[store_idx], data, end.value

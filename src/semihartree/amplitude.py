@@ -13,12 +13,12 @@ measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
-from typing import Callable, Optional
+from collections.abc import Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ._stepping import _resolve_store, split_step_nodes, tabulate, time_nodes
+from ._stepping import split_step_nodes, tabulate, time_nodes
 from .grids import (
     RESCALED,
     Grid,
@@ -105,15 +105,14 @@ class ProfileHistory(Sequence):
 
 
 def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-                T: float, dt: float,
-                store_times: Optional[Sequence[float]] = None) -> ProfileHistory:
+                T: float, dt: float, keep: Iterable[int] = ()) -> ProfileHistory:
     """Propagate the profile under the quadratic potential
     (kappa + hessU(t)) x^2 / 2 with Strang splitting, and the nonlinear
     phase gamma by the trapezoid rule on its rate -(kappa/2) * (second moment).
 
-    Returns the states at the nodes nearest `store_times` (every node by
-    default; the final node always) and the spreads at every node, reduced
-    on the fly from blocks of 128 nodes.  Fails loudly if the profile
+    Returns the states at the node indices `keep` of `time_nodes(T, dt)`
+    and at the final node, in node order, and the spreads at every node,
+    reduced on the fly from blocks of 128 nodes.  Fails loudly if the profile
     spreads into the guard band at the domain edges (inverted-oscillator
     growth outrunning the window).
     """
@@ -128,9 +127,11 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     def potential(t: float, _density: np.ndarray) -> np.ndarray:
         return (kappa + hess_at(t)) * x2_half
 
-    store_idx = _resolve_store(nodes, store_times)
-    store_pos = {j: pos for pos, j in enumerate(store_idx.tolist())}
-    data = np.empty((store_idx.size, grid.n), dtype=np.complex128)
+    keep = sorted({int(j) for j in keep} | {nodes.size - 1})
+    if keep[0] < 0 or keep[-1] >= nodes.size:
+        raise ValueError(f"keep holds node indices 0 ... {nodes.size - 1}")
+    store_pos = {j: pos for pos, j in enumerate(keep)}
+    data = np.empty((len(keep), grid.n), dtype=np.complex128)
     block = np.empty((128, grid.n), dtype=np.complex128)  # bounds the temporaries
     moments, spreads = [], []
     for j, psi in split_step_nodes(a0.samples, grid, nodes, potential,
@@ -146,7 +147,7 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     moments = np.concatenate(moments) * grid.dx
     increments = -0.5 * kappa * 0.5 * (moments[:-1] + moments[1:]) * np.diff(nodes)
     gammas = np.concatenate(([0.0], np.cumsum(increments)))
-    return ProfileHistory(grid, nodes[store_idx], data, gammas[store_idx], moments,
+    return ProfileHistory(grid, nodes[keep], data, gammas[keep], moments,
                           np.concatenate(spreads) * grid.dx / grid.n)
 
 

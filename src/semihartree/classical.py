@@ -48,10 +48,6 @@ class Trajectory(Sequence):
         return ClassicalState(float(self.qs[i]), float(self.ps[i]),
                               float(self.actions[i]), float(self.times[i]))
 
-    @property
-    def final(self) -> ClassicalState:
-        return self[len(self) - 1]
-
     def _hermite(self, values: np.ndarray, slopes: np.ndarray, t) -> np.ndarray:
         """Cubic Hermite on (values, slopes) at t; the end cubics extend."""
         if self.times.size < 2:

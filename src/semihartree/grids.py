@@ -20,7 +20,6 @@ __all__ = [
     "RESCALED",
     "physical_frame",
     "WaveFunction",
-    "WaveSeries",
     "make_grid",
     "gaussian_profile",
     "l2_norm",
@@ -283,39 +282,3 @@ def mean_field(kernel: Callable, grid: Grid, separable: Optional[Callable] = Non
     f, moments = np.ascontiguousarray(f), np.ascontiguousarray(g.T * grid.dx)
     return lambda density: (density @ moments) @ f
 
-
-@dataclass(frozen=True, eq=False)
-class WaveSeries:
-    """Wave function snapshots on shared nodes of one evolution run."""
-
-    times: np.ndarray
-    grid: Grid
-    frame: Frame
-    data: np.ndarray  # (len(times), grid.n) complex
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        d = np.asarray(self.data, dtype=np.complex128)
-        if d.shape != (t.size, self.grid.n):
-            raise ValueError("data shape does not match times/grid")
-        object.__setattr__(self, "times", _readonly(t))
-        if d.flags.writeable:
-            d.flags.writeable = False
-        object.__setattr__(self, "data", d)
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    def __getitem__(self, i: int) -> WaveFunction:
-        return WaveFunction(self.grid, self.data[i], self.frame)
-
-    @property
-    def final(self) -> WaveFunction:
-        return self[len(self) - 1]
-
-    def at_time(self, t: float) -> WaveFunction:
-        """The stored state within 1e-6 of t."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-6:
-            raise KeyError(f"time {t} is not a stored node")
-        return self[i]

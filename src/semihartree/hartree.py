@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._stepping import split_step_evolve, split_step_nodes, time_nodes
+from ._stepping import split_step_nodes, time_nodes
 from .amplitude import AmplitudeState, evolve_beta
 from .classical import ClassicalState, Trajectory, hessian_along_flow, integrate_flow
 from .config import ExperimentConfig
@@ -24,7 +24,6 @@ from .errors import NumericalError
 from .grids import (
     Grid,
     WaveFunction,
-    WaveSeries,
     l2_distance,
     make_grid,
     mean_field,
@@ -39,7 +38,6 @@ __all__ = [
     "physical_level",
     "size_physical_grid",
     "build_coherent_state",
-    "hartree_evolve",
     "assemble_approximation",
     "compare_evolution",
     "compare_finals",
@@ -137,20 +135,6 @@ def _reference_potential(psi0: WaveFunction, dt: float, phi: PairPotential,
     return potential
 
 
-def hartree_evolve(psi0: WaveFunction, epsilon: float, phi: PairPotential,
-                   U: ExternalPotential, T: float, dt: float, *,
-                   store_times: Optional[Sequence[float]] = None) -> tuple[WaveSeries, float]:
-    """Strang-split integration of the mean-field dynamics under
-    `_reference_potential`: the states at the nodes nearest `store_times`
-    (every node by default; the final node always), and the norm drift."""
-    if psi0.frame.kind != "physical" or psi0.frame.epsilon != epsilon:
-        raise ValueError("initial state frame does not carry this epsilon")
-    times, stored_t, data, drift = split_step_evolve(
-        psi0.samples, psi0.grid, time_nodes(T, dt), _reference_potential(psi0, dt, phi, U),
-        epsilon, store_times, f"hartree reference (eps={epsilon:g})")
-    return WaveSeries(stored_t, psi0.grid, physical_frame(epsilon), data), float(drift)
-
-
 def assemble_approximation(amp: AmplitudeState, cls: ClassicalState,
                            epsilon: float, grid: Grid) -> WaveFunction:
     """Coherent state carried by the evolved profile at (q, p), multiplied
@@ -201,12 +185,10 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
     dt_amp = config.mu_dt() / refine
     trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, config.T,
                                 min(1e-3, dt_amp))
-    nodes = time_nodes(config.T, dt_amp)
-    count = max(0, min(trace_points, nodes.size))
-    idx = sorted({int(j) for j in np.linspace(0, nodes.size - 1, count)}) or [nodes.size - 1]
+    last = time_nodes(config.T, dt_amp).size - 1
+    idx = np.linspace(0, last, max(0, min(trace_points, last + 1))).astype(int)
     history = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
-                          hessian_along_flow(trajectory, U), config.T, dt_amp,
-                          store_times=nodes[idx])
+                          hessian_along_flow(trajectory, U), config.T, dt_amp, keep=idx)
     return PhysicalLevel(refine, dt_amp, trajectory, float(history.second_moments.max()),
                          float(history.spectral_spreads.max()), tuple(history))
 
@@ -227,20 +209,30 @@ def compare_evolution(epsilon: float, config: ExperimentConfig,
                       level: PhysicalLevel) -> ComparisonResult:
     """Run the full pipeline on matched settings for one epsilon, at the
     refinement of `level` (its refine divides every time step) and at
-    each of its states' times."""
+    each of its states' times: the reference run is visited at the node
+    within 1e-6 of each state's time and compared there, keeping no trace."""
     psi0, dt_phys = _reference_start(epsilon, config, level)
-    trace_times = [amp.t for amp in level.states]
-    psi, drift = hartree_evolve(psi0, epsilon, config.pair(), config.external(), config.T,
-                                dt_phys, store_times=trace_times)
-    errors = np.asarray([
-        l2_distance(psi.at_time(amp.t),
-                    assemble_approximation(amp, level.trajectory.state_at(amp.t),
-                                           epsilon, psi0.grid))
-        for amp in level.states])
+    nodes = time_nodes(config.T, dt_phys)
+    trace = {int(np.argmin(np.abs(nodes - amp.t))): amp for amp in level.states}
+    for j, amp in trace.items():
+        if abs(nodes[j] - amp.t) > 1e-6:
+            raise ValueError(f"profile time {amp.t} is not a reference node")
+    run = split_step_nodes(psi0.samples, psi0.grid, nodes,
+                           _reference_potential(psi0, dt_phys, config.pair(), config.external()),
+                           epsilon, trace, f"hartree reference (eps={epsilon:g})")
+    errors = []
+    try:  # each error when its node is visited; the run's return value is the drift
+        while True:
+            j, psi = next(run)
+            amp = trace[j]
+            errors.append(l2_distance(psi0.with_samples(psi), assemble_approximation(
+                amp, level.trajectory.state_at(amp.t), epsilon, psi0.grid)))
+    except StopIteration as end:
+        drift = float(end.value)
     return ComparisonResult(
         epsilon=float(epsilon),
-        times=np.asarray(trace_times),
-        errors=errors,
+        times=np.asarray([amp.t for amp in level.states]),
+        errors=np.asarray(errors),
         final_error=float(errors[-1]),
         grid_n=psi0.grid.n,
         dt_used=dt_phys,

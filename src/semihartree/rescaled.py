@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ._stepping import split_step_evolve, tabulate, time_nodes
+from ._stepping import split_step_nodes, tabulate, time_nodes
 from .classical import Trajectory
 from .grids import (
     RESCALED,
@@ -87,8 +87,7 @@ def evolve_rescaled_finals(a0: WaveFunction, epsilons: Sequence[float],
     grid = a0.grid
     nodes = time_nodes(T, dt)
     potential = _packet_frame_potential(grid, epsilons, phi, U, trajectory, nodes)
-    _, _, data, _ = split_step_evolve(
+    _, finals = next(split_step_nodes(
         np.broadcast_to(a0.samples, (epsilons.size, grid.n)), grid, nodes, potential,
-        store_times=(T,), label=[f"rescaled amplitude (eps={e:g})" for e in epsilons],
-    )
-    return [WaveFunction(grid, row, RESCALED) for row in data[-1]]
+        visit=(nodes.size - 1,), label=[f"rescaled amplitude (eps={e:g})" for e in epsilons]))
+    return [WaveFunction(grid, row, RESCALED) for row in finals]

@@ -6,14 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, _resolve_store, split_step_evolve,
-                                   split_step_nodes, tabulate, time_nodes)
+from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, split_step_nodes, tabulate,
+                                   time_nodes)
 from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow
 from semihartree.corrections import _deposit, _interleaved_nodes, separation_power_form
 from semihartree.errors import NumericalError
-from semihartree.grids import (RESCALED, WaveSeries, abs_moment, boundary_mass, radial_distances,
+from semihartree.grids import (abs_moment, boundary_mass, l2_distance, radial_distances,
                                spectral_samples)
+from semihartree.hartree import _reference_potential, _reference_start, assemble_approximation
 from semihartree.rescaled import _packet_frame_potential
 
 
@@ -36,25 +37,68 @@ def evaluate_trig_interpolant(psi, points):
     return out
 
 
+def run_nodes(run):
+    """(visited node indices, a copy of the state at each, return value) of
+    a `split_step_nodes` run; the states stack into one array."""
+    idx, states = [], []
+    while True:
+        try:
+            j, psi = next(run)
+        except StopIteration as end:
+            return np.array(idx, dtype=int), np.array(states), end.value
+        idx.append(j)
+        states.append(psi.copy())
+
+
 def evolve_b(a0, kappa, hessU_along_flow, T, dt):
-    """The phase-absorbed profile under `amplitude.b_potential`, stored at
-    every node: a `WaveSeries`."""
+    """(node times, the state at every node) of the phase-absorbed profile
+    under `amplitude.b_potential`."""
     nodes = time_nodes(T, dt)
     potential = b_potential(a0.grid, kappa, tabulate(hessU_along_flow, nodes))
-    times, _, data, _ = split_step_evolve(a0.samples, a0.grid, nodes, potential, label=B_LABEL)
-    return WaveSeries(times, a0.grid, RESCALED, data)
+    return nodes, run_nodes(split_step_nodes(a0.samples, a0.grid, nodes, potential,
+                                             visit=range(nodes.size), label=B_LABEL))[1]
 
 
 def packet_frame_history(a0, epsilon, phi, U, trajectory, T, dt):
-    """(history, norm drift) of the packet-frame amplitude for one epsilon,
-    stored at every node: the run `rescaled.evolve_rescaled_finals` makes
-    for each row of its batch."""
+    """(the state at every node, norm drift) of the packet-frame amplitude
+    for one epsilon: the run `rescaled.evolve_rescaled_finals` makes for
+    each row of its batch."""
     nodes = time_nodes(T, dt)
     potential = _packet_frame_potential(a0.grid, np.array([epsilon]), phi, U, trajectory,
                                         nodes)
-    times, _, data, drift = split_step_evolve(a0.samples[None], a0.grid, nodes, potential,
-                                              label=[f"eps={epsilon:g}"])
-    return WaveSeries(times, a0.grid, RESCALED, data[:, 0]), float(drift[0])
+    _, states, drift = run_nodes(split_step_nodes(a0.samples[None], a0.grid, nodes, potential,
+                                                  visit=range(nodes.size),
+                                                  label=[f"eps={epsilon:g}"]))
+    return states[:, 0], float(drift[0])
+
+
+def hartree_run(psi0, phi, U, T, dt, visit=()):
+    """(node indices, states, norm drift) of the physical reference run from
+    psi0 under `hartree._reference_potential`, at the node indices `visit`
+    and the final node."""
+    eps, nodes = psi0.frame.epsilon, time_nodes(T, dt)
+    return run_nodes(split_step_nodes(psi0.samples, psi0.grid, nodes,
+                                      _reference_potential(psi0, dt, phi, U), eps,
+                                      {*visit, nodes.size - 1}, f"hartree reference (eps={eps:g})"))
+
+
+def stored_comparison(epsilon, config, level):
+    """The oracle of `hartree.compare_evolution`: (times, errors, norm drift)
+    as it was when the reference run stored its states at the nodes nearest
+    the level's state times, and the final node, and compared them after
+    the run."""
+    psi0, dt = _reference_start(epsilon, config, level)
+    nodes = time_nodes(config.T, dt)
+    times = np.array([amp.t for amp in level.states])
+    idx, states, drift = hartree_run(psi0, config.pair(), config.external(), config.T, dt,
+                                     [int(np.argmin(np.abs(nodes - t))) for t in times])
+    errors = []
+    for amp in level.states:
+        i = int(np.argmin(np.abs(nodes[idx] - amp.t)))
+        assert abs(nodes[idx[i]] - amp.t) <= 1e-6
+        errors.append(l2_distance(psi0.with_samples(states[i]), assemble_approximation(
+            amp, level.trajectory.state_at(amp.t), epsilon, psi0.grid)))
+    return times, np.array(errors), float(drift)
 
 
 def pointwise_packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
@@ -86,11 +130,10 @@ def fourier_second_moment(psi) -> float:
     return float(np.sum(psi.grid.wavenumbers ** 2 * np.abs(spectral_samples(psi)) ** 2) * dk)
 
 
-def interp_samples(series, t: float) -> np.ndarray:
-    """Samples of a `WaveSeries` at time t: the stored row at a node (or
-    within 1e-12 of one), the first or last row outside the nodes, and
-    otherwise the linear blend of the two bracketing rows."""
-    times, data = series.times, series.data
+def interp_samples(times, data, t: float) -> np.ndarray:
+    """Samples at time t of the states `data` at the sorted `times`: the
+    row at a node (or within 1e-12 of one), the first or last row outside
+    the nodes, and otherwise the linear blend of the two bracketing rows."""
     if t <= times[0]:
         return data[0]
     if t >= times[-1]:
@@ -135,12 +178,13 @@ def correction_pass(b0, grid, nodes, steps, potential, coupling, forcing, visit,
             yield i, psi
 
 
-def correction_drive(a0, phi, U, traj, T, dt, store_times):
+def correction_drive(a0, phi, U, traj, T, dt, keep):
     """What `corrections.evolve_corrections` builds for its passes: the
-    interleaved `nodes`, the dt `steps`, the node indices `store_idx` of
-    `store_times`, b's `potential`, the term `coupling(u, b)` linear in a
-    correction, and the u-free sources `first(j, b)` and
-    `second(j, b, a1)` at the midpoint of dt step j."""
+    interleaved `nodes`, the dt `steps`, the indices `store_idx` in `nodes`
+    of the dt node indices `keep` and of the final node, b's `potential`,
+    the term `coupling(u, b)` linear in a correction, and the u-free
+    sources `first(j, b)` and `second(j, b, a1)` at the midpoint of dt
+    step j."""
     grid = a0.grid
     mu, dx = grid.points, grid.dx
     half_kappa = 0.5 * phi.second_deriv_at_0
@@ -167,25 +211,25 @@ def correction_drive(a0, phi, U, traj, T, dt, store_times):
 
     return SimpleNamespace(
         nodes=nodes, steps=steps, mids=mids,
-        store_idx=_resolve_store(nodes, coarse[_resolve_store(coarse, store_times)]),
+        store_idx=2 * np.array(sorted({*keep, coarse.size - 1})),
         potential=b_potential(grid, phi.second_deriv_at_0,
                               tabulate(hessian_along_flow(traj, U), nodes)),
         coupling=coupling, first=lambda j, b: w3[j] * powers[3] * b, second=second)
 
 
-def stored_corrections(a0, phi, U, traj, T, dt, K, store_times=None):
+def stored_corrections(a0, phi, U, traj, T, dt, K, keep=()):
     """The oracle of `corrections.evolve_corrections`: its loop as it was
-    when it stored the orders at the dt nodes nearest `store_times` (every
-    dt node by default; the final node always).  Returns (stored times,
-    orders), one (stored nodes, n) array per order, b first.  The first
+    when it stored the orders at the dt node indices `keep` and the final
+    node.  Returns (stored times, orders), one (stored nodes, n) array per
+    order, b first.  The first
     pass visits every node at K = 2 and the stored nodes and the midpoints
     otherwise, and the second pass the stored nodes and the midpoints."""
-    d = correction_drive(a0, phi, U, traj, T, dt, store_times)
+    d = correction_drive(a0, phi, U, traj, T, dt, keep)
     grid, nodes = a0.grid, d.nodes
     if K == 0:
-        stored_t, data = split_step_evolve(a0.samples, grid, nodes, d.potential,
-                                           store_times=nodes[d.store_idx], label=B_LABEL)[1:3]
-        return stored_t, (data,)
+        idx, data, _ = run_nodes(split_step_nodes(a0.samples, grid, nodes, d.potential,
+                                                  visit=d.store_idx, label=B_LABEL))
+        return nodes[idx], (data,)
     stored = set(d.store_idx.tolist())
     visit = stored.union(range(1, nodes.size, 2))
     vs = deque()  # K = 2: b's potential at the nodes the second pass is yet to reach
@@ -225,7 +269,7 @@ def stored_corrections(a0, phi, U, traj, T, dt, K, store_times=None):
     return nodes[d.store_idx], tuple(orders)
 
 
-def own_b_corrections(a0, phi, U, traj, T, dt, store_times):
+def own_b_corrections(a0, phi, U, traj, T, dt, keep):
     """(stored times, (b, a1, a2)) of `evolve_corrections(K=2)` by the path
     in which the second pass evolves its own b: the first pass stored at
     every dt node, then the second correction as row 1 of a (2, n) batch
@@ -233,7 +277,7 @@ def own_b_corrections(a0, phi, U, traj, T, dt, store_times):
     through `interp_samples`.  This second b fuses its phases at the dt
     nodes it does not store, so it differs from the first pass's b at
     roundoff."""
-    d = correction_drive(a0, phi, U, traj, T, dt, store_times)
+    d = correction_drive(a0, phi, U, traj, T, dt, keep)
 
     def run(forcing, visit, label):
         return np.array([psi.copy() for _, psi in correction_pass(
@@ -242,8 +286,8 @@ def own_b_corrections(a0, phi, U, traj, T, dt, store_times):
 
     evens = np.arange(0, d.nodes.size, 2)
     data1 = run(d.first, evens, "first correction")
-    a1 = WaveSeries(d.nodes[evens], a0.grid, RESCALED, data1[:, 1])
-    data2 = run(lambda j, b: d.second(j, b, interp_samples(a1, d.mids[j])), d.store_idx,
+    data2 = run(lambda j, b: d.second(j, b, interp_samples(d.nodes[evens], data1[:, 1], d.mids[j])),
+                d.store_idx,
                 "second correction")
     return d.nodes[d.store_idx], (data2[:, 0], data1[d.store_idx // 2, 1], data2[:, 1])
 

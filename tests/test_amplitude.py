@@ -52,9 +52,9 @@ class TestValidateInitialAmplitude:
 
 class TestMomentPropagation:
     def test_free_spreading(self, gauss):
-        states = evolve_beta(gauss, 0.0, ZERO_HESS, 1.0, 1e-3)
+        states = evolve_beta(gauss, 0.0, ZERO_HESS, 1.0, 1e-3, range(0, 1001, 200))
         moment = ehrenfest_second_moment(0.0, 1.0)
-        for s in states[::200]:
+        for s in states:
             assert abs_moment(s.beta, 1) == pytest.approx(
                 (1.0 + s.t ** 2) / 2.0, abs=1e-6)
             assert abs_moment(s.beta, 1) == pytest.approx(
@@ -75,14 +75,14 @@ class TestMomentPropagation:
             - 0.5 * gauss.samples
         assert np.sqrt(np.sum(np.abs(residual) ** 2) * g.dx) < 1e-10
 
-        states = evolve_beta(gauss, 1.0, ZERO_HESS, 2.0, 2.5e-4)
-        for s in states[::1000]:
+        states = evolve_beta(gauss, 1.0, ZERO_HESS, 2.0, 2.5e-4, range(0, 8001, 1000))
+        for s in states:
             assert abs_moment(s.beta, 1) == pytest.approx(0.5, abs=1e-8)
         assert abs_moment(states[-1].beta, 1) == pytest.approx(0.5, abs=1e-8)
 
     def test_first_moment_stays_zero(self, gauss):
-        states = evolve_beta(gauss, 0.0, ZERO_HESS, 2.0, 1e-3)
-        assert max(abs(first_moment(s.beta)) for s in states[::50]) < 1e-8
+        states = evolve_beta(gauss, 0.0, ZERO_HESS, 2.0, 1e-3, range(0, 2001, 50))
+        assert max(abs(first_moment(s.beta)) for s in states) < 1e-8
 
     def test_moments_bounded_and_grid_converged(self):
         finals = {}
@@ -97,7 +97,7 @@ class TestMomentPropagation:
 
 class TestNonlinearPhase:
     def test_zero_curvature_means_zero_phase(self, gauss):
-        states = evolve_beta(gauss, 0.0, ZERO_HESS, 1.0, 1e-3)
+        states = evolve_beta(gauss, 0.0, ZERO_HESS, 1.0, 1e-3, range(1001))
         assert all(s.gamma == 0.0 for s in states)
 
     def test_inverted_phase_closed_form(self, gauss):
@@ -110,12 +110,12 @@ class TestNonlinearPhase:
 
     @pytest.mark.parametrize("kappa", [-1.0, 1.0])
     def test_phase_sign_opposes_curvature(self, gauss, kappa):
-        states = evolve_beta(gauss, kappa, ZERO_HESS, 0.5, 1e-3)
+        states = evolve_beta(gauss, kappa, ZERO_HESS, 0.5, 1e-3, range(501))
         diffs = np.diff([s.gamma for s in states])
         assert np.all(np.sign(diffs) == np.sign(-kappa))
 
     def test_gamma_step_matches_evolution(self, gauss):
-        states = evolve_beta(gauss, -1.0, ZERO_HESS, 0.01, 1e-3)
+        states = evolve_beta(gauss, -1.0, ZERO_HESS, 0.01, 1e-3, range(11))
         acc = 0.0
         for prev, cur in zip(states, states[1:]):
             acc = gamma_step(prev.beta, cur.beta, -1.0, cur.t - prev.t, acc)
@@ -129,15 +129,32 @@ class TestNonlinearPhase:
         assert total == pytest.approx(full[-1].gamma, abs=1e-10)
 
 
+class TestKeptNodes:
+    def test_keep_is_sorted_unique_and_ends_at_the_final_node(self, gauss):
+        keep = [7, 3, 7, 0, 3]
+        every = evolve_beta(gauss, -1.0, ZERO_HESS, 0.01, 1e-3, range(11))
+        kept = evolve_beta(gauss, -1.0, ZERO_HESS, 0.01, 1e-3, keep)
+        rows = [0, 3, 7, 10]
+        assert len(kept) == 4
+        assert kept.times.tobytes() == every.times[rows].tobytes()
+        assert kept.data.tobytes() == every.data[rows].tobytes()
+        assert kept.gammas.tobytes() == every.gammas[rows].tobytes()
+
+    @pytest.mark.parametrize("keep", [[11], [-1]])
+    def test_keep_outside_the_nodes_is_rejected(self, gauss, keep):
+        with pytest.raises(ValueError, match="node indices"):
+            evolve_beta(gauss, -1.0, ZERO_HESS, 0.01, 1e-3, keep)
+
+
 class TestNormConservation:
     def test_free_profile_norm(self, gauss):
-        states = evolve_beta(gauss, 0.0, ZERO_HESS, 2.0, 1e-3)
-        assert max(abs(l2_norm(s.beta) - 1.0) for s in states[::100]) < 1e-9
+        states = evolve_beta(gauss, 0.0, ZERO_HESS, 2.0, 1e-3, range(0, 2001, 100))
+        assert max(abs(l2_norm(s.beta) - 1.0) for s in states) < 1e-9
 
     def test_inverted_profile_norm_wide_grid(self):
         g = make_grid(1024, -32.0, 32.0)
-        states = evolve_beta(gaussian_profile(g), -1.0, ZERO_HESS, 2.0, 1e-3)
-        assert max(abs(l2_norm(s.beta) - 1.0) for s in states[::100]) < 1e-9
+        states = evolve_beta(gaussian_profile(g), -1.0, ZERO_HESS, 2.0, 1e-3, range(0, 2001, 100))
+        assert max(abs(l2_norm(s.beta) - 1.0) for s in states) < 1e-9
         assert max(abs(first_moment(s.beta)) for s in states[::100]) < 1e-8
 
     def test_boundary_guard_trips_with_explicit_time(self, gauss):
@@ -147,25 +164,24 @@ class TestNormConservation:
 
 class TestPhaseAbsorbedProfile:
     def test_zero_curvature_bit_identical(self, gauss):
-        states = evolve_beta(gauss, 0.0, ZERO_HESS, 0.2, 1e-3)
-        series = evolve_b(gauss, 0.0, ZERO_HESS, 0.2, 1e-3)
+        states = evolve_beta(gauss, 0.0, ZERO_HESS, 0.2, 1e-3, range(201))
+        _, series = evolve_b(gauss, 0.0, ZERO_HESS, 0.2, 1e-3)
         assert len(series) == len(states)
         for i, s in enumerate(states):
-            assert np.array_equal(s.beta.samples, series.data[i])
+            assert np.array_equal(s.beta.samples, series[i])
 
     def test_equivalence_to_phased_profile(self, gauss):
         T, dt = 0.5, 1e-3
-        states = evolve_beta(gauss, -1.0, ZERO_HESS, T, dt)
-        series = evolve_b(gauss, -1.0, ZERO_HESS, T, dt)
+        states = evolve_beta(gauss, -1.0, ZERO_HESS, T, dt, range(0, 501, 50))
+        _, series = evolve_b(gauss, -1.0, ZERO_HESS, T, dt)
         worst = 0.0
-        for i in range(0, len(states), 50):
-            s = states[i]
+        for i, s in zip(range(0, 501, 50), states):
             phased = WaveFunction(gauss.grid, np.exp(1j * s.gamma) * s.beta.samples)
-            worst = max(worst, l2_distance(series[i], phased))
+            worst = max(worst, l2_distance(gauss.with_samples(series[i]), phased))
         assert worst <= 1e-6
 
     def test_norm_and_centering(self, gauss):
-        series = evolve_b(gauss, -1.0, ZERO_HESS, 1.0, 1e-3)
+        series = [gauss.with_samples(b) for b in evolve_b(gauss, -1.0, ZERO_HESS, 1.0, 1e-3)[1]]
         norms = [l2_norm(series[i]) for i in range(0, len(series), 100)]
         assert max(abs(n - 1.0) for n in norms) < 1e-9
         firsts = [first_moment(series[i]) for i in range(0, len(series), 100)]

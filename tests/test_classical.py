@@ -20,7 +20,7 @@ COSINE = builtin_external("cosine", [1.0])
 class TestFreeFlight:
     def test_constant_integrand(self):
         traj = integrate_flow(0.0, 1.0, ZERO, 1.0, 2.0, 0.01)
-        final = traj.final
+        final = traj[-1]
         assert final.q == pytest.approx(2.0, abs=1e-13)
         assert final.p == pytest.approx(1.0, abs=1e-14)
         assert final.action == pytest.approx(-1.0, abs=1e-13)  # (1/2 - 1) * 2
@@ -30,7 +30,7 @@ class TestHarmonic:
     def test_quarter_period(self):
         phi0 = 0.7
         traj = integrate_flow(0.0, 1.0, HARMONIC, phi0, np.pi / 2.0, 1e-3)
-        final = traj.final
+        final = traj[-1]
         assert final.q == pytest.approx(1.0, abs=1e-8)
         assert final.p == pytest.approx(0.0, abs=1e-8)
         # action = sin(2t)/4 - phi0*t at t = pi/2
@@ -44,7 +44,7 @@ class TestHarmonic:
     def test_fourth_order_convergence(self):
         errs = []
         for dt in (0.02, 0.01):
-            final = integrate_flow(0.0, 1.0, HARMONIC, 0.0, np.pi / 2.0, dt).final
+            final = integrate_flow(0.0, 1.0, HARMONIC, 0.0, np.pi / 2.0, dt)[-1]
             errs.append(abs(final.q - 1.0) + abs(final.p))
         order = np.log2(errs[0] / errs[1])
         assert order >= 3.7
@@ -54,8 +54,8 @@ class TestRichardsonOracle:
     def test_half_step_extrapolation(self):
         # single-step local accuracy against Richardson extrapolation
         T = 0.01
-        full = integrate_flow(0.0, 0.2, COSINE, 1.0, T, T).final
-        half = integrate_flow(0.0, 0.2, COSINE, 1.0, T, T / 2.0).final
+        full = integrate_flow(0.0, 0.2, COSINE, 1.0, T, T)[-1]
+        half = integrate_flow(0.0, 0.2, COSINE, 1.0, T, T / 2.0)[-1]
         for attr in ("q", "p", "action"):
             y1, y2 = getattr(full, attr), getattr(half, attr)
             richardson = (16.0 * y2 - y1) / 15.0
@@ -142,7 +142,7 @@ class TestHermiteAccessors:
     def test_single_node_trajectory(self):
         traj = integrate_flow(0.3, 0.7, HARMONIC, 0.0, 0.0, 1e-3)
         assert len(traj) == 1
-        assert traj.final.q == 0.3 and traj.final.p == 0.7 and traj.final.action == 0.0
+        assert traj[-1].q == 0.3 and traj[-1].p == 0.7 and traj[-1].action == 0.0
         for read in (traj.q_at, traj.p_at, traj.action_at, traj.qs_at):
             with pytest.raises(ValueError, match="two nodes"):
                 read(0.0)

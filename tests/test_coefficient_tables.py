@@ -14,7 +14,7 @@ from semihartree._stepping import tabulate, time_nodes
 from semihartree.amplitude import evolve_beta
 from semihartree.classical import Trajectory, hessian_along_flow, integrate_flow
 from semihartree.corrections import evolve_corrections, separation_power_form
-from semihartree.grids import RESCALED, WaveSeries, apply_radial_rfft, radial_kernel_rfft
+from semihartree.grids import apply_radial_rfft, radial_kernel_rfft
 from semihartree.potentials import builtin_external, builtin_pair
 
 from helpers import evolve_b, interp_samples, stored_corrections
@@ -111,7 +111,7 @@ def old_source_2(mu, dx, phi, U, traj, a1_seq):
 
     def source(t, u, a0):
         q = traj.q_at(t)
-        a1 = interp_samples(a1_seq, t)
+        a1 = interp_samples(*a1_seq, t)
         dens0 = a0.real ** 2 + a0.imag ** 2
         dens1 = a1.real ** 2 + a1.imag ** 2
         cross02 = 2.0 * (a0.real * u.real + a0.imag * u.imag)
@@ -127,15 +127,15 @@ def old_source_2(mu, dx, phi, U, traj, a1_seq):
     return source
 
 
-def old_drive(a0_seq, kappa, hess_fn, coupling, T, dt, *, forcing=None):
+def old_drive(grid, a0_seq, kappa, hess_fn, coupling, T, dt, *, forcing=None):
     """The correction drive that `evolve_corrections` replaced: a zero-data
-    linear problem stepped by its own Strang loop, whose potential it
-    rebuilds from the base history `a0_seq` (read at the nodes and step
-    midpoints, blended linearly between stored nodes).  Each step applies
-    half of the homogeneous propagator, deposits -i*dt*s at the midpoint,
-    then the second half: s is coupling(t, u, a0), refreshed by one
-    fixed-point update of u, plus forcing(mids)(j, a0)."""
-    grid = a0_seq.grid
+    linear problem on `grid` stepped by its own Strang loop, whose potential
+    it rebuilds from the base history `a0_seq`, its (node times, states)
+    (read at the nodes and step midpoints, blended linearly between stored
+    nodes).  Each step applies half of the homogeneous propagator, deposits
+    -i*dt*s at the midpoint, then the second half: s is coupling(t, u, a0),
+    refreshed by one fixed-point update of u, plus forcing(mids)(j, a0).
+    Returns (node times, states)."""
     mu = grid.points
     x2_half = 0.5 * mu ** 2
     k2 = grid.wavenumbers ** 2
@@ -155,13 +155,13 @@ def old_drive(a0_seq, kappa, hess_fn, coupling, T, dt, *, forcing=None):
     u = np.zeros(grid.n, dtype=np.complex128)
     data = np.empty((times.size, grid.n), dtype=np.complex128)
     data[0] = u
-    v_left = quad_potential(interp_samples(a0_seq, times[0]), times[0])
+    v_left = quad_potential(interp_samples(*a0_seq, times[0]), times[0])
     for j in range(times.size - 1):
         t1, h, tm = times[j + 1], steps[j], mids[j]
         kin_half = np.exp(-0.25j * h * k2)
-        a0_mid = interp_samples(a0_seq, tm)
+        a0_mid = interp_samples(*a0_seq, tm)
         v_mid = quad_potential(a0_mid, tm)
-        v_right = quad_potential(interp_samples(a0_seq, t1), t1)
+        v_right = quad_potential(interp_samples(*a0_seq, t1), t1)
         u = u * np.exp(-0.25j * h * v_left)
         u = np.fft.ifft(np.fft.fft(u) * kin_half)
         u = u * np.exp(-0.25j * h * v_mid)
@@ -174,13 +174,13 @@ def old_drive(a0_seq, kappa, hess_fn, coupling, T, dt, *, forcing=None):
         u = u * np.exp(-0.25j * h * v_right)
         data[j + 1] = u
         v_left = v_right
-    return WaveSeries(times, grid, RESCALED, data)
+    return times, data
 
 
-def old_corrections(a0_seq, phi, U, traj, T, dt):
-    """(a1, a2) from the replaced drive, with the coupling and forcing of
-    the first- and second-correction functions it served."""
-    grid = a0_seq.grid
+def old_corrections(grid, a0_seq, phi, U, traj, T, dt):
+    """(a1, a2) from the replaced drive, each its (node times, states), with
+    the coupling and forcing of the first- and second-correction functions
+    it served."""
     mu, dx = grid.points, grid.dx
     hess = hessian_along_flow(traj, U)
     kappa = phi.second_deriv_at_0
@@ -196,14 +196,14 @@ def old_corrections(a0_seq, phi, U, traj, T, dt):
         w3 = U.third(traj.qs_at(mids)) / 6.0
         return lambda j, a0: w3[j] * powers[3] * a0
 
-    a1_seq = old_drive(a0_seq, kappa, hess, coupling, T, dt, forcing=forcing_1)
+    a1_seq = old_drive(grid, a0_seq, kappa, hess, coupling, T, dt, forcing=forcing_1)
 
     def forcing_2(mids):
         q = traj.qs_at(mids)
         w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0
 
         def step(j, a0):
-            a1 = interp_samples(a1_seq, mids[j])
+            a1 = interp_samples(*a1_seq, mids[j])
             dens0 = a0.real ** 2 + a0.imag ** 2
             dens1 = a1.real ** 2 + a1.imag ** 2
             cross01 = 2.0 * (a0.real * a1.real + a0.imag * a1.imag)
@@ -215,7 +215,7 @@ def old_corrections(a0_seq, phi, U, traj, T, dt):
 
         return step
 
-    return a1_seq, old_drive(a0_seq, kappa, hess, coupling, T, dt, forcing=forcing_2)
+    return a1_seq, old_drive(grid, a0_seq, kappa, hess, coupling, T, dt, forcing=forcing_2)
 
 
 def sampled_runs(times, run):
@@ -227,10 +227,10 @@ def sampled_runs(times, run):
 
 def max_rel_dev(runs, k, old):
     """Largest deviation of order k of each run in `runs` from the row of
-    the series `old` at the node it ends at, relative to the largest
+    the states `old` at the node it ends at, relative to the largest
     sample of `old`."""
-    dev = max(np.max(np.abs(orders[k].samples - old.data[i])) for i, orders in runs.items())
-    return float(dev / np.max(np.abs(old.data)))
+    dev = max(np.max(np.abs(orders[k].samples - old[i])) for i, orders in runs.items())
+    return float(dev / np.max(np.abs(old)))
 
 
 @pytest.fixture(scope="module")
@@ -251,19 +251,18 @@ class TestCorrectionDrives:
         hess = hessian_along_flow(traj, U)
         kappa = phi.second_deriv_at_0
 
-        a1_old = old_drive(b, kappa, hess, old_source_1(mu, dx, phi, U, traj),
-                           self.T, self.DT)
-        runs = sampled_runs(a1_old.times, lambda T: evolve_corrections(gauss, phi, U, traj, T,
-                                                                       self.DT, 2))
-        assert np.max(np.abs(a1_old.data)) > 1e-4
+        times, a1_old = old_drive(mu_grid, b, kappa, hess, old_source_1(mu, dx, phi, U, traj),
+                                  self.T, self.DT)
+        runs = sampled_runs(times, lambda T: evolve_corrections(gauss, phi, U, traj, T,
+                                                                self.DT, 2))
+        assert np.max(np.abs(a1_old)) > 1e-4
         assert max_rel_dev(runs, 1, a1_old) <= 1e-13
 
         # the first correction at every dt node, from the path that stored it
-        times, (_, a1) = stored_corrections(gauss, phi, U, traj, self.T, self.DT, 1)
-        a1 = WaveSeries(times, mu_grid, RESCALED, a1)
-        a2_old = old_drive(b, kappa, hess, old_source_2(mu, dx, phi, U, traj, a1),
-                           self.T, self.DT)
-        assert np.max(np.abs(a2_old.data)) > 1e-4
+        _, (_, a1) = stored_corrections(gauss, phi, U, traj, self.T, self.DT, 1, range(times.size))
+        _, a2_old = old_drive(mu_grid, b, kappa, hess,
+                              old_source_2(mu, dx, phi, U, traj, (times, a1)), self.T, self.DT)
+        assert np.max(np.abs(a2_old)) > 1e-4
         assert max_rel_dev(runs, 2, a2_old) <= 1e-13
 
     @pytest.mark.parametrize("T", [0.1, 1.0])
@@ -273,10 +272,9 @@ class TestCorrectionDrives:
         # and 1e-9 (a2) of the largest sample (measured up to 8.6e-15 and 7.9e-14)
         phi, U, traj = long_stack
         b = evolve_b(gauss, phi.second_deriv_at_0, hessian_along_flow(traj, U), T, dt / 2)
-        a1_old, a2_old = old_corrections(b, phi, U, traj, T, dt)
-        assert np.array_equal(time_nodes(T, dt), a1_old.times)
-        runs = sampled_runs(a1_old.times,
-                            lambda end: evolve_corrections(gauss, phi, U, traj, end, dt, 2))
+        (times, a1_old), (_, a2_old) = old_corrections(gauss.grid, b, phi, U, traj, T, dt)
+        assert np.array_equal(time_nodes(T, dt), times)
+        runs = sampled_runs(times, lambda end: evolve_corrections(gauss, phi, U, traj, end, dt, 2))
         assert max_rel_dev(runs, 1, a1_old) <= 1e-13
         assert max_rel_dev(runs, 2, a2_old) <= 1e-9
 
@@ -290,13 +288,13 @@ class TestCorrectionDrives:
         phi, U, traj = long_stack
         T, dt = 0.1, 3e-4
         b = evolve_b(gauss, phi.second_deriv_at_0, hessian_along_flow(traj, U), T, dt / 2)
-        a1_old, a2_old = old_corrections(b, phi, U, traj, T, dt)
-        np.testing.assert_allclose(a1_old.times[-2:], [0.0999, 0.1], rtol=1e-12)
+        (times, a1_old), (_, a2_old) = old_corrections(gauss.grid, b, phi, U, traj, T, dt)
+        np.testing.assert_allclose(times[-2:], [0.0999, 0.1], rtol=1e-12)
         for row, bound in ((-2, 1e-13), (-1, 1e-9)):
-            orders = evolve_corrections(gauss, phi, U, traj, a1_old.times[row], dt, 2)
+            orders = evolve_corrections(gauss, phi, U, traj, times[row], dt, 2)
             for new, old in ((orders[1], a1_old), (orders[2], a2_old)):
-                scale = np.max(np.abs(old.data))
-                assert np.max(np.abs(new.samples - old.data[row])) <= bound * scale
+                scale = np.max(np.abs(old))
+                assert np.max(np.abs(new.samples - old[row])) <= bound * scale
 
     def test_one_node_array_and_no_scalar_lookups_per_drive(self, stack, gauss,
                                                             monkeypatch):

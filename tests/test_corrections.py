@@ -16,8 +16,6 @@ from semihartree.corrections import (
 )
 from semihartree.errors import NumericalError
 from semihartree.grids import (
-    RESCALED,
-    WaveSeries,
     apply_radial_rfft,
     first_moment,
     gaussian_profile,
@@ -43,13 +41,14 @@ def sampled_ends(T, dt):
 
 def rk4_lines_oracle(grid, b_fine, kappa, hess_fn, source_fn, T, dt):
     """Independent reference: classic RK4 in time on the semi-discrete
-    equation with a spectral Laplacian, all terms evaluated together."""
+    equation with a spectral Laplacian, all terms evaluated together; b is
+    read from `b_fine`, its (node times, states)."""
     mu = grid.points
     k2 = grid.wavenumbers ** 2
     khat = radial_kernel_rfft(lambda r: r * r, grid)
 
     def rhs(t, u):
-        base = interp_samples(b_fine, t)
+        base = interp_samples(*b_fine, t)
         density = base.real ** 2 + base.imag ** 2
         vq = (0.5 * kappa * apply_radial_rfft(khat, density, grid)
               + hess_fn(t) * 0.5 * mu ** 2)
@@ -293,7 +292,7 @@ class TestOneEvolutionOfB:
         phi, U, T, dt = config.pair(), config.external(), config.T, config.mu_dt() / 2
         traj = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T, dt)
         a0 = config.initial_profile()
-        times, (b, a1, a2) = own_b_corrections(a0, phi, U, traj, T, dt, (T,))
+        times, (b, a1, a2) = own_b_corrections(a0, phi, U, traj, T, dt, ())
         orders = evolve_corrections(a0, phi, U, traj, T, dt, 2)
         assert times.tolist() == [T]
         np.testing.assert_array_equal(orders[1].samples, a1[-1])
@@ -358,13 +357,13 @@ class TestDuhamelLinearity:
         assert dev < 1e-12
 
 
-def stored_first_pass_corrections(a0, phi, U, traj, T, dt, store_times):
+def stored_first_pass_corrections(a0, phi, U, traj, T, dt, keep):
     """The orders of `evolve_corrections(K=2)` from a stored first pass: b
     and the first correction at every node and b's potential at every
     node, then the second correction stepping alone under that potential,
     reading b at each midpoint from the store and the first correction
     through `interp_samples`."""
-    d = correction_drive(a0, phi, U, traj, T, dt, store_times)
+    d = correction_drive(a0, phi, U, traj, T, dt, keep)
     vs = []
 
     def recorded(t, density):
@@ -374,12 +373,11 @@ def stored_first_pass_corrections(a0, phi, U, traj, T, dt, store_times):
     data1 = np.array([psi.copy() for _, psi in correction_pass(
         a0.samples, a0.grid, d.nodes, d.steps, recorded, d.coupling, d.first,
         range(d.nodes.size), "first correction")])
-    a1 = WaveSeries(d.nodes[::2], a0.grid, RESCALED, data1[::2, 1])
     data2 = np.array([psi.copy() for _, psi in correction_pass(
         a0.samples, a0.grid, d.nodes, d.steps,
         lambda t, _: vs[int(np.searchsorted(d.nodes, t))], d.coupling,
-        lambda j, b: d.second(j, b, interp_samples(a1, d.mids[j])), d.store_idx,
-        "second correction", lambda j: data1[2 * j + 1, 0])])
+        lambda j, b: d.second(j, b, interp_samples(d.nodes[::2], data1[::2, 1], d.mids[j])),
+        d.store_idx, "second correction", lambda j: data1[2 * j + 1, 0])])
     return d.nodes[d.store_idx], (data1[d.store_idx, 0], data1[d.store_idx, 1], data2)
 
 
@@ -393,7 +391,7 @@ class TestLockstep:
     def test_first_order_equals_the_two_row_pass(self, cosine_driven, gauss, dt):
         phi, U, traj = cosine_driven
         for T in sampled_ends(0.1, dt):
-            d = correction_drive(gauss, phi, U, traj, T, dt, (T,))
+            d = correction_drive(gauss, phi, U, traj, T, dt, ())
             ((_, oracle),) = [(i, psi.copy()) for i, psi in correction_pass(
                 gauss.samples, gauss.grid, d.nodes, d.steps, d.potential, d.coupling, d.first,
                 d.store_idx, "first correction")]
@@ -407,7 +405,7 @@ class TestLockstep:
     def test_orders_equal_the_stored_first_pass(self, cosine_driven, gauss, dt):
         phi, U, traj = cosine_driven
         for T in sampled_ends(0.1, dt):
-            times, oracle = stored_first_pass_corrections(gauss, phi, U, traj, T, dt, (T,))
+            times, oracle = stored_first_pass_corrections(gauss, phi, U, traj, T, dt, ())
             orders = evolve_corrections(gauss, phi, U, traj, T, dt, 2)
             assert len(orders) == 3 and times.tolist() == [T]
             for psi, data in zip(orders, oracle):
@@ -438,7 +436,7 @@ class TestFinalOrdersEqualTheStoredPath:
     def test_bitwise(self, cosine_driven, gauss, K, T, dt):
         phi, U, traj = cosine_driven
         orders = evolve_corrections(gauss, phi, U, traj, T, dt, K)
-        times, stored = stored_corrections(gauss, phi, U, traj, T, dt, K, (T,))
+        times, stored = stored_corrections(gauss, phi, U, traj, T, dt, K)
         assert times.tolist() == [T] and len(orders) == len(stored) == K + 1
         for psi, data in zip(orders, stored):
             assert psi.samples.tobytes() == data[-1].tobytes()
@@ -448,13 +446,13 @@ class TestAssembleExpansion:
     def test_base_only(self, gauss):
         U = builtin_external("zero")
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.1, 1e-3)
-        b = evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3).final
+        b = gauss.with_samples(evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3)[1][-1])
         out = assemble_expansion((b,), 0, 0.04)
         assert np.array_equal(out.samples, b.samples)
 
     def test_missing_orders_rejected(self, gauss):
         U = builtin_external("zero")
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.1, 1e-3)
-        b = evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3).final
+        b = gauss.with_samples(evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3)[1][-1])
         with pytest.raises(ValueError, match="missing correction orders"):
             assemble_expansion((b,), 1, 0.04)

@@ -18,12 +18,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import semihartree.grids as grids  # noqa: E402
 import semihartree.hartree as hartree  # noqa: E402
-from semihartree._stepping import split_step_evolve, time_nodes  # noqa: E402
+from semihartree._stepping import split_step_nodes, time_nodes  # noqa: E402
 from semihartree.amplitude import evolve_beta  # noqa: E402
 from semihartree.config import ExperimentConfig  # noqa: E402
 from semihartree.errors import NumericalError  # noqa: E402
 from semihartree.grids import abs_moment, gaussian_profile, make_grid, mean_field  # noqa: E402
 from semihartree.potentials import builtin_external, builtin_pair  # noqa: E402
+
+from helpers import hartree_run, run_nodes  # noqa: E402
 
 COSINE = builtin_pair("cosine")
 GRID = make_grid(64, -8.0, 8.0)
@@ -50,25 +52,25 @@ packets = st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 1.5),
 @settings(max_examples=40)
 @given(rows=st.lists(packets, min_size=1, max_size=4),
        dt=st.sampled_from([0.01, 0.025, 0.07]),
-       store=st.sampled_from([None, [], [0.1, 0.2]]),
+       store=st.sampled_from([None, [], [1, 3]]),
        separable=st.booleans())
 def test_batch_equals_serial_rows(rows, dt, store, separable):
     samples = np.stack([gaussian_profile(GRID, center=c, width=w, wavenumber=k).samples
                         for c, w, k, _ in rows])
     coeffs = np.array([r[3] for r in rows])
     labels = [f"row {i}" for i in range(len(rows))]
+    nodes = time_nodes(T, dt)
+    visit = range(nodes.size) if store is None else store + [nodes.size - 1]
+    run = lambda psi0, c, label: run_nodes(split_step_nodes(  # noqa: E731
+        psi0, GRID, nodes, self_consistent(c, separable), visit=visit, label=label))
     serial = []
     for i in range(len(rows)):
         try:
-            serial.append(split_step_evolve(
-                samples[i], GRID, time_nodes(T, dt), self_consistent(coeffs[i], separable),
-                store_times=store, label=labels[i]))
+            serial.append(run(samples[i], coeffs[i], labels[i]))
         except NumericalError as exc:
             assert exc.row is None
             serial.append(exc)
-    run_batch = lambda: split_step_evolve(  # noqa: E731
-        samples, GRID, time_nodes(T, dt), self_consistent(coeffs[:, None], separable),
-        store_times=store, label=labels)
+    run_batch = lambda: run(samples, coeffs[:, None], labels)  # noqa: E731
 
     failed = [i for i, s in enumerate(serial) if isinstance(s, NumericalError)]
     if failed:
@@ -79,10 +81,10 @@ def test_batch_equals_serial_rows(rows, dt, store, separable):
         assert err.value.row == first
         assert str(err.value) == str(serial[first])
         return
-    times, stored_t, data, drift = run_batch()
-    assert data.shape == (stored_t.size, len(rows), GRID.n)
-    for i, (single_times, single_t, single, single_drift) in enumerate(serial):
-        assert np.array_equal(stored_t, single_t)
+    idx, data, drift = run_batch()
+    assert data.shape == (idx.size, len(rows), GRID.n)
+    for i, (single_idx, single, single_drift) in enumerate(serial):
+        assert np.array_equal(idx, single_idx)
         scale = np.max(np.abs(single))
         assert np.max(np.abs(data[:, i] - single)) <= 1e-12 * scale
         assert abs(drift[i] - single_drift) <= 1e-12
@@ -148,13 +150,12 @@ def test_reference_solver_convolves_by_fft_only_without_a_form(monkeypatch, name
     grid = make_grid(512, -4.0, 4.0)
     psi0 = hartree.build_coherent_state(gaussian_profile(make_grid(512, -16.0, 16.0)),
                                         0.0, 1.0, eps, grid)
-    hartree.hartree_evolve(psi0, eps, builtin_pair(name), builtin_external("cosine"),
-                           0.01, 1e-3)
+    hartree_run(psi0, builtin_pair(name), builtin_external("cosine"), 0.01, 1e-3)
     assert len(calls) == convolutions  # one per step and one at t = 0
 
 
 def test_profile_history_is_a_lazy_read_only_sequence(gauss):
-    history = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3)
+    history = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3, range(11))
     assert len(history) == 11 and len(list(history)) == 11
     assert not history.data.flags.writeable
     assert history[-1].t == pytest.approx(0.01)
@@ -165,8 +166,8 @@ def test_profile_history_is_a_lazy_read_only_sequence(gauss):
 
 
 def test_sparse_history_keeps_its_rows_and_every_spread(gauss):
-    full = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3)
-    sparse = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3, store_times=[0.0041])
+    full = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3, range(11))
+    sparse = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3, [4])
     assert np.array_equal(sparse.times, full.times[[4, 10]])
     assert np.array_equal(sparse.data, full.data[[4, 10]])
     assert np.array_equal(sparse.gammas, full.gammas[[4, 10]])

@@ -6,7 +6,6 @@ from semihartree._stepping import GUARD_CELLS
 from semihartree.grids import (
     RESCALED,
     WaveFunction,
-    WaveSeries,
     abs_moment,
     apply_radial_rfft,
     boundary_mass,
@@ -327,30 +326,31 @@ class TestChirpInterpolant:
         self.assert_matches_oracle(psi, -15.9, 32.0 / 1000, 1000)
 
 
-class TestWaveSeriesInterp:
+class TestInterpSamples:
     # the test-only reader of stored histories (tests/helpers.py); the
     # corrections-2 drive blends its two-row window of the first
     # correction with the same arithmetic, which test_corrections checks
-    @pytest.fixture
-    def series(self):
-        data = (np.arange(24.0) * (1.0 + 0.5j)).reshape(3, 8) ** 2
-        return WaveSeries(np.array([0.0, 0.5, 1.5]), make_grid(8, -1.0, 1.0), RESCALED, data)
+    TIMES = np.array([0.0, 0.5, 1.5])
+    DATA = (np.arange(24.0) * (1.0 + 0.5j)).reshape(3, 8) ** 2
 
-    def test_clamps_outside_the_nodes(self, series):
-        assert np.array_equal(interp_samples(series, -0.1), series.data[0])
-        assert np.array_equal(interp_samples(series, 0.0), series.data[0])
-        assert np.array_equal(interp_samples(series, 1.5), series.data[2])
-        assert np.array_equal(interp_samples(series, 7.0), series.data[2])
+    def at(self, t):
+        return interp_samples(self.TIMES, self.DATA, t)
+
+    def test_clamps_outside_the_nodes(self):
+        assert np.array_equal(self.at(-0.1), self.DATA[0])
+        assert np.array_equal(self.at(0.0), self.DATA[0])
+        assert np.array_equal(self.at(1.5), self.DATA[2])
+        assert np.array_equal(self.at(7.0), self.DATA[2])
 
     @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13])
-    def test_exact_rows_at_interior_nodes(self, series, offset):
+    def test_exact_rows_at_interior_nodes(self, offset):
         # within 1e-12 of a node the stored row is returned, not a blend
-        assert np.array_equal(interp_samples(series, 0.5 + offset), series.data[1])
-        assert np.array_equal(interp_samples(series, 1.5 - abs(offset)), series.data[2])
-        assert np.array_equal(interp_samples(series, abs(offset)), series.data[0])
+        assert np.array_equal(self.at(0.5 + offset), self.DATA[1])
+        assert np.array_equal(self.at(1.5 - abs(offset)), self.DATA[2])
+        assert np.array_equal(self.at(abs(offset)), self.DATA[0])
 
     @pytest.mark.parametrize("t, j, w", [(0.125, 1, 0.25), (0.25, 1, 0.5),
                                          (1.0, 2, 0.5), (1.25, 2, 0.75)])
-    def test_linear_blend_between_nodes(self, series, t, j, w):
-        expected = (1.0 - w) * series.data[j - 1] + w * series.data[j]
-        np.testing.assert_allclose(interp_samples(series, t), expected, rtol=1e-14)
+    def test_linear_blend_between_nodes(self, t, j, w):
+        expected = (1.0 - w) * self.DATA[j - 1] + w * self.DATA[j]
+        np.testing.assert_allclose(self.at(t), expected, rtol=1e-14)

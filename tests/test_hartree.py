@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
 from semihartree.grids import (
+    WaveFunction,
     first_moment,
     fourier_first_moment,
     l2_distance,
@@ -16,14 +19,13 @@ from semihartree.hartree import (
     assemble_approximation,
     build_coherent_state,
     compare_evolution,
-    hartree_evolve,
     physical_level,
     size_physical_grid,
 )
 from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.rescaled import evolve_rescaled_finals
 
-from helpers import evaluate_trig_interpolant, evolve_b
+from helpers import evaluate_trig_interpolant, evolve_b, hartree_run, stored_comparison
 
 COSINE_CFG = ExperimentConfig()  # cosine pair, cosine external, (0, 1), T = 1
 
@@ -93,7 +95,7 @@ class TestReferenceSolver:
         U = builtin_external("zero")
         grid = sized_grid(eps, T=T, var_x=(1 + T * T) / 2.0)
         psi0 = build_coherent_state(gauss, q0, p0, eps, grid)
-        psi, _ = hartree_evolve(psi0, eps, phi, U, T, 2e-4)
+        _, psi, _ = hartree_run(psi0, phi, U, T, 2e-4)
         x = grid.points
         qT = q0 + p0 * T
         z = 1.0 + 1j * T
@@ -101,7 +103,7 @@ class TestReferenceSolver:
             -((x - qT) / np.sqrt(eps)) ** 2 / (2.0 * z))
         exact = (eps ** (-0.25) * profile * np.exp(1j * p0 * (x - qT) / eps)
                  * np.exp(1j * (0.5 * p0 ** 2 * T) / eps))
-        dev = np.sqrt(np.sum(np.abs(psi.final.samples - exact) ** 2) * grid.dx)
+        dev = np.sqrt(np.sum(np.abs(psi[-1] - exact) ** 2) * grid.dx)
         assert dev <= 1e-6
 
     def test_norm_drift(self, gauss):
@@ -116,8 +118,8 @@ class TestReferenceSolver:
         U = builtin_external("harmonic", [1.0])
         grid = sized_grid(eps, T=T, U=U, var_x=0.5)
         psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
-        psi, _ = hartree_evolve(psi0, eps, phi, U, T, 2e-4)
-        assert first_moment(psi.final) == pytest.approx(np.sin(T), abs=1e-6)
+        _, psi, _ = hartree_run(psi0, phi, U, T, 2e-4)
+        assert first_moment(psi0.with_samples(psi[-1])) == pytest.approx(np.sin(T), abs=1e-6)
 
     def test_potential_phase_guard(self, gauss):
         eps = 0.08
@@ -126,7 +128,7 @@ class TestReferenceSolver:
         grid = sized_grid(eps)
         psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
         with pytest.raises(NumericalError, match="phase per step"):
-            hartree_evolve(psi0, eps, phi, U, 0.5, 0.2)
+            hartree_run(psi0, phi, U, 0.5, 0.2)
 
     def test_potential_phase_warning(self, gauss):
         # between pi/2 and pi per step: degraded but not fatal
@@ -136,7 +138,7 @@ class TestReferenceSolver:
         grid = sized_grid(eps)
         psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
         with pytest.warns(RuntimeWarning, match="phase per step"):
-            hartree_evolve(psi0, eps, phi, U, 0.14, 0.07)
+            hartree_run(psi0, phi, U, 0.14, 0.07)
 
 
 class TestAssembly:
@@ -145,7 +147,7 @@ class TestAssembly:
         phi = builtin_pair("cosine")
         U = builtin_external("cosine", [1.0])
         traj = integrate_flow(0.0, 1.0, U, phi.value_at_0, 1.0, 1e-3)
-        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3)
+        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3, [0])
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
         direct = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
         assembled = assemble_approximation(states[0], traj[0], eps, grid)
@@ -157,9 +159,8 @@ class TestAssembly:
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
         states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3)
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
-        assembled = assemble_approximation(states[-1], traj.final, eps, grid)
-        bare = build_coherent_state(states[-1].beta, traj.final.q, traj.final.p,
-                                    eps, grid)
+        assembled = assemble_approximation(states[-1], traj[-1], eps, grid)
+        bare = build_coherent_state(states[-1].beta, traj[-1].q, traj[-1].p, eps, grid)
         assert np.allclose(np.abs(assembled.samples), np.abs(bare.samples),
                            atol=1e-13)
 
@@ -167,10 +168,10 @@ class TestAssembly:
         eps = 0.08
         U = builtin_external("harmonic", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
-        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3)
+        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3, [0])
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
         with pytest.raises(ValueError, match="time mismatch"):
-            assemble_approximation(states[0], traj.final, eps, grid)
+            assemble_approximation(states[0], traj[-1], eps, grid)
 
 
 class TestComparison:
@@ -179,7 +180,7 @@ class TestComparison:
         eps = 0.08
         U = builtin_external("cosine", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
-        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3)
+        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3, [0])
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
         psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
         assembled = assemble_approximation(states[0], traj[0], eps, grid)
@@ -206,9 +207,9 @@ class TestComparison:
         U = builtin_external("cosine", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
         hess = hessian_along_flow(traj, U)
-        b = evolve_b(gauss, -1.0, hess, 1.0, 1e-3)
+        b = WaveFunction(gauss.grid, evolve_b(gauss, -1.0, hess, 1.0, 1e-3)[1][-1])
         a = evolve_rescaled_finals(gauss, [eps], phi, U, traj, 1.0, 1e-3)[0]
-        resc = l2_distance(b.final, a)
+        resc = l2_distance(b, a)
         assert 0.5 <= phys / resc <= 2.0
 
     def test_error_trace_starts_at_zero(self):
@@ -216,3 +217,38 @@ class TestComparison:
         assert result.times[0] == 0.0
         assert result.errors[0] <= 1e-10
         assert result.final_error == result.errors[-1]
+
+
+class TestStreamedComparison:
+    """`compare_evolution` visits the reference run at its trace nodes and
+    computes each error there, storing no trace: its times, errors and norm
+    drift equal, bit for bit, those of the run that stored its states at
+    the nodes nearest the trace times and compared them afterwards
+    (`helpers.stored_comparison`)."""
+
+    @pytest.mark.parametrize("T, trace_points", [(1.0, 0), (1.0, 1), (1.0, 5), (1.0, 21),
+                                                 (1.0, 1001), (0.5005, 7)])
+    def test_equals_the_stored_run(self, T, trace_points):
+        # T = 0.5005 is not a multiple of dt, so both runs end on a short step
+        config = ExperimentConfig(T=T)
+        level = physical_level(config, 1, trace_points)
+        got = compare_evolution(0.32, config, level)
+        times, errors, drift = stored_comparison(0.32, config, level)
+        assert got.times.tobytes() == times.tobytes()
+        assert got.errors.tobytes() == errors.tobytes()
+        assert np.float64(got.norm_drift).tobytes() == np.float64(drift).tobytes()
+        assert got.times[-1] == T
+
+    def test_peak_memory_stays_off_the_trace_length(self):
+        # 1,001 states of n = 512 stored for the comparison peaked at 8.05 MiB;
+        # streamed, one state is held at a time (about 0.43 MiB measured)
+        config = ExperimentConfig()
+        level = physical_level(config, 1, 1001)
+        tracemalloc.start()
+        try:
+            result = compare_evolution(0.32, config, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.grid_n == 512 and len(result.errors) == 1001
+        assert peak < 2 * 2 ** 20

@@ -14,6 +14,7 @@ import pytest
 
 import semihartree.hartree as hartree
 import semihartree.sweep as sweep_module
+from semihartree._stepping import time_nodes
 from semihartree.amplitude import evolve_beta
 from semihartree.classical import hessian_along_flow
 from semihartree.config import ExperimentConfig
@@ -31,7 +32,8 @@ def full_history(config, level):
     """The profile run of `level`, stored at every node."""
     phi, U = config.pair(), config.external()
     return evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
-                       hessian_along_flow(level.trajectory, U), config.T, level.dt_amp)
+                       hessian_along_flow(level.trajectory, U), config.T, level.dt_amp,
+                       range(time_nodes(config.T, level.dt_amp).size))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import semihartree.hartree as hartree
-from semihartree._stepping import split_step_evolve, split_step_nodes, time_nodes
+from semihartree._stepping import split_step_nodes, time_nodes
 from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
 from semihartree.grids import gaussian_profile, make_grid
@@ -20,10 +20,11 @@ from semihartree.hartree import (
     build_coherent_state,
     compare_evolution,
     compare_finals,
-    hartree_evolve,
     physical_level,
 )
 from semihartree.sweep import SweepError, run_sweep
+
+from helpers import hartree_run, run_nodes
 
 CONFIG = ExperimentConfig(mode="physical")
 N = 256
@@ -79,10 +80,8 @@ def test_rows_equal_their_own_runs_bit_for_bit(case):
     assert sorted(finals) == list(range(len(starts)))
     assert np.shape(drifts) == (len(starts),)
     for r, (psi0, dt) in enumerate(starts):
-        eps = psi0.frame.epsilon
-        alone, drift = hartree_evolve(psi0, eps, CONFIG.pair(), CONFIG.external(), T, dt,
-                                      store_times=[T])
-        assert finals[r].tobytes() == alone.data[-1].tobytes()
+        _, alone, drift = hartree_run(psi0, CONFIG.pair(), CONFIG.external(), T, dt)
+        assert finals[r].tobytes() == alone[-1].tobytes()
         assert np.float64(drifts[r]).tobytes() == np.float64(drift).tobytes()
     if case == "short-final-step":
         nodes = time_nodes(T, 3e-4)
@@ -127,10 +126,10 @@ def moving_rows():
 def test_guard_trip_mid_batch_names_its_row_and_own_time():
     samples, grids, times, potentials, scales, labels = moving_rows()
     with pytest.raises(NumericalError) as ref:
-        split_step_evolve(samples[1], grids[1], times[1], potentials[1], scales[1],
-                          label=labels[1])
-    _, _, short, _ = split_step_evolve(samples[2], grids[2], times[2], potentials[2], scales[2],
-                                       store_times=[], label=labels[2])
+        run_nodes(split_step_nodes(samples[1], grids[1], times[1], potentials[1], scales[1],
+                                   range(times[1].size), labels[1]))
+    _, short = next(split_step_nodes(samples[2], grids[2], times[2], potentials[2], scales[2],
+                                     [times[2].size - 1], labels[2]))
     visits = []
     with pytest.raises(NumericalError) as err:
         for j, psi in split_step_nodes(samples, grids, times, potentials, scales, label=labels):
@@ -142,7 +141,7 @@ def test_guard_trip_mid_batch_names_its_row_and_own_time():
     assert err.value.row == 1
     # the row that ended before the trip yielded its own final state
     assert visits == [(times[2].size - 1, 3)]
-    assert final.tobytes() == short[-1].tobytes()
+    assert final.tobytes() == short.tobytes()
 
 
 def test_compare_finals_equal_compare_evolution():

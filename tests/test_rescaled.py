@@ -14,13 +14,18 @@ DT = 1e-3
 EPS_SWEEP = (0.32, 0.16, 0.08, 0.04, 0.02)
 
 
+def distance(a0, x, y):
+    """L^2 distance of the samples x and y on a0's grid."""
+    return l2_distance(a0.with_samples(x), a0.with_samples(y))
+
+
 @pytest.fixture(scope="module")
 def cosine_stack(mu_grid, gauss):
     phi = builtin_pair("cosine")
     U = builtin_external("cosine", [1.0])
     trajectory = integrate_flow(0.0, 1.0, U, phi.value_at_0, T, 1e-3)
     hess = hessian_along_flow(trajectory, U)
-    b = evolve_b(gauss, phi.second_deriv_at_0, hess, T, DT)
+    _, b = evolve_b(gauss, phi.second_deriv_at_0, hess, T, DT)
     return {"phi": phi, "U": U, "trajectory": trajectory, "hess": hess, "b": b}
 
 
@@ -41,36 +46,34 @@ class TestExactAnsatz:
         U = builtin_external("harmonic", [1.0])
         trajectory = integrate_flow(0.0, 1.0, U, phi.value_at_0, T, 1e-3)
         hess = hessian_along_flow(trajectory, U)
-        b = evolve_b(gauss, phi.second_deriv_at_0, hess, T, DT)
+        _, b = evolve_b(gauss, phi.second_deriv_at_0, hess, T, DT)
         a, _ = packet_frame_history(gauss, eps, phi, U, trajectory, T, DT)
-        worst = max(l2_distance(b[i], a[i])
-                    for i in range(0, len(b), 100))
+        worst = max(distance(gauss, b[i], a[i]) for i in range(0, len(b), 100))
         assert worst <= 1e-6
 
 
 class TestResidualScaling:
-    def test_zero_at_start(self, cosine_stack, residuals):
+    def test_zero_at_start(self, cosine_stack, residuals, gauss):
         a, _ = residuals[0.08]
-        assert l2_distance(cosine_stack["b"][0], a[0]) == 0.0
+        assert distance(gauss, cosine_stack["b"][0], a[0]) == 0.0
 
-    def test_halving_eps_halves_residual(self, cosine_stack, residuals):
-        b_final = cosine_stack["b"].final
-        r16 = l2_distance(b_final, residuals[0.16][0].final)
-        r04 = l2_distance(b_final, residuals[0.04][0].final)
+    def test_halving_eps_halves_residual(self, cosine_stack, residuals, gauss):
+        b_final = cosine_stack["b"][-1]
+        r16 = distance(gauss, b_final, residuals[0.16][0][-1])
+        r04 = distance(gauss, b_final, residuals[0.04][0][-1])
         assert 1.6 <= r16 / r04 <= 2.6
 
-    def test_normalized_residual_stable(self, cosine_stack, residuals):
-        b_final = cosine_stack["b"].final
-        scaled = [l2_distance(b_final, residuals[e][0].final) / np.sqrt(e)
+    def test_normalized_residual_stable(self, cosine_stack, residuals, gauss):
+        b_final = cosine_stack["b"][-1]
+        scaled = [distance(gauss, b_final, residuals[e][0][-1]) / np.sqrt(e)
                   for e in EPS_SWEEP]
         assert all(0.01 <= s <= 10.0 for s in scaled)
         assert max(scaled) / min(scaled) <= 2.0
 
-    def test_growth_is_monotone_and_continuous(self, cosine_stack, residuals):
+    def test_growth_is_monotone_and_continuous(self, cosine_stack, residuals, gauss):
         a, _ = residuals[0.04]
         b = cosine_stack["b"]
-        trace = np.sqrt(np.sum(np.abs(b.data - a.data) ** 2, axis=1)
-                        * a.grid.dx)
+        trace = np.sqrt(np.sum(np.abs(b - a) ** 2, axis=1) * gauss.grid.dx)
         diffs = np.diff(trace)
         assert diffs.min() >= -1e-8
         assert diffs.max() <= 10.0 * np.mean(np.abs(diffs)) + 1e-10
@@ -82,12 +85,12 @@ class TestResidualScaling:
         for n, out in ((512, coarse), (1024, fine)):
             g = make_grid(n, -16.0, 16.0)
             a0 = gaussian_profile(g)
-            b = evolve_b(a0, -1.0, cosine_stack["hess"], T, DT)
+            _, b = evolve_b(a0, -1.0, cosine_stack["hess"], T, DT)
             finals = evolve_rescaled_finals(a0, EPS_SWEEP, cosine_stack["phi"],
                                             cosine_stack["U"],
                                             cosine_stack["trajectory"], T, DT)
             for eps, a in zip(EPS_SWEEP, finals):
-                out[eps] = l2_distance(b.final, a)
+                out[eps] = l2_distance(a.with_samples(b[-1]), a)
         for eps in EPS_SWEEP:
             assert abs(coarse[eps] - fine[eps]) / fine[eps] < 0.05
 
@@ -105,10 +108,10 @@ class TestGaussianPair:
 
 
 class TestRunContract:
-    def test_norm_preserved(self, residuals):
+    def test_norm_preserved(self, residuals, gauss):
         for eps, (a, drift) in residuals.items():
             assert drift <= 1e-9
-            assert abs(l2_norm(a.final) - 1.0) <= 1e-9
+            assert abs(l2_norm(gauss.with_samples(a[-1])) - 1.0) <= 1e-9
 
     def test_epsilon_validated(self, cosine_stack, gauss):
         with pytest.raises(ValueError):

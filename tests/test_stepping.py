@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-import semihartree._stepping as stepping
-from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, split_step_evolve, split_step_nodes,
-                                   time_nodes)
+from semihartree._stepping import GUARD_CELLS, GUARD_MASS, split_step_nodes, time_nodes
 from semihartree.classical import integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.corrections import _interleaved_nodes
@@ -15,9 +13,10 @@ from semihartree.grids import (
     make_grid,
     radial_kernel_rfft,
 )
-from semihartree.hartree import build_coherent_state, hartree_evolve, size_physical_grid
+from semihartree.hartree import build_coherent_state, size_physical_grid
 
-from helpers import exp_split_step_nodes
+import helpers
+from helpers import exp_split_step_nodes, hartree_run, run_nodes
 
 
 class TestTimeNodes:
@@ -49,37 +48,19 @@ class TestEngine:
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g)
         potential = lambda t, s: np.zeros(g.n)
-        _, stored_t, data, drift = split_step_evolve(
-            psi0.samples, g, time_nodes(0.5, 1e-2), potential)
+        idx, _, drift = run_nodes(split_step_nodes(
+            psi0.samples, g, time_nodes(0.5, 1e-2), potential, visit=range(51)))
         assert drift < 1e-12
-        assert stored_t.size == 51
-
-    def test_explicit_store_times_snap_to_nodes(self):
-        g = make_grid(128, -10.0, 10.0)
-        psi0 = gaussian_profile(g)
-        potential = lambda t, s: np.zeros(g.n)
-        _, stored_t, data, _ = split_step_evolve(
-            psi0.samples, g, time_nodes(1.0, 1e-2), potential,
-            store_times=[0.0, 0.501, 1.0])
-        assert np.allclose(stored_t, [0.0, 0.5, 1.0])
-        assert data.shape == (3, g.n)
-
-    def test_final_state_always_stored(self):
-        g = make_grid(128, -10.0, 10.0)
-        psi0 = gaussian_profile(g)
-        potential = lambda t, s: np.zeros(g.n)
-        _, stored_t, _, _ = split_step_evolve(
-            psi0.samples, g, time_nodes(1.0, 1e-2), potential, store_times=[0.25])
-        assert stored_t[-1] == pytest.approx(1.0)
+        assert idx.tolist() == list(range(51))
 
     def test_constant_potential_is_pure_phase(self):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g)
         # zero kinetic scale isolates the potential factor
-        _, _, data, _ = split_step_evolve(
+        _, final = next(split_step_nodes(
             psi0.samples, g, time_nodes(1.0, 1e-2), lambda t, s: np.full(g.n, 2.0),
-            kinetic_scale=0.0)
-        assert np.allclose(data[-1], np.exp(-2.0j) * psi0.samples, atol=1e-12)
+            kinetic_scale=0.0, visit=[100]))
+        assert np.allclose(final, np.exp(-2.0j) * psi0.samples, atol=1e-12)
 
 
 class TestBatchedEngine:
@@ -103,15 +84,14 @@ class TestBatchedEngine:
         rows = [gaussian_profile(g, center=c, width=w).samples
                 for c, w in ((0.0, 1.0), (0.5, 0.8), (-0.3, 1.2))]
         column = np.array(self.coeffs)[:, None]
-        _, stored_t, data, drift = split_step_evolve(
+        idx, data, drift = run_nodes(split_step_nodes(
             np.stack(rows), g, time_nodes(0.5, 1e-2), self.self_consistent(g, column),
-            store_times=[0.25], label=["a", "b", "c"])
-        assert data.shape == (stored_t.size, 3, g.n)
+            visit=[25, 50], label=["a", "b", "c"]))
+        assert data.shape == (idx.size, 3, g.n)
         assert drift.shape == (3,)
         for i, (row, c) in enumerate(zip(rows, self.coeffs)):
-            _, _, single, single_drift = split_step_evolve(
-                row, g, time_nodes(0.5, 1e-2), self.self_consistent(g, c),
-                store_times=[0.25])
+            _, single, single_drift = run_nodes(split_step_nodes(
+                row, g, time_nodes(0.5, 1e-2), self.self_consistent(g, c), visit=[25, 50]))
             scale = np.max(np.abs(single))
             assert np.max(np.abs(data[:, i] - single)) <= 1e-12 * scale
             assert abs(drift[i] - single_drift) <= 1e-12
@@ -124,12 +104,13 @@ class TestBatchedEngine:
                          gaussian_profile(g).samples])
         free = lambda t, s: np.zeros(g.n)
         with pytest.raises(NumericalError, match=r"^moving row: boundary mass") as err:
-            split_step_evolve(rows, g, time_nodes(1.0, 1e-2), free,
-                              label=["still row", "moving row", "other row"])
+            run_nodes(split_step_nodes(rows, g, time_nodes(1.0, 1e-2), free, visit=range(101),
+                                       label=["still row", "moving row", "other row"]))
         assert err.value.row == 1
         # the same state run alone fails the same way and carries no row
         with pytest.raises(NumericalError, match=r"^moving row: boundary mass") as err:
-            split_step_evolve(rows[1], g, time_nodes(1.0, 1e-2), free, label="moving row")
+            run_nodes(split_step_nodes(rows[1], g, time_nodes(1.0, 1e-2), free, visit=range(101),
+                                       label="moving row"))
         assert err.value.row is None
 
     def test_boundary_mass_per_row(self):
@@ -143,16 +124,14 @@ class TestBatchedEngine:
             assert per_row[i] == single
 
 
-def strang_reference(samples0, grid, T, dt, potential, store_times=None,
+def strang_reference(samples0, grid, T, dt, potential, store=None,
                      guard_cells=12, guard_mass=1e-8, label="evolution"):
-    """Plain Strang loop, both half phases applied every step.  Returns
-    (stored_t, stored_data, norm_drift) or raises the engine's messages."""
+    """Plain Strang loop, both half phases applied every step, keeping the
+    node indices `store` (every node by default) and the final node.
+    Returns (stored_t, stored_data, norm_drift) or raises the engine's
+    messages."""
     times = time_nodes(T, dt)
-    if store_times is None:
-        store = set(range(times.size))
-    else:
-        store = {int(np.argmin(np.abs(times - t))) for t in store_times}
-        store.add(times.size - 1)
+    store = set(range(times.size)) if store is None else {*store, times.size - 1}
     psi = np.array(samples0, dtype=np.complex128)
     k2 = grid.wavenumbers ** 2
 
@@ -199,35 +178,37 @@ class TestFusedPhases:
         return g, rows, np.array(TestBatchedEngine.coeffs)[:, None]
 
     @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-    @pytest.mark.parametrize("store_times", [None, [0.1, 0.25, 0.47], []],
+    @pytest.mark.parametrize("store", [None, [3, 8, 16], []],
                              ids=["every-node", "sparse", "final-only"])
     @pytest.mark.parametrize("dt", [1e-2, 0.03], ids=["dividing", "short-last-step"])
-    def test_equals_two_halves_loop(self, batch, store_times, dt):
+    def test_equals_two_halves_loop(self, batch, store, dt):
         g, samples, c = self.setup(batch)
         T = 0.5
         ref_t, ref_data, ref_drift = strang_reference(
-            samples, g, T, dt, TestBatchedEngine.self_consistent(g, c),
-            store_times=store_times)
+            samples, g, T, dt, TestBatchedEngine.self_consistent(g, c), store=store)
         labels = ["a", "b", "c"] if batch else "evolution"
-        _, stored_t, data, drift = split_step_evolve(
-            samples, g, time_nodes(T, dt), TestBatchedEngine.self_consistent(g, c),
-            store_times=store_times, label=labels)
-        assert np.array_equal(stored_t, ref_t)
+        times = time_nodes(T, dt)
+        idx, data, drift = run_nodes(split_step_nodes(
+            samples, g, times, TestBatchedEngine.self_consistent(g, c),
+            visit=range(times.size) if store is None else store + [times.size - 1],
+            label=labels))
+        assert np.array_equal(times[idx], ref_t)
         assert data.shape == ref_data.shape
         assert np.max(np.abs(data - ref_data)) <= 1e-12 * np.max(np.abs(ref_data))
         assert np.max(np.abs(drift - ref_drift)) <= 1e-14
 
-    @pytest.mark.parametrize("store_times", [None, [0.3], []],
+    @pytest.mark.parametrize("store", [None, [10], []],
                              ids=["every-node", "sparse", "final-only"])
-    def test_boundary_guard_trips_alike(self, store_times):
+    def test_boundary_guard_trips_alike(self, store):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g, wavenumber=12.0).samples
         pull = lambda t, s: 0.3 * g.points
+        times = time_nodes(1.0, 0.03)
         with pytest.raises(NumericalError) as ref:
-            strang_reference(psi0, g, 1.0, 0.03, pull, store_times=store_times)
+            strang_reference(psi0, g, 1.0, 0.03, pull, store=store)
         with pytest.raises(NumericalError) as got:
-            split_step_evolve(psi0, g, time_nodes(1.0, 0.03), pull,
-                              store_times=store_times)
+            run_nodes(split_step_nodes(psi0, g, times, pull,
+                                       visit=range(times.size) if store is None else store))
         assert "boundary mass" in str(ref.value)
         assert str(got.value) == str(ref.value)
 
@@ -238,23 +219,11 @@ class TestFusedPhases:
         psi0 = gaussian_profile(g).samples
         bad = lambda t, s: np.full(g.n, np.nan if t > 0.2 else 0.0)
         with pytest.raises(NumericalError) as ref:
-            strang_reference(psi0, g, 0.5, 0.03, bad, store_times=[])
+            strang_reference(psi0, g, 0.5, 0.03, bad, store=[])
         with pytest.raises(NumericalError) as got:
-            split_step_evolve(psi0, g, time_nodes(0.5, 0.03), bad, store_times=[])
+            run_nodes(split_step_nodes(psi0, g, time_nodes(0.5, 0.03), bad))
         assert str(ref.value) == "evolution: non-finite samples at t=0.21"
         assert str(got.value) == str(ref.value)
-
-
-def run_nodes(nodes):
-    """(list of (j, copy of the state) at each visit, return value) of a
-    `split_step_nodes` generator."""
-    seen = []
-    while True:
-        try:
-            j, psi = next(nodes)
-        except StopIteration as end:
-            return seen, end.value
-        seen.append((j, psi.copy()))
 
 
 class TestDeposit:
@@ -263,19 +232,15 @@ class TestDeposit:
     a store node."""
 
     @pytest.mark.parametrize("dt", [1e-2, 0.03], ids=["dividing", "short-last-step"])
-    def test_identity_deposit_equals_storing_the_midpoints(self, dt):
+    def test_identity_deposit_visits_every_midpoint(self, dt):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g, width=0.9).samples
         potential = TestBatchedEngine.self_consistent(g, 0.7)
         coarse, _, nodes = _interleaved_nodes(0.5, dt)
         visit = list(range(1, nodes.size, 2)) + [nodes.size - 1]
-        seen, _ = run_nodes(split_step_nodes(psi0, g, nodes, potential, visit=visit))
-        assert [j for j, _ in seen] == visit
+        idx, _, _ = run_nodes(split_step_nodes(psi0, g, nodes, potential, visit=visit))
+        assert idx.tolist() == visit
         assert len(visit) == coarse.size
-        _, stored_t, stored, _ = split_step_evolve(
-            psi0, g, nodes, potential, store_times=nodes[1::2])
-        assert np.array_equal(stored_t[:-1], nodes[1::2])
-        assert np.array_equal(seen[-1][1], stored[-1])
 
     def test_deposit_reaches_the_stored_state(self):
         g = make_grid(128, -10.0, 10.0)
@@ -295,30 +260,24 @@ class TestDeposit:
 
 class TestNodeGenerator:
     """`split_step_nodes` hands the caller the state at each visited node,
-    between the two half phases there; `split_step_evolve` is a storing
-    loop over it."""
+    between the two half phases there."""
 
     @pytest.mark.parametrize("visit", [[0, 7, 20, 50], [3, 4, 5, 50]],
                              ids=["sparse", "adjacent"])
     @pytest.mark.parametrize("dt", [1e-2, 0.0099], ids=["dividing", "short-last-step"])
-    def test_visits_equal_stores_and_the_two_halves_loop(self, visit, dt):
+    def test_visits_equal_the_two_halves_loop(self, visit, dt):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g, width=0.9).samples
         potential = TestBatchedEngine.self_consistent(g, 0.7)
         times = time_nodes(0.5, dt)
         visit = [j for j in visit if j < times.size - 1] + [times.size - 1]
-        seen, drift = run_nodes(split_step_nodes(psi0, g, times, potential, visit=visit))
-        assert [j for j, _ in seen] == visit
-        _, stored_t, stored, stored_drift = split_step_evolve(
-            psi0, g, times, potential, store_times=times[visit])
-        assert np.array_equal(stored_t, times[visit])
-        assert np.array_equal(np.array([psi for _, psi in seen]), stored)
-        assert np.array_equal(drift, stored_drift)
+        idx, seen, drift = run_nodes(split_step_nodes(psi0, g, times, potential, visit=visit))
+        assert idx.tolist() == visit
         # a visited node sees the state of the plain two-halves loop there
-        ref_t, ref_data, _ = strang_reference(psi0, g, 0.5, dt, potential,
-                                              store_times=times[visit])
-        assert np.array_equal(ref_t, stored_t)
-        assert np.max(np.abs(stored - ref_data)) <= 1e-12 * np.max(np.abs(ref_data))
+        ref_t, ref_data, ref_drift = strang_reference(psi0, g, 0.5, dt, potential, store=visit)
+        assert np.array_equal(ref_t, times[visit])
+        assert np.max(np.abs(seen - ref_data)) <= 1e-12 * np.max(np.abs(ref_data))
+        assert abs(drift - ref_drift) <= 1e-14
 
     @pytest.mark.parametrize("node", [0, 9])
     def test_in_place_change_is_carried_forward(self, node):
@@ -328,17 +287,17 @@ class TestNodeGenerator:
         psi0 = gaussian_profile(g, width=0.9).samples
         well = lambda t, s: 0.5 * (1.0 + t) * g.points ** 2
         times = time_nodes(0.3, 0.01)
-        plain, _ = run_nodes(split_step_nodes(psi0, g, times, well,
-                                              visit=[node, times.size - 1]))
-        assert plain[0][0] == node
+        idx, plain, _ = run_nodes(split_step_nodes(psi0, g, times, well,
+                                                   visit=[node, times.size - 1]))
+        assert idx[0] == node
         if node == 0:
-            assert np.array_equal(plain[0][1], psi0)  # before the first step
+            assert np.array_equal(plain[0], psi0)  # before the first step
         doubled = []
         for j, psi in split_step_nodes(psi0, g, times, well, visit=[node, times.size - 1]):
             if j == node:
                 psi *= 2.0
             doubled.append(psi.copy())
-        assert np.array_equal(doubled[-1], 2.0 * plain[-1][1])
+        assert np.array_equal(doubled[-1], 2.0 * plain[-1])
 
     def test_yields_its_own_buffer(self):
         g = make_grid(128, -10.0, 10.0)
@@ -405,18 +364,18 @@ class TestEngineEquivalence:
         traj = integrate_flow(0.0, 1.0, U, 0.0, T, 1e-3)
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
         psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
-        store = [0.0, 0.0371, 0.05, T]
 
         def run():
-            return hartree_evolve(psi0, eps, config.pair(), U, T, dt, store_times=store)
+            return hartree_run(psi0, config.pair(), U, T, dt, [0, 371, 500])
 
-        got, got_drift = run()
-        monkeypatch.setattr(stepping, "split_step_nodes", exp_split_step_nodes)
-        ref, ref_drift = run()
+        got, got_states, got_drift = run()
+        monkeypatch.setattr(helpers, "split_step_nodes", exp_split_step_nodes)
+        ref, ref_states, ref_drift = run()
         steps = np.diff(time_nodes(T, dt))
         assert steps.size == 1000 and np.unique(steps).size > 2
-        np.testing.assert_array_equal(got.times, ref.times)
-        np.testing.assert_array_equal(got.data, ref.data)
+        np.testing.assert_array_equal(got, [0, 371, 500, 1000])
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got_states, ref_states)
         assert got_drift == ref_drift
 
 
@@ -430,12 +389,12 @@ class TestGuardBookkeeping:
         g, samples, c = TestFusedPhases.setup(batch)
         times = time_nodes(0.5, 0.03)
         labels = ["a", "b", "c"] if batch else "evolution"
-        seen, drift = run_nodes(split_step_nodes(
+        idx, seen, drift = run_nodes(split_step_nodes(
             samples, g, times, TestBatchedEngine.self_consistent(g, c),
             visit=range(times.size), label=labels))
-        assert [j for j, _ in seen] == list(range(times.size))
+        assert idx.tolist() == list(range(times.size))
         norms = np.array([np.sqrt(np.add.reduce(np.abs(psi) ** 2, axis=-1) * g.dx)
-                          for _, psi in seen])
+                          for psi in seen])
         ref = np.max(np.abs(norms - norms[0]), axis=0)
         assert np.shape(drift) == np.shape(ref)
         assert np.max(np.abs(drift - ref)) <= 1e-15
@@ -445,7 +404,8 @@ class TestGuardBookkeeping:
         psi0 = gaussian_profile(g, wavenumber=12.0).samples
         free = lambda t, s: np.zeros(g.n)
         with pytest.raises(NumericalError) as err:
-            split_step_evolve(psi0, g, time_nodes(1.0, 1e-2), free, label="moving")
+            run_nodes(split_step_nodes(psi0, g, time_nodes(1.0, 1e-2), free, visit=range(101),
+                                       label="moving"))
         assert str(err.value) == ("moving: boundary mass 1.914e-08 at t=0.33 "
                                   "exceeds guard 1.0e-08")
         assert err.value.row is None
@@ -458,8 +418,8 @@ class TestGuardBookkeeping:
                          gaussian_profile(g, wavenumber=-14.0).samples])
         free = lambda t, s: np.zeros(s.shape)
         with pytest.raises(NumericalError) as err:
-            split_step_evolve(rows, g, time_nodes(1.0, 1e-2), free,
-                              label=["still", "slow", "fast"])
+            run_nodes(split_step_nodes(rows, g, time_nodes(1.0, 1e-2), free, visit=range(101),
+                                       label=["still", "slow", "fast"]))
         assert str(err.value) == ("fast: boundary mass 2.777e-08 at t=0.3 "
                                   "exceeds guard 1.0e-08")
         assert err.value.row == 2
@@ -475,8 +435,8 @@ class TestGuardBookkeeping:
             return v
 
         with pytest.raises(NumericalError) as err:
-            split_step_evolve(rows, g, time_nodes(0.5, 0.03), nan_in_row_1, store_times=[],
-                              label=["a", "b", "c"])
+            run_nodes(split_step_nodes(rows, g, time_nodes(0.5, 0.03), nan_in_row_1,
+                                       label=["a", "b", "c"]))
         assert str(err.value) == "b: non-finite samples at t=0.21"
         assert err.value.row == 1
 
@@ -488,8 +448,8 @@ class TestGuardBookkeeping:
         rows = amp * np.exp(1j * g.wavenumbers[[3, 5]][:, None] * g.points)
         assert boundary_mass(rows, g, GUARD_CELLS).sum() > GUARD_MASS
         free = lambda t, s: np.zeros(s.shape)
-        _, _, data, _ = split_step_evolve(rows, g, time_nodes(0.1, 1e-2), free,
-                                          label=["a", "b"])
+        _, data, _ = run_nodes(split_step_nodes(rows, g, time_nodes(0.1, 1e-2), free,
+                                                visit=range(11), label=["a", "b"]))
         assert np.isfinite(data).all()
 
 
