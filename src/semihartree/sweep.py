@@ -377,9 +377,8 @@ def _crosscheck_deviations(kappa: float, T: float, dt: float, probe_times: tuple
     a0 = gaussian_profile(grid)
     nodes = time_nodes(T, dt)
     probes = [int(np.argmin(np.abs(nodes - t))) for t in probe_times]  # shared node sets
-    kept = sorted(set(probes) | {nodes.size - 1})  # what evolve_beta keeps, in node order
-    phased = {j: np.exp(1j * s.gamma) * s.beta.samples
-              for j, s in zip(kept, evolve_beta(a0, kappa, hess, T, dt, keep=probes))}
+    phased = {int(np.searchsorted(nodes, s.t)): np.exp(1j * s.gamma) * s.beta.samples
+              for s in evolve_beta(a0, kappa, hess, T, dt, keep=probes)}
     b = {j: WaveFunction(grid, psi) for j, psi in split_step_nodes(
         a0.samples, grid, nodes, b_potential(grid, kappa, tabulate(hess, nodes)),
         visit=range(nodes.size), label=B_LABEL) if j in phased}
