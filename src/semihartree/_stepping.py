@@ -161,16 +161,19 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
         steps = np.array([np.pad(np.diff(t), (1, ends[0] + 2 - t.size)) for t in times])
         # each row's phase scale at each node (a half at its first and final
         # nodes, the two halves fused between them), and its kinetic table
-        # of each of its step lengths (the float steps take few values)
-        scales, lengths = -0.5 * (steps[:, :-1] + steps[:, 1:]), steps.tolist()
-        kins = [{h: np.exp(-0.5j * h * c * q) for h in set(row)}
-                for row, c, q in zip(lengths, kinetic_scale, k2)]
+        # of each of its step lengths (the float steps take few values),
+        # indexed by codes[r, j], no wider than the node count needs
+        scales = -0.5 * (steps[:, :-1] + steps[:, 1:])
+        codes, kins = np.empty(steps.shape, np.min_scalar_type(steps.shape[1])), []
+        for r, (row, c, q) in enumerate(zip(steps, kinetic_scale, k2)):
+            lengths, codes[r] = np.unique(row, return_inverse=True)
+            kins.append([np.exp(-0.5j * h * c * q) for h in lengths.tolist()])
         v, arg, half, m = np.empty(psi.shape), np.empty(psi.shape), np.empty_like(psi), len(times)
         for j in range(ends[0] + 1):
             if j:  # the kinetic step into node j
                 np.fft.fft(psi, out=hat)
-                for s in range(m):
-                    hat[s] *= kins[s][lengths[s][j]]
+                for s, k in enumerate(codes[:m, j].tolist()):
+                    hat[s] *= kins[s][k]
                 np.fft.ifft(hat, out=psi)
                 stats = square()
             for s, d in enumerate(density):  # each held row's v at its own node j

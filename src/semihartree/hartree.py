@@ -240,15 +240,14 @@ def compare_evolution(epsilon: float, config: ExperimentConfig,
     )
 
 
-def compare_finals(epsilons: Sequence[float], config: ExperimentConfig,
-                   level: PhysicalLevel) -> list:
-    """(final_error, dt_used, grid_n) of `compare_evolution` for each eps at
-    the final state of `level`, the eps of one grid size as one ragged batch;
-    a failing eps raises NumericalError with `row` set to its list index."""
-    phi, U, amp = config.pair(), config.external(), level.states[-1]
-    cls = level.trajectory.state_at(amp.t)
+def compare_finals(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
+    """(final_error, dt_used, grid_n) of `compare_evolution` for each (eps,
+    level) pair at the final state of its level, the pairs of one grid size
+    (of any levels) as one ragged batch; a failing pair raises NumericalError
+    with `row` set to its list index."""
+    phi, U, epsilons = config.pair(), config.external(), [eps for eps, _ in pairs]
     starts, finals = [], {}
-    for i, eps in enumerate(epsilons):
+    for i, (eps, level) in enumerate(pairs):
         try:
             starts.append(_reference_start(eps, config, level))
         except NumericalError as exc:  # a grid that cannot be sized
@@ -272,6 +271,6 @@ def compare_finals(epsilons: Sequence[float], config: ExperimentConfig,
         except NumericalError as exc:
             exc.row = batch[exc.row]
             raise
-    return [(l2_distance(psi0.with_samples(finals[i]),
-                         assemble_approximation(amp, cls, eps, psi0.grid)), dt, psi0.grid.n)
-            for i, (eps, (psi0, dt)) in enumerate(zip(epsilons, starts))]
+    return [(l2_distance(psi0.with_samples(finals[i]), assemble_approximation(
+                level.states[-1], level.trajectory.state_at(level.states[-1].t), eps, psi0.grid)),
+             dt, psi0.grid.n) for i, ((eps, level), (psi0, dt)) in enumerate(zip(pairs, starts))]

@@ -4,10 +4,11 @@ convergence gate, log-log rate fitting, and CSV emission.
 Every datapoint must change by less than 2% when all time steps are halved
 before it is recorded; a datapoint that refuses to converge aborts the
 sweep with the partial report.  One gate loop serves every mode; only the
-level build and the evaluation of a level (one batched evolution, or one
-batch per physical grid size) depend on the mode.  CSV data
-sections are byte-stable for a fixed configuration; wall-clock timings are
-excluded from that contract and live in a trailing comment block.
+level build and the evaluation of a wave of (eps, level) pairs (one batched
+evolution per level, or one batch per physical grid size) depend on the
+mode.  CSV data sections are byte-stable for a fixed configuration;
+wall-clock timings are excluded from that contract and live in a trailing
+comment block.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import ExperimentConfig
 from .corrections import assemble_expansion, evolve_corrections
 from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, gaussian_profile, l2_distance
-from .hartree import PhysicalLevel, compare_finals, physical_level
+from .hartree import compare_finals, physical_level
 from .rescaled import evolve_rescaled_finals
 
 __all__ = [
@@ -111,9 +112,9 @@ def _row(eps: float, err: float, dt_used: float, n_used: int, wall_ms: float) ->
 
 
 # ---------------------------------------------------------------------------
-# one refinement level of every mode: `evaluate(epsilons, level)` gives
-# (error, dt, n) for each eps, or raises NumericalError with `row` set to
-# the index of the failing eps
+# the (eps, level) pairs of every mode: `evaluate(pairs)` gives (error, dt, n)
+# for each pair, or raises NumericalError with `row` set to the index of the
+# failing pair
 
 
 # correction orders evolved alongside the profile in each packet-frame mode
@@ -134,24 +135,32 @@ def _build_level(config: ExperimentConfig, level: int) -> dict:
     return {"trajectory": trajectory, "dt": dt, "corrections": corrections}
 
 
-def _packet_frame_errors(config: ExperimentConfig, epsilons: list, shared: dict) -> list:
-    """Every eps of a packet-frame level from one batched evolution."""
-    finals = evolve_rescaled_finals(config.initial_profile(), epsilons, config.pair(),
-                                    config.external(), shared["trajectory"],
-                                    config.T, shared["dt"])
-    dt, n = shared["dt"], config.mu_n
-    corrections, K = shared["corrections"], ORDERS[config.mode]
-    return [(l2_distance(a, assemble_expansion(corrections, K, eps)), dt, n)
-            for eps, a in zip(epsilons, finals)]
+def _packet_frame_errors(config: ExperimentConfig, pairs: list) -> list:
+    """The pairs of each packet-frame level from one batched evolution, level
+    by level in the order the levels first appear."""
+    results = [None] * len(pairs)
+    for dt in dict.fromkeys(shared["dt"] for _, shared in pairs):
+        batch = [p for p, (_, shared) in enumerate(pairs) if shared["dt"] == dt]
+        shared, epsilons = pairs[batch[0]][1], [pairs[p][0] for p in batch]
+        try:
+            finals = evolve_rescaled_finals(config.initial_profile(), epsilons, config.pair(),
+                                            config.external(), shared["trajectory"],
+                                            config.T, dt)
+        except NumericalError as exc:
+            exc.row = batch[exc.row or 0]
+            raise
+        corrections, K = shared["corrections"], ORDERS[config.mode]
+        for p, eps, a in zip(batch, epsilons, finals):
+            results[p] = (l2_distance(a, assemble_expansion(corrections, K, eps)), dt, config.mu_n)
+    return results
 
 
-def _physical_errors(config: ExperimentConfig, pool, epsilons: list,
-                     level: PhysicalLevel) -> list:
-    """The eps of a level from one `compare_finals` call (one batch per grid
-    size), or from one task per eps in `pool` when one is given."""
+def _physical_errors(config: ExperimentConfig, pool, pairs: list) -> list:
+    """The pairs from one `compare_finals` call (one batch per grid size), or
+    from one task per pair in `pool` when one is given."""
     if pool is None:
-        return compare_finals(epsilons, config, level)
-    outcomes = [pool.submit(compare_finals, [eps], config, level) for eps in epsilons]
+        return compare_finals(pairs, config)
+    outcomes = [pool.submit(compare_finals, [pair], config) for pair in pairs]
     results = []
     for row, outcome in enumerate(outcomes):
         try:
@@ -163,71 +172,73 @@ def _physical_errors(config: ExperimentConfig, pool, epsilons: list,
 
 
 def _gate_rows(config: ExperimentConfig, levels: dict, build, evaluate) -> tuple:
-    """(rows, failure) from the whole eps set gated level by level: levels 1
-    and 2 for every eps, then each doubling for the eps still unsettled.
-    `levels` maps refine to its level and gains a deeper one from
-    `build(config, refine)` on first use.  failure is (eps, exception) of
-    the first datapoint in list order that failed, or None.
+    """(rows, failure) from the whole eps set gated in waves of (eps index,
+    refine) pairs: the first wave holds levels 1 and 2 of every eps, each
+    later one the next doubling of the eps still unsettled.  `levels` maps
+    refine to its level and gains a deeper one from `build(config, refine)`
+    on first use.  failure is (eps, exception) of the first datapoint in
+    list order that failed, or None.
 
-    The outcome equals evaluating the eps one at a time in list order.  A
-    datapoint that fails at list index i ends that sweep at i, so the eps
-    after i leave the batch and the level reruns without them.  A row's
-    wall_ms is its share of the batch time of every level it took part in.
+    The outcome equals evaluating the eps one at a time in list order, level
+    by level.  A failure at a pair drops it and every pair after it in
+    (index, refine) order, and the wave reruns with the pairs left; so the
+    datapoint that fails is the earliest, at its lowest failing level.  A
+    row's wall_ms is its share of the time of every wave it took part in,
+    each wave's time split evenly over its eps.
     """
     eps_list = config.eps_list
-    active = list(range(len(eps_list)))
-    failure = None  # (index, exception) of the earliest failing eps
+    # (index, exception) of the earliest failing eps; the rows end at index
+    failure = (len(eps_list), None)
     spent = [0.0] * len(eps_list)
-    settled = {}
+    settled, errors = {}, {}
 
-    def fail(i: int, exc: NumericalError) -> None:
-        nonlocal active, failure
-        failure = (i, exc)
-        active = [j for j in active if j < i]
-
-    def measure(level: int) -> dict:
-        while active:
-            batch = list(active)
+    def wave(pairs: list) -> None:
+        nonlocal failure
+        while pairs:
             start = time.perf_counter()
-            results = None
             try:
-                if level not in levels:
-                    levels[level] = build(config, level)
+                for refine in dict.fromkeys(r for _, r in pairs):
+                    if refine not in levels:
+                        levels[refine] = build(config, refine)
             except NumericalError as exc:
-                # a level build fails every eps of the batch, whichever of
+                # a level build fails every pair of the wave, whichever of
                 # its own rows raised
-                fail(batch[0], exc)
+                failure, p = (pairs[0][0], exc), 0
             else:
                 try:
-                    results = evaluate([eps_list[i] for i in batch], levels[level])
+                    errors.update(zip(pairs, evaluate(
+                        [(eps_list[i], levels[r]) for i, r in pairs])))
+                    p = len(pairs)
                 except NumericalError as exc:
-                    fail(batch[0] if exc.row is None else batch[exc.row], exc)
-            share = (time.perf_counter() - start) * 1e3 / len(batch)
-            for i in batch:
+                    p = exc.row or 0
+                    failure = (pairs[p][0], exc)
+            held = dict.fromkeys(i for i, _ in pairs)
+            share = (time.perf_counter() - start) * 1e3 / len(held)
+            for i in held:
                 spent[i] += share
-            if results is not None:
-                return dict(zip(batch, results))
-        return {}
+            if p == len(pairs):
+                return
+            pairs = pairs[:p]
 
-    level = 1
-    prev = measure(level)
-    for _ in range(MAX_GATE_DOUBLINGS):
-        level *= 2
-        results = measure(level)
-        for i, (err, dt, n) in results.items():
-            if _settled(prev[i][0], err):
+    def unsettled() -> list:
+        return [i for i in range(failure[0]) if i not in settled]
+
+    for k in range(1, MAX_GATE_DOUBLINGS + 1):  # the waves of levels (1, 2), 4, 8
+        level = 2 ** k
+        wave([(i, r) for i in unsettled() for r in ((1, 2) if k == 1 else (level,))])
+        for i in unsettled():
+            err, dt, n = errors[i, level]
+            if _settled(errors[i, level // 2][0], err):
                 settled[i] = _row(eps_list[i], err, dt, n, spent[i])
-        active = [i for i in active if i not in settled]
-        prev = results
+    active = unsettled()
     if active:
         eps = eps_list[active[0]]
-        fail(active[0], NumericalError(
+        failure = (active[0], NumericalError(
             f"step-halving gate failed at eps={eps:g}: error still moving by "
             f"more than {GATE_REL_TOL:.0%} after {MAX_GATE_DOUBLINGS} halvings"))
 
-    end = len(eps_list) if failure is None else failure[0]
-    rows = [settled[i] for i in range(end)]
-    return rows, None if failure is None else (eps_list[failure[0]], failure[1])
+    rows = [settled[i] for i in range(failure[0])]
+    return rows, None if failure[1] is None else (eps_list[failure[0]], failure[1])
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1,
@@ -235,12 +246,13 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     """Measure the error at every epsilon in the configured mode, fit the
     log-log rate, and return the report (rows sorted by descending epsilon).
 
-    Every mode gates its eps level by level over levels built once per
-    call.  The packet-frame modes evolve the eps of a level as one batch
-    and ignore `jobs`; physical mode steps the eps of one grid size as one
-    batch, or with `jobs` > 1 compares them one per task in a pool of up
-    to `jobs` processes (never more than there are eps or CPUs) that lives
-    for the whole sweep, with a barrier between levels.
+    Every mode gates its eps in waves of (eps, level) pairs over levels
+    built once per call: levels 1 and 2 of every eps, then each doubling of
+    those unsettled.  The packet-frame modes evolve the eps of each level
+    of a wave as one batch and ignore `jobs`; physical mode steps the pairs
+    of one grid size in a wave as one batch, or with `jobs` > 1 compares
+    them one per task in a pool of up to `jobs` processes (never more than
+    there are eps or CPUs) that lives for the whole sweep.
     Progress lines appear once the last level settles.
 
     Raises ConfigError if jobs < 1, and SweepError with the partial report

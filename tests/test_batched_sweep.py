@@ -1,6 +1,10 @@
-"""Every sweep gates its eps level by level (the packet-frame modes evolve
-each level as one batch); these tests hold it to the results of evaluating
-the eps one at a time."""
+"""Every sweep gates its eps in waves of (eps, level) pairs, levels 1 and 2
+of every eps first (the packet-frame modes evolve each level of a wave as
+one batch); these tests hold it to the results of evaluating the eps one at
+a time."""
+
+import concurrent.futures
+import os
 
 import numpy as np
 import pytest
@@ -78,7 +82,8 @@ def test_failure_matches_one_at_a_time(monkeypatch, onset):
 
 def test_failure_at_second_level_only(monkeypatch):
     # poison 0.16 only on the finer level: level 1 succeeds for every eps,
-    # then level 2 drops 0.16 and 0.08 and reruns for 0.32 alone
+    # then level 2 drops the level-2 pair of 0.16 and both pairs of 0.08,
+    # and the wave reruns with the pairs of 0.32 and the level-1 pair of 0.16
     real = rescaled._packet_frame_potential
 
     def poisoned(grid, epsilons, phi, U, trajectory, times):
@@ -120,22 +125,52 @@ def assert_failure_matches_one_at_a_time(config):
     return err.value
 
 
-@pytest.mark.parametrize("min_refine", [1, 2])
-def test_physical_failure_matches_one_at_a_time(monkeypatch, min_refine):
-    # the comparison of eps 0.16 fails, with `row` its index in the call
+def poison_comparisons(monkeypatch, min_refine, name):
+    """Make every comparison of eps 0.16 at refine `min_refine` or deeper
+    fail; the error names the pair `name` picks from those, with `row` its
+    index in the call."""
     real = sweep_module.compare_finals
 
-    def poisoned(epsilons, config, level):
-        if 0.16 in epsilons and level.refine >= min_refine:
-            raise NumericalError(f"poisoned comparison at refine {level.refine}",
-                                 row=list(epsilons).index(0.16))
-        return real(epsilons, config, level)
+    def poisoned(pairs, config):
+        bad = [p for p, (eps, level) in enumerate(pairs)
+               if eps == 0.16 and level.refine >= min_refine]
+        if bad:
+            p = name(bad, pairs)
+            raise NumericalError(f"poisoned comparison at refine {pairs[p][1].refine}", row=p)
+        return real(pairs, config)
 
     monkeypatch.setattr(sweep_module, "compare_finals", poisoned)
+
+
+@pytest.mark.parametrize("min_refine", [1, 2])
+def test_physical_failure_matches_one_at_a_time(monkeypatch, min_refine):
+    # the comparison of eps 0.16 fails, named by its first failing pair
+    poison_comparisons(monkeypatch, min_refine, lambda bad, pairs: bad[0])
     err = assert_failure_matches_one_at_a_time(PHYSICAL)
     assert err.failed_eps == 0.16
     assert f"poisoned comparison at refine {min_refine}" in str(err)
     assert [r.epsilon for r in err.report.rows] == [0.32]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_physical_failure_at_both_levels_ends_at_the_lower(monkeypatch, jobs):
+    # both pairs of eps 0.16 fail, and a call holding both names the
+    # level-2 pair (the engine may trip on either row first); the wave
+    # reruns with the level-1 pair and ends the sweep with its error, as
+    # one eps at a time, level by level, would.  Threads stand in for the
+    # pool's processes
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    poison_comparisons(monkeypatch, 1, lambda bad, pairs: bad[-1])
+    rows, failed_eps, message = one_at_a_time(PHYSICAL)
+    with pytest.raises(SweepError) as err:
+        run_sweep(PHYSICAL, jobs=jobs)
+    assert (err.value.failed_eps, str(err.value)) == (failed_eps, message) \
+        == (0.16, "sweep aborted at eps=0.16: poisoned comparison at refine 1")
+    assert [(r.epsilon, r.error) for r in err.value.report.rows] \
+        == [(r.epsilon, r.error) for r in rows]
+    assert [r.epsilon for r in rows] == [0.32]
 
 
 def test_physical_deep_level_build_failure_matches_one_at_a_time(monkeypatch):

@@ -113,7 +113,7 @@ def test_pool_tasks_carry_small_payloads(monkeypatch):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
     with pytest.raises(Stop):
         run_sweep(ExperimentConfig(mode="physical", eps_list=(0.32, 0.16, 0.08)), jobs=2)
-    assert len(sizes) == 3
+    assert len(sizes) == 6  # levels 1 and 2 of each eps, submitted as one wave
     assert max(sizes) < 2 ** 20
 
 
@@ -134,7 +134,7 @@ def test_one_pool_per_sweep(monkeypatch):
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
     pooled = run_sweep(SMALL, jobs=2)
     assert pools == [2]
-    # 2 eps x levels 1 and 2, one eps per task, every task a module-level
+    # 2 eps x levels 1 and 2, one (eps, level) pair per task, every task a module-level
     # function with positional arguments, so that a process pool can pickle it
     assert len(tasks) == 4
     for fn, args, kwargs in tasks:

@@ -1,10 +1,12 @@
 """Ragged batches of the engine: rows with their own grids (one n), step
 lengths and node counts step together, and each row's final state and
 norm drift equal, bit for bit, those of a run of its own.  The physical
-comparisons of one grid size at one level run as such a batch."""
+comparisons of one grid size, levels 1 and 2 of every eps together, run
+as such a batch."""
 
 import concurrent.futures
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,30 +147,32 @@ def test_guard_trip_mid_batch_names_its_row_and_own_time():
 
 
 def test_compare_finals_equal_compare_evolution():
-    # eps 0.32 .. 0.04 share n = 512 at the default T; eps 0.02 has n = 1024
-    for refine in (1, 2):
-        level = physical_level(CONFIG, refine)
-        got = compare_finals(list(CONFIG.eps_list), CONFIG, level)
-        assert [n for _, _, n in got] == [512, 512, 512, 512, 1024]
-        for eps, row in zip(CONFIG.eps_list, got):
-            one = compare_evolution(eps, CONFIG, level)
-            assert row == (one.final_error, one.dt_used, one.grid_n)
+    # eps 0.32 .. 0.04 share n = 512 at the default T and eps 0.02 has
+    # n = 1024, at both levels: one call steps levels 1 and 2 of every eps
+    # as an 8-row and a 2-row batch
+    levels = [physical_level(CONFIG, refine) for refine in (1, 2)]
+    pairs = [(eps, level) for eps in CONFIG.eps_list for level in levels]
+    got = compare_finals(pairs, CONFIG)
+    assert [n for _, _, n in got] == [512] * 8 + [1024] * 2
+    for (eps, level), row in zip(pairs, got):
+        one = compare_evolution(eps, CONFIG, level)
+        assert row == (one.final_error, one.dt_used, one.grid_n)
 
 
 def test_phase_limit_failure_carries_the_callers_row():
-    # dt 0.1: eps 0.04 exceeds pi at t = 0 (n = 512, the fourth row of its
-    # batch), eps 0.08 only pi/2
+    # dt 0.1: at level 1 eps 0.04 exceeds pi at t = 0, eps 0.08 only pi/2;
+    # its level-1 pair is the seventh of the wave (n = 512 for every pair)
     cfg = ExperimentConfig(mode="physical", dt=0.1, eps_list=(0.32, 0.16, 0.08, 0.04))
-    level = physical_level(cfg)
+    levels = [physical_level(cfg, refine) for refine in (1, 2)]
     with pytest.raises(NumericalError) as one:
-        compare_finals([0.04], cfg, level)
+        compare_finals([(0.04, levels[0])], cfg)
     with pytest.warns(RuntimeWarning, match="exceeds pi/2"):
         with pytest.raises(NumericalError) as err:
-            compare_finals(list(cfg.eps_list), cfg, level)
+            compare_finals([(eps, level) for eps in cfg.eps_list for level in levels], cfg)
         sweep_err = pytest.raises(NumericalError, run_sweep, cfg)
     assert str(err.value) == str(one.value)
     assert str(err.value).startswith("potential phase per step 4.975 rad exceeds pi at t=0")
-    assert err.value.row == 3
+    assert err.value.row == 6
     assert sweep_err.value.failed_eps == 0.04
     assert [r.epsilon for r in sweep_err.value.report.rows] == [0.32, 0.16, 0.08]
 
@@ -195,9 +199,9 @@ def test_failure_in_a_reordered_batch_carries_the_callers_row(monkeypatch):
     eps = [0.32, 0.16, 0.08, 0.04]
     level = physical_level(CONFIG)
     with pytest.raises(NumericalError) as one:
-        compare_finals([0.08], CONFIG, level)
+        compare_finals([(0.08, level)], CONFIG)
     with pytest.raises(NumericalError) as err:
-        compare_finals(eps, CONFIG, level)
+        compare_finals([(e, level) for e in eps], CONFIG)
     assert str(err.value) == str(one.value) \
         == "hartree reference (eps=0.08): non-finite samples at t=0.5"
     assert err.value.row == 2
@@ -210,7 +214,7 @@ def test_half_pi_warning_once_per_row():
     level = physical_level(cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = compare_finals(list(cfg.eps_list), cfg, level)
+        rows = compare_finals([(eps, level) for eps in cfg.eps_list], cfg)
     assert [n for _, _, n in rows] == [512, 512]
     texts = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(texts) == 2
@@ -218,10 +222,10 @@ def test_half_pi_warning_once_per_row():
 
 
 def test_default_physical_sweep_counts_its_steps_at_the_engine(monkeypatch):
-    # every eps settles at level 2: 48,000 row-steps; the two n = 512 batches
-    # take as many engine steps as their longest row (4,000 and 8,000), and
-    # eps 0.02 steps alone on n = 1024 (5,000 and 10,000) in the shared-node
-    # loop
+    # every eps settles at level 2: 48,000 row-steps in one wave.  Levels 1
+    # and 2 of eps 0.32 .. 0.04 are one 8-row batch on n = 512, and those of
+    # eps 0.02 one 2-row batch on n = 1024; each takes as many engine steps
+    # as its longest row (8,000 and 10,000)
     calls = []
     real = hartree.split_step_nodes
 
@@ -244,9 +248,9 @@ def test_default_physical_sweep_counts_its_steps_at_the_engine(monkeypatch):
     monkeypatch.setattr(hartree, "split_step_nodes", counting)
     report = run_sweep(CONFIG)
     assert len(report.rows) == 5
-    assert [len(counts) for counts in calls] == [4, 1, 4, 1]
+    assert [len(counts) for counts in calls] == [8, 2]
     assert sum(c - 1 for counts in calls for c in counts) == 48_000
-    assert sum(max(counts) - 1 for counts in calls) == 27_000
+    assert sum(max(counts) - 1 for counts in calls) == 18_000
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -262,6 +266,31 @@ def test_unsizable_grid_fails_its_own_eps(monkeypatch, jobs):
         run_sweep(cfg, jobs=jobs)
     assert err.value.failed_eps == 1e-6
     assert [r.epsilon for r in err.value.report.rows] == [0.32]
+    level = physical_level(cfg)
     with pytest.raises(NumericalError) as one:
-        compare_finals([0.32, 1e-6], cfg, physical_level(cfg))
+        compare_finals([(0.32, level), (1e-6, level)], cfg)
     assert one.value.row == 1
+
+
+def test_ragged_run_holds_no_python_float_per_node():
+    # 8 rows (step lengths dt and 2 dt for four dt) of up to 8,000 steps on
+    # 64 points, so that the per-node tables, not the states, set the peak:
+    # the step lengths (0.49 MiB) and phase scales (0.49 MiB) as arrays,
+    # and 16-bit codes into each row's kinetic tables (0.12 MiB).  Holding
+    # each row's steps as a list of Python floats instead adds about
+    # 2 MiB (peaks 1.7 and 3.2 MiB)
+    grid = make_grid(64, -16.0, 16.0)
+    dts = (1e-4, 1.3e-4, 1.7e-4, 2.3e-4)
+    times = sorted((time_nodes(0.8, f * dt) for dt in dts for f in (1, 2)), key=lambda t: -t.size)
+    assert times[0].size == 8_001
+    zero = np.zeros(grid.n)
+    rows = split_step_nodes([gaussian_profile(grid).samples] * 8, [grid] * 8, times,
+                            [lambda t, density: zero] * 8, [1.0] * 8, label=list("abcdefgh"))
+    tracemalloc.start()
+    try:
+        visits = [j for j, _ in rows]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert visits == sorted({t.size - 1 for t in times})
+    assert peak < 2.5 * 2 ** 20
