@@ -86,9 +86,11 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
 
     Ragged rows: `times`, `grid` (all of one n), `potential` and
     `kinetic_scale` may be lists, one per row, longest row first.  Each row
-    then does the arithmetic of a run of its own, visited at its final node
-    only; psi holds the rows not yet ended, and those ending at the yielded
-    node leave the batch.
+    then does the arithmetic of a run of its own and is visited at its
+    final node; psi holds the rows not yet ended, and those ending at the
+    yielded node leave the batch.  A lone row is visited at `visit` too; a
+    batch of several rows fuses its phases at every other node, so it
+    raises ValueError if `visit` names one.
 
     Raises NumericalError when samples go non-finite or when more than
     GUARD_MASS probability sits within GUARD_CELLS cells of a domain
@@ -97,15 +99,18 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     lowest failing row's label and own node time, and carries that row's
     index as `row`.
     """
+    visit = {int(j) for j in visit}
     ragged = isinstance(times, list)
     if ragged:  # each row visits its final node
-        visit = ends = [t.size - 1 for t in times]
+        ends = [t.size - 1 for t in times]
         if ends != sorted(ends, reverse=True):
             raise ValueError("ragged rows go longest first")
+        if len(times) > 1 and not visit <= set(ends):
+            raise ValueError("a batch of several ragged rows visits their final nodes only")
+        visit.update(ends)
         if len(times) == 1:  # a lone row takes the shared-node loop
             ragged, grid, times, potential = False, grid[0], times[0], potential[0]
             kinetic_scale = kinetic_scale[0]
-    visit = {int(j) for j in visit}
     psi = np.array(samples0, dtype=np.complex128)
     batched = psi.ndim == 2
     labels = [label] if isinstance(label, str) else list(label)

@@ -19,7 +19,7 @@ from .amplitude import validate_initial_amplitude
 from .config import (MODES, ExperimentConfig, _number, check_time_steps,
                      config_from_mapping, decode_config_text)
 from .errors import ConfigError, NumericalError
-from .hartree import compare_evolution, physical_level
+from .hartree import compare, physical_level
 from .sweep import (
     SweepError,
     emit_gnuplot_script,
@@ -87,15 +87,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.trace < 0:
+        raise ConfigError(f"--trace must be at least 0, got {args.trace}")
     cfg = _load_config(args)
     eps = cfg.eps_list[0]
-    result = compare_evolution(eps, cfg, physical_level(cfg, 1, args.trace))
-    lines = ["t,error"]
-    for t, e in zip(result.times, result.errors):
-        lines.append(f"{repr(float(t))},{repr(float(e))}")
-    lines.append(f"# epsilon={repr(float(eps))} final_error={repr(result.final_error)} "
-                 f"n={result.grid_n} dt={repr(result.dt_used)}")
-    text = "\n".join(lines) + "\n"
+    level = physical_level(cfg, 1, args.trace)
+    [(errors, dt, n, _)] = compare([(eps, level)], cfg)
+    rows = [f"{repr(float(amp.t))},{repr(e)}" for amp, e in zip(level.states, errors)]
+    footer = (f"# epsilon={repr(float(eps))} final_error={repr(errors[-1])} "
+              f"n={n} dt={repr(dt)}")
+    text = "\n".join(["t,error", *rows, footer]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -3,9 +3,11 @@ approximation for direct L^2 comparison.
 
 The full mean-field dynamics is integrated on a grid fine enough to
 resolve the fast carrier oscillation (Nyquist with a 4x margin) and wide
-enough to contain the packet ten standard deviations out.  The comparison
-pipeline runs the classical flow, the profile evolution, and the reference
-solver on matched settings and reports the distance at the final time.
+enough to contain the packet ten standard deviations out.  A level holds
+the classical flow and the profile evolution at one refinement, and
+`compare` runs the reference solver on matched settings for (eps, level)
+pairs, one batch per grid size, and reports the distance at each of the
+level's states.
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ from .grids import (
 from .potentials import ExternalPotential, PairPotential
 
 __all__ = [
-    "ComparisonResult",
     "PhysicalLevel",
     "physical_level",
     "size_physical_grid",
     "build_coherent_state",
     "assemble_approximation",
-    "compare_evolution",
-    "compare_finals",
+    "compare",
 ]
 
 
@@ -149,20 +149,6 @@ def assemble_approximation(amp: AmplitudeState, cls: ClassicalState,
 
 
 @dataclass(frozen=True, eq=False)
-class ComparisonResult:
-    """Distance between the reference solution and the assembled
-    approximation, at the final time and optionally along the way."""
-
-    epsilon: float
-    times: np.ndarray
-    errors: np.ndarray
-    final_error: float
-    grid_n: int
-    dt_used: float
-    norm_drift: float
-
-
-@dataclass(frozen=True, eq=False)
 class PhysicalLevel:
     """The eps-independent part of a comparison at one refinement level,
     shared by every eps of a sweep; `states` holds only the compared nodes."""
@@ -194,83 +180,65 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
 
 
 def _reference_start(epsilon: float, config: ExperimentConfig, level: PhysicalLevel) -> tuple:
-    """(initial state, step) of the reference run for one eps at `level`."""
+    """(initial state, step, nodes, {node index: state}) of the reference run
+    for one eps at `level`; a state more than 1e-6 off every node raises ValueError."""
     # snap the solver step to an integer fraction of the profile step so the
     # two node sets coincide and states are compared at identical times
     target_phys = config.physical_dt(epsilon) / level.refine
-    substeps = max(1, int(np.ceil(level.dt_amp / target_phys - 1e-9)))
+    dt = level.dt_amp / max(1, int(np.ceil(level.dt_amp / target_phys - 1e-9)))
     grid = size_physical_grid(level.trajectory, epsilon, level.maxvar_x, level.maxvar_k)
     psi0 = build_coherent_state(config.initial_profile(), config.q0, config.p0,
                                 epsilon, grid)
-    return psi0, level.dt_amp / substeps
-
-
-def compare_evolution(epsilon: float, config: ExperimentConfig,
-                      level: PhysicalLevel) -> ComparisonResult:
-    """Run the full pipeline on matched settings for one epsilon, at the
-    refinement of `level` (its refine divides every time step) and at
-    each of its states' times: the reference run is visited at the node
-    within 1e-6 of each state's time and compared there, keeping no trace."""
-    psi0, dt_phys = _reference_start(epsilon, config, level)
-    nodes = time_nodes(config.T, dt_phys)
+    nodes = time_nodes(config.T, dt)
     trace = {int(np.argmin(np.abs(nodes - amp.t))): amp for amp in level.states}
     for j, amp in trace.items():
         if abs(nodes[j] - amp.t) > 1e-6:
             raise ValueError(f"profile time {amp.t} is not a reference node")
-    run = split_step_nodes(psi0.samples, psi0.grid, nodes,
-                           _reference_potential(psi0, dt_phys, config.pair(), config.external()),
-                           epsilon, trace, f"hartree reference (eps={epsilon:g})")
-    errors = []
-    try:  # each error when its node is visited; the run's return value is the drift
-        while True:
-            j, psi = next(run)
-            amp = trace[j]
-            errors.append(l2_distance(psi0.with_samples(psi), assemble_approximation(
-                amp, level.trajectory.state_at(amp.t), epsilon, psi0.grid)))
-    except StopIteration as end:
-        drift = float(end.value)
-    return ComparisonResult(
-        epsilon=float(epsilon),
-        times=np.asarray([amp.t for amp in level.states]),
-        errors=np.asarray(errors),
-        final_error=float(errors[-1]),
-        grid_n=psi0.grid.n,
-        dt_used=dt_phys,
-        norm_drift=drift,
-    )
+    return psi0, dt, nodes, trace
 
 
-def compare_finals(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
-    """(final_error, dt_used, grid_n) of `compare_evolution` for each (eps,
-    level) pair at the final state of its level, the pairs of one grid size
-    (of any levels) as one ragged batch; a failing pair raises NumericalError
-    with `row` set to its list index."""
-    phi, U, epsilons = config.pair(), config.external(), [eps for eps, _ in pairs]
-    starts, finals = [], {}
+def compare(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
+    """(errors, dt_used, grid_n, norm_drift) of each (eps, level) pair: the
+    distance between the reference run and the assembled approximation at
+    each of the level's states in order (the final one last), and the
+    reference run's step, grid size and norm drift.  Each error is computed
+    when the run visits its state's node, keeping no state.  The pairs of
+    one grid size (of any levels) step as one ragged batch, longest first;
+    a batch of several pairs visits final states only (the engine raises
+    ValueError otherwise).  A failing pair raises NumericalError with `row`
+    set to its list index."""
+    phi, U, starts, records = config.pair(), config.external(), [], [None] * len(pairs)
     for i, (eps, level) in enumerate(pairs):
         try:
             starts.append(_reference_start(eps, config, level))
         except NumericalError as exc:  # a grid that cannot be sized
             exc.row = i
             raise
-    nodes = [time_nodes(config.T, dt) for _, dt in starts]
-    for n in dict.fromkeys(psi0.grid.n for psi0, _ in starts):
-        batch = sorted((i for i, (psi0, _) in enumerate(starts) if psi0.grid.n == n),
-                       key=lambda i: -nodes[i].size)  # longest first
+    for n in dict.fromkeys(psi0.grid.n for psi0, *_ in starts):
+        batch = sorted((i for i, (psi0, *_) in enumerate(starts) if psi0.grid.n == n),
+                       key=lambda i: -starts[i][2].size)  # longest first
         runs = [starts[i] for i in batch]
         rows = split_step_nodes(
-            [psi0.samples for psi0, _ in runs], [psi0.grid for psi0, _ in runs],
-            [nodes[i] for i in batch],
-            [_reference_potential(*run, phi, U, r) for r, run in enumerate(runs)],
-            [epsilons[i] for i in batch],
-            label=[f"hartree reference (eps={epsilons[i]:g})" for i in batch])
-        try:
-            for j, psi in rows:  # keep the rows ending at node j
-                finals.update((i, psi[r].copy()) for r, i in enumerate(batch)
-                              if nodes[i].size - 1 == j)
+            [psi0.samples for psi0, *_ in runs], [psi0.grid for psi0, *_ in runs],
+            [nodes for _, _, nodes, _ in runs],
+            [_reference_potential(psi0, dt, phi, U, r) for r, (psi0, dt, *_) in enumerate(runs)],
+            [pairs[i][0] for i in batch], set().union(*(trace for *_, trace in runs)),
+            [f"hartree reference (eps={pairs[i][0]:g})" for i in batch])
+        errors = [[] for _ in batch]
+        try:  # each error when its node is visited; the run's return value is the drift
+            while True:
+                j, psi = next(rows)
+                for r, (i, (psi0, _, _, trace)) in enumerate(zip(batch, runs[:len(psi)])):
+                    if j in trace:  # a row not yet ended, at one of its states
+                        (eps, level), amp = pairs[i], trace[j]
+                        approx = assemble_approximation(amp, level.trajectory.state_at(amp.t),
+                                                        eps, psi0.grid)
+                        errors[r].append(l2_distance(psi0.with_samples(psi[r]), approx))
+        except StopIteration as end:
+            drifts = end.value.tolist()
         except NumericalError as exc:
             exc.row = batch[exc.row]
             raise
-    return [(l2_distance(psi0.with_samples(finals[i]), assemble_approximation(
-                level.states[-1], level.trajectory.state_at(level.states[-1].t), eps, psi0.grid)),
-             dt, psi0.grid.n) for i, ((eps, level), (psi0, dt)) in enumerate(zip(pairs, starts))]
+        for r, (i, (_, dt, *_)) in enumerate(zip(batch, runs)):
+            records[i] = (errors[r], dt, n, drifts[r])
+    return records

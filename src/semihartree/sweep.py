@@ -29,7 +29,7 @@ from .config import ExperimentConfig
 from .corrections import assemble_expansion, evolve_corrections
 from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, gaussian_profile, l2_distance
-from .hartree import compare_finals, physical_level
+from .hartree import compare, physical_level
 from .rescaled import evolve_rescaled_finals
 
 __all__ = [
@@ -156,19 +156,20 @@ def _packet_frame_errors(config: ExperimentConfig, pairs: list) -> list:
 
 
 def _physical_errors(config: ExperimentConfig, pool, pairs: list) -> list:
-    """The pairs from one `compare_finals` call (one batch per grid size), or
-    from one task per pair in `pool` when one is given."""
+    """(final error, dt, n) of the pairs from one `compare` call (one batch
+    per grid size), or from one task per pair in `pool` when one is given."""
     if pool is None:
-        return compare_finals(pairs, config)
-    outcomes = [pool.submit(compare_finals, [pair], config) for pair in pairs]
-    results = []
-    for row, outcome in enumerate(outcomes):
-        try:
-            results += outcome.result()
-        except NumericalError as exc:
-            exc.row = row
-            raise
-    return results
+        records = compare(pairs, config)
+    else:
+        outcomes = [pool.submit(compare, [pair], config) for pair in pairs]
+        records = []
+        for row, outcome in enumerate(outcomes):
+            try:
+                records += outcome.result()
+            except NumericalError as exc:
+                exc.row = row
+                raise
+    return [(errors[-1], dt, n) for errors, dt, n, _ in records]
 
 
 def _gate_rows(config: ExperimentConfig, levels: dict, build, evaluate) -> tuple:

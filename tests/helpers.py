@@ -83,12 +83,11 @@ def hartree_run(psi0, phi, U, T, dt, visit=()):
 
 
 def stored_comparison(epsilon, config, level):
-    """The oracle of `hartree.compare_evolution`: (times, errors, norm drift)
+    """The oracle of `hartree.compare` for one pair: (times, errors, norm drift)
     as it was when the reference run stored its states at the nodes nearest
     the level's state times, and the final node, and compared them after
     the run."""
-    psi0, dt = _reference_start(epsilon, config, level)
-    nodes = time_nodes(config.T, dt)
+    psi0, dt, nodes, _ = _reference_start(epsilon, config, level)
     times = np.array([amp.t for amp in level.states])
     idx, states, drift = hartree_run(psi0, config.pair(), config.external(), config.T, dt,
                                      [int(np.argmin(np.abs(nodes - t))) for t in times])

@@ -20,7 +20,7 @@ from semihartree.grids import (
     l2_norm,
     make_grid,
 )
-from semihartree.hartree import compare_evolution, physical_level
+from semihartree.hartree import compare, physical_level
 from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.sweep import lemma_check, render_report, run_sweep
 
@@ -52,8 +52,9 @@ def test_criterion_1_exactness_under_quadratic_data():
                            q0=0.0, p0=1.0, T=1.0, eps_list=(0.32, 0.08, 0.02))
     with Stopwatch() as sw:
         level = physical_level(cfg)
-        errors = {eps: compare_evolution(eps, cfg, level).final_error
-                  for eps in (0.02, 0.08, 0.32)}
+        epsilons = (0.02, 0.08, 0.32)
+        errors = {eps: errs[-1] for eps, (errs, _, _, _)
+                  in zip(epsilons, compare([(eps, level) for eps in epsilons], cfg))}
     vals = list(errors.values())
     ratio = max(vals) / min(vals)
     ok = all(v <= 1e-5 for v in vals) and ratio <= 3.0 and sw.elapsed <= budget
@@ -163,12 +164,13 @@ def test_criterion_6_norm_conservation(mu_grid, gauss):
         _, b = evolve_b(gauss, -1.0, hess, 1.0, 1e-3)
         drift_b = max(abs(l2_norm(gauss.with_samples(b[i])) - 1.0) for i in range(0, len(b), 25))
         _, drift_a = packet_frame_history(gauss, 0.08, phi, U, traj, 1.0, 1e-3)
-        physical = compare_evolution(0.08, ExperimentConfig(), physical_level(ExperimentConfig()))
+        [(_, _, _, drift_psi)] = compare([(0.08, physical_level(ExperimentConfig()))],
+                                         ExperimentConfig())
     drifts = {
         "profile": drift_beta,
         "phase-absorbed": drift_b,
         "packet-frame": drift_a,
-        "reference": physical.norm_drift,
+        "reference": drift_psi,
     }
     ok = all(d <= 1e-9 for d in drifts.values())
     report(6, "norm conservation", ok,

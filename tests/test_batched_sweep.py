@@ -129,7 +129,7 @@ def poison_comparisons(monkeypatch, min_refine, name):
     """Make every comparison of eps 0.16 at refine `min_refine` or deeper
     fail; the error names the pair `name` picks from those, with `row` its
     index in the call."""
-    real = sweep_module.compare_finals
+    real = sweep_module.compare
 
     def poisoned(pairs, config):
         bad = [p for p, (eps, level) in enumerate(pairs)
@@ -139,7 +139,7 @@ def poison_comparisons(monkeypatch, min_refine, name):
             raise NumericalError(f"poisoned comparison at refine {pairs[p][1].refine}", row=p)
         return real(pairs, config)
 
-    monkeypatch.setattr(sweep_module, "compare_finals", poisoned)
+    monkeypatch.setattr(sweep_module, "compare", poisoned)
 
 
 @pytest.mark.parametrize("min_refine", [1, 2])

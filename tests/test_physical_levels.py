@@ -19,7 +19,7 @@ from semihartree.amplitude import evolve_beta
 from semihartree.classical import hessian_along_flow
 from semihartree.config import ExperimentConfig
 from semihartree.grids import abs_moment
-from semihartree.hartree import compare_evolution, physical_level
+from semihartree.hartree import compare, physical_level
 from semihartree.potentials import EXTERNAL_NAMES, builtin_external
 from semihartree.sweep import run_sweep
 
@@ -78,12 +78,11 @@ def test_each_sweep_call_builds_its_own_levels(builds):
 def test_rows_equal_single_comparisons():
     for row in run_sweep(SMALL).rows:
         refine = 2
-        result = compare_evolution(row.epsilon, SMALL, physical_level(SMALL, refine))
-        while result.dt_used != row.dt_used:
+        [(errors, dt, n, _)] = compare([(row.epsilon, physical_level(SMALL, refine))], SMALL)
+        while dt != row.dt_used:
             refine *= 2
-            result = compare_evolution(row.epsilon, SMALL, physical_level(SMALL, refine))
-        assert row.error == pytest.approx(result.final_error, rel=1e-12)
-        assert row.n_used == result.grid_n
+            [(errors, dt, n, _)] = compare([(row.epsilon, physical_level(SMALL, refine))], SMALL)
+        assert (row.error, row.dt_used, row.n_used) == (errors[-1], dt, n)
 
 
 def test_pool_tasks_carry_small_payloads(monkeypatch):

@@ -19,14 +19,14 @@ from semihartree.errors import NumericalError
 from semihartree.grids import gaussian_profile, make_grid
 from semihartree.hartree import (
     _reference_potential,
+    _reference_start,
     build_coherent_state,
-    compare_evolution,
-    compare_finals,
+    compare,
     physical_level,
 )
 from semihartree.sweep import SweepError, run_sweep
 
-from helpers import hartree_run, run_nodes
+from helpers import hartree_run, run_nodes, stored_comparison
 
 CONFIG = ExperimentConfig(mode="physical")
 N = 256
@@ -146,17 +146,59 @@ def test_guard_trip_mid_batch_names_its_row_and_own_time():
     assert final.tobytes() == short.tobytes()
 
 
-def test_compare_finals_equal_compare_evolution():
+def test_lone_row_visits_the_nodes_asked_for():
+    # a one-row ragged call takes the shared-node loop and visits the trace
+    # nodes as well as its final node, as a run of its own does
+    (psi0, dt), = reference_rows(CASES["one-row"])
+    times = time_nodes(T, dt)
+    trace = [0, 7, 100, 180]
+    idx, states, drift = run_nodes(split_step_nodes(
+        [psi0.samples], [psi0.grid], [times],
+        [_reference_potential(psi0, dt, CONFIG.pair(), CONFIG.external())],
+        [psi0.frame.epsilon], trace, ["row 0"]))
+    alone_idx, alone, alone_drift = hartree_run(psi0, CONFIG.pair(), CONFIG.external(), T, dt,
+                                                trace)
+    assert idx.tolist() == alone_idx.tolist() == [*trace, times.size - 1]
+    assert states[:, 0].tobytes() == alone.tobytes()
+    assert np.float64(drift[0]).tobytes() == np.float64(alone_drift).tobytes()
+
+
+def test_batch_of_several_rows_visits_only_final_nodes():
+    # between its final nodes a batch fuses each row's trailing and next
+    # leading half phase, so a state there would carry the next step's half
+    starts = reference_rows(CASES["ragged"])
+    rows = split_step_nodes(
+        [p.samples for p, _ in starts], [p.grid for p, _ in starts],
+        [time_nodes(T, dt) for _, dt in starts],
+        [_reference_potential(p, dt, CONFIG.pair(), CONFIG.external()) for p, dt in starts],
+        [p.frame.epsilon for p, _ in starts], [100, 143, 50], label=["a", "b", "c"])
+    with pytest.raises(ValueError, match="final nodes only"):
+        next(rows)
+
+
+def test_compare_rows_equal_the_stored_comparison():
     # eps 0.32 .. 0.04 share n = 512 at the default T and eps 0.02 has
     # n = 1024, at both levels: one call steps levels 1 and 2 of every eps
-    # as an 8-row and a 2-row batch
+    # as an 8-row and a 2-row batch, and each record equals, bit for bit,
+    # the oracle's run of its pair alone
     levels = [physical_level(CONFIG, refine) for refine in (1, 2)]
     pairs = [(eps, level) for eps in CONFIG.eps_list for level in levels]
-    got = compare_finals(pairs, CONFIG)
-    assert [n for _, _, n in got] == [512] * 8 + [1024] * 2
-    for (eps, level), row in zip(pairs, got):
-        one = compare_evolution(eps, CONFIG, level)
-        assert row == (one.final_error, one.dt_used, one.grid_n)
+    got = compare(pairs, CONFIG)
+    assert [n for _, _, n, _ in got] == [512] * 8 + [1024] * 2
+    for (eps, level), (errors, dt, n, drift) in zip(pairs, got):
+        _, stored_errors, stored_drift = stored_comparison(eps, CONFIG, level)
+        assert np.array(errors).tobytes() == stored_errors.tobytes()
+        assert np.float64(drift).tobytes() == np.float64(stored_drift).tobytes()
+        psi0, own_dt, _, _ = _reference_start(eps, CONFIG, level)
+        assert (dt, n) == (own_dt, psi0.grid.n)
+
+
+def test_compare_batch_of_traced_levels_is_refused():
+    # only a pair stepped alone may carry states before its final one: the
+    # engine refuses to visit a batch of several rows at node 0
+    level = physical_level(CONFIG, 1, 3)
+    with pytest.raises(ValueError, match="final nodes only"):
+        compare([(0.32, level), (0.16, level)], CONFIG)
 
 
 def test_phase_limit_failure_carries_the_callers_row():
@@ -165,10 +207,10 @@ def test_phase_limit_failure_carries_the_callers_row():
     cfg = ExperimentConfig(mode="physical", dt=0.1, eps_list=(0.32, 0.16, 0.08, 0.04))
     levels = [physical_level(cfg, refine) for refine in (1, 2)]
     with pytest.raises(NumericalError) as one:
-        compare_finals([(0.04, levels[0])], cfg)
+        compare([(0.04, levels[0])], cfg)
     with pytest.warns(RuntimeWarning, match="exceeds pi/2"):
         with pytest.raises(NumericalError) as err:
-            compare_finals([(eps, level) for eps in cfg.eps_list for level in levels], cfg)
+            compare([(eps, level) for eps in cfg.eps_list for level in levels], cfg)
         sweep_err = pytest.raises(NumericalError, run_sweep, cfg)
     assert str(err.value) == str(one.value)
     assert str(err.value).startswith("potential phase per step 4.975 rad exceeds pi at t=0")
@@ -199,9 +241,9 @@ def test_failure_in_a_reordered_batch_carries_the_callers_row(monkeypatch):
     eps = [0.32, 0.16, 0.08, 0.04]
     level = physical_level(CONFIG)
     with pytest.raises(NumericalError) as one:
-        compare_finals([(0.08, level)], CONFIG)
+        compare([(0.08, level)], CONFIG)
     with pytest.raises(NumericalError) as err:
-        compare_finals([(e, level) for e in eps], CONFIG)
+        compare([(e, level) for e in eps], CONFIG)
     assert str(err.value) == str(one.value) \
         == "hartree reference (eps=0.08): non-finite samples at t=0.5"
     assert err.value.row == 2
@@ -214,8 +256,8 @@ def test_half_pi_warning_once_per_row():
     level = physical_level(cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = compare_finals([(eps, level) for eps in cfg.eps_list], cfg)
-    assert [n for _, _, n in rows] == [512, 512]
+        rows = compare([(eps, level) for eps in cfg.eps_list], cfg)
+    assert [n for _, _, n, _ in rows] == [512, 512]
     texts = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(texts) == 2
     assert all("exceeds pi/2" in text for text in texts)
@@ -268,7 +310,7 @@ def test_unsizable_grid_fails_its_own_eps(monkeypatch, jobs):
     assert [r.epsilon for r in err.value.report.rows] == [0.32]
     level = physical_level(cfg)
     with pytest.raises(NumericalError) as one:
-        compare_finals([(0.32, level), (1e-6, level)], cfg)
+        compare([(0.32, level), (1e-6, level)], cfg)
     assert one.value.row == 1
 
 

@@ -340,6 +340,13 @@ class TestCli:
         assert lines[1].startswith("0.0,")
         assert "final_error=" in lines[-1]
 
+    @pytest.mark.parametrize("n", ["-1", "-5"])
+    def test_compare_negative_trace_exit_code(self, capsys, n):
+        # --trace 0 keeps the final state alone; a negative count is malformed
+        assert main(["compare", "--trace", n, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --trace must be at least 0, got {n}\n"
+
     def test_compare_trace_beyond_the_node_count(self, tmp_path):
         # the trace is clamped to the level's nodes: a huge N traces every
         # node, exactly as N = the node count does, and allocates no N indices
