@@ -18,9 +18,11 @@ of the current and the previous step length are kept: the float steps of a
 node array take only a few distinct values.
 
 `split_step_nodes` is the engine, a generator over the visited nodes, and
-every solver names the states it keeps by their node indices.  The
-correction orders step on dt nodes interleaved with their midpoints and
-deposit at each visited one.
+every solver names the states it keeps by their node indices.  A ragged
+batch (rows on node arrays of their own) steps under one potential, given
+each held row's node index, and one stacked kinetic table.  The correction
+orders step on dt nodes interleaved with their midpoints and deposit at
+each visited one.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def tabulate(fn: Callable, times: np.ndarray) -> Callable[[float], float]:
 
 
 def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union[np.ndarray, list],
-                     potential: Union[Callable, list], kinetic_scale: Union[float, list] = 1.0,
+                     potential: Callable, kinetic_scale: Union[float, list] = 1.0,
                      visit: Iterable[int] = (), label: Union[str, list] = "evolution") -> Iterator:
     """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + v psi, where
     v = potential(t, |psi|^2), over the sorted node array `times`, and
@@ -84,13 +86,14 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     initial value over every step, visited or not (a float, or one value
     per row of a batch).
 
-    Ragged rows: `times`, `grid` (all of one n), `potential` and
-    `kinetic_scale` may be lists, one per row, longest row first.  Each row
-    then does the arithmetic of a run of its own and is visited at its
-    final node; psi holds the rows not yet ended, and those ending at the
-    yielded node leave the batch.  A lone row is visited at `visit` too; a
-    batch of several rows fuses its phases at every other node, so it
-    raises ValueError if `visit` names one.
+    Ragged rows: `times`, `grid` (all of one n) and `kinetic_scale` may be
+    lists, one per row, longest row first.  Each row then does the
+    arithmetic of a run of its own and is visited at its final node; psi
+    holds the rows not yet ended, and those ending at the yielded node
+    leave the batch.  The one potential(j, density) gets the node index j
+    (held row r is at times[r][j]) and the held rows' (m, n) density.  A
+    lone row is visited at `visit` too; a batch of several rows fuses its
+    phases at every other node, so it raises ValueError if `visit` names one.
 
     Raises NumericalError when samples go non-finite or when more than
     GUARD_MASS probability sits within GUARD_CELLS cells of a domain
@@ -100,7 +103,7 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     index as `row`.
     """
     visit = {int(j) for j in visit}
-    ragged = isinstance(times, list)
+    ragged, at = isinstance(times, list), times  # the potential of node j gets at[j]
     if ragged:  # each row visits its final node
         ends = [t.size - 1 for t in times]
         if ends != sorted(ends, reverse=True):
@@ -109,8 +112,8 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
             raise ValueError("a batch of several ragged rows visits their final nodes only")
         visit.update(ends)
         if len(times) == 1:  # a lone row takes the shared-node loop
-            ragged, grid, times, potential = False, grid[0], times[0], potential[0]
-            kinetic_scale = kinetic_scale[0]
+            ragged, grid, times, kinetic_scale = False, grid[0], times[0], kinetic_scale[0]
+            at = range(times.size)
     psi = np.array(samples0, dtype=np.complex128)
     batched = psi.ndim == 2
     labels = [label] if isinstance(label, str) else list(label)
@@ -162,27 +165,29 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     norm0 = np.sqrt(stats[..., 0])
     drift = np.zeros_like(norm0)
     check(0, stats, 0.0)
-    if ragged:  # steps[r, j]: row r's step into node j, zero at node 0 and past its end
-        steps = np.array([np.pad(np.diff(t), (1, ends[0] + 2 - t.size)) for t in times])
+    if ragged:
         # each row's phase scale at each node (a half at its first and final
-        # nodes, the two halves fused between them), and its kinetic table
-        # of each of its step lengths (the float steps take few values),
-        # indexed by codes[r, j], no wider than the node count needs
-        scales = -0.5 * (steps[:, :-1] + steps[:, 1:])
-        codes, kins = np.empty(steps.shape, np.min_scalar_type(steps.shape[1])), []
-        for r, (row, c, q) in enumerate(zip(steps, kinetic_scale, k2)):
-            lengths, codes[r] = np.unique(row, return_inverse=True)
-            kins.append([np.exp(-0.5j * h * c * q) for h in lengths.tolist()])
-        v, arg, half, m = np.empty(psi.shape), np.empty(psi.shape), np.empty_like(psi), len(times)
+        # nodes, the two halves fused between them) and kinetic table of each
+        # of its few step lengths, indexed by codes[r, j] no wider than the
+        # node count needs, and made once per node array, grid and scale
+        scales, kins, made = np.empty((len(times), ends[0] + 1)), [], {}
+        codes = np.empty(scales.shape, np.min_scalar_type(ends[0] + 2))
+        for r, (t, g, c) in enumerate(zip(times, grid, kinetic_scale)):
+            steps = np.pad(np.diff(t), (1, ends[0] + 2 - t.size))  # 0 at node 0 and past the end
+            scales[r] = -0.5 * (steps[:-1] + steps[1:])
+            lengths, codes[r] = np.unique(steps[:-1], return_inverse=True)
+            kins.append(made.get((id(t), id(g), c)) or made.setdefault(
+                (id(t), id(g), c), [np.exp(-0.5j * h * c * k2[r]) for h in lengths.tolist()]))
+        kin, arg, half, m = np.ones_like(psi), np.empty(psi.shape), np.empty_like(psi), len(times)
         for j in range(ends[0] + 1):
-            if j:  # the kinetic step into node j
+            if j:  # the kinetic step into node j; kin stacks the held rows' tables
+                for s in np.flatnonzero(codes[:m, j] != codes[:m, j - 1]).tolist():
+                    kin[s] = kins[s][codes[s, j]]
                 np.fft.fft(psi, out=hat)
-                for s, k in enumerate(codes[:m, j].tolist()):
-                    hat[s] *= kins[s][k]
+                hat *= kin
                 np.fft.ifft(hat, out=psi)
                 stats = square()
-            for s, d in enumerate(density):  # each held row's v at its own node j
-                v[s] = potential[s](times[s][j], d)
+            v = potential(j, density)  # each held row's v at its own node j
             psi *= phase(scales[:, j, None], v)
             if j:
                 check(j, stats, v)
@@ -190,8 +195,8 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
             if j in visit:
                 yield j, psi
                 m = sum(end > j for end in ends)
-                psi, hat, density, scratch, weights, v, arg, half, norm0, scales = (
-                    b[:m] for b in (psi, hat, density, scratch, weights, v, arg, half, norm0,
+                psi, hat, kin, density, scratch, weights, arg, half, norm0, scales = (
+                    b[:m] for b in (psi, hat, kin, density, scratch, weights, arg, half, norm0,
                                     scales))
         return drift
     if 0 in visit:
@@ -199,7 +204,7 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
         square()  # psi may have changed
     last = times.size - 1
     steps = memoryview(np.append(np.diff(times), 0.0))  # read as Python floats; 0 at the end
-    v = potential(times[0], density)
+    v = potential(at[0], density)
     # the phase and its real argument take v's shape
     arg, half = np.empty(np.shape(v)), np.empty(np.shape(v), dtype=np.complex128)
     psi *= phase(-0.5 * steps[0], v)
@@ -214,7 +219,7 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
         hat *= kin
         np.fft.ifft(hat, out=psi)
         stats = square()
-        v = potential(times[j + 1], density)
+        v = potential(at[j + 1], density)
         visited = j + 1 in visit
         apart = visited or j + 1 == last
         # a visited node and the final node take the trailing half alone,

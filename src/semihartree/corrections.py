@@ -73,7 +73,7 @@ def _deposit(u: np.ndarray, b: np.ndarray, h: float, coupling: Callable,
 def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotential,
                        trajectory: Trajectory, T: float, dt: float, K: int) -> tuple:
     """The phase-absorbed profile b from `a0` and the correction orders
-    1..K (K = 0, 1 or 2) at T: K + 1 `WaveFunction`s, b first.
+    1..K (K = 1 or 2) at T: K + 1 `WaveFunction`s, b first.
 
     The first correction is driven by the cubic term of the external
     potential along the trajectory, plus the quadratic interaction of the
@@ -90,8 +90,8 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     both passes would trip within one dt node, the first pass's error is
     raised.
     """
-    if K not in (0, 1, 2):
-        raise ValueError("expansion order K must be 0, 1, or 2")
+    if K not in (1, 2):
+        raise ValueError("correction order K must be 1 or 2")
     if a0.frame != RESCALED:
         raise ValueError("profile evolution runs in the rescaled frame")
     grid = a0.grid
@@ -99,14 +99,8 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     kappa = phi.second_deriv_at_0
     half_kappa = 0.5 * kappa
     _, steps, nodes = _interleaved_nodes(T, dt)
-    last = nodes.size - 1
     potential = b_potential(grid, kappa, tabulate(hessian_along_flow(trajectory, U), nodes))
-
-    if K == 0:  # b alone, visited at T only
-        _, b = next(split_step_nodes(a0.samples, grid, nodes, potential, 1.0, (last,), B_LABEL))
-        return (WaveFunction(grid, b),)
-
-    visit = {last}.union(range(1, nodes.size, 2))  # the midpoints and T
+    visit = {nodes.size - 1}.union(range(1, nodes.size, 2))  # the midpoints and T
     mids = nodes[1::2]
     q = trajectory.qs_at(mids)
     w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0

@@ -269,16 +269,16 @@ def apply_radial_rfft(kernel_hat: np.ndarray, density: np.ndarray, grid: Grid) -
     return np.fft.irfft(np.fft.rfft(density) * kernel_hat, grid.n, norm="forward")
 
 
-def mean_field(kernel: Callable, grid: Grid, separable: Optional[Callable] = None):
-    """density -> (kernel * density) * dx for densities of shape (n,) or
-    (m, n), built once per run.  With (f, g) = separable(points), the
-    whole-line convolution from the rank moments of the density: two
-    (rank, n) products.  Otherwise `apply_radial_rfft` at periodic distances.
-    """
+def mean_field(kernel: Callable, grids: list, separable: Optional[Callable] = None):
+    """(m, n) density -> (kernel * density) * dx, row r on grids[r] (all of
+    one n; the first m, as a ragged batch holds them), from tables built once
+    per run.  With (f, g) = separable(points), the whole-line convolution
+    from each row's rank moments: two (rank, n) products.  Otherwise
+    `apply_radial_rfft` at periodic distances."""
     if separable is None:
-        khat = radial_kernel_rfft(kernel, grid)
-        return lambda density: apply_radial_rfft(khat, density, grid)
-    f, g = (np.asarray(a, dtype=np.float64) for a in separable(grid.points))
-    f, moments = np.ascontiguousarray(f), np.ascontiguousarray(g.T * grid.dx)
-    return lambda density: (density @ moments) @ f
-
+        khat = np.stack([radial_kernel_rfft(kernel, g) for g in grids])
+        return lambda density: apply_radial_rfft(khat[:len(density)], density, grids[0])
+    f, g = zip(*(separable(row.points) for row in grids))
+    f = np.ascontiguousarray(np.stack(f), dtype=np.float64)
+    moments = np.ascontiguousarray(np.stack([a.T * r.dx for a, r in zip(g, grids)]), np.float64)
+    return lambda density: (density[:, None] @ moments[:len(density)] @ f[:len(density)])[:, 0]

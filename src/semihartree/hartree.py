@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,31 +106,32 @@ def build_coherent_state(a0: WaveFunction, q: float, p: float, epsilon: float,
     return WaveFunction(grid, samples, physical_frame(epsilon))
 
 
-def _reference_potential(psi0: WaveFunction, dt: float, phi: PairPotential,
-                         U: ExternalPotential, row: Optional[int] = None):
-    """potential(t, density) of the mean-field dynamics on `psi0`'s grid and
-    eps, rebuilt from |psi|^2 every step by `grids.mean_field` (two density
-    moments for the cosine pair).  Its phase max|w|*dt is checked every
-    step: above pi/2 a warning is issued (once), above pi the run aborts
-    with `row` (the splitting would be meaningless)."""
-    grid = psi0.grid
-    convolve = mean_field(phi, grid, phi.separable)
-    u = np.asarray(U.value(grid.points), dtype=np.float64)
-    inv_eps = 1.0 / psi0.frame.epsilon
-    warned = [False]
+def _reference_potential(runs: list, phi: PairPotential, U: ExternalPotential):
+    """potential(j, density) of the mean-field dynamics of the held rows of a
+    ragged batch of reference runs (psi0, dt, nodes, ...).  Each row's phase
+    max|w|*dt is checked in row order: above pi/2 it warns (once), above pi
+    the run aborts at the row's own time with `row` its index (the
+    splitting would be meaningless)."""
+    convolve = mean_field(phi, [psi0.grid for psi0, *_ in runs], phi.separable)
+    u = np.array([U.value(psi0.grid.points) for psi0, *_ in runs], dtype=np.float64)
+    inv_eps = np.array([[1.0 / psi0.frame.epsilon] for psi0, *_ in runs])
+    dts, warned = np.array([dt for _, dt, *_ in runs]), [False] * len(runs)
 
-    def potential(t: float, density: np.ndarray) -> np.ndarray:
-        w = (convolve(density) + u) * inv_eps
-        phase = dt * float(np.abs(w).max())
-        if phase > np.pi:
-            raise NumericalError(
-                f"potential phase per step {phase:.3f} rad exceeds pi at "
-                f"t={t:.6g}; reduce dt", row=row)
-        if phase > 0.5 * np.pi and not warned[0]:
-            warnings.warn(
-                f"potential phase per step {phase:.3f} rad exceeds pi/2; "
-                "accuracy is degraded", RuntimeWarning)
-            warned[0] = True
+    def potential(j: int, density: np.ndarray) -> np.ndarray:
+        m = len(density)
+        w = (convolve(density) + u[:m]) * inv_eps[:m]
+        phases = dts[:m] * np.abs(w).max(axis=1)
+        if phases.max() > 0.5 * np.pi:
+            for row, phase in enumerate(phases.tolist()):
+                if phase > np.pi:
+                    raise NumericalError(
+                        f"potential phase per step {phase:.3f} rad exceeds pi at "
+                        f"t={runs[row][2][j]:.6g}; reduce dt", row=row)
+                if phase > 0.5 * np.pi and not warned[row]:
+                    warnings.warn(
+                        f"potential phase per step {phase:.3f} rad exceeds pi/2; "
+                        "accuracy is degraded", RuntimeWarning)
+                    warned[row] = True
         return w
     return potential
 
@@ -220,8 +221,7 @@ def compare(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
         runs = [starts[i] for i in batch]
         rows = split_step_nodes(
             [psi0.samples for psi0, *_ in runs], [psi0.grid for psi0, *_ in runs],
-            [nodes for _, _, nodes, _ in runs],
-            [_reference_potential(psi0, dt, phi, U, r) for r, (psi0, dt, *_) in enumerate(runs)],
+            [nodes for _, _, nodes, _ in runs], _reference_potential(runs, phi, U),
             [pairs[i][0] for i in batch], set().union(*(trace for *_, trace in runs)),
             [f"hartree reference (eps={pairs[i][0]:g})" for i in batch])
         errors = [[] for _ in batch]

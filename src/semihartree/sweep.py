@@ -4,8 +4,8 @@ convergence gate, log-log rate fitting, and CSV emission.
 Every datapoint must change by less than 2% when all time steps are halved
 before it is recorded; a datapoint that refuses to converge aborts the
 sweep with the partial report.  One gate loop serves every mode; only the
-level build and the evaluation of a wave of (eps, level) pairs (one batched
-evolution per level, or one batch per physical grid size) depend on the
+level build and the evaluation of a wave of (eps, level) pairs (one ragged
+batch of every level, or one batch per physical grid size) depend on the
 mode.  CSV data sections are byte-stable for a fixed configuration;
 wall-clock timings are excluded from that contract and live in a trailing
 comment block.
@@ -30,7 +30,7 @@ from .corrections import assemble_expansion, evolve_corrections
 from .errors import ConfigError, NumericalError
 from .grids import WaveFunction, gaussian_profile, l2_distance
 from .hartree import compare, physical_level
-from .rescaled import evolve_rescaled_finals
+from .rescaled import evolve_wave
 
 __all__ = [
     "SweepRow",
@@ -123,35 +123,39 @@ ORDERS = {"rescaled": 0, "corrections-1": 1, "corrections-2": 2}
 
 def _build_level(config: ExperimentConfig, level: int) -> dict:
     """Epsilon-independent pieces of a packet-frame level: the trajectory,
-    and the final profile and correction orders."""
-    phi = config.pair()
-    U = config.external()
-    T = config.T
+    and at K >= 1 the final profile and correction orders (the wave
+    evolves the K = 0 profile)."""
+    phi, U, T, K = config.pair(), config.external(), config.T, ORDERS[config.mode]
     dt = config.mu_dt() / level
-    trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T,
-                                min(1e-3, dt))
-    corrections = evolve_corrections(config.initial_profile(), phi, U, trajectory,
-                                     T, dt, ORDERS[config.mode])
-    return {"trajectory": trajectory, "dt": dt, "corrections": corrections}
+    trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T, min(1e-3, dt))
+    if K == 0:
+        return {"trajectory": trajectory, "dt": dt}
+    return {"trajectory": trajectory, "dt": dt, "corrections": evolve_corrections(
+        config.initial_profile(), phi, U, trajectory, T, dt, K)}
 
 
 def _packet_frame_errors(config: ExperimentConfig, pairs: list) -> list:
-    """The pairs of each packet-frame level from one batched evolution, level
-    by level in the order the levels first appear."""
+    """The pairs of a wave from one ragged evolution of the eps of every
+    level, each level's profile too at K = 0; a failing profile row fails
+    its level, as a failing build does, so it names the wave's first pair."""
+    K, batches = ORDERS[config.mode], {}
+    for p, (_, shared) in enumerate(pairs):
+        batches.setdefault(shared["dt"], []).append(p)
+    owners = [p for batch in batches.values() for p in [0] * (K == 0) + batch]
+    try:
+        finals = iter(evolve_wave(
+            config.initial_profile(), config.pair(), config.external(), config.T,
+            [(pairs[batch[0]][1]["trajectory"], dt, [pairs[p][0] for p in batch])
+             for dt, batch in batches.items()], K == 0))
+    except NumericalError as exc:
+        exc.row = owners[exc.row]
+        raise
     results = [None] * len(pairs)
-    for dt in dict.fromkeys(shared["dt"] for _, shared in pairs):
-        batch = [p for p, (_, shared) in enumerate(pairs) if shared["dt"] == dt]
-        shared, epsilons = pairs[batch[0]][1], [pairs[p][0] for p in batch]
-        try:
-            finals = evolve_rescaled_finals(config.initial_profile(), epsilons, config.pair(),
-                                            config.external(), shared["trajectory"],
-                                            config.T, dt)
-        except NumericalError as exc:
-            exc.row = batch[exc.row or 0]
-            raise
-        corrections, K = shared["corrections"], ORDERS[config.mode]
-        for p, eps, a in zip(batch, epsilons, finals):
-            results[p] = (l2_distance(a, assemble_expansion(corrections, K, eps)), dt, config.mu_n)
+    for dt, batch in batches.items():
+        orders = (next(finals),) if K == 0 else pairs[batch[0]][1]["corrections"]
+        for p in batch:
+            error = l2_distance(next(finals), assemble_expansion(orders, K, pairs[p][0]))
+            results[p] = (error, dt, config.mu_n)
     return results
 
 
@@ -249,8 +253,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
 
     Every mode gates its eps in waves of (eps, level) pairs over levels
     built once per call: levels 1 and 2 of every eps, then each doubling of
-    those unsettled.  The packet-frame modes evolve the eps of each level
-    of a wave as one batch and ignore `jobs`; physical mode steps the pairs
+    those unsettled.  The packet-frame modes step a wave as one ragged
+    batch and ignore `jobs`; physical mode steps the pairs
     of one grid size in a wave as one batch, or with `jobs` > 1 compares
     them one per task in a pool of up to `jobs` processes (never more than
     there are eps or CPUs) that lives for the whole sweep.

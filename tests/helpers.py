@@ -1,6 +1,7 @@
 """Test-only helpers shared by several test modules, which the library
 itself does not call."""
 
+import warnings
 from collections import deque
 from types import SimpleNamespace
 
@@ -12,10 +13,9 @@ from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow
 from semihartree.corrections import _deposit, _interleaved_nodes, separation_power_form
 from semihartree.errors import NumericalError
-from semihartree.grids import (abs_moment, boundary_mass, l2_distance, radial_distances,
-                               spectral_samples)
-from semihartree.hartree import _reference_potential, _reference_start, assemble_approximation
-from semihartree.rescaled import _packet_frame_potential
+from semihartree.grids import (abs_moment, apply_radial_rfft, boundary_mass, l2_distance,
+                               radial_distances, radial_kernel_rfft, spectral_samples)
+from semihartree.hartree import _reference_start, assemble_approximation
 
 
 def evaluate_trig_interpolant(psi, points):
@@ -59,26 +59,102 @@ def evolve_b(a0, kappa, hessU_along_flow, T, dt):
                                              visit=range(nodes.size), label=B_LABEL))[1]
 
 
-def packet_frame_history(a0, epsilon, phi, U, trajectory, T, dt):
+def packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
+    """The oracle of the epsilon rows of `rescaled._wave_potential`: the
+    per-level closure it replaced, potential(t, density) for a column of
+    epsilons, one row each, at the node times `times`.
+
+    It combines the mean-field term (1/eps) * conv(phi(sqrt(eps) r) - phi(0),
+    |a|^2) with the external bracket
+    (1/eps) * [U(q + sqrt(eps) mu) - U(q) - sqrt(eps) U'(q) mu].  U's
+    addition form gives the bracket from tables: its remainders at
+    sqrt(eps) mu over eps, and their coefficients at the step nodes; 1/eps
+    rides in the kernels.  U without one (cubic_window) is evaluated at
+    every step.
+    """
+    mu = grid.points
+    root_eps = np.sqrt(epsilons)[:, None]
+    inv_eps = 1.0 / epsilons[:, None]
+    khat = np.stack([radial_kernel_rfft(lambda r, s=s: phi.shifted(s * r), grid)
+                     for s in root_eps[:, 0]])
+    if U.addition is None:
+        q_at = tabulate(trajectory.qs_at, times)
+
+        def potential(t, density):
+            mean_field = apply_radial_rfft(khat, density, grid)
+            q = q_at(t)
+            bracket = (np.asarray(U.value(q + root_eps * mu), dtype=np.float64)
+                       - float(U.value(q)) - root_eps * float(U.grad(q)) * mu)
+            return inv_eps * (mean_field + bracket)
+    else:
+        khat *= inv_eps
+        remainders, coeffs = U.addition(root_eps * mu)
+        remainders = (remainders * inv_eps).reshape(-1, epsilons.size * grid.n)
+        coeff_at = tabulate(lambda nodes: coeffs(trajectory.qs_at(nodes)), times)
+
+        def potential(t, density):
+            return (apply_radial_rfft(khat, density, grid)
+                    + (coeff_at(t) @ remainders).reshape(density.shape))
+
+    return potential
+
+
+def packet_frame_history(a0, epsilon, phi, U, trajectory, T, dt, every=True):
     """(the state at every node, norm drift) of the packet-frame amplitude
-    for one epsilon: the run `rescaled.evolve_rescaled_finals` makes for
-    each row of its batch."""
+    for one epsilon, a run of its own under `packet_frame_potential`.  With
+    `every` false only the final node is visited, so the phases fuse
+    between nodes as in a batch: the oracle of each epsilon row of
+    `rescaled.evolve_wave`, whose state is then the only one returned."""
     nodes = time_nodes(T, dt)
-    potential = _packet_frame_potential(a0.grid, np.array([epsilon]), phi, U, trajectory,
-                                        nodes)
-    _, states, drift = run_nodes(split_step_nodes(a0.samples[None], a0.grid, nodes, potential,
-                                                  visit=range(nodes.size),
-                                                  label=[f"eps={epsilon:g}"]))
+    potential = packet_frame_potential(a0.grid, np.array([epsilon]), phi, U, trajectory, nodes)
+    _, states, drift = run_nodes(split_step_nodes(
+        a0.samples[None], a0.grid, nodes, potential,
+        visit=range(nodes.size) if every else [nodes.size - 1], label=[f"eps={epsilon:g}"]))
     return states[:, 0], float(drift[0])
+
+
+def reference_potential(psi0, dt, phi, U, row=None):
+    """The oracle of `hartree._reference_potential`: the per-row closure it
+    replaced.  potential(t, density) of the mean-field dynamics on `psi0`'s
+    grid and eps, rebuilt from |psi|^2 every step as `grids.mean_field` did
+    for one grid (two density moments for the cosine pair, else the FFT
+    convolution).  Its phase max|w|*dt is checked every step: above pi/2 a
+    warning is issued (once), above pi the run aborts with `row`."""
+    grid = psi0.grid
+    if phi.separable is None:
+        khat = radial_kernel_rfft(phi, grid)
+        convolve = lambda density: apply_radial_rfft(khat, density, grid)  # noqa: E731
+    else:
+        f, g = (np.asarray(a, dtype=np.float64) for a in phi.separable(grid.points))
+        f, moments = np.ascontiguousarray(f), np.ascontiguousarray(g.T * grid.dx)
+        convolve = lambda density: (density @ moments) @ f  # noqa: E731
+    u = np.asarray(U.value(grid.points), dtype=np.float64)
+    inv_eps = 1.0 / psi0.frame.epsilon
+    warned = [False]
+
+    def potential(t, density):
+        w = (convolve(density) + u) * inv_eps
+        phase = dt * float(np.abs(w).max())
+        if phase > np.pi:
+            raise NumericalError(
+                f"potential phase per step {phase:.3f} rad exceeds pi at "
+                f"t={t:.6g}; reduce dt", row=row)
+        if phase > 0.5 * np.pi and not warned[0]:
+            warnings.warn(
+                f"potential phase per step {phase:.3f} rad exceeds pi/2; "
+                "accuracy is degraded", RuntimeWarning)
+            warned[0] = True
+        return w
+    return potential
 
 
 def hartree_run(psi0, phi, U, T, dt, visit=()):
     """(node indices, states, norm drift) of the physical reference run from
-    psi0 under `hartree._reference_potential`, at the node indices `visit`
-    and the final node."""
+    psi0 under `reference_potential`, at the node indices `visit` and the
+    final node."""
     eps, nodes = psi0.frame.epsilon, time_nodes(T, dt)
     return run_nodes(split_step_nodes(psi0.samples, psi0.grid, nodes,
-                                      _reference_potential(psi0, dt, phi, U), eps,
+                                      reference_potential(psi0, dt, phi, U), eps,
                                       {*visit, nodes.size - 1}, f"hartree reference (eps={eps:g})"))
 
 
@@ -101,8 +177,7 @@ def stored_comparison(epsilon, config, level):
 
 
 def pointwise_packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
-    """The oracle of `rescaled._packet_frame_potential`: the closure as it
-    was before U's addition form and the folded kernel transforms.  Every
+    """The oracle of `packet_frame_potential`: the closure as it was before U's addition form and the folded kernel transforms.  Every
     step evaluates U at q + sqrt(eps) mu and U, U' at q, and scales
     (plain kernel transform convolution * dx + bracket) by 1/eps."""
     mu = grid.points

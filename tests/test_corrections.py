@@ -23,6 +23,7 @@ from semihartree.grids import (
     radial_kernel_rfft,
 )
 from semihartree.potentials import builtin_external, builtin_pair
+from semihartree.rescaled import evolve_wave
 
 from helpers import (correction_drive, correction_pass, evolve_b, interp_samples,
                      own_b_corrections, stored_corrections)
@@ -426,13 +427,17 @@ class TestLockstep:
         assert peak < 4 * 2 ** 20
 
 
+ENDS = pytest.mark.parametrize("T, dt", [(1.0, 5e-4), (0.1, 3e-4), (1e-3, 1e-3), (0.0, 1e-3)],
+                               ids=["dividing", "short-last-step", "one-step", "T=0"])
+
+
 class TestFinalOrdersEqualTheStoredPath:
     """The orders at T equal, bit for bit, the last row of the path that
-    stored them at chosen nodes, with its store set to T alone."""
+    stored them at chosen nodes, with its store set to T alone; at K = 0,
+    b is the profile row of a packet-frame wave."""
 
-    @pytest.mark.parametrize("K", [0, 1, 2])
-    @pytest.mark.parametrize("T, dt", [(1.0, 5e-4), (0.1, 3e-4), (1e-3, 1e-3), (0.0, 1e-3)],
-                             ids=["dividing", "short-last-step", "one-step", "T=0"])
+    @pytest.mark.parametrize("K", [1, 2])
+    @ENDS
     def test_bitwise(self, cosine_driven, gauss, K, T, dt):
         phi, U, traj = cosine_driven
         orders = evolve_corrections(gauss, phi, U, traj, T, dt, K)
@@ -440,6 +445,20 @@ class TestFinalOrdersEqualTheStoredPath:
         assert times.tolist() == [T] and len(orders) == len(stored) == K + 1
         for psi, data in zip(orders, stored):
             assert psi.samples.tobytes() == data[-1].tobytes()
+
+    @ENDS
+    def test_wave_profile_row_bitwise(self, cosine_driven, gauss, T, dt):
+        # b steps beside an eps row, in a ragged batch of two rows
+        phi, U, traj = cosine_driven
+        b, _ = evolve_wave(gauss, phi, U, T, [(traj, dt, [0.08])], True)
+        times, (stored,) = stored_corrections(gauss, phi, U, traj, T, dt, 0)
+        assert times.tolist() == [T]
+        assert b.samples.tobytes() == stored[-1].tobytes()
+
+    def test_order_zero_is_the_wave(self, cosine_driven, gauss):
+        phi, U, traj = cosine_driven
+        with pytest.raises(ValueError, match="correction order K must be 1 or 2"):
+            evolve_corrections(gauss, phi, U, traj, 0.1, 1e-3, 0)
 
 
 class TestAssembleExpansion:

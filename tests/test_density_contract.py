@@ -25,7 +25,7 @@ from semihartree.errors import NumericalError  # noqa: E402
 from semihartree.grids import abs_moment, gaussian_profile, make_grid, mean_field  # noqa: E402
 from semihartree.potentials import builtin_external, builtin_pair  # noqa: E402
 
-from helpers import hartree_run, run_nodes  # noqa: E402
+from helpers import run_nodes  # noqa: E402
 
 COSINE = builtin_pair("cosine")
 GRID = make_grid(64, -8.0, 8.0)
@@ -35,9 +35,10 @@ T = 0.3
 def self_consistent(c, separable):
     """Mean field from the density plus a moving well; `c` is a scalar for
     one state or an (m, 1) column for a batch."""
-    convolve = mean_field(COSINE, GRID, COSINE.separable if separable else None)
+    convolve = mean_field(COSINE, [GRID] * 4, COSINE.separable if separable else None)
     x2 = GRID.points ** 2
-    return lambda t, density: c * convolve(density) + (1.0 + t) * x2
+    return lambda t, density: (c * convolve(np.atleast_2d(density)) + (1.0 + t) * x2
+                               ).reshape(density.shape)
 
 
 def failure_time(exc):
@@ -104,8 +105,8 @@ def test_cosine_moments_equal_fft_inside_window(bumps, n, half):
     x, length = grid.points, grid.length
     density = sum(a * np.exp(-0.5 * ((x - c * length) / (s * length)) ** 2)
                   for c, s, a in bumps)
-    moments = mean_field(COSINE, grid, COSINE.separable)(density)
-    fft = mean_field(COSINE, grid)(density)
+    [moments] = mean_field(COSINE, [grid], COSINE.separable)(density[None])
+    [fft] = mean_field(COSINE, [grid])(density[None])
     inner = np.abs(x) <= 0.25 * length
     mass = np.sum(density) * grid.dx
     assert np.max(np.abs(moments - fft)[inner]) <= 1e-12 * mass
@@ -118,20 +119,31 @@ def test_cosine_moments_are_the_whole_line_convolution():
     density = np.random.default_rng(7).uniform(0.0, 1.0, grid.n)
     padded = np.zeros(wide.n)
     padded[256:768] = density
-    whole_line = mean_field(COSINE, wide)(padded)[256:768]
-    moments = mean_field(COSINE, grid, COSINE.separable)(density)
+    whole_line = mean_field(COSINE, [wide])(padded[None])[0, 256:768]
+    [moments] = mean_field(COSINE, [grid], COSINE.separable)(density[None])
     assert np.array_equal(wide.points[256:768], grid.points)
     assert np.max(np.abs(moments - whole_line)) <= 1e-13 * np.max(np.abs(whole_line))
     # a batch of densities gives one row each
-    batch = mean_field(COSINE, grid, COSINE.separable)(np.stack([density, 2 * density]))
+    batch = mean_field(COSINE, [grid, grid], COSINE.separable)(np.stack([density, 2 * density]))
     assert np.max(np.abs(batch - [moments, 2 * moments])) <= 1e-13 * np.max(np.abs(batch))
+    # each row on its own grid: a density
+    # that vanishes near the edges, on the grid and on a window shifted by
+    # 64 cells, gives one field at the points the two share; each row
+    # equals, bit for bit, its own call
+    compact = np.where(np.abs(grid.points) < 12.0, density, 0.0)
+    shifted = make_grid(512, -20.0, 12.0)
+    batch = mean_field(COSINE, [grid, shifted], COSINE.separable)(
+        np.stack([compact, np.roll(compact, 64)]))
+    assert np.max(np.abs(batch[1, 64:] - batch[0, :-64])) <= 1e-13 * np.max(np.abs(batch))
+    assert batch[0].tobytes() == mean_field(COSINE, [grid], COSINE.separable)(
+        compact[None])[0].tobytes()
 
 
 def test_zero_pair_has_rank_zero():
     zero = builtin_pair("zero")
     f, g = zero.separable(GRID.points)
     assert f.shape == g.shape == (0, GRID.n)
-    out = mean_field(zero, GRID, zero.separable)(np.ones((3, GRID.n)))
+    out = mean_field(zero, [GRID] * 3, zero.separable)(np.ones((3, GRID.n)))
     assert out.shape == (3, GRID.n) and not out.any()
 
 
@@ -150,7 +162,9 @@ def test_reference_solver_convolves_by_fft_only_without_a_form(monkeypatch, name
     grid = make_grid(512, -4.0, 4.0)
     psi0 = hartree.build_coherent_state(gaussian_profile(make_grid(512, -16.0, 16.0)),
                                         0.0, 1.0, eps, grid)
-    hartree_run(psi0, builtin_pair(name), builtin_external("cosine"), 0.01, 1e-3)
+    nodes = time_nodes(0.01, 1e-3)
+    run_nodes(split_step_nodes([psi0.samples], [grid], [nodes], hartree._reference_potential(
+        [(psi0, 1e-3, nodes)], builtin_pair(name), builtin_external("cosine")), [eps]))
     assert len(calls) == convolutions  # one per step and one at t = 0
 
 

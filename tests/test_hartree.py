@@ -23,7 +23,7 @@ from semihartree.hartree import (
     size_physical_grid,
 )
 from semihartree.potentials import builtin_external, builtin_pair
-from semihartree.rescaled import evolve_rescaled_finals
+from semihartree.rescaled import evolve_wave
 
 from helpers import evaluate_trig_interpolant, evolve_b, hartree_run, stored_comparison
 
@@ -210,7 +210,7 @@ class TestComparison:
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
         hess = hessian_along_flow(traj, U)
         b = WaveFunction(gauss.grid, evolve_b(gauss, -1.0, hess, 1.0, 1e-3)[1][-1])
-        a = evolve_rescaled_finals(gauss, [eps], phi, U, traj, 1.0, 1e-3)[0]
+        [a] = evolve_wave(gauss, phi, U, 1.0, [(traj, 1e-3, [eps])], False)
         resc = l2_distance(b, a)
         # measured at level 1: a relative gap of 2.97e-7 at eps 0.32 and
         # 1.33e-6 at eps 0.02

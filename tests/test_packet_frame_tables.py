@@ -1,7 +1,10 @@
-"""The packet-frame potential from per-level tables: U's addition form
-against the pointwise Taylor remainder, the whole potential against the
-closure it replaced (`helpers.pointwise_packet_frame_potential`), and the
-kernel transforms that carry dx, 1/n and the coupling constants."""
+"""The packet-frame potential of a wave from per-level tables: U's
+addition form against the pointwise Taylor remainder, the eps rows against
+the closure of pointwise brackets (`helpers.pointwise_packet_frame_potential`),
+every row against the closures it replaced (`helpers.packet_frame_potential`
+and `amplitude.b_potential`), the wave's final rows against runs of their
+own, and the kernel transforms that carry dx, 1/n and the coupling
+constants."""
 
 from dataclasses import replace
 
@@ -10,14 +13,16 @@ import pytest
 
 from semihartree._stepping import tabulate, time_nodes
 from semihartree.amplitude import b_potential
-from semihartree.classical import integrate_flow
+from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.config import ExperimentConfig, config_from_mapping
+from semihartree.corrections import _interleaved_nodes
 from semihartree.grids import apply_radial_rfft, make_grid, radial_distances, radial_kernel_rfft
 from semihartree.potentials import builtin_external, builtin_pair
-from semihartree.rescaled import _packet_frame_potential
+from semihartree.rescaled import _wave_potential, evolve_wave
 from semihartree.sweep import run_sweep
 
-from helpers import pointwise_packet_frame_potential
+from helpers import (packet_frame_history, packet_frame_potential,
+                     pointwise_packet_frame_potential, stored_corrections)
 
 EPS = np.array([0.32, 0.16, 0.08, 0.04, 0.02, 0.01, 0.005])
 GRIDS = {"default": make_grid(512, -16.0, 16.0), "384-12": make_grid(384, -12.0, 12.0)}
@@ -78,15 +83,17 @@ class TestAdditionForm:
 
 
 class TestTablePotential:
-    """The whole packet-frame potential against the closure it replaced,
-    for the default eps ladders at several nodes of the default trajectory."""
+    """The eps rows of the wave's potential against the closure of
+    pointwise brackets, for the default eps ladders at several nodes of the
+    default trajectory."""
 
     @staticmethod
     def both(grid, phi, U, default_path):
+        # (the wave's potential at node j, the pointwise closure at node j)
         trajectory, nodes = default_path
-        new = _packet_frame_potential(grid, EPS, phi, U, trajectory, nodes)
+        new = _wave_potential(grid, phi, U, [(trajectory, nodes, EPS)])
         old = pointwise_packet_frame_potential(grid, EPS, phi, U, trajectory, nodes)
-        return new, old, nodes[[0, 1, 377, 600, -1]]
+        return new, lambda j, density: old(nodes[j], density), [0, 1, 377, 600, nodes.size - 1]
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("pair", ["cosine", "gaussian"])
@@ -94,23 +101,23 @@ class TestTablePotential:
     def test_addition_form_within_roundoff(self, default_path, grid, pair, name):
         # tolerance: 1e-14 of each row's largest value, plus 1e-16/eps for
         # the pointwise bracket's cancellation of U(q + y) against U(q)
-        new, old, times = self.both(grid, builtin_pair(pair), builtin_external(name, ADDITIVE[name]),
+        new, old, nodes = self.both(grid, builtin_pair(pair), builtin_external(name, ADDITIVE[name]),
                                     default_path)
         density = density_rows(grid, EPS.size)
-        for t in times:
-            want = old(t, density)
+        for j in nodes:
+            want = old(j, density)
             scale = np.max(np.abs(want), axis=1, keepdims=True)
             bound = 1e-14 * scale + 1e-16 / EPS[:, None]
-            assert np.all(np.abs(new(t, density) - want) <= bound)
+            assert np.all(np.abs(new(j, density) - want) <= bound)
 
     def test_steps_call_no_closure_of_u(self, default_path):
         # the bracket is read from the level's tables, not from U per step
         U = builtin_external("cosine", [1.0])
         fail = lambda x: pytest.fail("U evaluated in a step")
         trajectory, nodes = default_path
-        potential = _packet_frame_potential(GRIDS["default"], EPS, builtin_pair("cosine"),
-                                            replace(U, value=fail, grad=fail), trajectory, nodes)
-        assert np.all(np.isfinite(potential(nodes[5], density_rows(GRIDS["default"], EPS.size))))
+        potential = _wave_potential(GRIDS["default"], builtin_pair("cosine"),
+                                    replace(U, value=fail, grad=fail), [(trajectory, nodes, EPS)])
+        assert np.all(np.isfinite(potential(5, density_rows(GRIDS["default"], EPS.size))))
 
     @pytest.mark.parametrize("pair", ["cosine", "gaussian", "quadratic"])
     def test_tiny_eps_gives_the_quadratic_model(self, default_path, pair):
@@ -118,26 +125,111 @@ class TestTablePotential:
         # U''(q) mu^2/2; the next terms are O(sqrt(eps)) = 1e-10 here.  Tolerance
         # 1e-8 of the largest value: no difference of two O(1) values over eps
         # (the pointwise bracket's roundoff over eps is 1e4 at this eps)
+        # the wave's b row on the same nodes is that model
         phi = builtin_pair(pair, [1.0, -1.0] if pair == "quadratic" else [])
         U, grid = builtin_external("cosine", [1.0]), GRIDS["default"]
         trajectory, nodes = default_path
-        potential = _packet_frame_potential(grid, np.array([1e-20]), phi, U, trajectory, nodes)
-        hess_at = tabulate(lambda t: U.hess(trajectory.qs_at(t)), nodes)
-        model = b_potential(grid, phi.second_deriv_at_0, hess_at)
-        density = density_rows(grid, 1)
-        for t in nodes[[0, 500, -1]]:
-            want = model(t, density[0])
-            assert np.max(np.abs(potential(t, density)[0] - want)) <= 1e-8 * np.max(np.abs(want))
+        potential = _wave_potential(grid, phi, U, [(trajectory, nodes, None),
+                                                   (trajectory, nodes, np.array([1e-20]))])
+        density = np.repeat(density_rows(grid, 1), 2, axis=0)
+        for j in (0, 500, nodes.size - 1):
+            model, got = potential(j, density)
+            assert np.max(np.abs(got - model)) <= 1e-8 * np.max(np.abs(model))
 
     @pytest.mark.parametrize("pair", ["cosine", "gaussian"])
     def test_cubic_window_is_the_old_closure(self, default_path, pair):
         # no addition form: the pointwise path, bit for bit on the default grid
         grid = GRIDS["default"]
-        new, old, times = self.both(grid, builtin_pair(pair), builtin_external("cubic_window", [1.0]),
+        new, old, nodes = self.both(grid, builtin_pair(pair), builtin_external("cubic_window", [1.0]),
                                     default_path)
         density = density_rows(grid, EPS.size)
-        for t in times:
-            assert np.array_equal(new(t, density), old(t, density))
+        for j in nodes:
+            assert np.array_equal(new(j, density), old(j, density))
+
+
+def wave_groups(cfg):
+    """(trajectory per level, the groups of a K = 0 wave of levels 1 and 2
+    of cfg in row order) with the default eps at level 2 and the first
+    three at level 1: b of level 2, b of level 1 (on the dt nodes of level
+    2 when dt divides T), the eps of level 2, the eps of level 1."""
+    phi, U = cfg.pair(), cfg.external()
+    eps = np.array(cfg.eps_list)
+    levels = []
+    for refine, epsilons in ((1, eps[:3]), (2, eps)):
+        dt = cfg.mu_dt() / refine
+        trajectory = integrate_flow(cfg.q0, cfg.p0, U, phi.value_at_0, cfg.T, min(1e-3, dt))
+        levels.append((trajectory, dt, epsilons))
+    (t1, dt1, e1), (t2, dt2, e2) = levels
+    groups = [(t2, _interleaved_nodes(cfg.T, dt2)[2], None),
+              (t1, _interleaved_nodes(cfg.T, dt1)[2], None),
+              (t2, time_nodes(cfg.T, dt2), e2), (t1, time_nodes(cfg.T, dt1), e1)]
+    return levels, groups
+
+
+WAVES = {"default": {}, "short-final-step": {"T": 0.5005},
+         "cubic_window": {"T": 0.5, "U": {"name": "cubic_window", "params": [0.25]}}}
+
+
+class TestWavePotential:
+    """Each row of the wave's stacked potential against the closure it
+    replaced: `amplitude.b_potential` for b's rows, the per-level closure
+    `helpers.packet_frame_potential` for the eps rows.  Tolerance 0, for
+    every count of held rows."""
+
+    @pytest.mark.parametrize("case", list(WAVES))
+    def test_rows_equal_their_closures(self, case):
+        cfg = config_from_mapping(dict(WAVES[case], mode="rescaled"))
+        _, groups = wave_groups(cfg)
+        grid, phi, U = cfg.mu_grid(), cfg.pair(), cfg.external()
+        potential = _wave_potential(grid, phi, U, groups)
+        closures = []  # (rows, nodes, closure) per group
+        lo = 0
+        for trajectory, nodes, epsilons in groups:
+            if epsilons is None:
+                closure = b_potential(grid, phi.second_deriv_at_0,
+                                      tabulate(hessian_along_flow(trajectory, U), nodes))
+                closures.append((slice(lo, lo + 1), nodes, lambda t, d, c=closure: c(t, d[0])))
+                lo += 1
+            else:
+                closure = packet_frame_potential(grid, epsilons, phi, U, trajectory, nodes)
+                closures.append((slice(lo, lo + epsilons.size), nodes, closure))
+                lo += epsilons.size
+        density = density_rows(grid, lo)
+        for held in (lo, closures[-1][0].start, closures[2][0].start, 1):
+            last = min(nodes.size for rows, nodes, _ in closures if rows.start < held) - 1
+            for j in (0, 1, last // 3, last):
+                got = potential(j, density[:held])
+                assert got.shape == (held, grid.n)
+                for rows, nodes, closure in closures:
+                    if rows.start < held:
+                        assert got[rows].tobytes() == closure(nodes[j], density[rows]).tobytes()
+
+
+class TestWaveRows:
+    """The final rows of a K = 0 wave of levels 1 and 2 against runs of
+    their own: each eps row against `helpers.packet_frame_history` visited at
+    its final node only, each b row against the path of the level build that
+    evolved b alone (`helpers.stored_corrections` at K = 0).  Tolerance 0."""
+
+    @pytest.mark.parametrize("case", list(WAVES))
+    def test_rows_equal_their_own_runs(self, case):
+        cfg = config_from_mapping(dict(WAVES[case], mode="rescaled"))
+        levels, groups = wave_groups(cfg)
+        a0, phi, U = cfg.initial_profile(), cfg.pair(), cfg.external()
+        if case == "default":  # b of level 1 steps on the dt nodes of level 2
+            assert np.array_equal(groups[1][1], groups[2][1])
+        if case == "short-final-step":
+            nodes = time_nodes(cfg.T, cfg.mu_dt())
+            assert nodes[-1] - nodes[-2] < 0.9 * cfg.mu_dt()
+        finals = evolve_wave(a0, phi, U, cfg.T, levels, True)
+        assert len(finals) == 10
+        for (trajectory, dt, epsilons), (b, *rows) in zip(levels, (finals[:4], finals[4:])):
+            _, (alone,) = stored_corrections(a0, phi, U, trajectory, cfg.T, dt, 0)
+            assert b.samples.tobytes() == alone[-1].tobytes()
+            for eps, a in zip(epsilons, rows):
+                [alone], _ = packet_frame_history(a0, eps, phi, U, trajectory, cfg.T, dt,
+                                                  every=False)
+                assert a.samples.tobytes() == alone.tobytes()
 
 
 class TestFoldedTransforms:

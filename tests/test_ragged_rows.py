@@ -1,8 +1,10 @@
 """Ragged batches of the engine: rows with their own grids (one n), step
-lengths and node counts step together, and each row's final state and
-norm drift equal, bit for bit, those of a run of its own.  The physical
-comparisons of one grid size, levels 1 and 2 of every eps together, run
-as such a batch."""
+lengths and node counts step together under one potential, and each row's
+final state and norm drift equal, bit for bit, those of a run of its own.
+The physical comparisons of one grid size, levels 1 and 2 of every eps
+together, run as such a batch, under one stacked reference potential that
+equals, bit for bit, the per-row closures it replaced
+(`helpers.reference_potential`), their phase checks included."""
 
 import concurrent.futures
 import os
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import semihartree.hartree as hartree
+import semihartree.rescaled as rescaled
 from semihartree._stepping import split_step_nodes, time_nodes
 from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
@@ -26,7 +29,7 @@ from semihartree.hartree import (
 )
 from semihartree.sweep import SweepError, run_sweep
 
-from helpers import hartree_run, run_nodes, stored_comparison
+from helpers import hartree_run, reference_potential, run_nodes, stored_comparison
 
 CONFIG = ExperimentConfig(mode="physical")
 N = 256
@@ -53,15 +56,46 @@ def ragged_finals(nodes, ends):
         return finals, end.value
 
 
+def stacked(starts, times=None):
+    """The reference potential of the ragged batch of (psi0, dt) `starts`
+    on their nodes up to T, or on `times`."""
+    times = times or [time_nodes(T, dt) for _, dt in starts]
+    return _reference_potential([(p, dt, t) for (p, dt), t in zip(starts, times)],
+                                CONFIG.pair(), CONFIG.external())
+
+
 def run_ragged(starts):
     """({row: final samples}, norm drifts) of one ragged batch under the
     reference potential."""
     times = [time_nodes(T, dt) for _, dt in starts]
     nodes = split_step_nodes(
-        [p.samples for p, _ in starts], [p.grid for p, _ in starts], times,
-        [_reference_potential(p, dt, CONFIG.pair(), CONFIG.external()) for p, dt in starts],
+        [p.samples for p, _ in starts], [p.grid for p, _ in starts], times, stacked(starts),
         [p.frame.epsilon for p, _ in starts], label=[f"row {r}" for r in range(len(starts))])
     return ragged_finals(nodes, [t.size - 1 for t in times])
+
+
+def count_engine_steps(monkeypatch, module):
+    """The node count each row's potential saw, one list per engine call
+    that `module` makes, each row asserted to see every node of its own
+    once."""
+    calls = []
+    real = module.split_step_nodes
+
+    def counting(samples0, grid, times, potential, *args, **kwargs):
+        counts = [0] * len(times)
+
+        def counted(j, density):
+            for r in range(len(density)):
+                counts[r] += 1
+            return potential(j, density)
+
+        drift = yield from real(samples0, grid, times, counted, *args, **kwargs)
+        assert counts == [t.size for t in times]  # every node of every row, once
+        calls.append(counts)
+        return drift
+
+    monkeypatch.setattr(module, "split_step_nodes", counting)
+    return calls
 
 
 # (eps, half-width, dt) per row, longest first
@@ -90,13 +124,94 @@ def test_rows_equal_their_own_runs_bit_for_bit(case):
         assert nodes[-1] - nodes[-2] < 0.5 * 3e-4
 
 
+@pytest.mark.parametrize("pair", ["cosine", "gaussian", "zero"])
+def test_stacked_potential_equals_the_per_row_closures(pair):
+    # tolerance 0: each held row's potential, for every held count, equals
+    # the closure of its run alone; cosine and zero convolve by moments,
+    # gaussian by FFT
+    cfg = ExperimentConfig(mode="physical", phi_name=pair)
+    starts = reference_rows(CASES["ragged"])
+    times = [time_nodes(T, dt) for _, dt in starts]
+    new = _reference_potential([(p, dt, t) for (p, dt), t in zip(starts, times)],
+                               cfg.pair(), cfg.external())
+    old = [reference_potential(p, dt, cfg.pair(), cfg.external()) for p, dt in starts]
+    density = np.abs(np.stack([p.samples for p, _ in starts])) ** 2
+    for m in (3, 2, 1):
+        for j in (0, 7, 99):
+            got = new(j, density[:m])
+            assert got.shape == (m, N)
+            for r in range(m):
+                assert got[r].tobytes() == old[r](times[r][j], density[r]).tobytes()
+
+
+def phase_rows(targets):
+    """(starts, node arrays, densities) of the "ragged" rows with each dt
+    set so that the phase per step at node 0 is the target's (rad)."""
+    starts = reference_rows(CASES["ragged"])
+    density = np.abs(np.stack([p.samples for p, _ in starts])) ** 2
+    peaks = [np.abs(reference_potential(p, 0.0, CONFIG.pair(), CONFIG.external())(0.0, d)).max()
+             for (p, _), d in zip(starts, density)]
+    starts = [(p, phase / peak) for (p, _), phase, peak in zip(starts, targets, peaks)]
+    return starts, [time_nodes(T, dt) for _, dt in starts], density
+
+
+def per_row_calls(starts, times, density, j, calls):
+    """(warnings, error) of the per-row closures called `calls` times each
+    at node j, row after row as the engine called them."""
+    old = [reference_potential(p, dt, CONFIG.pair(), CONFIG.external(), r)
+           for r, (p, dt) in enumerate(starts)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for _ in range(calls):
+                for r, potential in enumerate(old):
+                    potential(times[r][j], density[r])
+        except NumericalError as exc:
+            return [str(w.message) for w in caught], exc
+    return [str(w.message) for w in caught], None
+
+
+def stacked_calls(starts, times, density, j, calls):
+    """(warnings, error) of the stacked potential called `calls` times at node j."""
+    new = stacked(starts, times)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for _ in range(calls):
+                new(j, density)
+        except NumericalError as exc:
+            return [str(w.message) for w in caught], exc
+    return [str(w.message) for w in caught], None
+
+
+def test_stacked_phase_abort_names_its_row_and_own_time():
+    # phases 2, 4 and 2 rad: row 0 warns, row 1 aborts at its own time,
+    # and row 2 is never reached, as when each row had its own closure
+    starts, times, density = phase_rows((2.0, 4.0, 2.0))
+    old_warned, old_err = per_row_calls(starts, times, density, 1, 1)
+    new_warned, new_err = stacked_calls(starts, times, density, 1, 1)
+    assert new_warned == old_warned and len(new_warned) == 1
+    assert "2.000 rad exceeds pi/2" in new_warned[0]
+    assert str(new_err) == str(old_err) \
+        == f"potential phase per step 4.000 rad exceeds pi at t={times[1][1]:.6g}; reduce dt"
+    assert new_err.row == old_err.row == 1
+
+
+def test_stacked_phase_warning_once_per_row():
+    # phases 2, 1 and 2 rad over three calls: rows 0 and 2 warn once each
+    starts, times, density = phase_rows((2.0, 1.0, 2.0))
+    old_warned, old_err = per_row_calls(starts, times, density, 0, 3)
+    new_warned, new_err = stacked_calls(starts, times, density, 0, 3)
+    assert old_err is None and new_err is None
+    assert new_warned == old_warned and len(new_warned) == 2
+
+
 def test_rows_leave_shortest_first():
     # each row's final node is visited, with the rows not yet ended
     starts = reference_rows(CASES["ragged"])
     seen = [(j, len(psi)) for j, psi in split_step_nodes(
         [p.samples for p, _ in starts], [p.grid for p, _ in starts],
-        [time_nodes(T, dt) for _, dt in starts],
-        [_reference_potential(p, dt, CONFIG.pair(), CONFIG.external()) for p, dt in starts],
+        [time_nodes(T, dt) for _, dt in starts], stacked(starts),
         [p.frame.epsilon for p, _ in starts], label=["a", "b", "c"])]
     assert seen == [(100, 3), (143, 2), (250, 1)]
 
@@ -106,8 +221,7 @@ def test_rows_must_come_longest_first():
     with pytest.raises(ValueError, match="longest first"):
         next(split_step_nodes(
             [p.samples for p, _ in starts], [p.grid for p, _ in starts],
-            [time_nodes(T, dt) for _, dt in starts],
-            [_reference_potential(p, dt, CONFIG.pair(), CONFIG.external()) for p, dt in starts],
+            [time_nodes(T, dt) for _, dt in starts], stacked(starts),
             [p.frame.epsilon for p, _ in starts], label=["a", "b", "c"]))
 
 
@@ -121,20 +235,24 @@ def moving_rows():
                gaussian_profile(grids[1], wavenumber=-14.0).samples,
                gaussian_profile(grids[2], wavenumber=3.0).samples]
     times = [time_nodes(0.8, 1e-2), time_nodes(0.45, 6.5e-3), time_nodes(0.2, 1e-2)]
-    free = lambda t, density: np.zeros(density.shape)
-    return samples, grids, times, [free] * 3, [1.0, 0.8, 1.3], ["still", "fast", "short"]
+    return samples, grids, times, [1.0, 0.8, 1.3], ["still", "fast", "short"]
+
+
+def free(t, density):
+    """No potential: a run of its own gets a node time, a batch a node index."""
+    return np.zeros(density.shape)
 
 
 def test_guard_trip_mid_batch_names_its_row_and_own_time():
-    samples, grids, times, potentials, scales, labels = moving_rows()
+    samples, grids, times, scales, labels = moving_rows()
     with pytest.raises(NumericalError) as ref:
-        run_nodes(split_step_nodes(samples[1], grids[1], times[1], potentials[1], scales[1],
+        run_nodes(split_step_nodes(samples[1], grids[1], times[1], free, scales[1],
                                    range(times[1].size), labels[1]))
-    _, short = next(split_step_nodes(samples[2], grids[2], times[2], potentials[2], scales[2],
+    _, short = next(split_step_nodes(samples[2], grids[2], times[2], free, scales[2],
                                      [times[2].size - 1], labels[2]))
     visits = []
     with pytest.raises(NumericalError) as err:
-        for j, psi in split_step_nodes(samples, grids, times, potentials, scales, label=labels):
+        for j, psi in split_step_nodes(samples, grids, times, free, scales, label=labels):
             visits.append((j, len(psi)))
             final = psi[-1].copy()
     assert str(err.value) == str(ref.value)
@@ -153,8 +271,7 @@ def test_lone_row_visits_the_nodes_asked_for():
     times = time_nodes(T, dt)
     trace = [0, 7, 100, 180]
     idx, states, drift = run_nodes(split_step_nodes(
-        [psi0.samples], [psi0.grid], [times],
-        [_reference_potential(psi0, dt, CONFIG.pair(), CONFIG.external())],
+        [psi0.samples], [psi0.grid], [times], stacked([(psi0, dt)]),
         [psi0.frame.epsilon], trace, ["row 0"]))
     alone_idx, alone, alone_drift = hartree_run(psi0, CONFIG.pair(), CONFIG.external(), T, dt,
                                                 trace)
@@ -169,8 +286,7 @@ def test_batch_of_several_rows_visits_only_final_nodes():
     starts = reference_rows(CASES["ragged"])
     rows = split_step_nodes(
         [p.samples for p, _ in starts], [p.grid for p, _ in starts],
-        [time_nodes(T, dt) for _, dt in starts],
-        [_reference_potential(p, dt, CONFIG.pair(), CONFIG.external()) for p, dt in starts],
+        [time_nodes(T, dt) for _, dt in starts], stacked(starts),
         [p.frame.epsilon for p, _ in starts], [100, 143, 50], label=["a", "b", "c"])
     with pytest.raises(ValueError, match="final nodes only"):
         next(rows)
@@ -225,15 +341,14 @@ def test_failure_in_a_reordered_batch_carries_the_callers_row(monkeypatch):
     # held second) turns non-finite from t = 0.5 on
     real = hartree._reference_potential
 
-    def poisoned(psi0, dt, phi, U, row=None):
-        potential = real(psi0, dt, phi, U, row)
-        if psi0.frame.epsilon != 0.08:
-            return potential
+    def poisoned(runs, phi, U):
+        potential = real(runs, phi, U)
 
-        def v(t, density):
-            w = potential(t, density)
-            if t >= 0.5:
-                w[..., 7] = np.nan
+        def v(j, density):
+            w = potential(j, density)
+            for r, (psi0, _, nodes, *_) in enumerate(runs[:len(density)]):
+                if psi0.frame.epsilon == 0.08 and nodes[j] >= 0.5:
+                    w[r, 7] = np.nan
             return w
         return v
 
@@ -268,31 +383,36 @@ def test_default_physical_sweep_counts_its_steps_at_the_engine(monkeypatch):
     # and 2 of eps 0.32 .. 0.04 are one 8-row batch on n = 512, and those of
     # eps 0.02 one 2-row batch on n = 1024; each takes as many engine steps
     # as its longest row (8,000 and 10,000)
-    calls = []
-    real = hartree.split_step_nodes
-
-    def counting(samples0, grid, times, potential, *args, **kwargs):
-        counts = [0] * len(times)  # the nodes each row's potential saw
-
-        def counted(r, own):
-            def v(t, density):
-                counts[r] += 1
-                return own(t, density)
-            return v
-
-        drift = yield from real(samples0, grid, times,
-                                [counted(r, own) for r, own in enumerate(potential)],
-                                *args, **kwargs)
-        assert counts == [t.size for t in times]  # every node of every row, once
-        calls.append(counts)
-        return drift
-
-    monkeypatch.setattr(hartree, "split_step_nodes", counting)
+    calls = count_engine_steps(monkeypatch, hartree)
     report = run_sweep(CONFIG)
     assert len(report.rows) == 5
     assert [len(counts) for counts in calls] == [8, 2]
     assert sum(c - 1 for counts in calls for c in counts) == 48_000
     assert sum(max(counts) - 1 for counts in calls) == 18_000
+
+
+def test_default_rescaled_sweep_steps_each_wave_in_one_call(monkeypatch):
+    # every eps settles at level 2: one wave, one engine call of 12 rows.
+    # b of level 2 takes 4,000 steps on its dt/2 nodes, b of level 1 and
+    # the eps of level 2 2,000 each, the eps of level 1 1,000 each: 21,000
+    # row-steps in 4,000 engine steps (9,000 when b and the eps of each
+    # level stepped apart)
+    calls = count_engine_steps(monkeypatch, rescaled)
+    report = run_sweep(ExperimentConfig(mode="rescaled"))
+    assert len(report.rows) == 5
+    assert calls == [[4_001] + [2_001] * 6 + [1_001] * 5]
+    assert sum(c - 1 for counts in calls for c in counts) == 21_000
+
+
+def test_default_corrections_sweep_steps_its_eps_in_one_call(monkeypatch):
+    # the eps of levels 1 and 2 as one 10-row call: 15,000 row-steps in
+    # 2,000 engine steps (3,000 level by level); b and the corrections
+    # step in the level builds
+    calls = count_engine_steps(monkeypatch, rescaled)
+    report = run_sweep(ExperimentConfig(mode="corrections-2"))
+    assert len(report.rows) == 5
+    assert calls == [[2_001] * 5 + [1_001] * 5]
+    assert sum(c - 1 for counts in calls for c in counts) == 15_000
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -327,7 +447,7 @@ def test_ragged_run_holds_no_python_float_per_node():
     assert times[0].size == 8_001
     zero = np.zeros(grid.n)
     rows = split_step_nodes([gaussian_profile(grid).samples] * 8, [grid] * 8, times,
-                            [lambda t, density: zero] * 8, [1.0] * 8, label=list("abcdefgh"))
+                            lambda j, density: zero, [1.0] * 8, label=list("abcdefgh"))
     tracemalloc.start()
     try:
         visits = [j for j, _ in rows]

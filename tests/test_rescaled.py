@@ -5,7 +5,7 @@ from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.errors import NumericalError
 from semihartree.grids import gaussian_profile, l2_distance, l2_norm, make_grid
 from semihartree.potentials import builtin_external, builtin_pair
-from semihartree.rescaled import evolve_rescaled_finals
+from semihartree.rescaled import evolve_wave
 
 from helpers import evolve_b, packet_frame_history
 
@@ -86,9 +86,8 @@ class TestResidualScaling:
             g = make_grid(n, -16.0, 16.0)
             a0 = gaussian_profile(g)
             _, b = evolve_b(a0, -1.0, cosine_stack["hess"], T, DT)
-            finals = evolve_rescaled_finals(a0, EPS_SWEEP, cosine_stack["phi"],
-                                            cosine_stack["U"],
-                                            cosine_stack["trajectory"], T, DT)
+            finals = evolve_wave(a0, cosine_stack["phi"], cosine_stack["U"], T,
+                                   [(cosine_stack["trajectory"], DT, EPS_SWEEP)], False)
             for eps, a in zip(EPS_SWEEP, finals):
                 out[eps] = l2_distance(a.with_samples(b[-1]), a)
         for eps in EPS_SWEEP:
@@ -115,18 +114,18 @@ class TestRunContract:
 
     def test_epsilon_validated(self, cosine_stack, gauss):
         with pytest.raises(ValueError):
-            evolve_rescaled_finals(gauss, [-0.1], cosine_stack["phi"], cosine_stack["U"],
-                                   cosine_stack["trajectory"], T, DT)
+            evolve_wave(gauss, cosine_stack["phi"], cosine_stack["U"], T,
+                        [(cosine_stack["trajectory"], DT, [-0.1])], False)
 
     def test_trajectory_must_cover_horizon(self, cosine_stack, gauss):
         short = integrate_flow(0.0, 1.0, cosine_stack["U"], 1.0, 0.5, 1e-3)
         with pytest.raises(ValueError, match="cover"):
-            evolve_rescaled_finals(gauss, [0.1], cosine_stack["phi"], cosine_stack["U"],
-                                   short, T, DT)
+            evolve_wave(gauss, cosine_stack["phi"], cosine_stack["U"], T, [(short, DT, [0.1])],
+                        False)
 
     def test_boundary_guard(self, cosine_stack):
         g = make_grid(128, -4.0, 4.0)
         a0 = gaussian_profile(g)
         with pytest.raises(NumericalError, match="boundary mass"):
-            evolve_rescaled_finals(a0, [0.08], cosine_stack["phi"], cosine_stack["U"],
-                                   cosine_stack["trajectory"], T, DT)
+            evolve_wave(a0, cosine_stack["phi"], cosine_stack["U"], T,
+                        [(cosine_stack["trajectory"], DT, [0.08])], False)
