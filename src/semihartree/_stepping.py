@@ -4,25 +4,21 @@ One Strang step over [t, t+h] applies a half potential phase sampled at t,
 an exact spectral kinetic step, and a half potential phase sampled at t+h.
 The density |psi|^2 is taken once per step, after the kinetic step, into
 one engine buffer (a potential that keeps it must copy it) that serves the
-potential, `potential(t, density) -> v` with v real, and one product
-`density @ weights` that serves the norm and the boundary-mass guard of
-that node: its two columns give each row's squared norm and its mass in
-the guard band.  v serves the trailing half and the next step's leading
-half.  Between unvisited nodes these are fused into one
-phase exp(-i (h_j + h_{j+1})/2 v), which keeps Strang order for
-self-consistent potentials (Lubich, Math. Comp. 77, 2008); at a visited
-node and at the final node they are applied apart, and the caller sees the
-state between them.  A non-finite v trips the guard at its own node.  Each
-phase is taken by cos and sin of its real argument, and the kinetic tables
-of the current and the previous step length are kept: the float steps of a
-node array take only a few distinct values.
+potential, `potential(t, density) -> v` with v real, and one product per
+row `density @ weights` giving the row's squared norm and guard-band mass.
+v serves the trailing half and the next step's leading half: fused into
+one phase exp(-i (h_j + h_{j+1})/2 v) between the nodes a row is visited
+at, which keeps Strang order for self-consistent potentials (Lubich, Math.
+Comp. 77, 2008), and applied apart at a visited node and the final node,
+where the caller sees the state between them.  A non-finite v trips the
+guard at its own node.  Each phase is taken by cos and sin of its real
+argument.
 
-`split_step_nodes` is the engine, a generator over the visited nodes, and
-every solver names the states it keeps by their node indices.  A ragged
-batch (rows on node arrays of their own) steps under one potential, given
-each held row's node index, and one stacked kinetic table.  The correction
-orders step on dt nodes interleaved with their midpoints and deposit at
-each visited one.
+`split_step_nodes`, a generator over the visited nodes, has one step loop:
+every call is a batch of rows on node arrays of their own (a 1-D state is
+one row) under one potential and one stacked kinetic table, a table per
+distinct step length of each row; the table swaps and the visited rows'
+leading halves are scheduled once per call.
 """
 
 from __future__ import annotations
@@ -68,168 +64,149 @@ def tabulate(fn: Callable, times: np.ndarray) -> Callable[[float], float]:
     return lambda t: table[np.searchsorted(times, t)]
 
 
+def _by_node(mask: np.ndarray, *values: np.ndarray) -> list:
+    """Memoryviews [first, rows, *values] of a (rows, nodes) mask's hits: node j's are k in
+    first[j]:first[j + 1], each with its row and values at rows[k]."""
+    nodes, rows = np.nonzero(mask.T)
+    return [memoryview(a) for a in (np.searchsorted(nodes, np.arange(mask.shape[1] + 1)),
+                                    rows.astype(np.min_scalar_type(len(mask))),
+                                    *(v[rows, nodes] for v in values))]
+
+
 def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union[np.ndarray, list],
                      potential: Callable, kinetic_scale: Union[float, list] = 1.0,
-                     visit: Iterable[int] = (), label: Union[str, list] = "evolution") -> Iterator:
+                     visit: Iterable = (), label: Union[str, list] = "evolution") -> Iterator:
     """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + v psi, where
     v = potential(t, |psi|^2), over the sorted node array `times`, and
-    yield (j, psi) at each node index j in `visit`, after the trailing half
-    phase (node 0: before the first step).
+    yield (j, psi) at each node index j in `visit` and at the final node,
+    after the trailing half phase (node 0: before the first step).
 
     `samples0` is one state of shape (n,) or a batch of shape (m, n) whose
-    rows evolve independently: FFTs and reductions run along the last axis,
-    and `potential` gets a density of that shape and returns a real array
-    broadcastable to it.  The yielded psi is the engine's own buffer, which
-    later steps overwrite: copy what you keep.  A change the caller makes
-    to it in place before resuming is carried forward.  The generator
-    returns norm_drift, the largest deviation of the L^2 norm from its
-    initial value over every step, visited or not (a float, or one value
-    per row of a batch).
+    rows evolve independently, and `potential` gets a density of that shape
+    and returns a real array of that shape or (n,).  The yielded psi is the
+    engine's own buffer, which later steps overwrite: copy what you keep.
+    A change the caller makes to it in place before resuming is carried
+    forward.  The generator returns norm_drift, the largest deviation of
+    the L^2 norm from its initial value over every step, visited or not (a
+    float, or one value per row of a batch).
 
-    Ragged rows: `times`, `grid` (all of one n) and `kinetic_scale` may be
-    lists, one per row, longest row first.  Each row then does the
-    arithmetic of a run of its own and is visited at its final node; psi
-    holds the rows not yet ended, and those ending at the yielded node
-    leave the batch.  The one potential(j, density) gets the node index j
-    (held row r is at times[r][j]) and the held rows' (m, n) density.  A
-    lone row is visited at `visit` too; a batch of several rows fuses its
-    phases at every other node, so it raises ValueError if `visit` names one.
+    Ragged rows: `times`, `grid` (all of one n), `kinetic_scale` and
+    `visit` may be lists, one per row, longest row first; `potential` then
+    gets the node index j (held row r is at times[r][j]).  Each row is
+    visited at its own nodes and its final node and does the arithmetic of
+    a run of its own; psi holds the rows not yet ended, yielded at each
+    node any of them is visited at, and those ending there leave the batch.
 
     Raises NumericalError when samples go non-finite or when more than
     GUARD_MASS probability sits within GUARD_CELLS cells of a domain
     edge (the packet is escaping the window).  `label` names the run in
     that message; a batch takes one label per row, and its error names the
-    lowest failing row's label and own node time, and carries that row's
-    index as `row`.
+    lowest failing held row's label and own node time, and carries that
+    row's index as `row`.
     """
-    visit = {int(j) for j in visit}
-    ragged, at = isinstance(times, list), times  # the potential of node j gets at[j]
-    if ragged:  # each row visits its final node
-        ends = [t.size - 1 for t in times]
-        if ends != sorted(ends, reverse=True):
-            raise ValueError("ragged rows go longest first")
-        if len(times) > 1 and not visit <= set(ends):
-            raise ValueError("a batch of several ragged rows visits their final nodes only")
-        visit.update(ends)
-        if len(times) == 1:  # a lone row takes the shared-node loop
-            ragged, grid, times, kinetic_scale = False, grid[0], times[0], kinetic_scale[0]
-            at = range(times.size)
-    psi = np.array(samples0, dtype=np.complex128)
-    batched = psi.ndim == 2
+    psi = np.array(samples0, dtype=np.complex128, order="C")  # rows flatten to views
+    lone, held = psi.ndim == 1, psi.reshape(-1, psi.shape[-1])  # held: the rows not yet ended
+    m, n = held.shape
     labels = [label] if isinstance(label, str) else list(label)
-    if batched and len(labels) != psi.shape[0]:
-        raise ValueError("a batch needs one label per row")
-    dx = np.array([[g.dx] for g in grid]) if ragged else grid.dx
-    k2 = [g.wavenumbers ** 2 for g in grid] if ragged else grid.wavenumbers ** 2
-    total = np.add.reduce
-    hat = np.empty_like(psi)
-    # density @ weights: each row's squared norm and its guard-band mass
-    weights = np.zeros(np.shape(dx)[:1] + (psi.shape[-1], 2))
+    if isinstance(times, list):
+        at, visit = range(times[0].size), list(visit) or [()] * m
+    else:  # rows of one node array; the potential gets the node time
+        at, visit = times, [[int(j) for j in visit]] * m
+        times, grid, kinetic_scale = [times] * m, [grid] * m, [kinetic_scale] * m
+    if len(visit) != m or not lone and len(labels) != m:
+        raise ValueError("a batch takes one label, and ragged rows one visit set, per row")
+    ends = np.array([t.size - 1 for t in times])
+    if np.any(ends[1:] > ends[:-1]):
+        raise ValueError("ragged rows go longest first")
+    last = int(ends[0])
+    # per row and node: the step into it (0 at node 0 and past the row's end), whether the row
+    # is seen there, and its kinetic table's code (tables made once per node array, grid, scale)
+    steps, seen = np.zeros((m, last + 2)), np.zeros((m, last + 1), bool)
+    codes, kins, made = np.empty(seen.shape, np.min_scalar_type(last + 2)), [], {}
+    for r, (t, g, c, own) in enumerate(zip(times, grid, kinetic_scale, visit)):
+        steps[r, 1:t.size] = np.diff(t)
+        seen[r, [j for j in own if 0 <= j < t.size] + [t.size - 1]] = True
+        lengths, codes[r] = np.unique(steps[r, :-1], return_inverse=True)
+        kins.append(made.get((id(t), id(g), c)) or made.setdefault((id(t), id(g), c), [
+            np.exp(-0.5j * h * c * g.wavenumbers ** 2) for h in lengths.tolist()]))
+    yields = memoryview(seen.any(axis=0))
+    seen[:, 0] = False  # node 0 is seen before its potential: its phase is the leading half
+    # a row seen at a node takes its trailing half there and its leading half after the visit
+    # (the trailing one again for an equal step), fused elsewhere; a table swaps at a new code
+    lead_at, lead_rows, lead_steps = _by_node(seen & (steps[:, 1:] != 0), steps[:, 1:])
+    scales = steps[:, :-1]  # each step becomes the phase scale of the node it leads into
+    np.add(scales, steps[:, 1:], out=scales, where=~seen)
+    scales *= -0.5
+    swap_at, swap_rows, swap_codes = _by_node(np.pad(codes[:, 1:] != codes[:, :-1], (
+        (0, 0), (1, 0))) & (np.arange(last + 1) <= ends[:, None]), codes)
+    shrink = {end: int(np.sum(ends > end)) for end in ends.tolist() if end < last}
+
+    hat, kin, half = np.empty_like(held), np.ones_like(held), np.empty_like(held)
+    arg, density, scratch = (np.empty(held.shape) for _ in range(3))  # density: |psi|^2, reused
+    weights, dx = np.zeros((m, n, 2)), np.array([[g.dx] for g in grid])
     weights[..., 0] = weights[..., :GUARD_CELLS, 1] = weights[..., -GUARD_CELLS:, 1] = dx
+    out, dens = (psi, density[0]) if lone else (held, density)
 
-    def check(j: int, stats, v) -> None:
-        # finite stats and v imply finite samples, and a total edge mass
-        # within the guard clears every row; scan the rows only if not
-        if (total(stats[..., 1], axis=None) <= GUARD_MASS
-                and np.isfinite(total(stats, axis=None) + total(v, axis=None))):
+    def check(j: int, stats, v) -> None:  # finite stats and v, and a total edge mass
+        # within the guard, clear every row; the rows are scanned only if not
+        if (np.add.reduce(stats[:, 1]) <= GUARD_MASS and np.isfinite(
+                np.add.reduce(stats, axis=None) + np.add.reduce(v, axis=None))):
             return
-        finite = np.atleast_1d(np.isfinite(psi).all(axis=-1))
-        bm = np.atleast_1d(stats[..., 1])
-        bad = ~finite | (bm > GUARD_MASS)
-        if not bad.any():
-            return
-        row = int(np.argmax(bad))
-        t = times[row][j] if ragged else times[j]
-        where = dict(row=row) if batched else {}
-        if not finite[row]:
-            raise NumericalError(
-                f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
-        raise NumericalError(f"{labels[row]}: boundary mass {bm[row]:.3e} at t={t:.6g} "
-                             f"exceeds guard {GUARD_MASS:.1e}", **where)
+        finite, bm = np.isfinite(held).all(axis=-1), stats[:, 1]
+        for row in np.flatnonzero(~finite | (bm > GUARD_MASS))[:1].tolist():
+            t, where = times[row][j], {} if lone else dict(row=row)
+            if not finite[row]:
+                raise NumericalError(f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
+            raise NumericalError(f"{labels[row]}: boundary mass {bm[row]:.3e} at t={t:.6g} "
+                                 f"exceeds guard {GUARD_MASS:.1e}", **where)
 
-    density, scratch = np.empty(psi.shape), np.empty(psi.shape)  # |psi|^2, reused
+    def flat() -> list:  # flat views of the held rows' buffers: 1-D ufunc loops are the fast ones
+        return [b.reshape(-1) for b in (held, density, scratch, arg, half)]
 
-    def square() -> np.ndarray:  # |psi|^2 into density; returns density @ weights
-        np.square(psi.real, out=density)
-        np.square(psi.imag, out=scratch)
-        np.add(density, scratch, out=density)
-        return np.matmul(density[:, None], weights)[:, 0] if ragged else density @ weights
+    def square() -> np.ndarray:  # |psi|^2 into density; returns each row's norm^2 and guard mass
+        np.add(np.square(views[0].real, out=views[1]), np.square(views[0].imag, out=views[2]),
+               out=views[1])
+        return np.matmul(density[:, None], weights)[:, 0]
 
-    def phase(scale, v) -> np.ndarray:  # exp(1j*scale*v) into half, v real
-        np.multiply(scale, v, out=arg)
-        np.cos(arg, out=half.real)
-        np.sin(arg, out=half.imag)
-        return half
+    def phase(scale, v, a, a_flat, h, h_flat) -> np.ndarray:  # exp(1j*scale*v) into h, v real
+        np.multiply(scale, v, out=a)
+        np.cos(a_flat, out=h_flat.real)
+        np.sin(a_flat, out=h_flat.imag)
+        return h
 
+    views = flat()
     stats = square()
-    norm0 = np.sqrt(stats[..., 0])
-    drift = np.zeros_like(norm0)
+    norm0 = np.sqrt(stats[:, 0])  # the drift is read off each row's extreme squared norms
+    top, bottom = tops, bottoms = stats[:, 0].copy(), stats[:, 0].copy()
     check(0, stats, 0.0)
-    if ragged:
-        # each row's phase scale at each node (a half at its first and final
-        # nodes, the two halves fused between them) and kinetic table of each
-        # of its few step lengths, indexed by codes[r, j] no wider than the
-        # node count needs, and made once per node array, grid and scale
-        scales, kins, made = np.empty((len(times), ends[0] + 1)), [], {}
-        codes = np.empty(scales.shape, np.min_scalar_type(ends[0] + 2))
-        for r, (t, g, c) in enumerate(zip(times, grid, kinetic_scale)):
-            steps = np.pad(np.diff(t), (1, ends[0] + 2 - t.size))  # 0 at node 0 and past the end
-            scales[r] = -0.5 * (steps[:-1] + steps[1:])
-            lengths, codes[r] = np.unique(steps[:-1], return_inverse=True)
-            kins.append(made.get((id(t), id(g), c)) or made.setdefault(
-                (id(t), id(g), c), [np.exp(-0.5j * h * c * k2[r]) for h in lengths.tolist()]))
-        kin, arg, half, m = np.ones_like(psi), np.empty(psi.shape), np.empty_like(psi), len(times)
-        for j in range(ends[0] + 1):
-            if j:  # the kinetic step into node j; kin stacks the held rows' tables
-                for s in np.flatnonzero(codes[:m, j] != codes[:m, j - 1]).tolist():
-                    kin[s] = kins[s][codes[s, j]]
-                np.fft.fft(psi, out=hat)
-                hat *= kin
-                np.fft.ifft(hat, out=psi)
-                stats = square()
-            v = potential(j, density)  # each held row's v at its own node j
-            psi *= phase(scales[:, j, None], v)
-            if j:
-                check(j, stats, v)
-                np.maximum(drift[:m], np.abs(np.sqrt(stats[:, 0]) - norm0), out=drift[:m])
-            if j in visit:
-                yield j, psi
-                m = sum(end > j for end in ends)
-                psi, hat, kin, density, scratch, weights, arg, half, norm0, scales = (
-                    b[:m] for b in (psi, hat, kin, density, scratch, weights, arg, half, norm0,
-                                    scales))
-        return drift
-    if 0 in visit:
-        yield 0, psi
-        square()  # psi may have changed
-    last = times.size - 1
-    steps = memoryview(np.append(np.diff(times), 0.0))  # read as Python floats; 0 at the end
-    v = potential(at[0], density)
-    # the phase and its real argument take v's shape
-    arg, half = np.empty(np.shape(v)), np.empty(np.shape(v), dtype=np.complex128)
-    psi *= phase(-0.5 * steps[0], v)
-    tables = {}  # kinetic tables of the current and the previous step length
-    for j in range(last):
-        h, h_next = steps[j], steps[j + 1]
-        kin = tables.get(h)
-        if kin is None:
-            kin = np.exp(-0.5j * h * kinetic_scale * k2)
-            tables = {steps[j - 1]: tables[steps[j - 1]], h: kin} if j else {h: kin}
-        np.fft.fft(psi, out=hat)
-        hat *= kin
-        np.fft.ifft(hat, out=psi)
-        stats = square()
-        v = potential(at[j + 1], density)
-        visited = j + 1 in visit
-        apart = visited or j + 1 == last
-        # a visited node and the final node take the trailing half alone,
-        # any other node the trailing half fused with the next leading half
-        psi *= phase(-0.5 * (h if apart else h + h_next), v)
-        check(j + 1, stats, v)
-        drift = np.maximum(drift, np.abs(np.sqrt(stats[..., 0]) - norm0))
-        if visited:
-            yield j + 1, psi
-        if apart and h_next:
-            psi *= half if h_next == h else phase(-0.5 * h_next, v)
-    return drift
-
+    for j in range(last + 1):
+        if j:  # the kinetic step into node j; kin stacks the held rows' tables
+            for k in range(swap_at[j], swap_at[j + 1]):
+                kin[swap_rows[k]] = kins[swap_rows[k]][swap_codes[k]]
+            np.fft.fft(held, out=hat)
+            hat *= kin
+            np.fft.ifft(hat, out=held)
+            stats = square()
+        elif yields[0]:  # node 0 is seen before its potential is taken
+            yield 0, out
+            square()  # psi may have changed
+        v = potential(at[j], dens)  # each held row's v at its own node j
+        held *= phase(scales[:, j, None], v, arg, views[3], half, views[4])
+        if j:
+            check(j, stats, v)
+            np.maximum(top, stats[:, 0], out=top)
+            np.minimum(bottom, stats[:, 0], out=bottom)
+            if yields[j]:
+                yield j, out
+                for k in range(lead_at[j], lead_at[j + 1]):  # the rows seen here lead apart
+                    r, s = lead_rows[k], -0.5 * lead_steps[k]  # the trailing half again if equal
+                    held[r] *= half[r] if s == scales[r, j] else phase(
+                        s, v if v.ndim == 1 else v[r], arg[r], arg[r], half[r], half[r])
+        if j in shrink:  # the rows ending here leave the batch
+            m = shrink[j]
+            held, hat, kin, density, scratch, weights, arg, half, top, bottom, scales = (
+                b[:m] for b in (held, hat, kin, density, scratch, weights, arg, half, top,
+                                bottom, scales))
+            out, dens, views = held, density, flat()
+    drift = np.maximum(np.sqrt(tops) - norm0, norm0 - np.sqrt(bottoms))
+    return drift[0] if lone else drift

@@ -84,8 +84,8 @@ class ExperimentConfig:
         eps = tuple(float(e) for e in self.eps_list)
         if not eps:
             raise ConfigError("eps_list must not be empty")
-        if any(e <= 0 for e in eps):
-            raise ConfigError("eps_list entries must be positive")
+        if not all(0 < e < np.inf and np.isfinite(1.0 / e) for e in eps):
+            raise ConfigError("eps_list entries must be positive and finite, with a finite 1/eps")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)

@@ -2,24 +2,19 @@
 
 Each correction order solves a linear equation driven by the orders below
 it.  Its homogeneous part is the operator that propagates the
-phase-absorbed profile b, so every order evolves under b's potential,
-rebuilt from b's density, in `split_step_nodes` on the dt nodes
-interleaved with their midpoints.  The first order steps as the second
-row of a (2, n) batch whose first row is b, the one evolution of b.  At
-each midpoint the midpoint-rule Duhamel step of the sources is added to
-the correction, in place (one fixed-point refinement handles the term
-that couples a correction back into its own source).  One loop over the
-first pass drives both orders: the second steps alone, one dt node
-behind, under b's potential from the first pass, and takes b at its
-midpoints and the first correction at the dt nodes around them from that
-pass as it goes, so no history is kept.  The correction equations are
-free of the semiclassical parameter; it enters only when the expansion
-is assembled.
+phase-absorbed profile b, so b and the orders step as one ragged batch of
+`split_step_nodes` under b's potential, rebuilt from b's density, on the
+dt nodes interleaved with their midpoints.  At each midpoint the
+midpoint-rule Duhamel step of the sources is added to the correction, in
+place (one fixed-point refinement handles the term that couples a
+correction back into its own source).  The second order rides one node
+behind, so its sources are reached before it needs them and no history is
+kept.  The correction equations are free of the semiclassical parameter;
+it enters only when the expansion is assembled.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from math import comb
 from typing import Callable, Optional
 
@@ -28,6 +23,7 @@ import numpy as np
 from ._stepping import split_step_nodes, tabulate, time_nodes
 from .amplitude import B_LABEL, b_potential
 from .classical import Trajectory, hessian_along_flow
+from .errors import NumericalError
 from .grids import RESCALED, WaveFunction
 from .potentials import ExternalPotential, PairPotential
 
@@ -77,32 +73,26 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
 
     The first correction is driven by the cubic term of the external
     potential along the trajectory, plus the quadratic interaction of the
-    correction with b (linear in the unknown); b evolves only in its pass.
-    The second adds the quartic interaction and external terms against b
-    and the quadratic terms against the first correction, read at each
-    midpoint as the linear blend of its values at the two dt nodes around
-    it.  It steps alone under b's potential from the first pass: after each
-    dt node the loop advances it to the midpoint before that node, so it
-    runs one dt node behind, and the loop keeps only b and the first
-    correction at the previous dt node, b at the last midpoint and b's
-    potential at the nodes the second pass is yet to reach.  A correction
-    that reaches the engine's boundary guard fails with its own label; when
-    both passes would trip within one dt node, the first pass's error is
-    raised.
+    correction with b (linear in the unknown).  The second adds the quartic
+    interaction and external terms against b and the quadratic terms
+    against the first correction, read at each midpoint as the linear blend
+    of its values at the two dt nodes around it.  It rides one node behind
+    on [0, *nodes] (a zero-length first step of its zero state), under b's
+    potential at the node before, and is visited at its own midpoints.  A
+    correction reaching the engine's guard fails with its own label: the
+    row that trips first in time (the first correction on a tie), with
+    `row` 0 for b, 1 for the first correction and none for the second.
     """
     if K not in (1, 2):
         raise ValueError("correction order K must be 1 or 2")
     if a0.frame != RESCALED:
         raise ValueError("profile evolution runs in the rescaled frame")
-    grid = a0.grid
-    mu, dx = grid.points, grid.dx
-    kappa = phi.second_deriv_at_0
-    half_kappa = 0.5 * kappa
+    grid, mu, dx = a0.grid, a0.grid.points, a0.grid.dx
+    half_kappa = 0.5 * phi.second_deriv_at_0
     _, steps, nodes = _interleaved_nodes(T, dt)
-    potential = b_potential(grid, kappa, tabulate(hessian_along_flow(trajectory, U), nodes))
-    visit = {nodes.size - 1}.union(range(1, nodes.size, 2))  # the midpoints and T
-    mids = nodes[1::2]
-    q = trajectory.qs_at(mids)
+    potential = b_potential(grid, phi.second_deriv_at_0,
+                            tabulate(hessian_along_flow(trajectory, U), nodes))
+    q = trajectory.qs_at(nodes[1::2])
     w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0
     quartic_coeff = phi.fourth_deriv_at_0 / 24.0
     powers = np.vander(mu, 5, True).T.copy()  # rows mu**0 .. mu**4
@@ -121,35 +111,39 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
         s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
         return s + w3[j] * powers[3] * a1
 
-    vs = deque()  # K = 2: b's potential at the nodes the second pass is yet to reach (3 at most)
+    vs = np.zeros((K + 1, grid.n))  # the rows' v; at K = 2 the first is b's of the node before
 
-    def recorded(t: float, density: np.ndarray) -> np.ndarray:
-        vs.append(potential(t, density))
-        return vs[-1]
+    def lagged(j: int, density: np.ndarray) -> np.ndarray:
+        vs[0] = vs[1]
+        if len(density) > 1:  # b is still held
+            vs[K - 1:] = potential(nodes[j], density[K - 1])
+        return vs[:len(density)]
 
-    v1 = recorded if K == 2 else potential
-    pass1 = split_step_nodes(np.stack([a0.samples, np.zeros_like(a0.samples)]), grid, nodes,
-                             lambda t, density: v1(t, density[0]), 1.0,
-                             range(nodes.size) if K == 2 else visit,
-                             [B_LABEL, "first correction"])
-    pass2 = split_step_nodes(np.zeros_like(a0.samples), grid, nodes, lambda t, _: vs.popleft(),
-                             1.0, visit, "second correction")
-    for i, psi in pass1:
-        j = i // 2
-        if i % 2:  # the midpoint of dt step j
-            _deposit(psi[1], psi[0], steps[j], coupling, w3[j] * powers[3] * psi[0])
-            b_mid = psi[0].copy()
-            continue
-        if K == 2 and i:  # the second pass on to the midpoint of dt step j - 1
-            _, a2 = next(pass2)
-            w = (nodes[i - 1] - nodes[i - 2]) / (nodes[i] - nodes[i - 2])
-            a1 = (1.0 - w) * prev[1] + w * psi[1]
-            _deposit(a2, b_mid, steps[j - 1], coupling, second(j - 1, b_mid, a1))
-        prev = psi.copy()  # (b, a1) at this dt node
-    orders = [WaveFunction(grid, row) for row in prev]
-    if K == 2:
-        orders.append(WaveFunction(grid, next(pass2)[1]))
-    return tuple(orders)
+    zero = np.zeros_like(a0.samples)
+    seen = range(nodes.size) if K == 2 else range(1, nodes.size, 2)  # b and the first correction
+    rows = split_step_nodes(
+        [zero, a0.samples, zero][2 - K:], [grid] * (K + 1),
+        [np.append(0.0, nodes), nodes, nodes][2 - K:], lagged, [1.0] * (K + 1),
+        [range(2, nodes.size + 1, 2), seen, seen][2 - K:],
+        ["second correction", B_LABEL, "first correction"][2 - K:])
+    try:
+        for i, psi in rows:
+            if i == nodes.size:  # the second correction alone, at T
+                continue
+            j, (b, a1) = i // 2, psi[-2:]
+            if i % 2:  # the midpoint of dt step j
+                _deposit(a1, b, steps[j], coupling, w3[j] * powers[3] * b)
+                b_mid = b.copy()
+                continue
+            if K == 2 and i:  # the second correction at the midpoint of dt step j - 1
+                w = (nodes[i - 1] - nodes[i - 2]) / (nodes[i] - nodes[i - 2])
+                a1_mid = (1.0 - w) * prev[1] + w * a1
+                _deposit(psi[0], b_mid, steps[j - 1], coupling, second(j - 1, b_mid, a1_mid))
+            prev = psi[-2:].copy()  # (b, a1) at this dt node
+    except NumericalError as exc:
+        exc.row = exc.row - (K - 1) if exc.row >= K - 1 else None
+        raise
+    return tuple(WaveFunction(grid, row) for row in [*prev, *psi[:K - 1]])
 
 
 def assemble_expansion(orders: tuple, K: int, epsilon: float) -> WaveFunction:

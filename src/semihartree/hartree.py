@@ -204,10 +204,9 @@ def compare(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
     each of the level's states in order (the final one last), and the
     reference run's step, grid size and norm drift.  Each error is computed
     when the run visits its state's node, keeping no state.  The pairs of
-    one grid size (of any levels) step as one ragged batch, longest first;
-    a batch of several pairs visits final states only (the engine raises
-    ValueError otherwise).  A failing pair raises NumericalError with `row`
-    set to its list index."""
+    one grid size (of any levels) step as one ragged batch, longest first,
+    each visited at its own states' nodes.  A failing pair raises
+    NumericalError with `row` set to its list index."""
     phi, U, starts, records = config.pair(), config.external(), [], [None] * len(pairs)
     for i, (eps, level) in enumerate(pairs):
         try:
@@ -222,7 +221,7 @@ def compare(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
         rows = split_step_nodes(
             [psi0.samples for psi0, *_ in runs], [psi0.grid for psi0, *_ in runs],
             [nodes for _, _, nodes, _ in runs], _reference_potential(runs, phi, U),
-            [pairs[i][0] for i in batch], set().union(*(trace for *_, trace in runs)),
+            [pairs[i][0] for i in batch], [trace for *_, trace in runs],
             [f"hartree reference (eps={pairs[i][0]:g})" for i in batch])
         errors = [[] for _ in batch]
         try:  # each error when its node is visited; the run's return value is the drift

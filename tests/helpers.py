@@ -385,9 +385,10 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
     half phases by cos/sin.  It rebuilds the kinetic table whenever the
     step length changes, takes every half phase by a complex `exp` and
     squares the density into new arrays; the same signature, yields and
-    return value.  Its norms come from the engine's `density @ weights`
-    product, so that the drift, too, equals the engine's bit for bit."""
-    visit = {int(j) for j in visit}
+    return value.  Its norms come from the engine's per-row product
+    `density @ weights`, so that the drift, too, equals the engine's bit
+    for bit."""
+    visit = {int(j) for j in visit} | {times.size - 1}
     psi = np.array(samples0, dtype=np.complex128)
     batched = psi.ndim == 2
     labels = [label] if isinstance(label, str) else list(label)
@@ -401,7 +402,7 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
     weights[:, 0] = weights[:GUARD_CELLS, 1] = weights[-GUARD_CELLS:, 1] = dx
 
     def norm(density):
-        return np.sqrt((density @ weights)[..., 0])
+        return np.sqrt(np.matmul(density[..., None, :], weights)[..., 0, 0])
 
     def check(t, density, nrm, v):
         bm = boundary_mass(density, grid, GUARD_CELLS, is_density=True)

@@ -59,6 +59,31 @@ class TestParse:
         with pytest.raises(ConfigError, match="positive"):
             parse_config(b'{"eps_list":[0.1, 0.0]}')
 
+    def test_eps_with_overflowing_reciprocal_rejected(self):
+        # 1/1e-320 overflows to inf, which every solver divides by
+        with pytest.raises(ConfigError, match=r"^eps_list entries must be positive and "
+                                              r"finite, with a finite 1/eps$"):
+            parse_config(b'{"eps_list":[0.1, 1e-320]}')
+        assert parse_config(b'{"eps_list":[1e-300]}').eps_list == (1e-300,)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "rescaled"], ["sweep", "--mode", "physical"],
+        ["corrections", "--K", "1"], ["corrections", "--K", "2"], ["compare"]])
+    def test_eps_with_overflowing_reciprocal_exits_2_with_one_line(self, capsys, monkeypatch,
+                                                                    argv):
+        import semihartree.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run was started with an eps whose 1/eps overflows")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.setattr(cli, "physical_level", refuse)
+        code = cli.main(argv + ["--eps", "1e-320", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("config error: eps_list entries must be positive and finite, "
+                       "with a finite 1/eps\n")
+
     def test_unknown_pair_name_lists_valid(self):
         with pytest.raises(ConfigError, match="valid names are"):
             parse_config(b'{"phi":{"name":"coulomb"}}')

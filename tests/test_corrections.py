@@ -222,12 +222,12 @@ class TestCorrectionGuard:
         assert float(found.group(1)) > GUARD_MASS
         assert err.value.row == 1
 
-    # at K=2 one loop drives both passes, the second one dt node behind, so
-    # the correction that reaches the guard first in time fails (the first,
-    # when both would trip within one dt node): on [-5, 5] the first does at
-    # t=0.015; on [-6, 6] the second does at t=0.073, before the first
-    # reaches it at t=0.213 (the case above).  The first correction is row 1
-    # of its batch with b; the second steps alone, so its error has no row
+    # at K=2 the corrections step as one batch with b, the second one node
+    # behind, so the correction that reaches the guard first in time fails
+    # (the first, on a tie): on [-5, 5] the first does at t=0.015; on
+    # [-6, 6] the second does at t=0.073, before the first reaches it at
+    # t=0.213 (the case above).  The first correction is row 1, after b;
+    # the second correction's error has no row
     @pytest.mark.parametrize("half_width, label", [(5.0, "first correction"),
                                                    (6.0, "second correction")])
     def test_second_order_names_the_earlier_row(self, half_width, label):
@@ -246,8 +246,8 @@ class TestCorrectionGuard:
         assert err.value.row is None
 
     def test_b_leaving_the_window_fails_once_at_second_order(self, monkeypatch):
-        # on [-3, 3] b itself breaches the guard at t=0; only the first pass
-        # evolves b, so one error is built, and it names b
+        # on [-3, 3] b itself breaches the guard at t=0; b evolves once, as
+        # a row of the batch, so one error is built, and it names b
         built = []
 
         class CountedError(NumericalError):
@@ -265,8 +265,8 @@ class TestCorrectionGuard:
 
 
 class TestOneEvolutionOfB:
-    """At K = 2 b evolves once, in the first pass, and the second
-    correction follows that pass's potential and b."""
+    """At K = 2 b evolves once, as a row of the batch, and the second
+    correction follows its potential and b."""
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_b_potential_once_per_node(self, monkeypatch, cosine_driven, gauss, K):
@@ -383,10 +383,10 @@ def stored_first_pass_corrections(a0, phi, U, traj, T, dt, keep):
 
 
 class TestLockstep:
-    """One loop over the first pass drives both orders, the second reading
-    b's potential, b and the first correction from that pass as it goes;
-    the orders of runs that end at three node times equal the stored-pass
-    path bit for bit, and at K = 1 the two-row pass of the oracle."""
+    """One batch steps b and both orders, the second reading b's potential,
+    b and the first correction from the batch as it goes; the orders of
+    runs that end at three node times equal the stored-pass path bit for
+    bit, and at K = 1 the two-row pass of the oracle."""
 
     @pytest.mark.parametrize("dt", [1e-3, 3e-4], ids=["dividing", "short-last-step"])
     def test_first_order_equals_the_two_row_pass(self, cosine_driven, gauss, dt):

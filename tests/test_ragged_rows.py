@@ -1,6 +1,7 @@
 """Ragged batches of the engine: rows with their own grids (one n), step
-lengths and node counts step together under one potential, and each row's
-final state and norm drift equal, bit for bit, those of a run of its own.
+lengths, node counts and visit sets step together under one potential,
+and each row's visited states and norm drift equal, bit for bit, those of
+a run of its own.
 The physical comparisons of one grid size, levels 1 and 2 of every eps
 together, run as such a batch, under one stacked reference potential that
 equals, bit for bit, the per-row closures it replaced
@@ -8,18 +9,21 @@ equals, bit for bit, the per-row closures it replaced
 
 import concurrent.futures
 import os
+from functools import partial
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import semihartree.corrections as corrections
 import semihartree.hartree as hartree
 import semihartree.rescaled as rescaled
 from semihartree._stepping import split_step_nodes, time_nodes
+from semihartree.corrections import _interleaved_nodes
 from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
-from semihartree.grids import gaussian_profile, make_grid
+from semihartree.grids import apply_radial_rfft, gaussian_profile, make_grid, radial_kernel_rfft
 from semihartree.hartree import (
     _reference_potential,
     _reference_start,
@@ -29,7 +33,8 @@ from semihartree.hartree import (
 )
 from semihartree.sweep import SweepError, run_sweep
 
-from helpers import hartree_run, reference_potential, run_nodes, stored_comparison
+from helpers import (exp_split_step_nodes, hartree_run, reference_potential, run_nodes,
+                     stored_comparison)
 
 CONFIG = ExperimentConfig(mode="physical")
 N = 256
@@ -265,14 +270,14 @@ def test_guard_trip_mid_batch_names_its_row_and_own_time():
 
 
 def test_lone_row_visits_the_nodes_asked_for():
-    # a one-row ragged call takes the shared-node loop and visits the trace
-    # nodes as well as its final node, as a run of its own does
+    # a one-row ragged call visits the trace nodes as well as its final
+    # node, as a run of its own does
     (psi0, dt), = reference_rows(CASES["one-row"])
     times = time_nodes(T, dt)
     trace = [0, 7, 100, 180]
     idx, states, drift = run_nodes(split_step_nodes(
         [psi0.samples], [psi0.grid], [times], stacked([(psi0, dt)]),
-        [psi0.frame.epsilon], trace, ["row 0"]))
+        [psi0.frame.epsilon], [trace], ["row 0"]))
     alone_idx, alone, alone_drift = hartree_run(psi0, CONFIG.pair(), CONFIG.external(), T, dt,
                                                 trace)
     assert idx.tolist() == alone_idx.tolist() == [*trace, times.size - 1]
@@ -280,16 +285,59 @@ def test_lone_row_visits_the_nodes_asked_for():
     assert np.float64(drift[0]).tobytes() == np.float64(alone_drift).tobytes()
 
 
-def test_batch_of_several_rows_visits_only_final_nodes():
-    # between its final nodes a batch fuses each row's trailing and next
-    # leading half phase, so a state there would carry the next step's half
-    starts = reference_rows(CASES["ragged"])
-    rows = split_step_nodes(
-        [p.samples for p, _ in starts], [p.grid for p, _ in starts],
-        [time_nodes(T, dt) for _, dt in starts], stacked(starts),
-        [p.frame.epsilon for p, _ in starts], [100, 143, 50], label=["a", "b", "c"])
-    with pytest.raises(ValueError, match="final nodes only"):
-        next(rows)
+def test_rows_with_own_visits_equal_their_own_runs():
+    # four rows on their own node arrays: a zero row one node behind on
+    # [0, *nodes] (a zero-length first step) seen at its own midpoints, a
+    # row seen at every interleaved node, one at the midpoints only, and a
+    # shorter row on another grid at two nodes.  The caller adds a source to
+    # each row it sees; every seen state and the drift equal, as bytes,
+    # those of the row run alone through the engine's oracle (a 1-D state
+    # under a potential of time, `helpers.exp_split_step_nodes`)
+    _, _, nodes = _interleaved_nodes(0.2, 0.03)
+    grids = [make_grid(128, -10.0, 10.0)] * 3 + [make_grid(128, -12.0, 12.0)]
+    times = [np.append(0.0, nodes), nodes, nodes, time_nodes(0.1, 0.02)]
+    visits = [range(2, nodes.size + 1, 2), range(nodes.size), range(1, nodes.size, 2), [2, 3]]
+    samples = [np.zeros(128), gaussian_profile(grids[1]).samples,
+               gaussian_profile(grids[2], width=0.8).samples,
+               gaussian_profile(grids[3], wavenumber=2.0).samples]
+    cs, scales = (0.5, -1.0, 2.0, 0.7), (1.0, 1.0, 0.6, 1.3)
+    sources = [0.01 * gaussian_profile(g, center=1.0).samples for g in grids]
+    khats = [radial_kernel_rfft(lambda r: np.cos(r), g) for g in grids]
+
+    def own_v(r, t, density):
+        return cs[r] * apply_radial_rfft(khats[r], density, grids[r]) + (1.0 + t) * grids[r].points ** 2
+
+    def batch_v(j, density):
+        return np.stack([own_v(r, times[r][j], density[r]) for r in range(len(density))])
+
+    seen, batch = [[] for _ in times], split_step_nodes(
+        samples, grids, times, batch_v, list(scales), visits, list("abcd"))
+    while True:
+        try:
+            j, psi = next(batch)
+        except StopIteration as end:
+            drifts = end.value
+            break
+        for r in range(len(psi)):
+            if j in visits[r] or j == times[r].size - 1:
+                psi[r] += sources[r]
+                seen[r].append((j, psi[r].copy()))
+    for r, t in enumerate(times):
+        alone, run = [], exp_split_step_nodes(samples[r], grids[r], t, partial(own_v, r),
+                                              scales[r], visits[r], "alone")
+        while True:
+            try:
+                j, psi = next(run)
+            except StopIteration as end:
+                drift = end.value
+                break
+            psi += sources[r]
+            alone.append((j, psi.copy()))
+        assert [j for j, _ in seen[r]] == [j for j, _ in alone] == sorted({*visits[r], t.size - 1})
+        for (_, got), (_, want) in zip(seen[r], alone):
+            assert got.tobytes() == want.tobytes()
+        assert np.float64(drifts[r]).tobytes() == np.float64(drift).tobytes()
+    assert np.max(np.abs(seen[0][-1][1])) > 0.01  # the zero row is live
 
 
 def test_compare_rows_equal_the_stored_comparison():
@@ -309,12 +357,19 @@ def test_compare_rows_equal_the_stored_comparison():
         assert (dt, n) == (own_dt, psi0.grid.n)
 
 
-def test_compare_batch_of_traced_levels_is_refused():
-    # only a pair stepped alone may carry states before its final one: the
-    # engine refuses to visit a batch of several rows at node 0
-    level = physical_level(CONFIG, 1, 3)
-    with pytest.raises(ValueError, match="final nodes only"):
-        compare([(0.32, level), (0.16, level)], CONFIG)
+def test_compare_of_traced_pairs_equals_the_stored_comparison():
+    # three traced pairs of two levels in one n = 512 batch, each visited at
+    # its own trace nodes: each record equals, as bytes, the oracle's run of
+    # its pair alone
+    levels = [physical_level(CONFIG, 1, 3), physical_level(CONFIG, 2, 5)]
+    pairs = [(0.32, levels[0]), (0.16, levels[1]), (0.08, levels[0])]
+    got = compare(pairs, CONFIG)
+    assert [n for _, _, n, _ in got] == [512] * 3
+    for (eps, level), (errors, _, _, drift) in zip(pairs, got):
+        _, stored_errors, stored_drift = stored_comparison(eps, CONFIG, level)
+        assert len(errors) == len(level.states)
+        assert np.array(errors).tobytes() == stored_errors.tobytes()
+        assert np.float64(drift).tobytes() == np.float64(stored_drift).tobytes()
 
 
 def test_phase_limit_failure_carries_the_callers_row():
@@ -402,6 +457,20 @@ def test_default_rescaled_sweep_steps_each_wave_in_one_call(monkeypatch):
     assert len(report.rows) == 5
     assert calls == [[4_001] + [2_001] * 6 + [1_001] * 5]
     assert sum(c - 1 for counts in calls for c in counts) == 21_000
+
+
+def test_default_corrections_sweep_takes_8002_engine_steps(monkeypatch):
+    # each level build is one engine call: b and the first correction on
+    # the 2,001 and 4,001 interleaved nodes of levels 1 and 2, the second
+    # correction one node behind on one node more (6,002 engine steps); the
+    # eps of both levels are one more call (2,000): 8,002, where the two
+    # correction passes and the eps took 14,000
+    calls = count_engine_steps(monkeypatch, corrections)
+    wave = count_engine_steps(monkeypatch, rescaled)
+    report = run_sweep(ExperimentConfig(mode="corrections-2"))
+    assert len(report.rows) == 5
+    assert calls == [[2_002, 2_001, 2_001], [4_002, 4_001, 4_001]]
+    assert sum(max(counts) - 1 for counts in calls + wave) == 8_002
 
 
 def test_default_corrections_sweep_steps_its_eps_in_one_call(monkeypatch):

@@ -454,8 +454,8 @@ class TestGuardBookkeeping:
 
 
 class TestKineticTables:
-    """The engine builds a kinetic table only for a step length that is
-    neither the current nor the previous one; np.exp builds nothing else."""
+    """The engine builds one kinetic table per distinct step length of a
+    run; np.exp builds nothing else."""
 
     @pytest.mark.parametrize("substeps", [2, 3, 4, 5])
     @pytest.mark.parametrize("refine", [1, 2])
