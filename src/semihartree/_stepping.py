@@ -3,26 +3,27 @@
 One Strang step over [t, t+h] applies a half potential phase sampled at t,
 an exact spectral kinetic step, and a half potential phase sampled at t+h.
 The density |psi|^2 is taken once per step, after the kinetic step, into
-one engine buffer (a potential that keeps it must copy it) that serves the
-potential, `potential(t, density) -> v` with v real, and one product per
-row `density @ weights` giving the row's squared norm and guard-band mass.
+one engine buffer (a potential that keeps it must copy it) serving the
+potential, `potential(j, density) -> v` at node j with v real, and one
+product per row `density @ weights`: its squared norm and guard-band mass,
+into a 128-node block whose extreme norms are folded in per block.
 v serves the trailing half and the next step's leading half: fused into
 one phase exp(-i (h_j + h_{j+1})/2 v) between the nodes a row is visited
 at, which keeps Strang order for self-consistent potentials (Lubich, Math.
 Comp. 77, 2008), and applied apart at a visited node and the final node,
-where the caller sees the state between them.  A non-finite v trips the
-guard at its own node.  Each phase is taken by cos and sin of its real
-argument.
+where the caller sees the state between them.  The guard tests one sum
+over the rows' norms, masses and v per step, so a non-finite v trips it at
+its own node.  Each phase is taken by cos and sin of its real argument.
 
-`split_step_nodes`, a generator over the visited nodes, has one step loop:
-every call is a batch of rows on node arrays of their own (a 1-D state is
-one row) under one potential and one stacked kinetic table, a table per
-distinct step length of each row; the table swaps and the visited rows'
-leading halves are scheduled once per call.
+`split_step_nodes`, a generator over the visited nodes, has one step loop
+for a batch of rows on node arrays of their own (a 1-D state is one row)
+under one potential and one stacked kinetic table, a table per distinct
+step length of each row, its swaps and leading halves scheduled once.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import NumericalError
 from .grids import Grid
 
-__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "tabulate", "split_step_nodes"]
+__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "split_step_nodes"]
 
 # the boundary guard of every evolution: more than GUARD_MASS probability
 # within GUARD_CELLS cells of either domain edge fails the run
@@ -56,14 +57,6 @@ def time_nodes(T: float, dt: float) -> np.ndarray:
     return times
 
 
-def tabulate(fn: Callable, times: np.ndarray) -> Callable[[float], float]:
-    """Lookup t -> fn(t) for t in the sorted `times`, from one call of `fn` on
-    all of them; a scalar broadcasts, and a leading node axis gives rows."""
-    table = np.asarray(fn(times), dtype=np.float64)
-    table = np.broadcast_to(table, times.shape + table.shape[1:])
-    return lambda t: table[np.searchsorted(times, t)]
-
-
 def _by_node(mask: np.ndarray, *values: np.ndarray) -> list:
     """Memoryviews [first, rows, *values] of a (rows, nodes) mask's hits: node j's are k in
     first[j]:first[j + 1], each with its row and values at rows[k]."""
@@ -77,7 +70,7 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
                      potential: Callable, kinetic_scale: Union[float, list] = 1.0,
                      visit: Iterable = (), label: Union[str, list] = "evolution") -> Iterator:
     """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + v psi, where
-    v = potential(t, |psi|^2), over the sorted node array `times`, and
+    v = potential(j, |psi|^2) at node index j, over the sorted node array `times`, and
     yield (j, psi) at each node index j in `visit` and at the final node,
     after the trailing half phase (node 0: before the first step).
 
@@ -91,8 +84,8 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     float, or one value per row of a batch).
 
     Ragged rows: `times`, `grid` (all of one n), `kinetic_scale` and
-    `visit` may be lists, one per row, longest row first; `potential` then
-    gets the node index j (held row r is at times[r][j]).  Each row is
+    `visit` may be lists, one per row, longest row first, held row r being
+    at times[r][j] when the potential gets j.  Each row is
     visited at its own nodes and its final node and does the arithmetic of
     a run of its own; psi holds the rows not yet ended, yielded at each
     node any of them is visited at, and those ending there leave the batch.
@@ -109,9 +102,9 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     m, n = held.shape
     labels = [label] if isinstance(label, str) else list(label)
     if isinstance(times, list):
-        at, visit = range(times[0].size), list(visit) or [()] * m
-    else:  # rows of one node array; the potential gets the node time
-        at, visit = times, [[int(j) for j in visit]] * m
+        visit = list(visit) or [()] * m
+    else:  # rows of one node array
+        visit = [[int(j) for j in visit]] * m
         times, grid, kinetic_scale = [times] * m, [grid] * m, [kinetic_scale] * m
     if len(visit) != m or not lone and len(labels) != m:
         raise ValueError("a batch takes one label, and ragged rows one visit set, per row")
@@ -146,11 +139,12 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     weights, dx = np.zeros((m, n, 2)), np.array([[g.dx] for g in grid])
     weights[..., 0] = weights[..., :GUARD_CELLS, 1] = weights[..., -GUARD_CELLS:, 1] = dx
     out, dens = (psi, density[0]) if lone else (held, density)
+    block = np.empty((128, m, 1, 2))  # each row's (norm^2, guard mass) at 128 nodes in turn
 
-    def check(j: int, stats, v) -> None:  # finite stats and v, and a total edge mass
+    def check(j: int, stats, v) -> None:  # finite sums of stats and v, and a total edge mass
         # within the guard, clear every row; the rows are scanned only if not
-        if (np.add.reduce(stats[:, 1]) <= GUARD_MASS and np.isfinite(
-                np.add.reduce(stats, axis=None) + np.add.reduce(v, axis=None))):
+        mass, edge = np.add.reduce(stats, axis=0).tolist()
+        if edge <= GUARD_MASS and math.isfinite(mass + edge + np.add.reduce(v, axis=None)):
             return
         finite, bm = np.isfinite(held).all(axis=-1), stats[:, 1]
         for row in np.flatnonzero(~finite | (bm > GUARD_MASS))[:1].tolist():
@@ -163,10 +157,14 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     def flat() -> list:  # flat views of the held rows' buffers: 1-D ufunc loops are the fast ones
         return [b.reshape(-1) for b in (held, density, scratch, arg, half)]
 
-    def square() -> np.ndarray:  # |psi|^2 into density; returns each row's norm^2 and guard mass
+    def square(k: int) -> np.ndarray:  # |psi|^2 into density; norm^2, guard mass into block[k]
         np.add(np.square(views[0].real, out=views[1]), np.square(views[0].imag, out=views[2]),
                out=views[1])
-        return np.matmul(density[:, None], weights)[:, 0]
+        return np.matmul(density[:, None], weights, out=block[k])[:, 0]
+
+    def fold(k: int) -> None:  # the extreme squared norms of the block's first k nodes
+        np.maximum(top, block[:k, :, 0, 0].max(axis=0), out=top)
+        np.minimum(bottom, block[:k, :, 0, 0].min(axis=0), out=bottom)
 
     def phase(scale, v, a, a_flat, h, h_flat) -> np.ndarray:  # exp(1j*scale*v) into h, v real
         np.multiply(scale, v, out=a)
@@ -175,9 +173,9 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
         return h
 
     views = flat()
-    stats = square()
-    norm0 = np.sqrt(stats[:, 0])  # the drift is read off each row's extreme squared norms
-    top, bottom = tops, bottoms = stats[:, 0].copy(), stats[:, 0].copy()
+    stats = square(0)
+    norm0 = np.sqrt(stats[:, 0])  # the drift is read off each row's extreme squared norms,
+    top, bottom = tops, bottoms = stats[:, 0].copy(), stats[:, 0].copy()  # folded in per block
     check(0, stats, 0.0)
     for j in range(last + 1):
         if j:  # the kinetic step into node j; kin stacks the held rows' tables
@@ -186,27 +184,28 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
             np.fft.fft(held, out=hat)
             hat *= kin
             np.fft.ifft(hat, out=held)
-            stats = square()
+            stats = square(j % 128)
         elif yields[0]:  # node 0 is seen before its potential is taken
             yield 0, out
-            square()  # psi may have changed
-        v = potential(at[j], dens)  # each held row's v at its own node j
+            square(1)  # psi may have changed; node 1 overwrites these stats before a fold
+        v = potential(j, dens)  # each held row's v at its own node j
         held *= phase(scales[:, j, None], v, arg, views[3], half, views[4])
         if j:
             check(j, stats, v)
-            np.maximum(top, stats[:, 0], out=top)
-            np.minimum(bottom, stats[:, 0], out=bottom)
             if yields[j]:
                 yield j, out
                 for k in range(lead_at[j], lead_at[j + 1]):  # the rows seen here lead apart
                     r, s = lead_rows[k], -0.5 * lead_steps[k]  # the trailing half again if equal
                     held[r] *= half[r] if s == scales[r, j] else phase(
                         s, v if v.ndim == 1 else v[r], arg[r], arg[r], half[r], half[r])
+        if j % 128 == 127 or j in shrink:  # a full block, or rows about to leave
+            fold(j % 128 + 1)
         if j in shrink:  # the rows ending here leave the batch
             m = shrink[j]
             held, hat, kin, density, scratch, weights, arg, half, top, bottom, scales = (
                 b[:m] for b in (held, hat, kin, density, scratch, weights, arg, half, top,
                                 bottom, scales))
-            out, dens, views = held, density, flat()
+            out, dens, views, block = held, density, flat(), block[:, :m]
+    fold(last % 128 + 1)
     drift = np.maximum(np.sqrt(tops) - norm0, norm0 - np.sqrt(bottoms))
     return drift[0] if lone else drift

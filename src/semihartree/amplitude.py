@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._stepping import split_step_nodes, tabulate, time_nodes
+from ._stepping import split_step_nodes, time_nodes
 from .grids import (
     RESCALED,
     Grid,
@@ -122,10 +122,10 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     x2_half = 0.5 * grid.points ** 2
     x2, k2 = grid.points ** 2, grid.wavenumbers ** 2
     nodes = time_nodes(T, dt)
-    hess_at = tabulate(hessU_along_flow, nodes)
+    hess = np.broadcast_to(np.asarray(hessU_along_flow(nodes), dtype=np.float64), nodes.shape)
 
-    def potential(t: float, _density: np.ndarray) -> np.ndarray:
-        return (kappa + hess_at(t)) * x2_half
+    def potential(j: int, _density: np.ndarray) -> np.ndarray:
+        return (kappa + hess[j]) * x2_half
 
     keep = sorted({int(j) for j in keep} | {nodes.size - 1})
     if keep[0] < 0 or keep[-1] >= nodes.size:
@@ -151,16 +151,16 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
                           np.concatenate(spreads) * grid.dx / grid.n)
 
 
-def b_potential(grid: Grid, kappa: float, hess_at: Callable[[float], float]):
-    """(t, |b|^2) -> (kappa/2) conv(r^2, |b|^2) + U''(t) x^2/2, the
-    potential of the phase-absorbed profile b, rebuilt from b's density at
-    every node (kappa/2 rides in the kernel table); `hess_at` looks U'' up
-    at the node times."""
+def b_potential(grid: Grid, kappa: float, hess: np.ndarray):
+    """(j, |b|^2) -> (kappa/2) conv(r^2, |b|^2) + U''(t_j) x^2/2, the
+    potential of the phase-absorbed profile b at node index j, rebuilt from
+    b's density at every node (kappa/2 rides in the kernel table); `hess`
+    holds U'' at the nodes."""
     x2_half = 0.5 * grid.points ** 2
     khat = 0.5 * kappa * radial_kernel_rfft(lambda r: r * r, grid)
 
-    def potential(t: float, density: np.ndarray) -> np.ndarray:
-        return apply_radial_rfft(khat, density, grid) + hess_at(t) * x2_half
+    def potential(j: int, density: np.ndarray) -> np.ndarray:
+        return apply_radial_rfft(khat, density, grid) + hess[j] * x2_half
 
     return potential
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._stepping import split_step_nodes, tabulate, time_nodes
+from ._stepping import split_step_nodes, time_nodes
 from .amplitude import B_LABEL, b_potential
 from .classical import Trajectory, hessian_along_flow
 from .errors import NumericalError
@@ -90,8 +90,7 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     grid, mu, dx = a0.grid, a0.grid.points, a0.grid.dx
     half_kappa = 0.5 * phi.second_deriv_at_0
     _, steps, nodes = _interleaved_nodes(T, dt)
-    potential = b_potential(grid, phi.second_deriv_at_0,
-                            tabulate(hessian_along_flow(trajectory, U), nodes))
+    potential = b_potential(grid, phi.second_deriv_at_0, hessian_along_flow(trajectory, U)(nodes))
     q = trajectory.qs_at(nodes[1::2])
     w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0
     quartic_coeff = phi.fourth_deriv_at_0 / 24.0
@@ -116,7 +115,7 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     def lagged(j: int, density: np.ndarray) -> np.ndarray:
         vs[0] = vs[1]
         if len(density) > 1:  # b is still held
-            vs[K - 1:] = potential(nodes[j], density[K - 1])
+            vs[K - 1:] = potential(j, density[K - 1])
         return vs[:len(density)]
 
     zero = np.zeros_like(a0.samples)

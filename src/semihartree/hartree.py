@@ -30,6 +30,7 @@ from .grids import (
     make_grid,
     mean_field,
     physical_frame,
+    radial_distances,
     trig_interpolant_on_run,
 )
 from .potentials import ExternalPotential, PairPotential
@@ -106,22 +107,33 @@ def build_coherent_state(a0: WaveFunction, q: float, p: float, epsilon: float,
     return WaveFunction(grid, samples, physical_frame(epsilon))
 
 
+def _phase_bounds(runs: list, phi: PairPotential, u: np.ndarray) -> list:
+    """2 dt (Phi N0 + max|u|) / eps per reference run (psi0, dt, ...), U at its points in `u`:
+    twice a bound on max|w|*dt at every step, Phi bounding |phi| over the grid's separations
+    (sum_k max|f_k| max|g_k| if separable) and N0 being psi0's squared norm."""
+    peaks = [np.abs(phi(radial_distances(p.grid))).max() if phi.separable is None else np.prod(
+        [np.abs(a).max(axis=-1) for a in phi.separable(p.grid.points)], axis=0).sum()
+        for p, *_ in runs]
+    return [2 * dt * (peak * np.vdot(p.samples, p.samples).real * p.grid.dx + np.abs(u_r).max())
+            / p.frame.epsilon for (p, dt, *_), peak, u_r in zip(runs, peaks, u)]
+
+
 def _reference_potential(runs: list, phi: PairPotential, U: ExternalPotential):
-    """potential(j, density) of the mean-field dynamics of the held rows of a
-    ragged batch of reference runs (psi0, dt, nodes, ...).  Each row's phase
-    max|w|*dt is checked in row order: above pi/2 it warns (once), above pi
-    the run aborts at the row's own time with `row` its index (the
+    """potential(j, density) of the mean-field dynamics of the held rows of a ragged batch
+    of reference runs (psi0, dt, nodes, ...).  Each row's phase max|w|*dt is checked in row
+    order, while a row whose `_phase_bounds` exceeds pi/2 is held: above pi/2 it warns
+    (once), above pi the run aborts at the row's own time with `row` its index (the
     splitting would be meaningless)."""
     convolve = mean_field(phi, [psi0.grid for psi0, *_ in runs], phi.separable)
     u = np.array([U.value(psi0.grid.points) for psi0, *_ in runs], dtype=np.float64)
     inv_eps = np.array([[1.0 / psi0.frame.epsilon] for psi0, *_ in runs])
     dts, warned = np.array([dt for _, dt, *_ in runs]), [False] * len(runs)
+    first = next((r for r, b in enumerate(_phase_bounds(runs, phi, u)) if b > np.pi / 2), len(runs))
 
     def potential(j: int, density: np.ndarray) -> np.ndarray:
         m = len(density)
         w = (convolve(density) + u[:m]) * inv_eps[:m]
-        phases = dts[:m] * np.abs(w).max(axis=1)
-        if phases.max() > 0.5 * np.pi:
+        if m > first and (phases := dts[:m] * np.abs(w).max(axis=1)).max() > 0.5 * np.pi:
             for row, phase in enumerate(phases.tolist()):
                 if phase > np.pi:
                     raise NumericalError(

@@ -7,8 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from semihartree._stepping import (GUARD_CELLS, GUARD_MASS, split_step_nodes, tabulate,
-                                   time_nodes)
+from semihartree._stepping import GUARD_CELLS, GUARD_MASS, split_step_nodes, time_nodes
 from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow
 from semihartree.corrections import _deposit, _interleaved_nodes, separation_power_form
@@ -37,6 +36,13 @@ def evaluate_trig_interpolant(psi, points):
     return out
 
 
+def node_table(fn, times):
+    """fn at every node of the sorted `times`, from one call on all of them,
+    indexed by node; a scalar broadcasts, and a leading node axis gives rows."""
+    table = np.asarray(fn(times), dtype=np.float64)
+    return np.broadcast_to(table, times.shape + table.shape[1:])
+
+
 def run_nodes(run):
     """(visited node indices, a copy of the state at each, return value) of
     a `split_step_nodes` run; the states stack into one array."""
@@ -54,15 +60,15 @@ def evolve_b(a0, kappa, hessU_along_flow, T, dt):
     """(node times, the state at every node) of the phase-absorbed profile
     under `amplitude.b_potential`."""
     nodes = time_nodes(T, dt)
-    potential = b_potential(a0.grid, kappa, tabulate(hessU_along_flow, nodes))
+    potential = b_potential(a0.grid, kappa, node_table(hessU_along_flow, nodes))
     return nodes, run_nodes(split_step_nodes(a0.samples, a0.grid, nodes, potential,
                                              visit=range(nodes.size), label=B_LABEL))[1]
 
 
 def packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
     """The oracle of the epsilon rows of `rescaled._wave_potential`: the
-    per-level closure it replaced, potential(t, density) for a column of
-    epsilons, one row each, at the node times `times`.
+    per-level closure it replaced, potential(j, density) for a column of
+    epsilons, one row each, at node j of the node times `times`.
 
     It combines the mean-field term (1/eps) * conv(phi(sqrt(eps) r) - phi(0),
     |a|^2) with the external bracket
@@ -78,11 +84,11 @@ def packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
     khat = np.stack([radial_kernel_rfft(lambda r, s=s: phi.shifted(s * r), grid)
                      for s in root_eps[:, 0]])
     if U.addition is None:
-        q_at = tabulate(trajectory.qs_at, times)
+        qs = node_table(trajectory.qs_at, times)
 
-        def potential(t, density):
+        def potential(j, density):
             mean_field = apply_radial_rfft(khat, density, grid)
-            q = q_at(t)
+            q = qs[j]
             bracket = (np.asarray(U.value(q + root_eps * mu), dtype=np.float64)
                        - float(U.value(q)) - root_eps * float(U.grad(q)) * mu)
             return inv_eps * (mean_field + bracket)
@@ -90,11 +96,11 @@ def packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
         khat *= inv_eps
         remainders, coeffs = U.addition(root_eps * mu)
         remainders = (remainders * inv_eps).reshape(-1, epsilons.size * grid.n)
-        coeff_at = tabulate(lambda nodes: coeffs(trajectory.qs_at(nodes)), times)
+        table = node_table(lambda nodes: coeffs(trajectory.qs_at(nodes)), times)
 
-        def potential(t, density):
+        def potential(j, density):
             return (apply_radial_rfft(khat, density, grid)
-                    + (coeff_at(t) @ remainders).reshape(density.shape))
+                    + (table[j] @ remainders).reshape(density.shape))
 
     return potential
 
@@ -113,13 +119,14 @@ def packet_frame_history(a0, epsilon, phi, U, trajectory, T, dt, every=True):
     return states[:, 0], float(drift[0])
 
 
-def reference_potential(psi0, dt, phi, U, row=None):
+def reference_potential(psi0, dt, nodes, phi, U, row=None):
     """The oracle of `hartree._reference_potential`: the per-row closure it
-    replaced.  potential(t, density) of the mean-field dynamics on `psi0`'s
-    grid and eps, rebuilt from |psi|^2 every step as `grids.mean_field` did
-    for one grid (two density moments for the cosine pair, else the FFT
-    convolution).  Its phase max|w|*dt is checked every step: above pi/2 a
-    warning is issued (once), above pi the run aborts with `row`."""
+    replaced.  potential(j, density) of the mean-field dynamics on `psi0`'s
+    grid and eps at node j of `nodes`, rebuilt from |psi|^2 every step as
+    `grids.mean_field` did for one grid (two density moments for the cosine
+    pair, else the FFT convolution).  Its phase max|w|*dt is checked every
+    step: above pi/2 a warning is issued (once), above pi the run aborts
+    with `row`."""
     grid = psi0.grid
     if phi.separable is None:
         khat = radial_kernel_rfft(phi, grid)
@@ -132,13 +139,13 @@ def reference_potential(psi0, dt, phi, U, row=None):
     inv_eps = 1.0 / psi0.frame.epsilon
     warned = [False]
 
-    def potential(t, density):
+    def potential(j, density):
         w = (convolve(density) + u) * inv_eps
         phase = dt * float(np.abs(w).max())
         if phase > np.pi:
             raise NumericalError(
                 f"potential phase per step {phase:.3f} rad exceeds pi at "
-                f"t={t:.6g}; reduce dt", row=row)
+                f"t={nodes[j]:.6g}; reduce dt", row=row)
         if phase > 0.5 * np.pi and not warned[0]:
             warnings.warn(
                 f"potential phase per step {phase:.3f} rad exceeds pi/2; "
@@ -154,7 +161,7 @@ def hartree_run(psi0, phi, U, T, dt, visit=()):
     final node."""
     eps, nodes = psi0.frame.epsilon, time_nodes(T, dt)
     return run_nodes(split_step_nodes(psi0.samples, psi0.grid, nodes,
-                                      reference_potential(psi0, dt, phi, U), eps,
+                                      reference_potential(psi0, dt, nodes, phi, U), eps,
                                       {*visit, nodes.size - 1}, f"hartree reference (eps={eps:g})"))
 
 
@@ -185,11 +192,11 @@ def pointwise_packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
     inv_eps = 1.0 / epsilons[:, None]
     r = radial_distances(grid)
     khat = np.stack([np.fft.rfft(phi.shifted(s * r)) for s in root_eps[:, 0]])
-    q_at = tabulate(trajectory.qs_at, times)
+    qs = node_table(trajectory.qs_at, times)
 
-    def potential(t, density):
+    def potential(j, density):
         mean_field = np.fft.irfft(np.fft.rfft(density) * khat, grid.n) * grid.dx
-        q = q_at(t)
+        q = qs[j]
         bracket = (np.asarray(U.value(q + root_eps * mu), dtype=np.float64)
                    - float(U.value(q))
                    - root_eps * float(U.grad(q)) * mu)
@@ -227,15 +234,15 @@ def correction_pass(b0, grid, nodes, steps, potential, coupling, forcing, visit,
     """The oracle of the correction loop in `corrections.evolve_corrections`:
     one correction pass as a generator of (node index, state) at the node
     indices in `visit`.  It evolves the (2, n) batch of b and one correction
-    u from (b0, 0) under potential(t, |b|^2), or, given b_mid(j) (b at the
-    midpoint of dt step j), u alone from 0 under potential(t, _).  At that
-    midpoint it adds -i*h*s to u, before any visit: s is coupling(u, b),
+    u from (b0, 0) under potential(i, |b|^2) at node index i, or, given
+    b_mid(j) (b at the midpoint of dt step j), u alone from 0 under
+    potential(i, _).  At that midpoint it adds -i*h*s to u, before any visit: s is coupling(u, b),
     linear in u and refreshed by one fixed-point update of u, plus the
     u-free forcing(j, b), evaluated once per step.  The state is the
     engine's buffer: copy what you keep."""
     if b_mid is None:
         psi0, labels = np.stack([b0, np.zeros_like(b0)]), [B_LABEL, label]
-        v = lambda t, density: potential(t, density[0])
+        v = lambda i, density: potential(i, density[0])
     else:
         psi0, labels, v = np.zeros_like(b0), label, potential
     visit = set(visit)
@@ -287,7 +294,7 @@ def correction_drive(a0, phi, U, traj, T, dt, keep):
         nodes=nodes, steps=steps, mids=mids,
         store_idx=2 * np.array(sorted({*keep, coarse.size - 1})),
         potential=b_potential(grid, phi.second_deriv_at_0,
-                              tabulate(hessian_along_flow(traj, U), nodes)),
+                              node_table(hessian_along_flow(traj, U), nodes)),
         coupling=coupling, first=lambda j, b: w3[j] * powers[3] * b, second=second)
 
 
@@ -308,13 +315,13 @@ def stored_corrections(a0, phi, U, traj, T, dt, K, keep=()):
     visit = stored.union(range(1, nodes.size, 2))
     vs = deque()  # K = 2: b's potential at the nodes the second pass is yet to reach
 
-    def recorded(t, density):
-        vs.append(d.potential(t, density))
+    def recorded(i, density):
+        vs.append(d.potential(i, density))
         return vs[-1]
 
     v1 = recorded if K == 2 else d.potential
     pass1 = split_step_nodes(np.stack([a0.samples, np.zeros_like(a0.samples)]), grid, nodes,
-                             lambda t, density: v1(t, density[0]), 1.0,
+                             lambda i, density: v1(i, density[0]), 1.0,
                              range(nodes.size) if K == 2 else visit,
                              [B_LABEL, "first correction"])
     pass2 = split_step_nodes(np.zeros_like(a0.samples), grid, nodes, lambda t, _: vs.popleft(),
@@ -431,7 +438,7 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
         density = psi.real ** 2 + psi.imag ** 2
     last = times.size - 1
     steps = np.append(np.diff(times), 0.0)
-    v = potential(times[0], density)
+    v = potential(0, density)
     half = np.empty(np.shape(v), dtype=np.complex128)
     np.multiply(-0.5j * steps[0], v, out=half)
     psi *= np.exp(half, out=half)
@@ -444,7 +451,7 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
         np.fft.ifft(hat, out=psi)
         density = psi.real ** 2 + psi.imag ** 2
         nrm = norm(density)
-        v = potential(times[j + 1], density)
+        v = potential(j + 1, density)
         visited = j + 1 in visit
         apart = visited or j + 1 == last
         np.multiply(-0.5j * (h if apart else h + h_next), v, out=half)

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import semihartree.corrections as corrections
-from semihartree._stepping import tabulate, time_nodes
+from semihartree._stepping import time_nodes
 from semihartree.amplitude import evolve_beta
 from semihartree.classical import Trajectory, hessian_along_flow, integrate_flow
 from semihartree.corrections import evolve_corrections, separation_power_form
 from semihartree.grids import apply_radial_rfft, radial_kernel_rfft
 from semihartree.potentials import builtin_external, builtin_pair
 
-from helpers import evolve_b, interp_samples, stored_corrections
+from helpers import evolve_b, interp_samples, node_table, stored_corrections
 
 
 def loop_power_form(mu, weight, dx, power):
@@ -73,25 +73,6 @@ class TestHessianAlongFlow:
         assert calls == [(7,)]
 
 
-class TestTabulate:
-    def test_lookup_at_every_node(self):
-        times = time_nodes(1.0, 0.3)
-        lookup = tabulate(lambda t: t ** 2, times)
-        assert [lookup(t) for t in times] == list(times ** 2)
-
-    def test_scalar_result_broadcasts(self):
-        times = time_nodes(1.0, 0.25)
-        lookup = tabulate(lambda t: 0.0, times)
-        assert [lookup(t) for t in times] == [0.0] * times.size
-
-    def test_leading_node_axis_gives_rows(self):
-        # a (nodes, rank) coefficient table: one lookup returns a node's row
-        times = time_nodes(1.0, 0.25)
-        lookup = tabulate(lambda t: np.stack([t, -t, 2.0 * t], axis=-1), times)
-        for t in times:
-            assert np.array_equal(lookup(t), [t, -t, 2.0 * t])
-
-
 def old_source_1(mu, dx, phi, U, traj):
     """The single combined source closure of the first correction."""
     half_kappa = 0.5 * phi.second_deriv_at_0
@@ -144,13 +125,14 @@ def old_drive(grid, a0_seq, kappa, hess_fn, coupling, T, dt, *, forcing=None):
     times = time_nodes(T, dt)
     steps = np.diff(times)
     mids = times[:-1] + 0.5 * steps
-    hess_at = tabulate(hess_fn, np.sort(np.concatenate([times, mids])))
+    both = np.sort(np.concatenate([times, mids]))
+    hess = node_table(hess_fn, both)
     force = forcing(mids) if forcing is not None else None
 
     def quad_potential(a0_samples, t):
         density = a0_samples.real ** 2 + a0_samples.imag ** 2
         return (half_kappa * apply_radial_rfft(khat, density, grid)
-                + hess_at(t) * x2_half)
+                + hess[np.searchsorted(both, t)] * x2_half)
 
     u = np.zeros(grid.n, dtype=np.complex128)
     data = np.empty((times.size, grid.n), dtype=np.complex128)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semihartree import _stepping, amplitude
-from semihartree._stepping import GUARD_MASS, tabulate, time_nodes
+from semihartree._stepping import GUARD_MASS, time_nodes
 from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.corrections import (
@@ -26,7 +26,7 @@ from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.rescaled import evolve_wave
 
 from helpers import (correction_drive, correction_pass, evolve_b, interp_samples,
-                     own_b_corrections, stored_corrections)
+                     node_table, own_b_corrections, stored_corrections)
 
 
 def norm(psi):
@@ -341,7 +341,7 @@ class TestDuhamelLinearity:
         mu = mu_grid.points
         _, steps, nodes = _interleaved_nodes(0.2, 1e-3)
         mids = nodes[1::2]
-        potential = b_potential(mu_grid, -1.0, tabulate(hess, nodes))
+        potential = b_potential(mu_grid, -1.0, node_table(hess, nodes))
         no_coupling = lambda u, base: 0.0 * u
 
         def response(forcing):
@@ -367,8 +367,8 @@ def stored_first_pass_corrections(a0, phi, U, traj, T, dt, keep):
     d = correction_drive(a0, phi, U, traj, T, dt, keep)
     vs = []
 
-    def recorded(t, density):
-        vs.append(d.potential(t, density))
+    def recorded(i, density):
+        vs.append(d.potential(i, density))
         return vs[-1]
 
     data1 = np.array([psi.copy() for _, psi in correction_pass(
@@ -376,7 +376,7 @@ def stored_first_pass_corrections(a0, phi, U, traj, T, dt, keep):
         range(d.nodes.size), "first correction")])
     data2 = np.array([psi.copy() for _, psi in correction_pass(
         a0.samples, a0.grid, d.nodes, d.steps,
-        lambda t, _: vs[int(np.searchsorted(d.nodes, t))], d.coupling,
+        lambda i, _: vs[i], d.coupling,
         lambda j, b: d.second(j, b, interp_samples(d.nodes[::2], data1[::2, 1], d.mids[j])),
         d.store_idx, "second correction", lambda j: data1[2 * j + 1, 0])])
     return d.nodes[d.store_idx], (data1[d.store_idx, 0], data1[d.store_idx, 1], data2)

@@ -32,12 +32,12 @@ GRID = make_grid(64, -8.0, 8.0)
 T = 0.3
 
 
-def self_consistent(c, separable):
-    """Mean field from the density plus a moving well; `c` is a scalar for
-    one state or an (m, 1) column for a batch."""
+def self_consistent(c, separable, nodes):
+    """Mean field from the density plus a well moving over the node times
+    `nodes`; `c` is a scalar for one state or an (m, 1) column for a batch."""
     convolve = mean_field(COSINE, [GRID] * 4, COSINE.separable if separable else None)
     x2 = GRID.points ** 2
-    return lambda t, density: (c * convolve(np.atleast_2d(density)) + (1.0 + t) * x2
+    return lambda j, density: (c * convolve(np.atleast_2d(density)) + (1.0 + nodes[j]) * x2
                                ).reshape(density.shape)
 
 
@@ -63,7 +63,7 @@ def test_batch_equals_serial_rows(rows, dt, store, separable):
     nodes = time_nodes(T, dt)
     visit = range(nodes.size) if store is None else store + [nodes.size - 1]
     run = lambda psi0, c, label: run_nodes(split_step_nodes(  # noqa: E731
-        psi0, GRID, nodes, self_consistent(c, separable), visit=visit, label=label))
+        psi0, GRID, nodes, self_consistent(c, separable, nodes), visit=visit, label=label))
     serial = []
     for i in range(len(rows)):
         try:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from semihartree._stepping import split_step_nodes, time_nodes
 from semihartree.amplitude import evolve_beta
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.config import ExperimentConfig
@@ -16,6 +17,8 @@ from semihartree.grids import (
     make_grid,
 )
 from semihartree.hartree import (
+    _phase_bounds,
+    _reference_potential,
     assemble_approximation,
     build_coherent_state,
     compare,
@@ -25,7 +28,7 @@ from semihartree.hartree import (
 from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.rescaled import evolve_wave
 
-from helpers import evaluate_trig_interpolant, evolve_b, hartree_run, stored_comparison
+from helpers import evaluate_trig_interpolant, evolve_b, hartree_run, run_nodes, stored_comparison
 
 COSINE_CFG = ExperimentConfig()  # cosine pair, cosine external, (0, 1), T = 1
 
@@ -131,14 +134,22 @@ class TestReferenceSolver:
             hartree_run(psi0, phi, U, 0.5, 0.2)
 
     def test_potential_phase_warning(self, gauss):
-        # between pi/2 and pi per step: degraded but not fatal
+        # between pi/2 and pi per step: degraded but not fatal.  The phase
+        # bound exceeds pi/2, so the batch's reference potential scans its
+        # phase and warns as the per-row oracle does
         eps = 0.08
         phi = builtin_pair("cosine")
         U = builtin_external("cosine", [1.0])
         grid = sized_grid(eps)
         psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
-        with pytest.warns(RuntimeWarning, match="phase per step"):
+        with pytest.warns(RuntimeWarning, match="phase per step") as alone:
             hartree_run(psi0, phi, U, 0.14, 0.07)
+        runs = [(psi0, 0.07, time_nodes(0.14, 0.07))]
+        assert _phase_bounds(runs, phi, [U.value(grid.points)])[0] > 0.5 * np.pi
+        with pytest.warns(RuntimeWarning, match="phase per step") as batch:
+            run_nodes(split_step_nodes([psi0.samples], [grid], [runs[0][2]],
+                                       _reference_potential(runs, phi, U), [eps]))
+        assert [str(w.message) for w in batch] == [str(w.message) for w in alone]
 
 
 class TestAssembly:

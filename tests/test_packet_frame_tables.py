@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semihartree._stepping import tabulate, time_nodes
+from semihartree._stepping import time_nodes
 from semihartree.amplitude import b_potential
 from semihartree.classical import hessian_along_flow, integrate_flow
 from semihartree.config import ExperimentConfig, config_from_mapping
@@ -21,7 +21,7 @@ from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.rescaled import _wave_potential, evolve_wave
 from semihartree.sweep import run_sweep
 
-from helpers import (packet_frame_history, packet_frame_potential,
+from helpers import (node_table, packet_frame_history, packet_frame_potential,
                      pointwise_packet_frame_potential, stored_corrections)
 
 EPS = np.array([0.32, 0.16, 0.08, 0.04, 0.02, 0.01, 0.005])
@@ -93,7 +93,7 @@ class TestTablePotential:
         trajectory, nodes = default_path
         new = _wave_potential(grid, phi, U, [(trajectory, nodes, EPS)])
         old = pointwise_packet_frame_potential(grid, EPS, phi, U, trajectory, nodes)
-        return new, lambda j, density: old(nodes[j], density), [0, 1, 377, 600, nodes.size - 1]
+        return new, old, [0, 1, 377, 600, nodes.size - 1]
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("pair", ["cosine", "gaussian"])
@@ -187,8 +187,8 @@ class TestWavePotential:
         for trajectory, nodes, epsilons in groups:
             if epsilons is None:
                 closure = b_potential(grid, phi.second_deriv_at_0,
-                                      tabulate(hessian_along_flow(trajectory, U), nodes))
-                closures.append((slice(lo, lo + 1), nodes, lambda t, d, c=closure: c(t, d[0])))
+                                      node_table(hessian_along_flow(trajectory, U), nodes))
+                closures.append((slice(lo, lo + 1), nodes, lambda j, d, c=closure: c(j, d[0])))
                 lo += 1
             else:
                 closure = packet_frame_potential(grid, epsilons, phi, U, trajectory, nodes)
@@ -202,7 +202,7 @@ class TestWavePotential:
                 assert got.shape == (held, grid.n)
                 for rows, nodes, closure in closures:
                     if rows.start < held:
-                        assert got[rows].tobytes() == closure(nodes[j], density[rows]).tobytes()
+                        assert got[rows].tobytes() == closure(j, density[rows]).tobytes()
 
 
 class TestWaveRows:
@@ -258,13 +258,13 @@ class TestFoldedTransforms:
     def test_b_potential(self, grid):
         kappa = -1.0  # the default cosine pair's phi''(0)
         nodes = time_nodes(0.01, 1e-3)
-        hess_at = tabulate(lambda t: -np.cos(t + 0.2), nodes)
-        potential = b_potential(grid, kappa, hess_at)
+        hess = node_table(lambda t: -np.cos(t + 0.2), nodes)
+        potential = b_potential(grid, kappa, hess)
         density = density_rows(grid, 1)[0]
-        for t in nodes[[0, 3, -1]]:
+        for j in (0, 3, nodes.size - 1):
             old = (0.5 * kappa * self.old_convolution(lambda r: r * r, density, grid)
-                   + hess_at(t) * (0.5 * grid.points ** 2))
-            new = potential(t, density)
+                   + hess[j] * (0.5 * grid.points ** 2))
+            new = potential(j, density)
             if grid is GRIDS["default"]:
                 assert np.array_equal(new, old)
             else:

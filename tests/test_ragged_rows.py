@@ -79,6 +79,14 @@ def run_ragged(starts):
     return ragged_finals(nodes, [t.size - 1 for t in times])
 
 
+def scan_bounds(cfg, pairs):
+    """`hartree._phase_bounds` of the reference runs of (eps, level) pairs:
+    above pi/2, a run's batch scans its phase every step."""
+    runs = [_reference_start(eps, cfg, level) for eps, level in pairs]
+    return hartree._phase_bounds(runs, cfg.pair(), [cfg.external().value(p.grid.points)
+                                                    for p, *_ in runs])
+
+
 def count_engine_steps(monkeypatch, module):
     """The node count each row's potential saw, one list per engine call
     that `module` makes, each row asserted to see every node of its own
@@ -139,14 +147,15 @@ def test_stacked_potential_equals_the_per_row_closures(pair):
     times = [time_nodes(T, dt) for _, dt in starts]
     new = _reference_potential([(p, dt, t) for (p, dt), t in zip(starts, times)],
                                cfg.pair(), cfg.external())
-    old = [reference_potential(p, dt, cfg.pair(), cfg.external()) for p, dt in starts]
+    old = [reference_potential(p, dt, t, cfg.pair(), cfg.external())
+           for (p, dt), t in zip(starts, times)]
     density = np.abs(np.stack([p.samples for p, _ in starts])) ** 2
     for m in (3, 2, 1):
         for j in (0, 7, 99):
             got = new(j, density[:m])
             assert got.shape == (m, N)
             for r in range(m):
-                assert got[r].tobytes() == old[r](times[r][j], density[r]).tobytes()
+                assert got[r].tobytes() == old[r](j, density[r]).tobytes()
 
 
 def phase_rows(targets):
@@ -154,8 +163,8 @@ def phase_rows(targets):
     set so that the phase per step at node 0 is the target's (rad)."""
     starts = reference_rows(CASES["ragged"])
     density = np.abs(np.stack([p.samples for p, _ in starts])) ** 2
-    peaks = [np.abs(reference_potential(p, 0.0, CONFIG.pair(), CONFIG.external())(0.0, d)).max()
-             for (p, _), d in zip(starts, density)]
+    peaks = [np.abs(reference_potential(p, 0.0, [0.0], CONFIG.pair(), CONFIG.external())(0, d))
+             .max() for (p, _), d in zip(starts, density)]
     starts = [(p, phase / peak) for (p, _), phase, peak in zip(starts, targets, peaks)]
     return starts, [time_nodes(T, dt) for _, dt in starts], density
 
@@ -163,14 +172,14 @@ def phase_rows(targets):
 def per_row_calls(starts, times, density, j, calls):
     """(warnings, error) of the per-row closures called `calls` times each
     at node j, row after row as the engine called them."""
-    old = [reference_potential(p, dt, CONFIG.pair(), CONFIG.external(), r)
+    old = [reference_potential(p, dt, times[r], CONFIG.pair(), CONFIG.external(), r)
            for r, (p, dt) in enumerate(starts)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             for _ in range(calls):
                 for r, potential in enumerate(old):
-                    potential(times[r][j], density[r])
+                    potential(j, density[r])
         except NumericalError as exc:
             return [str(w.message) for w in caught], exc
     return [str(w.message) for w in caught], None
@@ -243,8 +252,8 @@ def moving_rows():
     return samples, grids, times, [1.0, 0.8, 1.3], ["still", "fast", "short"]
 
 
-def free(t, density):
-    """No potential: a run of its own gets a node time, a batch a node index."""
+def free(j, density):
+    """No potential."""
     return np.zeros(density.shape)
 
 
@@ -291,8 +300,8 @@ def test_rows_with_own_visits_equal_their_own_runs():
     # row seen at every interleaved node, one at the midpoints only, and a
     # shorter row on another grid at two nodes.  The caller adds a source to
     # each row it sees; every seen state and the drift equal, as bytes,
-    # those of the row run alone through the engine's oracle (a 1-D state
-    # under a potential of time, `helpers.exp_split_step_nodes`)
+    # those of the row run alone through the engine's oracle (a 1-D state,
+    # `helpers.exp_split_step_nodes`)
     _, _, nodes = _interleaved_nodes(0.2, 0.03)
     grids = [make_grid(128, -10.0, 10.0)] * 3 + [make_grid(128, -12.0, 12.0)]
     times = [np.append(0.0, nodes), nodes, nodes, time_nodes(0.1, 0.02)]
@@ -304,11 +313,12 @@ def test_rows_with_own_visits_equal_their_own_runs():
     sources = [0.01 * gaussian_profile(g, center=1.0).samples for g in grids]
     khats = [radial_kernel_rfft(lambda r: np.cos(r), g) for g in grids]
 
-    def own_v(r, t, density):
-        return cs[r] * apply_radial_rfft(khats[r], density, grids[r]) + (1.0 + t) * grids[r].points ** 2
+    def own_v(r, j, density):
+        return (cs[r] * apply_radial_rfft(khats[r], density, grids[r])
+                + (1.0 + times[r][j]) * grids[r].points ** 2)
 
     def batch_v(j, density):
-        return np.stack([own_v(r, times[r][j], density[r]) for r in range(len(density))])
+        return np.stack([own_v(r, j, density[r]) for r in range(len(density))])
 
     seen, batch = [[] for _ in times], split_step_nodes(
         samples, grids, times, batch_v, list(scales), visits, list("abcd"))
@@ -377,6 +387,7 @@ def test_phase_limit_failure_carries_the_callers_row():
     # its level-1 pair is the seventh of the wave (n = 512 for every pair)
     cfg = ExperimentConfig(mode="physical", dt=0.1, eps_list=(0.32, 0.16, 0.08, 0.04))
     levels = [physical_level(cfg, refine) for refine in (1, 2)]
+    assert min(scan_bounds(cfg, [(eps, levels[0]) for eps in (0.08, 0.04)])) > 0.5 * np.pi
     with pytest.raises(NumericalError) as one:
         compare([(0.04, levels[0])], cfg)
     with pytest.warns(RuntimeWarning, match="exceeds pi/2"):
@@ -424,6 +435,7 @@ def test_half_pi_warning_once_per_row():
     # and never pi
     cfg = ExperimentConfig(mode="physical", dt=0.09, eps_list=(0.1, 0.08))
     level = physical_level(cfg)
+    assert min(scan_bounds(cfg, [(eps, level) for eps in cfg.eps_list])) > 0.5 * np.pi
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = compare([(eps, level) for eps in cfg.eps_list], cfg)

@@ -47,7 +47,7 @@ class TestEngine:
     def test_free_step_is_unitary(self):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g)
-        potential = lambda t, s: np.zeros(g.n)
+        potential = lambda j, s: np.zeros(g.n)
         idx, _, drift = run_nodes(split_step_nodes(
             psi0.samples, g, time_nodes(0.5, 1e-2), potential, visit=range(51)))
         assert drift < 1e-12
@@ -58,7 +58,7 @@ class TestEngine:
         psi0 = gaussian_profile(g)
         # zero kinetic scale isolates the potential factor
         _, final = next(split_step_nodes(
-            psi0.samples, g, time_nodes(1.0, 1e-2), lambda t, s: np.full(g.n, 2.0),
+            psi0.samples, g, time_nodes(1.0, 1e-2), lambda j, s: np.full(g.n, 2.0),
             kinetic_scale=0.0, visit=[100]))
         assert np.allclose(final, np.exp(-2.0j) * psi0.samples, atol=1e-12)
 
@@ -69,29 +69,30 @@ class TestBatchedEngine:
     coeffs = (0.5, -1.0, 2.0)
 
     @staticmethod
-    def self_consistent(grid, c):
-        # mean field rebuilt from the evolved density plus a moving well;
-        # `c` is a scalar for one state or an (m, 1) column for a batch
+    def self_consistent(grid, c, times):
+        # mean field rebuilt from the evolved density plus a well moving over
+        # the node times `times`; `c` is a scalar for one state or an (m, 1)
+        # column for a batch
         khat = radial_kernel_rfft(lambda r: np.cos(r), grid)
         x2 = grid.points ** 2
 
-        def potential(t, density):
-            return c * apply_radial_rfft(khat, density, grid) + (1.0 + t) * x2
+        def potential(j, density):
+            return c * apply_radial_rfft(khat, density, grid) + (1.0 + times[j]) * x2
         return potential
 
     def test_batch_rows_equal_single_runs(self):
         g = make_grid(128, -10.0, 10.0)
         rows = [gaussian_profile(g, center=c, width=w).samples
                 for c, w in ((0.0, 1.0), (0.5, 0.8), (-0.3, 1.2))]
-        column = np.array(self.coeffs)[:, None]
+        column, times = np.array(self.coeffs)[:, None], time_nodes(0.5, 1e-2)
         idx, data, drift = run_nodes(split_step_nodes(
-            np.stack(rows), g, time_nodes(0.5, 1e-2), self.self_consistent(g, column),
+            np.stack(rows), g, times, self.self_consistent(g, column, times),
             visit=[25, 50], label=["a", "b", "c"]))
         assert data.shape == (idx.size, 3, g.n)
         assert drift.shape == (3,)
         for i, (row, c) in enumerate(zip(rows, self.coeffs)):
             _, single, single_drift = run_nodes(split_step_nodes(
-                row, g, time_nodes(0.5, 1e-2), self.self_consistent(g, c), visit=[25, 50]))
+                row, g, times, self.self_consistent(g, c, times), visit=[25, 50]))
             scale = np.max(np.abs(single))
             assert np.max(np.abs(data[:, i] - single)) <= 1e-12 * scale
             assert abs(drift[i] - single_drift) <= 1e-12
@@ -102,7 +103,7 @@ class TestBatchedEngine:
         rows = np.stack([gaussian_profile(g).samples,
                          gaussian_profile(g, wavenumber=12.0).samples,
                          gaussian_profile(g).samples])
-        free = lambda t, s: np.zeros(g.n)
+        free = lambda j, s: np.zeros(g.n)
         with pytest.raises(NumericalError, match=r"^moving row: boundary mass") as err:
             run_nodes(split_step_nodes(rows, g, time_nodes(1.0, 1e-2), free, visit=range(101),
                                        label=["still row", "moving row", "other row"]))
@@ -150,12 +151,12 @@ def strang_reference(samples0, grid, T, dt, potential, store=None,
     drift = np.zeros_like(norm0)
     stored = [psi] if 0 in store else []
     check(0.0)
-    v = potential(times[0], np.abs(psi) ** 2)
+    v = potential(0, np.abs(psi) ** 2)
     for j in range(times.size - 1):
         h = times[j + 1] - times[j]
         psi = psi * np.exp(-0.5j * h * v)
         psi = np.fft.ifft(np.fft.fft(psi) * np.exp(-0.5j * h * k2))
-        v = potential(times[j + 1], np.abs(psi) ** 2)
+        v = potential(j + 1, np.abs(psi) ** 2)
         psi = psi * np.exp(-0.5j * h * v)
         check(times[j + 1])
         drift = np.maximum(drift, np.abs(norm() - norm0))
@@ -184,12 +185,12 @@ class TestFusedPhases:
     def test_equals_two_halves_loop(self, batch, store, dt):
         g, samples, c = self.setup(batch)
         T = 0.5
-        ref_t, ref_data, ref_drift = strang_reference(
-            samples, g, T, dt, TestBatchedEngine.self_consistent(g, c), store=store)
-        labels = ["a", "b", "c"] if batch else "evolution"
         times = time_nodes(T, dt)
+        ref_t, ref_data, ref_drift = strang_reference(
+            samples, g, T, dt, TestBatchedEngine.self_consistent(g, c, times), store=store)
+        labels = ["a", "b", "c"] if batch else "evolution"
         idx, data, drift = run_nodes(split_step_nodes(
-            samples, g, times, TestBatchedEngine.self_consistent(g, c),
+            samples, g, times, TestBatchedEngine.self_consistent(g, c, times),
             visit=range(times.size) if store is None else store + [times.size - 1],
             label=labels))
         assert np.array_equal(times[idx], ref_t)
@@ -202,7 +203,7 @@ class TestFusedPhases:
     def test_boundary_guard_trips_alike(self, store):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g, wavenumber=12.0).samples
-        pull = lambda t, s: 0.3 * g.points
+        pull = lambda j, s: 0.3 * g.points
         times = time_nodes(1.0, 0.03)
         with pytest.raises(NumericalError) as ref:
             strang_reference(psi0, g, 1.0, 0.03, pull, store=store)
@@ -217,11 +218,12 @@ class TestFusedPhases:
         # that node, although its phase is fused with the next step's
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g).samples
-        bad = lambda t, s: np.full(g.n, np.nan if t > 0.2 else 0.0)
+        nodes = time_nodes(0.5, 0.03)
+        bad = lambda j, s: np.full(g.n, np.nan if nodes[j] > 0.2 else 0.0)
         with pytest.raises(NumericalError) as ref:
             strang_reference(psi0, g, 0.5, 0.03, bad, store=[])
         with pytest.raises(NumericalError) as got:
-            run_nodes(split_step_nodes(psi0, g, time_nodes(0.5, 0.03), bad))
+            run_nodes(split_step_nodes(psi0, g, nodes, bad))
         assert str(ref.value) == "evolution: non-finite samples at t=0.21"
         assert str(got.value) == str(ref.value)
 
@@ -235,8 +237,8 @@ class TestDeposit:
     def test_identity_deposit_visits_every_midpoint(self, dt):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g, width=0.9).samples
-        potential = TestBatchedEngine.self_consistent(g, 0.7)
         coarse, _, nodes = _interleaved_nodes(0.5, dt)
+        potential = TestBatchedEngine.self_consistent(g, 0.7, nodes)
         visit = list(range(1, nodes.size, 2)) + [nodes.size - 1]
         idx, _, _ = run_nodes(split_step_nodes(psi0, g, nodes, potential, visit=visit))
         assert idx.tolist() == visit
@@ -245,7 +247,7 @@ class TestDeposit:
     def test_deposit_reaches_the_stored_state(self):
         g = make_grid(128, -10.0, 10.0)
         psi0 = np.stack([gaussian_profile(g).samples, np.zeros(g.n)])
-        free = lambda t, s: np.zeros(g.n)
+        free = lambda j, s: np.zeros(g.n)
         _, _, nodes = _interleaved_nodes(0.1, 0.05)
         seen = {}
         for j, psi in split_step_nodes(psi0, g, nodes, free, visit=[1, 2, 3],
@@ -268,8 +270,8 @@ class TestNodeGenerator:
     def test_visits_equal_the_two_halves_loop(self, visit, dt):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g, width=0.9).samples
-        potential = TestBatchedEngine.self_consistent(g, 0.7)
         times = time_nodes(0.5, dt)
+        potential = TestBatchedEngine.self_consistent(g, 0.7, times)
         visit = [j for j in visit if j < times.size - 1] + [times.size - 1]
         idx, seen, drift = run_nodes(split_step_nodes(psi0, g, times, potential, visit=visit))
         assert idx.tolist() == visit
@@ -285,8 +287,8 @@ class TestNodeGenerator:
         # floating point, so the doubled run ends at exactly twice the other
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g, width=0.9).samples
-        well = lambda t, s: 0.5 * (1.0 + t) * g.points ** 2
         times = time_nodes(0.3, 0.01)
+        well = lambda j, s: 0.5 * (1.0 + times[j]) * g.points ** 2
         idx, plain, _ = run_nodes(split_step_nodes(psi0, g, times, well,
                                                    visit=[node, times.size - 1]))
         assert idx[0] == node
@@ -301,7 +303,7 @@ class TestNodeGenerator:
 
     def test_yields_its_own_buffer(self):
         g = make_grid(128, -10.0, 10.0)
-        free = lambda t, s: np.zeros(g.n)
+        free = lambda j, s: np.zeros(g.n)
         buffers = [psi for _, psi in split_step_nodes(
             gaussian_profile(g).samples, g, time_nodes(0.1, 0.01), free, visit=[2, 5])]
         assert buffers[0] is buffers[1]
@@ -344,7 +346,7 @@ class TestEngineEquivalence:
         # the node before the short last step takes its trailing half apart
         visit = [0, 3, 7, last - 1, last]
         labels = ["a", "b", "c"] if batch else "evolution"
-        potential = TestBatchedEngine.self_consistent(g, c)
+        potential = TestBatchedEngine.self_consistent(g, c, times)
         got, drift = run_with_change(split_step_nodes, samples, g, times, potential,
                                      kinetic_scale, visit, labels, change_at)
         ref, ref_drift = run_with_change(exp_split_step_nodes, samples, g, times,
@@ -390,7 +392,7 @@ class TestGuardBookkeeping:
         times = time_nodes(0.5, 0.03)
         labels = ["a", "b", "c"] if batch else "evolution"
         idx, seen, drift = run_nodes(split_step_nodes(
-            samples, g, times, TestBatchedEngine.self_consistent(g, c),
+            samples, g, times, TestBatchedEngine.self_consistent(g, c, times),
             visit=range(times.size), label=labels))
         assert idx.tolist() == list(range(times.size))
         norms = np.array([np.sqrt(np.add.reduce(np.abs(psi) ** 2, axis=-1) * g.dx)
@@ -402,7 +404,7 @@ class TestGuardBookkeeping:
     def test_single_edge_breach(self):
         g = make_grid(128, -10.0, 10.0)
         psi0 = gaussian_profile(g, wavenumber=12.0).samples
-        free = lambda t, s: np.zeros(g.n)
+        free = lambda j, s: np.zeros(g.n)
         with pytest.raises(NumericalError) as err:
             run_nodes(split_step_nodes(psi0, g, time_nodes(1.0, 1e-2), free, visit=range(101),
                                        label="moving"))
@@ -416,7 +418,7 @@ class TestGuardBookkeeping:
         rows = np.stack([gaussian_profile(g).samples,
                          gaussian_profile(g, wavenumber=8.0).samples,
                          gaussian_profile(g, wavenumber=-14.0).samples])
-        free = lambda t, s: np.zeros(s.shape)
+        free = lambda j, s: np.zeros(s.shape)
         with pytest.raises(NumericalError) as err:
             run_nodes(split_step_nodes(rows, g, time_nodes(1.0, 1e-2), free, visit=range(101),
                                        label=["still", "slow", "fast"]))
@@ -428,14 +430,16 @@ class TestGuardBookkeeping:
         g = make_grid(128, -10.0, 10.0)
         rows = np.stack([gaussian_profile(g).samples] * 3)
 
-        def nan_in_row_1(t, density):
+        nodes = time_nodes(0.5, 0.03)
+
+        def nan_in_row_1(j, density):
             v = np.zeros(density.shape)
-            if t > 0.2:
+            if nodes[j] > 0.2:
                 v[1, 5] = np.nan
             return v
 
         with pytest.raises(NumericalError) as err:
-            run_nodes(split_step_nodes(rows, g, time_nodes(0.5, 0.03), nan_in_row_1,
+            run_nodes(split_step_nodes(rows, g, nodes, nan_in_row_1,
                                        label=["a", "b", "c"]))
         assert str(err.value) == "b: non-finite samples at t=0.21"
         assert err.value.row == 1
@@ -447,7 +451,7 @@ class TestGuardBookkeeping:
         amp = np.sqrt(0.6 * GUARD_MASS / (2 * GUARD_CELLS * g.dx))
         rows = amp * np.exp(1j * g.wavenumbers[[3, 5]][:, None] * g.points)
         assert boundary_mass(rows, g, GUARD_CELLS).sum() > GUARD_MASS
-        free = lambda t, s: np.zeros(s.shape)
+        free = lambda j, s: np.zeros(s.shape)
         _, data, _ = run_nodes(split_step_nodes(rows, g, time_nodes(0.1, 1e-2), free,
                                                 visit=range(11), label=["a", "b"]))
         assert np.isfinite(data).all()
@@ -482,7 +486,121 @@ class TestKineticTables:
             return exp(*args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        for _ in split_step_nodes(psi0, g, times, lambda t, density: zero):
+        for _ in split_step_nodes(psi0, g, times, lambda j, density: zero):
             pass
         monkeypatch.undo()
         assert 1 <= len(calls) <= bound
+
+
+class TestBlockEdges:
+    """The engine folds each row's extreme squared norms in per block of 128
+    nodes: when a block fills, before a row leaves and at return.  At the
+    edges of a block, the messages, `row`, visited states and drift equal
+    those of `helpers.exp_split_step_nodes` byte for byte."""
+
+    @staticmethod
+    def run(engine, samples, grid, times, potential, visit, label, change):
+        """(each visit's (j, state bytes), then the drift's bytes or the
+        error's (message, row)) of one run; change(j, psi) may alter each
+        visited state in place."""
+        seen, nodes = [], engine(samples, grid, times, potential, 1.0, visit, label)
+        try:
+            while True:
+                j, psi = next(nodes)
+                change(j, psi)
+                seen.append((j, psi.tobytes()))
+        except StopIteration as end:
+            return seen, np.asarray(end.value).tobytes()
+        except NumericalError as exc:
+            return seen, (str(exc), exc.row)
+
+    @pytest.mark.parametrize("trip_at", [127, 128, 255, 256])
+    @pytest.mark.parametrize("kind", ["non-finite", "boundary"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_guard_trip_at_a_block_edge(self, batch, kind, trip_at):
+        # the last row trips at node trip_at: a non-finite v there, or mass
+        # the caller puts into its edge cells at the node before
+        g, samples, c = TestFusedPhases.setup(batch)
+        times = time_nodes(3.0, 1e-2)
+        base = TestBatchedEngine.self_consistent(g, c, times)
+
+        def potential(j, density):
+            v = base(j, density)
+            if kind == "non-finite" and j == trip_at:
+                np.atleast_2d(v)[-1, 5] = np.nan
+            return v
+
+        def change(j, psi):
+            if kind == "boundary" and j == trip_at - 1:
+                np.atleast_2d(psi)[-1, :4] += 1e-3
+
+        labels = ["a", "b", "c"] if batch else "evolution"
+        visit = [0, 100, trip_at - 1, trip_at, times.size - 1]
+        got = self.run(split_step_nodes, samples, g, times, potential, visit, labels, change)
+        ref = self.run(exp_split_step_nodes, samples, g, times, potential, visit, labels, change)
+        assert got == ref
+        message, row = got[1]
+        assert f"at t={times[trip_at]:.6g}" in message
+        assert row == (2 if batch else None)
+        assert [j for j, _ in got[0]] == [0, 100, trip_at - 1]
+
+    def test_rows_leaving_mid_block_keep_their_drift(self):
+        # ragged rows end at node 300, 190 (mid-block) and 127 (a block's
+        # last node); a small in-place scaling after each row's last full
+        # block puts its largest norm where only the fold before it leaves
+        # (or at return) sees it
+        g = make_grid(128, -10.0, 10.0)
+        times = [time_nodes(3.0, 1e-2), time_nodes(1.9, 1e-2), time_nodes(1.27, 1e-2)]
+        assert [t.size - 1 for t in times] == [300, 190, 127]
+        samples = [gaussian_profile(g, center=c, width=w).samples
+                   for c, w in ((0.0, 1.0), (0.5, 0.8), (-0.3, 1.2))]
+        visits = [[0, 200, 290], [150], [100]]
+        base = [TestBatchedEngine.self_consistent(g, c, t)
+                for c, t in zip(TestBatchedEngine.coeffs, times)]
+
+        def scale(r):
+            return lambda j, psi: psi.__imul__(1.0 + 1e-6) if j in visits[r][1:] or (
+                r and j == visits[r][0]) else None
+
+        seen, nodes = [[] for _ in times], split_step_nodes(
+            samples, [g] * 3, times, lambda j, density: np.stack(
+                [base[r](j, density[r]) for r in range(len(density))]),
+            [1.0] * 3, visits, ["a", "b", "c"])
+        while True:
+            try:
+                j, psi = next(nodes)
+            except StopIteration as end:
+                drifts = end.value
+                break
+            for r in range(len(psi)):
+                if j in visits[r] or j == times[r].size - 1:
+                    scale(r)(j, psi[r])
+                    seen[r].append((j, psi[r].tobytes()))
+        for r in range(3):
+            alone = self.run(exp_split_step_nodes, samples[r], g, times[r], base[r], visits[r],
+                             "alone", scale(r))
+            assert seen[r] == alone[0]
+            assert np.float64(drifts[r]).tobytes() == alone[1]
+            assert drifts[r] > 1e-7  # the scaling shows in the drift
+
+    @pytest.mark.parametrize("T", [0.01, 3.0], ids=["one-step", "300-steps"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_node_0_change_stays_out_of_the_extremes(self, batch, T):
+        # the state is scaled in place at node 0, after that node's norm is
+        # taken: the drift counts the scaled norm from node 1 on, and the
+        # re-square of the changed state at node 0 is no step of its own
+        # (over one step, its roundoff would set an extreme)
+        g, samples, c = TestFusedPhases.setup(batch)
+        times = time_nodes(T, 1e-2)
+        potential = TestBatchedEngine.self_consistent(g, c, times)
+
+        def change(j, psi):
+            if j == 0:
+                psi *= 1.5
+
+        labels = ["a", "b", "c"] if batch else "evolution"
+        visit = sorted({0, 1, 128, times.size - 1} & set(range(times.size)))
+        got = self.run(split_step_nodes, samples, g, times, potential, visit, labels, change)
+        ref = self.run(exp_split_step_nodes, samples, g, times, potential, visit, labels, change)
+        assert got == ref
+        np.testing.assert_allclose(np.frombuffer(got[1]), 0.5, rtol=1e-9)

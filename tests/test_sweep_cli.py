@@ -11,6 +11,7 @@ from semihartree.cli import main
 from semihartree.config import ExperimentConfig
 from semihartree.errors import ConfigError
 from semihartree.grids import WaveFunction, gaussian_profile, l2_distance
+from semihartree.hartree import compare, physical_level
 from semihartree.sweep import (
     SweepError,
     SweepReport,
@@ -186,16 +187,24 @@ class TestModeCrossCheck:
     def test_physical_and_rescaled_slopes_agree(self):
         # the two modes measure the same object in different coordinates,
         # with independent solvers on different grids and steps: at gate
-        # level 2 their rows differ by 8.0e-10, 7.0e-8 and 1.63e-7 relative
-        # (the time discretization, shrinking about 4x per halving)
+        # level 2 their rows differ by 8.0e-10, 7.0e-8 and 1.63e-7 relative.
+        # The gap is the time discretization: at eps 0.02 it is 6.5e-7 at
+        # level 1, a factor of 3.98 above level 2's
         eps = (0.32, 0.08, 0.02)
-        phys = run_sweep(ExperimentConfig(mode="physical", eps_list=eps))
-        resc = run_sweep(ExperimentConfig(mode="rescaled", eps_list=eps))
+        configs = [ExperimentConfig(mode=mode, eps_list=eps) for mode in ("physical", "rescaled")]
+        phys, resc = (run_sweep(cfg) for cfg in configs)
         assert 0.45 <= phys.fitted_slope <= 0.8
         assert abs(phys.fitted_slope - resc.fitted_slope) <= 0.15
         assert [r.epsilon for r in phys.rows] == [r.epsilon for r in resc.rows] == list(eps)
+        assert [r.dt_used for r in resc.rows] == [configs[1].mu_dt() / 2] * 3  # level 2
         for rp, rr in zip(phys.rows, resc.rows):
             assert abs(rp.error - rr.error) <= 1e-6 * rr.error
+        (errors, *_), = compare([(0.02, physical_level(configs[0], 1))], configs[0])
+        [(level_1, *_)] = sweep_module._packet_frame_errors(
+            configs[1], [(0.02, sweep_module._build_level(configs[1], 1))])
+        gaps = [abs(errors[-1] - level_1) / level_1,
+                abs(phys.rows[-1].error - resc.rows[-1].error) / resc.rows[-1].error]
+        assert 3.0 <= gaps[0] / gaps[1] <= 5.0
 
 
 class TestLemmaCheckHarness:
