@@ -5,12 +5,14 @@ it.  Its homogeneous part is the operator that propagates the
 phase-absorbed profile b, so b and the orders step as one ragged batch of
 `split_step_nodes` under b's potential, rebuilt from b's density, on the
 dt nodes interleaved with their midpoints.  At each midpoint the
-midpoint-rule Duhamel step of the sources is added to the correction, in
-place (one fixed-point refinement handles the term that couples a
-correction back into its own source).  The second order rides one node
-behind, so its sources are reached before it needs them and no history is
-kept.  The correction equations are free of the semiclassical parameter;
-it enters only when the expansion is assembled.
+midpoint-rule Duhamel step of the sources f is added to the correction u
+in place, as u -= i h (coupling(u - i h f / 2, b) + f): the coupling of u
+back into its own source, refined once by a fixed-point update, in closed
+form, since the coupling is a real multiple of b and reads u only through
+Re(conj(b) u).  The second order rides one node behind, so its sources
+are reached before it needs them and no history is kept.  The correction
+equations are free of the semiclassical parameter; it enters only when the
+expansion is assembled.
 """
 
 from __future__ import annotations
@@ -29,13 +31,20 @@ from .potentials import ExternalPotential, PairPotential
 
 __all__ = ["evolve_corrections", "assemble_expansion"]
 _SIGNS = {p: np.array([comb(p, j) * (-1.0) ** j for j in range(p + 1)]) for p in (2, 4)}
+_FORMS = {p: np.array([[comb(p, j) * (-1.0) ** j * (i + j == p) for j in range(5)]
+                       for i in range(5)]) for p in (2, 4)}
 
 
 def separation_power_form(mu: np.ndarray, weight: np.ndarray, dx: float,
-                          power: int, powers: Optional[np.ndarray] = None) -> np.ndarray:
+                          power: int | tuple, powers: Optional[np.ndarray] = None) -> np.ndarray:
     """integral of (mu - eta)^power * weight(eta) d(eta) for power 2 or 4,
     expanded binomially into plain moments of the (possibly signed) weight;
-    row j of `powers` holds mu**j, j = 0..power at least (repeat callers build it once)."""
+    row j of `powers` holds mu**j, j = 0..power at least (repeat callers build it once).
+    A (k, n) weight stack takes one power per row and `powers`, and gives the forms'
+    coefficients of mu**0 .. mu**4 (_FORMS[p] @ moments), for callers that combine them."""
+    if np.ndim(weight) == 2:
+        moments = np.matmul(powers[:5], weight[..., None]) * dx  # per row: a BLAS gemm grows RSS
+        return np.matmul([_FORMS[p] for p in power], moments)[..., 0]
     powers = (np.vander(mu, power + 1, True).T.copy() if powers is None
               else powers[:power + 1])
     return (_SIGNS[power] * (powers @ weight) * dx)[::-1] @ powers
@@ -56,14 +65,13 @@ def _interleaved_nodes(T: float, dt: float) -> tuple:
     return coarse, np.diff(coarse), nodes
 
 
-def _deposit(u: np.ndarray, b: np.ndarray, h: float, coupling: Callable,
-             f: np.ndarray) -> None:
+def _deposit(u: np.ndarray, b: np.ndarray, h: float, coupling: Callable, f: np.ndarray) -> None:
     """Add the midpoint-rule Duhamel step -i*h*s to u in place: s is
-    coupling(u, b), linear in u and refreshed by one fixed-point update of
-    u, plus the u-free forcing f."""
-    s = coupling(u, b) + f
-    s = coupling(u - 0.5j * h * s, b) + f
-    u -= 1j * h * s
+    coupling(u, b), linear in u and refreshed by one fixed-point update
+    u - 0.5j*h*s, plus the u-free forcing f.  The update reaches the
+    coupling only through f: coupling(u, b) is a real multiple of b, so
+    -0.5j*h times it adds nothing to Re(conj(b) u), all the coupling reads."""
+    u -= 1j * h * (coupling(u - 0.5j * h * f, b) + f)
 
 
 def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotential,
@@ -93,22 +101,22 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     potential = b_potential(grid, phi.second_deriv_at_0, hessian_along_flow(trajectory, U)(nodes))
     q = trajectory.qs_at(nodes[1::2])
     w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0
-    quartic_coeff = phi.fourth_deriv_at_0 / 24.0
     powers = np.vander(mu, 5, True).T.copy()  # rows mu**0 .. mu**4
 
     def coupling(u: np.ndarray, b: np.ndarray) -> np.ndarray:
         cross = 2.0 * (b.real * u.real + b.imag * u.imag)
         return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * b
 
+    weights = np.empty((3, grid.n))  # |b|^2, |a1|^2, 2 Re(conj(b) a1)
+    scale = np.array([[phi.fourth_deriv_at_0 / 24.0], [half_kappa], [half_kappa]])
+
     def second(j: int, b: np.ndarray, a1: np.ndarray) -> np.ndarray:
-        dens0 = b.real ** 2 + b.imag ** 2
-        dens1 = a1.real ** 2 + a1.imag ** 2
-        cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
-        s = w4[j] * powers[4] * b
-        s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * b
-        s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * b
-        s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
-        return s + w3[j] * powers[3] * a1
+        weights[:2] = b.real ** 2 + b.imag ** 2, a1.real ** 2 + a1.imag ** 2
+        weights[2] = 2.0 * (b.real * a1.real + b.imag * a1.imag)
+        coeffs = scale * separation_power_form(mu, weights, dx, (4, 2, 2), powers)
+        on_b, on_a1 = coeffs[0] + coeffs[1], coeffs[2]
+        on_b[4], on_a1[3] = on_b[4] + w4[j], on_a1[3] + w3[j]  # w4 mu^4 on b, w3 mu^3 on a1
+        return on_b @ powers * b + on_a1 @ powers * a1
 
     vs = np.zeros((K + 1, grid.n))  # the rows' v; at K = 2 the first is b's of the node before
 
@@ -152,7 +160,5 @@ def assemble_expansion(orders: tuple, K: int, epsilon: float) -> WaveFunction:
     if K >= len(orders):
         raise ValueError(f"missing correction orders: K={K} requested but only "
                          f"{len(orders) - 1} available")
-    total = np.zeros(orders[0].grid.n, dtype=np.complex128)
-    for k in range(K + 1):
-        total = total + epsilon ** (k / 2.0) * orders[k].samples
+    total = sum(epsilon ** (k / 2.0) * orders[k].samples for k in range(K + 1))
     return WaveFunction(orders[0].grid, total, RESCALED)

@@ -85,16 +85,12 @@ def fit_rate(eps_values, errors):
     errors = np.asarray(errors, dtype=np.float64)
     if eps_values.size < 2 or np.any(eps_values <= 0) or np.any(errors <= 0):
         return float("nan"), float("nan")
-    x = np.log(eps_values)
-    y = np.log(errors)
+    x, y = np.log(eps_values), np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res < 1e-28 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
+    r2 = (1.0 if ss_res < 1e-28 else 0.0) if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(r2)
 
 
@@ -410,8 +406,6 @@ def lemma_check(kappa: float = -1.0, T: float = 1.0, dt: float = 1e-3) -> LemmaC
     probe_times = (T / 4.0, T / 2.0, T)
     devs = _crosscheck_deviations(kappa, T, dt, probe_times)
     devs_half = _crosscheck_deviations(kappa, T, dt / 2.0, probe_times)
-    if max(devs[-1], devs_half[-1]) <= ORDER_FLOOR:
-        order = float("nan")
-    else:
-        order = float(np.log2(devs[-1] / devs_half[-1]))
+    floor = max(devs[-1], devs_half[-1]) <= ORDER_FLOOR
+    order = float("nan") if floor else float(np.log2(devs[-1] / devs_half[-1]))
     return LemmaCheck(probe_times, devs, devs_half, order, dt)

@@ -10,7 +10,7 @@ import numpy as np
 from semihartree._stepping import GUARD_CELLS, GUARD_MASS, split_step_nodes, time_nodes
 from semihartree.amplitude import B_LABEL, b_potential
 from semihartree.classical import hessian_along_flow
-from semihartree.corrections import _deposit, _interleaved_nodes, separation_power_form
+from semihartree.corrections import _interleaved_nodes, separation_power_form
 from semihartree.errors import NumericalError
 from semihartree.grids import (abs_moment, apply_radial_rfft, boundary_mass, l2_distance,
                                radial_distances, radial_kernel_rfft, spectral_samples)
@@ -229,17 +229,50 @@ def interp_samples(times, data, t: float) -> np.ndarray:
     return (1.0 - w) * data[j - 1] + w * data[j]
 
 
+def two_coupling_deposit(u, b, h, coupling, f):
+    """The reference of `corrections._deposit`: the midpoint-rule Duhamel
+    step -i*h*s added to u in place, s = coupling(u, b) + f refreshed by one
+    fixed-point update of u, with the coupling evaluated before and after
+    the update."""
+    s = coupling(u, b) + f
+    s = coupling(u - 0.5j * h * s, b) + f
+    u -= 1j * h * s
+
+
+def closed_form_deposit(u, b, h, coupling, f):
+    """The oracle of `corrections._deposit`: `two_coupling_deposit` with the
+    coupling evaluated once.  coupling(u, b) is a real multiple of b, which
+    adds nothing to Re(conj(b) u) after the factor -0.5j*h, so the update
+    reaches the coupling only through the forcing f."""
+    u -= 1j * h * (coupling(u - 0.5j * h * f, b) + f)
+
+
+def three_form_source(mu, dx, powers, half_kappa, quartic_coeff, w3, w4, b, a1):
+    """The reference of the second order's u-free sources at a midpoint,
+    where the external potential's cubic and quartic Taylor coefficients
+    are w3 and w4: one moment form per weight, each evaluated on the grid,
+    times b or a1."""
+    dens0 = b.real ** 2 + b.imag ** 2
+    dens1 = a1.real ** 2 + a1.imag ** 2
+    cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
+    s = w4 * powers[4] * b
+    s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * b
+    s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * b
+    s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
+    return s + w3 * powers[3] * a1
+
+
 def correction_pass(b0, grid, nodes, steps, potential, coupling, forcing, visit, label,
-                    b_mid=None):
+                    b_mid=None, deposit=closed_form_deposit):
     """The oracle of the correction loop in `corrections.evolve_corrections`:
     one correction pass as a generator of (node index, state) at the node
     indices in `visit`.  It evolves the (2, n) batch of b and one correction
     u from (b0, 0) under potential(i, |b|^2) at node index i, or, given
     b_mid(j) (b at the midpoint of dt step j), u alone from 0 under
-    potential(i, _).  At that midpoint it adds -i*h*s to u, before any visit: s is coupling(u, b),
-    linear in u and refreshed by one fixed-point update of u, plus the
-    u-free forcing(j, b), evaluated once per step.  The state is the
-    engine's buffer: copy what you keep."""
+    potential(i, _).  At that midpoint, before any visit, `deposit` adds
+    -i*h*s to u: s is coupling(u, b), linear in u and refreshed by one
+    fixed-point update of u, plus the u-free forcing(j, b), evaluated once
+    per step.  The state is the engine's buffer: copy what you keep."""
     if b_mid is None:
         psi0, labels = np.stack([b0, np.zeros_like(b0)]), [B_LABEL, label]
         v = lambda i, density: potential(i, density[0])
@@ -251,10 +284,7 @@ def correction_pass(b0, grid, nodes, steps, potential, coupling, forcing, visit,
         if i % 2:
             j = i // 2
             b, u = (psi[0], psi[1]) if b_mid is None else (b_mid(j), psi)
-            f, h = forcing(j, b), steps[j]
-            s = coupling(u, b) + f
-            s = coupling(u - 0.5j * h * s, b) + f
-            u -= 1j * h * s
+            deposit(u, b, steps[j], coupling, forcing(j, b))
         if i in visit:
             yield i, psi
 
@@ -265,7 +295,10 @@ def correction_drive(a0, phi, U, traj, T, dt, keep):
     of the dt node indices `keep` and of the final node, b's `potential`,
     the term `coupling(u, b)` linear in a correction, and the u-free
     sources `first(j, b)` and `second(j, b, a1)` at the midpoint of dt
-    step j."""
+    step j: `second` from one moment-form call on the stack of |b|^2,
+    |a1|^2 and 2 Re(conj(b) a1), whose coefficients fold into one
+    polynomial times b and one times a1, and `three_form_second` its
+    reference, `three_form_source`."""
     grid = a0.grid
     mu, dx = grid.points, grid.dx
     half_kappa = 0.5 * phi.second_deriv_at_0
@@ -280,32 +313,42 @@ def correction_drive(a0, phi, U, traj, T, dt, keep):
         cross = 2.0 * (b.real * u.real + b.imag * u.imag)
         return half_kappa * separation_power_form(mu, cross, dx, 2, powers) * b
 
+    scale = np.array([[quartic_coeff], [half_kappa], [half_kappa]])
+
     def second(j, b, a1):
-        dens0 = b.real ** 2 + b.imag ** 2
-        dens1 = a1.real ** 2 + a1.imag ** 2
-        cross01 = 2.0 * (b.real * a1.real + b.imag * a1.imag)
-        s = w4[j] * powers[4] * b
-        s = s + quartic_coeff * separation_power_form(mu, dens0, dx, 4, powers) * b
-        s = s + half_kappa * separation_power_form(mu, dens1, dx, 2, powers) * b
-        s = s + half_kappa * separation_power_form(mu, cross01, dx, 2, powers) * a1
-        return s + w3[j] * powers[3] * a1
+        weights = np.array([b.real ** 2 + b.imag ** 2, a1.real ** 2 + a1.imag ** 2,
+                            2.0 * (b.real * a1.real + b.imag * a1.imag)])
+        coeffs = scale * separation_power_form(mu, weights, dx, (4, 2, 2), powers)
+        on_b, on_a1 = coeffs[0] + coeffs[1], coeffs[2]
+        on_b[4] += w4[j]
+        on_a1[3] += w3[j]
+        return (on_b @ powers) * b + (on_a1 @ powers) * a1
+
+    def three_form_second(j, b, a1):
+        return three_form_source(mu, dx, powers, half_kappa, quartic_coeff, w3[j], w4[j], b, a1)
 
     return SimpleNamespace(
         nodes=nodes, steps=steps, mids=mids,
         store_idx=2 * np.array(sorted({*keep, coarse.size - 1})),
         potential=b_potential(grid, phi.second_deriv_at_0,
                               node_table(hessian_along_flow(traj, U), nodes)),
-        coupling=coupling, first=lambda j, b: w3[j] * powers[3] * b, second=second)
+        coupling=coupling, first=lambda j, b: w3[j] * powers[3] * b, second=second,
+        three_form_second=three_form_second)
 
 
-def stored_corrections(a0, phi, U, traj, T, dt, K, keep=()):
+def stored_corrections(a0, phi, U, traj, T, dt, K, keep=(), reference=False):
     """The oracle of `corrections.evolve_corrections`: its loop as it was
     when it stored the orders at the dt node indices `keep` and the final
     node.  Returns (stored times, orders), one (stored nodes, n) array per
     order, b first.  The first
     pass visits every node at K = 2 and the stored nodes and the midpoints
-    otherwise, and the second pass the stored nodes and the midpoints."""
+    otherwise, and the second pass the stored nodes and the midpoints.
+    With `reference`, the deposits are `two_coupling_deposit` and the
+    second order's sources `three_form_source`, the arithmetic that the
+    closed forms replaced."""
     d = correction_drive(a0, phi, U, traj, T, dt, keep)
+    deposit, second = ((two_coupling_deposit, d.three_form_second) if reference
+                       else (closed_form_deposit, d.second))
     grid, nodes = a0.grid, d.nodes
     if K == 0:
         idx, data, _ = run_nodes(split_step_nodes(a0.samples, grid, nodes, d.potential,
@@ -330,7 +373,7 @@ def stored_corrections(a0, phi, U, traj, T, dt, K, keep=()):
     for i, psi in pass1:
         j = i // 2
         if i % 2:  # the midpoint of dt step j
-            _deposit(psi[1], psi[0], d.steps[j], d.coupling, d.first(j, psi[0]))
+            deposit(psi[1], psi[0], d.steps[j], d.coupling, d.first(j, psi[0]))
             b_mid = psi[0].copy()
             continue
         if i in stored:
@@ -342,7 +385,7 @@ def stored_corrections(a0, phi, U, traj, T, dt, K, keep=()):
                 rows2.append(a2.copy())
             w = (nodes[i - 1] - nodes[i - 2]) / (nodes[i] - nodes[i - 2])
             a1 = (1.0 - w) * a1_prev + w * psi[1]
-            _deposit(a2, b_mid, d.steps[j - 1], d.coupling, d.second(j - 1, b_mid, a1))
+            deposit(a2, b_mid, d.steps[j - 1], d.coupling, second(j - 1, b_mid, a1))
         a1_prev = psi[1].copy()
     orders = list(np.array(rows).swapaxes(0, 1))
     if K == 2:
