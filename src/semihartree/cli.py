@@ -33,9 +33,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-JOBS_HELP = ("physical mode: run the (eps, level) comparisons of each wave in one "
-             "pool of up to N processes, at most one per eps and CPU (default 1); "
-             "packet-frame modes evaluate all eps as one array and ignore it")
+JOBS_HELP = ("accepted and ignored: every mode steps each wave as batches in one "
+             "process (default 1; N < 1 is an error)")
 PLOT_HELP = "also write a gnuplot script (requires --out)"
 
 

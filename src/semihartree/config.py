@@ -2,7 +2,7 @@
 
 The schema is flat and fully defaulted; unknown keys anywhere are
 rejected so typos fail loudly.  Configurations are plain data (names and
-numbers only), which keeps them picklable for parallel sweeps.
+numbers only).
 """
 
 from __future__ import annotations

@@ -69,7 +69,12 @@ def size_physical_grid(trajectory: Trajectory, epsilon: float,
             raise NumericalError(
                 f"physical grid would need n > {2 ** 22} (eps={epsilon:g})"
             )
-    return make_grid(n, q_lo - pad, q_hi + pad)
+    x_lo, x_hi = q_lo - pad, q_hi + pad
+    # Grid.points, which must rise strictly: far from 0 the pad is below the spacing of floats
+    if not np.all(np.diff(x_lo + (x_hi - x_lo) / n * np.arange(n)) > 0):
+        raise NumericalError(f"physical grid's {n} points on [{x_lo:g}, {x_hi:g}) "
+                             f"collide in floating point (eps={epsilon:g})")
+    return make_grid(n, x_lo, x_hi)
 
 
 def build_coherent_state(a0: WaveFunction, q: float, p: float, epsilon: float,

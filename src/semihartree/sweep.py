@@ -13,11 +13,8 @@ comment block.
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,9 +105,9 @@ def _row(eps: float, err: float, dt_used: float, n_used: int, wall_ms: float) ->
 
 
 # ---------------------------------------------------------------------------
-# the (eps, level) pairs of every mode: `evaluate(pairs)` gives (error, dt, n)
-# for each pair, or raises NumericalError with `row` set to the index of the
-# failing pair
+# the (eps, level) pairs of every mode: `evaluate(config, pairs)` gives
+# (error, dt, n) for each pair, or raises NumericalError with `row` set to
+# the index of the failing pair
 
 
 # correction orders evolved alongside the profile in each packet-frame mode
@@ -155,21 +152,10 @@ def _packet_frame_errors(config: ExperimentConfig, pairs: list) -> list:
     return results
 
 
-def _physical_errors(config: ExperimentConfig, pool, pairs: list) -> list:
+def _physical_errors(config: ExperimentConfig, pairs: list) -> list:
     """(final error, dt, n) of the pairs from one `compare` call (one batch
-    per grid size), or from one task per pair in `pool` when one is given."""
-    if pool is None:
-        records = compare(pairs, config)
-    else:
-        outcomes = [pool.submit(compare, [pair], config) for pair in pairs]
-        records = []
-        for row, outcome in enumerate(outcomes):
-            try:
-                records += outcome.result()
-            except NumericalError as exc:
-                exc.row = row
-                raise
-    return [(errors[-1], dt, n) for errors, dt, n, _ in records]
+    per grid size)."""
+    return [(errors[-1], dt, n) for errors, dt, n, _ in compare(pairs, config)]
 
 
 def _gate_rows(config: ExperimentConfig, levels: dict, build, evaluate) -> tuple:
@@ -208,7 +194,7 @@ def _gate_rows(config: ExperimentConfig, levels: dict, build, evaluate) -> tuple
             else:
                 try:
                     errors.update(zip(pairs, evaluate(
-                        [(eps_list[i], levels[r]) for i, r in pairs])))
+                        config, [(eps_list[i], levels[r]) for i, r in pairs])))
                     p = len(pairs)
                 except NumericalError as exc:
                     p = exc.row or 0
@@ -250,11 +236,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     Every mode gates its eps in waves of (eps, level) pairs over levels
     built once per call: levels 1 and 2 of every eps, then each doubling of
     those unsettled.  The packet-frame modes step a wave as one ragged
-    batch and ignore `jobs`; physical mode steps the pairs
-    of one grid size in a wave as one batch, or with `jobs` > 1 compares
-    them one per task in a pool of up to `jobs` processes (never more than
-    there are eps or CPUs) that lives for the whole sweep.
-    Progress lines appear once the last level settles.
+    batch, and physical mode steps the pairs of one grid size in a wave as
+    one batch.  `jobs` is checked and otherwise ignored: every mode runs in
+    this process.  Progress lines appear once the last level settles.
 
     Raises ConfigError if jobs < 1, and SweepError with the partial report
     (the rows before the first eps in list order that failed) if any
@@ -263,8 +247,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     eps_list = config.eps_list
-    physical = config.mode == "physical"
-    build = physical_level if physical else _build_level
+    build, evaluate = ((physical_level, _physical_errors) if config.mode == "physical"
+                       else (_build_level, _packet_frame_errors))
     try:
         levels = {1: build(config, 1), 2: build(config, 2)}
     except NumericalError as exc:
@@ -272,13 +256,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
             f"sweep aborted before eps={eps_list[0]:g}: {exc}",
             _finish_report([], config.mode), eps_list[0],
         ) from exc
-    workers = min(jobs, len(eps_list), os.cpu_count() or 1) if physical else 1
-    if workers > 1:  # imported here: the pool's modules load only where one starts
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        evaluate = (partial(_physical_errors, config, pool) if physical
-                    else partial(_packet_frame_errors, config))
-        rows, failure = _gate_rows(config, levels, build, evaluate)
+    rows, failure = _gate_rows(config, levels, build, evaluate)
     if progress is not None:
         for row in rows:
             progress(f"eps={row.epsilon:<8g} error={row.error:.6e} dt={row.dt_used:g}")

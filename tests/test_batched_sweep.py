@@ -3,9 +3,6 @@ of every eps first (the packet-frame modes evolve every level of a wave,
 with its profile b at K = 0, as one ragged batch); these tests hold it to
 the results of evaluating the eps one at a time."""
 
-import concurrent.futures
-import os
-
 import numpy as np
 import pytest
 
@@ -223,11 +220,7 @@ def test_physical_failure_at_both_levels_ends_at_the_lower(monkeypatch, jobs):
     # both pairs of eps 0.16 fail, and a call holding both names the
     # level-2 pair (the engine may trip on either row first); the wave
     # reruns with the level-1 pair and ends the sweep with its error, as
-    # one eps at a time, level by level, would.  Threads stand in for the
-    # pool's processes
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        concurrent.futures.ThreadPoolExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # one eps at a time, level by level, would, whatever jobs is
     poison_comparisons(monkeypatch, 1, lambda bad, pairs: bad[-1])
     rows, failed_eps, message = one_at_a_time(PHYSICAL)
     with pytest.raises(SweepError) as err:

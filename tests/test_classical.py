@@ -125,7 +125,7 @@ class TestHermiteAccessors:
         assert np.max(np.abs(traj.qs_at(mids) - CubicSpline(traj.times, traj.qs)(mids))) <= 1e-12
 
     def test_pickle_round_trip_is_bit_identical(self):
-        # the physical --jobs pool ships trajectories to its workers
+        # a trajectory is plain data: its lookups survive a pickle round trip
         traj = integrate_flow(0.0, 1.0, COSINE, 1.0, 1.0, 1e-3)
         times = np.linspace(-0.01, 1.01, 777)
         copy = pickle.loads(pickle.dumps(traj))

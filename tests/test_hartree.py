@@ -39,6 +39,19 @@ def sized_grid(epsilon, q0=0.0, p0=1.0, T=0.5, U=None, var_x=1.0, var_k=0.5):
     return size_physical_grid(traj, epsilon, var_x, var_k)
 
 
+class TestGridSizing:
+    @pytest.mark.parametrize("q0", [1e16, 1e17])
+    def test_domain_that_collapses_in_floating_point_fails_its_eps(self, q0):
+        # far from 0 the pad is below the spacing of floats: at 1e16 the
+        # grid's points collide, at 1e17 its two ends coincide
+        with pytest.raises(NumericalError, match=r"collide in floating point \(eps=0.32\)"):
+            sized_grid(0.32, q0=q0)
+
+    def test_far_domain_that_holds_its_points(self):
+        grid = sized_grid(0.32, q0=1e12)
+        assert np.all(np.diff(grid.points) > 0)
+
+
 class TestCoherentState:
     @pytest.mark.parametrize("eps", [0.01, 0.02, 0.08, 0.32])
     def test_norm_mean_variance_momentum(self, gauss, eps):

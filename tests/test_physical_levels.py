@@ -1,19 +1,15 @@
 """Physical sweeps build each refinement level once and share it."""
 
-import concurrent.futures
 import inspect
 import os
-import pickle
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import semihartree.hartree as hartree
-import semihartree.sweep as sweep_module
 from semihartree._stepping import time_nodes
 from semihartree.amplitude import evolve_beta
 from semihartree.classical import hessian_along_flow
@@ -71,10 +67,6 @@ def test_each_sweep_call_builds_its_own_levels(builds):
     assert sorted(builds["beta_dts"]) == [5e-4, 5e-4, 1e-3, 1e-3]
 
 
-# serial and jobs=2 rows are compared in test_sweep_cli.py
-# (test_physical_pool_matches_serial, on the same configuration)
-
-
 def test_rows_equal_single_comparisons():
     for row in run_sweep(SMALL).rows:
         refine = 2
@@ -83,67 +75,6 @@ def test_rows_equal_single_comparisons():
             refine *= 2
             [(errors, dt, n, _)] = compare([(row.epsilon, physical_level(SMALL, refine))], SMALL)
         assert (row.error, row.dt_used, row.n_used) == (errors[-1], dt, n)
-
-
-def test_pool_tasks_carry_small_payloads(monkeypatch):
-    # record what each task would pickle and start no worker process
-    sizes = []
-
-    class Stop(Exception):
-        pass
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            sizes.append(len(pickle.dumps((fn, args))))
-            future = Future()
-            future.set_exception(Stop())
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
-    with pytest.raises(Stop):
-        run_sweep(ExperimentConfig(mode="physical", eps_list=(0.32, 0.16, 0.08)), jobs=2)
-    assert len(sizes) == 6  # levels 1 and 2 of each eps, submitted as one wave
-    assert max(sizes) < 2 ** 20
-
-
-def test_one_pool_per_sweep(monkeypatch):
-    # a thread-backed stand-in records the pool and its tasks; no process starts
-    pools, tasks = [], []
-
-    class ThreadPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-        def submit(self, fn, /, *args, **kwargs):
-            tasks.append((fn, args, kwargs))
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPool)
-    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
-    pooled = run_sweep(SMALL, jobs=2)
-    assert pools == [2]
-    # 2 eps x levels 1 and 2, one (eps, level) pair per task, every task a module-level
-    # function with positional arguments, so that a process pool can pickle it
-    assert len(tasks) == 4
-    for fn, args, kwargs in tasks:
-        assert getattr(sys.modules[fn.__module__], fn.__qualname__) is fn
-        assert pickle.loads(pickle.dumps(fn)) is fn
-        assert args and kwargs == {}
-        assert len(args[0]) == 1
-    serial = run_sweep(SMALL)
-    assert [(r.epsilon, r.error, r.dt_used, r.n_used) for r in pooled.rows] \
-        == [(r.epsilon, r.error, r.dt_used, r.n_used) for r in serial.rows]
 
 
 def test_level_keeps_only_compared_states():

@@ -7,8 +7,6 @@ together, run as such a batch, under one stacked reference potential that
 equals, bit for bit, the per-row closures it replaced
 (`helpers.reference_potential`), their phase checks included."""
 
-import concurrent.futures
-import os
 from functools import partial
 import tracemalloc
 import warnings
@@ -497,13 +495,9 @@ def test_default_corrections_sweep_steps_its_eps_in_one_call(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_unsizable_grid_fails_its_own_eps(monkeypatch, jobs):
+def test_unsizable_grid_fails_its_own_eps(jobs):
     # eps 1e-6 would need more than 2^22 grid points: the sweep keeps the
-    # row of eps 0.32 and fails at 1e-6, with or without a pool (threads
-    # stand in for its processes)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        concurrent.futures.ThreadPoolExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # row of eps 0.32 and fails at 1e-6, whatever jobs is
     cfg = ExperimentConfig(mode="physical", eps_list=(0.32, 1e-6))
     with pytest.raises(SweepError, match=r"n > 4194304 \(eps=1e-06\)") as err:
         run_sweep(cfg, jobs=jobs)

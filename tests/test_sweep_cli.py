@@ -125,49 +125,17 @@ class TestRunSweep:
         assert data_section(render_report(serial)) \
             == data_section(render_report(parallel))
 
-    def test_physical_pool_matches_serial(self):
+    def test_physical_jobs_are_ignored(self, monkeypatch):
+        # no jobs value starts a process pool, and every one gives the serial rows
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         small = ExperimentConfig(mode="physical", T=0.25, eps_list=(0.32, 0.16))
-        serial = run_sweep(small)
-        parallel = run_sweep(small, jobs=2)
-        assert data_section(render_report(serial)) \
-            == data_section(render_report(parallel))
-
-    def test_physical_pool_matches_batched_serial(self):
-        # at the default T both eps share n = 512, so the serial sweep steps
-        # them as one batch and the pool as one task each
-        small = ExperimentConfig(mode="physical", eps_list=(0.32, 0.16))
-        serial = run_sweep(small)
-        assert {r.n_used for r in serial.rows} == {512}
-        parallel = run_sweep(small, jobs=2)
-        assert data_section(render_report(serial)) \
-            == data_section(render_report(parallel))
-
-    def test_pool_workers_are_clamped(self, monkeypatch):
-        # record the pool size and stop before any worker process starts
-        sizes = []
-
-        class Stop(Exception):
-            pass
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                raise Stop
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 4)
-        physical = ExperimentConfig(mode="physical", eps_list=(0.32, 0.16, 0.08))
+        serial = data_section(render_report(run_sweep(small)))
         for jobs in (2, 64):
-            with pytest.raises(Stop):
-                run_sweep(physical, jobs=jobs)
-        assert sizes == [2, 3]
-        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
-        with pytest.raises(Stop):
-            run_sweep(physical, jobs=64)
-        assert sizes == [2, 3, 2]
-        # packet-frame modes evaluate every eps in one batch, never in a pool
-        run_sweep(SMALL_RESCALED, jobs=64)
-        assert sizes == [2, 3, 2]
+            assert data_section(render_report(run_sweep(small, jobs=jobs))) == serial
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ConfigError, match="jobs must be at least 1"):
@@ -314,6 +282,19 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), "--jobs", "0", "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q0", [1e16, 1e17])
+    def test_domain_collapsing_in_floating_point_exit_code(self, tmp_path, capsys, q0):
+        # far from 0 the physical grid's points collide: one line, and the
+        # partial report (no rows) is still written
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({"q0": q0, "eps_list": [0.32]}))
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "collide in floating point (eps=0.32)" in err
+        assert out.read_text().startswith("epsilon,error,")
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, grid={"mu_n": 128, "mu_halfwidth": 4},
