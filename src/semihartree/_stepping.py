@@ -15,16 +15,17 @@ where the caller sees the state between them.  The guard tests one sum
 over the rows' norms, masses and v per step, so a non-finite v trips it at
 its own node.  Each phase is taken by cos and sin of its real argument.
 
-`split_step_nodes`, a generator over the visited nodes, has one step loop
-for a batch of rows on node arrays of their own (a 1-D state is one row)
-under one potential and one stacked kinetic table, a table per distinct
-step length of each row, its swaps and leading halves scheduled once.
+`split_step_nodes`, a generator over the visited nodes, has one call form
+and one step loop: an (m, n) batch of rows, each with its own grid, node
+array, kinetic scale, visit set and label, under one potential and one
+stacked kinetic table, a table per distinct step length of each row, its
+swaps and leading halves scheduled once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,10 +51,10 @@ def time_nodes(T: float, dt: float) -> np.ndarray:
         return np.array([0.0])
     n_full = int(np.floor(T / dt + 1e-9))
     times = dt * np.arange(n_full + 1)
-    if T - times[-1] > 1e-9 * max(1.0, T):
-        times = np.append(times, T)
-    else:
+    if n_full and T - times[-1] <= 1e-9 * max(1.0, T):  # node 0 is never snapped
         times[-1] = T
+    else:
+        times = np.append(times, T)
     return times
 
 
@@ -66,48 +67,39 @@ def _by_node(mask: np.ndarray, *values: np.ndarray) -> list:
                                     *(v[rows, nodes] for v in values))]
 
 
-def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union[np.ndarray, list],
-                     potential: Callable, kinetic_scale: Union[float, list] = 1.0,
-                     visit: Iterable = (), label: Union[str, list] = "evolution") -> Iterator:
-    """Evolve i d(psi)/dt = kinetic_scale*(-Lap/2) psi + v psi, where
-    v = potential(j, |psi|^2) at node index j, over the sorted node array `times`, and
-    yield (j, psi) at each node index j in `visit` and at the final node,
-    after the trailing half phase (node 0: before the first step).
+def split_step_nodes(samples0: np.ndarray, grid: Sequence[Grid], times: Sequence[np.ndarray],
+                     potential: Callable, kinetic_scale: Sequence[float],
+                     visit: Sequence[Iterable], label: Sequence[str]) -> Iterator:
+    """Evolve each row r of the (m, n) batch `samples0` by
+    i d(psi)/dt = kinetic_scale[r]*(-Lap/2) psi + v psi on grid[r] over the
+    sorted node array times[r], where v = potential(j, |psi|^2) at node
+    index j, and yield (j, psi) at each node index j in visit[r] and at the
+    row's final node, after the trailing half phase (node 0: before the
+    first step).
 
-    `samples0` is one state of shape (n,) or a batch of shape (m, n) whose
-    rows evolve independently, and `potential` gets a density of that shape
-    and returns a real array of that shape or (n,).  The yielded psi is the
-    engine's own buffer, which later steps overwrite: copy what you keep.
-    A change the caller makes to it in place before resuming is carried
-    forward.  The generator returns norm_drift, the largest deviation of
-    the L^2 norm from its initial value over every step, visited or not (a
-    float, or one value per row of a batch).
-
-    Ragged rows: `times`, `grid` (all of one n), `kinetic_scale` and
-    `visit` may be lists, one per row, longest row first, held row r being
-    at times[r][j] when the potential gets j.  Each row is
-    visited at its own nodes and its final node and does the arithmetic of
-    a run of its own; psi holds the rows not yet ended, yielded at each
-    node any of them is visited at, and those ending there leave the batch.
+    Every argument but `potential` takes one entry per row, longest row
+    first, the grids all of one n.  psi holds the (rows, n) rows not yet
+    ended, held row r being at times[r][j] when the potential gets j: it
+    gets their density and returns a real array of that shape, or (n,) for
+    every row.  Each row is visited at its own nodes and its final node and
+    does the arithmetic of a run of its own; psi is yielded at each node any
+    held row is visited at, and the rows ending there leave the batch.  psi
+    is the engine's own buffer, which later steps overwrite: copy what you
+    keep.  A change the caller makes to it in place before resuming is
+    carried forward.  The generator returns norm_drift, per row the largest
+    deviation of the L^2 norm from its initial value over every step,
+    visited or not.
 
     Raises NumericalError when samples go non-finite or when more than
     GUARD_MASS probability sits within GUARD_CELLS cells of a domain
-    edge (the packet is escaping the window).  `label` names the run in
-    that message; a batch takes one label per row, and its error names the
-    lowest failing held row's label and own node time, and carries that
-    row's index as `row`.
+    edge (the packet is escaping the window).  Its message names the lowest
+    failing held row's label and own node time, and its `row` is that
+    row's index.
     """
-    psi = np.array(samples0, dtype=np.complex128, order="C")  # rows flatten to views
-    lone, held = psi.ndim == 1, psi.reshape(-1, psi.shape[-1])  # held: the rows not yet ended
+    held = np.array(samples0, dtype=np.complex128, order="C")  # C order: flat() gives views
     m, n = held.shape
-    labels = [label] if isinstance(label, str) else list(label)
-    if isinstance(times, list):
-        visit = list(visit) or [()] * m
-    else:  # rows of one node array
-        visit = [[int(j) for j in visit]] * m
-        times, grid, kinetic_scale = [times] * m, [grid] * m, [kinetic_scale] * m
-    if len(visit) != m or not lone and len(labels) != m:
-        raise ValueError("a batch takes one label, and ragged rows one visit set, per row")
+    if not len(grid) == len(times) == len(kinetic_scale) == len(visit) == len(label) == m:
+        raise ValueError("every argument but the potential takes one entry per row")
     ends = np.array([t.size - 1 for t in times])
     if np.any(ends[1:] > ends[:-1]):
         raise ValueError("ragged rows go longest first")
@@ -138,7 +130,6 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
     arg, density, scratch = (np.empty(held.shape) for _ in range(3))  # density: |psi|^2, reused
     weights, dx = np.zeros((m, n, 2)), np.array([[g.dx] for g in grid])
     weights[..., 0] = weights[..., :GUARD_CELLS, 1] = weights[..., -GUARD_CELLS:, 1] = dx
-    out, dens = (psi, density[0]) if lone else (held, density)
     block = np.empty((128, m, 1, 2))  # each row's (norm^2, guard mass) at 128 nodes in turn
 
     def check(j: int, stats, v) -> None:  # finite sums of stats and v, and a total edge mass
@@ -148,11 +139,11 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
             return
         finite, bm = np.isfinite(held).all(axis=-1), stats[:, 1]
         for row in np.flatnonzero(~finite | (bm > GUARD_MASS))[:1].tolist():
-            t, where = times[row][j], {} if lone else dict(row=row)
             if not finite[row]:
-                raise NumericalError(f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
-            raise NumericalError(f"{labels[row]}: boundary mass {bm[row]:.3e} at t={t:.6g} "
-                                 f"exceeds guard {GUARD_MASS:.1e}", **where)
+                raise NumericalError(f"{label[row]}: non-finite samples at t={times[row][j]:.6g}",
+                                     row=row)
+            raise NumericalError(f"{label[row]}: boundary mass {bm[row]:.3e} at "
+                                 f"t={times[row][j]:.6g} exceeds guard {GUARD_MASS:.1e}", row=row)
 
     def flat() -> list:  # flat views of the held rows' buffers: 1-D ufunc loops are the fast ones
         return [b.reshape(-1) for b in (held, density, scratch, arg, half)]
@@ -186,14 +177,14 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
             np.fft.ifft(hat, out=held)
             stats = square(j % 128)
         elif yields[0]:  # node 0 is seen before its potential is taken
-            yield 0, out
+            yield 0, held
             square(1)  # psi may have changed; node 1 overwrites these stats before a fold
-        v = potential(j, dens)  # each held row's v at its own node j
+        v = potential(j, density)  # each held row's v at its own node j
         held *= phase(scales[:, j, None], v, arg, views[3], half, views[4])
         if j:
             check(j, stats, v)
             if yields[j]:
-                yield j, out
+                yield j, held
                 for k in range(lead_at[j], lead_at[j + 1]):  # the rows seen here lead apart
                     r, s = lead_rows[k], -0.5 * lead_steps[k]  # the trailing half again if equal
                     held[r] *= half[r] if s == scales[r, j] else phase(
@@ -205,7 +196,6 @@ def split_step_nodes(samples0: np.ndarray, grid: Union[Grid, list], times: Union
             held, hat, kin, density, scratch, weights, arg, half, top, bottom, scales = (
                 b[:m] for b in (held, hat, kin, density, scratch, weights, arg, half, top,
                                 bottom, scales))
-            out, dens, views, block = held, density, flat(), block[:, :m]
+            views, block = flat(), block[:, :m]
     fold(last % 128 + 1)
-    drift = np.maximum(np.sqrt(tops) - norm0, norm0 - np.sqrt(bottoms))
-    return drift[0] if lone else drift
+    return np.maximum(np.sqrt(tops) - norm0, norm0 - np.sqrt(bottoms))

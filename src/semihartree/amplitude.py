@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "b_potential",
 ]
 
-HessFn = Callable[[np.ndarray], np.ndarray]  # node times -> U'' along the path
 B_LABEL = "phase-absorbed profile evolution"
 
 
@@ -104,11 +102,13 @@ class ProfileHistory(Sequence):
                               float(self.gammas[i]), float(self.times[i]))
 
 
-def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
-                T: float, dt: float, keep: Iterable[int] = ()) -> ProfileHistory:
+def evolve_beta(a0: WaveFunction, kappa: float, hess: np.ndarray | float, T: float,
+                dt: float, keep: Iterable[int] = ()) -> ProfileHistory:
     """Propagate the profile under the quadratic potential
-    (kappa + hessU(t)) x^2 / 2 with Strang splitting, and the nonlinear
+    (kappa + U''(t_j)) x^2 / 2 with Strang splitting, and the nonlinear
     phase gamma by the trapezoid rule on its rate -(kappa/2) * (second moment).
+    `hess` holds U'' at the nodes `time_nodes(T, dt)` (an array, or a
+    constant for every node), as in `b_potential`.
 
     Returns the states at the node indices `keep` of `time_nodes(T, dt)`
     and at the final node, in node order, and the spreads at every node,
@@ -122,7 +122,7 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     x2_half = 0.5 * grid.points ** 2
     x2, k2 = grid.points ** 2, grid.wavenumbers ** 2
     nodes = time_nodes(T, dt)
-    hess = np.broadcast_to(np.asarray(hessU_along_flow(nodes), dtype=np.float64), nodes.shape)
+    hess = np.broadcast_to(np.asarray(hess, dtype=np.float64), nodes.shape)
 
     def potential(j: int, _density: np.ndarray) -> np.ndarray:
         return (kappa + hess[j]) * x2_half
@@ -134,8 +134,8 @@ def evolve_beta(a0: WaveFunction, kappa: float, hessU_along_flow: HessFn,
     data = np.empty((len(keep), grid.n), dtype=np.complex128)
     block = np.empty((128, grid.n), dtype=np.complex128)  # bounds the temporaries
     moments, spreads = [], []
-    for j, psi in split_step_nodes(a0.samples, grid, nodes, potential,
-                                   visit=range(nodes.size), label="profile evolution"):
+    for j, (psi,) in split_step_nodes([a0.samples], [grid], [nodes], potential, [1.0],
+                                      [range(nodes.size)], ["profile evolution"]):
         if j in store_pos:
             data[store_pos[j]] = psi
         block[j % 128] = psi

@@ -9,7 +9,7 @@ The constant phi(0) never moves (q, p); it only shifts the action by -phi(0)*t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from ._stepping import time_nodes
 from .errors import NumericalError
 from .potentials import ExternalPotential
 
-__all__ = ["ClassicalState", "Trajectory", "integrate_flow", "hessian_along_flow"]
+__all__ = ["ClassicalState", "Trajectory", "integrate_flow"]
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,3 @@ def integrate_flow(q0: float, p0: float, U: ExternalPotential, phi0: float,
 
     return Trajectory(times, qs, ps, actions, forces, lagrangians)
 
-
-def hessian_along_flow(trajectory: Trajectory, U: ExternalPotential) -> Callable:
-    """Map t (or an array of times) to U''(q(t)), q by cubic Hermite on the RK4 slopes."""
-    def hess(t):
-        values = U.hess(trajectory.qs_at(t))
-        return values if np.ndim(t) else float(values)
-
-    return hess

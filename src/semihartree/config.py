@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -95,8 +95,9 @@ class ExperimentConfig:
         if self.mu_n % 2 != 0 or not 8 <= self.mu_n <= MAX_MU_N:
             raise ConfigError(f"grid.mu_n must be even and in [8, {MAX_MU_N}]")
         hw = self.mu_halfwidth
-        if not (hw > 0 and np.isfinite(2.0 * hw) and np.isfinite(np.pi * self.mu_n / hw)):
-            raise ConfigError("grid.mu_halfwidth must be positive, with finite wavenumbers")
+        if not (hw > 0 and np.isfinite(hw * hw) and np.isfinite(np.pi * self.mu_n / hw)):
+            raise ConfigError("grid.mu_halfwidth must be positive, with a finite square "
+                              "and finite wavenumbers")
         # construct both potentials once so bad names/params fail at parse time
         try:
             builtin_pair(self.phi_name, self.phi_params)
@@ -165,7 +166,7 @@ def _potential_entry(obj, where: str) -> tuple:
                             for i, p in enumerate(params))
 
 
-def decode_config_text(text: Union[bytes, str]) -> dict:
+def decode_config_text(text: bytes | str) -> dict:
     """UTF-8 JSON document to a plain mapping (no validation yet)."""
     if isinstance(text, bytes):
         try:
@@ -181,7 +182,7 @@ def decode_config_text(text: Union[bytes, str]) -> dict:
     return raw
 
 
-def parse_config(text: Union[bytes, str]) -> ExperimentConfig:
+def parse_config(text: bytes | str) -> ExperimentConfig:
     """Parse and validate a UTF-8 JSON configuration document."""
     return config_from_mapping(decode_config_text(text))
 

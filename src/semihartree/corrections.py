@@ -24,7 +24,7 @@ import numpy as np
 
 from ._stepping import split_step_nodes, time_nodes
 from .amplitude import B_LABEL, b_potential
-from .classical import Trajectory, hessian_along_flow
+from .classical import Trajectory
 from .errors import NumericalError
 from .grids import RESCALED, WaveFunction
 from .potentials import ExternalPotential, PairPotential
@@ -98,7 +98,7 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     grid, mu, dx = a0.grid, a0.grid.points, a0.grid.dx
     half_kappa = 0.5 * phi.second_deriv_at_0
     _, steps, nodes = _interleaved_nodes(T, dt)
-    potential = b_potential(grid, phi.second_deriv_at_0, hessian_along_flow(trajectory, U)(nodes))
+    potential = b_potential(grid, phi.second_deriv_at_0, U.hess(trajectory.qs_at(nodes)))
     q = trajectory.qs_at(nodes[1::2])
     w3, w4 = U.third(q) / 6.0, U.fourth(q) / 24.0
     powers = np.vander(mu, 5, True).T.copy()  # rows mu**0 .. mu**4
@@ -135,7 +135,7 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
         ["second correction", B_LABEL, "first correction"][2 - K:])
     try:
         for i, psi in rows:
-            if i == nodes.size:  # the second correction alone, at T
+            if i == nodes.size:  # only the second correction is held, at T
                 continue
             j, (b, a1) = i // 2, psi[-2:]
             if i % 2:  # the midpoint of dt step j

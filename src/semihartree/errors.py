@@ -9,8 +9,8 @@ class NumericalError(RuntimeError):
     """A solver produced non-finite values, breached its boundary guard,
     or failed a convergence gate.
 
-    `row` is the index of the failing row when a batched evolution fails,
-    and None otherwise.
+    `row` is the failing row's index, which the stepping engine always sets
+    (a caller may map it to its own rows), and None for other failures.
     """
 
     def __init__(self, *args, row=None):

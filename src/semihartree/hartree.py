@@ -20,7 +20,7 @@ import numpy as np
 
 from ._stepping import split_step_nodes, time_nodes
 from .amplitude import AmplitudeState, evolve_beta
-from .classical import ClassicalState, Trajectory, hessian_along_flow, integrate_flow
+from .classical import ClassicalState, Trajectory, integrate_flow
 from .config import ExperimentConfig
 from .errors import NumericalError
 from .grids import (
@@ -189,10 +189,10 @@ def physical_level(config: ExperimentConfig, refine: int = 1,
     dt_amp = config.mu_dt() / refine
     trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, config.T,
                                 min(1e-3, dt_amp))
-    last = time_nodes(config.T, dt_amp).size - 1
-    idx = np.linspace(0, last, max(0, min(trace_points, last + 1))).astype(int)
+    nodes = time_nodes(config.T, dt_amp)
+    idx = np.linspace(0, nodes.size - 1, max(0, min(trace_points, nodes.size))).astype(int)
     history = evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
-                          hessian_along_flow(trajectory, U), config.T, dt_amp, keep=idx)
+                          U.hess(trajectory.qs_at(nodes)), config.T, dt_amp, keep=idx)
     return PhysicalLevel(refine, dt_amp, trajectory, float(history.second_moments.max()),
                          float(history.spectral_spreads.max()), tuple(history))
 

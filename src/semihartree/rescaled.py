@@ -17,7 +17,6 @@ import numpy as np
 
 from ._stepping import split_step_nodes, time_nodes
 from .amplitude import B_LABEL
-from .classical import hessian_along_flow
 from .corrections import _interleaved_nodes
 from .errors import NumericalError
 from .grids import RESCALED, Grid, WaveFunction, apply_radial_rfft, radial_kernel_rfft
@@ -41,7 +40,7 @@ def _wave_potential(grid: Grid, phi: PairPotential, U: ExternalPotential, groups
     r2hat = 0.5 * phi.second_deriv_at_0 * radial_kernel_rfft(lambda r: r * r, grid)[None]
     for trajectory, nodes, epsilons in groups:
         if epsilons is None:
-            parts.append((r2hat, hessian_along_flow(trajectory, U)(nodes)[:, None], x2_half, None))
+            parts.append((r2hat, U.hess(trajectory.qs_at(nodes))[:, None], x2_half, None))
             continue
         root_eps, inv_eps = np.sqrt(epsilons)[:, None], 1.0 / epsilons[:, None]
         khat = np.stack([radial_kernel_rfft(lambda r, s=s: phi.shifted(s * r), grid)
@@ -99,8 +98,8 @@ def evolve_wave(a0: WaveFunction, phi: PairPotential, U: ExternalPotential, T: f
         for j, psi in split_step_nodes(
                 np.broadcast_to(a0.samples, (len(held), grid.n)), [grid] * len(held), times,
                 _wave_potential(grid, phi, U, [groups[g] for g in dict.fromkeys(
-                    rows[r][0] for r in held)]), [1.0] * len(held),
-                label=[rows[r][1] for r in held]):
+                    rows[r][0] for r in held)]), [1.0] * len(held), [()] * len(held),
+                [rows[r][1] for r in held]):
             for r in range(len(psi)):
                 if times[r].size - 1 == j:
                     finals[held[r]] = WaveFunction(grid, psi[r].copy(), RESCALED)

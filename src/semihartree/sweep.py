@@ -364,15 +364,15 @@ def _crosscheck_deviations(kappa: float, T: float, dt: float, probe_times: tuple
     b is visited at every node, so that no two of its half phases fuse;
     only the probe nodes of either run are kept."""
     grid = ExperimentConfig().mu_grid()
-    hess = lambda t: 0.0 * t
     a0 = gaussian_profile(grid)
     nodes = time_nodes(T, dt)
+    hess = np.zeros(nodes.size)
     probes = [int(np.argmin(np.abs(nodes - t))) for t in probe_times]  # shared node sets
     phased = {int(np.searchsorted(nodes, s.t)): np.exp(1j * s.gamma) * s.beta.samples
               for s in evolve_beta(a0, kappa, hess, T, dt, keep=probes)}
-    b = {j: WaveFunction(grid, psi) for j, psi in split_step_nodes(
-        a0.samples, grid, nodes, b_potential(grid, kappa, hess(nodes)),
-        visit=range(nodes.size), label=B_LABEL) if j in phased}
+    b = {j: WaveFunction(grid, psi) for j, (psi,) in split_step_nodes(
+        [a0.samples], [grid], [nodes], b_potential(grid, kappa, hess), [1.0],
+        [range(nodes.size)], [B_LABEL]) if j in phased}
     return tuple(l2_distance(b[i], WaveFunction(grid, phased[i])) for i in probes)
 
 

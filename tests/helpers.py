@@ -9,7 +9,6 @@ import numpy as np
 
 from semihartree._stepping import GUARD_CELLS, GUARD_MASS, split_step_nodes, time_nodes
 from semihartree.amplitude import B_LABEL, b_potential
-from semihartree.classical import hessian_along_flow
 from semihartree.corrections import _interleaved_nodes, separation_power_form
 from semihartree.errors import NumericalError
 from semihartree.grids import (abs_moment, apply_radial_rfft, boundary_mass, l2_distance,
@@ -36,6 +35,44 @@ def evaluate_trig_interpolant(psi, points):
     return out
 
 
+def thawed_gaussian(trajectory, U, kappa, nodes):
+    """The closed form of the standard-Gaussian profile under the quadratic
+    potential (kappa + U''(q(t))) x^2/2, the thawed Gaussian (Heller 1975):
+    beta = pi^(-1/4) Q^(-1/2) exp(i P x^2 / (2Q)), with Q' = P and
+    P' = -(kappa + U'') Q from Q = 1, P = i, and the nonlinear phase
+    gamma' = -(kappa/2) |Q|^2/2, the rate on the profile's second moment.
+    (Q, P, gamma) at the sorted `nodes`, by classic RK4 over each step
+    between them, U'' read from one table U.hess(trajectory.qs_at(...)) at
+    the nodes and the step midpoints."""
+    both = np.empty(2 * nodes.size - 1)
+    both[::2], both[1::2] = nodes, nodes[:-1] + 0.5 * np.diff(nodes)
+    w = (kappa + U.hess(trajectory.qs_at(both))).tolist()
+
+    def rhs(q, p, c):
+        return p, -c * q, -0.25 * kappa * (q.real ** 2 + q.imag ** 2)
+
+    q, p, g = 1.0 + 0j, 1j, 0.0
+    out = [(q, p, g)]
+    for j, h in enumerate(np.diff(nodes).tolist()):
+        k1 = rhs(q, p, w[2 * j])
+        k2 = rhs(q + 0.5 * h * k1[0], p + 0.5 * h * k1[1], w[2 * j + 1])
+        k3 = rhs(q + 0.5 * h * k2[0], p + 0.5 * h * k2[1], w[2 * j + 1])
+        k4 = rhs(q + h * k3[0], p + h * k3[1], w[2 * j + 2])
+        q, p, g = (y + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                   for y, a, b, c, d in zip((q, p, g), k1, k2, k3, k4))
+        out.append((q, p, g))
+    Q, P, gamma = np.array(out).T
+    return Q, P, gamma.real
+
+
+def thawed_profile(grid, Q, P):
+    """The thawed Gaussian's samples on `grid` at the last of the nodes of
+    `thawed_gaussian`'s (Q, P), the branch of Q^(1/2) followed from Q = 1
+    along them."""
+    root = np.sqrt(np.abs(Q[-1])) * np.exp(0.5j * np.unwrap(np.angle(Q))[-1])
+    return np.pi ** -0.25 / root * np.exp(0.5j * P[-1] / Q[-1] * grid.points ** 2)
+
+
 def node_table(fn, times):
     """fn at every node of the sorted `times`, from one call on all of them,
     indexed by node; a scalar broadcasts, and a leading node axis gives rows."""
@@ -56,13 +93,25 @@ def run_nodes(run):
         states.append(psi.copy())
 
 
-def evolve_b(a0, kappa, hessU_along_flow, T, dt):
+def shared_rows(samples, grid, times, potential, kinetic_scale, visit, labels, engine=None):
+    """A `split_step_nodes` run (or `engine`'s) of the rows of the (m, n)
+    `samples`, all on `grid` and the node array `times` with one kinetic
+    scale and visit set: each of those repeated once per row."""
+    m = len(samples)
+    return (engine or split_step_nodes)(samples, [grid] * m, [times] * m, potential,
+                                        [kinetic_scale] * m, [visit] * m, labels)
+
+
+def evolve_b(a0, kappa, hess, T, dt):
     """(node times, the state at every node) of the phase-absorbed profile
-    under `amplitude.b_potential`."""
+    under `amplitude.b_potential`, with U'' at the nodes `time_nodes(T, dt)`
+    in `hess` (an array, or a constant for every node), as `evolve_beta`
+    takes it."""
     nodes = time_nodes(T, dt)
-    potential = b_potential(a0.grid, kappa, node_table(hessU_along_flow, nodes))
-    return nodes, run_nodes(split_step_nodes(a0.samples, a0.grid, nodes, potential,
-                                             visit=range(nodes.size), label=B_LABEL))[1]
+    potential = b_potential(a0.grid, kappa, np.broadcast_to(np.asarray(hess, np.float64),
+                                                            nodes.shape))
+    return nodes, run_nodes(split_step_nodes([a0.samples], [a0.grid], [nodes], potential, [1.0],
+                                             [range(nodes.size)], [B_LABEL]))[1][:, 0]
 
 
 def packet_frame_potential(grid, epsilons, phi, U, trajectory, times):
@@ -114,8 +163,8 @@ def packet_frame_history(a0, epsilon, phi, U, trajectory, T, dt, every=True):
     nodes = time_nodes(T, dt)
     potential = packet_frame_potential(a0.grid, np.array([epsilon]), phi, U, trajectory, nodes)
     _, states, drift = run_nodes(split_step_nodes(
-        a0.samples[None], a0.grid, nodes, potential,
-        visit=range(nodes.size) if every else [nodes.size - 1], label=[f"eps={epsilon:g}"]))
+        a0.samples[None], [a0.grid], [nodes], potential, [1.0],
+        [range(nodes.size) if every else [nodes.size - 1]], [f"eps={epsilon:g}"]))
     return states[:, 0], float(drift[0])
 
 
@@ -158,11 +207,12 @@ def reference_potential(psi0, dt, nodes, phi, U, row=None):
 def hartree_run(psi0, phi, U, T, dt, visit=()):
     """(node indices, states, norm drift) of the physical reference run from
     psi0 under `reference_potential`, at the node indices `visit` and the
-    final node."""
+    final node: a one-row `split_step_nodes` run, its row taken out."""
     eps, nodes = psi0.frame.epsilon, time_nodes(T, dt)
-    return run_nodes(split_step_nodes(psi0.samples, psi0.grid, nodes,
-                                      reference_potential(psi0, dt, nodes, phi, U), eps,
-                                      {*visit, nodes.size - 1}, f"hartree reference (eps={eps:g})"))
+    idx, states, drift = run_nodes(split_step_nodes(
+        [psi0.samples], [psi0.grid], [nodes], reference_potential(psi0, dt, nodes, phi, U),
+        [eps], [{*visit, nodes.size - 1}], [f"hartree reference (eps={eps:g})"]))
+    return idx, states[:, 0], drift[0]
 
 
 def stored_comparison(epsilon, config, level):
@@ -268,8 +318,8 @@ def correction_pass(b0, grid, nodes, steps, potential, coupling, forcing, visit,
     one correction pass as a generator of (node index, state) at the node
     indices in `visit`.  It evolves the (2, n) batch of b and one correction
     u from (b0, 0) under potential(i, |b|^2) at node index i, or, given
-    b_mid(j) (b at the midpoint of dt step j), u alone from 0 under
-    potential(i, _).  At that midpoint, before any visit, `deposit` adds
+    b_mid(j) (b at the midpoint of dt step j), the one-row batch of u from 0
+    under potential(i, _).  At that midpoint, before any visit, `deposit` adds
     -i*h*s to u: s is coupling(u, b), linear in u and refreshed by one
     fixed-point update of u, plus the u-free forcing(j, b), evaluated once
     per step.  The state is the engine's buffer: copy what you keep."""
@@ -277,13 +327,13 @@ def correction_pass(b0, grid, nodes, steps, potential, coupling, forcing, visit,
         psi0, labels = np.stack([b0, np.zeros_like(b0)]), [B_LABEL, label]
         v = lambda i, density: potential(i, density[0])
     else:
-        psi0, labels, v = np.zeros_like(b0), label, potential
+        psi0, labels, v = np.zeros_like(b0)[None], [label], potential
     visit = set(visit)
-    for i, psi in split_step_nodes(psi0, grid, nodes, v, 1.0,
-                                   visit.union(range(1, nodes.size, 2)), labels):
+    for i, psi in shared_rows(psi0, grid, nodes, v, 1.0, visit.union(range(1, nodes.size, 2)),
+                              labels):
         if i % 2:
             j = i // 2
-            b, u = (psi[0], psi[1]) if b_mid is None else (b_mid(j), psi)
+            b, u = (psi[0], psi[1]) if b_mid is None else (b_mid(j), psi[0])
             deposit(u, b, steps[j], coupling, forcing(j, b))
         if i in visit:
             yield i, psi
@@ -330,8 +380,7 @@ def correction_drive(a0, phi, U, traj, T, dt, keep):
     return SimpleNamespace(
         nodes=nodes, steps=steps, mids=mids,
         store_idx=2 * np.array(sorted({*keep, coarse.size - 1})),
-        potential=b_potential(grid, phi.second_deriv_at_0,
-                              node_table(hessian_along_flow(traj, U), nodes)),
+        potential=b_potential(grid, phi.second_deriv_at_0, U.hess(traj.qs_at(nodes))),
         coupling=coupling, first=lambda j, b: w3[j] * powers[3] * b, second=second,
         three_form_second=three_form_second)
 
@@ -351,9 +400,9 @@ def stored_corrections(a0, phi, U, traj, T, dt, K, keep=(), reference=False):
                        else (closed_form_deposit, d.second))
     grid, nodes = a0.grid, d.nodes
     if K == 0:
-        idx, data, _ = run_nodes(split_step_nodes(a0.samples, grid, nodes, d.potential,
-                                                  visit=d.store_idx, label=B_LABEL))
-        return nodes[idx], (data,)
+        idx, data, _ = run_nodes(split_step_nodes([a0.samples], [grid], [nodes], d.potential,
+                                                  [1.0], [d.store_idx], [B_LABEL]))
+        return nodes[idx], (data[:, 0],)
     stored = set(d.store_idx.tolist())
     visit = stored.union(range(1, nodes.size, 2))
     vs = deque()  # K = 2: b's potential at the nodes the second pass is yet to reach
@@ -363,12 +412,11 @@ def stored_corrections(a0, phi, U, traj, T, dt, K, keep=(), reference=False):
         return vs[-1]
 
     v1 = recorded if K == 2 else d.potential
-    pass1 = split_step_nodes(np.stack([a0.samples, np.zeros_like(a0.samples)]), grid, nodes,
-                             lambda i, density: v1(i, density[0]), 1.0,
-                             range(nodes.size) if K == 2 else visit,
-                             [B_LABEL, "first correction"])
-    pass2 = split_step_nodes(np.zeros_like(a0.samples), grid, nodes, lambda t, _: vs.popleft(),
-                             1.0, visit, "second correction")
+    pass1 = shared_rows(np.stack([a0.samples, np.zeros_like(a0.samples)]), grid, nodes,
+                        lambda i, density: v1(i, density[0]), 1.0,
+                        range(nodes.size) if K == 2 else visit, [B_LABEL, "first correction"])
+    pass2 = split_step_nodes([np.zeros_like(a0.samples)], [grid], [nodes],
+                             lambda t, _: vs.popleft(), [1.0], [visit], ["second correction"])
     rows, rows2 = [], []  # (b, a1) and a2 at the stored nodes
     for i, psi in pass1:
         j = i // 2
@@ -379,7 +427,7 @@ def stored_corrections(a0, phi, U, traj, T, dt, K, keep=(), reference=False):
         if i in stored:
             rows.append(psi.copy())
         if K == 2 and i:  # the second pass on to the midpoint of dt step j - 1
-            for k, a2 in pass2:
+            for k, (a2,) in pass2:
                 if k % 2:
                     break
                 rows2.append(a2.copy())
@@ -389,7 +437,7 @@ def stored_corrections(a0, phi, U, traj, T, dt, K, keep=(), reference=False):
         a1_prev = psi[1].copy()
     orders = list(np.array(rows).swapaxes(0, 1))
     if K == 2:
-        orders.append(np.array(rows2 + [a2.copy() for _, a2 in pass2]))
+        orders.append(np.array(rows2 + [a2.copy() for _, (a2,) in pass2]))
     return nodes[d.store_idx], tuple(orders)
 
 
@@ -428,9 +476,9 @@ def gamma_step(beta_prev, beta_next, kappa: float, dt: float, previous: float) -
     return previous + float(phase_increments(kappa, moments, np.array([0.0, dt]))[0])
 
 
-def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
-                         visit=(), label="evolution"):
-    """The oracle of `_stepping.split_step_nodes`: its step loop as it was
+def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale, visit, label):
+    """The oracle of `_stepping.split_step_nodes` for rows that share one
+    node array, grid, kinetic scale and visit set: its step loop as it was
     before the engine kept a kinetic table per step length and took the
     half phases by cos/sin.  It rebuilds the kinetic table whenever the
     step length changes, takes every half phase by a complex `exp` and
@@ -438,11 +486,14 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
     return value.  Its norms come from the engine's per-row product
     `density @ weights`, so that the drift, too, equals the engine's bit
     for bit."""
-    visit = {int(j) for j in visit} | {times.size - 1}
+    if len({(id(t), id(g), c, frozenset(map(int, v)))
+            for t, g, c, v in zip(times, grid, kinetic_scale, visit)}) != 1:
+        raise ValueError("the oracle's rows share one node array, grid, scale and visit set")
+    times, grid, kinetic_scale = times[0], grid[0], kinetic_scale[0]
+    visit = {int(j) for j in visit[0]} | {times.size - 1}
     psi = np.array(samples0, dtype=np.complex128)
-    batched = psi.ndim == 2
-    labels = [label] if isinstance(label, str) else list(label)
-    if batched and len(labels) != psi.shape[0]:
+    labels = list(label)
+    if psi.ndim != 2 or len(labels) != psi.shape[0]:
         raise ValueError("a batch needs one label per row")
     dx = grid.dx
     k2 = grid.wavenumbers ** 2
@@ -459,18 +510,15 @@ def exp_split_step_nodes(samples0, grid, times, potential, kinetic_scale=1.0,
         if (total(bm, axis=None) <= GUARD_MASS
                 and np.isfinite(total(nrm, axis=None) + total(v, axis=None))):
             return
-        finite = np.atleast_1d(np.isfinite(psi).all(axis=-1))
-        bm = np.atleast_1d(bm)
+        finite = np.isfinite(psi).all(axis=-1)
         bad = ~finite | (bm > GUARD_MASS)
         if not bad.any():
             return
         row = int(np.argmax(bad))
-        where = dict(row=row) if batched else {}
         if not finite[row]:
-            raise NumericalError(
-                f"{labels[row]}: non-finite samples at t={t:.6g}", **where)
+            raise NumericalError(f"{labels[row]}: non-finite samples at t={t:.6g}", row=row)
         raise NumericalError(f"{labels[row]}: boundary mass {bm[row]:.3e} at t={t:.6g} "
-                             f"exceeds guard {GUARD_MASS:.1e}", **where)
+                             f"exceeds guard {GUARD_MASS:.1e}", row=row)
 
     density = psi.real ** 2 + psi.imag ** 2
     norm0 = norm(density)

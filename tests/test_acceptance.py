@@ -10,13 +10,15 @@ import time
 import numpy as np
 
 from semihartree.amplitude import evolve_beta
-from semihartree.classical import hessian_along_flow, integrate_flow
+from semihartree._stepping import time_nodes
+from semihartree.classical import integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.corrections import evolve_corrections, separation_power_form
 from semihartree.grids import (
     abs_moment,
     first_moment,
     gaussian_profile,
+    l2_distance,
     l2_norm,
     make_grid,
 )
@@ -24,11 +26,11 @@ from semihartree.hartree import compare, physical_level
 from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.sweep import lemma_check, render_report, run_sweep
 
-from helpers import evolve_b, packet_frame_history
+from helpers import evolve_b, packet_frame_history, thawed_gaussian, thawed_profile
 from test_corrections import rk4_lines_oracle
 from test_grids import direct_radial_sum, fft_convolve
 
-ZERO_HESS = lambda t: 0.0
+ZERO_HESS = 0.0  # U'' at every node
 
 
 def report(number, name, ok, detail):
@@ -157,7 +159,7 @@ def test_criterion_6_norm_conservation(mu_grid, gauss):
     phi = builtin_pair("cosine")
     U = builtin_external("cosine", [1.0])
     traj = integrate_flow(0.0, 1.0, U, phi.value_at_0, 1.0, 1e-3)
-    hess = hessian_along_flow(traj, U)
+    hess = U.hess(traj.qs_at(time_nodes(1.0, 1e-3)))
     with Stopwatch() as sw:
         beta_states = evolve_beta(gauss, -1.0, hess, 1.0, 1e-3, range(0, 1001, 25))
         drift_beta = max(abs(l2_norm(s.beta) - 1.0) for s in beta_states)
@@ -199,8 +201,8 @@ def test_criterion_7_corrections(mu_grid, gauss):
         phi_0 = builtin_pair("zero")
         U_c = builtin_external("cubic_window", [1.0])
         traj_c = integrate_flow(0.0, 0.0, U_c, 0.0, T, 1e-4)
-        hess_c = hessian_along_flow(traj_c, U_c)
-        b_c = evolve_b(gauss, 0.0, hess_c, T, 6.25e-5)
+        hess_c = lambda t: U_c.hess(traj_c.qs_at(t))  # noqa: E731
+        b_c = evolve_b(gauss, 0.0, hess_c(time_nodes(T, 6.25e-5)), T, 6.25e-5)
 
         def source1(t, u, base):
             return (float(U_c.third(traj_c.q_at(t))) / 6.0) * mu ** 3 * base
@@ -213,8 +215,8 @@ def test_criterion_7_corrections(mu_grid, gauss):
         phi_c = builtin_pair("cosine")
         U_0 = builtin_external("zero")
         traj_0 = integrate_flow(0.0, 0.0, U_0, 1.0, T, 1e-4)
-        hess_0 = hessian_along_flow(traj_0, U_0)
-        b_0 = evolve_b(gauss, -1.0, hess_0, T, 6.25e-5)
+        hess_0 = lambda t: U_0.hess(traj_0.qs_at(t))  # noqa: E731
+        b_0 = evolve_b(gauss, -1.0, hess_0(time_nodes(T, 6.25e-5)), T, 6.25e-5)
 
         def source2(t, u, base):
             density = base.real ** 2 + base.imag ** 2
@@ -285,3 +287,45 @@ def test_criterion_9_deterministic_reports():
     report(9, "deterministic reports", ok,
            f"rows={len(data1) - 1} identical={ok} elapsed={sw.elapsed:.1f}s")
     assert data1 == data2
+
+
+# the default config's distances from the thawed Gaussian at levels 1 and 2:
+# final profile (L2), final gamma, and max |Q|^2/2 - maxvar_x, max |P|^2/2 - maxvar_k
+THAWED_MEASURED = {1: (1.727e-7, 2.114e-7, 7.808e-7, 8.844e-7),
+                   2: (4.318e-8, 5.285e-8, 1.952e-7, 2.211e-7)}
+THAWED_MULTIPLE = 2.0  # each distance lies within twice its measured value
+
+
+def test_criterion_10_thawed_gaussian_profile():
+    # the profile equation is linear with a quadratic potential, so the
+    # standard Gaussian stays Gaussian: evolve_beta's final profile and
+    # gamma, and the level's spreads, against that closed form, which reads
+    # the same U'' table; the profile and gamma errors fall by about 4 per
+    # halving of the step (Strang order 2)
+    budget = 30.0
+    cfg = ExperimentConfig()
+    phi, U, grid = cfg.pair(), cfg.external(), cfg.mu_grid()
+    with Stopwatch() as sw:
+        dists = {}
+        for refine in (1, 2):
+            level = physical_level(cfg, refine)
+            Q, P, gamma = thawed_gaussian(level.trajectory, U, phi.second_deriv_at_0,
+                                          time_nodes(cfg.T, level.dt_amp))
+            final = level.states[-1]
+            dists[refine] = (
+                l2_distance(final.beta, final.beta.with_samples(thawed_profile(grid, Q, P))),
+                abs(final.gamma - gamma[-1]),
+                abs(np.max(np.abs(Q) ** 2) / 2.0 - level.maxvar_x),
+                abs(np.max(np.abs(P) ** 2) / 2.0 - level.maxvar_k))
+    within = all(d <= THAWED_MULTIPLE * m for r in (1, 2)
+                 for d, m in zip(dists[r], THAWED_MEASURED[r]))
+    falls = [dists[1][i] / dists[2][i] for i in (0, 1)]
+    ok = within and all(3.5 <= f <= 4.5 for f in falls) and sw.elapsed <= budget
+    report(10, "thawed Gaussian profile", ok,
+           " ".join(f"L{r}=" + "/".join(f"{d:.2e}" for d in dists[r]) for r in (1, 2))
+           + f" falls={falls[0]:.2f}/{falls[1]:.2f} elapsed={sw.elapsed:.1f}s")
+    for r in (1, 2):
+        for d, m in zip(dists[r], THAWED_MEASURED[r]):
+            assert d <= THAWED_MULTIPLE * m
+    assert all(3.5 <= f <= 4.5 for f in falls)
+    assert sw.elapsed <= budget

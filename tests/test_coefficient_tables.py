@@ -13,7 +13,7 @@ import pytest
 import semihartree.corrections as corrections
 from semihartree._stepping import time_nodes
 from semihartree.amplitude import evolve_beta
-from semihartree.classical import Trajectory, hessian_along_flow, integrate_flow
+from semihartree.classical import Trajectory, integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.corrections import _deposit, evolve_corrections, separation_power_form
 from semihartree.grids import apply_radial_rfft, radial_kernel_rfft
@@ -37,7 +37,8 @@ def stack(gauss):
     phi = builtin_pair("cosine")
     U = builtin_external("cosine", [1.0])
     traj = integrate_flow(0.0, 1.0, U, phi.value_at_0, 0.1, 1e-3)
-    b = evolve_b(gauss, phi.second_deriv_at_0, hessian_along_flow(traj, U), 0.1, 5e-4)
+    b = evolve_b(gauss, phi.second_deriv_at_0, U.hess(traj.qs_at(time_nodes(0.1, 5e-4))), 0.1,
+                 5e-4)
     return phi, U, traj, b
 
 
@@ -69,24 +70,29 @@ class TestSeparationPowerForm:
 
 
 class TestHessianAlongFlow:
+    """The solvers take U'' along the path as a node table,
+    U.hess(trajectory.qs_at(nodes)), from one vectorised lookup."""
+
     def test_array_matches_scalar_calls_at_nodes_and_midpoints(self, stack):
         # tolerance: 1e-15 absolute (|U''| <= 1 for the cosine potential)
         _, U, traj, _ = stack
         nodes = time_nodes(0.1, 1e-3)
         mids = nodes[:-1] + 0.5 * np.diff(nodes)
-        hess = hessian_along_flow(traj, U)
+        hess = lambda t: U.hess(traj.qs_at(t))  # noqa: E731
         for times in (nodes, mids):
             scalar = [float(U.hess(traj.q_at(t))) for t in times]
             np.testing.assert_allclose(hess(times), scalar, rtol=0, atol=1e-15)
         assert isinstance(hess(0.05), float)
 
-    def test_array_call_makes_one_hess_call_and_no_scalar_lookup(self, stack, monkeypatch):
-        _, U, traj, _ = stack
+    def test_array_call_makes_one_hess_call_and_no_scalar_lookup(self, stack, gauss,
+                                                                 monkeypatch):
+        # the correction build reads U'' on its 201 interleaved nodes in one call
+        phi, U, traj, _ = stack
         calls = []
         counted = replace(U, hess=lambda x: calls.append(np.shape(x)) or U.hess(x))
         monkeypatch.setattr(Trajectory, "q_at", lambda self, t: pytest.fail("scalar q_at"))
-        hessian_along_flow(traj, counted)(np.linspace(0.0, 0.1, 7))
-        assert calls == [(7,)]
+        evolve_corrections(gauss, phi, counted, traj, 0.1, 1e-3, 1)
+        assert calls == [(201,)]
 
 
 def old_source_1(mu, dx, phi, U, traj):
@@ -180,7 +186,7 @@ def old_corrections(grid, a0_seq, phi, U, traj, T, dt):
     the coupling and forcing of the first- and second-correction functions
     it served."""
     mu, dx = grid.points, grid.dx
-    hess = hessian_along_flow(traj, U)
+    hess = lambda t: U.hess(traj.qs_at(t))  # noqa: E731
     kappa = phi.second_deriv_at_0
     half_kappa = 0.5 * kappa
     quartic_coeff = phi.fourth_deriv_at_0 / 24.0
@@ -296,7 +302,7 @@ class TestCorrectionDrives:
         # largest sample
         phi, U, traj, b = stack
         mu, dx = mu_grid.points, mu_grid.dx
-        hess = hessian_along_flow(traj, U)
+        hess = lambda t: U.hess(traj.qs_at(t))  # noqa: E731
         kappa = phi.second_deriv_at_0
 
         times, a1_old = old_drive(mu_grid, b, kappa, hess, old_source_1(mu, dx, phi, U, traj),
@@ -319,7 +325,8 @@ class TestCorrectionDrives:
         # tolerance: max deviation at the sampled end nodes <= 1e-13 (a1)
         # and 1e-9 (a2) of the largest sample (measured up to 8.6e-15 and 7.9e-14)
         phi, U, traj = long_stack
-        b = evolve_b(gauss, phi.second_deriv_at_0, hessian_along_flow(traj, U), T, dt / 2)
+        b = evolve_b(gauss, phi.second_deriv_at_0, U.hess(traj.qs_at(time_nodes(T, dt / 2))), T,
+                     dt / 2)
         (times, a1_old), (_, a2_old) = old_corrections(gauss.grid, b, phi, U, traj, T, dt)
         assert np.array_equal(time_nodes(T, dt), times)
         runs = sampled_runs(times, lambda end: evolve_corrections(gauss, phi, U, traj, end, dt, 2))
@@ -335,7 +342,8 @@ class TestCorrectionDrives:
         # 1e-9 for the run to T (measured 1.1e-10 for a1 and 6.9e-11 for a2)
         phi, U, traj = long_stack
         T, dt = 0.1, 3e-4
-        b = evolve_b(gauss, phi.second_deriv_at_0, hessian_along_flow(traj, U), T, dt / 2)
+        b = evolve_b(gauss, phi.second_deriv_at_0, U.hess(traj.qs_at(time_nodes(T, dt / 2))), T,
+                     dt / 2)
         (times, a1_old), (_, a2_old) = old_corrections(gauss.grid, b, phi, U, traj, T, dt)
         np.testing.assert_allclose(times[-2:], [0.0999, 0.1], rtol=1e-12)
         for row, bound in ((-2, 1e-13), (-1, 1e-9)):
@@ -357,7 +365,7 @@ class TestCorrectionDrives:
         monkeypatch.setattr(Trajectory, "q_at", lambda self, t: pytest.fail("scalar q_at"))
         evolve_corrections(gauss, phi, U, traj, self.T, self.DT, 2)
         assert node_calls == [(self.T, self.DT)]
-        hess = hessian_along_flow(traj, U)
+        hess = U.hess(traj.qs_at(time_nodes(self.T, self.DT)))
         evolve_b(gauss, -1.0, hess, self.T, self.DT)
         evolve_beta(gauss, -1.0, hess, self.T, self.DT)
 

@@ -187,10 +187,11 @@ class TestResourceBounds:
         ('{"grid":{"mu_n":1000000000000}}', "grid.mu_n"),
         ('{"grid":{"mu_halfwidth":5e-324}}', "grid.mu_halfwidth"),
         ('{"grid":{"mu_halfwidth":1e308}}', "grid.mu_halfwidth"),
+        ('{"grid":{"mu_halfwidth":1e160}}', "grid.mu_halfwidth"),
         ('{"T":1' + "0" * 5000 + '}', "malformed JSON"),
         ('[' * 100000 + ']' * 100000, "malformed JSON"),
     ], ids=["huge-mu_n", "subnormal-halfwidth", "overflowing-halfwidth",
-            "5000-digit-number", "deep-nesting"])
+            "square-overflowing-halfwidth", "5000-digit-number", "deep-nesting"])
     def test_validate_exits_2_with_one_line(self, tmp_path, capsys, text, where):
         code, err = TestNumbers.validate(tmp_path, capsys, text)
         assert code == 2

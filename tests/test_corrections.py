@@ -7,7 +7,7 @@ import pytest
 from semihartree import _stepping, amplitude
 from semihartree._stepping import GUARD_MASS, time_nodes
 from semihartree.amplitude import B_LABEL, b_potential
-from semihartree.classical import hessian_along_flow, integrate_flow
+from semihartree.classical import integrate_flow
 from semihartree.corrections import (
     _interleaved_nodes,
     assemble_expansion,
@@ -26,7 +26,7 @@ from semihartree.potentials import builtin_external, builtin_pair
 from semihartree.rescaled import evolve_wave
 
 from helpers import (correction_drive, correction_pass, evolve_b, interp_samples,
-                     node_table, own_b_corrections, stored_corrections)
+                     own_b_corrections, stored_corrections)
 
 
 def norm(psi):
@@ -108,8 +108,8 @@ class TestShortTimeOracles:
         phi = builtin_pair("zero")
         U = builtin_external("cubic_window", [1.0])
         traj = integrate_flow(0.0, 0.0, U, 0.0, self.T, 1e-4)
-        hess = hessian_along_flow(traj, U)
-        b = evolve_b(gauss, 0.0, hess, self.T, 6.25e-5)
+        hess = lambda t: U.hess(traj.qs_at(t))  # noqa: E731
+        b = evolve_b(gauss, 0.0, hess(time_nodes(self.T, 6.25e-5)), self.T, 6.25e-5)
         mu = mu_grid.points
 
         def source(t, u, base):
@@ -132,8 +132,8 @@ class TestShortTimeOracles:
         phi = builtin_pair("cosine")
         U = builtin_external("zero")
         traj = integrate_flow(0.0, 0.0, U, phi.value_at_0, self.T, 1e-4)
-        hess = hessian_along_flow(traj, U)
-        b = evolve_b(gauss, -1.0, hess, self.T, 6.25e-5)
+        hess = lambda t: U.hess(traj.qs_at(t))  # noqa: E731
+        b = evolve_b(gauss, -1.0, hess(time_nodes(self.T, 6.25e-5)), self.T, 6.25e-5)
         mu = mu_grid.points
         dx = mu_grid.dx
 
@@ -196,7 +196,7 @@ class TestCorrectionGuard:
         phi = builtin_pair("zero")
         U = builtin_external("cubic_window", [1.0])
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.5, 1e-3)
-        evolve_b(a0, 0.0, hessian_along_flow(traj, U), 0.5, 5e-4)  # passes
+        evolve_b(a0, 0.0, U.hess(traj.qs_at(time_nodes(0.5, 5e-4))), 0.5, 5e-4)  # passes
         with pytest.raises(NumericalError,
                            match=r"^first correction: boundary mass") as err:
             evolve_corrections(a0, phi, U, traj, 0.5, 1e-3, 1)
@@ -337,11 +337,10 @@ class TestDuhamelLinearity:
         # streams: the accumulated responses add exactly
         U = builtin_external("cosine", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 0.2, 1e-3)
-        hess = hessian_along_flow(traj, U)
         mu = mu_grid.points
         _, steps, nodes = _interleaved_nodes(0.2, 1e-3)
         mids = nodes[1::2]
-        potential = b_potential(mu_grid, -1.0, node_table(hess, nodes))
+        potential = b_potential(mu_grid, -1.0, U.hess(traj.qs_at(nodes)))
         no_coupling = lambda u, base: 0.0 * u
 
         def response(forcing):
@@ -379,7 +378,7 @@ def stored_first_pass_corrections(a0, phi, U, traj, T, dt, keep):
         lambda i, _: vs[i], d.coupling,
         lambda j, b: d.second(j, b, interp_samples(d.nodes[::2], data1[::2, 1], d.mids[j])),
         d.store_idx, "second correction", lambda j: data1[2 * j + 1, 0])])
-    return d.nodes[d.store_idx], (data1[d.store_idx, 0], data1[d.store_idx, 1], data2)
+    return d.nodes[d.store_idx], (data1[d.store_idx, 0], data1[d.store_idx, 1], data2[:, 0])
 
 
 class TestLockstep:
@@ -465,13 +464,15 @@ class TestAssembleExpansion:
     def test_base_only(self, gauss):
         U = builtin_external("zero")
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.1, 1e-3)
-        b = gauss.with_samples(evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3)[1][-1])
+        b = gauss.with_samples(evolve_b(gauss, 0.0, U.hess(traj.qs_at(time_nodes(0.1, 1e-3))),
+                                        0.1, 1e-3)[1][-1])
         out = assemble_expansion((b,), 0, 0.04)
         assert np.array_equal(out.samples, b.samples)
 
     def test_missing_orders_rejected(self, gauss):
         U = builtin_external("zero")
         traj = integrate_flow(0.0, 0.0, U, 0.0, 0.1, 1e-3)
-        b = gauss.with_samples(evolve_b(gauss, 0.0, hessian_along_flow(traj, U), 0.1, 1e-3)[1][-1])
+        b = gauss.with_samples(evolve_b(gauss, 0.0, U.hess(traj.qs_at(time_nodes(0.1, 1e-3))),
+                                        0.1, 1e-3)[1][-1])
         with pytest.raises(ValueError, match="missing correction orders"):
             assemble_expansion((b,), 1, 0.04)

@@ -25,7 +25,7 @@ from semihartree.errors import NumericalError  # noqa: E402
 from semihartree.grids import abs_moment, gaussian_profile, make_grid, mean_field  # noqa: E402
 from semihartree.potentials import builtin_external, builtin_pair  # noqa: E402
 
-from helpers import run_nodes  # noqa: E402
+from helpers import run_nodes, shared_rows  # noqa: E402
 
 COSINE = builtin_pair("cosine")
 GRID = make_grid(64, -8.0, 8.0)
@@ -62,14 +62,15 @@ def test_batch_equals_serial_rows(rows, dt, store, separable):
     labels = [f"row {i}" for i in range(len(rows))]
     nodes = time_nodes(T, dt)
     visit = range(nodes.size) if store is None else store + [nodes.size - 1]
-    run = lambda psi0, c, label: run_nodes(split_step_nodes(  # noqa: E731
-        psi0, GRID, nodes, self_consistent(c, separable, nodes), visit=visit, label=label))
-    serial = []
+    run = lambda psi0, c, label: run_nodes(shared_rows(  # noqa: E731
+        psi0, GRID, nodes, self_consistent(c, separable, nodes), 1.0, visit, label))
+    serial = []  # each row a one-row batch, its row taken out
     for i in range(len(rows)):
         try:
-            serial.append(run(samples[i], coeffs[i], labels[i]))
+            single_idx, single, single_drift = run(samples[i:i + 1], coeffs[i], labels[i:i + 1])
+            serial.append((single_idx, single[:, 0], single_drift[0]))
         except NumericalError as exc:
-            assert exc.row is None
+            assert exc.row == 0
             serial.append(exc)
     run_batch = lambda: run(samples, coeffs[:, None], labels)  # noqa: E731
 
@@ -164,12 +165,13 @@ def test_reference_solver_convolves_by_fft_only_without_a_form(monkeypatch, name
                                         0.0, 1.0, eps, grid)
     nodes = time_nodes(0.01, 1e-3)
     run_nodes(split_step_nodes([psi0.samples], [grid], [nodes], hartree._reference_potential(
-        [(psi0, 1e-3, nodes)], builtin_pair(name), builtin_external("cosine")), [eps]))
+        [(psi0, 1e-3, nodes)], builtin_pair(name), builtin_external("cosine")), [eps], [()],
+        ["evolution"]))
     assert len(calls) == convolutions  # one per step and one at t = 0
 
 
 def test_profile_history_is_a_lazy_read_only_sequence(gauss):
-    history = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3, range(11))
+    history = evolve_beta(gauss, -1.0, 0.0, 0.01, 1e-3, range(11))
     assert len(history) == 11 and len(list(history)) == 11
     assert not history.data.flags.writeable
     assert history[-1].t == pytest.approx(0.01)
@@ -180,8 +182,8 @@ def test_profile_history_is_a_lazy_read_only_sequence(gauss):
 
 
 def test_sparse_history_keeps_its_rows_and_every_spread(gauss):
-    full = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3, range(11))
-    sparse = evolve_beta(gauss, -1.0, lambda t: 0.0 * t, 0.01, 1e-3, [4])
+    full = evolve_beta(gauss, -1.0, 0.0, 0.01, 1e-3, range(11))
+    sparse = evolve_beta(gauss, -1.0, 0.0, 0.01, 1e-3, [4])
     assert np.array_equal(sparse.times, full.times[[4, 10]])
     assert np.array_equal(sparse.data, full.data[[4, 10]])
     assert np.array_equal(sparse.gammas, full.gammas[[4, 10]])

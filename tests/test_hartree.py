@@ -5,7 +5,7 @@ import pytest
 
 from semihartree._stepping import split_step_nodes, time_nodes
 from semihartree.amplitude import evolve_beta
-from semihartree.classical import hessian_along_flow, integrate_flow
+from semihartree.classical import integrate_flow
 from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
 from semihartree.grids import (
@@ -161,7 +161,8 @@ class TestReferenceSolver:
         assert _phase_bounds(runs, phi, [U.value(grid.points)])[0] > 0.5 * np.pi
         with pytest.warns(RuntimeWarning, match="phase per step") as batch:
             run_nodes(split_step_nodes([psi0.samples], [grid], [runs[0][2]],
-                                       _reference_potential(runs, phi, U), [eps]))
+                                       _reference_potential(runs, phi, U), [eps], [()],
+                                       ["evolution"]))
         assert [str(w.message) for w in batch] == [str(w.message) for w in alone]
 
 
@@ -171,7 +172,7 @@ class TestAssembly:
         phi = builtin_pair("cosine")
         U = builtin_external("cosine", [1.0])
         traj = integrate_flow(0.0, 1.0, U, phi.value_at_0, 1.0, 1e-3)
-        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3, [0])
+        states = evolve_beta(gauss, -1.0, U.hess(traj.qs_at(time_nodes(1.0, 1e-3))), 1.0, 1e-3, [0])
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
         direct = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
         assembled = assemble_approximation(states[0], traj[0], eps, grid)
@@ -181,7 +182,7 @@ class TestAssembly:
         eps = 0.08
         U = builtin_external("harmonic", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
-        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3)
+        states = evolve_beta(gauss, -1.0, U.hess(traj.qs_at(time_nodes(1.0, 1e-3))), 1.0, 1e-3)
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
         assembled = assemble_approximation(states[-1], traj[-1], eps, grid)
         bare = build_coherent_state(states[-1].beta, traj[-1].q, traj[-1].p, eps, grid)
@@ -192,7 +193,7 @@ class TestAssembly:
         eps = 0.08
         U = builtin_external("harmonic", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
-        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3, [0])
+        states = evolve_beta(gauss, -1.0, U.hess(traj.qs_at(time_nodes(1.0, 1e-3))), 1.0, 1e-3, [0])
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
         with pytest.raises(ValueError, match="time mismatch"):
             assemble_approximation(states[0], traj[-1], eps, grid)
@@ -204,7 +205,7 @@ class TestComparison:
         eps = 0.08
         U = builtin_external("cosine", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
-        states = evolve_beta(gauss, -1.0, hessian_along_flow(traj, U), 1.0, 1e-3, [0])
+        states = evolve_beta(gauss, -1.0, U.hess(traj.qs_at(time_nodes(1.0, 1e-3))), 1.0, 1e-3, [0])
         grid = size_physical_grid(traj, eps, 1.0, 0.5)
         psi0 = build_coherent_state(gauss, 0.0, 1.0, eps, grid)
         assembled = assemble_approximation(states[0], traj[0], eps, grid)
@@ -232,7 +233,7 @@ class TestComparison:
         phi = builtin_pair("cosine")
         U = builtin_external("cosine", [1.0])
         traj = integrate_flow(0.0, 1.0, U, 1.0, 1.0, 1e-3)
-        hess = hessian_along_flow(traj, U)
+        hess = U.hess(traj.qs_at(time_nodes(1.0, 1e-3)))
         b = WaveFunction(gauss.grid, evolve_b(gauss, -1.0, hess, 1.0, 1e-3)[1][-1])
         [a] = evolve_wave(gauss, phi, U, 1.0, [(traj, 1e-3, [eps])], False)
         resc = l2_distance(b, a)

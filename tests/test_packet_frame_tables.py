@@ -13,7 +13,7 @@ import pytest
 
 from semihartree._stepping import time_nodes
 from semihartree.amplitude import b_potential
-from semihartree.classical import hessian_along_flow, integrate_flow
+from semihartree.classical import integrate_flow
 from semihartree.config import ExperimentConfig, config_from_mapping
 from semihartree.corrections import _interleaved_nodes
 from semihartree.grids import apply_radial_rfft, make_grid, radial_distances, radial_kernel_rfft
@@ -187,7 +187,7 @@ class TestWavePotential:
         for trajectory, nodes, epsilons in groups:
             if epsilons is None:
                 closure = b_potential(grid, phi.second_deriv_at_0,
-                                      node_table(hessian_along_flow(trajectory, U), nodes))
+                                      U.hess(trajectory.qs_at(nodes)))
                 closures.append((slice(lo, lo + 1), nodes, lambda j, d, c=closure: c(j, d[0])))
                 lo += 1
             else:

@@ -76,7 +76,8 @@ def test_every_step_stays_within_the_bound(pair, external, eps, dt, n, fill, p):
         return w
 
     try:
-        run_nodes(split_step_nodes(psi0.samples, grid, nodes, recorded, eps))
+        run_nodes(split_step_nodes([psi0.samples], [grid], [nodes], recorded, [eps], [()],
+                                   ["evolution"]))
     except NumericalError:  # the guard: the steps before it still count
         pass
     assert max(phases) <= bound
@@ -84,11 +85,11 @@ def test_every_step_stays_within_the_bound(pair, external, eps, dt, n, fill, p):
     if bound <= 0.5 * np.pi:  # the scan is skipped
         assert max(phases) <= 0.5 * np.pi
     label = f"hartree reference (eps={eps:g})"
-    alone = verdicts(split_step_nodes(psi0.samples, grid, nodes,
-                                      reference_potential(psi0, dt, nodes, phi, U), eps,
-                                      label=label))
+    alone = verdicts(split_step_nodes([psi0.samples], [grid], [nodes],
+                                      reference_potential(psi0, dt, nodes, phi, U), [eps], [()],
+                                      [label]))
     batch = verdicts(split_step_nodes([psi0.samples], [grid], [nodes],
-                                      _reference_potential(runs, phi, U), [eps], label=[label]))
+                                      _reference_potential(runs, phi, U), [eps], [()], [label]))
     assert batch == alone
 
 

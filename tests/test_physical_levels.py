@@ -12,7 +12,6 @@ import pytest
 import semihartree.hartree as hartree
 from semihartree._stepping import time_nodes
 from semihartree.amplitude import evolve_beta
-from semihartree.classical import hessian_along_flow
 from semihartree.config import ExperimentConfig
 from semihartree.grids import abs_moment
 from semihartree.hartree import compare, physical_level
@@ -27,9 +26,10 @@ SMALL = ExperimentConfig(mode="physical", T=0.25, eps_list=(0.32, 0.16))
 def full_history(config, level):
     """The profile run of `level`, stored at every node."""
     phi, U = config.pair(), config.external()
+    nodes = time_nodes(config.T, level.dt_amp)
     return evolve_beta(config.initial_profile(), phi.second_deriv_at_0,
-                       hessian_along_flow(level.trajectory, U), config.T, level.dt_amp,
-                       range(time_nodes(config.T, level.dt_amp).size))
+                       U.hess(level.trajectory.qs_at(nodes)), config.T, level.dt_amp,
+                       range(nodes.size))
 
 
 @pytest.fixture

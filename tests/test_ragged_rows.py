@@ -73,7 +73,8 @@ def run_ragged(starts):
     times = [time_nodes(T, dt) for _, dt in starts]
     nodes = split_step_nodes(
         [p.samples for p, _ in starts], [p.grid for p, _ in starts], times, stacked(starts),
-        [p.frame.epsilon for p, _ in starts], label=[f"row {r}" for r in range(len(starts))])
+        [p.frame.epsilon for p, _ in starts], [()] * len(starts),
+        [f"row {r}" for r in range(len(starts))])
     return ragged_finals(nodes, [t.size - 1 for t in times])
 
 
@@ -224,7 +225,7 @@ def test_rows_leave_shortest_first():
     seen = [(j, len(psi)) for j, psi in split_step_nodes(
         [p.samples for p, _ in starts], [p.grid for p, _ in starts],
         [time_nodes(T, dt) for _, dt in starts], stacked(starts),
-        [p.frame.epsilon for p, _ in starts], label=["a", "b", "c"])]
+        [p.frame.epsilon for p, _ in starts], [()] * 3, ["a", "b", "c"])]
     assert seen == [(100, 3), (143, 2), (250, 1)]
 
 
@@ -234,7 +235,7 @@ def test_rows_must_come_longest_first():
         next(split_step_nodes(
             [p.samples for p, _ in starts], [p.grid for p, _ in starts],
             [time_nodes(T, dt) for _, dt in starts], stacked(starts),
-            [p.frame.epsilon for p, _ in starts], label=["a", "b", "c"]))
+            [p.frame.epsilon for p, _ in starts], [()] * 3, ["a", "b", "c"]))
 
 
 def moving_rows():
@@ -258,13 +259,13 @@ def free(j, density):
 def test_guard_trip_mid_batch_names_its_row_and_own_time():
     samples, grids, times, scales, labels = moving_rows()
     with pytest.raises(NumericalError) as ref:
-        run_nodes(split_step_nodes(samples[1], grids[1], times[1], free, scales[1],
-                                   range(times[1].size), labels[1]))
-    _, short = next(split_step_nodes(samples[2], grids[2], times[2], free, scales[2],
-                                     [times[2].size - 1], labels[2]))
+        run_nodes(split_step_nodes([samples[1]], [grids[1]], [times[1]], free, [scales[1]],
+                                   [range(times[1].size)], [labels[1]]))
+    _, (short,) = next(split_step_nodes([samples[2]], [grids[2]], [times[2]], free, [scales[2]],
+                                        [[times[2].size - 1]], [labels[2]]))
     visits = []
     with pytest.raises(NumericalError) as err:
-        for j, psi in split_step_nodes(samples, grids, times, free, scales, label=labels):
+        for j, psi in split_step_nodes(samples, grids, times, free, scales, [()] * 3, labels):
             visits.append((j, len(psi)))
             final = psi[-1].copy()
     assert str(err.value) == str(ref.value)
@@ -298,7 +299,7 @@ def test_rows_with_own_visits_equal_their_own_runs():
     # row seen at every interleaved node, one at the midpoints only, and a
     # shorter row on another grid at two nodes.  The caller adds a source to
     # each row it sees; every seen state and the drift equal, as bytes,
-    # those of the row run alone through the engine's oracle (a 1-D state,
+    # those of the row run alone through the engine's oracle (a one-row batch,
     # `helpers.exp_split_step_nodes`)
     _, _, nodes = _interleaved_nodes(0.2, 0.03)
     grids = [make_grid(128, -10.0, 10.0)] * 3 + [make_grid(128, -12.0, 12.0)]
@@ -331,13 +332,13 @@ def test_rows_with_own_visits_equal_their_own_runs():
                 psi[r] += sources[r]
                 seen[r].append((j, psi[r].copy()))
     for r, t in enumerate(times):
-        alone, run = [], exp_split_step_nodes(samples[r], grids[r], t, partial(own_v, r),
-                                              scales[r], visits[r], "alone")
+        alone, run = [], exp_split_step_nodes([samples[r]], [grids[r]], [t], partial(own_v, r),
+                                              [scales[r]], [visits[r]], ["alone"])
         while True:
             try:
                 j, psi = next(run)
             except StopIteration as end:
-                drift = end.value
+                drift = end.value[0]
                 break
             psi += sources[r]
             alone.append((j, psi.copy()))
@@ -522,7 +523,7 @@ def test_ragged_run_holds_no_python_float_per_node():
     assert times[0].size == 8_001
     zero = np.zeros(grid.n)
     rows = split_step_nodes([gaussian_profile(grid).samples] * 8, [grid] * 8, times,
-                            lambda j, density: zero, [1.0] * 8, label=list("abcdefgh"))
+                            lambda j, density: zero, [1.0] * 8, [()] * 8, list("abcdefgh"))
     tracemalloc.start()
     try:
         visits = [j for j, _ in rows]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from semihartree.classical import hessian_along_flow, integrate_flow
+from semihartree._stepping import time_nodes
+from semihartree.classical import integrate_flow
 from semihartree.errors import NumericalError
 from semihartree.grids import gaussian_profile, l2_distance, l2_norm, make_grid
 from semihartree.potentials import builtin_external, builtin_pair
@@ -24,7 +25,7 @@ def cosine_stack(mu_grid, gauss):
     phi = builtin_pair("cosine")
     U = builtin_external("cosine", [1.0])
     trajectory = integrate_flow(0.0, 1.0, U, phi.value_at_0, T, 1e-3)
-    hess = hessian_along_flow(trajectory, U)
+    hess = U.hess(trajectory.qs_at(time_nodes(T, DT)))
     _, b = evolve_b(gauss, phi.second_deriv_at_0, hess, T, DT)
     return {"phi": phi, "U": U, "trajectory": trajectory, "hess": hess, "b": b}
 
@@ -45,7 +46,7 @@ class TestExactAnsatz:
         phi = builtin_pair("quadratic", [1.0, -1.0])
         U = builtin_external("harmonic", [1.0])
         trajectory = integrate_flow(0.0, 1.0, U, phi.value_at_0, T, 1e-3)
-        hess = hessian_along_flow(trajectory, U)
+        hess = U.hess(trajectory.qs_at(time_nodes(T, DT)))
         _, b = evolve_b(gauss, phi.second_deriv_at_0, hess, T, DT)
         a, _ = packet_frame_history(gauss, eps, phi, U, trajectory, T, DT)
         worst = max(distance(gauss, b[i], a[i]) for i in range(0, len(b), 100))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from semihartree._stepping import GUARD_CELLS, GUARD_MASS, split_step_nodes, time_nodes
 from semihartree.classical import integrate_flow
@@ -16,7 +17,7 @@ from semihartree.grids import (
 from semihartree.hartree import build_coherent_state, size_physical_grid
 
 import helpers
-from helpers import exp_split_step_nodes, hartree_run, run_nodes
+from helpers import exp_split_step_nodes, hartree_run, run_nodes, shared_rows
 
 
 class TestTimeNodes:
@@ -42,6 +43,14 @@ class TestTimeNodes:
         with pytest.raises(ValueError):
             time_nodes(1.0, 0.0)
 
+    @given(T=st.floats(1e-300, 10.0), dt=st.floats(1e-3, 1.0))
+    @example(T=1e-9, dt=1e-3)  # below the end-snap tolerance: [0, T], node 0 kept
+    @example(T=1e-300, dt=2.5e-4)
+    def test_nodes_run_from_0_to_T_rising_strictly(self, T, dt):
+        t = time_nodes(T, dt)
+        assert t[0] == 0.0 and t[-1] == T
+        assert np.all(np.diff(t) > 0)
+
 
 class TestEngine:
     def test_free_step_is_unitary(self):
@@ -49,7 +58,8 @@ class TestEngine:
         psi0 = gaussian_profile(g)
         potential = lambda j, s: np.zeros(g.n)
         idx, _, drift = run_nodes(split_step_nodes(
-            psi0.samples, g, time_nodes(0.5, 1e-2), potential, visit=range(51)))
+            [psi0.samples], [g], [time_nodes(0.5, 1e-2)], potential, [1.0], [range(51)],
+            ["evolution"]))
         assert drift < 1e-12
         assert idx.tolist() == list(range(51))
 
@@ -58,20 +68,20 @@ class TestEngine:
         psi0 = gaussian_profile(g)
         # zero kinetic scale isolates the potential factor
         _, final = next(split_step_nodes(
-            psi0.samples, g, time_nodes(1.0, 1e-2), lambda j, s: np.full(g.n, 2.0),
-            kinetic_scale=0.0, visit=[100]))
+            [psi0.samples], [g], [time_nodes(1.0, 1e-2)], lambda j, s: np.full(g.n, 2.0),
+            [0.0], [[100]], ["evolution"]))
         assert np.allclose(final, np.exp(-2.0j) * psi0.samples, atol=1e-12)
 
 
 class TestBatchedEngine:
-    """Rows of an (m, n) batch evolve exactly as m separate 1-D runs."""
+    """Rows of an (m, n) batch evolve exactly as m separate one-row runs."""
 
     coeffs = (0.5, -1.0, 2.0)
 
     @staticmethod
     def self_consistent(grid, c, times):
         # mean field rebuilt from the evolved density plus a well moving over
-        # the node times `times`; `c` is a scalar for one state or an (m, 1)
+        # the node times `times`; `c` is a scalar for one row or an (m, 1)
         # column for a batch
         khat = radial_kernel_rfft(lambda r: np.cos(r), grid)
         x2 = grid.points ** 2
@@ -85,14 +95,16 @@ class TestBatchedEngine:
         rows = [gaussian_profile(g, center=c, width=w).samples
                 for c, w in ((0.0, 1.0), (0.5, 0.8), (-0.3, 1.2))]
         column, times = np.array(self.coeffs)[:, None], time_nodes(0.5, 1e-2)
-        idx, data, drift = run_nodes(split_step_nodes(
-            np.stack(rows), g, times, self.self_consistent(g, column, times),
-            visit=[25, 50], label=["a", "b", "c"]))
+        idx, data, drift = run_nodes(shared_rows(
+            np.stack(rows), g, times, self.self_consistent(g, column, times), 1.0, [25, 50],
+            ["a", "b", "c"]))
         assert data.shape == (idx.size, 3, g.n)
         assert drift.shape == (3,)
         for i, (row, c) in enumerate(zip(rows, self.coeffs)):
             _, single, single_drift = run_nodes(split_step_nodes(
-                row, g, times, self.self_consistent(g, c, times), visit=[25, 50]))
+                [row], [g], [times], self.self_consistent(g, c, times), [1.0], [[25, 50]],
+                ["evolution"]))
+            single, single_drift = single[:, 0], single_drift[0]
             scale = np.max(np.abs(single))
             assert np.max(np.abs(data[:, i] - single)) <= 1e-12 * scale
             assert abs(drift[i] - single_drift) <= 1e-12
@@ -105,14 +117,14 @@ class TestBatchedEngine:
                          gaussian_profile(g).samples])
         free = lambda j, s: np.zeros(g.n)
         with pytest.raises(NumericalError, match=r"^moving row: boundary mass") as err:
-            run_nodes(split_step_nodes(rows, g, time_nodes(1.0, 1e-2), free, visit=range(101),
-                                       label=["still row", "moving row", "other row"]))
+            run_nodes(shared_rows(rows, g, time_nodes(1.0, 1e-2), free, 1.0, range(101),
+                                  ["still row", "moving row", "other row"]))
         assert err.value.row == 1
-        # the same state run alone fails the same way and carries no row
+        # the same state run as a one-row batch fails the same way and carries row 0
         with pytest.raises(NumericalError, match=r"^moving row: boundary mass") as err:
-            run_nodes(split_step_nodes(rows[1], g, time_nodes(1.0, 1e-2), free, visit=range(101),
-                                       label="moving row"))
-        assert err.value.row is None
+            run_nodes(split_step_nodes([rows[1]], [g], [time_nodes(1.0, 1e-2)], free, [1.0],
+                                       [range(101)], ["moving row"]))
+        assert err.value.row == 0
 
     def test_boundary_mass_per_row(self):
         g = make_grid(128, -10.0, 10.0)
@@ -172,8 +184,8 @@ class TestFusedPhases:
     @staticmethod
     def setup(batch):
         g = make_grid(128, -10.0, 10.0)
-        if not batch:
-            return g, gaussian_profile(g, width=0.9).samples, 0.7
+        if not batch:  # one row
+            return g, gaussian_profile(g, width=0.9).samples[None], 0.7
         rows = np.stack([gaussian_profile(g, center=c, width=w).samples
                          for c, w in ((0.0, 1.0), (0.5, 0.8), (-0.3, 1.2))])
         return g, rows, np.array(TestBatchedEngine.coeffs)[:, None]
@@ -188,11 +200,10 @@ class TestFusedPhases:
         times = time_nodes(T, dt)
         ref_t, ref_data, ref_drift = strang_reference(
             samples, g, T, dt, TestBatchedEngine.self_consistent(g, c, times), store=store)
-        labels = ["a", "b", "c"] if batch else "evolution"
-        idx, data, drift = run_nodes(split_step_nodes(
-            samples, g, times, TestBatchedEngine.self_consistent(g, c, times),
-            visit=range(times.size) if store is None else store + [times.size - 1],
-            label=labels))
+        labels = ["a", "b", "c"] if batch else ["evolution"]
+        idx, data, drift = run_nodes(shared_rows(
+            samples, g, times, TestBatchedEngine.self_consistent(g, c, times), 1.0,
+            range(times.size) if store is None else store + [times.size - 1], labels))
         assert np.array_equal(times[idx], ref_t)
         assert data.shape == ref_data.shape
         assert np.max(np.abs(data - ref_data)) <= 1e-12 * np.max(np.abs(ref_data))
@@ -208,8 +219,9 @@ class TestFusedPhases:
         with pytest.raises(NumericalError) as ref:
             strang_reference(psi0, g, 1.0, 0.03, pull, store=store)
         with pytest.raises(NumericalError) as got:
-            run_nodes(split_step_nodes(psi0, g, times, pull,
-                                       visit=range(times.size) if store is None else store))
+            run_nodes(split_step_nodes([psi0], [g], [times], pull, [1.0],
+                                       [range(times.size) if store is None else store],
+                                       ["evolution"]))
         assert "boundary mass" in str(ref.value)
         assert str(got.value) == str(ref.value)
 
@@ -223,7 +235,7 @@ class TestFusedPhases:
         with pytest.raises(NumericalError) as ref:
             strang_reference(psi0, g, 0.5, 0.03, bad, store=[])
         with pytest.raises(NumericalError) as got:
-            run_nodes(split_step_nodes(psi0, g, nodes, bad))
+            run_nodes(split_step_nodes([psi0], [g], [nodes], bad, [1.0], [()], ["evolution"]))
         assert str(ref.value) == "evolution: non-finite samples at t=0.21"
         assert str(got.value) == str(ref.value)
 
@@ -240,7 +252,8 @@ class TestDeposit:
         coarse, _, nodes = _interleaved_nodes(0.5, dt)
         potential = TestBatchedEngine.self_consistent(g, 0.7, nodes)
         visit = list(range(1, nodes.size, 2)) + [nodes.size - 1]
-        idx, _, _ = run_nodes(split_step_nodes(psi0, g, nodes, potential, visit=visit))
+        idx, _, _ = run_nodes(split_step_nodes([psi0], [g], [nodes], potential, [1.0], [visit],
+                                               ["evolution"]))
         assert idx.tolist() == visit
         assert len(visit) == coarse.size
 
@@ -250,8 +263,7 @@ class TestDeposit:
         free = lambda j, s: np.zeros(g.n)
         _, _, nodes = _interleaved_nodes(0.1, 0.05)
         seen = {}
-        for j, psi in split_step_nodes(psi0, g, nodes, free, visit=[1, 2, 3],
-                                       label=["b", "u"]):
+        for j, psi in shared_rows(psi0, g, nodes, free, 1.0, [1, 2, 3], ["b", "u"]):
             if j % 2:
                 psi[1] = psi[1] + psi0[0]
             seen[j] = psi.copy()
@@ -273,7 +285,9 @@ class TestNodeGenerator:
         times = time_nodes(0.5, dt)
         potential = TestBatchedEngine.self_consistent(g, 0.7, times)
         visit = [j for j in visit if j < times.size - 1] + [times.size - 1]
-        idx, seen, drift = run_nodes(split_step_nodes(psi0, g, times, potential, visit=visit))
+        idx, seen, drift = run_nodes(split_step_nodes([psi0], [g], [times], potential, [1.0],
+                                                      [visit], ["evolution"]))
+        seen, drift = seen[:, 0], drift[0]
         assert idx.tolist() == visit
         # a visited node sees the state of the plain two-halves loop there
         ref_t, ref_data, ref_drift = strang_reference(psi0, g, 0.5, dt, potential, store=visit)
@@ -289,13 +303,15 @@ class TestNodeGenerator:
         psi0 = gaussian_profile(g, width=0.9).samples
         times = time_nodes(0.3, 0.01)
         well = lambda j, s: 0.5 * (1.0 + times[j]) * g.points ** 2
-        idx, plain, _ = run_nodes(split_step_nodes(psi0, g, times, well,
-                                                   visit=[node, times.size - 1]))
+        idx, plain, _ = run_nodes(split_step_nodes([psi0], [g], [times], well, [1.0],
+                                                   [[node, times.size - 1]], ["evolution"]))
+        plain = plain[:, 0]
         assert idx[0] == node
         if node == 0:
             assert np.array_equal(plain[0], psi0)  # before the first step
         doubled = []
-        for j, psi in split_step_nodes(psi0, g, times, well, visit=[node, times.size - 1]):
+        for j, (psi,) in split_step_nodes([psi0], [g], [times], well, [1.0],
+                                          [[node, times.size - 1]], ["evolution"]):
             if j == node:
                 psi *= 2.0
             doubled.append(psi.copy())
@@ -305,16 +321,18 @@ class TestNodeGenerator:
         g = make_grid(128, -10.0, 10.0)
         free = lambda j, s: np.zeros(g.n)
         buffers = [psi for _, psi in split_step_nodes(
-            gaussian_profile(g).samples, g, time_nodes(0.1, 0.01), free, visit=[2, 5])]
+            [gaussian_profile(g).samples], [g], [time_nodes(0.1, 0.01)], free, [1.0], [[2, 5]],
+            ["evolution"])]
         assert buffers[0] is buffers[1]
 
 
 def run_with_change(engine, samples, grid, times, potential, kinetic_scale, visit,
                     label, change_at):
     """(list of (j, copy of the state) at each visit, return value) of one
-    engine run that scales the state by 1.5 in place at node `change_at`."""
+    engine run of rows on one node array that scales the state by 1.5 in
+    place at node `change_at`."""
     seen = []
-    nodes = engine(samples, grid, times, potential, kinetic_scale, visit, label)
+    nodes = shared_rows(samples, grid, times, potential, kinetic_scale, visit, label, engine)
     while True:
         try:
             j, psi = next(nodes)
@@ -345,7 +363,7 @@ class TestEngineEquivalence:
         last = times.size - 1
         # the node before the short last step takes its trailing half apart
         visit = [0, 3, 7, last - 1, last]
-        labels = ["a", "b", "c"] if batch else "evolution"
+        labels = ["a", "b", "c"] if batch else ["evolution"]
         potential = TestBatchedEngine.self_consistent(g, c, times)
         got, drift = run_with_change(split_step_nodes, samples, g, times, potential,
                                      kinetic_scale, visit, labels, change_at)
@@ -355,7 +373,7 @@ class TestEngineEquivalence:
         for (_, psi), (_, ref_psi) in zip(got, ref):
             np.testing.assert_array_equal(psi, ref_psi)
         np.testing.assert_array_equal(drift, ref_drift)
-        assert np.shape(drift) == ((3,) if batch else ())
+        assert np.shape(drift) == ((3,) if batch else (1,))
 
     def test_reference_solver_equals_the_exp_loop(self, gauss, monkeypatch):
         # the self-consistent cosine mean field of the default config at
@@ -390,10 +408,10 @@ class TestGuardBookkeeping:
     def test_drift_equals_the_summed_norms_of_every_node(self, batch):
         g, samples, c = TestFusedPhases.setup(batch)
         times = time_nodes(0.5, 0.03)
-        labels = ["a", "b", "c"] if batch else "evolution"
-        idx, seen, drift = run_nodes(split_step_nodes(
-            samples, g, times, TestBatchedEngine.self_consistent(g, c, times),
-            visit=range(times.size), label=labels))
+        labels = ["a", "b", "c"] if batch else ["evolution"]
+        idx, seen, drift = run_nodes(shared_rows(
+            samples, g, times, TestBatchedEngine.self_consistent(g, c, times), 1.0,
+            range(times.size), labels))
         assert idx.tolist() == list(range(times.size))
         norms = np.array([np.sqrt(np.add.reduce(np.abs(psi) ** 2, axis=-1) * g.dx)
                           for psi in seen])
@@ -406,11 +424,11 @@ class TestGuardBookkeeping:
         psi0 = gaussian_profile(g, wavenumber=12.0).samples
         free = lambda j, s: np.zeros(g.n)
         with pytest.raises(NumericalError) as err:
-            run_nodes(split_step_nodes(psi0, g, time_nodes(1.0, 1e-2), free, visit=range(101),
-                                       label="moving"))
+            run_nodes(split_step_nodes([psi0], [g], [time_nodes(1.0, 1e-2)], free, [1.0],
+                                       [range(101)], ["moving"]))
         assert str(err.value) == ("moving: boundary mass 1.914e-08 at t=0.33 "
                                   "exceeds guard 1.0e-08")
-        assert err.value.row is None
+        assert err.value.row == 0
 
     def test_later_row_breaching_first_is_named(self):
         # row 2 runs faster than row 1 and reaches the guard band first
@@ -420,8 +438,8 @@ class TestGuardBookkeeping:
                          gaussian_profile(g, wavenumber=-14.0).samples])
         free = lambda j, s: np.zeros(s.shape)
         with pytest.raises(NumericalError) as err:
-            run_nodes(split_step_nodes(rows, g, time_nodes(1.0, 1e-2), free, visit=range(101),
-                                       label=["still", "slow", "fast"]))
+            run_nodes(shared_rows(rows, g, time_nodes(1.0, 1e-2), free, 1.0, range(101),
+                                  ["still", "slow", "fast"]))
         assert str(err.value) == ("fast: boundary mass 2.777e-08 at t=0.3 "
                                   "exceeds guard 1.0e-08")
         assert err.value.row == 2
@@ -439,8 +457,7 @@ class TestGuardBookkeeping:
             return v
 
         with pytest.raises(NumericalError) as err:
-            run_nodes(split_step_nodes(rows, g, nodes, nan_in_row_1,
-                                       label=["a", "b", "c"]))
+            run_nodes(shared_rows(rows, g, nodes, nan_in_row_1, 1.0, (), ["a", "b", "c"]))
         assert str(err.value) == "b: non-finite samples at t=0.21"
         assert err.value.row == 1
 
@@ -452,8 +469,8 @@ class TestGuardBookkeeping:
         rows = amp * np.exp(1j * g.wavenumbers[[3, 5]][:, None] * g.points)
         assert boundary_mass(rows, g, GUARD_CELLS).sum() > GUARD_MASS
         free = lambda j, s: np.zeros(s.shape)
-        _, data, _ = run_nodes(split_step_nodes(rows, g, time_nodes(0.1, 1e-2), free,
-                                                visit=range(11), label=["a", "b"]))
+        _, data, _ = run_nodes(shared_rows(rows, g, time_nodes(0.1, 1e-2), free, 1.0, range(11),
+                                           ["a", "b"]))
         assert np.isfinite(data).all()
 
 
@@ -486,7 +503,8 @@ class TestKineticTables:
             return exp(*args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        for _ in split_step_nodes(psi0, g, times, lambda j, density: zero):
+        for _ in split_step_nodes([psi0], [g], [times], lambda j, density: zero, [1.0], [()],
+                                  ["evolution"]):
             pass
         monkeypatch.undo()
         assert 1 <= len(calls) <= bound
@@ -503,7 +521,7 @@ class TestBlockEdges:
         """(each visit's (j, state bytes), then the drift's bytes or the
         error's (message, row)) of one run; change(j, psi) may alter each
         visited state in place."""
-        seen, nodes = [], engine(samples, grid, times, potential, 1.0, visit, label)
+        seen, nodes = [], shared_rows(samples, grid, times, potential, 1.0, visit, label, engine)
         try:
             while True:
                 j, psi = next(nodes)
@@ -534,14 +552,14 @@ class TestBlockEdges:
             if kind == "boundary" and j == trip_at - 1:
                 np.atleast_2d(psi)[-1, :4] += 1e-3
 
-        labels = ["a", "b", "c"] if batch else "evolution"
+        labels = ["a", "b", "c"] if batch else ["evolution"]
         visit = [0, 100, trip_at - 1, trip_at, times.size - 1]
         got = self.run(split_step_nodes, samples, g, times, potential, visit, labels, change)
         ref = self.run(exp_split_step_nodes, samples, g, times, potential, visit, labels, change)
         assert got == ref
         message, row = got[1]
         assert f"at t={times[trip_at]:.6g}" in message
-        assert row == (2 if batch else None)
+        assert row == (2 if batch else 0)
         assert [j for j, _ in got[0]] == [0, 100, trip_at - 1]
 
     def test_rows_leaving_mid_block_keep_their_drift(self):
@@ -577,8 +595,8 @@ class TestBlockEdges:
                     scale(r)(j, psi[r])
                     seen[r].append((j, psi[r].tobytes()))
         for r in range(3):
-            alone = self.run(exp_split_step_nodes, samples[r], g, times[r], base[r], visits[r],
-                             "alone", scale(r))
+            alone = self.run(exp_split_step_nodes, [samples[r]], g, times[r], base[r], visits[r],
+                             ["alone"], scale(r))
             assert seen[r] == alone[0]
             assert np.float64(drifts[r]).tobytes() == alone[1]
             assert drifts[r] > 1e-7  # the scaling shows in the drift
@@ -598,7 +616,7 @@ class TestBlockEdges:
             if j == 0:
                 psi *= 1.5
 
-        labels = ["a", "b", "c"] if batch else "evolution"
+        labels = ["a", "b", "c"] if batch else ["evolution"]
         visit = sorted({0, 1, 128, times.size - 1} & set(range(times.size)))
         got = self.run(split_step_nodes, samples, g, times, potential, visit, labels, change)
         ref = self.run(exp_split_step_nodes, samples, g, times, potential, visit, labels, change)

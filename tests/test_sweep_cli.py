@@ -187,8 +187,8 @@ class TestLemmaCheckHarness:
         """The cross-check from both profile runs stored at every node."""
         grid = ExperimentConfig().mu_grid()
         a0 = gaussian_profile(grid)
-        times, b = evolve_b(a0, kappa, lambda t: 0.0, T, dt)
-        states = evolve_beta(a0, kappa, lambda t: 0.0, T, dt, range(times.size))
+        times, b = evolve_b(a0, kappa, 0.0, T, dt)
+        states = evolve_beta(a0, kappa, 0.0, T, dt, range(times.size))
         devs = []
         for t in probe_times:
             i = int(np.argmin(np.abs(times - t)))
@@ -295,6 +295,36 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "collide in floating point (eps=0.32)" in err
         assert out.read_text().startswith("epsilon,error,")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "rescaled"], ["sweep", "--mode", "physical"],
+        ["corrections", "--K", "1"], ["corrections", "--K", "2"], ["compare"],
+    ], ids=["rescaled", "physical", "corrections-1", "corrections-2", "compare"])
+    @pytest.mark.parametrize("T", [1e-9, 1e-300])
+    def test_horizon_below_one_step_exit_code(self, tmp_path, capsys, argv, T):
+        # time_nodes(T, dt) is [0, T]: one short step, node 0 kept at 0
+        cfg = self.write_config(tmp_path, T=T)
+        assert main(argv + ["--config", str(cfg), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [["sweep", "--mode", "rescaled"],
+                                      ["corrections", "--K", "1"]],
+                             ids=["rescaled", "corrections-1"])
+    @pytest.mark.parametrize("halfwidth", [1e160, 1e300])
+    def test_halfwidth_with_an_overflowing_square_exit_code(self, tmp_path, capsys, argv,
+                                                            halfwidth):
+        # b's r^2 kernel reaches halfwidth^2: refused when the config is parsed
+        cfg = self.write_config(tmp_path, grid={"mu_halfwidth": halfwidth})
+        assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.mu_halfwidth") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_halfwidth_with_a_finite_square_reaches_the_guard(self, tmp_path, capsys):
+        # 1e150 parses; its kernel transform overflows, and the guard trips
+        cfg = self.write_config(tmp_path, grid={"mu_halfwidth": 1e150})
+        assert main(["sweep", "--mode", "rescaled", "--config", str(cfg), "--quiet"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, grid={"mu_n": 128, "mu_halfwidth": 4},
