@@ -58,37 +58,50 @@ def _load_config(args) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
-def _progress(args):
-    if getattr(args, "quiet", False):
-        return None
-    return lambda msg: print(msg, file=sys.stderr)
+def _solver_config(args) -> ExperimentConfig:
+    """The config of a command that runs solvers; ConfigError, before any
+    solver runs, when the packet-frame grid cannot hold the initial profile."""
+    cfg = _load_config(args)
+    report = validate_initial_amplitude(cfg.initial_profile())
+    failed = [f"{name} {value:.3g}" for name, value in (
+        ("norm defect", report.norm_defect), ("first moment", report.first_moment),
+        ("spectral first moment", report.fourier_first_moment))
+        if not abs(value) <= report.tolerance]
+    if failed:
+        raise ConfigError(
+            f"grid.mu_n/grid.mu_halfwidth ({cfg.mu_n} cells on +-{cfg.mu_halfwidth:g}) "
+            f"cannot hold the initial profile: {', '.join(failed)} above {report.tolerance:g}")
+    return cfg
 
 
 def _cmd_sweep(args) -> int:
     if args.plot_script and not args.out:
         raise ConfigError("--plot-script requires --out")
-    cfg = _load_config(args)
+    cfg = _solver_config(args)
     try:
-        report = run_sweep(cfg, jobs=args.jobs, progress=_progress(args))
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.out:
-            emit_report(exc.report, args.out)
-        return EXIT_NUMERICAL
-    text = render_report(report)
+        report, failure = run_sweep(cfg, jobs=args.jobs), None
+    except SweepError as exc:  # the rows settled before it still print and write
+        report, failure = exc.report, exc
+    if not args.quiet:
+        for row in report.rows:
+            print(f"eps={row.epsilon:<8g} error={row.error:.6e} dt={row.dt_used:g}",
+                  file=sys.stderr)
     if args.out:
         emit_report(report, args.out)
-        if args.plot_script:
+        if args.plot_script and failure is None:
             emit_gnuplot_script(args.out, args.plot_script)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return EXIT_NUMERICAL
     if not args.quiet:
-        print(text, end="")
+        print(render_report(report), end="")
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     if args.trace < 0:
         raise ConfigError(f"--trace must be at least 0, got {args.trace}")
-    cfg = _load_config(args)
+    cfg = _solver_config(args)
     eps = cfg.eps_list[0]
     level = physical_level(cfg, 1, args.trace)
     [(errors, dt, n, _)] = compare([(eps, level)], cfg)

@@ -171,10 +171,9 @@ def abs_moment(psi: WaveFunction, m: int) -> float:
     if not 0 <= m <= 3:
         raise ValueError(f"moment order m must be in 0..3, got {m}")
     density = np.abs(psi.samples) ** 2
-    if m == 0:
-        w = density
-    else:
-        w = np.abs(psi.grid.points) ** (2 * m) * density
+    # a power that overflows where the density vanishes adds nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.where(density > 0, np.abs(psi.grid.points) ** (2 * m) * density, 0.0)
     return float(np.sum(w) * psi.grid.dx)
 
 

@@ -156,35 +156,19 @@ def builtin_external(name: str, params: Sequence[float] = ()) -> ExternalPotenti
     if name == "cubic_window":
         amp = _one_optional(name, params, 1.0)
         s2 = _WINDOW_SCALE ** 2
+        # U = P_0 g with P_0 = A x^3 and g = exp(-x^2/(2 s^2)); by the product
+        # rule the k-th derivative is P_k g, with P_{k+1} = P_k' - x P_k / s^2
+        polys = [amp * np.array([1.0, 0.0, 0.0, 0.0])]
+        for _ in range(4):
+            polys.append(np.polysub(np.polyder(polys[-1]), np.append(polys[-1], 0.0) / s2))
 
-        def window(x):
-            x = np.asarray(x, dtype=np.float64)
-            return x, np.exp(-x * x / (2.0 * s2))
+        def windowed(poly):
+            def derivative(x):
+                x = np.asarray(x, dtype=np.float64)
+                return np.polyval(poly, x) * np.exp(-x * x / (2.0 * s2))
+            return derivative
 
-        # U = A x^3 g with g = exp(-x^2/(2 s^2)); derivatives expanded by hand
-        def value(x):
-            x, g = window(x)
-            return amp * x ** 3 * g
-
-        def grad(x):
-            x, g = window(x)
-            return amp * g * (3.0 * x ** 2 - x ** 4 / s2)
-
-        def hess(x):
-            x, g = window(x)
-            return amp * g * (6.0 * x - 7.0 * x ** 3 / s2 + x ** 5 / s2 ** 2)
-
-        def third(x):
-            x, g = window(x)
-            return amp * g * (6.0 - 27.0 * x ** 2 / s2
-                              + 12.0 * x ** 4 / s2 ** 2 - x ** 6 / s2 ** 3)
-
-        def fourth(x):
-            x, g = window(x)
-            return amp * g * (-60.0 * x / s2 + 75.0 * x ** 3 / s2 ** 2
-                              - 18.0 * x ** 5 / s2 ** 3 + x ** 7 / s2 ** 4)
-
-        return ExternalPotential("cubic_window", value, grad, hess, third, fourth)
+        return ExternalPotential("cubic_window", *map(windowed, polys))
 
     raise ValueError(
         f"unknown external potential {name!r}: valid names are {', '.join(EXTERNAL_NAMES)}"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -158,26 +157,27 @@ def _physical_errors(config: ExperimentConfig, pairs: list) -> list:
     return [(errors[-1], dt, n) for errors, dt, n, _ in compare(pairs, config)]
 
 
-def _gate_rows(config: ExperimentConfig, levels: dict, build, evaluate) -> tuple:
+def _gate_rows(config: ExperimentConfig, build, evaluate) -> tuple:
     """(rows, failure) from the whole eps set gated in waves of (eps index,
     refine) pairs: the first wave holds levels 1 and 2 of every eps, each
-    later one the next doubling of the eps still unsettled.  `levels` maps
-    refine to its level and gains a deeper one from `build(config, refine)`
-    on first use.  failure is (eps, exception) of the first datapoint in
+    later one the next doubling of the eps still unsettled.  A wave builds
+    each level it is the first to need with `build(config, refine)`, in
+    refine order.  failure is (eps, exception) of the first datapoint in
     list order that failed, or None.
 
     The outcome equals evaluating the eps one at a time in list order, level
     by level.  A failure at a pair drops it and every pair after it in
-    (index, refine) order, and the wave reruns with the pairs left; so the
-    datapoint that fails is the earliest, at its lowest failing level.  A
-    row's wall_ms is its share of the time of every wave it took part in,
-    each wave's time split evenly over its eps.
+    (index, refine) order, and the wave reruns with the pairs left; a level
+    build that fails fails every pair of its wave.  So the datapoint that
+    fails is the earliest, at its lowest failing level.  A row's wall_ms is
+    its share of the time of every wave it took part in, level builds
+    included, each wave's time split evenly over its eps.
     """
     eps_list = config.eps_list
     # (index, exception) of the earliest failing eps; the rows end at index
     failure = (len(eps_list), None)
     spent = [0.0] * len(eps_list)
-    settled, errors = {}, {}
+    levels, settled, errors = {}, {}, {}
 
     def wave(pairs: list) -> None:
         nonlocal failure
@@ -228,17 +228,16 @@ def _gate_rows(config: ExperimentConfig, levels: dict, build, evaluate) -> tuple
     return rows, None if failure[1] is None else (eps_list[failure[0]], failure[1])
 
 
-def run_sweep(config: ExperimentConfig, jobs: int = 1,
-              progress: Optional[Callable[[str], None]] = None) -> SweepReport:
+def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     """Measure the error at every epsilon in the configured mode, fit the
     log-log rate, and return the report (rows sorted by descending epsilon).
 
     Every mode gates its eps in waves of (eps, level) pairs over levels
-    built once per call: levels 1 and 2 of every eps, then each doubling of
-    those unsettled.  The packet-frame modes step a wave as one ragged
-    batch, and physical mode steps the pairs of one grid size in a wave as
-    one batch.  `jobs` is checked and otherwise ignored: every mode runs in
-    this process.  Progress lines appear once the last level settles.
+    built once per call, each in the first wave that needs it: levels 1
+    and 2 of every eps, then each doubling of those unsettled.  The
+    packet-frame modes step a wave as one ragged batch, and physical mode
+    steps the pairs of one grid size in a wave as one batch.  `jobs` is
+    checked and otherwise ignored: every mode runs in this process.
 
     Raises ConfigError if jobs < 1, and SweepError with the partial report
     (the rows before the first eps in list order that failed) if any
@@ -246,21 +245,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    eps_list = config.eps_list
     build, evaluate = ((physical_level, _physical_errors) if config.mode == "physical"
                        else (_build_level, _packet_frame_errors))
-    try:
-        levels = {1: build(config, 1), 2: build(config, 2)}
-    except NumericalError as exc:
-        raise SweepError(
-            f"sweep aborted before eps={eps_list[0]:g}: {exc}",
-            _finish_report([], config.mode), eps_list[0],
-        ) from exc
-    rows, failure = _gate_rows(config, levels, build, evaluate)
-    if progress is not None:
-        for row in rows:
-            progress(f"eps={row.epsilon:<8g} error={row.error:.6e} dt={row.dt_used:g}")
-
+    rows, failure = _gate_rows(config, build, evaluate)
     report = _finish_report(rows, config.mode)
     if failure is not None:
         eps, exc = failure

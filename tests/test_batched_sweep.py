@@ -1,7 +1,10 @@
 """Every sweep gates its eps in waves of (eps, level) pairs, levels 1 and 2
-of every eps first (the packet-frame modes evolve every level of a wave,
-with its profile b at K = 0, as one ragged batch); these tests hold it to
-the results of evaluating the eps one at a time."""
+of every eps first, each level built in the first wave that needs it (the
+packet-frame modes evolve every level of a wave, with its profile b at
+K = 0, as one ragged batch); these tests hold it to the results of
+evaluating the eps one at a time."""
+
+import time
 
 import numpy as np
 import pytest
@@ -125,9 +128,8 @@ def test_failure_at_second_level_only(monkeypatch):
 
 
 def test_profile_failure_at_level_1_fails_the_wave_at_its_first_pair(monkeypatch, tmp_path):
-    # b of level 1 fails as its build once did: the sweep ends at the first
-    # eps with no rows and the numerical exit code.  The wave steps b, so
-    # the message reads "aborted at" where the build's read "aborted before"
+    # b of level 1 fails as a failing level build does: the sweep ends at
+    # the first eps with no rows and the numerical exit code
     poison(monkeypatch, {("b", 1): 0.25})
     rows, failed_eps, message = one_at_a_time(SMALL)
     with pytest.raises(SweepError) as err:
@@ -167,10 +169,63 @@ def test_profile_and_eps_failures_together_match_one_at_a_time(monkeypatch):
     assert err.report.rows == ()
 
 
-def test_progress_lines_in_list_order():
-    lines = []
-    run_sweep(SMALL, progress=lines.append)
+def small_cli(tmp_path, capsys, *flags):
+    """(exit code, stderr lines) of the CLI sweep of SMALL."""
+    config = tmp_path / "small.json"
+    config.write_text('{"T": 0.5}')
+    code = cli.main(["sweep", "--mode", "rescaled", "--eps", "0.32,0.16,0.08", "--config",
+                     str(config), *flags])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_progress_lines_in_list_order(monkeypatch, tmp_path, capsys):
+    # one stderr line per row, in list order, printed from the report (none
+    # under --quiet); on a partial report the rows it holds come before the
+    # error line
+    report = run_sweep(SMALL)
+    code, lines = small_cli(tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    assert lines == [f"eps={r.epsilon:<8g} error={r.error:.6e} dt={r.dt_used:g}"
+                     for r in report.rows]
     assert [line.split()[0] for line in lines] == ["eps=0.32", "eps=0.16", "eps=0.08"]
+    assert small_cli(tmp_path, capsys, "--quiet") == (cli.EXIT_OK, [])
+    poison(monkeypatch, {0.16: 0.25})
+    code, partial = small_cli(tmp_path, capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert partial[:-1] == lines[:1]
+    assert partial[-1].startswith("error: sweep aborted at eps=0.16: ")
+
+
+@pytest.mark.parametrize("mode", ["rescaled", "physical", "corrections-1", "corrections-2"])
+def test_narrow_window_fails_alike_in_every_mode(mode, tmp_path, capsys):
+    # the profile trips the boundary guard at t = 0 in every mode's level-1
+    # build or wave: one message, at the mode's first eps, with no rows
+    config = ExperimentConfig(mode=mode, mu_n=128, mu_halfwidth=4.0)
+    first = config.eps_list[0]
+    with pytest.raises(SweepError) as err:
+        run_sweep(config)
+    assert err.value.failed_eps == first and err.value.report.rows == ()
+    assert str(err.value).startswith(f"sweep aborted at eps={first:g}: ")
+    assert "boundary mass" in str(err.value) and "at t=0 exceeds guard" in str(err.value)
+    path = tmp_path / "narrow.json"
+    path.write_text('{"grid": {"mu_n": 128, "mu_halfwidth": 4}}')
+    assert cli.main(["sweep", "--mode", mode, "--config", str(path)]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_first_level_builds_count_in_wall_ms(monkeypatch):
+    # levels 1 and 2 are built in the first wave, on its clock: a second's
+    # sleep in each build shows in the rows' wall_ms
+    real = sweep_module._build_level
+
+    def slow(config, refine):
+        if refine in (1, 2):
+            time.sleep(1.0)
+        return real(config, refine)
+
+    monkeypatch.setattr(sweep_module, "_build_level", slow)
+    report = run_sweep(SMALL)
+    assert sum(r.wall_ms for r in report.rows) >= 2000.0
 
 
 

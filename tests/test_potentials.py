@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semihartree.potentials import builtin_external, builtin_pair
+from semihartree.potentials import EXTERNAL_NAMES, builtin_external, builtin_pair
 
 LATTICE = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
@@ -143,9 +143,20 @@ class TestBuiltinExternals:
             assert abs(fd_hess(U, x) - U.hess(x)) / scale_h < 1e-5
             assert abs(fd_third(U, x) - U.third(x)) / scale_3 < 1e-5
 
+    @pytest.mark.parametrize("name", EXTERNAL_NAMES)
+    def test_fourth_matches_differences_of_third(self, name):
+        # central differences of `third` at h = 1e-4 err by O(h^2) plus
+        # roundoff: 1.7e-9 of the largest `fourth` at most on [-10, 10]
+        U, h = builtin_external(name), 1e-4
+        x = np.linspace(-10.0, 10.0, 401)
+        fd = (U.third(x + h) - U.third(x - h)) / (2.0 * h)
+        scale = max(1.0, float(np.max(np.abs(U.fourth(x)))))
+        assert np.max(np.abs(fd - U.fourth(x))) / scale < 1e-7
+
     def test_cubic_window_third_at_origin(self):
+        # the third derivative at 0 is 6A, with no roundoff
         U = builtin_external("cubic_window", [2.0])
-        assert float(U.third(0.0)) == pytest.approx(12.0, rel=1e-14)
+        assert float(U.third(0.0)) == 12.0
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="valid names"):

@@ -9,7 +9,7 @@ import semihartree.sweep as sweep_module
 from semihartree.amplitude import evolve_beta
 from semihartree.cli import main
 from semihartree.config import ExperimentConfig
-from semihartree.errors import ConfigError
+from semihartree.errors import ConfigError, NumericalError
 from semihartree.grids import WaveFunction, gaussian_profile, l2_distance
 from semihartree.hartree import compare, physical_level
 from semihartree.sweep import (
@@ -319,12 +319,58 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: grid.mu_halfwidth") and err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_halfwidth_with_a_finite_square_reaches_the_guard(self, tmp_path, capsys):
-        # 1e150 parses; its kernel transform overflows, and the guard trips
-        cfg = self.write_config(tmp_path, grid={"mu_halfwidth": 1e150})
-        assert main(["sweep", "--mode", "rescaled", "--config", str(cfg), "--quiet"]) == 3
-        assert "Traceback" not in capsys.readouterr().err
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "rescaled"], ["sweep", "--mode", "physical"],
+        ["corrections", "--K", "1"], ["corrections", "--K", "2"], ["compare"],
+    ], ids=["rescaled", "physical", "corrections-1", "corrections-2", "compare"])
+    @pytest.mark.parametrize("grid", [
+        {"mu_halfwidth": 1e150}, {"mu_halfwidth": 1e70}, {"mu_halfwidth": 1000},
+        {"mu_halfwidth": 300}, {"mu_halfwidth": 3.0}, {"mu_n": 8},
+    ], ids=["hw1e150", "hw1e70", "hw1000", "hw300", "hw3", "n8"])
+    def test_grid_that_cannot_hold_the_profile_exit_code(self, tmp_path, capsys,
+                                                         monkeypatch, argv, grid):
+        # the grid parses, yet the initial profile fails `validate`'s checks on
+        # it: refused with one line, before any solver runs, and with no warning
+        def no_solver(*args):
+            raise AssertionError("a solver ran")
+
+        for name in ("_build_level", "physical_level"):
+            monkeypatch.setattr(sweep_module, name, no_solver)
+        monkeypatch.setattr("semihartree.cli.physical_level", no_solver)
+        cfg = self.write_config(tmp_path, grid=grid)
+        assert main(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "config error: grid.mu_n/grid.mu_halfwidth ") and "cannot hold the initial " \
+            "profile: " in captured.err
+
+    @pytest.mark.parametrize("grid", [
+        {"mu_halfwidth": 200}, {"mu_halfwidth": 3.5}, {"mu_n": 128, "mu_halfwidth": 4},
+    ], ids=["hw200", "hw3.5", "n128-hw4"])
+    def test_grid_that_holds_the_profile_passes_the_check(self, tmp_path, capsys,
+                                                          monkeypatch, grid):
+        # the edges of the check at 512 cells (200 passes, 300 fails; 3.5
+        # passes, 3.0 fails) and the narrow window of the guard tests reach
+        # the solvers
+        def reached(*args):
+            raise NumericalError("a solver ran")
+
+        monkeypatch.setattr(sweep_module, "_build_level", reached)
+        cfg = self.write_config(tmp_path, grid=grid)
+        assert main(["validate", "--config", str(cfg), "--quiet"]) == 0
+        assert main(["sweep", "--config", str(cfg), "--quiet"]) == 3
+        assert capsys.readouterr().err.endswith(": a solver ran\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_validate_reports_an_unfit_grid_without_warning(self, tmp_path, capsys):
+        # the abs moments overflow nowhere that the density is nonzero
+        cfg = self.write_config(tmp_path, grid={"mu_halfwidth": 1e70})
+        assert main(["validate", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "FAIL" and captured.err == ""
+        assert "nan" not in captured.out
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, grid={"mu_n": 128, "mu_halfwidth": 4},
