@@ -22,6 +22,7 @@ from .errors import ConfigError, NumericalError
 from .hartree import compare, physical_level
 from .sweep import (
     SweepError,
+    check_initial_profile,
     emit_gnuplot_script,
     emit_report,
     lemma_check,
@@ -33,8 +34,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-JOBS_HELP = ("accepted and ignored: every mode steps each wave as batches in one "
-             "process (default 1; N < 1 is an error)")
+JOBS_HELP = ("accepted and ignored (default 1; N < 1 is an error): physical mode steps its "
+             "grid-size batches on up to the CPUs this process may use")
 PLOT_HELP = "also write a gnuplot script (requires --out)"
 
 
@@ -58,26 +59,10 @@ def _load_config(args) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
-def _solver_config(args) -> ExperimentConfig:
-    """The config of a command that runs solvers; ConfigError, before any
-    solver runs, when the packet-frame grid cannot hold the initial profile."""
-    cfg = _load_config(args)
-    report = validate_initial_amplitude(cfg.initial_profile())
-    failed = [f"{name} {value:.3g}" for name, value in (
-        ("norm defect", report.norm_defect), ("first moment", report.first_moment),
-        ("spectral first moment", report.fourier_first_moment))
-        if not abs(value) <= report.tolerance]
-    if failed:
-        raise ConfigError(
-            f"grid.mu_n/grid.mu_halfwidth ({cfg.mu_n} cells on +-{cfg.mu_halfwidth:g}) "
-            f"cannot hold the initial profile: {', '.join(failed)} above {report.tolerance:g}")
-    return cfg
-
-
 def _cmd_sweep(args) -> int:
     if args.plot_script and not args.out:
         raise ConfigError("--plot-script requires --out")
-    cfg = _solver_config(args)
+    cfg = _load_config(args)
     try:
         report, failure = run_sweep(cfg, jobs=args.jobs), None
     except SweepError as exc:  # the rows settled before it still print and write
@@ -101,7 +86,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     if args.trace < 0:
         raise ConfigError(f"--trace must be at least 0, got {args.trace}")
-    cfg = _solver_config(args)
+    cfg = _load_config(args)
+    check_initial_profile(cfg)
     eps = cfg.eps_list[0]
     level = physical_level(cfg, 1, args.trace)
     [(errors, dt, n, _)] = compare([(eps, level)], cfg)

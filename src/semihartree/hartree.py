@@ -6,12 +6,14 @@ resolve the fast carrier oscillation (Nyquist with a 4x margin) and wide
 enough to contain the packet ten standard deviations out.  A level holds
 the classical flow and the profile evolution at one refinement, and
 `compare` runs the reference solver on matched settings for (eps, level)
-pairs, one batch per grid size, and reports the distance at each of the
-level's states.
+pairs, one batch per grid size and up to one process per usable CPU, and
+reports the distance at each of the level's states.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -222,39 +224,85 @@ def compare(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
     reference run's step, grid size and norm drift.  Each error is computed
     when the run visits its state's node, keeping no state.  The pairs of
     one grid size (of any levels) step as one ragged batch, longest first,
-    each visited at its own states' nodes.  A failing pair raises
-    NumericalError with `row` set to its list index."""
-    phi, U, starts, records = config.pair(), config.external(), [], [None] * len(pairs)
+    each visited at its own states' nodes; the batches, in order and split
+    by cost into a share per CPU this process may use, step here and in
+    forked children.  A failing pair raises as in one process, after the
+    same warnings: NumericalError with `row` set to its list index."""
+    phi, U, starts = config.pair(), config.external(), []
     for i, (eps, level) in enumerate(pairs):
         try:
             starts.append(_reference_start(eps, config, level))
         except NumericalError as exc:  # a grid that cannot be sized
             exc.row = i
             raise
-    for n in dict.fromkeys(psi0.grid.n for psi0, *_ in starts):
-        batch = sorted((i for i, (psi0, *_) in enumerate(starts) if psi0.grid.n == n),
-                       key=lambda i: -starts[i][2].size)  # longest first
-        runs = [starts[i] for i in batch]
-        rows = split_step_nodes(
-            [psi0.samples for psi0, *_ in runs], [psi0.grid for psi0, *_ in runs],
-            [nodes for _, _, nodes, _ in runs], _reference_potential(runs, phi, U),
-            [pairs[i][0] for i in batch], [trace for *_, trace in runs],
-            [f"hartree reference (eps={pairs[i][0]:g})" for i in batch])
-        errors = [[] for _ in batch]
-        try:  # each error when its node is visited; the run's return value is the drift
-            while True:
-                j, psi = next(rows)
-                for r, (i, (psi0, _, _, trace)) in enumerate(zip(batch, runs[:len(psi)])):
-                    if j in trace:  # a row not yet ended, at one of its states
-                        (eps, level), amp = pairs[i], trace[j]
-                        approx = assemble_approximation(amp, level.trajectory.state_at(amp.t),
-                                                        eps, psi0.grid)
-                        errors[r].append(l2_distance(psi0.with_samples(psi[r]), approx))
-        except StopIteration as end:
-            drifts = end.value.tolist()
-        except NumericalError as exc:
-            exc.row = batch[exc.row]
-            raise
-        for r, (i, (_, dt, *_)) in enumerate(zip(batch, runs)):
-            records[i] = (errors[r], dt, n, drifts[r])
-    return records
+    batches = [sorted((i for i, (psi0, *_) in enumerate(starts) if psi0.grid.n == n),
+                      key=lambda i: -starts[i][2].size)  # longest first
+               for n in dict.fromkeys(psi0.grid.n for psi0, *_ in starts)]
+
+    def step(share: list, records: dict) -> None:  # the batches of a share in turn
+        for batch in share:
+            runs, errors = [starts[i] for i in batch], [[] for _ in batch]
+            rows = split_step_nodes(
+                [psi0.samples for psi0, *_ in runs], [psi0.grid for psi0, *_ in runs],
+                [nodes for _, _, nodes, _ in runs], _reference_potential(runs, phi, U),
+                [pairs[i][0] for i in batch], [trace for *_, trace in runs],
+                [f"hartree reference (eps={pairs[i][0]:g})" for i in batch])
+            try:  # each error when its node is visited; the run's return value is the drift
+                while True:
+                    j, psi = next(rows)
+                    for r, (i, (psi0, _, _, trace)) in enumerate(zip(batch, runs[:len(psi)])):
+                        if j in trace:  # a row not yet ended, at one of its states
+                            (eps, level), amp = pairs[i], trace[j]
+                            approx = assemble_approximation(
+                                amp, level.trajectory.state_at(amp.t), eps, psi0.grid)
+                            errors[r].append(l2_distance(psi0.with_samples(psi[r]), approx))
+            except StopIteration as end:
+                drifts = end.value.tolist()
+            except NumericalError as exc:
+                exc.row = batch[exc.row]
+                raise
+            for r, (i, (psi0, dt, *_)) in enumerate(zip(batch, runs)):
+                records[i] = (errors[r], dt, psi0.grid.n, drifts[r])
+
+    costs = np.array([starts[b[0]][0].grid.n * sum(starts[i][2].size for i in b) for b in batches])
+    cpus = len(os.sched_getaffinity(0)) if {"fork", "sched_getaffinity"} <= set(dir(os)) else 1
+    # each batch to the share its cost midpoint falls in
+    share_of = ((costs.cumsum() - costs / 2) * min(len(costs), cpus) // costs.sum()).tolist()
+    shares = [[b for b, k in zip(batches, share_of) if k == s] for s in dict.fromkeys(share_of)]
+    records, children = {}, []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            if not (pid := os.fork()):  # the child: no stdio flush, none of the caller's cleanup
+                try:
+                    theirs, failure = {}, None
+                    with warnings.catch_warnings(record=True) as caught:
+                        try:
+                            step(share, theirs)
+                        except Exception as exc:  # any, so that it is forwarded
+                            failure = exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump((theirs, failure, caught), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb"), share))
+        step(shares[0] if shares else [], records)
+        for pid, pipe, share in children:  # in batch order, as if their batches stepped here
+            data, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipe.close()
+            theirs, failure, caught = pickle.loads(data) if code == 0 else ({}, NumericalError(
+                f"hartree reference (n={starts[share[0][0]][0].grid.n}): its process ended "
+                f"without a result (exit code {code})", row=min(share[0])), [])
+            for w in caught:  # shown, or recorded by the caller, as if warned here
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+            if failure is not None:
+                raise failure
+            records.update(theirs)
+    finally:  # a child not reaped yet still runs, or is moot after a failure
+        for pid, pipe, _ in [child for child in children if not child[1].closed]:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
+    return [records[i] for i in range(len(pairs))]

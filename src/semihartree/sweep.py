@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stepping import split_step_nodes, time_nodes
-from .amplitude import B_LABEL, b_potential, evolve_beta
+from .amplitude import B_LABEL, b_potential, evolve_beta, validate_initial_amplitude
 from .classical import integrate_flow
 from .config import ExperimentConfig
 from .corrections import assemble_expansion, evolve_corrections
@@ -152,8 +152,7 @@ def _packet_frame_errors(config: ExperimentConfig, pairs: list) -> list:
 
 
 def _physical_errors(config: ExperimentConfig, pairs: list) -> list:
-    """(final error, dt, n) of the pairs from one `compare` call (one batch
-    per grid size)."""
+    """(final error, dt, n) of the pairs from one `compare` call."""
     return [(errors[-1], dt, n) for errors, dt, n, _ in compare(pairs, config)]
 
 
@@ -228,6 +227,19 @@ def _gate_rows(config: ExperimentConfig, build, evaluate) -> tuple:
     return rows, None if failure[1] is None else (eps_list[failure[0]], failure[1])
 
 
+def check_initial_profile(config: ExperimentConfig) -> None:
+    """ConfigError when the packet-frame grid cannot hold the initial profile."""
+    report = validate_initial_amplitude(config.initial_profile())
+    failed = [f"{name} {value:.3g}" for name, value in (
+        ("norm defect", report.norm_defect), ("first moment", report.first_moment),
+        ("spectral first moment", report.fourier_first_moment))
+        if not abs(value) <= report.tolerance]
+    if failed:
+        raise ConfigError(
+            f"grid.mu_n/grid.mu_halfwidth ({config.mu_n} cells on +-{config.mu_halfwidth:g}) "
+            f"cannot hold the initial profile: {', '.join(failed)} above {report.tolerance:g}")
+
+
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     """Measure the error at every epsilon in the configured mode, fit the
     log-log rate, and return the report (rows sorted by descending epsilon).
@@ -235,16 +247,17 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     Every mode gates its eps in waves of (eps, level) pairs over levels
     built once per call, each in the first wave that needs it: levels 1
     and 2 of every eps, then each doubling of those unsettled.  The
-    packet-frame modes step a wave as one ragged batch, and physical mode
-    steps the pairs of one grid size in a wave as one batch.  `jobs` is
-    checked and otherwise ignored: every mode runs in this process.
+    packet-frame modes step a wave as one ragged batch in this process;
+    physical mode steps the pairs of one grid size as one batch, and its
+    batches on up to the CPUs this process may use.  `jobs` is ignored.
 
-    Raises ConfigError if jobs < 1, and SweepError with the partial report
-    (the rows before the first eps in list order that failed) if any
-    datapoint fails.
+    Raises ConfigError if jobs < 1 or the grid cannot hold the initial
+    profile, before any level is built, and SweepError with the partial
+    report (the rows before the first failed eps in list order) if any fails.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    check_initial_profile(config)
     build, evaluate = ((physical_level, _physical_errors) if config.mode == "physical"
                        else (_build_level, _packet_frame_errors))
     rows, failure = _gate_rows(config, build, evaluate)
@@ -257,10 +270,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
 
 def _finish_report(rows, mode: str) -> SweepReport:
     rows = tuple(sorted(rows, key=lambda r: -r.epsilon))
-    if len(rows) >= 3:
-        slope, r2 = fit_rate([r.epsilon for r in rows], [r.error for r in rows])
-    else:
-        slope, r2 = float("nan"), float("nan")
+    slope, r2 = (fit_rate([r.epsilon for r in rows], [r.error for r in rows])
+                 if len(rows) >= 3 else (float("nan"), float("nan")))
     return SweepReport(rows, slope, r2, mode)
 
 

@@ -19,6 +19,7 @@ from semihartree.grids import (
 from semihartree.hartree import (
     _phase_bounds,
     _reference_potential,
+    _reference_start,
     assemble_approximation,
     build_coherent_state,
     compare,
@@ -164,6 +165,24 @@ class TestReferenceSolver:
                                        _reference_potential(runs, phi, U), [eps], [()],
                                        ["evolution"]))
         assert [str(w.message) for w in batch] == [str(w.message) for w in alone]
+
+    @pytest.mark.parametrize("eps, n", [(0.32, 512), (0.02, 1024)])
+    def test_time_reversal_returns_to_the_initial_state(self, eps, n):
+        # the default level-1 reference row, stepped over its nodes and back
+        # over the reversed nodes under one reference potential: each step is
+        # symmetric in time, its potential read off the density at either end,
+        # so the run returns to psi0 (4.1e-13 and 2.9e-11); a potential fed the
+        # previous node's density does not (2.4e-3 at eps 0.08)
+        cfg = ExperimentConfig(mode="physical")
+        psi0, dt, nodes, _ = _reference_start(eps, cfg, physical_level(cfg))
+        potential = _reference_potential([(psi0, dt, nodes)], cfg.pair(), cfg.external())
+        psi = psi0.samples
+        for times in (nodes, nodes[::-1]):
+            [(_, state)] = split_step_nodes([psi], [psi0.grid], [times], potential, [eps], [()],
+                                            ["reversal"])
+            psi = state[0].copy()
+        assert psi0.grid.n == n
+        assert l2_distance(psi0.with_samples(psi), psi0) < 1e-10
 
 
 class TestAssembly:

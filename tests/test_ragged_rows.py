@@ -8,6 +8,7 @@ equals, bit for bit, the per-row closures it replaced
 (`helpers.reference_potential`), their phase checks included."""
 
 from functools import partial
+import json
 import tracemalloc
 import warnings
 
@@ -86,10 +87,12 @@ def scan_bounds(cfg, pairs):
                                                     for p, *_ in runs])
 
 
-def count_engine_steps(monkeypatch, module):
+def count_engine_steps(monkeypatch, module, log=None):
     """The node count each row's potential saw, one list per engine call
     that `module` makes, each row asserted to see every node of its own
-    once."""
+    once.  With `log`, a path, each call also appends its grid size and
+    counts to that file as one JSON line, so that the calls made in a
+    forked child are counted too."""
     calls = []
     real = module.split_step_nodes
 
@@ -104,6 +107,9 @@ def count_engine_steps(monkeypatch, module):
         drift = yield from real(samples0, grid, times, counted, *args, **kwargs)
         assert counts == [t.size for t in times]  # every node of every row, once
         calls.append(counts)
+        if log is not None:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([grid[0].n, counts]) + "\n")
         return drift
 
     monkeypatch.setattr(module, "split_step_nodes", counting)
@@ -444,13 +450,18 @@ def test_half_pi_warning_once_per_row():
     assert all("exceeds pi/2" in text for text in texts)
 
 
-def test_default_physical_sweep_counts_its_steps_at_the_engine(monkeypatch):
+def test_default_physical_sweep_counts_its_steps_at_the_engine(monkeypatch, tmp_path):
     # every eps settles at level 2: 48,000 row-steps in one wave.  Levels 1
     # and 2 of eps 0.32 .. 0.04 are one 8-row batch on n = 512, and those of
     # eps 0.02 one 2-row batch on n = 1024; each takes as many engine steps
-    # as its longest row (8,000 and 10,000)
-    calls = count_engine_steps(monkeypatch, hartree)
+    # as its longest row (8,000 and 10,000).  With two CPUs the n = 1024
+    # batch steps in a forked child, so the calls are read from the log that
+    # every process appends to, in grid-size order
+    log = tmp_path / "engine-calls.jsonl"
+    count_engine_steps(monkeypatch, hartree, log)
     report = run_sweep(CONFIG)
+    calls = [counts for _, counts in sorted(json.loads(line)
+                                            for line in log.read_text().splitlines())]
     assert len(report.rows) == 5
     assert [len(counts) for counts in calls] == [8, 2]
     assert sum(c - 1 for counts in calls for c in counts) == 48_000

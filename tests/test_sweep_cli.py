@@ -363,6 +363,25 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), "--quiet"]) == 3
         assert capsys.readouterr().err.endswith(": a solver ran\n")
 
+    @pytest.mark.parametrize("mode", ["rescaled", "physical", "corrections-2"])
+    def test_run_sweep_refuses_a_grid_that_cannot_hold_the_profile(self, tmp_path, capsys,
+                                                                    monkeypatch, mode):
+        # called directly, as the library's users and the benchmark call it,
+        # the sweep raises the one line that the CLI prints, before any level
+        # is built (at 512 cells on +-1000 it used to return rows of slope 0.33)
+        def no_solver(*args):
+            raise AssertionError("a solver ran")
+
+        for name in ("_build_level", "physical_level"):
+            monkeypatch.setattr(sweep_module, name, no_solver)
+        with pytest.raises(ConfigError) as err:
+            run_sweep(ExperimentConfig(mode=mode, mu_halfwidth=1000.0))
+        assert str(err.value).startswith("grid.mu_n/grid.mu_halfwidth (512 cells on +-1000) "
+                                         "cannot hold the initial profile: ")
+        cfg = self.write_config(tmp_path, mode=mode, grid={"mu_halfwidth": 1000})
+        assert main(["sweep", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {err.value}\n"
+
     @pytest.mark.filterwarnings("error")
     def test_validate_reports_an_unfit_grid_without_warning(self, tmp_path, capsys):
         # the abs moments overflow nowhere that the density is nonzero
