@@ -20,11 +20,17 @@ and one step loop: an (m, n) batch of rows, each with its own grid, node
 array, kinetic scale, visit set and label, under one potential and one
 stacked kinetic table, a table per distinct step length of each row, its
 swaps and leading halves scheduled once.
+
+`fan_out` runs independent tasks side by side, one forked process per task
+beyond the first, with the results, failures and warnings of one process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import warnings
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,7 +38,7 @@ import numpy as np
 from .errors import NumericalError
 from .grids import Grid
 
-__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "split_step_nodes"]
+__all__ = ["GUARD_CELLS", "GUARD_MASS", "time_nodes", "split_step_nodes", "fan_out"]
 
 # the boundary guard of every evolution: more than GUARD_MASS probability
 # within GUARD_CELLS cells of either domain edge fails the run
@@ -199,3 +205,62 @@ def split_step_nodes(samples0: np.ndarray, grid: Sequence[Grid], times: Sequence
             views, block = flat(), block[:, :m]
     fold(last % 128 + 1)
     return np.maximum(np.sqrt(tops) - norm0, norm0 - np.sqrt(bottoms))
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may use: 1 where it cannot fork or read its affinity."""
+    return len(os.sched_getaffinity(0)) if {"fork", "sched_getaffinity"} <= set(dir(os)) else 1
+
+
+def fan_out(tasks: Sequence[tuple]) -> list:
+    """run() of each (run, label, row) task in order: the first here, each other in a forked
+    child that pickles back its result, exception and warnings, or here after the tasks
+    before it with one usable CPU or if its pipe or fork fails (OSError).  The warnings (a
+    child's replayed) and the failure raised, the first in task order, are those of one
+    process; a child ending without a result raises NumericalError(label: ..., row=row).  A
+    child not yet reaped when the call ends (a failure, an interrupt) is killed and reaped."""
+    children, results = [None] * len(tasks), []
+    try:
+        for k, (run, _, _) in enumerate(tasks[1:] if usable_cpus() > 1 else (), 1):
+            fds = ()
+            try:
+                read, write = fds = os.pipe()
+                pid = os.fork()
+            except OSError:  # EAGAIN, ENOMEM: the task runs here
+                for fd in fds:
+                    os.close(fd)
+                continue
+            if not pid:  # the child: no stdio flush, none of the caller's cleanup
+                try:
+                    with warnings.catch_warnings(record=True) as caught:
+                        try:
+                            outcome = run(), None
+                        except Exception as exc:  # any, so that it is forwarded
+                            outcome = None, exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump((*outcome, caught), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[k] = pid, open(read, "rb")
+        for (run, label, row), child in zip(tasks, children):
+            if child:
+                pid, pipe = child
+                data, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pipe.close()
+                if code:
+                    raise NumericalError(f"{label}: its process ended without a result "
+                                         f"(exit code {code})", row=row)
+                result, exc, caught = pickle.loads(data)
+                for w in caught:  # shown, or recorded by the caller, as if warned here
+                    warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+                if exc is not None:
+                    raise exc
+            results.append(result if child else run())
+        return results
+    finally:
+        for pid, pipe in [child for child in children if child and not child[1].closed]:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()

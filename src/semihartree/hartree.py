@@ -12,15 +12,14 @@ reports the distance at each of the level's states.
 
 from __future__ import annotations
 
-import os
-import pickle
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from ._stepping import split_step_nodes, time_nodes
+from ._stepping import fan_out, split_step_nodes, time_nodes, usable_cpus
 from .amplitude import AmplitudeState, evolve_beta
 from .classical import ClassicalState, Trajectory, integrate_flow
 from .config import ExperimentConfig
@@ -226,7 +225,7 @@ def compare(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
     one grid size (of any levels) step as one ragged batch, longest first,
     each visited at its own states' nodes; the batches, in order and split
     by cost into a share per CPU this process may use, step here and in
-    forked children.  A failing pair raises as in one process, after the
+    forked children (`fan_out`).  A failing pair raises as in one process, after the
     same warnings: NumericalError with `row` set to its list index."""
     phi, U, starts = config.pair(), config.external(), []
     for i, (eps, level) in enumerate(pairs):
@@ -239,7 +238,8 @@ def compare(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
                       key=lambda i: -starts[i][2].size)  # longest first
                for n in dict.fromkeys(psi0.grid.n for psi0, *_ in starts)]
 
-    def step(share: list, records: dict) -> None:  # the batches of a share in turn
+    def step(share: list) -> list:  # the (index, record) of a share's pairs, batch by batch
+        records = []
         for batch in share:
             runs, errors = [starts[i] for i in batch], [[] for _ in batch]
             rows = split_step_nodes(
@@ -262,47 +262,14 @@ def compare(pairs: Sequence[tuple], config: ExperimentConfig) -> list:
                 exc.row = batch[exc.row]
                 raise
             for r, (i, (psi0, dt, *_)) in enumerate(zip(batch, runs)):
-                records[i] = (errors[r], dt, psi0.grid.n, drifts[r])
+                records.append((i, (errors[r], dt, psi0.grid.n, drifts[r])))
+        return records
 
     costs = np.array([starts[b[0]][0].grid.n * sum(starts[i][2].size for i in b) for b in batches])
-    cpus = len(os.sched_getaffinity(0)) if {"fork", "sched_getaffinity"} <= set(dir(os)) else 1
-    # each batch to the share its cost midpoint falls in
-    share_of = ((costs.cumsum() - costs / 2) * min(len(costs), cpus) // costs.sum()).tolist()
+    cpus = min(len(costs), usable_cpus())  # each batch to the share its cost midpoint falls in
+    share_of = ((costs.cumsum() - costs / 2) * cpus // costs.sum()).tolist()
     shares = [[b for b, k in zip(batches, share_of) if k == s] for s in dict.fromkeys(share_of)]
-    records, children = {}, []
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            if not (pid := os.fork()):  # the child: no stdio flush, none of the caller's cleanup
-                try:
-                    theirs, failure = {}, None
-                    with warnings.catch_warnings(record=True) as caught:
-                        try:
-                            step(share, theirs)
-                        except Exception as exc:  # any, so that it is forwarded
-                            failure = exc
-                    with open(write, "wb") as pipe:
-                        pickle.dump((theirs, failure, caught), pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write)
-            children.append((pid, open(read, "rb"), share))
-        step(shares[0] if shares else [], records)
-        for pid, pipe, share in children:  # in batch order, as if their batches stepped here
-            data, code = pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pipe.close()
-            theirs, failure, caught = pickle.loads(data) if code == 0 else ({}, NumericalError(
-                f"hartree reference (n={starts[share[0][0]][0].grid.n}): its process ended "
-                f"without a result (exit code {code})", row=min(share[0])), [])
-            for w in caught:  # shown, or recorded by the caller, as if warned here
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-            if failure is not None:
-                raise failure
-            records.update(theirs)
-    finally:  # a child not reaped yet still runs, or is moot after a failure
-        for pid, pipe, _ in [child for child in children if not child[1].closed]:
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            pipe.close()
+    records = dict(record for share in fan_out([(partial(step, share), "hartree reference "
+                   f"(n={starts[share[0][0]][0].grid.n})", min(share[0])) for share in shares])
+                   for record in share)
     return [records[i] for i in range(len(pairs))]

@@ -5,8 +5,9 @@ Every datapoint must change by less than 2% when all time steps are halved
 before it is recorded; a datapoint that refuses to converge aborts the
 sweep with the partial report.  One gate loop serves every mode; only the
 level build and the evaluation of a wave of (eps, level) pairs (one ragged
-batch of every level, or one batch per physical grid size) depend on the
-mode.  CSV data sections are byte-stable for a fixed configuration;
+batch of every level beside the builds of its levels' correction orders, or
+one batch per physical grid size, side by side in forked processes) depend
+on the mode.  CSV data sections are byte-stable for a fixed configuration;
 wall-clock timings are excluded from that contract and live in a trailing
 comment block.
 """
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._stepping import split_step_nodes, time_nodes
+from ._stepping import fan_out, split_step_nodes, time_nodes
 from .amplitude import B_LABEL, b_potential, evolve_beta, validate_initial_amplitude
 from .classical import integrate_flow
 from .config import ExperimentConfig
@@ -114,37 +116,49 @@ ORDERS = {"rescaled": 0, "corrections-1": 1, "corrections-2": 2}
 
 
 def _build_level(config: ExperimentConfig, level: int) -> dict:
-    """Epsilon-independent pieces of a packet-frame level: the trajectory,
-    and at K >= 1 the final profile and correction orders (the wave
-    evolves the K = 0 profile)."""
-    phi, U, T, K = config.pair(), config.external(), config.T, ORDERS[config.mode]
+    """Epsilon-independent pieces of a packet-frame level: the trajectory;
+    at K >= 1 the first wave to need it adds b and the correction orders at T
+    (the wave evolves the K = 0 profile)."""
     dt = config.mu_dt() / level
-    trajectory = integrate_flow(config.q0, config.p0, U, phi.value_at_0, T, min(1e-3, dt))
-    if K == 0:
-        return {"trajectory": trajectory, "dt": dt}
-    return {"trajectory": trajectory, "dt": dt, "corrections": evolve_corrections(
-        config.initial_profile(), phi, U, trajectory, T, dt, K)}
+    return {"dt": dt, "trajectory": integrate_flow(
+        config.q0, config.p0, config.external(), config.pair().value_at_0, config.T,
+        min(1e-3, dt))}
 
 
 def _packet_frame_errors(config: ExperimentConfig, pairs: list) -> list:
     """The pairs of a wave from one ragged evolution of the eps of every
-    level, each level's profile too at K = 0; a failing profile row fails
-    its level, as a failing build does, so it names the wave's first pair."""
+    level, each level's profile too at K = 0, beside the builds of the orders
+    its levels lack (`fan_out`: the builds in refine order, then the wave); a
+    failing build or profile row fails its level, so it names the wave's first pair."""
     K, batches = ORDERS[config.mode], {}
     for p, (_, shared) in enumerate(pairs):
         batches.setdefault(shared["dt"], []).append(p)
     owners = [p for batch in batches.values() for p in [0] * (K == 0) + batch]
-    try:
-        finals = iter(evolve_wave(
-            config.initial_profile(), config.pair(), config.external(), config.T,
-            [(pairs[batch[0]][1]["trajectory"], dt, [pairs[p][0] for p in batch])
-             for dt, batch in batches.items()], K == 0))
+    a0, phi, U, T = config.initial_profile(), config.pair(), config.external(), config.T
+
+    def wave():  # the finals, or the failure of a row, which names its pair
+        try:
+            return evolve_wave(a0, phi, U, T, [(pairs[batch[0]][1]["trajectory"], dt, [
+                pairs[p][0] for p in batch]) for dt, batch in batches.items()], K == 0)
+        except NumericalError as exc:
+            exc.row = owners[exc.row]
+            return exc
+
+    new = [pairs[b[0]][1] for b in batches.values() if K and "orders" not in pairs[b[0]][1]]
+    builds = [(partial(evolve_corrections, a0, phi, U, shared["trajectory"], T, shared["dt"], K),
+               f"corrections build (dt={shared['dt']:g})", 0) for shared in new]
+    try:  # a failing build's error, raised before any of the wave
+        *built, finals = fan_out(builds + [(wave, "packet-frame wave", 0)])
     except NumericalError as exc:
-        exc.row = owners[exc.row]
+        exc.row = 0
         raise
-    results = [None] * len(pairs)
+    for shared, orders in zip(new, built):  # kept for a rerun of the wave
+        shared["orders"] = orders
+    if isinstance(finals, NumericalError):
+        raise finals
+    finals, results = iter(finals), [None] * len(pairs)
     for dt, batch in batches.items():
-        orders = (next(finals),) if K == 0 else pairs[batch[0]][1]["corrections"]
+        orders = (next(finals),) if K == 0 else pairs[batch[0]][1]["orders"]
         for p in batch:
             error = l2_distance(next(finals), assemble_expansion(orders, K, pairs[p][0]))
             results[p] = (error, dt, config.mu_n)
@@ -186,18 +200,12 @@ def _gate_rows(config: ExperimentConfig, build, evaluate) -> tuple:
                 for refine in dict.fromkeys(r for _, r in pairs):
                     if refine not in levels:
                         levels[refine] = build(config, refine)
-            except NumericalError as exc:
-                # a level build fails every pair of the wave, whichever of
-                # its own rows raised
-                failure, p = (pairs[0][0], exc), 0
-            else:
-                try:
-                    errors.update(zip(pairs, evaluate(
-                        config, [(eps_list[i], levels[r]) for i, r in pairs])))
-                    p = len(pairs)
-                except NumericalError as exc:
-                    p = exc.row or 0
-                    failure = (pairs[p][0], exc)
+                errors.update(zip(pairs, evaluate(
+                    config, [(eps_list[i], levels[r]) for i, r in pairs])))
+                p = len(pairs)
+            except NumericalError as exc:  # a level build fails the wave, whichever row raised
+                p = (exc.row or 0) if refine in levels else 0
+                failure = (pairs[p][0], exc)
             held = dict.fromkeys(i for i, _ in pairs)
             share = (time.perf_counter() - start) * 1e3 / len(held)
             for i in held:
@@ -247,9 +255,11 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     Every mode gates its eps in waves of (eps, level) pairs over levels
     built once per call, each in the first wave that needs it: levels 1
     and 2 of every eps, then each doubling of those unsettled.  The
-    packet-frame modes step a wave as one ragged batch in this process;
-    physical mode steps the pairs of one grid size as one batch, and its
-    batches on up to the CPUs this process may use.  `jobs` is ignored.
+    packet-frame modes step a wave as one ragged batch, at K >= 1 beside the
+    builds of its new levels' orders, one process per task; physical mode
+    steps the pairs of one grid size as one batch, and its batches on up to
+    the CPUs this process may use.  With one usable CPU everything runs in
+    this process, with the same rows and errors.  `jobs` is ignored.
 
     Raises ConfigError if jobs < 1 or the grid cannot hold the initial
     profile, before any level is built, and SweepError with the partial

@@ -116,6 +116,13 @@ def count_engine_steps(monkeypatch, module, log=None):
     return calls
 
 
+def logged_calls(log):
+    """The counts of every engine call appended to `log`, by any process,
+    in (grid size, counts) order."""
+    return [counts for _, counts in sorted(json.loads(line)
+                                           for line in log.read_text().splitlines())]
+
+
 # (eps, half-width, dt) per row, longest first
 CASES = {
     # three grids, three eps and three node counts (250, 143, 100); dt 7e-4
@@ -460,8 +467,7 @@ def test_default_physical_sweep_counts_its_steps_at_the_engine(monkeypatch, tmp_
     log = tmp_path / "engine-calls.jsonl"
     count_engine_steps(monkeypatch, hartree, log)
     report = run_sweep(CONFIG)
-    calls = [counts for _, counts in sorted(json.loads(line)
-                                            for line in log.read_text().splitlines())]
+    calls = logged_calls(log)
     assert len(report.rows) == 5
     assert [len(counts) for counts in calls] == [8, 2]
     assert sum(c - 1 for counts in calls for c in counts) == 48_000
@@ -481,26 +487,32 @@ def test_default_rescaled_sweep_steps_each_wave_in_one_call(monkeypatch):
     assert sum(c - 1 for counts in calls for c in counts) == 21_000
 
 
-def test_default_corrections_sweep_takes_8002_engine_steps(monkeypatch):
+def test_default_corrections_sweep_takes_8002_engine_steps(monkeypatch, tmp_path):
     # each level build is one engine call: b and the first correction on
     # the 2,001 and 4,001 interleaved nodes of levels 1 and 2, the second
     # correction one node behind on one node more (6,002 engine steps); the
     # eps of both levels are one more call (2,000): 8,002, where the two
-    # correction passes and the eps took 14,000
-    calls = count_engine_steps(monkeypatch, corrections)
-    wave = count_engine_steps(monkeypatch, rescaled)
+    # correction passes and the eps took 14,000.  With two CPUs the level-2
+    # build and the eps wave step in forked children, so the calls are read
+    # from the logs that every process appends to
+    builds, waves = tmp_path / "builds.jsonl", tmp_path / "waves.jsonl"
+    count_engine_steps(monkeypatch, corrections, builds)
+    count_engine_steps(monkeypatch, rescaled, waves)
     report = run_sweep(ExperimentConfig(mode="corrections-2"))
+    calls, wave = logged_calls(builds), logged_calls(waves)
     assert len(report.rows) == 5
     assert calls == [[2_002, 2_001, 2_001], [4_002, 4_001, 4_001]]
     assert sum(max(counts) - 1 for counts in calls + wave) == 8_002
 
 
-def test_default_corrections_sweep_steps_its_eps_in_one_call(monkeypatch):
+def test_default_corrections_sweep_steps_its_eps_in_one_call(monkeypatch, tmp_path):
     # the eps of levels 1 and 2 as one 10-row call: 15,000 row-steps in
     # 2,000 engine steps (3,000 level by level); b and the corrections
-    # step in the level builds
-    calls = count_engine_steps(monkeypatch, rescaled)
+    # step in the level builds.  With two CPUs the call is made in a forked
+    # child, so it is read from the log
+    count_engine_steps(monkeypatch, rescaled, tmp_path / "waves.jsonl")
     report = run_sweep(ExperimentConfig(mode="corrections-2"))
+    calls = logged_calls(tmp_path / "waves.jsonl")
     assert len(report.rows) == 5
     assert calls == [[2_001] * 5 + [1_001] * 5]
     assert sum(c - 1 for counts in calls for c in counts) == 15_000
