@@ -35,7 +35,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 JOBS_HELP = ("accepted and ignored (default 1; N < 1 is an error): physical mode steps its "
-             "grid-size batches on up to the CPUs this process may use")
+             "grid-size batches on up to the CPUs this process may use, the corrections modes "
+             "build their correction orders beside the eps stepping, and rescaled runs in one "
+             "process")
 PLOT_HELP = "also write a gnuplot script (requires --out)"
 
 

@@ -89,7 +89,7 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
     potential at the node before, and is visited at its own midpoints.  A
     correction reaching the engine's guard fails with its own label: the
     row that trips first in time (the first correction on a tie), with
-    `row` 0 for b, 1 for the first correction and none for the second.
+    `row` None.
     """
     if K not in (1, 2):
         raise ValueError("correction order K must be 1 or 2")
@@ -148,7 +148,7 @@ def evolve_corrections(a0: WaveFunction, phi: PairPotential, U: ExternalPotentia
                 _deposit(psi[0], b_mid, steps[j - 1], coupling, second(j - 1, b_mid, a1_mid))
             prev = psi[-2:].copy()  # (b, a1) at this dt node
     except NumericalError as exc:
-        exc.row = exc.row - (K - 1) if exc.row >= K - 1 else None
+        exc.row = None  # its label names the order; no row is the caller's
         raise
     return tuple(WaveFunction(grid, row) for row in [*prev, *psi[:K - 1]])
 

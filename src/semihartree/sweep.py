@@ -108,7 +108,7 @@ def _row(eps: float, err: float, dt_used: float, n_used: int, wall_ms: float) ->
 # ---------------------------------------------------------------------------
 # the (eps, level) pairs of every mode: `evaluate(config, pairs)` gives
 # (error, dt, n) for each pair, or raises NumericalError with `row` set to
-# the index of the failing pair
+# the index of the failing pair (None: the first)
 
 
 # correction orders evolved alongside the profile in each packet-frame mode
@@ -116,9 +116,8 @@ ORDERS = {"rescaled": 0, "corrections-1": 1, "corrections-2": 2}
 
 
 def _build_level(config: ExperimentConfig, level: int) -> dict:
-    """Epsilon-independent pieces of a packet-frame level: the trajectory;
-    at K >= 1 the first wave to need it adds b and the correction orders at T
-    (the wave evolves the K = 0 profile)."""
+    """Epsilon-independent pieces of a packet-frame level: its dt and trajectory
+    (b and the orders are evolved by the wave, or at K >= 1 built beside it)."""
     dt = config.mu_dt() / level
     return {"dt": dt, "trajectory": integrate_flow(
         config.q0, config.p0, config.external(), config.pair().value_at_0, config.T,
@@ -127,38 +126,30 @@ def _build_level(config: ExperimentConfig, level: int) -> dict:
 
 def _packet_frame_errors(config: ExperimentConfig, pairs: list) -> list:
     """The pairs of a wave from one ragged evolution of the eps of every
-    level, each level's profile too at K = 0, beside the builds of the orders
-    its levels lack (`fan_out`: the builds in refine order, then the wave); a
-    failing build or profile row fails its level, so it names the wave's first pair."""
+    level, each level's profile too at K = 0, beside the builds of its
+    levels' orders (`fan_out`: the builds in refine order, then the wave); a
+    failing build (row None) or profile row names the wave's first pair."""
     K, batches = ORDERS[config.mode], {}
     for p, (_, shared) in enumerate(pairs):
         batches.setdefault(shared["dt"], []).append(p)
     owners = [p for batch in batches.values() for p in [0] * (K == 0) + batch]
     a0, phi, U, T = config.initial_profile(), config.pair(), config.external(), config.T
 
-    def wave():  # the finals, or the failure of a row, which names its pair
+    def wave():  # a failing row names its pair
         try:
             return evolve_wave(a0, phi, U, T, [(pairs[batch[0]][1]["trajectory"], dt, [
                 pairs[p][0] for p in batch]) for dt, batch in batches.items()], K == 0)
         except NumericalError as exc:
             exc.row = owners[exc.row]
-            return exc
+            raise
 
-    new = [pairs[b[0]][1] for b in batches.values() if K and "orders" not in pairs[b[0]][1]]
-    builds = [(partial(evolve_corrections, a0, phi, U, shared["trajectory"], T, shared["dt"], K),
-               f"corrections build (dt={shared['dt']:g})", 0) for shared in new]
-    try:  # a failing build's error, raised before any of the wave
-        *built, finals = fan_out(builds + [(wave, "packet-frame wave", 0)])
-    except NumericalError as exc:
-        exc.row = 0
-        raise
-    for shared, orders in zip(new, built):  # kept for a rerun of the wave
-        shared["orders"] = orders
-    if isinstance(finals, NumericalError):
-        raise finals
-    finals, results = iter(finals), [None] * len(pairs)
+    builds = [(partial(evolve_corrections, a0, phi, U, pairs[batch[0]][1]["trajectory"], T, dt,
+                       K), f"corrections build (dt={dt:g})", None)
+              for dt, batch in batches.items() if K]
+    *built, finals = fan_out(builds + [(wave, "packet-frame wave", 0)])
+    built, finals, results = iter(built), iter(finals), [None] * len(pairs)
     for dt, batch in batches.items():
-        orders = (next(finals),) if K == 0 else pairs[batch[0]][1]["orders"]
+        orders = next(built) if K else (next(finals),)
         for p in batch:
             error = l2_distance(next(finals), assemble_expansion(orders, K, pairs[p][0]))
             results[p] = (error, dt, config.mu_n)
@@ -170,40 +161,40 @@ def _physical_errors(config: ExperimentConfig, pairs: list) -> list:
     return [(errors[-1], dt, n) for errors, dt, n, _ in compare(pairs, config)]
 
 
-def _gate_rows(config: ExperimentConfig, build, evaluate) -> tuple:
-    """(rows, failure) from the whole eps set gated in waves of (eps index,
-    refine) pairs: the first wave holds levels 1 and 2 of every eps, each
-    later one the next doubling of the eps still unsettled.  A wave builds
-    each level it is the first to need with `build(config, refine)`, in
-    refine order.  failure is (eps, exception) of the first datapoint in
-    list order that failed, or None.
+def _gate_rows(config: ExperimentConfig, build, evaluate) -> SweepReport:
+    """The report of the whole eps set gated in waves of (eps index, refine)
+    pairs: the first wave holds levels 1 and 2 of every eps, each later one
+    the next doubling of the eps still unsettled.  Each attempt at a wave
+    builds its levels with `build(config, refine)`, in refine order (no level
+    serves two waves).  Raises SweepError, from the exception of the first
+    datapoint in list order that failed, with the rows before it.
 
     The outcome equals evaluating the eps one at a time in list order, level
     by level.  A failure at a pair drops it and every pair after it in
     (index, refine) order, and the wave reruns with the pairs left; a level
-    build that fails fails every pair of its wave.  So the datapoint that
-    fails is the earliest, at its lowest failing level.  A row's wall_ms is
-    its share of the time of every wave it took part in, level builds
-    included, each wave's time split evenly over its eps.
+    build that fails, or a failure with no row, fails every pair of its
+    wave.  So the datapoint that fails is the earliest, at its lowest
+    failing level.  A row's wall_ms is its share of the time of every wave
+    it took part in, level builds included, each wave's time split evenly
+    over its eps.
     """
     eps_list = config.eps_list
     # (index, exception) of the earliest failing eps; the rows end at index
     failure = (len(eps_list), None)
     spent = [0.0] * len(eps_list)
-    levels, settled, errors = {}, {}, {}
+    settled, errors = {}, {}
 
     def wave(pairs: list) -> None:
         nonlocal failure
         while pairs:
-            start = time.perf_counter()
+            start, levels = time.perf_counter(), {}
             try:
                 for refine in dict.fromkeys(r for _, r in pairs):
-                    if refine not in levels:
-                        levels[refine] = build(config, refine)
+                    levels[refine] = build(config, refine)
                 errors.update(zip(pairs, evaluate(
                     config, [(eps_list[i], levels[r]) for i, r in pairs])))
                 p = len(pairs)
-            except NumericalError as exc:  # a level build fails the wave, whichever row raised
+            except NumericalError as exc:  # a level build fails the wave's first pair
                 p = (exc.row or 0) if refine in levels else 0
                 failure = (pairs[p][0], exc)
             held = dict.fromkeys(i for i, _ in pairs)
@@ -230,9 +221,12 @@ def _gate_rows(config: ExperimentConfig, build, evaluate) -> tuple:
         failure = (active[0], NumericalError(
             f"step-halving gate failed at eps={eps:g}: error still moving by "
             f"more than {GATE_REL_TOL:.0%} after {MAX_GATE_DOUBLINGS} halvings"))
-
-    rows = [settled[i] for i in range(failure[0])]
-    return rows, None if failure[1] is None else (eps_list[failure[0]], failure[1])
+    index, exc = failure
+    report = _finish_report([settled[i] for i in range(index)], config.mode)
+    if exc is not None:
+        eps = eps_list[index]
+        raise SweepError(f"sweep aborted at eps={eps:g}: {exc}", report, eps) from exc
+    return report
 
 
 def check_initial_profile(config: ExperimentConfig) -> None:
@@ -253,13 +247,13 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     log-log rate, and return the report (rows sorted by descending epsilon).
 
     Every mode gates its eps in waves of (eps, level) pairs over levels
-    built once per call, each in the first wave that needs it: levels 1
-    and 2 of every eps, then each doubling of those unsettled.  The
-    packet-frame modes step a wave as one ragged batch, at K >= 1 beside the
-    builds of its new levels' orders, one process per task; physical mode
-    steps the pairs of one grid size as one batch, and its batches on up to
-    the CPUs this process may use.  With one usable CPU everything runs in
-    this process, with the same rows and errors.  `jobs` is ignored.
+    built by the one wave that needs them: levels 1 and 2 of every eps,
+    then each doubling of those unsettled.  The packet-frame modes step a
+    wave as one ragged batch, at K >= 1 beside the builds of its levels'
+    orders, one process per task; physical mode steps the pairs of one grid
+    size as one batch, and its batches on up to the CPUs this process may
+    use.  With one usable CPU everything runs in this process, with the
+    same rows and errors.  `jobs` is ignored.
 
     Raises ConfigError if jobs < 1 or the grid cannot hold the initial
     profile, before any level is built, and SweepError with the partial
@@ -270,12 +264,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepReport:
     check_initial_profile(config)
     build, evaluate = ((physical_level, _physical_errors) if config.mode == "physical"
                        else (_build_level, _packet_frame_errors))
-    rows, failure = _gate_rows(config, build, evaluate)
-    report = _finish_report(rows, config.mode)
-    if failure is not None:
-        eps, exc = failure
-        raise SweepError(f"sweep aborted at eps={eps:g}: {exc}", report, eps) from exc
-    return report
+    return _gate_rows(config, build, evaluate)
 
 
 def _finish_report(rows, mode: str) -> SweepReport:

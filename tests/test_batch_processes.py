@@ -16,29 +16,11 @@ from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
 from semihartree.hartree import compare, physical_level
 
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-needs_two_cpus = pytest.mark.skipif(
-    CPUS < 2 or not hasattr(os, "fork"),
-    reason="one usable CPU (or no os.fork): compare steps every batch in this process")
+from conftest import needs_two_cpus, serial
 
 # at T = 0.25, eps 0.08 sizes its grid at n = 256 and eps 0.02 at n = 1024:
 # two batches, the second one the child's when two CPUs are usable
 SHORT = ExperimentConfig(mode="physical", T=0.25, eps_list=(0.08, 0.02))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The forks of the case, counted; no child is left once it has run."""
-    forks, real = [], os.fork
-
-    def counted():
-        forks.append(None)
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    yield forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(params=[1, pytest.param(2, marks=needs_two_cpus)], ids=["W1", "W2"])
@@ -48,13 +30,6 @@ def workers(request, monkeypatch, forks):
     if request.param == 1:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     return request.param, forks
-
-
-def serial(monkeypatch, run):
-    """run() with compare pinned to this process (W = 1)."""
-    with monkeypatch.context() as m:
-        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        return run()
 
 
 @needs_two_cpus

@@ -1,5 +1,5 @@
-"""The packet-frame sweeps build the correction orders of a wave's new
-levels beside its eps stepping, through the fan-out that `compare` shares
+"""The packet-frame sweeps build the correction orders of a wave's levels
+beside its eps stepping, through the fan-out that `compare` shares
 (`_stepping.fan_out`): the builds, in refine order, then the wave, the
 first in this process and each other in a forked child.  The rows, the
 error of a failing eps and its partial report equal those of one process
@@ -23,32 +23,7 @@ from semihartree.config import ExperimentConfig
 from semihartree.errors import NumericalError
 from semihartree.sweep import SweepError, run_sweep
 
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-TWO = CPUS >= 2 and hasattr(os, "fork")
-needs_two_cpus = pytest.mark.skipif(
-    not TWO, reason="one usable CPU (or no os.fork): the sweep runs every task in this process")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The forks of the case, counted; no child is left once it has run."""
-    forks, real = [], os.fork
-
-    def counted():
-        forks.append(None)
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    yield forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def serial(monkeypatch, run):
-    """run() with the sweep pinned to this process (W = 1)."""
-    with monkeypatch.context() as m:
-        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        return run()
+from conftest import TWO, needs_two_cpus, serial
 
 
 def timeless(report):
@@ -136,10 +111,10 @@ def test_interrupted_process_kills_its_children(forks, monkeypatch):
 
 
 @pytest.mark.parametrize("w", [1, pytest.param(2, marks=needs_two_cpus)], ids=["W1", "W2"])
-def test_failing_wave_row_reruns_without_a_build(forks, monkeypatch, tmp_path, w):
+def test_failing_wave_row_reruns_with_its_builds(forks, monkeypatch, tmp_path, w):
     # a wave row of eps 0.04 fails, in the wave's child at W = 2: the sweep
     # ends at eps 0.04 as in one process, and the rerun of the wave for eps
-    # 0.08 reuses the orders built beside the first run (two builds in all)
+    # 0.08 builds its two levels again beside it (four builds in all)
     if w == 1:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     log = tmp_path / "builds"
@@ -163,8 +138,8 @@ def test_failing_wave_row_reruns_without_a_build(forks, monkeypatch, tmp_path, w
     assert message == "sweep aborted at eps=0.04: poisoned row (eps=0.04)"
     assert failed_eps == 0.04 and report.count("SweepRow(epsilon=0.08,") == 1
     assert "epsilon=0.04" not in report
-    assert log.read_text() == "bb"
-    assert len(forks) == 2 * (w - 1)
+    assert log.read_text() == "bbbb"
+    assert len(forks) == 4 * (w - 1)
 
 
 def test_rescaled_forks_nothing(forks):
